@@ -56,4 +56,3 @@ func main() {
 	}
 	fmt.Printf("largest deviation from the analytic front: %.4f\n", worst)
 }
-

@@ -1021,6 +1021,18 @@ func TestEventHookAndWorkerStats(t *testing.T) {
 		}
 	}
 
+	// The assign event fires after the task is written to the worker, on
+	// the dispatching goroutine: the fifth result can be back with the
+	// client before its assign event is out.
+	for i := 0; i < 2000; i++ {
+		mu.Lock()
+		n := seen[EventAssign]
+		mu.Unlock()
+		if n >= 5 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	if seen[EventWorkerConnect] == 0 || seen[EventAssign] < 5 || seen[EventResult] < 5 {

@@ -75,9 +75,9 @@ func (ws WireStats) String() string {
 // the scheduler (aggregated across every connection) and one on each
 // worker and client.
 type wireCounters struct {
-	framesIn, framesOut   atomic.Int64
-	bytesIn, bytesOut     atomic.Int64
-	decodeErrors          atomic.Int64
+	framesIn, framesOut    atomic.Int64
+	bytesIn, bytesOut      atomic.Int64
+	decodeErrors           atomic.Int64
 	binaryConns, jsonConns atomic.Int64
 }
 

@@ -35,6 +35,7 @@ func NewDecoder(r io.Reader) *Decoder {
 // frame boundary returns io.EOF; a stream that dies mid-frame returns
 // io.ErrUnexpectedEOF; malformed frames return errors wrapping the
 // package sentinels (see IsDecodeError).
+//
 //lint:hot
 func (d *Decoder) Decode(m *Message) error {
 	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {

@@ -25,6 +25,7 @@ func NewEncoder(w io.Writer) *Encoder {
 // Encode validates, frames and writes one message.  It reports the
 // number of bytes written so transports can keep byte counters without
 // wrapping the writer.
+//
 //lint:hot
 func (e *Encoder) Encode(m *Message) (int, error) {
 	frame, err := AppendFrame(e.buf[:0], m)

@@ -209,6 +209,7 @@ const (
 // no shared mutable state; gradients land in the scratch's shadow shards
 // and s.dcoord.  The batched inference paths use computeTile instead;
 // this per-atom path remains for modeGrad, whose shard merge is per-atom.
+//
 //lint:hot
 func (m *Model) computeAtom(s *evalScratch, mode evalMode, coord []float64, types []int, box float64, i int, nl *neighbor.List, scale float64) {
 	desc := m.Desc
@@ -260,6 +261,7 @@ func tileBounds(u, nAtoms int) (lo, hi int) {
 // computeAtom's: batch rows reduce in the scalar order, and each slot's
 // coordinate gradients accumulate into a private buffer exactly as the
 // per-atom path did.  mode must be modeEnergy or modeForces.
+//
 //lint:hot
 func (m *Model) computeTile(s *evalScratch, mode evalMode, coord []float64, types []int, box float64, u int, nl *neighbor.List) {
 	lo, hi := tileBounds(u, len(types))
@@ -306,6 +308,7 @@ func (m *Model) computeTile(s *evalScratch, mode evalMode, coord []float64, type
 
 // mergeTile folds a computed tile into the global accumulators in strict
 // atom order, restoring each slot's zeroed-dcoord invariant.
+//
 //lint:hot
 func (m *Model) mergeTile(s *evalScratch, mode evalMode, types []int, u int, energy *float64, dcoord []float64) {
 	lo, hi := tileBounds(u, len(types))
@@ -339,6 +342,7 @@ func (m *Model) mergeTile(s *evalScratch, mode evalMode, types []int, u int, ene
 // entries, zeroed shadow grads).  forEachUnit calls it in strict
 // atom-index order, which fixes the floating-point reduction order
 // independent of the worker count.
+//
 //lint:hot
 func (m *Model) mergeAtom(s *evalScratch, mode evalMode, t int, energy *float64, dcoord []float64) {
 	*energy += s.energy

@@ -212,6 +212,7 @@ func (e *Env) EmbedNets() []int { return e.embedNets }
 // comes from an internal pool; hand it back with Release once its
 // outputs are no longer needed, after which repeated Forward/Release
 // pairs allocate nothing.
+//
 //lint:hot
 func (d *Descriptor) Forward(coord []float64, types []int, box float64, i int) *Env {
 	env, _ := d.envPool.Get().(*Env)
@@ -220,6 +221,7 @@ func (d *Descriptor) Forward(coord []float64, types []int, box float64, i int) *
 
 // Release returns an Env obtained from Forward to the descriptor's pool.
 // The Env (including its Out slice) must not be used afterwards.
+//
 //lint:hot
 func (d *Descriptor) Release(env *Env) {
 	if env != nil {
@@ -397,6 +399,7 @@ func ensureZeroed(buf []float64, n int) []float64 {
 // accumulating embedding-network parameter gradients and adding coordinate
 // gradients into dcoord (flat, same layout as coord).  Set train=false to
 // skip parameter-gradient accumulation (force inference).
+//
 //lint:hot
 func (d *Descriptor) Backward(env *Env, dOut []float64, dcoord []float64, train bool) {
 	d.computeDT1(env, dOut)
@@ -533,6 +536,7 @@ func (d *Descriptor) geometryChain(env *Env, dcoord []float64) {
 // no parameter accumulator.  Gradient-descent passes that discard dcoord
 // (the ±h directional-difference passes of the force loss) use this to
 // shed roughly a third of the descriptor backward.
+//
 //lint:hot
 func (d *Descriptor) BackwardParams(env *Env, dOut []float64) {
 	d.computeDT1(env, dOut)

@@ -93,7 +93,13 @@ func (c *CampaignResult) LastGenFailures() int {
 }
 
 // RunCampaign executes the configured number of independent NSGA-II runs
-// sequentially and returns their pooled results.
+// sequentially and returns their pooled results.  It stays sequential on
+// purpose: Parallelism bounds the evaluations in flight for the whole
+// call, and one-shot callers hand it evaluators that are safe only under
+// that bound (Parallelism 1 means never called concurrently).  A caller
+// whose evaluator is concurrency-safe and who wants the runs to overlap
+// — the campaign service — calls it once per run with Runs 1 and
+// BaseSeed+r, then ResumeRun.
 func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error) {
 	if cfg.Runs <= 0 {
 		return nil, fmt.Errorf("hpo: Runs must be positive")

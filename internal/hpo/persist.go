@@ -95,12 +95,12 @@ func (f *JSONFloats) UnmarshalJSON(data []byte) error {
 // crowding distance are omitted (recomputable; see JSONFloats for why
 // fitness gets the sentinel treatment instead).
 type savedIndividual struct {
-	ID        string      `json:"id"`
+	ID        string     `json:"id"`
 	Genome    JSONFloats `json:"genome"`
 	Fitness   JSONFloats `json:"fitness"`
-	Err       string      `json:"err,omitempty"`
-	RuntimeMS int64       `json:"runtime_ms"`
-	Birth     int         `json:"birth"`
+	Err       string     `json:"err,omitempty"`
+	RuntimeMS int64      `json:"runtime_ms"`
+	Birth     int        `json:"birth"`
 }
 
 type savedGeneration struct {

@@ -12,16 +12,38 @@ import (
 // ResumeCampaign continues a finished (or walltime-killed) campaign for
 // moreGens additional generations per run: the operational pattern behind
 // the paper's 12-hour Summit batch jobs (§2.2.5), where long campaigns
-// must span multiple submissions.  Each run warm-starts from its final
-// surviving population, and the mutation σ resumes from its annealed
-// value (σ₀ · anneal^gensAlreadyRun).  The returned result contains the
-// original generations followed by the new ones with continued indices.
+// must span multiple submissions.  It is ResumeRun applied to every run
+// in turn; the returned result contains the original generations
+// followed by the new ones with continued indices.
 func ResumeCampaign(ctx context.Context, prev *CampaignResult, cfg CampaignConfig, moreGens int) (*CampaignResult, error) {
 	if prev == nil || len(prev.Runs) == 0 {
 		return nil, fmt.Errorf("hpo: nothing to resume")
 	}
+	out := &CampaignResult{}
+	for runIdx, run := range prev.Runs {
+		res, err := ResumeRun(ctx, run, cfg, runIdx, moreGens)
+		if err != nil {
+			return out, err
+		}
+		out.Runs = append(out.Runs, res)
+	}
+	return out, nil
+}
+
+// ResumeRun continues run runIdx of a campaign for moreGens additional
+// generations.  The run warm-starts from its final surviving population,
+// the mutation σ resumes from its annealed value (σ₀ · anneal^gensDone),
+// and the RNG is seeded ResumeSeed(cfg.BaseSeed, runIdx, gensDone) — a
+// function of how far this run has come and of nothing else, so runs of
+// one campaign can be resumed in any order, or concurrently, and land on
+// the same records.  run is not modified; the result holds its
+// generation records followed by the new ones.
+func ResumeRun(ctx context.Context, run *nsga2.Result, cfg CampaignConfig, runIdx, moreGens int) (*nsga2.Result, error) {
 	if moreGens <= 0 {
 		return nil, fmt.Errorf("hpo: moreGens must be positive")
+	}
+	if run == nil || len(run.Final) == 0 {
+		return nil, fmt.Errorf("hpo: run %d has no final population", runIdx)
 	}
 	rep := cfg.Representation
 	if rep.Bounds == nil {
@@ -31,56 +53,47 @@ func ResumeCampaign(ctx context.Context, prev *CampaignResult, cfg CampaignConfi
 	if anneal == 0 {
 		anneal = 0.85
 	}
-
-	out := &CampaignResult{}
-	for runIdx, run := range prev.Runs {
-		if len(run.Final) == 0 {
-			return nil, fmt.Errorf("hpo: run %d has no final population", runIdx)
-		}
-		gensDone := len(run.Generations) - 1
-		if gensDone < 0 {
-			gensDone = 0
-		}
-		std := make([]float64, len(rep.Std))
-		decay := math.Pow(anneal, float64(gensDone))
-		for i, s := range rep.Std {
-			std[i] = s * decay
-		}
-		popSize := cfg.PopSize
-		if popSize == 0 {
-			popSize = len(run.Final)
-		}
-		if popSize != len(run.Final) {
-			return nil, fmt.Errorf("hpo: run %d final population %d != PopSize %d",
-				runIdx, len(run.Final), popSize)
-		}
-		res, err := nsga2.Run(ctx, nsga2.Config{
-			PopSize:      popSize,
-			Generations:  moreGens,
-			Bounds:       rep.Bounds,
-			InitialStd:   std,
-			AnnealFactor: anneal,
-			Evaluator:    cfg.Evaluator,
-			Pool:         poolFromConfig(cfg),
-			Seed:         ResumeSeed(cfg.BaseSeed, runIdx, gensDone),
-			Initial:      run.Final,
-		})
-		if err != nil {
-			return out, fmt.Errorf("hpo: resuming run %d: %w", runIdx, err)
-		}
-		// Stitch: original generations, then the new offspring generations
-		// (the warm-start "generation 0" duplicates the previous final
-		// population and is dropped).
-		combined := &nsga2.Result{}
-		combined.Generations = append(combined.Generations, run.Generations...)
-		for _, rec := range res.Generations[1:] {
-			rec.Gen = gensDone + rec.Gen
-			combined.Generations = append(combined.Generations, rec)
-		}
-		combined.Final = res.Final
-		out.Runs = append(out.Runs, combined)
+	gensDone := len(run.Generations) - 1
+	if gensDone < 0 {
+		gensDone = 0
 	}
-	return out, nil
+	std := make([]float64, len(rep.Std))
+	decay := math.Pow(anneal, float64(gensDone))
+	for i, s := range rep.Std {
+		std[i] = s * decay
+	}
+	popSize := cfg.PopSize
+	if popSize == 0 {
+		popSize = len(run.Final)
+	}
+	if popSize != len(run.Final) {
+		return nil, fmt.Errorf("hpo: run %d final population %d != PopSize %d",
+			runIdx, len(run.Final), popSize)
+	}
+	res, err := nsga2.Run(ctx, nsga2.Config{
+		PopSize:      popSize,
+		Generations:  moreGens,
+		Bounds:       rep.Bounds,
+		InitialStd:   std,
+		AnnealFactor: anneal,
+		Evaluator:    cfg.Evaluator,
+		Pool:         poolFromConfig(cfg),
+		Seed:         ResumeSeed(cfg.BaseSeed, runIdx, gensDone),
+		Initial:      run.Final,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("hpo: resuming run %d: %w", runIdx, err)
+	}
+	// Stitch: original generations, then the new offspring generations
+	// (the warm-start "generation 0" duplicates the previous final
+	// population and is dropped).
+	combined := &nsga2.Result{Final: res.Final}
+	combined.Generations = append(combined.Generations, run.Generations...)
+	for _, rec := range res.Generations[1:] {
+		rec.Gen = gensDone + rec.Gen
+		combined.Generations = append(combined.Generations, rec)
+	}
+	return combined, nil
 }
 
 // ResumeSeed derives the mutation-RNG seed for one resume leg from the

@@ -153,4 +153,3 @@ func Encode(p Params) (ea.Genome, error) {
 	)
 	return g, nil
 }
-

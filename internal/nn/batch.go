@@ -23,6 +23,7 @@ type BatchTrace struct {
 // (owned by the trace).  Each row is arithmetically identical — bit for
 // bit — to a scalar Forward of that row: the kernel blocks over rows and
 // output columns only, never over the k reduction (see package blas).
+//
 //lint:hot
 func (d *Dense) ForwardBatch(bt *BatchTrace, x []float64, n int) []float64 {
 	if len(x) != n*d.In {
@@ -104,6 +105,7 @@ type BatchTape struct {
 // recording traces into tape.  The returned n×OutDim output is owned by
 // the tape and overwritten by the next call.  Row r of the result is
 // bit-identical to ForwardT of row r.
+//
 //lint:hot
 func (m *MLP) ForwardBatch(tape *BatchTape, x []float64, n int) []float64 {
 	if len(tape.traces) != len(m.Layers) {
@@ -123,6 +125,7 @@ func (m *MLP) ForwardBatch(tape *BatchTape, x []float64, n int) []float64 {
 // and returns the n×InDim gradient with respect to the network input.
 // Gradient accumulation is bit-identical to replaying the rows through
 // scalar Backward in ascending row order.
+//
 //lint:hot
 func (m *MLP) BackwardBatch(tape *BatchTape, dy []float64, n int) []float64 {
 	cur := dy
@@ -134,6 +137,7 @@ func (m *MLP) BackwardBatch(tape *BatchTape, dy []float64, n int) []float64 {
 
 // InputGradBatch returns the n×InDim input gradient for the recorded
 // batch without accumulating parameter gradients.
+//
 //lint:hot
 func (m *MLP) InputGradBatch(tape *BatchTape, dy []float64, n int) []float64 {
 	cur := dy

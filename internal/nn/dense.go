@@ -91,6 +91,7 @@ func (d *Dense) Forward(x []float64) (out []float64, tr *Trace) {
 // ForwardInto is Forward with a caller-owned reusable trace: passing the
 // same Trace back recycles its buffers, so repeated calls allocate
 // nothing in steady state.  The returned output is trace-owned.
+//
 //lint:hot
 func (d *Dense) ForwardInto(tr *Trace, x []float64) []float64 {
 	return d.forwardInto(tr, x)
@@ -249,6 +250,7 @@ func (m *MLP) Forward(x []float64) ([]float64, *Tape) {
 // buffers are reused when their shapes match, so repeated calls with the
 // same tape do not allocate.  The returned output slice is owned by the
 // tape and overwritten by the next ForwardT call.
+//
 //lint:hot
 func (m *MLP) ForwardT(tape *Tape, x []float64) []float64 {
 	if len(tape.traces) != len(m.Layers) {
@@ -266,6 +268,7 @@ func (m *MLP) ForwardT(tape *Tape, x []float64) []float64 {
 
 // Backward accumulates parameter gradients for the recorded pass and
 // returns the gradient with respect to the network input.
+//
 //lint:hot
 func (m *MLP) Backward(tape *Tape, dy []float64) []float64 {
 	cur := dy
@@ -277,6 +280,7 @@ func (m *MLP) Backward(tape *Tape, dy []float64) []float64 {
 
 // InputGrad returns dL/dx for the recorded pass without accumulating
 // parameter gradients.
+//
 //lint:hot
 func (m *MLP) InputGrad(tape *Tape, dy []float64) []float64 {
 	cur := dy

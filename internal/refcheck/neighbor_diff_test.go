@@ -34,7 +34,7 @@ func randConfiguration(rng *rand.Rand, n int, box float64, reach float64) []floa
 				coord[3*i+rng.Intn(3)] = cell * float64(rng.Intn(nc+1))
 			case 3:
 				coord[3*i+rng.Intn(3)] = -cell * rng.Float64()
-			// case 4: leave the uniform draw.
+				// case 4: leave the uniform draw.
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ea"
 	"repro/internal/hpo"
+	"repro/internal/nsga2"
 )
 
 // Spec is the client-supplied description of one campaign: the JSON body
@@ -133,12 +134,18 @@ type Campaign struct {
 	Created time.Time
 	ring    *Ring
 
+	// reportMu serializes generation reports (checkpoint + event), so
+	// they leave in ascending order whichever lanes trigger them.  Taken
+	// before mu, never while holding it.
+	reportMu sync.Mutex
+
 	mu        sync.Mutex
 	state     State
 	cancel    context.CancelFunc
 	cancelled bool // Cancel() requested while running (vs. drain)
 	admitSeq  int64
 	result    *hpo.CampaignResult
+	reported  int // evaluation rounds whose generation event has gone out
 	errMsg    string
 }
 
@@ -157,10 +164,12 @@ func (c *Campaign) State() State {
 	return c.state
 }
 
-// Result returns the accumulated campaign result (nil before the first
-// completed generation).  The returned structure is safe to read: legs
-// replace it wholesale and never mutate published individuals' genomes
-// or fitnesses.
+// Result returns the accumulated campaign result: every generation any
+// run has completed, so runs ahead of gens_done show here first.  It is
+// nil before the first run finishes generation 0; from then on it holds
+// one entry per run, empty for a run still in generation 0.  The returned
+// structure is safe to read: lanes replace it wholesale and never mutate
+// published individuals' genomes or fitnesses.
 func (c *Campaign) Result() *hpo.CampaignResult {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -170,22 +179,133 @@ func (c *Campaign) Result() *hpo.CampaignResult {
 // Events returns the campaign's event ring.
 func (c *Campaign) Events() *Ring { return c.ring }
 
-// gensDoneLocked counts completed offspring generations.  Caller holds
-// c.mu.  Generation 0 (the initial-population evaluation) is round
-// zero: a result whose runs hold n generation records has n-1 offspring
-// generations behind it.
-func (c *Campaign) gensDoneLocked() int {
-	if c.result == nil || len(c.result.Runs) == 0 {
+// roundsLocked counts the evaluation rounds every run has completed:
+// the minimum over runs of their generation records (round 0 is the
+// initial population; a run without records, or missing from a restored
+// document, is a lane that has not finished it).  Caller holds c.mu.
+func (c *Campaign) roundsLocked() int {
+	if c.result == nil || len(c.result.Runs) < c.Spec.Runs {
 		return 0
 	}
-	n := len(c.result.Runs[0].Generations) - 1
-	if n < 0 {
-		return 0
+	n := len(c.result.Runs[0].Generations)
+	for _, run := range c.result.Runs[1:] {
+		n = min(n, len(run.Generations))
 	}
 	return n
 }
 
-// Status is the JSON shape of GET /v1/campaigns/{id}.
+// gensDoneLocked counts completed offspring generations: the campaign is
+// as far as its slowest run.  Caller holds c.mu.  Generation 0 is round
+// zero, so n completed rounds leave n-1 offspring generations behind.
+func (c *Campaign) gensDoneLocked() int {
+	return max(c.roundsLocked()-1, 0)
+}
+
+// runResult returns run r's accumulated result, nil while its lane is
+// still in generation 0.
+func (c *Campaign) runResult(r int) *nsga2.Result {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.result == nil || r >= len(c.result.Runs) || len(c.result.Runs[r].Generations) == 0 {
+		return nil
+	}
+	return c.result.Runs[r]
+}
+
+// publish installs run r's new result by swapping in a fresh
+// CampaignResult (readers keep whatever pointer they hold) and reports
+// whether that completed a round for the whole campaign.
+func (c *Campaign) publish(r int, run *nsga2.Result) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	before := c.roundsLocked()
+	next := &hpo.CampaignResult{Runs: make([]*nsga2.Result, c.Spec.Runs)}
+	if c.result != nil {
+		copy(next.Runs, c.result.Runs)
+	}
+	next.Runs[r] = run
+	for i, have := range next.Runs {
+		if have == nil {
+			next.Runs[i] = &nsga2.Result{}
+		}
+	}
+	c.result = next
+	return c.roundsLocked() > before
+}
+
+// lcurvePoint is one evaluation round of GET /v1/campaigns/{id}/lcurve.
+type lcurvePoint struct {
+	Gen      int `json:"gen"`
+	Evals    int `json:"evals"`
+	Failures int `json:"failures"`
+}
+
+// lcurveOf sums evaluation effort over runs for res's first rounds
+// evaluation rounds, which every run must have completed.  Records past
+// them — lanes running ahead — are left out, so the answer depends on
+// rounds alone, never on how far ahead some lane happens to be.
+func lcurveOf(res *hpo.CampaignResult, rounds int) []lcurvePoint {
+	out := make([]lcurvePoint, rounds)
+	for g := range out {
+		out[g].Gen = g
+		for _, run := range res.Runs {
+			out[g].Evals += len(run.Generations[g].Evaluated)
+			out[g].Failures += run.Generations[g].Failures
+		}
+	}
+	return out
+}
+
+// frontOf is the Pareto frontier of res as of its first rounds
+// evaluation rounds: the non-dominated subset of every run's survivors
+// of the last of them.  For a finished campaign that is
+// res.ParetoFront().
+func frontOf(res *hpo.CampaignResult, rounds int) ea.Population {
+	if rounds == 0 {
+		return nil
+	}
+	var pool ea.Population
+	for _, run := range res.Runs {
+		pool = append(pool, run.Generations[rounds-1].Survivors...)
+	}
+	return nsga2.NonDominated(pool)
+}
+
+// tallyOf totals res as of its first rounds evaluation rounds.
+func tallyOf(res *hpo.CampaignResult, rounds int) (evals, failures, frontier int) {
+	for _, p := range lcurveOf(res, rounds) {
+		evals += p.Evals
+		failures += p.Failures
+	}
+	return evals, failures, len(frontOf(res, rounds))
+}
+
+// progress snapshots the accumulated result and how many of its rounds
+// every run has completed; both feed lcurveOf, frontOf and tallyOf
+// outside the lock.
+func (c *Campaign) progress() (*hpo.CampaignResult, int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.result, c.roundsLocked()
+}
+
+// Frontier returns the campaign's Pareto frontier as of gens_done.
+func (c *Campaign) Frontier() ea.Population {
+	return frontOf(c.progress())
+}
+
+// Lcurve summarizes evaluation effort per evaluation round up to
+// gens_done (round 0 is the initial population).
+func (c *Campaign) Lcurve() []lcurvePoint {
+	return lcurveOf(c.progress())
+}
+
+// Status is the JSON shape of GET /v1/campaigns/{id}.  GensDone is the
+// minimum over runs, and Evaluations, Failures and Frontier describe the
+// campaign as of that generation — the numbers the last generation event
+// carried — so a status depends on gens_done alone.  RunGens shows the
+// lanes: generations done per run, -1 for a run still in generation 0;
+// entries above gens_done are lanes running ahead.
 type Status struct {
 	ID          string `json:"id"`
 	Tenant      string `json:"tenant"`
@@ -193,6 +313,7 @@ type Status struct {
 	State       State  `json:"state"`
 	Generations int    `json:"generations"`
 	GensDone    int    `json:"gens_done"`
+	RunGens     []int  `json:"run_gens,omitempty"`
 	Evaluations int    `json:"evaluations"`
 	Failures    int    `json:"failures"`
 	Frontier    int    `json:"frontier_size"`
@@ -205,7 +326,6 @@ type Status struct {
 // Status snapshots the campaign for API responses.
 func (c *Campaign) Status() Status {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	st := Status{
 		ID:          c.ID,
 		Tenant:      c.Tenant,
@@ -216,23 +336,26 @@ func (c *Campaign) Status() Status {
 		AdmitSeq:    c.admitSeq,
 		Error:       c.errMsg,
 	}
-	if c.result != nil {
-		st.Evaluations = c.result.TotalEvaluations()
-		st.Failures = c.result.TotalFailures()
-		st.Frontier = len(c.result.ParetoFront())
+	res, rounds := c.result, c.roundsLocked()
+	c.mu.Unlock()
+	if res != nil {
+		for _, run := range res.Runs {
+			st.RunGens = append(st.RunGens, len(run.Generations)-1)
+		}
+		st.Evaluations, st.Failures, st.Frontier = tallyOf(res, rounds)
 	}
 	return st
 }
 
-// campaignConfig builds the hpo config for one leg of c.  The evaluator
-// chain is shared-memo behind the tenant's in-flight gate; gens is the
-// leg length (0 for the initial-population leg, since RunCampaign's
-// generation count excludes generation 0).
-func (s *Service) campaignConfig(c *Campaign, t *tenant, gens int) hpo.CampaignConfig {
+// campaignConfig builds the hpo config for one single-generation leg of
+// one run of c: generation 0 through hpo.RunCampaign (Runs 1, and
+// Generations 0 since its count excludes generation 0), later ones
+// through hpo.ResumeRun.  The evaluator chain is shared-memo behind the
+// tenant's in-flight gate, which is what bounds the lanes' total.
+func (s *Service) campaignConfig(c *Campaign, t *tenant) hpo.CampaignConfig {
 	return hpo.CampaignConfig{
-		Runs:         c.Spec.Runs,
+		Runs:         1,
 		PopSize:      c.Spec.PopSize,
-		Generations:  gens,
 		Evaluator:    gatedEvaluator{inner: s.eval, gate: t.gate},
 		Parallelism:  c.Spec.Parallelism,
 		EvalTimeout:  time.Duration(c.Spec.EvalTimeoutMS) * time.Millisecond,
@@ -241,139 +364,149 @@ func (s *Service) campaignConfig(c *Campaign, t *tenant, gens int) hpo.CampaignC
 	}
 }
 
-// run executes a campaign as a sequence of one-generation legs,
-// checkpointing after each.  Leg 0 evaluates the initial population
-// (hpo.RunCampaign with Generations=0); every later leg resumes the
-// accumulated result for exactly one generation, so each leg's RNG seed
-// is hpo.ResumeSeed(BaseSeed, run, gensDone) — a pure function of how
-// far the campaign has come, never of which process is executing it.
-// That invariance is the whole checkpoint/resume story: a bounced
-// service replays the same legs and lands on the same frontier.
+// run executes a campaign as one lane per run.  The runs of a campaign
+// never exchange anything, so nothing makes one wait for another: every
+// lane advances its own run through one-generation legs and starts the
+// next the moment the last is published, and one run's stragglers
+// overlap with the other runs' work instead of idling the fleet at a
+// barrier.  Each leg's RNG seed is a pure function of (BaseSeed, run,
+// that run's gensDone) — never of which process executes it, nor of how
+// the lanes interleave.  That invariance is the whole checkpoint/resume
+// story: a bounced service replays the same legs, each lane from its own
+// checkpointed generation, and lands on the same frontier.
+//
+// The first lane error cancels the sibling lanes; run returns only after
+// every lane has, and classifies the campaign once.
 func (s *Service) run(ctx context.Context, c *Campaign, t *tenant) {
 	defer s.wg.Done()
 	defer s.release(c, t)
 
-	c.emit(Event{Type: "admitted"})
-	s.logf("campaign_admitted", "id", c.ID, "tenant", c.Tenant, "gens_done", func() int {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.gensDoneLocked()
-	}())
-
-	for {
-		c.mu.Lock()
-		prev := c.result
-		target := c.Spec.gens()
-		finished := prev != nil && c.gensDoneLocked() >= target
-		c.mu.Unlock()
-		if finished {
-			break
-		}
-
-		var res *hpo.CampaignResult
-		var err error
-		if prev == nil {
-			res, err = hpo.RunCampaign(ctx, s.campaignConfig(c, t, 0))
-		} else {
-			res, err = hpo.ResumeCampaign(ctx, prev, s.campaignConfig(c, t, 0), 1)
-		}
-		if err != nil {
-			s.finishLeg(ctx, c, err)
-			return
-		}
-
-		c.mu.Lock()
-		c.result = res
-		gd := c.gensDoneLocked()
-		evals := res.TotalEvaluations()
-		fails := res.TotalFailures()
-		frontier := len(res.ParetoFront())
-		c.mu.Unlock()
-
-		if err := s.checkpoint(c); err != nil {
-			s.logf("checkpoint_error", "id", c.ID, "err", err)
-		}
-		c.emit(Event{Type: "generation", Gen: gd, Evals: evals, Failures: fails, Frontier: frontier})
-		s.logf("campaign_generation", "id", c.ID, "tenant", c.Tenant,
-			"gen", gd, "of", target, "evals", evals, "failures", fails, "frontier", frontier)
-	}
-
 	c.mu.Lock()
-	c.state = StateDone
+	c.reported = c.roundsLocked() // a restored campaign does not re-announce
+	gd := c.gensDoneLocked()
 	c.mu.Unlock()
-	if err := s.checkpoint(c); err != nil {
-		s.logf("checkpoint_error", "id", c.ID, "err", err)
+	c.emit(Event{Type: "admitted"})
+	s.logf("campaign_admitted", "id", c.ID, "tenant", c.Tenant, "gens_done", gd)
+
+	laneCtx, stop := context.WithCancel(ctx)
+	defer stop()
+	var (
+		lanes   sync.WaitGroup
+		failed  sync.Once
+		laneErr error
+	)
+	runLane := func(r int) {
+		if err := s.lane(laneCtx, c, t, r); err != nil {
+			failed.Do(func() {
+				laneErr = err
+				stop()
+			})
+		}
 	}
+	// Run 0's lane is this goroutine: a one-run campaign is the same
+	// sequence of legs, checkpoints and events it always was.
+	for r := 1; r < c.Spec.Runs; r++ {
+		lanes.Add(1)
+		go func(r int) {
+			defer lanes.Done()
+			runLane(r)
+		}(r)
+	}
+	runLane(0)
+	lanes.Wait()
+	if laneErr != nil {
+		s.finishLeg(ctx, c, laneErr)
+		return
+	}
+
+	s.settle(c, StateDone, "")
 	c.emit(Event{Type: "done"})
 	s.logf("campaign_done", "id", c.ID, "tenant", c.Tenant)
 }
 
-// finishLeg classifies a failed leg: context cancellation is either a
-// client cancel or a drain suspension; anything else fails the campaign.
-// Either way the campaign is checkpointed so no completed generation is
-// lost.
-func (s *Service) finishLeg(ctx context.Context, c *Campaign, legErr error) {
-	c.mu.Lock()
-	var typ string
-	switch {
-	case ctx.Err() != nil && c.cancelled:
-		c.state = StateCancelled
-		typ = "cancelled"
-	case ctx.Err() != nil:
-		c.state = StateSuspended
-		typ = "suspended"
-	default:
-		c.state = StateFailed
-		c.errMsg = legErr.Error()
-		typ = "failed"
-	}
-	gd := c.gensDoneLocked()
-	c.mu.Unlock()
-
-	if err := s.checkpoint(c); err != nil {
-		s.logf("checkpoint_error", "id", c.ID, "err", err)
-	}
-	c.emit(Event{Type: typ, Gen: gd, Detail: legErr.Error()})
-	s.logf("campaign_"+typ, "id", c.ID, "tenant", c.Tenant, "gens_done", gd, "err", legErr)
-}
-
-// lcurve returns the per-generation frontier-size / evaluation history
-// used by GET /v1/campaigns/{id}/lcurve.
-type lcurvePoint struct {
-	Gen      int `json:"gen"`
-	Evals    int `json:"evals"`
-	Failures int `json:"failures"`
-}
-
-// Lcurve summarizes evaluation effort per completed generation round
-// (round 0 is the initial population).
-func (c *Campaign) Lcurve() []lcurvePoint {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.result == nil {
-		return []lcurvePoint{}
-	}
-	byGen := map[int]*lcurvePoint{}
-	var gens []int
-	for _, run := range c.result.Runs {
-		for _, rec := range run.Generations {
-			p, ok := byGen[rec.Gen]
-			if !ok {
-				p = &lcurvePoint{Gen: rec.Gen}
-				byGen[rec.Gen] = p
-				gens = append(gens, rec.Gen)
+// lane advances run r to the campaign's target one generation per leg,
+// publishing after each; it is the only writer of its run.  The leg that
+// brings the slowest run level completes a generation of the campaign
+// and reports it.
+func (s *Service) lane(ctx context.Context, c *Campaign, t *tenant, r int) error {
+	cfg := s.campaignConfig(c, t)
+	run := c.runResult(r)
+	for {
+		switch {
+		case run == nil:
+			first := cfg
+			first.BaseSeed += int64(r)
+			res, err := hpo.RunCampaign(ctx, first)
+			if err != nil {
+				return fmt.Errorf("service: lane %d: %w", r, err)
 			}
-			p.Evals += len(rec.Evaluated)
-			p.Failures += rec.Failures
+			run = res.Runs[0]
+		case len(run.Generations) > c.Spec.gens():
+			return nil
+		default:
+			var err error
+			if run, err = hpo.ResumeRun(ctx, run, cfg, r, 1); err != nil {
+				return err
+			}
+		}
+		if c.publish(r, run) {
+			s.reportGenerations(c)
 		}
 	}
-	// Generation records arrive in order within each run, and runs are
-	// lockstep, so gens is already ascending.
-	out := make([]lcurvePoint, 0, len(gens))
-	for _, g := range gens {
-		out = append(out, *byGen[g])
+}
+
+// reportGenerations checkpoints and announces every generation the
+// campaign has completed and not yet reported: one checkpoint rewrite
+// and one generation event each, in ascending order.  Lanes call it
+// after a publish that advanced gens_done; two that race find the work
+// done once, by whichever got here first.  The event's numbers count
+// generation records up to its own generation only, so they are the same
+// whether or not some lane was ahead when it went out.
+func (s *Service) reportGenerations(c *Campaign) {
+	c.reportMu.Lock()
+	defer c.reportMu.Unlock()
+	for {
+		c.mu.Lock()
+		res, gen := c.result, c.reported
+		pending := gen < c.roundsLocked()
+		if pending {
+			c.reported++
+		}
+		c.mu.Unlock()
+		if !pending {
+			return
+		}
+		evals, fails, frontier := tallyOf(res, gen+1)
+
+		if err := s.checkpoint(c); err != nil {
+			s.logf("checkpoint_error", "id", c.ID, "err", err)
+		}
+		c.emit(Event{Type: "generation", Gen: gen, Evals: evals, Failures: fails, Frontier: frontier})
+		s.logf("campaign_generation", "id", c.ID, "tenant", c.Tenant,
+			"gen", gen, "of", c.Spec.gens(), "evals", evals, "failures", fails, "frontier", frontier)
 	}
-	return out
+}
+
+// finishLeg classifies a failed lane: context cancellation is either a
+// client cancel or a drain suspension; anything else fails the campaign.
+// Either way the campaign is checkpointed with every generation any lane
+// completed, so none of it is evaluated again after Restore.
+func (s *Service) finishLeg(ctx context.Context, c *Campaign, legErr error) {
+	c.mu.Lock()
+	cancelled := c.cancelled
+	gd := c.gensDoneLocked()
+	c.mu.Unlock()
+	switch {
+	case ctx.Err() != nil && cancelled:
+		s.settle(c, StateCancelled, "")
+	case ctx.Err() != nil:
+		s.settle(c, StateSuspended, "")
+	default:
+		s.settle(c, StateFailed, legErr.Error())
+	}
+	typ := string(c.State())
+	c.emit(Event{Type: typ, Gen: gd, Detail: legErr.Error()})
+	s.logf("campaign_"+typ, "id", c.ID, "tenant", c.Tenant, "gens_done", gd, "err", legErr)
 }
 
 var _ ea.Evaluator = gatedEvaluator{}

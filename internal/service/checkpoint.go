@@ -15,13 +15,14 @@ import (
 
 // Checkpoints are one JSON file per campaign — service metadata wrapped
 // around the standard hpo campaign format — rewritten atomically
-// (write-temp-then-rename) after every completed generation and on every
-// state change.  Because campaign execution is legged with
-// restart-invariant seeds (see Campaign run), a checkpoint taken at any
-// generation boundary resumes onto exactly the trajectory an
-// uninterrupted run would have taken: a bounce loses at most the
-// in-flight generation's work, never a completed generation, and never
-// changes the final frontier.
+// (write-temp-then-rename) after every completed campaign generation and
+// on every state change.  A checkpoint holds whatever every run has
+// completed when it is written, so runs may sit at different generations
+// inside it.  Because every run's legs carry restart-invariant seeds
+// (see Service.run), each run resumes from its own last generation onto
+// exactly the trajectory an uninterrupted run would have taken: a drain
+// loses at most each run's in-flight generation, never a completed one,
+// and never changes the final frontier.
 
 const (
 	checkpointFormat  = "repro-service-campaign"
@@ -49,6 +50,27 @@ type checkpointFile struct {
 // checkpoint persists c to CheckpointDir/<id>.json; a no-op without a
 // checkpoint directory.
 func (s *Service) checkpoint(c *Campaign) error {
+	c.mu.Lock()
+	st, errMsg := c.state, c.errMsg
+	c.mu.Unlock()
+	return s.checkpointAs(c, st, errMsg)
+}
+
+// settle ends c's execution in state st: the checkpoint is written first
+// and the state shown after, so whoever reads a done, failed, cancelled
+// or suspended state — a client about to fetch results, a second service
+// about to Restore the directory — finds the checkpoint that says so.
+func (s *Service) settle(c *Campaign, st State, errMsg string) {
+	if err := s.checkpointAs(c, st, errMsg); err != nil {
+		s.logf("checkpoint_error", "id", c.ID, "err", err)
+	}
+	c.mu.Lock()
+	c.state, c.errMsg = st, errMsg
+	c.mu.Unlock()
+}
+
+// checkpointAs persists c with the given state and error message.
+func (s *Service) checkpointAs(c *Campaign, st State, errMsg string) error {
 	if s.cfg.CheckpointDir == "" {
 		return nil
 	}
@@ -61,8 +83,8 @@ func (s *Service) checkpoint(c *Campaign) error {
 			Tenant:  c.Tenant,
 			Created: c.Created,
 			Spec:    c.Spec,
-			State:   c.state,
-			Error:   c.errMsg,
+			State:   st,
+			Error:   errMsg,
 		},
 	}
 	res := c.result
@@ -137,6 +159,9 @@ func (s *Service) Restore() (int, error) {
 			lc.res, err = hpo.LoadCampaign(bytes.NewReader(cf.Campaign))
 			if err != nil {
 				return 0, fmt.Errorf("service: checkpoint %s: %w", name, err)
+			}
+			if got, want := len(lc.res.Runs), cf.Meta.Spec.Runs; got > want {
+				return 0, fmt.Errorf("service: checkpoint %s: holds %d runs, its spec has %d", name, got, want)
 			}
 		}
 		loaded = append(loaded, lc)

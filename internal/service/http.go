@@ -253,8 +253,8 @@ func lessFloats(a, b []float64) bool {
 	return len(a) < len(b)
 }
 
-// handleFrontier serves the campaign's current Pareto frontier in a
-// canonical form: points sorted by (fitness, genome) under IEEE total
+// handleFrontier serves the campaign's Pareto frontier as of gens_done in
+// a canonical form: points sorted by (fitness, genome) under IEEE total
 // order, no identifiers, no timestamps.  Two campaigns that took the
 // same decisions produce byte-identical frontier documents — the
 // property the bounce/resume integration test asserts.
@@ -263,23 +263,20 @@ func (s *Service) handleFrontier(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	res := c.Result()
 	points := []frontierPoint{}
-	if res != nil {
-		for _, ind := range res.ParetoFront() {
-			points = append(points, frontierPoint{
-				Genome:  hpo.JSONFloats(ind.Genome),
-				Fitness: hpo.JSONFloats(ind.Fitness),
-			})
-		}
-		sort.SliceStable(points, func(i, j int) bool {
-			if !lessFloats(points[i].Fitness, points[j].Fitness) &&
-				!lessFloats(points[j].Fitness, points[i].Fitness) {
-				return lessFloats(points[i].Genome, points[j].Genome)
-			}
-			return lessFloats(points[i].Fitness, points[j].Fitness)
+	for _, ind := range c.Frontier() {
+		points = append(points, frontierPoint{
+			Genome:  hpo.JSONFloats(ind.Genome),
+			Fitness: hpo.JSONFloats(ind.Fitness),
 		})
 	}
+	sort.SliceStable(points, func(i, j int) bool {
+		if !lessFloats(points[i].Fitness, points[j].Fitness) &&
+			!lessFloats(points[j].Fitness, points[i].Fitness) {
+			return lessFloats(points[i].Genome, points[j].Genome)
+		}
+		return lessFloats(points[i].Fitness, points[j].Fitness)
+	})
 	s.writeJSON(w, http.StatusOK, struct {
 		Size   int             `json:"size"`
 		Points []frontierPoint `json:"points"`

@@ -12,14 +12,30 @@
 // genome-keyed memo cache — while keeping its own RNG stream, EA context
 // and event ring.
 //
-// Execution is *legged*: each campaign advances one offspring generation
-// per leg via hpo.RunCampaign (generation 0) and hpo.ResumeCampaign
-// (every later generation), checkpointing after every leg.  Because each
-// leg's RNG seed is derived from (BaseSeed, run, gensDone) alone, the
-// result of a campaign is a pure function of its spec — independent of
-// where process restarts fall — so a scheduler bounce or deploy loses at
-// most the in-flight generation and the resumed frontier is byte-
-// identical to an uninterrupted run's.
+// Execution is *legged* and *laned*.  Every run of a campaign is a lane:
+// it advances one offspring generation per leg — hpo.RunCampaign with
+// Runs 1 for generation 0, hpo.ResumeRun for every later one — and starts
+// its next leg the moment the last is published.  The runs of a campaign
+// never exchange anything, so no lane waits for another: one run's
+// stragglers overlap with the other runs' evaluations instead of idling
+// the fleet at a barrier five times per generation.  A campaign has up to
+// runs × parallelism evaluations in flight, capped by its tenant's
+// MaxInFlightPerTenant.
+//
+// The campaign is as far as its slowest run: gens_done is the minimum
+// over runs, and each time it advances the service rewrites the
+// checkpoint and emits one generation event whose numbers count records
+// up to that generation only — gens+1 events per campaign, ascending,
+// the same bytes however the lanes interleaved.  Runs may be ahead of
+// gens_done inside a checkpoint, and Restore resumes each from its own
+// generation.
+//
+// Because each leg's RNG seed is derived from (BaseSeed, run, that run's
+// gensDone) alone, the result of a campaign is a pure function of its
+// spec — independent of how lanes interleave and of where process
+// restarts fall — so a scheduler bounce or deploy loses at most each
+// run's in-flight generation and the resumed frontier is byte-identical
+// to an uninterrupted run's.
 package service
 
 import (
@@ -63,7 +79,9 @@ type Config struct {
 	// creation beyond it is rejected with 429 (default 16).
 	MaxCampaignsPerTenant int
 	// MaxInFlightPerTenant caps one tenant's concurrent evaluation
-	// requests against the shared fleet (default 64).
+	// requests against the shared fleet (default 64).  It is what bounds
+	// a campaign's lanes: runs × parallelism evaluations want to be in
+	// flight, and this many are.
 	MaxInFlightPerTenant int
 	// EventBuffer is the per-campaign event-ring capacity (default 256).
 	EventBuffer int
@@ -327,8 +345,8 @@ func (s *Service) Campaigns(tenantFilter string) []*Campaign {
 }
 
 // Cancel stops a campaign: a queued one is removed from its tenant's
-// admission queue; a running one has its leg context cancelled and
-// finishes as cancelled after the in-flight generation aborts.
+// admission queue; a running one has its context cancelled and finishes
+// as cancelled once every lane's in-flight generation has aborted.
 func (s *Service) Cancel(id string) error {
 	s.mu.Lock()
 	c, ok := s.campaigns[id]
@@ -373,10 +391,10 @@ func (s *Service) Cancel(id string) error {
 	}
 }
 
-// Drain stops admission, cancels the in-flight leg of every running
+// Drain stops admission, cancels the in-flight legs of every running
 // campaign and waits for the runners to checkpoint and exit.  After
 // Drain returns, every non-terminal campaign has a checkpoint from which
-// Restore continues it with zero completed generations lost.
+// Restore continues it with no completed generation of any run lost.
 func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {

@@ -29,6 +29,15 @@ func newTestService(t *testing.T, mutate func(*service.Config)) *service.Service
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Runs before the removal of any t.TempDir made earlier, so no
+	// campaign is still writing a checkpoint into it.
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := svc.Drain(ctx); err != nil {
+			t.Errorf("drain at cleanup: %v", err)
+		}
+	})
 	return svc
 }
 
