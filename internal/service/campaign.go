@@ -134,10 +134,16 @@ type Campaign struct {
 	Created time.Time
 	ring    *Ring
 
-	// reportMu serializes generation reports (checkpoint + event), so
-	// they leave in ascending order whichever lanes trigger them.  Taken
-	// before mu, never while holding it.
+	// reportMu serializes generation events, so they leave in ascending
+	// order whichever lanes trigger them.  Taken before mu, never while
+	// holding it.
 	reportMu sync.Mutex
+
+	// ckptMu serializes appends to the checkpoint file (lanes append
+	// concurrently); ckptBroken is set by the first append that fails.
+	// A leaf lock: nothing else is taken while holding it.
+	ckptMu     sync.Mutex
+	ckptBroken bool
 
 	mu        sync.Mutex
 	state     State
@@ -404,7 +410,7 @@ func (s *Service) run(ctx context.Context, c *Campaign, t *tenant) {
 		}
 	}
 	// Run 0's lane is this goroutine: a one-run campaign is the same
-	// sequence of legs, checkpoints and events it always was.
+	// sequence of legs, records and events it always was.
 	for r := 1; r < c.Spec.Runs; r++ {
 		lanes.Add(1)
 		go func(r int) {
@@ -425,9 +431,10 @@ func (s *Service) run(ctx context.Context, c *Campaign, t *tenant) {
 }
 
 // lane advances run r to the campaign's target one generation per leg,
-// publishing after each; it is the only writer of its run.  The leg that
-// brings the slowest run level completes a generation of the campaign
-// and reports it.
+// checkpointing and then publishing after each; it is the only writer of
+// its run, in memory and in the checkpoint.  The leg that brings the
+// slowest run level completes a generation of the campaign and reports
+// it.
 func (s *Service) lane(ctx context.Context, c *Campaign, t *tenant, r int) error {
 	cfg := s.campaignConfig(c, t)
 	run := c.runResult(r)
@@ -449,19 +456,21 @@ func (s *Service) lane(ctx context.Context, c *Campaign, t *tenant, r int) error
 				return err
 			}
 		}
+		s.appendRecord(c, r, run.Generations[len(run.Generations)-1])
 		if c.publish(r, run) {
 			s.reportGenerations(c)
 		}
 	}
 }
 
-// reportGenerations checkpoints and announces every generation the
-// campaign has completed and not yet reported: one checkpoint rewrite
-// and one generation event each, in ascending order.  Lanes call it
-// after a publish that advanced gens_done; two that race find the work
-// done once, by whichever got here first.  The event's numbers count
-// generation records up to its own generation only, so they are the same
-// whether or not some lane was ahead when it went out.
+// reportGenerations announces every generation the campaign has
+// completed and not yet reported: one generation event each, in
+// ascending order.  Lanes call it after a publish that advanced
+// gens_done; two that race find the work done once, by whichever got
+// here first.  The records behind an event are in the checkpoint already
+// (each lane appended its own before publishing), and the event's
+// numbers count generation records up to its own generation only, so
+// they are the same whether or not some lane was ahead when it went out.
 func (s *Service) reportGenerations(c *Campaign) {
 	c.reportMu.Lock()
 	defer c.reportMu.Unlock()
@@ -477,10 +486,6 @@ func (s *Service) reportGenerations(c *Campaign) {
 			return
 		}
 		evals, fails, frontier := tallyOf(res, gen+1)
-
-		if err := s.checkpoint(c); err != nil {
-			s.logf("checkpoint_error", "id", c.ID, "err", err)
-		}
 		c.emit(Event{Type: "generation", Gen: gen, Evals: evals, Failures: fails, Frontier: frontier})
 		s.logf("campaign_generation", "id", c.ID, "tenant", c.Tenant,
 			"gen", gen, "of", c.Spec.gens(), "evals", evals, "failures", fails, "frontier", frontier)
@@ -489,8 +494,8 @@ func (s *Service) reportGenerations(c *Campaign) {
 
 // finishLeg classifies a failed lane: context cancellation is either a
 // client cancel or a drain suspension; anything else fails the campaign.
-// Either way the campaign is checkpointed with every generation any lane
-// completed, so none of it is evaluated again after Restore.
+// Either way the checkpoint holds every generation any lane completed,
+// so none of it is evaluated again after Restore.
 func (s *Service) finishLeg(ctx context.Context, c *Campaign, legErr error) {
 	c.mu.Lock()
 	cancelled := c.cancelled

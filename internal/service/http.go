@@ -77,6 +77,8 @@ func (s *Service) writeError(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.Is(err, errDraining):
 		status = http.StatusServiceUnavailable
+	case errors.Is(err, errCheckpoint):
+		status = http.StatusInternalServerError
 	case errors.As(err, &quota):
 		status = http.StatusTooManyRequests
 	case strings.Contains(err.Error(), "already"):

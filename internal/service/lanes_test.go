@@ -59,26 +59,29 @@ func generationEvents(c *service.Campaign) []int {
 }
 
 // writeCheckpoint plants a service checkpoint for Restore to find, the
-// way a previous process would have left it.
+// way a previous process would have left it: header, every run's records,
+// the state line.
 func writeCheckpoint(t *testing.T, dir, id string, spec service.Spec, state service.State, res *hpo.CampaignResult) {
 	t.Helper()
 	var doc bytes.Buffer
-	if err := hpo.SaveCampaign(&doc, res); err != nil {
-		t.Fatal(err)
+	line := func(data []byte, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc.Write(data)
+		doc.WriteByte('\n')
 	}
-	data, err := json.Marshal(map[string]interface{}{
-		"format":  "repro-service-campaign",
-		"version": 1,
-		"meta": map[string]interface{}{
-			"id": id, "tenant": spec.Tenant, "created": time.Unix(1700000000, 0).UTC(),
-			"spec": spec, "state": state,
-		},
-		"campaign": json.RawMessage(doc.Bytes()),
-	})
-	if err != nil {
-		t.Fatal(err)
+	line(json.Marshal(map[string]interface{}{
+		"format": "repro-service-campaign", "version": 2,
+		"id": id, "tenant": spec.Tenant, "created": time.Unix(1700000000, 0).UTC(), "spec": spec,
+	}))
+	for r, run := range res.Runs {
+		for _, gen := range run.Generations {
+			line(hpo.MarshalGeneration(r, gen))
+		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, id+".json"), data, 0o644); err != nil {
+	line(json.Marshal(map[string]interface{}{"state": state}))
+	if err := os.WriteFile(filepath.Join(dir, id+".json"), doc.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"sync/atomic"
 )
 
 // Metrics are rendered in the Prometheus text exposition format with
@@ -44,6 +45,10 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&buf, "# TYPE repro_service_draining gauge\nrepro_service_draining %d\n", draining)
 	fmt.Fprintf(&buf, "# HELP repro_service_evaluations_total Evaluations dispatched to the backend (memo hits excluded).\n")
 	fmt.Fprintf(&buf, "# TYPE repro_service_evaluations_total counter\nrepro_service_evaluations_total %d\n", s.EvaluationsTotal())
+
+	fmt.Fprintf(&buf, "# HELP repro_service_checkpoint Checkpoint writes (a header or one appended line) and the bytes they put on disk; nothing is rewritten, so bytes_total is the size of the files.\n")
+	fmt.Fprintf(&buf, "# TYPE repro_service_checkpoint_appends_total counter\nrepro_service_checkpoint_appends_total %d\n", atomic.LoadInt64(&s.ckptAppends))
+	fmt.Fprintf(&buf, "# TYPE repro_service_checkpoint_bytes_total counter\nrepro_service_checkpoint_bytes_total %d\n", atomic.LoadInt64(&s.ckptBytes))
 
 	ms := s.MemoStats()
 	fmt.Fprintf(&buf, "# HELP repro_service_memo Memo-cache counters shared across all campaigns.\n")

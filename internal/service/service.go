@@ -23,12 +23,21 @@
 // MaxInFlightPerTenant.
 //
 // The campaign is as far as its slowest run: gens_done is the minimum
-// over runs, and each time it advances the service rewrites the
-// checkpoint and emits one generation event whose numbers count records
-// up to that generation only — gens+1 events per campaign, ascending,
-// the same bytes however the lanes interleaved.  Runs may be ahead of
-// gens_done inside a checkpoint, and Restore resumes each from its own
-// generation.
+// over runs, and each time it advances the service emits one generation
+// event whose numbers count records up to that generation only — gens+1
+// events per campaign, ascending, the same bytes however the lanes
+// interleaved.
+//
+// A checkpoint is one append-only file per campaign (checkpoint.go has
+// the layout): a header line written whole before the campaign is
+// registered, then one line per (run, generation), appended by the lane
+// that produced it, and one line per state change.  Nothing is ever
+// rewritten.  Two rules order it against what clients see — record
+// before publish, state line before state — so a generation event or a
+// terminal state is never ahead of the bytes that back it.  Runs may be
+// ahead of gens_done inside a checkpoint, and Restore resumes each from
+// its own last record; a final line without its newline is a write a
+// crash tore, dropped (and truncated away) on Restore.
 //
 // Because each leg's RNG seed is derived from (BaseSeed, run, that run's
 // gensDone) alone, the result of a campaign is a pure function of its
@@ -68,8 +77,9 @@ type Config struct {
 	Evaluator ea.Evaluator
 	// DisableMemo turns off the shared genome-keyed memo cache.
 	DisableMemo bool
-	// CheckpointDir, when non-empty, persists every campaign (spec +
-	// full result so far) after each generation; Restore resumes them.
+	// CheckpointDir, when non-empty, persists every campaign (spec, then
+	// every generation of every run as its lane completes it); Restore
+	// resumes them.
 	CheckpointDir string
 	// MaxConcurrent caps campaigns running at once (default 4).
 	MaxConcurrent int
@@ -143,6 +153,9 @@ type Service struct {
 	memo       *ea.MemoEvaluator
 	eval       ea.Evaluator // shared chain: memo? → counting → backend
 	evalsTotal int64        // atomic: evaluations dispatched to the backend
+
+	ckptAppends int64 // atomic: checkpoint writes (a header or one appended line)
+	ckptBytes   int64 // atomic: bytes those writes put on disk
 
 	mu          sync.Mutex
 	campaigns   map[string]*Campaign
@@ -224,7 +237,10 @@ func (s *Service) tenantLocked(name string) *tenant {
 }
 
 // Create registers a campaign and queues it for admission.  It is the
-// programmatic form of POST /v1/campaigns.
+// programmatic form of POST /v1/campaigns.  With a checkpoint directory,
+// the campaign's file is written first — the quota slot is held while it
+// is, and given back if it fails — so a campaign that is admitted has a
+// header every later append lands behind.
 func (s *Service) Create(spec Spec) (*Campaign, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
@@ -252,6 +268,17 @@ func (s *Service) Create(spec Spec) (*Campaign, error) {
 		return nil, quotaError{tenant: spec.Tenant, limit: s.cfg.MaxCampaignsPerTenant}
 	}
 	t.total++
+	s.mu.Unlock()
+
+	if err := s.createCheckpoint(c); err != nil {
+		s.mu.Lock()
+		t.total--
+		s.mu.Unlock()
+		s.logf("checkpoint_error", "id", c.ID, "err", err)
+		return nil, fmt.Errorf("%w: %v", errCheckpoint, err)
+	}
+
+	s.mu.Lock()
 	t.queue = append(t.queue, c)
 	s.campaigns[c.ID] = c
 	s.order = append(s.order, c.ID)
@@ -260,9 +287,6 @@ func (s *Service) Create(spec Spec) (*Campaign, error) {
 	c.emit(Event{Type: "created", Detail: spec.Name})
 	s.logf("campaign_created", "id", c.ID, "tenant", c.Tenant, "name", c.Spec.Name,
 		"runs", c.Spec.Runs, "pop", c.Spec.PopSize, "gens", c.Spec.gens())
-	if err := s.checkpoint(c); err != nil {
-		s.logf("checkpoint_error", "id", c.ID, "err", err)
-	}
 
 	s.mu.Lock()
 	s.dispatchLocked()
@@ -357,21 +381,25 @@ func (s *Service) Cancel(id string) error {
 	c.mu.Lock()
 	switch c.state {
 	case StateQueued:
+		// Out of the queue it can no longer be admitted; it stays "queued"
+		// until settle has appended the state line.  A second Cancel in
+		// that window finds it in no queue and has nothing to do.
 		t := s.tenants[c.Tenant]
+		queued := false
 		for i, qc := range t.queue {
 			if qc == c {
 				t.queue = append(t.queue[:i], t.queue[i+1:]...)
+				t.total--
+				queued = true
 				break
 			}
 		}
-		t.total--
-		c.state = StateCancelled
 		c.mu.Unlock()
 		s.mu.Unlock()
-		c.emit(Event{Type: "cancelled"})
-		s.logf("campaign_cancelled", "id", c.ID, "tenant", c.Tenant, "while", "queued")
-		if err := s.checkpoint(c); err != nil {
-			s.logf("checkpoint_error", "id", c.ID, "err", err)
+		if queued {
+			s.settle(c, StateCancelled, "")
+			c.emit(Event{Type: "cancelled"})
+			s.logf("campaign_cancelled", "id", c.ID, "tenant", c.Tenant, "while", "queued")
 		}
 		return nil
 	case StateRunning:

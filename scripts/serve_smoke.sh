@@ -3,7 +3,8 @@
 #
 # Boots `cmd/serve` on a local fleet, drives one tiny campaign over the
 # HTTP API (create, SSE event stream, frontier, /metrics), SIGTERMs the
-# process and requires a clean drain, then restarts it on the same
+# process and requires a clean drain and a checkpoint with a header first
+# and a state line last, then restarts it on the same
 # checkpoint directory and requires the campaign — frontier included —
 # to have survived the bounce byte-for-byte.
 #
@@ -80,7 +81,14 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || fail "serve exited non-zero on SIGTERM" "$WORK/serve.log"
 SERVE_PID=""
 grep -q 'shutdown_done' "$WORK/serve.log" || fail "no shutdown_done in log" "$WORK/serve.log"
-[[ -f "$WORK/ckpt/$id.json" ]] || fail "no checkpoint written for $id" "$WORK/serve.log"
+ckpt="$WORK/ckpt/$id.json"
+[[ -f "$ckpt" ]] || fail "no checkpoint written for $id" "$WORK/serve.log"
+# The checkpoint is append-only: line 1 is the header, the last line is
+# the state the drain (or the finished campaign) left it in.
+head -n 1 "$ckpt" | grep -q '"format":"repro-service-campaign"' \
+    || fail "line 1 of the checkpoint is not a service-checkpoint header" "$ckpt"
+tail -n 1 "$ckpt" | grep -Eq '^\{"state":"(suspended|done)"' \
+    || fail "last line of the checkpoint is not a suspended/done state line" "$ckpt"
 
 # Bounce: a restarted serve restores the campaign from its checkpoint
 # and serves the identical frontier document.
