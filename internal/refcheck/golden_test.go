@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -118,30 +120,73 @@ func TestGoldenCampaignCluster(t *testing.T) {
 	checkGolden(t, "hypervolume.txt", []byte(FormatHypervolume(res.Final)))
 }
 
+// trainReference trains a fresh model of the reference genome under cfg
+// and returns the lcurve.out bytes and the final flat parameters.
+func trainReference(t *testing.T, cfg deepmd.TrainConfig) ([]byte, []float64) {
+	t.Helper()
+	train, val := goldenDataset(t)
+	rng := rand.New(rand.NewSource(genomeSeed(GoldenReferenceGenome)))
+	m, err := deepmd.NewModel(rng, goldenModelConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := deepmd.Train(context.Background(), m, train, val, cfg, &buf); err != nil {
+		t.Fatalf("train reference genome: %v", err)
+	}
+	var params []float64
+	for _, pg := range m.Params() {
+		params = append(params, pg.Param...)
+	}
+	return buf.Bytes(), params
+}
+
 // TestGoldenLCurve pins the reference candidate's learning-curve bytes
 // — the exact lcurve.out a DeePMD-kit run would leave behind — and
 // checks they are identical under Threads=1 and Threads=8.
 func TestGoldenLCurve(t *testing.T) {
-	train, val := goldenDataset(t)
 	curves := make([][]byte, 0, 2)
 	for _, threads := range []int{1, 8} {
-		ev := &GoldenEvaluator{Train: train, Val: val, Threads: threads}
-		cfg := ev.GoldenTrainConfig(GoldenReferenceGenome)
-		rng := rand.New(rand.NewSource(genomeSeed(GoldenReferenceGenome)))
-		m, err := deepmd.NewModel(rng, goldenModelConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := deepmd.Train(context.Background(), m, train, val, cfg, &buf); err != nil {
-			t.Fatalf("train reference genome: %v", err)
-		}
-		curves = append(curves, buf.Bytes())
+		ev := &GoldenEvaluator{Threads: threads}
+		curve, _ := trainReference(t, ev.GoldenTrainConfig(GoldenReferenceGenome))
+		curves = append(curves, curve)
 	}
 	if !bytes.Equal(curves[0], curves[1]) {
 		t.Fatalf("lcurve bytes differ between Threads=1 and Threads=8:\n%s\nvs\n%s", curves[0], curves[1])
 	}
 	checkGolden(t, "lcurve.out", curves[0])
+}
+
+// TestGoldenLCurveWorkers6 pins the data-parallel path the campaign
+// goldens cannot see (GoldenEvaluator trains with Workers: 1): the
+// reference genome trained paper-shaped, six workers per step, at one
+// and two frames per worker.  The fixture was written by the serial
+// worker loop that preceded concurrent replicas; every thread count —
+// fewer replicas than workers, an uneven split, more threads than
+// workers — must reproduce it byte for byte and reach the same final
+// parameters to the bit.
+func TestGoldenLCurveWorkers6(t *testing.T) {
+	var first []float64
+	for _, threads := range []int{1, 2, 3, 8} {
+		var curves bytes.Buffer
+		var params []float64
+		for _, batch := range []int{1, 2} {
+			cfg := (&GoldenEvaluator{Threads: threads}).GoldenTrainConfig(GoldenReferenceGenome)
+			cfg.Workers, cfg.BatchSize = 6, batch
+			curve, p := trainReference(t, cfg)
+			fmt.Fprintf(&curves, "# workers 6, batch_size %d\n%s", batch, curve)
+			params = append(params, p...)
+		}
+		checkGolden(t, "lcurve_workers6.out", curves.Bytes())
+		if first == nil {
+			first = params
+		}
+		for k := range params {
+			if math.Float64bits(params[k]) != math.Float64bits(first[k]) {
+				t.Fatalf("Threads=%d: final parameter %d = %v, Threads=1 reached %v", threads, k, params[k], first[k])
+			}
+		}
+	}
 }
 
 // TestGoldenEvaluatorRejectsBadGenome documents the evaluator's
