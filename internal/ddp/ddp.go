@@ -7,8 +7,10 @@
 package ddp
 
 import (
+	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // AllReduceMean averages the gradient buffers of all workers in place:
@@ -95,39 +97,78 @@ func ShardIndices(total, nWorkers, w int) []int {
 	return out
 }
 
-// Group coordinates a fixed set of data-parallel workers.  Each training
-// step, every worker contributes a gradient vector; Step averages them and
-// hands the mean to the apply function once.  This mirrors the paper's
-// 6-GPU-per-node Horovod layout where each GPU trains on a data shard.
+// Group runs the data-parallel step "workers compute → allreduce →
+// apply": NWorkers gradient computations per step, at most Replicas of
+// them at once.  This mirrors the paper's 6-GPU-per-node Horovod layout,
+// where each GPU holds a replica of the model and trains on its own
+// batch.
 type Group struct {
-	NWorkers int
-	flat     [][]float64
+	NWorkers, Replicas int
+	flat               [][]float64 // flat[w] is worker w's gradient
+	errs               []error
 }
 
-// NewGroup creates a worker group.
-func NewGroup(nWorkers int) *Group {
-	if nWorkers < 1 {
-		nWorkers = 1
+// NewGroup creates a group of nWorkers workers (at least 1), each owning
+// a gradient buffer of nParams entries, computed on replicas concurrent
+// replicas (clamped to [1, nWorkers]).
+func NewGroup(nWorkers, replicas, nParams int) *Group {
+	nWorkers = max(nWorkers, 1)
+	g := &Group{
+		NWorkers: nWorkers, Replicas: min(max(replicas, 1), nWorkers),
+		flat: make([][]float64, nWorkers), errs: make([]error, nWorkers),
 	}
-	return &Group{NWorkers: nWorkers}
+	for w := range g.flat {
+		g.flat[w] = make([]float64, nParams)
+	}
+	return g
 }
 
-// Step runs compute(w) on every worker concurrently to produce per-worker
-// gradient vectors, allreduces them to the mean, and calls apply with the
-// result.
-func (g *Group) Step(compute func(w int) []float64, apply func(mean []float64)) error {
-	if g.flat == nil {
-		g.flat = make([][]float64, g.NWorkers)
+// Step runs compute(r, w, grad) once per worker w — on replica r, which
+// must leave worker w's gradient in grad — allreduces the buffers to
+// their mean and hands it to apply.  Replicas claim worker indices in
+// ascending order from a shared counter; replica 0 is the calling
+// goroutine, so a single replica is a plain loop, and every goroutine
+// Step starts has returned before Step does.
+//
+// A replica stops claiming once ctx is done or a worker has failed.
+// Step then returns ctx.Err() if the context ended, otherwise the error
+// of the lowest-numbered failing worker: every worker below it was
+// claimed earlier and runs to completion, so which error is returned
+// does not depend on the replica count or on timing.  apply runs only
+// when every worker succeeded.
+func (g *Group) Step(ctx context.Context, compute func(r, w int, grad []float64) error, apply func(mean []float64)) error {
+	clear(g.errs)
+	var next atomic.Int64
+	var failed atomic.Bool
+	run := func(r int) {
+		for ctx.Err() == nil && !failed.Load() {
+			w := int(next.Add(1)) - 1
+			if w >= g.NWorkers {
+				return
+			}
+			if g.errs[w] = compute(r, w, g.flat[w]); g.errs[w] != nil {
+				failed.Store(true)
+			}
+		}
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < g.NWorkers; w++ {
+	for r := 1; r < g.Replicas; r++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			g.flat[w] = compute(w)
-		}(w)
+			run(r)
+		}()
 	}
+	run(0)
 	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for _, err := range g.errs {
+		if err != nil {
+			return err
+		}
+	}
 	if err := AllReduceMean(g.flat); err != nil {
 		return err
 	}

@@ -109,6 +109,46 @@ func TestAccumulateEnergyGradMatchesFiniteDifference(t *testing.T) {
 	}
 }
 
+// TestBatchGradMatchesLossFiniteDifference checks the gradient training
+// actually applies — accumulateBatchGrad, energy and force terms, in paper
+// and fast mode — against central finite differences of the frame loss
+// p_e·(ΔE/N)² + p_f/(3N)·‖ΔF‖² evaluated through EnergyForces.
+func TestBatchGradMatchesLossFiniteDifference(t *testing.T) {
+	d := tinyData(t, 1)
+	fr := &d.Frames[0]
+	const pe, pf = 0.7, 1.3
+	for _, fast := range []bool{false, true} {
+		m, _ := NewModel(rand.New(rand.NewSource(3)), tinyModelConfig())
+		loss := func() float64 {
+			e, f := m.EnergyForces(fr.Coord, d.Types, fr.Box)
+			de, frmse := FrameErrors(fr, e, f)
+			return pe*de*de + pf*frmse*frmse
+		}
+		m.ZeroGrad()
+		if err := m.accumulateBatchGrad(&batchScratch{}, d.Types, []*dataset.Frame{fr}, pe, pf, 1e-4, fast); err != nil {
+			t.Fatal(err)
+		}
+		const h = 1e-6
+		for pi, pg := range m.Params() {
+			for j := 0; j < len(pg.Param); j += 11 {
+				orig := pg.Param[j]
+				pg.Param[j] = orig + h
+				lp := loss()
+				pg.Param[j] = orig - h
+				lm := loss()
+				pg.Param[j] = orig
+				fd := (lp - lm) / (2 * h)
+				// The untrained model's gradients are small (1e-9 … 1e-2):
+				// relative tolerance above the difference quotient's
+				// rounding floor.
+				if math.Abs(fd-pg.Grad[j]) > 1e-3*math.Abs(fd)+5e-10 {
+					t.Errorf("fast=%v param %d[%d]: grad %v, finite diff %v", fast, pi, j, pg.Grad[j], fd)
+				}
+			}
+		}
+	}
+}
+
 func TestFlatGradRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m, _ := NewModel(rng, tinyModelConfig())

@@ -14,10 +14,13 @@ import (
 // batchScratch is the reusable workspace of the whole-frame training
 // path: per-slot descriptor environments (slot = frame·N + atom),
 // per-species fitting batches spanning a frame (or, in fast mode, every
-// frame of a worker batch), and the per-frame force-loss state.  One
-// instance lives for a whole training run, so the hot loop allocates
-// nothing in steady state.
+// frame of a worker batch), and the per-frame force-loss state.  Each
+// data-parallel replica owns one for a whole training run, so the hot
+// loop allocates nothing in steady state.
 type batchScratch struct {
+	// threads bounds forwardSlots' worker pool (wall time only).
+	threads int
+
 	nls  []neighbor.List   // per frame
 	envs []*descriptor.Env // per slot
 	// energies[slot] is the atomic energy from the base fitting forward.
@@ -49,18 +52,22 @@ type batchScratch struct {
 	forces, v, pos           [][]float64
 	active                   []bool
 
-	// vframes doubles the batch for the fused ± sweep (fast mode): frame
-	// f appears twice, displaced +h·v̂ as virtual frame f and −h·v̂ as B+f.
+	// vframes doubles the batch for the fused ± sweep: frame f appears
+	// twice, displaced +h·v̂ as virtual frame f and −h·v̂ as B+f.
 	vframes []*dataset.Frame
 }
 
-// ensure sizes the workspace for B frames of len(types) atoms.
-func (ws *batchScratch) ensure(m *Model, types []int, B int, fast bool) {
+// ensure sizes the workspace for a batch of nFrames frames of len(types)
+// atoms and the 2·nFrames virtual frames of its fused ± sweep — all up
+// front, because growing mid-pass would discard the per-frame loss state
+// (ensureLen does not preserve contents across reallocation).
+func (ws *batchScratch) ensure(m *Model, types []int, nFrames int, fast bool) {
 	n := len(types)
 	n3 := 3 * n
-	slots := B * n
-	if len(ws.nls) < B {
-		ws.nls = append(ws.nls, make([]neighbor.List, B-len(ws.nls))...)
+	nVirtual := 2 * nFrames
+	slots := nVirtual * n
+	if len(ws.nls) < nVirtual {
+		ws.nls = append(ws.nls, make([]neighbor.List, nVirtual-len(ws.nls))...)
 	}
 	if len(ws.envs) < slots {
 		ws.envs = append(ws.envs, make([]*descriptor.Env, slots-len(ws.envs))...)
@@ -70,10 +77,11 @@ func (ws *batchScratch) ensure(m *Model, types []int, B int, fast bool) {
 		ws.dEdD = append(ws.dEdD, make([][]float64, slots-len(ws.dEdD))...)
 	}
 	if !fast {
-		if len(ws.dc) < slots {
-			ws.dc = append(ws.dc, make([][]float64, slots-len(ws.dc))...)
+		// Only the base sweep's force fold uses the private buffers.
+		if len(ws.dc) < nFrames*n {
+			ws.dc = append(ws.dc, make([][]float64, nFrames*n-len(ws.dc))...)
 		}
-		for k := 0; k < slots; k++ {
+		for k := 0; k < nFrames*n; k++ {
 			if len(ws.dc[k]) != n3 {
 				ws.dc[k] = make([]float64, n3)
 			}
@@ -89,22 +97,22 @@ func (ws *batchScratch) ensure(m *Model, types []int, B int, fast bool) {
 		ws.ftDy = append(ws.ftDy, make([][]float64, nS-len(ws.ftDy))...)
 		ws.ftTape = append(ws.ftTape, make([]*nn.BatchTape, nS-len(ws.ftTape))...)
 	}
-	ws.ePred = ensureLen(ws.ePred, B)
-	ws.dE = ensureLen(ws.dE, B)
-	ws.vnorm = ensureLen(ws.vnorm, B)
-	ws.scaleF = ensureLen(ws.scaleF, B)
+	ws.ePred = ensureLen(ws.ePred, nVirtual)
+	ws.dE = ensureLen(ws.dE, nVirtual)
+	ws.vnorm = ensureLen(ws.vnorm, nVirtual)
+	ws.scaleF = ensureLen(ws.scaleF, nVirtual)
 	for _, buf := range []*[][]float64{&ws.forces, &ws.v, &ws.pos} {
-		if len(*buf) < B {
-			*buf = append(*buf, make([][]float64, B-len(*buf))...)
+		if len(*buf) < nVirtual {
+			*buf = append(*buf, make([][]float64, nVirtual-len(*buf))...)
 		}
-		for f := 0; f < B; f++ {
+		for f := 0; f < nVirtual; f++ {
 			if len((*buf)[f]) != n3 {
 				(*buf)[f] = make([]float64, n3)
 			}
 		}
 	}
-	if len(ws.active) < B {
-		ws.active = append(ws.active, make([]bool, B-len(ws.active))...)
+	if len(ws.active) < nVirtual {
+		ws.active = append(ws.active, make([]bool, nVirtual-len(ws.active))...)
 	}
 }
 
@@ -120,12 +128,11 @@ func (ws *batchScratch) ensure(m *Model, types []int, B int, fast bool) {
 // difference [∂E/∂θ(x+h·v̂) − ∂E/∂θ(x−h·v̂)]·|v|/(2h) — second-order
 // backprop through the descriptor without a second autodiff pass.
 //
-// The pass structure is three forward sweeps per frame instead of the
-// scalar path's four: the base descriptor environments and fitting tapes
-// serve both the force evaluation (InputGradBatch + geometry backward)
-// and the base parameter pass (BackwardBatch + BackwardParams), because
-// a deterministic recompute at the same coordinates would reproduce them
-// bit for bit anyway.
+// The pass structure is two sweeps: the base one, whose descriptor
+// environments and fitting tapes serve both the force evaluation
+// (InputGradBatch + geometry backward) and the base parameter pass
+// (BackwardBatch + BackwardParams), and one fused ±h·v̂ sweep over twice
+// the frames.
 //
 // With fast=false the batch must hold exactly one frame, and every
 // parameter accumulator receives its contributions in the scalar path's
@@ -141,20 +148,17 @@ func (ws *batchScratch) ensure(m *Model, types []int, B int, fast bool) {
 // fold.  Results stay deterministic for any thread count but follow a
 // relaxed reduction order that is not bit-identical to the paper path.
 //
-// One neighbor list per frame serves all three sweeps: the ±h·v̂
+// m may be a data-parallel replica (see newReplica): the sweep reads
+// parameters, writes only m's gradient accumulators and ws, and touches
+// no other shared state.
+//
+// One neighbor list per frame serves both sweeps: the ±h·v̂
 // displacements move every atom by at most h, so a skin of a few h keeps
 // the candidate lists valid at the perturbed coordinates.
 func (m *Model) accumulateBatchGrad(ws *batchScratch, types []int, frames []*dataset.Frame, pe, pf, h float64, fast bool) error {
 	B := len(frames)
 	n := len(types)
-	if fast {
-		// Size for the fused ± mega-sweep's 2B virtual frames up front:
-		// growing mid-pass would discard the per-frame loss state
-		// (ensureLen does not preserve contents across reallocation).
-		ws.ensure(m, types, 2*B, fast)
-	} else {
-		ws.ensure(m, types, B, fast)
-	}
+	ws.ensure(m, types, B, fast)
 
 	for f, fr := range frames {
 		ws.nls[f].Build(fr.Coord, fr.Box, m.Cfg.Descriptor.RCut, 4*h)
@@ -238,56 +242,71 @@ func (m *Model) accumulateBatchGrad(ws *batchScratch, types []int, frames []*dat
 	if !any {
 		return nil
 	}
-	if fast {
-		// Fused ± mega-sweep: one virtual batch of 2B frames — frame f
-		// displaced +h·v̂ as virtual frame f and −h·v̂ as B+f — so the
-		// embedding and fitting networks see one fused pass with twice
-		// the rows instead of two half-size passes.
-		ws.vframes = append(ws.vframes[:0], frames...)
-		ws.vframes = append(ws.vframes, frames...)
-		for f, fr := range frames {
-			ws.active[B+f] = ws.active[f]
-			ws.nls[B+f] = ws.nls[f]
-			if !ws.active[f] {
-				continue
-			}
-			pos, neg, v, vn := ws.pos[f], ws.pos[B+f], ws.v[f], ws.vnorm[f]
-			for k := range pos {
-				d := h * v[k] / vn
-				pos[k] = fr.Coord[k] + d
-				neg[k] = fr.Coord[k] - d
-			}
+	// Fused ± sweep: one virtual batch of 2B frames — frame f displaced
+	// +h·v̂ as virtual frame f and −h·v̂ as B+f — so the embedding and
+	// fitting networks see one pass with twice the rows instead of two
+	// half-size passes.  It preserves paper mode's reduction order: rows
+	// and slots visit the +h frame's atoms before the −h frame's, the
+	// batched backward reduces rows in ascending order, and x − d is
+	// x + (−d) exactly.
+	ws.vframes = append(ws.vframes[:0], frames...)
+	ws.vframes = append(ws.vframes, frames...)
+	for f, fr := range frames {
+		ws.active[B+f] = ws.active[f]
+		ws.nls[B+f] = ws.nls[f]
+		if !ws.active[f] {
+			continue
 		}
-		m.forwardSlots(ws, types, ws.vframes, true, true)
-		ws.buildRows(types, 2*B)
-		m.fitForward(ws, false)
-		m.fitBackward(ws, n, func(f int) float64 {
-			if f < B {
-				return ws.scaleF[f]
-			}
-			return -ws.scaleF[f-B]
-		})
-		m.embedBackward(ws, 2*B, n, true)
-		return nil
-	}
-	for _, sign := range [2]float64{1, -1} {
-		for f, fr := range frames {
-			if !ws.active[f] {
-				continue
-			}
-			pos, v, vn := ws.pos[f], ws.v[f], ws.vnorm[f]
-			sh := sign * h
-			for k := range pos {
-				pos[k] = fr.Coord[k] + sh*v[k]/vn
-			}
+		pos, neg, v, vn := ws.pos[f], ws.pos[B+f], ws.v[f], ws.vnorm[f]
+		for k := range pos {
+			d := h * v[k] / vn
+			pos[k] = fr.Coord[k] + d
+			neg[k] = fr.Coord[k] - d
 		}
-		m.forwardSlots(ws, types, frames, true, fast)
-		ws.buildRows(types, B)
-		m.fitForward(ws, false)
-		m.fitBackward(ws, n, func(f int) float64 { return sign * ws.scaleF[f] })
-		m.embedBackward(ws, B, n, fast)
 	}
+	m.forwardSlots(ws, types, ws.vframes, true, fast)
+	ws.buildRows(types, 2*B)
+	m.fitForward(ws, false)
+	m.fitBackward(ws, n, func(f int) float64 {
+		if f < B {
+			return ws.scaleF[f]
+		}
+		return -ws.scaleF[f-B]
+	})
+	m.embedBackward(ws, 2*B, n, fast)
 	return nil
+}
+
+// AccumulateEnergyGrad adds scale·∂E/∂θ to the parameter-gradient
+// accumulators for the given configuration and returns the predicted
+// energy.  It is the backward sweep training runs — accumulateBatchGrad's
+// base parameter pass on a one-frame batch — exposed so finite-difference
+// oracles check the code that produces lcurve.out.
+func (m *Model) AccumulateEnergyGrad(coord []float64, types []int, box float64, scale float64) (energy float64) {
+	m.withList(coord, box, func(nl *neighbor.List) {
+		energy = m.AccumulateEnergyGradNL(nl, coord, types, box, scale)
+	})
+	return energy
+}
+
+// AccumulateEnergyGradNL is AccumulateEnergyGrad against a caller-provided
+// neighbor list; the list's skin must cover any displacement between the
+// list's build coordinates and coord.
+func (m *Model) AccumulateEnergyGradNL(nl *neighbor.List, coord []float64, types []int, box float64, scale float64) float64 {
+	n := len(types)
+	ws := &batchScratch{threads: m.threads}
+	ws.ensure(m, types, 1, false)
+	ws.nls[0], ws.active[0] = *nl, true
+	m.forwardSlots(ws, types, []*dataset.Frame{{Coord: coord, Box: box}}, false, false)
+	ws.buildRows(types, 1)
+	m.fitForward(ws, true)
+	m.fitBackward(ws, n, func(int) float64 { return scale })
+	m.embedBackward(ws, 1, n, false)
+	energy := 0.0
+	for _, e := range ws.energies[:n] {
+		energy += e
+	}
+	return energy
 }
 
 // forwardSlots evaluates the descriptor environment of every active slot,
@@ -317,7 +336,7 @@ func (m *Model) forwardSlots(ws *batchScratch, types []int, frames []*dataset.Fr
 	if fast {
 		fw = m.Desc.ScanEnv
 	}
-	threads := m.threads
+	threads := ws.threads
 	if threads > len(ws.slots) {
 		threads = len(ws.slots)
 	}

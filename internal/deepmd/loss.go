@@ -101,7 +101,7 @@ func EvalErrorsSource(m *Model, src FrameSource, frames int) (rmseE, rmseF float
 		threads = frames
 	}
 	if threads <= 1 {
-		s := m.getScratch(3 * len(types))
+		s := m.getScratch()
 		for i := 0; i < frames; i++ {
 			evalOne(s, i)
 		}
@@ -113,7 +113,7 @@ func EvalErrorsSource(m *Model, src FrameSource, frames int) (rmseE, rmseF float
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				s := m.getScratch(3 * len(types))
+				s := m.getScratch()
 				defer m.putScratch(s)
 				for {
 					i := int(atomic.AddInt64(&next, 1)) - 1

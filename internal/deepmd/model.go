@@ -72,7 +72,7 @@ type Model struct {
 	// params caches the Params() view, built once at construction.
 	params []nn.ParamGrad
 	// scratch pools per-worker evaluation state (environments, tapes,
-	// shadow gradient shards, neighbor lists).
+	// neighbor lists).
 	scratch sync.Pool
 }
 
@@ -96,10 +96,11 @@ func NewModel(rng *rand.Rand, cfg ModelConfig) (*Model, error) {
 }
 
 // SetThreads bounds the worker pool used inside EnergyForces /
-// AccumulateEnergyGrad (per-atom parallelism) and EvalErrors (per-frame
-// parallelism).  n <= 0 restores the default, GOMAXPROCS.  Predictions
-// and gradients are bit-identical for every setting; only wall time
-// changes.  Not safe to call concurrently with evaluations.
+// AccumulateEnergyGrad (per-atom parallelism), EvalErrors (per-frame
+// parallelism) and TrainSource (data-parallel replicas).  n <= 0 restores
+// the default, GOMAXPROCS.  Predictions and gradients are bit-identical
+// for every setting; only wall time changes.  Not safe to call
+// concurrently with evaluations.
 func (m *Model) SetThreads(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -110,27 +111,15 @@ func (m *Model) SetThreads(n int) {
 // Threads reports the current worker-pool bound.
 func (m *Model) Threads() int { return m.threads }
 
-// evalScratch is the reusable per-worker state of one in-flight atom (or,
-// in EvalErrors, one in-flight frame).  Buffers are either overwritten on
-// use or zeroed after merging, so pooled reuse never affects results.
+// evalScratch is the reusable per-worker state of one in-flight atom tile
+// (or, in EvalErrors, one in-flight frame).  Buffers are either
+// overwritten on use or zeroed after merging, so pooled reuse never
+// affects results.
 type evalScratch struct {
-	env     *descriptor.Env
-	fitTape *nn.Tape
-	dy      [1]float64
-	energy  float64
-
-	// dcoord receives coordinate gradients for the scratch's current
-	// atom.  Invariant outside a compute/merge pair: all zeros.
-	dcoord []float64
-
-	// Shadow gradient shards, created lazily for training-mode calls.
-	sdesc *descriptor.Descriptor
-	sfit  []*nn.MLP
-
 	// Tiled-evaluation state (computeTile): per-slot environments,
 	// energies, and coordinate-gradient buffers, plus fitting-net batch
-	// scratch.  Each slot's dcoord buffer shares s.dcoord's invariant:
-	// all zeros outside a compute/merge pair.
+	// scratch.  Invariant outside a compute/merge pair: every slot's
+	// dcoord buffer is all zeros.
 	envs   []*descriptor.Env
 	tileE  []float64
 	tileDc [][]float64
@@ -172,76 +161,22 @@ func ensureLen(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-func (m *Model) getScratch(n3 int) *evalScratch {
-	s := m.scratch.Get().(*evalScratch)
-	if len(s.dcoord) != n3 {
-		s.dcoord = make([]float64, n3)
-	}
-	return s
-}
+func (m *Model) getScratch() *evalScratch { return m.scratch.Get().(*evalScratch) }
 
 func (m *Model) putScratch(s *evalScratch) { m.scratch.Put(s) }
 
-// ensureShadows makes sure the scratch carries gradient shards matching
-// this model's architecture.
-func (m *Model) ensureShadows(s *evalScratch) {
-	if s.sdesc != nil && len(s.sfit) == len(m.Fit) {
-		return
-	}
-	s.sdesc = m.Desc.ShadowClone()
-	s.sfit = make([]*nn.MLP, len(m.Fit))
-	for t, f := range m.Fit {
-		s.sfit[t] = f.ShadowClone()
-	}
-}
-
-// evalMode selects what a per-atom evaluation computes.
+// evalMode selects what a tile evaluation computes.
 type evalMode int
 
 const (
 	modeEnergy evalMode = iota // energy only
 	modeForces                 // energy + coordinate gradients
-	modeGrad                   // energy + parameter gradients (training)
 )
-
-// computeAtom evaluates atom i into the scratch: descriptor forward,
-// fitting forward, and the backward pass the mode calls for.  It touches
-// no shared mutable state; gradients land in the scratch's shadow shards
-// and s.dcoord.  The batched inference paths use computeTile instead;
-// this per-atom path remains for modeGrad, whose shard merge is per-atom.
-//
-//lint:hot
-func (m *Model) computeAtom(s *evalScratch, mode evalMode, coord []float64, types []int, box float64, i int, nl *neighbor.List, scale float64) {
-	desc := m.Desc
-	fit := m.Fit[types[i]]
-	if mode == modeGrad {
-		m.ensureShadows(s)
-		desc = s.sdesc
-		fit = s.sfit[types[i]]
-	}
-	s.env = desc.ForwardEnv(s.env, coord, types, box, i, nl.Candidates(i))
-	if s.fitTape == nil {
-		s.fitTape = &nn.Tape{}
-	}
-	out := fit.ForwardT(s.fitTape, s.env.Out())
-	s.energy = out[0] + m.Bias[types[i]]
-	switch mode {
-	case modeForces:
-		s.dy[0] = 1
-		dEdD := fit.InputGrad(s.fitTape, s.dy[:])
-		desc.Backward(s.env, dEdD, s.dcoord, false)
-	case modeGrad:
-		s.dy[0] = scale
-		dEdD := fit.Backward(s.fitTape, s.dy[:])
-		desc.Backward(s.env, dEdD, s.dcoord, true)
-	}
-}
 
 // fitTile is the atom-tile width of the batched inference paths: energy
 // and force evaluation feed up to this many descriptor outputs through
-// each fitting network per ForwardBatch/InputGradBatch call.  Training-
-// mode gradient accumulation stays per-atom (tile 1) so the per-atom
-// shard merge keeps its fixed reduction order.
+// each fitting network per ForwardBatch/InputGradBatch call.  Training
+// batches whole frames instead (accumulateBatchGrad).
 const fitTile = 16
 
 // tileBounds returns the atom index range [lo, hi) of tile u.
@@ -258,9 +193,8 @@ func tileBounds(u, nAtoms int) (lo, hi int) {
 // slots: per-atom descriptor forwards, then one batched fitting-net
 // forward (and, for modeForces, one batched input-gradient pass) per
 // species present in the tile.  Every per-atom value is bit-identical to
-// computeAtom's: batch rows reduce in the scalar order, and each slot's
-// coordinate gradients accumulate into a private buffer exactly as the
-// per-atom path did.  mode must be modeEnergy or modeForces.
+// a one-atom evaluation: batch rows reduce in the scalar order, and each
+// slot's coordinate gradients accumulate into a private buffer.
 //
 //lint:hot
 func (m *Model) computeTile(s *evalScratch, mode evalMode, coord []float64, types []int, box float64, u int, nl *neighbor.List) {
@@ -337,56 +271,21 @@ func (m *Model) mergeTile(s *evalScratch, mode evalMode, types []int, u int, ene
 	}
 }
 
-// mergeAtom folds the scratch's per-atom results into the global
-// accumulators and restores the scratch invariants (zeroed dcoord
-// entries, zeroed shadow grads).  forEachUnit calls it in strict
-// atom-index order, which fixes the floating-point reduction order
-// independent of the worker count.
-//
-//lint:hot
-func (m *Model) mergeAtom(s *evalScratch, mode evalMode, t int, energy *float64, dcoord []float64) {
-	*energy += s.energy
-	if mode == modeEnergy {
-		return
-	}
-	c := s.env.Center()
-	nbrs := s.env.NeighborAtoms()
-	for k := 0; k < 3; k++ {
-		if dcoord != nil {
-			dcoord[3*c+k] += s.dcoord[3*c+k]
-		}
-		s.dcoord[3*c+k] = 0
-	}
-	for _, j := range nbrs {
-		for k := 0; k < 3; k++ {
-			if dcoord != nil {
-				dcoord[3*j+k] += s.dcoord[3*j+k]
-			}
-			s.dcoord[3*j+k] = 0
-		}
-	}
-	if mode == modeGrad {
-		nn.AddGradsAndReset(m.Fit[t], s.sfit[t])
-		for _, e := range s.env.EmbedNets() {
-			nn.AddGradsAndReset(m.Desc.Embed[e], s.sdesc.Embed[e])
-		}
-	}
-}
-
-// forEachUnit runs compute for every work unit (an atom, or a fitTile of
-// atoms) and merge in strict unit order.  With threads <= 1 (or few
-// units) it runs inline; otherwise a bounded worker pool computes units
-// concurrently while the calling goroutine merges results as their turn
-// comes up.  Because merge order is always ascending unit index — and
-// units cover ascending atom ranges — the arithmetic, and therefore every
-// bit of the output, is identical for any worker count.
-func (m *Model) forEachUnit(nUnits, n3 int, compute func(*evalScratch, int), merge func(*evalScratch, int)) {
+// forEachTile runs compute for every fitTile-wide atom tile and merge in
+// strict tile order.  With threads <= 1 (or few tiles) it runs inline;
+// otherwise a bounded worker pool computes tiles concurrently while the
+// calling goroutine merges results as their turn comes up.  Because merge
+// order is always ascending tile index — and tiles cover ascending atom
+// ranges — the arithmetic, and therefore every bit of the output, is
+// identical for any worker count.
+func (m *Model) forEachTile(nAtoms int, compute func(*evalScratch, int), merge func(*evalScratch, int)) {
+	nUnits := (nAtoms + fitTile - 1) / fitTile
 	threads := m.threads
 	if threads > nUnits {
 		threads = nUnits
 	}
 	if threads <= 1 {
-		s := m.getScratch(n3)
+		s := m.getScratch()
 		for i := 0; i < nUnits; i++ {
 			compute(s, i)
 			merge(s, i)
@@ -398,7 +297,7 @@ func (m *Model) forEachUnit(nUnits, n3 int, compute func(*evalScratch, int), mer
 	nScratch := threads + 1
 	free := make(chan *evalScratch, nScratch)
 	for j := 0; j < nScratch; j++ {
-		free <- m.getScratch(n3)
+		free <- m.getScratch()
 	}
 	type result struct {
 		i int
@@ -444,18 +343,13 @@ func (m *Model) forEachUnit(nUnits, n3 int, compute func(*evalScratch, int), mer
 	}
 }
 
-// forEachTile is forEachUnit over fitTile-wide atom tiles.
-func (m *Model) forEachTile(nAtoms, n3 int, compute func(*evalScratch, int), merge func(*evalScratch, int)) {
-	m.forEachUnit((nAtoms+fitTile-1)/fitTile, n3, compute, merge)
-}
-
 // withList builds a skinless neighbor list for the configuration in
 // pooled scratch and hands it to fn.
 func (m *Model) withList(coord []float64, box float64, fn func(nl *neighbor.List)) {
-	s := m.scratch.Get().(*evalScratch)
+	s := m.getScratch()
 	s.nl.Build(coord, box, m.Cfg.Descriptor.RCut, 0)
 	fn(&s.nl)
-	m.scratch.Put(s)
+	m.putScratch(s)
 }
 
 // Energy returns the predicted total energy of a configuration.
@@ -470,7 +364,7 @@ func (m *Model) Energy(coord []float64, types []int, box float64) (energy float6
 // these coordinates, or for nearby ones within the list's skin).
 func (m *Model) EnergyNL(nl *neighbor.List, coord []float64, types []int, box float64) float64 {
 	energy := 0.0
-	m.forEachTile(len(types), len(coord),
+	m.forEachTile(len(types),
 		func(s *evalScratch, u int) {
 			m.computeTile(s, modeEnergy, coord, types, box, u, nl)
 		},
@@ -496,7 +390,7 @@ func (m *Model) EnergyForcesNL(nl *neighbor.List, coord []float64, types []int, 
 	for k := range forces {
 		forces[k] = 0
 	}
-	m.forEachTile(len(types), len(coord),
+	m.forEachTile(len(types),
 		func(s *evalScratch, u int) {
 			m.computeTile(s, modeForces, coord, types, box, u, nl)
 		},
@@ -506,33 +400,6 @@ func (m *Model) EnergyForcesNL(nl *neighbor.List, coord []float64, types []int, 
 	for k := range forces {
 		forces[k] = -forces[k]
 	}
-	return energy
-}
-
-// AccumulateEnergyGrad adds scale·∂E/∂θ to the parameter-gradient
-// accumulators for the given configuration and returns the predicted
-// energy.  It is the training building block: energy-loss gradients use it
-// directly; force-loss gradients use it at coordinate-perturbed
-// configurations (see Trainer).
-func (m *Model) AccumulateEnergyGrad(coord []float64, types []int, box float64, scale float64) (energy float64) {
-	m.withList(coord, box, func(nl *neighbor.List) {
-		energy = m.AccumulateEnergyGradNL(nl, coord, types, box, scale)
-	})
-	return energy
-}
-
-// AccumulateEnergyGradNL is AccumulateEnergyGrad against a caller-provided
-// neighbor list; the list's skin must cover any displacement between the
-// list's build coordinates and coord.
-func (m *Model) AccumulateEnergyGradNL(nl *neighbor.List, coord []float64, types []int, box float64, scale float64) float64 {
-	energy := 0.0
-	m.forEachUnit(len(types), len(coord),
-		func(s *evalScratch, i int) {
-			m.computeAtom(s, modeGrad, coord, types, box, i, nl, scale)
-		},
-		func(s *evalScratch, i int) {
-			m.mergeAtom(s, modeGrad, types[i], &energy, nil)
-		})
 	return energy
 }
 

@@ -3,10 +3,14 @@ package deepmd
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/neighbor"
 )
 
@@ -75,40 +79,165 @@ func TestEvalErrorsParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTrainParallelBitIdentical trains the same seed twice, serial and
-// with a 4-thread pool, and requires identical learning curves — the
-// acceptance criterion that parallelism trades wall time only, never
-// reproducibility of lcurve.out.
-func TestTrainParallelBitIdentical(t *testing.T) {
+// checkTrainThreadInvariant trains the same seed at every combination of
+// data-parallel width and thread count — one replica, fewer replicas than
+// workers, an uneven split, more threads than workers — and requires the
+// lcurve.out text and the final parameters to match Threads = 1 bit for
+// bit.  Threads = 1 runs twice, so replay stability is covered too.
+func checkTrainThreadInvariant(t *testing.T, fast bool) {
 	d := tinyData(t, 6)
 	train, val := d.Split(0.33)
 
-	run := func(threads int) ([]LCurveRecord, string) {
-		m := newTestModel(t, 23)
-		var buf bytes.Buffer
-		cfg := TrainConfig{
-			Steps: 6, BatchSize: 2, StartLR: 1e-3, StopLR: 1e-5,
-			Workers: 2, DispFreq: 2, Threads: threads, Seed: 9,
+	for _, workers := range []int{1, 2, 6} {
+		var wantOut string
+		var wantParams []float64
+		for _, threads := range []int{1, 1, 2, 3, 8} {
+			m := newTestModel(t, 23)
+			var buf bytes.Buffer
+			cfg := streamTrainConfig()
+			cfg.Workers, cfg.Threads, cfg.Fast = workers, threads, fast
+			if _, err := Train(context.Background(), m, train, val, cfg, &buf); err != nil {
+				t.Fatalf("Train(fast=%v, workers=%d, threads=%d): %v", fast, workers, threads, err)
+			}
+			var params []float64
+			for _, pg := range m.Params() {
+				params = append(params, pg.Param...)
+			}
+			if wantParams == nil {
+				wantOut, wantParams = buf.String(), params
+				continue
+			}
+			if buf.String() != wantOut {
+				t.Fatalf("fast=%v workers=%d: lcurve.out at Threads=%d differs from Threads=1:\n%s\nvs\n%s",
+					fast, workers, threads, buf.String(), wantOut)
+			}
+			for k := range params {
+				if math.Float64bits(params[k]) != math.Float64bits(wantParams[k]) {
+					t.Fatalf("fast=%v workers=%d: final parameter %d at Threads=%d is %v, Threads=1 reached %v",
+						fast, workers, k, threads, params[k], wantParams[k])
+				}
+			}
 		}
-		res, err := Train(context.Background(), m, train, val, cfg, &buf)
-		if err != nil {
-			t.Fatalf("Train(threads=%d): %v", threads, err)
-		}
-		return res.LCurve, buf.String()
 	}
+}
 
-	lc1, out1 := run(1)
-	lc4, out4 := run(4)
-	if len(lc1) != len(lc4) {
-		t.Fatalf("lcurve lengths differ: %d vs %d", len(lc1), len(lc4))
+// TestTrainParallelBitIdentical is the acceptance criterion that
+// parallelism — inside a gradient and across the data-parallel replicas —
+// trades wall time only, never reproducibility of lcurve.out.
+func TestTrainParallelBitIdentical(t *testing.T) { checkTrainThreadInvariant(t, false) }
+
+// faultySource wraps a dataset with one frame whose read fails and one
+// whose energy label is +Inf: the step that samples the latter leaves the
+// parameters non-finite, so every worker of the next step diverges.
+// Either fault is off at index -1.
+type faultySource struct {
+	*dataset.Dataset
+	failAt, infAt int
+}
+
+func (s *faultySource) Frame(i int) (*dataset.Frame, error) {
+	fr, err := s.Dataset.Frame(i)
+	switch {
+	case i == s.failAt:
+		return nil, errFailingSource
+	case i == s.infAt:
+		poisoned := *fr
+		poisoned.Energy = math.Inf(1)
+		return &poisoned, nil
 	}
-	for i := range lc1 {
-		if lc1[i] != lc4[i] {
-			t.Fatalf("lcurve record %d differs:\nserial   %+v\nparallel %+v", i, lc1[i], lc4[i])
+	return fr, err
+}
+
+// TestTrainWorkerErrorDeterministic puts a failing read and a diverging
+// label at every pair of frame indices — so that across the pairs the two
+// failures hit different workers of one step in both orders — and requires
+// the error, and the step it ended at, to be the same at every thread
+// count: the lowest-numbered failing worker's, as in a serial loop.  No
+// goroutine may outlive a failed training.
+func TestTrainWorkerErrorDeterministic(t *testing.T) {
+	d := tinyData(t, 8)
+	cfg := TrainConfig{
+		Steps: 4, BatchSize: 1, StartLR: 1e-3, StopLR: 1e-5,
+		Workers: 6, DispFreq: 100, Seed: 9,
+	}
+	before := runtime.NumGoroutine()
+	seen := map[error]int{}
+	for failAt := -1; failAt < len(d.Frames); failAt++ {
+		for infAt := -1; infAt < len(d.Frames); infAt++ {
+			var wantErr error
+			var wantSteps int
+			for _, threads := range []int{1, 2, 3, 8} {
+				cfg.Threads = threads
+				src := &faultySource{Dataset: d, failAt: failAt, infAt: infAt}
+				res, err := TrainSource(context.Background(), newTestModel(t, 23), src, d, cfg, nil)
+				if threads == 1 {
+					wantErr, wantSteps = err, res.StepsRun
+					seen[err]++
+					continue
+				}
+				if err != wantErr || res.StepsRun != wantSteps {
+					t.Fatalf("failAt=%d infAt=%d Threads=%d: %v after %d steps; Threads=1 gave %v after %d",
+						failAt, infAt, threads, err, res.StepsRun, wantErr, wantSteps)
+				}
+			}
 		}
 	}
-	if out1 != out4 {
-		t.Fatalf("lcurve.out text differs between serial and parallel runs")
+	if seen[errFailingSource] == 0 || seen[ErrDiverged] == 0 || seen[nil] == 0 {
+		t.Errorf("fault grid is vacuous: outcomes %v", seen)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines outlived TrainSource", after-before)
+	}
+}
+
+// cancelingSource cancels a context from inside its n-th Frame call and
+// fails every read after that.
+type cancelingSource struct {
+	*dataset.Dataset
+	cancel       context.CancelFunc
+	cancelAt     int64
+	calls, after atomic.Int64
+}
+
+func (s *cancelingSource) Frame(i int) (*dataset.Frame, error) {
+	switch n := s.calls.Add(1); {
+	case n == s.cancelAt:
+		s.cancel()
+	case n > s.cancelAt:
+		s.after.Add(1)
+		return nil, errFailingSource
+	}
+	return s.Dataset.Frame(i)
+}
+
+// TestTrainCancellationInsideStep: a context that ends while a worker's
+// gradient is being computed stops the step before the next worker is
+// started, and the training reports ctx.Err() — not the read failures
+// the later workers would have hit (cancellation is not a failure).
+func TestTrainCancellationInsideStep(t *testing.T) {
+	d := tinyData(t, 8)
+	for _, threads := range []int{1, 2, 3, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		// Step 0 reads six frames; the eighth read is inside step 1.
+		src := &cancelingSource{Dataset: d, cancel: cancel, cancelAt: 8}
+		cfg := TrainConfig{
+			Steps: 5, BatchSize: 1, StartLR: 1e-3, StopLR: 1e-5,
+			Workers: 6, DispFreq: 100, Seed: 9, Threads: threads,
+		}
+		res, err := TrainSource(ctx, newTestModel(t, 23), src, d, cfg, nil)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Threads=%d: TrainSource = %v, want context.Canceled", threads, err)
+		}
+		if res.StepsRun != 1 {
+			t.Errorf("Threads=%d: %d steps completed, want 1", threads, res.StepsRun)
+		}
+		// A replica that passed its context check just before the cancel
+		// may start one more worker; nobody starts a second.
+		replicas := min(threads, cfg.Workers)
+		if n := src.after.Load(); n > int64(replicas-1) {
+			t.Errorf("Threads=%d: %d frames read after the cancel, want at most %d", threads, n, replicas-1)
+		}
 	}
 }
 

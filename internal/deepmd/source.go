@@ -7,7 +7,9 @@ import "repro/internal/dataset"
 // implementations are *dataset.Dataset (in-memory, never fails) and
 // stream.Store (out-of-core shard reads).  Frames returned by a source
 // are treated as immutable and may be shared; Train never writes to
-// them.
+// them.  Frame must be safe for concurrent calls: the data-parallel
+// replicas of a training step and the frame pool of EvalErrorsSource
+// read from several goroutines at once.
 //
 // Keeping sampling behind this interface is what lets the streamed and
 // in-memory paths produce bit-identical training: Train consumes the

@@ -80,32 +80,9 @@ func TestTrainStreamedBitIdentical(t *testing.T) {
 
 // TestTrainFastDeterministicAcrossThreads checks the fast path's own
 // contract: relaxed reduction order versus the paper path, but still
-// bit-identical between repeated runs and across thread counts, with
-// multi-frame worker batches fused cross-frame.
-func TestTrainFastDeterministicAcrossThreads(t *testing.T) {
-	d := tinyData(t, 6)
-	train, val := d.Split(0.33)
-
-	run := func(threads int) string {
-		m := newTestModel(t, 23)
-		var buf bytes.Buffer
-		cfg := streamTrainConfig()
-		cfg.Fast = true
-		cfg.Threads = threads
-		if _, err := TrainSource(context.Background(), m, train, val, cfg, &buf); err != nil {
-			t.Fatalf("TrainSource(fast, threads=%d): %v", threads, err)
-		}
-		return buf.String()
-	}
-
-	out1 := run(1)
-	if again := run(1); again != out1 {
-		t.Fatal("fast path is not deterministic across repeated runs")
-	}
-	if out4 := run(4); out4 != out1 {
-		t.Fatal("fast path differs between 1 and 4 threads")
-	}
-}
+// bit-identical between repeated runs and across thread counts and
+// replica counts, with multi-frame worker batches fused cross-frame.
+func TestTrainFastDeterministicAcrossThreads(t *testing.T) { checkTrainThreadInvariant(t, true) }
 
 // TestTrainFastTracksPaperPath bounds the fast path's divergence from
 // the bit-exact paper reduction order: same data, same seed, same steps —

@@ -26,7 +26,9 @@ type TrainConfig struct {
 	// ScaleByWorker is "linear", "sqrt" or "none" (gene scale_by_worker).
 	ScaleByWorker string
 	// Workers is the simulated data-parallel width (6 GPUs per Summit
-	// node in the paper).
+	// node in the paper): every step averages Workers gradients, each on
+	// its own BatchSize frames.  How many of them are computed at once is
+	// Threads' business, not Workers'.
 	Workers int
 	// Prefactors weight the loss; zero value means PaperPrefactors.
 	Prefactors LossPrefactors
@@ -38,11 +40,15 @@ type TrainConfig struct {
 	// ForceFDh is the step for the central-difference directional
 	// derivative used in the force-loss gradient; 0 means 1e-4 Å.
 	ForceFDh float64
-	// Threads bounds the evaluation worker pool: per-atom parallelism
-	// inside gradient accumulation and per-frame parallelism in the
-	// validation evaluations.  0 means GOMAXPROCS.  Training output is
-	// bit-identical for every value — gradient shards are merged in a
-	// fixed order — so Threads trades wall time only.
+	// Threads bounds the cores a training uses.  min(Threads, Workers)
+	// replicas of the model compute a step's worker gradients
+	// concurrently, the leftover Threads / replicas bounds the per-atom
+	// pool inside each replica, and the validation evaluations spread
+	// frames over all Threads.  0 means GOMAXPROCS.  Training output is
+	// bit-identical for every value — a worker's gradient does not depend
+	// on which replica computes it, and gradients are reduced in a fixed
+	// order — so Threads trades wall time (and, per extra replica, one
+	// set of gradient accumulators plus a workspace) only.
 	Threads int
 	// Seed drives batch sampling.
 	Seed int64
@@ -113,6 +119,10 @@ func Train(ctx context.Context, m *Model, train, val *dataset.Dataset, cfg Train
 // each step's sample indices are announced one step ahead — the random
 // sequence is unchanged (indices are drawn in the same order, just one
 // step early) — letting the source overlap shard I/O with compute.
+//
+// Cancellation is observed before each worker's gradient is started —
+// within one worker's gradient, not one step — and always surfaces as
+// ctx.Err().  No goroutine TrainSource starts outlives it.
 func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg TrainConfig, lcurve io.Writer) (*TrainResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -131,6 +141,13 @@ func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg Trai
 		h = 1e-4
 	}
 
+	// Paper mode accumulates a worker's batch frame by frame; fast mode
+	// fuses the whole batch into one sweep.
+	fused := 1
+	if cfg.Fast {
+		fused = cfg.BatchSize
+	}
+
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	initBias(m, train)
 	m.SetThreads(cfg.Threads)
@@ -139,13 +156,14 @@ func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg Trai
 	sched := nn.ExpDecaySchedule{Start: cfg.StartLR, Stop: cfg.StopLR, TotalSteps: cfg.Steps}
 	opt := nn.NewAdam()
 	params := m.Params()
-	nParams := m.ParamCount()
-	grads := make([][]float64, cfg.Workers)
-	for w := range grads {
-		grads[w] = make([]float64, nParams)
+
+	// The step's Workers gradients are computed on min(Threads, Workers)
+	// replicas, as the paper's node computes them on its six GPUs.
+	reps := make([]*replica, min(m.threads, cfg.Workers))
+	for r := range reps {
+		reps[r] = m.newReplica(r, m.threads/len(reps), cfg.BatchSize)
 	}
-	ws := &batchScratch{}
-	batch := make([]*dataset.Frame, cfg.BatchSize)
+	group := ddp.NewGroup(cfg.Workers, len(reps), m.ParamCount())
 
 	// Sampling is drawn one step ahead of consumption: idx holds the
 	// current step's frame indices, nextIdx the following step's.  The
@@ -178,9 +196,6 @@ func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg Trai
 	writeHeader(lcurve)
 
 	for step := 0; step < cfg.Steps; step++ {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
 		baseLR := sched.At(step)
 		lr := nn.WorkerScale(cfg.ScaleByWorker, baseLR, cfg.Workers)
 		pe, pf := cfg.Prefactors.At(baseLR / cfg.StartLR)
@@ -192,52 +207,42 @@ func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg Trai
 			}
 		}
 
-		// Each simulated worker computes gradients on its own random
-		// batch; the replicas are identical, so running them sequentially
-		// against the shared parameters is equivalent to synchronized
-		// data-parallel training.
-		for w := 0; w < cfg.Workers; w++ {
-			m.ZeroGrad()
-			widx := idx[w*cfg.BatchSize : (w+1)*cfg.BatchSize]
-			if cfg.Fast {
-				for b, fi := range widx {
-					fr, err := train.Frame(fi)
-					if err != nil {
-						return res, err
-					}
-					batch[b] = fr
+		// Each simulated worker computes the gradient of its own random
+		// batch on whichever replica is free.  The replicas share the
+		// parameters and nothing else, so the gradient of worker w is the
+		// same bits on any of them.
+		err := group.Step(ctx, func(r, w int, grad []float64) error {
+			rep := reps[r]
+			rep.m.ZeroGrad()
+			for b, fi := range idx[w*cfg.BatchSize : (w+1)*cfg.BatchSize] {
+				fr, err := train.Frame(fi)
+				if err != nil {
+					return err
 				}
-				if err := m.accumulateBatchGrad(ws, types, batch, pe, pf, h, true); err != nil {
-					return res, err
-				}
-			} else {
-				for _, fi := range widx {
-					fr, err := train.Frame(fi)
-					if err != nil {
-						return res, err
-					}
-					batch[0] = fr
-					if err := m.accumulateBatchGrad(ws, types, batch[:1], pe, pf, h, false); err != nil {
-						return res, err
-					}
+				rep.batch[b] = fr
+			}
+			for b := 0; b < cfg.BatchSize; b += fused {
+				if err := rep.m.accumulateBatchGrad(&rep.ws, types, rep.batch[b:b+fused], pe, pf, h, cfg.Fast); err != nil {
+					return err
 				}
 			}
 			if cfg.BatchSize > 1 {
-				scaleFlat(m, 1/float64(cfg.BatchSize))
+				scaleFlat(rep.m, 1/float64(cfg.BatchSize))
 			}
-			m.FlatGrad(grads[w])
-		}
-		idx, nextIdx = nextIdx, idx
-		if err := ddp.AllReduceMean(grads); err != nil {
+			rep.m.FlatGrad(grad)
+			return nil
+		}, func(mean []float64) {
+			m.SetFlatGrad(mean)
+			opt.Step(params, lr)
+		})
+		if err != nil {
 			return res, err
 		}
-		m.SetFlatGrad(grads[0])
-		opt.Step(params, lr)
+		idx, nextIdx = nextIdx, idx
 		res.StepsRun = step + 1
 
 		if (step+1)%cfg.DispFreq == 0 || step == cfg.Steps-1 {
 			rec := LCurveRecord{Step: step + 1, LR: lr}
-			var err error
 			if rec.RmseEVal, rec.RmseFVal, err = EvalErrorsSource(m, val, cfg.ValFrames); err != nil {
 				return res, err
 			}
@@ -256,6 +261,31 @@ func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg Trai
 		res.FinalForceRMSE = res.LCurve[n-1].RmseFVal
 	}
 	return res, nil
+}
+
+// replica is one data-parallel copy of the model inside TrainSource: a
+// view that aliases the model's W, B and Bias and owns private gradient
+// accumulators, with the workspace one worker's gradient needs.  The view
+// serves accumulateBatchGrad only: it has no inference scratch pool.
+type replica struct {
+	m     *Model
+	ws    batchScratch
+	batch []*dataset.Frame
+}
+
+// newReplica builds replica r, whose forwardSlots pool is bounded by
+// threads.  Replica 0 is the model itself; the others are shadow clones,
+// so only gradient accumulators and the workspace are per replica.
+func (m *Model) newReplica(r, threads, batchSize int) *replica {
+	rep := &replica{m: m, ws: batchScratch{threads: threads}, batch: make([]*dataset.Frame, batchSize)}
+	if r > 0 {
+		rep.m = &Model{Cfg: m.Cfg, Desc: m.Desc.ShadowClone(), Bias: m.Bias}
+		for _, f := range m.Fit {
+			rep.m.Fit = append(rep.m.Fit, f.ShadowClone())
+		}
+		rep.m.params = rep.m.buildParams()
+	}
+	return rep
 }
 
 // initBias sets the per-species energy bias so the untrained network

@@ -19,8 +19,9 @@ func ForceFD(m *deepmd.Model, coord []float64, types []int, box float64, k int, 
 
 // ParamGradFD returns ∂E/∂θ by central finite difference for entry j of
 // the model's p-th parameter block (the flat ordering of Model.Params),
-// restoring the parameter before returning.  It is the oracle for the
-// training path's AccumulateEnergyGrad.
+// restoring the parameter before returning.  It is the oracle for
+// AccumulateEnergyGrad, which runs the batched backward sweep training
+// accumulates its gradients with.
 func ParamGradFD(m *deepmd.Model, coord []float64, types []int, box float64, p, j int, h float64) float64 {
 	pg := m.Params()[p]
 	orig := pg.Param[j]
