@@ -3,6 +3,8 @@ package refcheck
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"math"
@@ -15,6 +17,9 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/deepmd"
+	"repro/internal/descriptor"
+	"repro/internal/md"
+	"repro/internal/nn"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden fixtures from the current implementation")
@@ -187,6 +192,109 @@ func TestGoldenLCurveWorkers6(t *testing.T) {
 			}
 		}
 	}
+}
+
+// paperNetDataset is a 20-atom AlCl3 + 3 KCl cell at the paper's density
+// (two formula units, the benchmark's real-trainer system), 12 training
+// and 4 validation frames.
+func paperNetDataset() (train, val *dataset.Dataset) {
+	rng := rand.New(rand.NewSource(18))
+	unit := []md.Species{md.Al, md.K, md.K, md.K, md.Cl, md.Cl, md.Cl, md.Cl, md.Cl, md.Cl}
+	species := append(append([]md.Species(nil), unit...), unit...)
+	const box = 8.9
+	d := dataset.Generate(rng, species, box, 498, md.NewPaperBMH(0.49*box), 0.5, 60, 5, 16)
+	return d.Split(0.25)
+}
+
+// TestGoldenPaperNetBits pins the trainer at the paper's layer shapes —
+// embedding {25, 50, 100} with 4 axis neurons, fitting {240, 240, 240} —
+// which the {4, 8}/{10} campaign goldens above do not reach.  One line
+// per (descriptor activation, paper/fast mode, frames per worker): the
+// SHA-256 of the lcurve.out bytes followed by the IEEE-754 bits of every
+// final parameter (lcurve.out prints five digits; the hash does not).
+// Six workers, three steps, validation every step.  The fixture was
+// written by the pure-Go kernels that preceded the SIMD micro-kernel;
+// whichever kernel path the build selects must reproduce all 20 lines.
+// Under the race detector, where the kernels' Go loops run ~16× slower
+// (8 s per training), only the first activation pair at one frame per
+// worker trains, in both modes; the other 18 lines keep their committed
+// text so the fixture still compares whole.
+func TestGoldenPaperNetBits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	train, val := paperNetDataset()
+	var got bytes.Buffer
+	for i, name := range nn.ActivationNames {
+		fitName := nn.ActivationNames[(i+1)%len(nn.ActivationNames)]
+		descAct, _ := nn.ActivationByName(name)
+		fitAct, _ := nn.ActivationByName(fitName)
+		for _, fast := range []bool{false, true} {
+			for _, batch := range []int{1, 2} {
+				mode := "paper"
+				if fast {
+					mode = "fast"
+				}
+				label := fmt.Sprintf("desc=%s fit=%s mode=%s batch_size=%d", name, fitName, mode, batch)
+				if raceEnabled && (i > 0 || batch == 2) {
+					got.WriteString(paperNetLine(t, label))
+					continue
+				}
+				m, err := deepmd.NewModel(rand.New(rand.NewSource(int64(100+i))), deepmd.ModelConfig{
+					Descriptor: descriptor.Config{
+						RCut: 6.0, RCutSmth: 2.0,
+						EmbeddingSizes: []int{25, 50, 100},
+						AxisNeurons:    4,
+						Activation:     descAct,
+						NumSpecies:     3,
+						NeighborNorm:   24,
+					},
+					FittingSizes:      []int{240, 240, 240},
+					FittingActivation: fitAct,
+					NumSpecies:        3,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var curve bytes.Buffer
+				cfg := deepmd.TrainConfig{
+					Steps: 3, BatchSize: batch, Workers: 6, DispFreq: 1, ValFrames: 2,
+					StartLR: 1e-3, StopLR: 1e-4, ScaleByWorker: "linear",
+					Seed: int64(7 + i), Fast: fast,
+				}
+				if _, err := deepmd.Train(context.Background(), m, train, val, cfg, &curve); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				h := sha256.New()
+				h.Write(curve.Bytes())
+				var word [8]byte
+				for _, pg := range m.Params() {
+					for _, v := range pg.Param {
+						binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+						h.Write(word[:])
+					}
+				}
+				fmt.Fprintf(&got, "%s %x\n", label, h.Sum(nil))
+			}
+		}
+	}
+	checkGolden(t, "papernet.sha256", got.Bytes())
+}
+
+// paperNetLine returns the committed papernet.sha256 line for label.
+func paperNetLine(t *testing.T, label string) string {
+	t.Helper()
+	want, err := os.ReadFile(goldenPath("papernet.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.SplitAfter(want, []byte("\n")) {
+		if bytes.HasPrefix(line, []byte(label+" ")) {
+			return string(line)
+		}
+	}
+	t.Fatalf("papernet.sha256 has no line for %q", label)
+	return ""
 }
 
 // TestGoldenEvaluatorRejectsBadGenome documents the evaluator's
