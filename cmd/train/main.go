@@ -29,6 +29,7 @@ import (
 	"repro/internal/dataset/stream"
 	"repro/internal/deepmd"
 	"repro/internal/hpo"
+	"repro/internal/nn/blas"
 )
 
 func main() {
@@ -105,6 +106,9 @@ func main() {
 		log.Fatalf("reading lcurve.out: %v", err)
 	}
 	fmt.Printf("final rmse_e_val = %.6g eV/atom, rmse_f_val = %.6g eV/Å\n", rmseE, rmseF)
+	// Which GEMM kernels ran: the learning curve is the same bits either
+	// way, a timing is not comparable without it.
+	fmt.Printf("gemm kernels: %s\n", blas.Impl())
 }
 
 // resolve joins relative dataset paths against the run directory.

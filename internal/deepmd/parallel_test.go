@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/neighbor"
@@ -184,6 +185,11 @@ func TestTrainWorkerErrorDeterministic(t *testing.T) {
 	}
 	if seen[errFailingSource] == 0 || seen[ErrDiverged] == 0 || seen[nil] == 0 {
 		t.Errorf("fault grid is vacuous: outcomes %v", seen)
+	}
+	// A replica that has run wg.Done() is joined but may not have exited
+	// yet, and is still counted: give the count up to ~2 s to settle.
+	for i := 0; i < 2000 && runtime.NumGoroutine() > before; i++ {
+		time.Sleep(time.Millisecond)
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("%d goroutines outlived TrainSource", after-before)
