@@ -14,12 +14,11 @@
 //
 //	hpo [-backend surrogate|real] [-runs 5] [-pop 100] [-gens 6] [-seed 2023]
 //	    [-data data/] [-steps 200] [-workers 6] [-out results.csv]
-//	    [-data-dir dir] [-cache-bytes N] [-prefetch N] [-fast]
+//	    [-data-dir dir] [-cache-bytes N] [-prefetch N]
 //
 // With -data-dir the real backend streams the train/ and val/ system
 // directories out-of-core through a byte-budgeted LRU frame cache
-// (bit-identical to -data's in-memory loading); -fast switches every
-// training to the cross-frame fused gradient path.
+// (bit-identical to -data's in-memory loading).
 package main
 
 import (
@@ -51,7 +50,6 @@ func main() {
 	streamDir := flag.String("data-dir", "", "stream datasets out-of-core from this directory (real backend; expects train/ and val/; overrides -data)")
 	cacheBytes := flag.Int64("cache-bytes", stream.DefaultCacheBytes, "LRU frame-cache budget per streamed system, in bytes")
 	prefetch := flag.Int("prefetch", 64, "prefetch queue depth for streamed systems (0 = synchronous shard reads)")
-	fast := flag.Bool("fast", false, "cross-frame fused gradient path (deterministic, not bit-identical to the paper reduction order)")
 	steps := flag.Int("steps", 200, "training steps per evaluation (real backend)")
 	workers := flag.Int("workers", 6, "simulated data-parallel workers (real backend)")
 	out := flag.String("out", "", "CSV output path (default stdout)")
@@ -102,7 +100,6 @@ func main() {
 		rt := &hpo.RealTrainer{
 			Train: trainSrc, Val: valSrc,
 			Workers: *workers, StepsOverride: *steps, ValFrames: 4,
-			Fast: *fast,
 		}
 		evaluator = &hpo.WorkflowEvaluator{
 			WorkDir: workDir,

@@ -6,16 +6,14 @@
 // Usage:
 //
 //	train -input run/input.json [-workers 6] [-steps 0] [-valframes 8]
-//	      [-data-dir dir] [-cache-bytes N] [-prefetch N] [-fast]
+//	      [-data-dir dir] [-cache-bytes N] [-prefetch N]
 //
 // -steps, if positive, truncates numb_steps for reduced-scale runs.
 //
 // With -data-dir the train/ and val/ system directories under it are
 // streamed out-of-core through a byte-budgeted LRU frame cache instead
 // of being materialized in memory; training output is bit-identical to
-// the in-memory path.  -fast switches to the cross-frame fused gradient
-// path (deterministic, but not bit-identical to the paper reduction
-// order).
+// the in-memory path.
 package main
 
 import (
@@ -41,7 +39,6 @@ func main() {
 	dataDir := flag.String("data-dir", "", "stream train/ and val/ system dirs under this path out-of-core (instead of loading the input.json systems in memory)")
 	cacheBytes := flag.Int64("cache-bytes", stream.DefaultCacheBytes, "LRU frame-cache budget per streamed system, in bytes")
 	prefetch := flag.Int("prefetch", 64, "prefetch queue depth for streamed systems (0 = synchronous shard reads)")
-	fast := flag.Bool("fast", false, "cross-frame fused gradient path (deterministic, not bit-identical to the paper reduction order)")
 	flag.Parse()
 
 	in, err := deepmd.ParseInputFile(*input)
@@ -91,7 +88,6 @@ func main() {
 	rt := &hpo.RealTrainer{
 		Train: trainSrc, Val: valSrc,
 		Workers: *workers, StepsOverride: *steps, ValFrames: *valFrames,
-		Fast: *fast,
 	}
 	if err := rt.TrainRun(context.Background(), *input, runDir); err != nil {
 		log.Fatalf("training: %v", err)

@@ -230,6 +230,7 @@ func TestLeaseExpiryKeepsSlowWorkerAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	watchBooks(t, sched)
 	sched.TaskTimeout = 80 * time.Millisecond
 	sched.MaxAttempts = 10
 	defer sched.Close()
@@ -329,6 +330,7 @@ func TestDuplicateResultDoesNotInflateStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	watchBooks(t, sched)
 	defer sched.Close()
 
 	conn, err := net.Dial("tcp", sched.Addr())
@@ -404,6 +406,7 @@ func TestHungHandlerTimesOutWorkerStaysLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	watchBooks(t, lc.Scheduler)
 	defer lc.Close()
 	defer close(unblock)
 
@@ -459,6 +462,40 @@ func TestWorkerCancellationIsNotATimeout(t *testing.T) {
 	}
 }
 
+// watchBooks polls sched.Stats() from its own goroutine until the test
+// ends and fails it on the first snapshot that counts more finished tasks
+// than submitted ones.  The returned settled stops the poller and
+// requires the books to balance exactly; a test calls it once every
+// submitter holds its result.
+func watchBooks(t testing.TB, sched *Scheduler) (settled func()) {
+	t.Helper()
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			if st := sched.Stats(); st.Completed+st.Failed > st.Submitted {
+				t.Errorf("books overdrawn: %+v", st)
+				return
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(500 * time.Microsecond):
+			}
+		}
+	}()
+	var once sync.Once
+	halt := func() { once.Do(func() { close(stop); <-stopped }) }
+	t.Cleanup(halt)
+	return func() {
+		t.Helper()
+		halt()
+		if st := sched.Stats(); st.Completed+st.Failed != st.Submitted {
+			t.Errorf("books don't balance once every result is in: %+v", st)
+		}
+	}
+}
+
 // restartScheduler brings a new scheduler up on the exact address a
 // previous one occupied, retrying briefly while the OS releases the port.
 func restartScheduler(t *testing.T, addr string) *Scheduler {
@@ -467,6 +504,7 @@ func restartScheduler(t *testing.T, addr string) *Scheduler {
 	for i := 0; i < 100; i++ {
 		s, err := NewScheduler(addr)
 		if err == nil {
+			watchBooks(t, s)
 			return s
 		}
 		lastErr = err
@@ -484,6 +522,7 @@ func TestWorkerReconnectsAfterSchedulerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	watchBooks(t, sched)
 	addr := sched.Addr()
 
 	w, err := NewWorker(addr, "phoenix", echoHandler)
@@ -537,6 +576,7 @@ func TestChaosCutWorkerReconnects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	settled := watchBooks(t, sched)
 	defer sched.Close()
 	proxy := newChaosProxy(t, sched.Addr())
 
@@ -569,6 +609,7 @@ func TestChaosCutWorkerReconnects(t *testing.T) {
 	if string(out) != `{"after":1}` {
 		t.Errorf("result = %s", out)
 	}
+	settled()
 }
 
 // TestChaosTruncatedResultFrame slices a worker's result frame in half.
@@ -579,6 +620,7 @@ func TestChaosTruncatedResultFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	settled := watchBooks(t, sched)
 	defer sched.Close()
 	proxy := newChaosProxy(t, sched.Addr())
 
@@ -622,6 +664,7 @@ func TestChaosTruncatedResultFrame(t *testing.T) {
 	if string(out) != `{"x":42}` {
 		t.Errorf("result = %s", out)
 	}
+	settled()
 	if st := sched.Stats(); st.Reassigned == 0 {
 		t.Errorf("truncated frame did not cause a requeue: %+v", st)
 	}
@@ -663,6 +706,7 @@ func TestChaosCorruptedFrameDropsConnNotCampaign(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			settled := watchBooks(t, sched)
 			defer sched.Close()
 			proxy := newChaosProxy(t, sched.Addr())
 
@@ -711,10 +755,7 @@ func TestChaosCorruptedFrameDropsConnNotCampaign(t *testing.T) {
 			if calls.Load() < 2 {
 				t.Errorf("task executed %d times, want >= 2 (original + requeue after drop)", calls.Load())
 			}
-			st := sched.Stats()
-			if st.Completed+st.Failed != st.Submitted {
-				t.Errorf("books don't balance after corruption: %+v", st)
-			}
+			settled()
 			// Exactly one client connection was ever dialed: the corruption
 			// cost the worker's connection, nobody else's.
 			cw := client.Wire()
@@ -732,6 +773,7 @@ func TestChaosClientReconnectResubmits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	watchBooks(t, sched)
 	defer sched.Close()
 	proxy := newChaosProxy(t, sched.Addr())
 
@@ -782,6 +824,7 @@ func TestChaosBlackholeLeaseRescue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	settled := watchBooks(t, sched)
 	sched.TaskTimeout = 60 * time.Millisecond
 	sched.MaxAttempts = 20 // the stalled proxy may win the requeue race several times
 	defer sched.Close()
@@ -820,6 +863,7 @@ func TestChaosBlackholeLeaseRescue(t *testing.T) {
 		if err != nil {
 			t.Fatalf("task not rescued from blackholed worker: %v", err)
 		}
+		settled()
 	case <-time.After(5 * time.Second):
 		t.Fatal("task never rescued from blackholed worker")
 	}
@@ -877,6 +921,7 @@ func TestSchedulerBounceMidCampaign(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			watchBooks(t, sched)
 			addr := sched.Addr()
 
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -941,6 +986,49 @@ func TestSchedulerBounceMidCampaign(t *testing.T) {
 	}
 }
 
+// TestSchedulerCloseRacesNewConnections closes schedulers while peers are
+// still arriving — a connection accepted as the listener closes, and a
+// worker whose registration is read just as its connection is
+// force-closed — and requires every Close to return: a handler that
+// starts after the sweep must notice the shutdown itself, and a worker
+// proxy that dies before its reader starts must not wait for it.
+func TestSchedulerCloseRacesNewConnections(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		sched, err := NewScheduler("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := sched.Addr()
+		peers := make(chan net.Conn, 2)
+		go func() { // silent peer: dials, never writes
+			c, _ := net.Dial("tcp", addr)
+			peers <- c
+		}()
+		go func() { // worker that registers as the scheduler goes down
+			c, err := net.Dial("tcp", addr)
+			if err == nil {
+				_ = writeMessage(c, &message{Type: msgRegister, Name: "late", Flags: flagWantSnapshot})
+			}
+			peers <- c
+		}()
+		if i%2 == 1 {
+			time.Sleep(time.Duration(i%7) * 50 * time.Microsecond)
+		}
+		closed := make(chan struct{})
+		go func() { sched.Close(); close(closed) }()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("iteration %d: Scheduler.Close did not return", i)
+		}
+		for k := 0; k < 2; k++ {
+			if c := <-peers; c != nil {
+				c.Close()
+			}
+		}
+	}
+}
+
 // TestCancelledSubmitNoSpuriousFailure pairs with the ea-side fix: a
 // campaign abort surfaces as context.Canceled from Submit, which the EA
 // records as "unevaluated", not as a MAXINT timeout.
@@ -955,6 +1043,7 @@ func TestCancelledSubmitNoSpuriousFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	watchBooks(t, lc.Scheduler)
 	defer lc.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -991,6 +1080,7 @@ func TestEventHookAndWorkerStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	watchBooks(t, sched)
 	var mu sync.Mutex
 	seen := map[EventType]int{}
 	sched.OnEvent = func(e Event) {
@@ -1055,11 +1145,15 @@ func TestHeartbeatRenewsLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched.TaskTimeout = 60 * time.Millisecond
+	watchBooks(t, sched)
+	// Ten heartbeats per lease: a renewal is missed only if the worker
+	// stalls for ~135 ms, which a loaded two-core -race run does not do
+	// (at 60 ms / 15 ms it did, about once in 150 runs).
+	sched.TaskTimeout = 150 * time.Millisecond
 	defer sched.Close()
 
 	handler := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
-		time.Sleep(200 * time.Millisecond) // 3x the lease
+		time.Sleep(450 * time.Millisecond) // 3x the lease
 		return payload, nil
 	}
 	w, err := NewWorker(sched.Addr(), "beating", handler)

@@ -163,9 +163,6 @@ func TestTaskTimeout(t *testing.T) {
 
 func TestWorkerDeathReassignsTask(t *testing.T) {
 	// Worker 0 dies on its first task; worker 1 completes everything.
-	var mu sync.Mutex
-	died := false
-
 	sched, err := NewScheduler("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("NewScheduler: %v", err)
@@ -173,15 +170,11 @@ func TestWorkerDeathReassignsTask(t *testing.T) {
 	defer sched.Close()
 
 	var killable *Worker
+	hit := make(chan struct{})
 	killingHandler := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
-		mu.Lock()
-		first := !died
-		died = true
-		mu.Unlock()
-		if first {
-			killable.Close() // simulate node failure mid-task
-			time.Sleep(50 * time.Millisecond)
-		}
+		close(hit)       // a second call would panic: a closed worker is never assigned to
+		killable.Close() // simulate node failure mid-task
+		time.Sleep(50 * time.Millisecond)
 		return payload, nil
 	}
 	killable, err = NewWorker(sched.Addr(), "doomed", killingHandler)
@@ -190,6 +183,26 @@ func TestWorkerDeathReassignsTask(t *testing.T) {
 	}
 	go func() { _ = killable.Run(context.Background()) }()
 
+	client, err := NewClient(sched.Addr())
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	defer client.Close()
+
+	// The healthy worker joins only once the doomed one holds task 0, so
+	// that task is certain to need a reassignment.  (With both workers up
+	// front the healthy one could win all five assignments.)
+	submit := func(i int) error {
+		payload := json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))
+		out, err := client.Submit(context.Background(), payload)
+		if err == nil && string(out) != string(payload) {
+			err = fmt.Errorf("result = %s", out)
+		}
+		return err
+	}
+	first := make(chan error, 1)
+	go func() { first <- submit(0) }()
+	<-hit
 	healthy, err := NewWorker(sched.Addr(), "healthy", echoHandler)
 	if err != nil {
 		t.Fatalf("NewWorker: %v", err)
@@ -197,20 +210,12 @@ func TestWorkerDeathReassignsTask(t *testing.T) {
 	defer healthy.Close()
 	go func() { _ = healthy.Run(context.Background()) }()
 
-	client, err := NewClient(sched.Addr())
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
+	if err := <-first; err != nil {
+		t.Fatalf("Submit 0 across worker death: %v", err)
 	}
-	defer client.Close()
-
-	for i := 0; i < 5; i++ {
-		payload := json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))
-		out, err := client.Submit(context.Background(), payload)
-		if err != nil {
+	for i := 1; i < 5; i++ {
+		if err := submit(i); err != nil {
 			t.Fatalf("Submit %d after worker death: %v", i, err)
-		}
-		if string(out) != string(payload) {
-			t.Errorf("result %d = %s", i, out)
 		}
 	}
 	if st := sched.Stats(); st.Reassigned == 0 {

@@ -148,6 +148,7 @@ func TestChaosCutOneMuxConnBlastRadius(t *testing.T) {
 	if err != nil {
 		t.Fatalf("scheduler: %v", err)
 	}
+	watchBooks(t, sched)
 	defer sched.Close()
 	sched.TaskTimeout = 2 * time.Second
 
@@ -230,6 +231,7 @@ func TestChaosMuxBlackholeLeaseRescue(t *testing.T) {
 	if err != nil {
 		t.Fatalf("scheduler: %v", err)
 	}
+	watchBooks(t, sched)
 	defer sched.Close()
 	sched.TaskTimeout = 150 * time.Millisecond
 	sched.MaxAttempts = 20 // a stalled proxy may win the requeue race several times
@@ -303,6 +305,7 @@ func TestChaosMuxCorruptFrameKillsOnlyThatSession(t *testing.T) {
 	if err != nil {
 		t.Fatalf("scheduler: %v", err)
 	}
+	watchBooks(t, sched)
 	defer sched.Close()
 	sched.TaskTimeout = 2 * time.Second
 
@@ -363,6 +366,7 @@ func TestChaosMuxDelay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("scheduler: %v", err)
 	}
+	watchBooks(t, sched)
 	defer sched.Close()
 
 	proxy := newChaosProxy(t, sched.Addr())

@@ -26,16 +26,19 @@ type task struct {
 }
 
 // complete delivers a result exactly once; late duplicates (e.g. from a
-// worker that answered after its lease was given away) are dropped.  It
-// reports whether THIS call delivered the result, so callers can count
-// Completed/Failed only for the delivery that actually happened.
-func (t *task) complete(m *message) bool {
+// worker that answered after its lease was given away) are dropped.  The
+// call that claims the task adds one to counter — Stats.Completed or
+// Stats.Failed — and only then publishes the result, so a submitter that
+// has its result also finds it counted.  It reports whether THIS call
+// delivered the result.
+func (t *task) complete(m *message, counter *int64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.done {
 		return false
 	}
 	t.done = true
+	atomic.AddInt64(counter, 1)
 	t.reply <- m
 	return true
 }
@@ -171,12 +174,18 @@ func NewSchedulerWithConfig(addr string, cfg SchedulerConfig) (*Scheduler, error
 // Addr returns the listen address for clients and workers.
 func (s *Scheduler) Addr() string { return s.ln.Addr().String() }
 
-// Stats returns a snapshot of activity counters.
+// Stats returns a snapshot of activity counters.  Completed + Failed <=
+// Submitted in every snapshot, and Completed + Failed == Submitted at
+// every instant a submitter can observe once it holds the results of all
+// its tasks: a task is counted before its result is published, and
+// Submitted is loaded after the two counters it bounds.
 func (s *Scheduler) Stats() Stats {
+	completed := atomic.LoadInt64(&s.stats.Completed)
+	failed := atomic.LoadInt64(&s.stats.Failed)
 	return Stats{
 		Submitted:  atomic.LoadInt64(&s.stats.Submitted),
-		Completed:  atomic.LoadInt64(&s.stats.Completed),
-		Failed:     atomic.LoadInt64(&s.stats.Failed),
+		Completed:  completed,
+		Failed:     failed,
 		Reassigned: atomic.LoadInt64(&s.stats.Reassigned),
 		Expired:    atomic.LoadInt64(&s.stats.Expired),
 		Stale:      atomic.LoadInt64(&s.stats.Stale),
@@ -283,6 +292,14 @@ func (s *Scheduler) handleConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.connsMu.Unlock()
 	}()
+	// Close marks s.closed before it sweeps s.conns: a connection accepted
+	// as the listener went down either registered in time to be swept or
+	// sees the mark here — it is never left waiting on a silent peer.
+	select {
+	case <-s.closed:
+		return
+	default:
+	}
 	cd, br, err := negotiate(conn, &s.wire)
 	if err != nil {
 		return
@@ -436,6 +453,10 @@ func (s *Scheduler) runWorkerProxy(conn net.Conn, cd codec, first *message) {
 	s.logf("cluster: worker %q connected", name)
 	s.event(EventWorkerConnect, name, "", "")
 
+	// Started before anything below can return: the deferred cleanup
+	// waits for the reader to close w.dead.
+	go w.readLoop()
+
 	// A worker that set flagWantSnapshot (our Worker always does) gets the
 	// compact catch-up state before its first assignment.  Raw registrants
 	// without the flag see the exact pre-snapshot protocol.
@@ -444,8 +465,6 @@ func (s *Scheduler) runWorkerProxy(conn net.Conn, cd codec, first *message) {
 			return
 		}
 	}
-
-	go w.readLoop()
 
 	// Each proxy pops from its own home shard first (assigned round-robin
 	// so proxies spread across shards) and steals from the rest.
@@ -602,7 +621,11 @@ func (w *workerProxy) readLoop() {
 // a previously-expired lease must not inflate the books.
 func (w *workerProxy) deliver(l *lease, m *message) {
 	s := w.s
-	if !l.t.complete(m) {
+	counter := &s.stats.Completed
+	if m.Err != "" {
+		counter = &s.stats.Failed
+	}
+	if !l.t.complete(m, counter) {
 		atomic.AddInt64(&s.stats.Stale, 1)
 		w.mu.Lock()
 		w.ws.Stale++
@@ -619,11 +642,6 @@ func (w *workerProxy) deliver(l *lease, m *message) {
 	}
 	w.ws.Latency += elapsed
 	w.mu.Unlock()
-	if m.Err != "" {
-		atomic.AddInt64(&s.stats.Failed, 1)
-	} else {
-		atomic.AddInt64(&s.stats.Completed, 1)
-	}
 	s.event(EventResult, w.name, m.TaskID, fmt.Sprintf("after %v err=%q", elapsed.Round(time.Millisecond), m.Err))
 }
 
@@ -635,8 +653,7 @@ func (s *Scheduler) requeue(t *task, worker, why string) {
 	}
 	t.attempts++
 	if t.attempts >= s.MaxAttempts {
-		if t.complete(&message{Type: msgResult, TaskID: t.id, Err: "cluster: task abandoned after repeated worker failures"}) {
-			atomic.AddInt64(&s.stats.Failed, 1)
+		if t.complete(&message{Type: msgResult, TaskID: t.id, Err: "cluster: task abandoned after repeated worker failures"}, &s.stats.Failed) {
 			s.event(EventTaskAbandoned, worker, t.id, fmt.Sprintf("after %d attempts (%s)", t.attempts, why))
 		}
 		return

@@ -61,26 +61,14 @@ func BenchmarkTrainStepByWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainStepBatch measures one optimizer step of the whole-frame
-// batched gradient path — the paper (bit-exact reduction order) and fast
-// (cross-frame fused) modes at growing worker-batch sizes.  Per-frame
-// cost is ns/op divided by batch; scripts/bench.sh computes the speedup
-// against the previous PR's TrainStepByWorkers/workers=1 baseline.
+// BenchmarkTrainStepBatch measures one optimizer step of the fused
+// gradient sweep at growing worker-batch sizes.  Per-frame cost is ns/op
+// divided by batch.
 func BenchmarkTrainStepBatch(b *testing.B) {
 	d := benchData(b, 8)
 	train, val := d.Split(0.25)
-	for _, tc := range []struct {
-		name  string
-		batch int
-		fast  bool
-	}{
-		{"mode=paper/batch=1", 1, false},
-		{"mode=fast/batch=1", 1, true},
-		{"mode=fast/batch=2", 2, true},
-		{"mode=fast/batch=4", 4, true},
-		{"mode=fast/batch=6", 6, true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
+	for _, batch := range []int{1, 2, 4, 6} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(3))
 			m, err := NewModel(rng, tinyModelConfig())
 			if err != nil {
@@ -90,8 +78,8 @@ func BenchmarkTrainStepBatch(b *testing.B) {
 			// any b.N: an early ErrDiverged abort would leave the remaining
 			// claimed iterations free and understate ns/op.
 			cfg := TrainConfig{
-				Steps: b.N, BatchSize: tc.batch, StartLR: 1e-4, StopLR: 1e-6,
-				ScaleByWorker: "sqrt", Workers: 1, Fast: tc.fast,
+				Steps: b.N, BatchSize: batch, StartLR: 1e-4, StopLR: 1e-6,
+				ScaleByWorker: "sqrt", Workers: 1,
 				DispFreq: b.N + 1, // no validation inside the loop
 				Seed:     4,
 			}

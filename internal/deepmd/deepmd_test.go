@@ -110,22 +110,26 @@ func TestAccumulateEnergyGradMatchesFiniteDifference(t *testing.T) {
 }
 
 // TestBatchGradMatchesLossFiniteDifference checks the gradient training
-// actually applies — accumulateBatchGrad, energy and force terms, in paper
-// and fast mode — against central finite differences of the frame loss
-// p_e·(ΔE/N)² + p_f/(3N)·‖ΔF‖² evaluated through EnergyForces.
+// actually applies — accumulateBatchGrad, energy and force terms, on a
+// one-frame and a two-frame worker batch — against central finite
+// differences of the summed frame loss p_e·(ΔE/N)² + p_f/(3N)·‖ΔF‖²
+// evaluated through EnergyForces.
 func TestBatchGradMatchesLossFiniteDifference(t *testing.T) {
-	d := tinyData(t, 1)
-	fr := &d.Frames[0]
+	d := tinyData(t, 2)
 	const pe, pf = 0.7, 1.3
-	for _, fast := range []bool{false, true} {
+	for _, frames := range [][]*dataset.Frame{{&d.Frames[0]}, {&d.Frames[0], &d.Frames[1]}} {
 		m, _ := NewModel(rand.New(rand.NewSource(3)), tinyModelConfig())
 		loss := func() float64 {
-			e, f := m.EnergyForces(fr.Coord, d.Types, fr.Box)
-			de, frmse := FrameErrors(fr, e, f)
-			return pe*de*de + pf*frmse*frmse
+			sum := 0.0
+			for _, fr := range frames {
+				e, f := m.EnergyForces(fr.Coord, d.Types, fr.Box)
+				de, frmse := FrameErrors(fr, e, f)
+				sum += pe*de*de + pf*frmse*frmse
+			}
+			return sum
 		}
 		m.ZeroGrad()
-		if err := m.accumulateBatchGrad(&batchScratch{}, d.Types, []*dataset.Frame{fr}, pe, pf, 1e-4, fast); err != nil {
+		if err := m.accumulateBatchGrad(&batchScratch{}, d.Types, frames, pe, pf, 1e-4); err != nil {
 			t.Fatal(err)
 		}
 		const h = 1e-6
@@ -142,10 +146,29 @@ func TestBatchGradMatchesLossFiniteDifference(t *testing.T) {
 				// relative tolerance above the difference quotient's
 				// rounding floor.
 				if math.Abs(fd-pg.Grad[j]) > 1e-3*math.Abs(fd)+5e-10 {
-					t.Errorf("fast=%v param %d[%d]: grad %v, finite diff %v", fast, pi, j, pg.Grad[j], fd)
+					t.Errorf("%d frames, param %d[%d]: grad %v, finite diff %v", len(frames), pi, j, pg.Grad[j], fd)
 				}
 			}
 		}
+	}
+}
+
+// TestBatchGradSteadyStateAllocs pins the fused training sweep at zero
+// allocations from the second call on: the first sizes the workspace,
+// every later one only reuses it.
+func TestBatchGradSteadyStateAllocs(t *testing.T) {
+	d := tinyData(t, 2)
+	m, _ := NewModel(rand.New(rand.NewSource(3)), tinyModelConfig())
+	frames := []*dataset.Frame{&d.Frames[0], &d.Frames[1]}
+	ws := &batchScratch{threads: 1}
+	sweep := func() {
+		if err := m.accumulateBatchGrad(ws, d.Types, frames, 0.7, 1.3, 1e-4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweep()
+	if got := testing.AllocsPerRun(10, sweep); got != 0 {
+		t.Errorf("accumulateBatchGrad: %v allocs/op in steady state, want 0", got)
 	}
 }
 

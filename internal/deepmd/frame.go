@@ -13,10 +13,10 @@ import (
 
 // batchScratch is the reusable workspace of the whole-frame training
 // path: per-slot descriptor environments (slot = frame·N + atom),
-// per-species fitting batches spanning a frame (or, in fast mode, every
-// frame of a worker batch), and the per-frame force-loss state.  Each
-// data-parallel replica owns one for a whole training run, so the hot
-// loop allocates nothing in steady state.
+// per-species fitting batches spanning every frame of a worker batch,
+// and the per-frame force-loss state.  Each data-parallel replica owns
+// one for a whole training run, so the hot loop allocates nothing in
+// steady state.
 type batchScratch struct {
 	// threads bounds forwardSlots' worker pool (wall time only).
 	threads int
@@ -28,9 +28,6 @@ type batchScratch struct {
 	// dEdD[slot] views the fitting net's input gradient for the slot's
 	// row; valid until the next batched fitting pass reuses the buffers.
 	dEdD [][]float64
-	// dc[slot] is the slot's private coordinate-gradient buffer (paper
-	// mode).  Invariant outside a backward/fold pair: all zeros.
-	dc [][]float64
 
 	slots  []int // active-slot worklist for the forward pass
 	rows   [][]int
@@ -38,14 +35,10 @@ type batchScratch struct {
 	ftDy   [][]float64
 	ftTape []*nn.BatchTape
 
-	// eb and envList drive the fused embedding path (fast mode): one
-	// embedding forward/backward per network spanning every active slot.
+	// eb and envList drive the fused embedding path: one embedding
+	// forward/backward per network spanning every active slot.
 	eb      descriptor.EnvBatch
 	envList []*descriptor.Env
-
-	// sdesc shards embedding gradients per atom in paper mode so the
-	// per-atom merge keeps the scalar path's reduction order.
-	sdesc *descriptor.Descriptor
 
 	// Per-frame force-loss state.
 	ePred, dE, vnorm, scaleF []float64
@@ -61,7 +54,7 @@ type batchScratch struct {
 // atoms and the 2·nFrames virtual frames of its fused ± sweep — all up
 // front, because growing mid-pass would discard the per-frame loss state
 // (ensureLen does not preserve contents across reallocation).
-func (ws *batchScratch) ensure(m *Model, types []int, nFrames int, fast bool) {
+func (ws *batchScratch) ensure(m *Model, types []int, nFrames int) {
 	n := len(types)
 	n3 := 3 * n
 	nVirtual := 2 * nFrames
@@ -75,20 +68,6 @@ func (ws *batchScratch) ensure(m *Model, types []int, nFrames int, fast bool) {
 	ws.energies = ensureLen(ws.energies, slots)
 	if len(ws.dEdD) < slots {
 		ws.dEdD = append(ws.dEdD, make([][]float64, slots-len(ws.dEdD))...)
-	}
-	if !fast {
-		// Only the base sweep's force fold uses the private buffers.
-		if len(ws.dc) < nFrames*n {
-			ws.dc = append(ws.dc, make([][]float64, nFrames*n-len(ws.dc))...)
-		}
-		for k := 0; k < nFrames*n; k++ {
-			if len(ws.dc[k]) != n3 {
-				ws.dc[k] = make([]float64, n3)
-			}
-		}
-		if ws.sdesc == nil {
-			ws.sdesc = m.Desc.ShadowClone()
-		}
 	}
 	nS := m.Cfg.NumSpecies
 	if len(ws.rows) < nS {
@@ -117,8 +96,7 @@ func (ws *batchScratch) ensure(m *Model, types []int, nFrames int, fast bool) {
 }
 
 // accumulateBatchGrad adds the loss gradient of a batch of frames to the
-// model's accumulators — the whole-frame replacement for the per-atom
-// scalar path.
+// model's accumulators.
 //
 // Energy term: ∂/∂θ [p_e (ΔE/N)²] = (2·p_e·ΔE/N²)·∂E/∂θ.
 //
@@ -129,24 +107,17 @@ func (ws *batchScratch) ensure(m *Model, types []int, nFrames int, fast bool) {
 // backprop through the descriptor without a second autodiff pass.
 //
 // The pass structure is two sweeps: the base one, whose descriptor
-// environments and fitting tapes serve both the force evaluation
-// (InputGradBatch + geometry backward) and the base parameter pass
-// (BackwardBatch + BackwardParams), and one fused ±h·v̂ sweep over twice
-// the frames.
+// environments and tapes serve both the force evaluation (InputGradBatch
+// + BackwardEnvBatchGeometry) and the base parameter pass (BackwardBatch
+// + BackwardEnvBatchParams), and one fused ±h·v̂ sweep over twice the
+// frames.
 //
-// With fast=false the batch must hold exactly one frame, and every
-// parameter accumulator receives its contributions in the scalar path's
-// order: fitting-net gradients batch over a frame's atoms in ascending
-// atom order (each batch row is bit-identical to a scalar backward, and
-// blas.AccumGrad reduces rows in ascending order), and embedding
-// gradients shard through sdesc and merge per atom ascending.  The result
-// is bit-identical to the historical per-atom implementation.
-//
-// With fast=true the per-species fitting batches span every frame of the
-// batch, embedding gradients accumulate directly into the model without
-// per-atom sharding, and coordinate gradients skip the private-buffer
-// fold.  Results stay deterministic for any thread count but follow a
-// relaxed reduction order that is not bit-identical to the paper path.
+// Every network sees one batch per sweep: the per-species fitting batches
+// and the per-network embedding batches span every frame of the batch,
+// rows in slot (frame-major, atom-ascending) order, and blas.AccumGrad
+// reduces rows in ascending order.  That fixes the order of every
+// floating-point reduction, so the gradient is the same bits for any
+// thread count.
 //
 // m may be a data-parallel replica (see newReplica): the sweep reads
 // parameters, writes only m's gradient accumulators and ws, and touches
@@ -155,10 +126,10 @@ func (ws *batchScratch) ensure(m *Model, types []int, nFrames int, fast bool) {
 // One neighbor list per frame serves both sweeps: the ±h·v̂
 // displacements move every atom by at most h, so a skin of a few h keeps
 // the candidate lists valid at the perturbed coordinates.
-func (m *Model) accumulateBatchGrad(ws *batchScratch, types []int, frames []*dataset.Frame, pe, pf, h float64, fast bool) error {
+func (m *Model) accumulateBatchGrad(ws *batchScratch, types []int, frames []*dataset.Frame, pe, pf, h float64) error {
 	B := len(frames)
 	n := len(types)
-	ws.ensure(m, types, B, fast)
+	ws.ensure(m, types, B)
 
 	for f, fr := range frames {
 		ws.nls[f].Build(fr.Coord, fr.Box, m.Cfg.Descriptor.RCut, 4*h)
@@ -167,7 +138,7 @@ func (m *Model) accumulateBatchGrad(ws *batchScratch, types []int, frames []*dat
 
 	// Base sweep: descriptor environments for every slot, then one
 	// fitting-net forward batch per species.
-	m.forwardSlots(ws, types, frames, false, fast)
+	m.forwardSlots(ws, types, frames, false)
 	ws.buildRows(types, B)
 	m.fitForward(ws, true)
 
@@ -183,10 +154,8 @@ func (m *Model) accumulateBatchGrad(ws *batchScratch, types []int, frames []*dat
 		ws.dE[f] = e - fr.Energy
 	}
 
-	// Forces: batched fitting input gradients, then the geometry backward
-	// per slot.  Paper mode accumulates into per-slot private buffers and
-	// folds them per atom (center first, then neighbors ascending),
-	// reproducing the scalar path's reduction order exactly.
+	// Forces: batched fitting input gradients, then the fused geometry
+	// backward adding each slot's ∂E/∂x into its frame's buffer.
 	m.fitInputGrad(ws)
 	for f := range frames {
 		forces := ws.forces[f]
@@ -194,21 +163,9 @@ func (m *Model) accumulateBatchGrad(ws *batchScratch, types []int, frames []*dat
 			forces[k] = 0
 		}
 	}
-	if fast {
-		m.Desc.BackwardEnvBatchGeometry(&ws.eb, ws.envList,
-			func(vi int) []float64 { return ws.dEdD[ws.slots[vi]] },
-			func(vi int) []float64 { return ws.forces[ws.slots[vi]/n] })
-	} else {
-		for f := range frames {
-			forces := ws.forces[f]
-			for i := 0; i < n; i++ {
-				slot := f*n + i
-				dc := ws.dc[slot]
-				m.Desc.Backward(ws.envs[slot], ws.dEdD[slot], dc, false)
-				foldDcoord(ws.envs[slot], dc, forces)
-			}
-		}
-	}
+	m.Desc.BackwardEnvBatchGeometry(&ws.eb, ws.envList,
+		func(vi int) []float64 { return ws.dEdD[ws.slots[vi]] },
+		func(vi int) []float64 { return ws.forces[ws.slots[vi]/n] })
 	for f, fr := range frames {
 		// forces currently holds +∂E/∂x; F_pred = −∂E/∂x, so the residual
 		// v = F_pred − F_ref reads −forces − F_ref (negation is exact).
@@ -225,11 +182,10 @@ func (m *Model) accumulateBatchGrad(ws *batchScratch, types []int, frames []*dat
 	// Base parameter pass, reusing the environments and tapes of the base
 	// sweep: dy row = 2·p_e·ΔE/N² of the row's frame.
 	m.fitBackward(ws, n, func(f int) float64 { return 2 * pe * ws.dE[f] / float64(n*n) })
-	m.embedBackward(ws, B, n, fast)
+	m.embedBackward(ws)
 
 	// ±h·v̂ sweeps over frames with a nonzero force residual.  A frame
-	// whose forces are already exact contributes no force gradient — the
-	// scalar path's early return.
+	// whose forces are already exact contributes no force gradient.
 	any := false
 	for f := range frames {
 		if ws.vnorm[f] < 1e-14 {
@@ -245,10 +201,7 @@ func (m *Model) accumulateBatchGrad(ws *batchScratch, types []int, frames []*dat
 	// Fused ± sweep: one virtual batch of 2B frames — frame f displaced
 	// +h·v̂ as virtual frame f and −h·v̂ as B+f — so the embedding and
 	// fitting networks see one pass with twice the rows instead of two
-	// half-size passes.  It preserves paper mode's reduction order: rows
-	// and slots visit the +h frame's atoms before the −h frame's, the
-	// batched backward reduces rows in ascending order, and x − d is
-	// x + (−d) exactly.
+	// half-size passes.
 	ws.vframes = append(ws.vframes[:0], frames...)
 	ws.vframes = append(ws.vframes, frames...)
 	for f, fr := range frames {
@@ -264,7 +217,7 @@ func (m *Model) accumulateBatchGrad(ws *batchScratch, types []int, frames []*dat
 			neg[k] = fr.Coord[k] - d
 		}
 	}
-	m.forwardSlots(ws, types, ws.vframes, true, fast)
+	m.forwardSlots(ws, types, ws.vframes, true)
 	ws.buildRows(types, 2*B)
 	m.fitForward(ws, false)
 	m.fitBackward(ws, n, func(f int) float64 {
@@ -273,7 +226,7 @@ func (m *Model) accumulateBatchGrad(ws *batchScratch, types []int, frames []*dat
 		}
 		return -ws.scaleF[f-B]
 	})
-	m.embedBackward(ws, 2*B, n, fast)
+	m.embedBackward(ws)
 	return nil
 }
 
@@ -295,13 +248,13 @@ func (m *Model) AccumulateEnergyGrad(coord []float64, types []int, box float64, 
 func (m *Model) AccumulateEnergyGradNL(nl *neighbor.List, coord []float64, types []int, box float64, scale float64) float64 {
 	n := len(types)
 	ws := &batchScratch{threads: m.threads}
-	ws.ensure(m, types, 1, false)
+	ws.ensure(m, types, 1)
 	ws.nls[0], ws.active[0] = *nl, true
-	m.forwardSlots(ws, types, []*dataset.Frame{{Coord: coord, Box: box}}, false, false)
+	m.forwardSlots(ws, types, []*dataset.Frame{{Coord: coord, Box: box}}, false)
 	ws.buildRows(types, 1)
 	m.fitForward(ws, true)
 	m.fitBackward(ws, n, func(int) float64 { return scale })
-	m.embedBackward(ws, 1, n, false)
+	m.embedBackward(ws)
 	energy := 0.0
 	for _, e := range ws.energies[:n] {
 		energy += e
@@ -310,12 +263,11 @@ func (m *Model) AccumulateEnergyGradNL(nl *neighbor.List, coord []float64, types
 }
 
 // forwardSlots evaluates the descriptor environment of every active slot,
-// at the frames' own coordinates or (displaced=true) at ws.pos.  Slots
-// are independent, so the worker pool affects wall time only.  In fast
-// mode the per-slot work is only the neighbourhood scan; the embedding
-// networks then run once per net over every slot (fused), instead of
-// once per slot per net.
-func (m *Model) forwardSlots(ws *batchScratch, types []int, frames []*dataset.Frame, displaced, fast bool) {
+// at the frames' own coordinates or (displaced=true) at ws.pos.  The
+// per-slot work is only the neighbourhood scan — slots are independent,
+// so the worker pool affects wall time only — and the embedding networks
+// then run once per net over every slot.
+func (m *Model) forwardSlots(ws *batchScratch, types []int, frames []*dataset.Frame, displaced bool) {
 	n := len(types)
 	ws.slots = ws.slots[:0]
 	for f := range frames {
@@ -326,24 +278,13 @@ func (m *Model) forwardSlots(ws *batchScratch, types []int, frames []*dataset.Fr
 			ws.slots = append(ws.slots, f*n+i)
 		}
 	}
-	coordOf := func(f int) []float64 {
-		if displaced {
-			return ws.pos[f]
-		}
-		return frames[f].Coord
-	}
-	fw := m.Desc.ForwardEnv
-	if fast {
-		fw = m.Desc.ScanEnv
-	}
 	threads := ws.threads
 	if threads > len(ws.slots) {
 		threads = len(ws.slots)
 	}
 	if threads <= 1 {
 		for _, slot := range ws.slots {
-			f, i := slot/n, slot%n
-			ws.envs[slot] = fw(ws.envs[slot], coordOf(f), types, frames[f].Box, i, ws.nls[f].Candidates(i))
+			m.scanSlot(ws, types, frames, displaced, slot)
 		}
 	} else {
 		var next int64
@@ -357,21 +298,30 @@ func (m *Model) forwardSlots(ws *batchScratch, types []int, frames []*dataset.Fr
 					if k >= len(ws.slots) {
 						return
 					}
-					slot := ws.slots[k]
-					f, i := slot/n, slot%n
-					ws.envs[slot] = fw(ws.envs[slot], coordOf(f), types, frames[f].Box, i, ws.nls[f].Candidates(i))
+					m.scanSlot(ws, types, frames, displaced, ws.slots[k])
 				}
 			}()
 		}
 		wg.Wait()
 	}
-	if fast {
-		ws.envList = ws.envList[:0]
-		for _, slot := range ws.slots {
-			ws.envList = append(ws.envList, ws.envs[slot])
-		}
-		m.Desc.ForwardEnvBatch(&ws.eb, ws.envList)
+	ws.envList = ws.envList[:0]
+	for _, slot := range ws.slots {
+		ws.envList = append(ws.envList, ws.envs[slot])
 	}
+	m.Desc.ForwardEnvBatch(&ws.eb, ws.envList)
+}
+
+// scanSlot runs the neighbourhood scan of one slot.  A method, not a
+// closure in forwardSlots: one captured by the pool's goroutines would be
+// heap-allocated on the serial path too.
+func (m *Model) scanSlot(ws *batchScratch, types []int, frames []*dataset.Frame, displaced bool, slot int) {
+	n := len(types)
+	f, i := slot/n, slot%n
+	coord := frames[f].Coord
+	if displaced {
+		coord = ws.pos[f]
+	}
+	ws.envs[slot] = m.Desc.ScanEnv(ws.envs[slot], coord, types, frames[f].Box, i, ws.nls[f].Candidates(i))
 }
 
 // buildRows groups the active slots by species in slot (frame-major,
@@ -441,9 +391,7 @@ func (m *Model) fitInputGrad(ws *batchScratch) {
 
 // fitBackward runs one batched fitting backward per species with
 // dy row = scaleOf(row's frame), accumulating parameter gradients
-// directly into m.Fit and leaving scaled dL/dD views in ws.dEdD.  Rows
-// ascend in atom order, so the accumulation is bit-identical to the
-// scalar path's per-atom shard merges.
+// directly into m.Fit and leaving scaled dL/dD views in ws.dEdD.
 func (m *Model) fitBackward(ws *batchScratch, n int, scaleOf func(f int) float64) {
 	outDim := m.Cfg.Descriptor.OutDim()
 	for t, rows := range ws.rows {
@@ -463,44 +411,9 @@ func (m *Model) fitBackward(ws *batchScratch, n int, scaleOf func(f int) float64
 }
 
 // embedBackward propagates the slots' dL/dD into the embedding-network
-// parameter accumulators.  Paper mode shards each atom through ws.sdesc
-// and merges per atom in ascending order (the scalar path's reduction
-// order); fast mode runs one fused backward per embedding network
-// spanning every active slot.
-func (m *Model) embedBackward(ws *batchScratch, B, n int, fast bool) {
-	if fast {
-		m.Desc.BackwardEnvBatchParams(&ws.eb, ws.envList,
-			func(vi int) []float64 { return ws.dEdD[ws.slots[vi]] })
-		return
-	}
-	for f := 0; f < B; f++ {
-		if !ws.active[f] {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			slot := f*n + i
-			env := ws.envs[slot]
-			ws.sdesc.BackwardParams(env, ws.dEdD[slot])
-			for _, e := range env.EmbedNets() {
-				nn.AddGradsAndReset(m.Desc.Embed[e], ws.sdesc.Embed[e])
-			}
-		}
-	}
-}
-
-// foldDcoord folds a slot's private coordinate gradients into dst and
-// restores the buffer's all-zeros invariant, in the merge order of the
-// scalar path: center coordinates first, then neighbors ascending.
-func foldDcoord(env *descriptor.Env, dc, dst []float64) {
-	c := env.Center()
-	for x := 0; x < 3; x++ {
-		dst[3*c+x] += dc[3*c+x]
-		dc[3*c+x] = 0
-	}
-	for _, j := range env.NeighborAtoms() {
-		for x := 0; x < 3; x++ {
-			dst[3*j+x] += dc[3*j+x]
-			dc[3*j+x] = 0
-		}
-	}
+// parameter accumulators: one fused backward per embedding network
+// spanning every active slot of the sweep forwardSlots last ran.
+func (m *Model) embedBackward(ws *batchScratch) {
+	m.Desc.BackwardEnvBatchParams(&ws.eb, ws.envList,
+		func(vi int) []float64 { return ws.dEdD[ws.slots[vi]] })
 }

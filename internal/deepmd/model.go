@@ -234,7 +234,7 @@ func (m *Model) computeTile(s *evalScratch, mode evalMode, coord []float64, type
 			}
 			dEdD := m.Fit[t].InputGradBatch(s.ftTape, s.ftDy, len(rows))
 			for r, k := range rows {
-				m.Desc.Backward(s.envs[k], dEdD[r*outDim:(r+1)*outDim], s.tileDc[k], false)
+				m.Desc.Backward(s.envs[k], dEdD[r*outDim:(r+1)*outDim], s.tileDc[k])
 			}
 		}
 	}

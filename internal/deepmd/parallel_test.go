@@ -80,12 +80,13 @@ func TestEvalErrorsParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// checkTrainThreadInvariant trains the same seed at every combination of
-// data-parallel width and thread count — one replica, fewer replicas than
-// workers, an uneven split, more threads than workers — and requires the
-// lcurve.out text and the final parameters to match Threads = 1 bit for
-// bit.  Threads = 1 runs twice, so replay stability is covered too.
-func checkTrainThreadInvariant(t *testing.T, fast bool) {
+// checkTrainThreadInvariant trains the same seed, batchSize frames per
+// worker, at every combination of data-parallel width and thread count —
+// one replica, fewer replicas than workers, an uneven split, more threads
+// than workers — and requires the lcurve.out text and the final
+// parameters to match Threads = 1 bit for bit.  Threads = 1 runs twice,
+// so replay stability is covered too.
+func checkTrainThreadInvariant(t *testing.T, batchSize int) {
 	d := tinyData(t, 6)
 	train, val := d.Split(0.33)
 
@@ -96,9 +97,9 @@ func checkTrainThreadInvariant(t *testing.T, fast bool) {
 			m := newTestModel(t, 23)
 			var buf bytes.Buffer
 			cfg := streamTrainConfig()
-			cfg.Workers, cfg.Threads, cfg.Fast = workers, threads, fast
+			cfg.Workers, cfg.Threads, cfg.BatchSize = workers, threads, batchSize
 			if _, err := Train(context.Background(), m, train, val, cfg, &buf); err != nil {
-				t.Fatalf("Train(fast=%v, workers=%d, threads=%d): %v", fast, workers, threads, err)
+				t.Fatalf("Train(batch=%d, workers=%d, threads=%d): %v", batchSize, workers, threads, err)
 			}
 			var params []float64
 			for _, pg := range m.Params() {
@@ -109,13 +110,13 @@ func checkTrainThreadInvariant(t *testing.T, fast bool) {
 				continue
 			}
 			if buf.String() != wantOut {
-				t.Fatalf("fast=%v workers=%d: lcurve.out at Threads=%d differs from Threads=1:\n%s\nvs\n%s",
-					fast, workers, threads, buf.String(), wantOut)
+				t.Fatalf("batch=%d workers=%d: lcurve.out at Threads=%d differs from Threads=1:\n%s\nvs\n%s",
+					batchSize, workers, threads, buf.String(), wantOut)
 			}
 			for k := range params {
 				if math.Float64bits(params[k]) != math.Float64bits(wantParams[k]) {
-					t.Fatalf("fast=%v workers=%d: final parameter %d at Threads=%d is %v, Threads=1 reached %v",
-						fast, workers, k, threads, params[k], wantParams[k])
+					t.Fatalf("batch=%d workers=%d: final parameter %d at Threads=%d is %v, Threads=1 reached %v",
+						batchSize, workers, k, threads, params[k], wantParams[k])
 				}
 			}
 		}
@@ -124,8 +125,14 @@ func checkTrainThreadInvariant(t *testing.T, fast bool) {
 
 // TestTrainParallelBitIdentical is the acceptance criterion that
 // parallelism — inside a gradient and across the data-parallel replicas —
-// trades wall time only, never reproducibility of lcurve.out.
-func TestTrainParallelBitIdentical(t *testing.T) { checkTrainThreadInvariant(t, false) }
+// trades wall time only, never reproducibility of lcurve.out.  One frame
+// per worker: every sweep is a single frame.
+func TestTrainParallelBitIdentical(t *testing.T) { checkTrainThreadInvariant(t, 1) }
+
+// TestTrainDeterministicAcrossThreads is TestTrainParallelBitIdentical
+// with two frames per worker, so every network batch of a sweep spans
+// frames and the per-worker gradient is rescaled by 1/BatchSize.
+func TestTrainDeterministicAcrossThreads(t *testing.T) { checkTrainThreadInvariant(t, 2) }
 
 // faultySource wraps a dataset with one frame whose read fails and one
 // whose energy label is +Inf: the step that samples the latter leaves the

@@ -42,9 +42,9 @@ type TrainConfig struct {
 	ForceFDh float64
 	// Threads bounds the cores a training uses.  min(Threads, Workers)
 	// replicas of the model compute a step's worker gradients
-	// concurrently, the leftover Threads / replicas bounds the per-atom
-	// pool inside each replica, and the validation evaluations spread
-	// frames over all Threads.  0 means GOMAXPROCS.  Training output is
+	// concurrently, the leftover Threads / replicas bounds the
+	// neighbourhood-scan pool inside each replica, and the validation
+	// evaluations spread frames over all Threads.  0 means GOMAXPROCS.  Training output is
 	// bit-identical for every value — a worker's gradient does not depend
 	// on which replica computes it, and gradients are reduced in a fixed
 	// order — so Threads trades wall time (and, per extra replica, one
@@ -52,14 +52,6 @@ type TrainConfig struct {
 	Threads int
 	// Seed drives batch sampling.
 	Seed int64
-	// Fast selects the cross-frame fused gradient path: per-species
-	// fitting-net batches span every frame of a worker batch and
-	// embedding gradients accumulate directly instead of through
-	// per-atom shards.  Training stays deterministic for any thread
-	// count but follows a relaxed floating-point reduction order, so the
-	// learning curve is NOT bit-identical to the default (paper) path;
-	// EXPERIMENTS.md quantifies the divergence.
-	Fast bool
 }
 
 // Validate checks the configuration.
@@ -141,13 +133,6 @@ func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg Trai
 		h = 1e-4
 	}
 
-	// Paper mode accumulates a worker's batch frame by frame; fast mode
-	// fuses the whole batch into one sweep.
-	fused := 1
-	if cfg.Fast {
-		fused = cfg.BatchSize
-	}
-
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	initBias(m, train)
 	m.SetThreads(cfg.Threads)
@@ -167,10 +152,9 @@ func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg Trai
 
 	// Sampling is drawn one step ahead of consumption: idx holds the
 	// current step's frame indices, nextIdx the following step's.  The
-	// rng.Intn call sequence is exactly the scalar path's (step-major,
-	// worker-major, batch-minor) — drawing early changes when the calls
-	// happen, not their order — so seeded runs reproduce historical
-	// learning curves byte for byte, with or without a prefetcher.
+	// rng.Intn call sequence is step-major, worker-major, batch-minor —
+	// drawing early changes when the calls happen, not their order — so
+	// a seeded run samples the same frames with or without a prefetcher.
 	prefetcher, _ := train.(Prefetcher)
 	idx := make([]int, cfg.Workers*cfg.BatchSize)
 	nextIdx := make([]int, cfg.Workers*cfg.BatchSize)
@@ -221,10 +205,8 @@ func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg Trai
 				}
 				rep.batch[b] = fr
 			}
-			for b := 0; b < cfg.BatchSize; b += fused {
-				if err := rep.m.accumulateBatchGrad(&rep.ws, types, rep.batch[b:b+fused], pe, pf, h, cfg.Fast); err != nil {
-					return err
-				}
+			if err := rep.m.accumulateBatchGrad(&rep.ws, types, rep.batch, pe, pf, h); err != nil {
+				return err
 			}
 			if cfg.BatchSize > 1 {
 				scaleFlat(rep.m, 1/float64(cfg.BatchSize))

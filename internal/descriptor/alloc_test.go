@@ -8,10 +8,10 @@ import (
 )
 
 // TestSteadyStateAllocs pins the pooled Forward/Backward/Release cycle —
-// and the training-only BackwardParams variant — at zero allocations per
-// call once the env pool and internal buffers are warm.  A regression
-// here means the convenience API started leaking Envs (Release lost) or
-// an internal scratch stopped being recycled.
+// and the fused training sweep over a whole configuration — at zero
+// allocations per call once the env pool and internal buffers are warm.
+// A regression here means the convenience API started leaking Envs
+// (Release lost) or an internal scratch stopped being recycled.
 func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; pooled paths allocate by design")
@@ -30,29 +30,35 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	const n = 24
 	box := 6.0
-	coord := make([]float64, 3*n)
-	types := make([]int, n)
-	for i := 0; i < n; i++ {
-		for k := 0; k < 3; k++ {
-			coord[3*i+k] = rng.Float64() * box
-		}
-		types[i] = i % 3
-	}
+	coord, types := benchConfiguration(rng, n, box)
 	dOut := make([]float64, d.Cfg.OutDim())
 	for i := range dOut {
 		dOut[i] = 1
 	}
 	dcoord := make([]float64, 3*n)
 
+	var eb EnvBatch
+	envs := make([]*Env, n)
+	upstream := func(int) []float64 { return dOut }
+	target := func(int) []float64 { return dcoord }
+	fusedSweep := func() {
+		for i := range envs {
+			envs[i] = d.ScanEnv(envs[i], coord, types, box, i, nil)
+		}
+		d.ForwardEnvBatch(&eb, envs)
+		d.BackwardEnvBatchGeometry(&eb, envs, upstream, target)
+		d.BackwardEnvBatchParams(&eb, envs, upstream)
+	}
+
 	// Warm the pool and every size-dependent buffer: two sweeps over all
 	// atoms cover the largest neighbourhood and every embedding batch.
 	for sweep := 0; sweep < 2; sweep++ {
 		for i := 0; i < n; i++ {
 			env := d.Forward(coord, types, box, i)
-			d.Backward(env, dOut, dcoord, true)
-			d.BackwardParams(env, dOut)
+			d.Backward(env, dOut, dcoord)
 			d.Release(env)
 		}
+		fusedSweep()
 	}
 
 	atom := 0
@@ -67,16 +73,11 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}},
 		{"Forward+Backward+Release", func() {
 			env := d.Forward(coord, types, box, atom%n)
-			d.Backward(env, dOut, dcoord, true)
+			d.Backward(env, dOut, dcoord)
 			d.Release(env)
 			atom++
 		}},
-		{"Forward+BackwardParams+Release", func() {
-			env := d.Forward(coord, types, box, atom%n)
-			d.BackwardParams(env, dOut)
-			d.Release(env)
-			atom++
-		}},
+		{"ScanEnv+ForwardEnvBatch+BackwardEnvBatch{Geometry,Params}", fusedSweep},
 	}
 	for _, tc := range cases {
 		if got := testing.AllocsPerRun(50, tc.fn); got != 0 {
@@ -85,10 +86,12 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBackwardParamsMatchesBackward verifies the training-only backward
-// accumulates exactly the parameter gradients of the full backward, bit
-// for bit, on a fresh accumulator.
-func TestBackwardParamsMatchesBackward(t *testing.T) {
+// TestBackwardEnvBatchGeometryMatchesBackward ties the training sweep's
+// coordinate gradients to the inference path: one fused geometry backward
+// over every atom must add, bit for bit, what per-atom ForwardEnv +
+// Backward calls add in the same atom order, and touch no parameter
+// accumulator.
+func TestBackwardEnvBatchGeometryMatchesBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	cfg := Config{
 		RCut: 4.0, RCutSmth: 1.0,
@@ -104,41 +107,42 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 	}
 	const n = 12
 	box := 5.0
-	coord := make([]float64, 3*n)
-	types := make([]int, n)
-	for i := 0; i < n; i++ {
-		for k := 0; k < 3; k++ {
-			coord[3*i+k] = rng.Float64() * box
-		}
-		types[i] = i % 3
-	}
-	dOut := make([]float64, cfg.OutDim())
+	coord, types := benchConfiguration(rng, n, box)
+	dOut := make([][]float64, n)
 	for i := range dOut {
-		dOut[i] = rng.NormFloat64()
+		dOut[i] = make([]float64, cfg.OutDim())
+		for k := range dOut[i] {
+			dOut[i][k] = rng.NormFloat64()
+		}
 	}
-	dcoord := make([]float64, 3*n)
 
+	want := make([]float64, 3*n)
 	for i := 0; i < n; i++ {
 		env := d.Forward(coord, types, box, i)
-		d.Backward(env, dOut, dcoord, true)
-		want := flatGrads(d)
-		d.ZeroGrad()
-		d.BackwardParams(env, dOut)
-		got := flatGrads(d)
-		d.ZeroGrad()
+		d.Backward(env, dOut[i], want)
 		d.Release(env)
-		for k := range want {
-			if want[k] != got[k] {
-				t.Fatalf("atom %d: grad[%d] = %v (BackwardParams) vs %v (Backward)", i, k, got[k], want[k])
+	}
+
+	var eb EnvBatch
+	envs := make([]*Env, n)
+	for i := range envs {
+		envs[i] = d.ScanEnv(nil, coord, types, box, i, nil)
+	}
+	d.ForwardEnvBatch(&eb, envs)
+	got := make([]float64, 3*n)
+	d.BackwardEnvBatchGeometry(&eb, envs,
+		func(vi int) []float64 { return dOut[vi] },
+		func(int) []float64 { return got })
+	for k := range want {
+		if want[k] != got[k] {
+			t.Fatalf("dcoord[%d] = %v (fused) vs %v (per-atom Backward)", k, got[k], want[k])
+		}
+	}
+	for _, pg := range d.Params() {
+		for _, g := range pg.Grad {
+			if g != 0 {
+				t.Fatal("BackwardEnvBatchGeometry accumulated parameter gradients")
 			}
 		}
 	}
-}
-
-func flatGrads(d *Descriptor) []float64 {
-	var out []float64
-	for _, pg := range d.Params() {
-		out = append(out, pg.Grad...)
-	}
-	return out
 }

@@ -8,9 +8,7 @@ import "repro/internal/nn"
 // per-atom GEMMs with a handful of tall ones.  Rows gather in
 // environment order (each environment's rows contiguous, in its own
 // neighbour scan order), so results are deterministic for any thread
-// count; parameter gradients accumulate per fused batch rather than per
-// atom, which is a relaxed reduction order relative to the
-// per-environment calls — the fast training mode's documented contract.
+// count; parameter gradients accumulate per fused batch, rows ascending.
 //
 // Lifecycle per sweep: ScanEnv every environment, ForwardEnvBatch once,
 // then any of BackwardEnvBatchGeometry / BackwardEnvBatchParams.  The
@@ -46,8 +44,8 @@ func (eb *EnvBatch) ensure(nNets, nEnvs int) {
 // one fused embedding forward per touched network, then computes each
 // environment's descriptor tail.  Environments keep views into the
 // fused outputs; they support the fused backwards below but NOT the
-// per-env Backward/BackwardParams (their per-env tapes are never
-// populated on this path).
+// per-env Backward (their per-env tapes are never populated on this
+// path).
 func (d *Descriptor) ForwardEnvBatch(eb *EnvBatch, envs []*Env) {
 	m1 := d.Cfg.M1()
 	eb.ensure(len(d.Embed), len(envs))

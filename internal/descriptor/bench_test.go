@@ -70,16 +70,15 @@ func BenchmarkForwardBackward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env := d.Forward(coord, types, 17.84, i%160)
-		d.Backward(env, dOut, dcoord, true)
+		d.Backward(env, dOut, dcoord)
 		d.Release(env)
 	}
 }
 
-// BenchmarkForwardBackwardParams is BenchmarkForwardBackward's
-// training-only sibling: the ±h directional-difference passes discard
-// coordinate gradients, so they run BackwardParams instead of the full
-// geometry backward.
-func BenchmarkForwardBackwardParams(b *testing.B) {
+// BenchmarkEnvBatchSweep is one fused training sweep over a 160-atom
+// configuration — scan, one embedding forward per network, geometry and
+// parameter backwards — as accumulateBatchGrad's base sweep drives it.
+func BenchmarkEnvBatchSweep(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	coord, types := benchConfiguration(rng, 160, 17.84)
 	d := paperScaleDescriptor(b, 8.0)
@@ -87,12 +86,19 @@ func BenchmarkForwardBackwardParams(b *testing.B) {
 	for i := range dOut {
 		dOut[i] = 1
 	}
+	dcoord := make([]float64, len(coord))
+	upstream := func(int) []float64 { return dOut }
+	var eb EnvBatch
+	envs := make([]*Env, len(types))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env := d.Forward(coord, types, 17.84, i%160)
-		d.BackwardParams(env, dOut)
-		d.Release(env)
+		for c := range envs {
+			envs[c] = d.ScanEnv(envs[c], coord, types, 17.84, c, nil)
+		}
+		d.ForwardEnvBatch(&eb, envs)
+		d.BackwardEnvBatchGeometry(&eb, envs, upstream, func(int) []float64 { return dcoord })
+		d.BackwardEnvBatchParams(&eb, envs, upstream)
 	}
 }
 
@@ -117,7 +123,7 @@ func BenchmarkForwardEnvReuse(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := i % 160
 		env = d.ForwardEnv(env, coord, types, 17.84, c, nl.Candidates(c))
-		d.Backward(env, dOut, dcoord, true)
+		d.Backward(env, dOut, dcoord)
 	}
 }
 

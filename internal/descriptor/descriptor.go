@@ -84,9 +84,8 @@ type Descriptor struct {
 }
 
 // ShadowClone returns a descriptor sharing this one's embedding
-// parameters but owning private gradient accumulators, so concurrent
-// workers can call Backward with train=true without racing; shards are
-// merged per embedding net with nn.AddGradsAndReset.
+// parameters but owning private gradient accumulators, so data-parallel
+// replicas can run BackwardEnvBatchParams concurrently without racing.
 func (d *Descriptor) ShadowClone() *Descriptor {
 	s := &Descriptor{Cfg: d.Cfg, Switch: d.Switch, Embed: make([]*nn.MLP, len(d.Embed))}
 	for i, m := range d.Embed {
@@ -185,8 +184,8 @@ type Env struct {
 	// Backward scratch, reused across calls.
 	dT1 []float64
 
-	// Per-call bookkeeping for shard merging: which embedding nets this
-	// environment touched (first-touch order) and which atoms appear.
+	// Per-call bookkeeping: which embedding nets this environment touched
+	// (first-touch order) and which atoms appear.
 	embedTouched []bool
 	embedNets    []int
 	nbrAtoms     []int
@@ -201,10 +200,6 @@ func (e *Env) Center() int { return e.center }
 // NeighborAtoms returns the indices of the atoms in the environment, in
 // ascending order.  The slice is Env-owned scratch.
 func (e *Env) NeighborAtoms() []int { return e.nbrAtoms }
-
-// EmbedNets returns the indices of the embedding networks used by the
-// environment, in first-touch order.  The slice is Env-owned scratch.
-func (e *Env) EmbedNets() []int { return e.embedNets }
 
 // Forward evaluates the descriptor of atom i in a configuration given by
 // flat coordinates (atom-major xyz), per-atom types, and cubic box length
@@ -395,13 +390,14 @@ func ensureZeroed(buf []float64, n int) []float64 {
 	return buf
 }
 
-// Backward propagates dL/dD (flattened M1×M2) through the descriptor,
-// accumulating embedding-network parameter gradients and adding coordinate
-// gradients into dcoord (flat, same layout as coord).  Set train=false to
-// skip parameter-gradient accumulation (force inference).
+// Backward propagates dL/dD (flattened M1×M2) through the descriptor of
+// an Env evaluated by ForwardEnv, adding coordinate gradients into dcoord
+// (flat, same layout as coord).  It is the inference backward (forces):
+// parameter accumulators are untouched; training accumulates them with
+// BackwardEnvBatchParams.
 //
 //lint:hot
-func (d *Descriptor) Backward(env *Env, dOut []float64, dcoord []float64, train bool) {
+func (d *Descriptor) Backward(env *Env, dOut []float64, dcoord []float64) {
 	d.computeDT1(env, dOut)
 
 	// Phase 1: per-neighbour upstream gradients, in neighbour scan order.
@@ -415,18 +411,10 @@ func (d *Descriptor) Backward(env *Env, dOut []float64, dcoord []float64, train 
 	d.scatterUpstream(env, true)
 
 	// Phase 2: through the embedding networks to their scalar inputs, one
-	// batched backward per net.  Rows accumulate into each net's gradient
-	// shards in ascending row order — the same subsequence order the
-	// per-neighbour path used, since only a net's own neighbours ever touch
-	// its accumulators.
+	// batched input-gradient pass per net.
 	for bi := 0; bi < env.nBatches; bi++ {
 		b := &env.batches[bi]
-		net := d.Embed[b.net]
-		if train {
-			b.ds = net.BackwardBatch(b.tape, b.dy, b.n)
-		} else {
-			b.ds = net.InputGradBatch(b.tape, b.dy, b.n)
-		}
+		b.ds = d.Embed[b.net].InputGradBatch(b.tape, b.dy, b.n)
 	}
 
 	d.geometryChain(env, dcoord)
@@ -524,37 +512,6 @@ func (d *Descriptor) geometryChain(env *Env, dcoord []float64) {
 			dcoord[3*nb.j+k] += dd[k]
 			dcoord[3*env.center+k] -= dd[k]
 		}
-	}
-}
-
-// BackwardParams accumulates embedding-network parameter gradients for
-// upstream gradient dOut without computing coordinate gradients — the
-// training-only backward.  The parameter accumulation is bit-identical
-// to Backward(env, dOut, dcoord, true): it runs the same dT1 reduction,
-// per-neighbour dG scatter and batched net backwards in the same order,
-// and merely skips the R̃-row stash and geometry chain rule, which touch
-// no parameter accumulator.  Gradient-descent passes that discard dcoord
-// (the ±h directional-difference passes of the force loss) use this to
-// shed roughly a third of the descriptor backward.
-//
-//lint:hot
-func (d *Descriptor) BackwardParams(env *Env, dOut []float64) {
-	d.computeDT1(env, dOut)
-
-	// Per-neighbour upstream gradients into the net batches, as in
-	// Backward phase 1 minus the dL/dR̃ stash.
-	m1 := d.Cfg.M1()
-	for bi := 0; bi < env.nBatches; bi++ {
-		b := &env.batches[bi]
-		b.dy = ensureZeroed(b.dy, b.n*m1)
-	}
-	d.scatterUpstream(env, false)
-
-	// Batched backward through each touched net; the input gradients are
-	// not needed.
-	for bi := 0; bi < env.nBatches; bi++ {
-		b := &env.batches[bi]
-		d.Embed[b.net].BackwardBatch(b.tape, b.dy, b.n)
 	}
 }
 

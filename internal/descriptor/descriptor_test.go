@@ -245,7 +245,7 @@ func TestDescriptorCoordinateGradients(t *testing.T) {
 
 	env := d.Forward(coord, types, box, 0)
 	dcoord := make([]float64, len(coord))
-	d.Backward(env, w, dcoord, false)
+	d.Backward(env, w, dcoord)
 
 	const h = 1e-6
 	for idx := 0; idx < len(coord); idx++ {
@@ -262,6 +262,10 @@ func TestDescriptorCoordinateGradients(t *testing.T) {
 	}
 }
 
+// TestDescriptorParameterGradients checks the embedding-parameter
+// gradients of the fused training sweep — every atom of the cluster in
+// one EnvBatch — against finite differences of L = Σ_i w·D_i evaluated
+// through the inference forward.
 func TestDescriptorParameterGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d, _ := New(rng, testConfig())
@@ -271,18 +275,25 @@ func TestDescriptorParameterGradients(t *testing.T) {
 		w[i] = rng.NormFloat64()
 	}
 	loss := func() float64 {
-		env := d.Forward(coord, types, box, 0)
 		s := 0.0
-		for k, v := range env.Out() {
-			s += w[k] * v
+		for i := range types {
+			env := d.Forward(coord, types, box, i)
+			for k, v := range env.Out() {
+				s += w[k] * v
+			}
+			d.Release(env)
 		}
 		return s
 	}
 
 	d.ZeroGrad()
-	env := d.Forward(coord, types, box, 0)
-	dcoord := make([]float64, len(coord))
-	d.Backward(env, w, dcoord, true)
+	var eb EnvBatch
+	envs := make([]*Env, len(types))
+	for i := range envs {
+		envs[i] = d.ScanEnv(nil, coord, types, box, i, nil)
+	}
+	d.ForwardEnvBatch(&eb, envs)
+	d.BackwardEnvBatchParams(&eb, envs, func(int) []float64 { return w })
 
 	const h = 1e-6
 	for pi, pg := range d.Params() {
@@ -312,7 +323,7 @@ func TestBackwardInferenceDoesNotTouchParams(t *testing.T) {
 		dOut[i] = 1
 	}
 	dcoord := make([]float64, len(coord))
-	d.Backward(env, dOut, dcoord, false)
+	d.Backward(env, dOut, dcoord)
 	for _, pg := range d.Params() {
 		for _, g := range pg.Grad {
 			if g != 0 {
@@ -370,7 +381,7 @@ func TestPairTypeEmbeddingGradients(t *testing.T) {
 	}
 	env := d.Forward(coord, types, box, 0)
 	dcoord := make([]float64, len(coord))
-	d.Backward(env, w, dcoord, false)
+	d.Backward(env, w, dcoord)
 	const h = 1e-6
 	for idx := 0; idx < len(coord); idx += 2 {
 		orig := coord[idx]

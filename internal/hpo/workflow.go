@@ -101,10 +101,6 @@ type RealTrainer struct {
 	StepsOverride int
 	// ValFrames caps validation frames per lcurve evaluation.
 	ValFrames int
-	// Fast selects the cross-frame fused gradient path (see
-	// deepmd.TrainConfig.Fast); learning curves then follow a relaxed
-	// reduction order instead of the paper's bit-exact one.
-	Fast bool
 }
 
 // TrainRun implements the Trainer interface.
@@ -133,7 +129,6 @@ func (rt *RealTrainer) TrainRun(ctx context.Context, inputPath, runDir string) e
 		tc.Steps = rt.StepsOverride
 	}
 	tc.ValFrames = rt.ValFrames
-	tc.Fast = rt.Fast
 
 	rngSeed := tc.Seed
 	model, err := deepmd.NewModel(newSeededRand(rngSeed), mc)

@@ -443,8 +443,8 @@ func amortizedOrCold(pkg *Package, stack []ast.Node) bool {
 // warmEarlyReturnBefore reports an amortizing early-return guard among
 // the statements preceding child in block:
 //
-//	if s.sdesc != nil && … { return }   // warm path leaves here
-//	s.sdesc = m.Desc.ShadowClone()      // ← only the miss reaches this
+//	if cap(d.buf) >= n { …; return d.buf, nil }   // warm path leaves here
+//	buf = append(buf, make([]byte, c)...)         // ← only the miss reaches this
 func warmEarlyReturnBefore(pkg *Package, block *ast.BlockStmt, child ast.Node) bool {
 	for _, st := range block.List {
 		if st == child || st.Pos() >= child.Pos() {

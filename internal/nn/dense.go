@@ -158,8 +158,7 @@ func (d *Dense) InputGrad(tr *Trace, dy []float64) (dx []float64) {
 // ShadowClone returns a layer sharing this layer's parameters (W and B
 // alias the receiver's storage) but owning fresh, zeroed gradient
 // accumulators.  Shadow layers let concurrent workers accumulate
-// gradients without racing on the shared accumulators; the shards are
-// merged with AddGradsAndReset.
+// gradients without racing on the shared accumulators.
 func (d *Dense) ShadowClone() *Dense {
 	return &Dense{
 		In: d.In, Out: d.Out, Act: d.Act,
@@ -216,20 +215,6 @@ func (m *MLP) ShadowClone() *MLP {
 	}
 	s.params = s.buildParams()
 	return s
-}
-
-// AddGradsAndReset adds src's gradient accumulators into dst's and zeroes
-// src's, in a fixed parameter order.  dst and src must share an
-// architecture (typically src is dst.ShadowClone()).
-func AddGradsAndReset(dst, src *MLP) {
-	dp, sp := dst.Params(), src.Params()
-	for i := range dp {
-		dg, sg := dp[i].Grad, sp[i].Grad
-		for j := range dg {
-			dg[j] += sg[j]
-			sg[j] = 0
-		}
-	}
 }
 
 // Tape records the traces of one forward pass so the matching backward

@@ -166,10 +166,12 @@ func TestGoldenLCurve(t *testing.T) {
 // goldens cannot see (GoldenEvaluator trains with Workers: 1): the
 // reference genome trained paper-shaped, six workers per step, at one
 // and two frames per worker.  The fixture was written by the serial
-// worker loop that preceded concurrent replicas; every thread count —
-// fewer replicas than workers, an uneven split, more threads than
-// workers — must reproduce it byte for byte and reach the same final
-// parameters to the bit.
+// worker loop that preceded concurrent replicas, and again — the same
+// bytes, at five printed digits — by the last commit that had a per-atom
+// gradient path beside the fused sweep, with its option for the fused
+// sweep switched on; every thread count — fewer replicas than workers,
+// an uneven split, more threads than workers — must reproduce it byte
+// for byte and reach the same final parameters to the bit.
 func TestGoldenLCurveWorkers6(t *testing.T) {
 	var first []float64
 	for _, threads := range []int{1, 2, 3, 8} {
@@ -209,15 +211,16 @@ func paperNetDataset() (train, val *dataset.Dataset) {
 // TestGoldenPaperNetBits pins the trainer at the paper's layer shapes —
 // embedding {25, 50, 100} with 4 axis neurons, fitting {240, 240, 240} —
 // which the {4, 8}/{10} campaign goldens above do not reach.  One line
-// per (descriptor activation, paper/fast mode, frames per worker): the
-// SHA-256 of the lcurve.out bytes followed by the IEEE-754 bits of every
-// final parameter (lcurve.out prints five digits; the hash does not).
-// Six workers, three steps, validation every step.  The fixture was
-// written by the pure-Go kernels that preceded the SIMD micro-kernel;
-// whichever kernel path the build selects must reproduce all 20 lines.
-// Under the race detector, where the kernels' Go loops run ~16× slower
-// (8 s per training), only the first activation pair at one frame per
-// worker trains, in both modes; the other 18 lines keep their committed
+// per (descriptor activation, frames per worker): the SHA-256 of the
+// lcurve.out bytes followed by the IEEE-754 bits of every final
+// parameter (lcurve.out prints five digits; the hash does not).  Six
+// workers, three steps, validation every step.  The hashes were written
+// by the pure-Go kernels that preceded the SIMD micro-kernel, running
+// the fused sweep while it was still an option beside a per-atom path;
+// whichever kernel path the build selects must reproduce all ten lines.
+// Under the race detector, where the kernels' Go loops run
+// ~16× slower (8 s per training), only the first activation pair at one
+// frame per worker trains; the other nine lines keep their committed
 // text so the fixture still compares whole.
 func TestGoldenPaperNetBits(t *testing.T) {
 	if testing.Short() {
@@ -229,53 +232,47 @@ func TestGoldenPaperNetBits(t *testing.T) {
 		fitName := nn.ActivationNames[(i+1)%len(nn.ActivationNames)]
 		descAct, _ := nn.ActivationByName(name)
 		fitAct, _ := nn.ActivationByName(fitName)
-		for _, fast := range []bool{false, true} {
-			for _, batch := range []int{1, 2} {
-				mode := "paper"
-				if fast {
-					mode = "fast"
-				}
-				label := fmt.Sprintf("desc=%s fit=%s mode=%s batch_size=%d", name, fitName, mode, batch)
-				if raceEnabled && (i > 0 || batch == 2) {
-					got.WriteString(paperNetLine(t, label))
-					continue
-				}
-				m, err := deepmd.NewModel(rand.New(rand.NewSource(int64(100+i))), deepmd.ModelConfig{
-					Descriptor: descriptor.Config{
-						RCut: 6.0, RCutSmth: 2.0,
-						EmbeddingSizes: []int{25, 50, 100},
-						AxisNeurons:    4,
-						Activation:     descAct,
-						NumSpecies:     3,
-						NeighborNorm:   24,
-					},
-					FittingSizes:      []int{240, 240, 240},
-					FittingActivation: fitAct,
-					NumSpecies:        3,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var curve bytes.Buffer
-				cfg := deepmd.TrainConfig{
-					Steps: 3, BatchSize: batch, Workers: 6, DispFreq: 1, ValFrames: 2,
-					StartLR: 1e-3, StopLR: 1e-4, ScaleByWorker: "linear",
-					Seed: int64(7 + i), Fast: fast,
-				}
-				if _, err := deepmd.Train(context.Background(), m, train, val, cfg, &curve); err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				h := sha256.New()
-				h.Write(curve.Bytes())
-				var word [8]byte
-				for _, pg := range m.Params() {
-					for _, v := range pg.Param {
-						binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
-						h.Write(word[:])
-					}
-				}
-				fmt.Fprintf(&got, "%s %x\n", label, h.Sum(nil))
+		for _, batch := range []int{1, 2} {
+			label := fmt.Sprintf("desc=%s fit=%s batch_size=%d", name, fitName, batch)
+			if raceEnabled && (i > 0 || batch == 2) {
+				got.WriteString(paperNetLine(t, label))
+				continue
 			}
+			m, err := deepmd.NewModel(rand.New(rand.NewSource(int64(100+i))), deepmd.ModelConfig{
+				Descriptor: descriptor.Config{
+					RCut: 6.0, RCutSmth: 2.0,
+					EmbeddingSizes: []int{25, 50, 100},
+					AxisNeurons:    4,
+					Activation:     descAct,
+					NumSpecies:     3,
+					NeighborNorm:   24,
+				},
+				FittingSizes:      []int{240, 240, 240},
+				FittingActivation: fitAct,
+				NumSpecies:        3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var curve bytes.Buffer
+			cfg := deepmd.TrainConfig{
+				Steps: 3, BatchSize: batch, Workers: 6, DispFreq: 1, ValFrames: 2,
+				StartLR: 1e-3, StopLR: 1e-4, ScaleByWorker: "linear",
+				Seed: int64(7 + i),
+			}
+			if _, err := deepmd.Train(context.Background(), m, train, val, cfg, &curve); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			h := sha256.New()
+			h.Write(curve.Bytes())
+			var word [8]byte
+			for _, pg := range m.Params() {
+				for _, v := range pg.Param {
+					binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+					h.Write(word[:])
+				}
+			}
+			fmt.Fprintf(&got, "%s %x\n", label, h.Sum(nil))
 		}
 	}
 	checkGolden(t, "papernet.sha256", got.Bytes())

@@ -37,6 +37,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/ea"
@@ -111,10 +112,23 @@ func (s *Evaluator) EvaluateGenome(g ea.Genome) (Result, error) {
 	return s.EvaluateParams(h, genomeHash(s.cfg.Seed, g)), nil
 }
 
+// noiseRands recycles the per-evaluation noise generator: a fresh
+// math/rand source is 4.9 kB for at most four draws.  Rand.Seed reseeds
+// the source and resets the read position, so a pooled generator yields
+// the same stream as rand.New(rand.NewSource(key)).
+var noiseRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // EvaluateParams scores decoded hyperparameters with the given noise
 // stream key.
 func (s *Evaluator) EvaluateParams(h hpo.HParams, noiseKey int64) Result {
-	rng := rand.New(rand.NewSource(noiseKey))
+	rng := noiseRands.Get().(*rand.Rand)
+	defer noiseRands.Put(rng)
+	rng.Seed(noiseKey)
+	return s.evaluate(h, rng)
+}
+
+// evaluate scores h, drawing its noise from rng.
+func (s *Evaluator) evaluate(h hpo.HParams, rng *rand.Rand) Result {
 	noise := func() float64 {
 		if s.cfg.NoiseScale == 0 {
 			return 1

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -364,5 +365,46 @@ func TestQuickSurrogateTotalOnBounds(t *testing.T) {
 		if r.Runtime <= 0 || r.Runtime > 3*time.Hour {
 			t.Fatalf("implausible runtime %v", r.Runtime)
 		}
+	}
+}
+
+// TestPooledNoiseMatchesFreshSource checks that recycling the noise
+// generator changes no bit: for 1 000 random (HParams, key) pairs,
+// evaluated from 8 goroutines sharing the pool, EvaluateParams equals
+// the same evaluation on a fresh rand.NewSource(key) — and the pooled
+// call stays at one allocation or fewer.
+func TestPooledNoiseMatchesFreshSource(t *testing.T) {
+	s := NewEvaluator(Config{Seed: 9})
+	rep := hpo.PaperRepresentation()
+	rng := rand.New(rand.NewSource(11))
+	type pair struct {
+		h   hpo.HParams
+		key int64
+	}
+	pairs := make([]pair, 1000)
+	for i := range pairs {
+		h, err := hpo.Decode(rep.Bounds.Sample(rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs[i] = pair{h, rng.Int63()}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(pairs); i += 8 {
+				p := pairs[i]
+				want := s.evaluate(p.h, rand.New(rand.NewSource(p.key)))
+				if got := s.EvaluateParams(p.h, p.key); got != want {
+					t.Errorf("pair %d: pooled %+v, fresh source %+v", i, got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := testing.AllocsPerRun(100, func() { s.EvaluateParams(pairs[0].h, pairs[0].key) }); got > 1 {
+		t.Errorf("EvaluateParams: %v allocs/op, want <= 1", got)
 	}
 }
