@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -426,6 +427,176 @@ func TestHungHandlerTimesOutWorkerStaysLive(t *testing.T) {
 	}
 	if string(out) != `{"ok":true}` {
 		t.Errorf("result = %s", out)
+	}
+}
+
+// goroutineID is the calling goroutine's id, read off its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf), "goroutine "), " ")
+	return id
+}
+
+// executorsOf counts the live executor goroutines started by goroutine
+// id (a worker's Run goroutine).
+func executorsOf(id string) int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by repro/internal/cluster.newExecutor in goroutine "+id+"\n")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestAbandonedHandlerGetsFreshExecutor: a handler that ignores its
+// context keeps its executor when the task times out; the next task runs
+// at once on a fresh executor while the first is still stuck, and once
+// the worker is closed and the stuck handler returns, no goroutine the
+// worker started is left.
+func TestAbandonedHandlerGetsFreshExecutor(t *testing.T) {
+	sched, err := NewScheduler("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled := watchBooks(t, sched)
+	defer sched.Close()
+
+	stuck := make(chan struct{})
+	var calls atomic.Int64
+	handler := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+		if calls.Add(1) == 1 {
+			<-stuck // ignores ctx entirely
+		}
+		return payload, nil
+	}
+	w, err := NewWorker(sched.Addr(), "abandoner", handler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.TaskTimeout = 30 * time.Millisecond
+	runID, runDone := make(chan string, 1), make(chan error, 1)
+	go func() {
+		runID <- goroutineID()
+		runDone <- w.Run(context.Background())
+	}()
+	id := <-runID
+	client, err := NewClient(sched.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	if _, err := client.Submit(context.Background(), json.RawMessage(`{"n":1}`)); err == nil || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("stuck handler: err %v, want a timeout", err)
+	}
+	out, err := client.Submit(context.Background(), json.RawMessage(`{"n":2}`))
+	if err != nil || string(out) != `{"n":2}` {
+		t.Fatalf("task after the abandoned one: %s, %v", out, err)
+	}
+	settled()
+	if n := executorsOf(id); n != 2 {
+		t.Errorf("%d executors while the first handler is stuck, want 2 (the abandoned one and its replacement)", n)
+	}
+
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(stuck)
+	select {
+	case err := <-runDone:
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after Close")
+	}
+	for deadline := time.Now().Add(5 * time.Second); executorsOf(id) > 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d executor goroutines outlived the worker", executorsOf(id))
+		}
+	}
+}
+
+// TestVanishedClientDoesNotBlockWorkerReader: a client that disconnects
+// while its tasks are still running leaves results nobody will read; they
+// must not stall the worker proxy that delivers them, so the next task
+// on that one worker still completes and the books balance.
+func TestVanishedClientDoesNotBlockWorkerReader(t *testing.T) {
+	sched, err := NewScheduler("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled := watchBooks(t, sched)
+	defer sched.Close()
+
+	gate := make(chan struct{})
+	handler := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+		if strings.Contains(string(payload), "held") {
+			<-gate
+		}
+		return payload, nil
+	}
+	w, err := NewWorker(sched.Addr(), "only", handler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	go func() { _ = w.Run(context.Background()) }()
+
+	conn, err := net.Dial("tcp", sched.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd := dialCodec(TransportBinary, conn, &wireCounters{})
+	const held = 3
+	for i := 0; i < held; i++ {
+		m := &message{Type: msgSubmit, TaskID: fmt.Sprintf("held-%d", i), Payload: json.RawMessage(fmt.Sprintf(`{"held":%d}`, i))}
+		if err := cd.write(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the worker to hold a task", func() bool {
+		ws := sched.WorkerStats()
+		return len(ws) == 1 && ws[0].InFlight == 1
+	})
+	conn.Close()
+	waitFor(t, "the client connection to be gone", func() bool {
+		sched.connsMu.Lock()
+		defer sched.connsMu.Unlock()
+		return len(sched.conns) == 1 // the worker's
+	})
+	close(gate)
+
+	client, err := NewClient(sched.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	out, err := client.Submit(ctx, json.RawMessage(`{"next":true}`))
+	if err != nil || string(out) != `{"next":true}` {
+		t.Fatalf("task after the vanished client: %s, %v", out, err)
+	}
+	// The queue is sharded, so a held task can still be running: nobody
+	// waits on the vanished client's results, so wait for the worker's.
+	waitFor(t, "the one worker to complete every task", func() bool {
+		ws := sched.WorkerStats()
+		return len(ws) == 1 && ws[0].Completed == held+1
+	})
+	settled()
+}
+
+// waitFor polls cond for up to five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }
 
@@ -1112,11 +1283,12 @@ func TestEventHookAndWorkerStats(t *testing.T) {
 	}
 
 	// The assign event fires after the task is written to the worker, on
-	// the dispatching goroutine: the fifth result can be back with the
-	// client before its assign event is out.
+	// the dispatching goroutine, and the result event (after the worker's
+	// counters) once the result is queued for the client: the fifth result
+	// can be back with the client before either event is out.
 	for i := 0; i < 2000; i++ {
 		mu.Lock()
-		n := seen[EventAssign]
+		n := min(seen[EventAssign], seen[EventResult])
 		mu.Unlock()
 		if n >= 5 {
 			break

@@ -277,30 +277,6 @@ func (c *Client) Submit(ctx context.Context, payload json.RawMessage) (json.RawM
 	}
 }
 
-// SubmitBatch sends all payloads concurrently and waits for every result,
-// preserving order — the fan-out an EA generation performs (eval_pool in
-// the paper's Listing 1).  Each element carries either a payload or an
-// error; a failed submission does not abort the rest.
-func (c *Client) SubmitBatch(ctx context.Context, payloads []json.RawMessage) []BatchResult {
-	out := make([]BatchResult, len(payloads))
-	var wg sync.WaitGroup
-	for i, p := range payloads {
-		wg.Add(1)
-		go func(i int, p json.RawMessage) {
-			defer wg.Done()
-			out[i].Payload, out[i].Err = c.Submit(ctx, p)
-		}(i, p)
-	}
-	wg.Wait()
-	return out
-}
-
-// BatchResult is one SubmitBatch outcome.
-type BatchResult struct {
-	Payload json.RawMessage
-	Err     error
-}
-
 // Close terminates the client connection and stops reconnection.
 func (c *Client) Close() error {
 	c.mu.Lock()

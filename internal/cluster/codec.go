@@ -104,11 +104,13 @@ func (c *wireCounters) countConn(tr Transport) {
 
 // codec frames protocol messages over one connection.  Implementations
 // keep independent read and write state, so one goroutine may read while
-// another writes (the worker's heartbeats race its results); two
-// concurrent writers or readers must be serialized by the caller, which
-// matches the discipline net.Conn already demands.
+// another writes (a proxy's reader and its writer); two concurrent
+// writers or readers must be serialized by the caller, which matches the
+// discipline net.Conn already demands.  writeBatch sends several
+// messages with as few writes as the framing allows.
 type codec interface {
 	write(m *message) error
+	writeBatch(ms []*message) error
 	read() (*message, error)
 	transport() Transport
 }
@@ -147,6 +149,15 @@ func (j *jsonCodec) write(m *message) error {
 	}
 	j.c.bytesOut.Add(j.w.n)
 	j.c.framesOut.Add(1)
+	return nil
+}
+
+func (j *jsonCodec) writeBatch(ms []*message) error {
+	for _, m := range ms {
+		if err := j.write(m); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -200,6 +211,25 @@ func (b *binCodec) write(m *message) error {
 		return err
 	}
 	b.c.framesOut.Add(1)
+	return nil
+}
+
+// writeBatch stages every frame and sends them with one write.
+func (b *binCodec) writeBatch(ms []*message) error {
+	for _, m := range ms {
+		if err := toWire(m, &b.wm); err != nil {
+			return err
+		}
+		if err := b.enc.Stage(&b.wm); err != nil {
+			return err
+		}
+	}
+	n, err := b.enc.Flush()
+	b.c.bytesOut.Add(int64(n))
+	if err != nil {
+		return err
+	}
+	b.c.framesOut.Add(int64(len(ms)))
 	return nil
 }
 

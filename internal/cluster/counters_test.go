@@ -79,6 +79,13 @@ func TestEventCountersOnScheduler(t *testing.T) {
 	if _, err := lc.Client.Submit(context.Background(), []byte(`{"x":1}`)); err != nil {
 		t.Fatal(err)
 	}
+	// Both events fire on scheduler goroutines after the frame they
+	// describe is on its way — the assign after the write to the worker,
+	// the result after it is queued for the client — so the answer can
+	// reach the client first.
+	waitFor(t, "the assign and result events", func() bool {
+		return ec.Count(EventAssign) >= 1 && ec.Count(EventResult) >= 1
+	})
 	if got := ec.Count(EventAssign); got != 1 {
 		t.Errorf("Count(assign) = %d after one task, want 1", got)
 	}

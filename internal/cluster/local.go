@@ -129,27 +129,18 @@ func (lc *LocalCluster) Close() error {
 	return errors.Join(errs...)
 }
 
-// genomeTask is the JSON payload for fitness-evaluation tasks.
-type genomeTask struct {
-	Genome []float64 `json:"genome"`
-}
-
-// fitnessResult is the JSON result payload.
-type fitnessResult struct {
-	Fitness []float64 `json:"fitness"`
-}
-
 // Evaluator adapts a cluster client into an ea.Evaluator: each genome is
-// shipped to the scheduler as a task and the fitness comes back from
-// whichever worker ran it.  Worker-side errors surface as evaluation
-// errors, which the EA converts to MAXINT fitness (§2.2.4).
+// shipped to the scheduler as a {"genome":[…]} task and the fitness comes
+// back as {"fitness":[…]} from whichever worker ran it.  Worker-side
+// errors surface as evaluation errors, which the EA converts to MAXINT
+// fitness (§2.2.4).
 type Evaluator struct {
 	Client *Client
 }
 
 // Evaluate implements ea.Evaluator.
 func (ce *Evaluator) Evaluate(ctx context.Context, g ea.Genome) (ea.Fitness, error) {
-	payload, err := json.Marshal(genomeTask{Genome: g})
+	payload, err := appendPayload(make([]byte, 0, 16+24*len(g)), genomeKey, g)
 	if err != nil {
 		return nil, err
 	}
@@ -157,25 +148,25 @@ func (ce *Evaluator) Evaluate(ctx context.Context, g ea.Genome) (ea.Fitness, err
 	if err != nil {
 		return nil, err
 	}
-	var res fitnessResult
-	if err := json.Unmarshal(out, &res); err != nil {
+	fit, err := parsePayload(out, fitnessKey)
+	if err != nil {
 		return nil, fmt.Errorf("cluster: bad fitness payload: %w", err)
 	}
-	return ea.Fitness(res.Fitness), nil
+	return fit, nil
 }
 
 // EvalHandler wraps an ea.Evaluator as a worker Handler, so the same
 // fitness code runs locally or behind the scheduler.
 func EvalHandler(ev ea.Evaluator) Handler {
 	return func(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
-		var in genomeTask
-		if err := json.Unmarshal(payload, &in); err != nil {
+		g, err := parsePayload(payload, genomeKey)
+		if err != nil {
 			return nil, fmt.Errorf("cluster: bad genome payload: %w", err)
 		}
-		fit, err := ev.Evaluate(ctx, ea.Genome(in.Genome))
+		fit, err := ev.Evaluate(ctx, g)
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(fitnessResult{Fitness: fit})
+		return appendPayload(make([]byte, 0, 16+24*len(fit)), fitnessKey, fit)
 	}
 }

@@ -40,7 +40,7 @@ func TestMuxFleetRoundTrip(t *testing.T) {
 	for i := range payloads {
 		payloads[i] = json.RawMessage(fmt.Sprintf(`{"n":%d}`, i))
 	}
-	for i, r := range lc.Client.SubmitBatch(context.Background(), payloads) {
+	for i, r := range submitBatch(context.Background(), lc.Client, payloads) {
 		if r.Err != nil {
 			t.Fatalf("task %d: %v", i, r.Err)
 		}
@@ -117,7 +117,7 @@ func TestMixedFleetOnePort(t *testing.T) {
 	for i := range payloads {
 		payloads[i] = json.RawMessage(fmt.Sprintf(`{"n":%d}`, i))
 	}
-	for i, r := range client.SubmitBatch(context.Background(), payloads) {
+	for i, r := range submitBatch(context.Background(), client, payloads) {
 		if r.Err != nil {
 			t.Fatalf("task %d: %v", i, r.Err)
 		}
@@ -394,7 +394,7 @@ func TestChaosMuxDelay(t *testing.T) {
 	for i := range payloads {
 		payloads[i] = json.RawMessage(fmt.Sprintf(`{"n":%d}`, i))
 	}
-	for i, r := range client.SubmitBatch(context.Background(), payloads) {
+	for i, r := range submitBatch(context.Background(), client, payloads) {
 		if r.Err != nil {
 			t.Fatalf("task %d: %v", i, r.Err)
 		}

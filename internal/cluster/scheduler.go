@@ -20,7 +20,7 @@ type task struct {
 	id       string
 	payload  json.RawMessage
 	attempts int
-	reply    chan *message // delivers the final result to the client proxy
+	out      *outbox // the submitting client's result queue
 	mu       sync.Mutex
 	done     bool
 }
@@ -29,8 +29,9 @@ type task struct {
 // worker that answered after its lease was given away) are dropped.  The
 // call that claims the task adds one to counter — Stats.Completed or
 // Stats.Failed — and only then publishes the result, so a submitter that
-// has its result also finds it counted.  It reports whether THIS call
-// delivered the result.
+// has its result also finds it counted.  Publishing never blocks: it
+// queues the result for the client's writer.  It reports whether THIS
+// call delivered the result.
 func (t *task) complete(m *message, counter *int64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -39,7 +40,7 @@ func (t *task) complete(m *message, counter *int64) bool {
 	}
 	t.done = true
 	atomic.AddInt64(counter, 1)
-	t.reply <- m
+	t.out.put(m)
 	return true
 }
 
@@ -536,7 +537,9 @@ func (w *workerProxy) dispatch(t *task) bool {
 				continue // the reader resolved it concurrently; resolved fires next
 			}
 			atomic.AddInt64(&s.stats.Expired, 1)
-			s.event(EventLeaseExpired, w.name, t.id, fmt.Sprintf("after %v", s.TaskTimeout))
+			if s.OnEvent != nil {
+				s.event(EventLeaseExpired, w.name, t.id, fmt.Sprintf("after %v", s.TaskTimeout))
+			}
 			s.requeue(t, w.name, "lease expired")
 			// The worker stays connected: a late result will be discarded
 			// as stale by the reader, and the next pending task can still
@@ -642,7 +645,9 @@ func (w *workerProxy) deliver(l *lease, m *message) {
 	}
 	w.ws.Latency += elapsed
 	w.mu.Unlock()
-	s.event(EventResult, w.name, m.TaskID, fmt.Sprintf("after %v err=%q", elapsed.Round(time.Millisecond), m.Err))
+	if s.OnEvent != nil {
+		s.event(EventResult, w.name, m.TaskID, fmt.Sprintf("after %v err=%q", elapsed.Round(time.Millisecond), m.Err))
+	}
 }
 
 // requeue puts a task back on the queue after a worker failure or lease
@@ -653,7 +658,7 @@ func (s *Scheduler) requeue(t *task, worker, why string) {
 	}
 	t.attempts++
 	if t.attempts >= s.MaxAttempts {
-		if t.complete(&message{Type: msgResult, TaskID: t.id, Err: "cluster: task abandoned after repeated worker failures"}, &s.stats.Failed) {
+		if t.complete(&message{Type: msgResult, TaskID: t.id, Err: "cluster: task abandoned after repeated worker failures"}, &s.stats.Failed) && s.OnEvent != nil {
 			s.event(EventTaskAbandoned, worker, t.id, fmt.Sprintf("after %d attempts (%s)", t.attempts, why))
 		}
 		return
@@ -666,50 +671,85 @@ func (s *Scheduler) requeue(t *task, worker, why string) {
 	s.queue.push(t)
 }
 
+// outbox queues one client connection's results for its writer.  put
+// never blocks, so a slow or vanished client cannot stall the worker
+// proxy reader that delivers into it; once the client proxy is gone,
+// results are dropped.
+type outbox struct {
+	mu     sync.Mutex
+	queue  []*message
+	closed bool
+	wake   chan struct{} // buffer 1: "the queue may be non-empty"
+}
+
+func (o *outbox) put(m *message) {
+	o.mu.Lock()
+	if o.closed {
+		o.mu.Unlock()
+		return
+	}
+	o.queue = append(o.queue, m)
+	o.mu.Unlock()
+	select {
+	case o.wake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+}
+
+// take swaps the queued results out for batch's emptied backing array.
+func (o *outbox) take(batch []*message) []*message {
+	clear(batch)
+	o.mu.Lock()
+	batch, o.queue = o.queue, batch[:0]
+	o.mu.Unlock()
+	return batch
+}
+
+// close drops whatever is queued and every later result.
+func (o *outbox) close() {
+	o.mu.Lock()
+	o.closed = true
+	o.queue = nil
+	o.mu.Unlock()
+}
+
 // runClientProxy accepts submissions from one client connection and
 // returns results as they complete.  Results may arrive out of submission
-// order; the TaskID correlates them.
+// order; the TaskID correlates them.  One writer goroutine sends each
+// batch of queued results with a single write.
 func (s *Scheduler) runClientProxy(cd codec, first *message) {
-	results := make(chan *message, 1024)
+	out := &outbox{wake: make(chan struct{}, 1)}
+	writerDone := make(chan struct{})
 	clientDone := make(chan struct{})
-	var writerWG sync.WaitGroup
 	defer func() {
 		close(clientDone)
-		writerWG.Wait()
+		<-writerDone
 	}()
-	writerWG.Add(1)
 	go func() {
-		defer writerWG.Done()
+		defer close(writerDone)
+		defer out.close()
+		var batch []*message
 		for {
 			select {
-			case m := <-results:
-				if err := cd.write(m); err != nil {
-					return
-				}
+			case <-out.wake:
 			case <-clientDone:
+				return
+			}
+			batch = out.take(batch)
+			if len(batch) == 0 {
+				continue // woken for results an earlier take already sent
+			}
+			if err := cd.writeBatch(batch); err != nil {
 				return
 			}
 		}
 	}()
 
 	submit := func(m *message) error {
-		t := &task{id: m.TaskID, payload: m.Payload, reply: make(chan *message, 1)}
 		atomic.AddInt64(&s.stats.Submitted, 1)
-		if !s.queue.push(t) {
+		if !s.queue.push(&task{id: m.TaskID, payload: m.Payload, out: out}) {
 			return errors.New("scheduler closed")
 		}
-		go func() {
-			select {
-			case r := <-t.reply:
-				select {
-				case results <- r:
-				case <-clientDone:
-				case <-s.closed:
-				}
-			case <-clientDone:
-			case <-s.closed:
-			}
-		}()
 		return nil
 	}
 

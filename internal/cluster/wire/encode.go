@@ -28,12 +28,34 @@ func NewEncoder(w io.Writer) *Encoder {
 //
 //lint:hot
 func (e *Encoder) Encode(m *Message) (int, error) {
-	frame, err := AppendFrame(e.buf[:0], m)
-	if err != nil {
+	if err := e.Stage(m); err != nil {
 		return 0, err
 	}
-	e.buf = frame[:0] // retain grown capacity for the next Encode
-	return e.w.Write(frame)
+	return e.Flush()
+}
+
+// Stage validates and frames m behind the frames already staged, without
+// writing anything; Flush sends them all.  A message that fails
+// validation is not staged.
+//
+//lint:hot
+func (e *Encoder) Stage(m *Message) error {
+	frame, err := AppendFrame(e.buf, m)
+	if err != nil {
+		return err
+	}
+	e.buf = frame
+	return nil
+}
+
+// Flush writes every staged frame with a single Write call and empties
+// the stage, keeping its capacity for the next frames.
+//
+//lint:hot
+func (e *Encoder) Flush() (int, error) {
+	n, err := e.w.Write(e.buf)
+	e.buf = e.buf[:0]
+	return n, err
 }
 
 // AppendFrame appends the binary frame for m to dst and returns the

@@ -51,32 +51,66 @@ func equalMessages(a, b *Message) bool {
 	return true
 }
 
+// writeCounter is a bytes.Buffer that counts Write calls.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
 // TestRoundTrip encodes and decodes every message type and expects the
-// fields back unchanged, both one frame at a time and as a pipelined
-// stream through a single Encoder/Decoder pair.
+// fields back unchanged, as a pipelined stream through a single
+// Encoder/Decoder pair: one Write per frame with Encode, and one Write
+// for all of them with Stage and Flush — where a frame that fails
+// validation is left out and the rest still go.
 func TestRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
 	msgs := sampleMessages()
-	for i := range msgs {
-		if _, err := enc.Encode(&msgs[i]); err != nil {
-			t.Fatalf("encode %v: %v", msgs[i].Type, err)
+	for _, staged := range []bool{false, true} {
+		var buf writeCounter
+		enc := NewEncoder(&buf)
+		for i := range msgs {
+			var err error
+			if staged {
+				err = enc.Stage(&msgs[i])
+				if bad := enc.Stage(&Message{Type: 0}); !errors.Is(bad, ErrBadType) {
+					t.Fatalf("staging type 0: %v, want ErrBadType", bad)
+				}
+			} else {
+				_, err = enc.Encode(&msgs[i])
+			}
+			if err != nil {
+				t.Fatalf("encode %v: %v", msgs[i].Type, err)
+			}
 		}
-	}
-	dec := NewDecoder(&buf)
-	var got Message
-	for i := range msgs {
-		if err := dec.Decode(&got); err != nil {
-			t.Fatalf("decode %v: %v", msgs[i].Type, err)
+		wantWrites := len(msgs)
+		if staged {
+			if _, err := enc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			wantWrites = 1
 		}
-		// Normalize nil-vs-empty before comparing: the decoder hands back
-		// empty (not nil) slices for zero-length fields it sliced out.
-		if !equalMessages(&msgs[i], &got) {
-			t.Errorf("round trip %v:\n sent %+v\n got  %+v", msgs[i].Type, msgs[i], got)
+		if buf.writes != wantWrites {
+			t.Errorf("staged=%v: %d writes, want %d", staged, buf.writes, wantWrites)
 		}
-	}
-	if err := dec.Decode(&got); !errors.Is(err, io.EOF) {
-		t.Errorf("decode at end of stream = %v, want io.EOF", err)
+		dec := NewDecoder(&buf)
+		var got Message
+		for i := range msgs {
+			if err := dec.Decode(&got); err != nil {
+				t.Fatalf("staged=%v: decode %v: %v", staged, msgs[i].Type, err)
+			}
+			// Normalize nil-vs-empty before comparing: the decoder hands back
+			// empty (not nil) slices for zero-length fields it sliced out.
+			if !equalMessages(&msgs[i], &got) {
+				t.Errorf("staged=%v: round trip %v:\n sent %+v\n got  %+v", staged, msgs[i].Type, msgs[i], got)
+			}
+		}
+		if err := dec.Decode(&got); !errors.Is(err, io.EOF) {
+			t.Errorf("staged=%v: decode at end of stream = %v, want io.EOF", staged, err)
+		}
 	}
 }
 

@@ -30,9 +30,10 @@ type Worker struct {
 	// TaskTimeout, if positive, bounds each task's execution — the
 	// analogue of the paper's two-hour training limit.  The limit is
 	// enforced asynchronously: a handler that ignores its context is
-	// abandoned (its goroutine leaks until it returns on its own) and a
-	// timeout failure result is sent, so a wedged handler cannot wedge
-	// the worker.
+	// abandoned together with the executor goroutine running it (which
+	// exits once the handler returns on its own), a timeout failure
+	// result is sent, and the next task starts a fresh executor, so a
+	// wedged handler cannot wedge the worker.
 	TaskTimeout time.Duration
 	// Heartbeat, if positive, is the interval at which the worker pings
 	// the scheduler while executing a task, renewing the task's lease.
@@ -57,12 +58,15 @@ type Worker struct {
 	dialer    Dialer
 	wire      wireCounters
 
-	mu      sync.Mutex // guards conn, cd, snap, closed
-	conn    net.Conn
-	cd      codec
-	snap    *snapshotData
-	closed  bool
-	writeMu sync.Mutex // serializes frames (results vs heartbeats)
+	mu     sync.Mutex // guards conn, cd, snap, closed
+	conn   net.Conn
+	cd     codec
+	snap   *snapshotData
+	closed bool
+
+	// exec runs handlers; only the goroutine in Run touches it, and that
+	// goroutine is also the connection's only writer.
+	exec *executor
 }
 
 // NewWorker dials the scheduler and registers over the default binary
@@ -192,6 +196,13 @@ func (w *Worker) isClosed() bool {
 func (w *Worker) Run(ctx context.Context) error {
 	unwatch := context.AfterFunc(ctx, func() { w.closeConn() })
 	defer unwatch()
+	defer func() {
+		if ex := w.exec; ex != nil {
+			w.exec = nil
+			ex.stop()
+			<-ex.exited // idle between tasks, so it exits at once
+		}
+	}()
 
 	bo := newBackoff(w.ReconnectInitial, w.ReconnectMax)
 	for {
@@ -281,76 +292,104 @@ func (w *Worker) serve(ctx context.Context, cd codec) error {
 			// instead of fabricating a failure result.
 			return context.Canceled
 		}
-		if err := w.write(cd, result); err != nil {
+		if err := cd.write(result); err != nil {
 			return err
 		}
 	}
 }
 
-// write sends one frame, serialized against concurrent heartbeats.
-func (w *Worker) write(cd codec, m *message) error {
-	w.writeMu.Lock()
-	defer w.writeMu.Unlock()
-	return cd.write(m)
+// executor is the worker's long-lived handler goroutine.  A task reaches
+// it as a closure on jobs, and the closure leaves its outcome in done,
+// whose one slot is always free: the worker reads each outcome before it
+// sends the next job, or abandons the executor.
+type executor struct {
+	jobs   chan func()
+	done   chan handlerOut
+	exited chan struct{}
 }
 
-// execute runs one task with asynchronous timeout enforcement, heartbeats
-// and panic containment.  It returns nil when the parent context was
-// cancelled (worker shutting down), so that Ctrl-C is never misreported
-// as a task timeout.
+type handlerOut struct {
+	payload json.RawMessage
+	err     error
+}
+
+func newExecutor() *executor {
+	ex := &executor{jobs: make(chan func()), done: make(chan handlerOut, 1), exited: make(chan struct{})}
+	go ex.run()
+	return ex
+}
+
+func (ex *executor) run() {
+	defer close(ex.exited)
+	for job := range ex.jobs {
+		job()
+	}
+}
+
+// stop lets the executor exit once its current handler, if any, returns.
+func (ex *executor) stop() { close(ex.jobs) }
+
+// execute runs one task on the executor with timeout enforcement,
+// heartbeats and panic containment, waiting in one select for the
+// outcome, the next heartbeat and the task's context.  It returns nil
+// when the parent context was cancelled (worker shutting down), so that
+// Ctrl-C is never misreported as a task timeout.
 func (w *Worker) execute(ctx context.Context, cd codec, m *message) *message {
 	taskCtx := ctx
-	var cancel context.CancelFunc
 	if w.TaskTimeout > 0 {
+		var cancel context.CancelFunc
 		taskCtx, cancel = context.WithTimeout(ctx, w.TaskTimeout)
 		defer cancel()
 	}
-
-	if w.Heartbeat > 0 {
-		hbDone := make(chan struct{})
-		defer close(hbDone)
-		go func() {
-			ticker := time.NewTicker(w.Heartbeat)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ticker.C:
-					// A failed heartbeat is not fatal here; the serve loop
-					// will see the connection error on its next read/write.
-					_ = w.write(cd, &message{Type: msgHeartbeat, TaskID: m.TaskID})
-				case <-hbDone:
-					return
-				}
-			}
-		}()
+	if w.exec == nil {
+		w.exec = newExecutor()
 	}
-
-	type handlerOut struct {
-		payload json.RawMessage
-		err     error
-	}
-	done := make(chan handlerOut, 1)
-	go func() {
+	ex := w.exec
+	job := func() {
 		p, err := safeHandle(taskCtx, w.Handler, m.Payload)
-		done <- handlerOut{p, err}
-	}()
-
-	var out handlerOut
+		ex.done <- handlerOut{p, err}
+	}
 	select {
-	case out = <-done:
-	case <-taskCtx.Done():
-		if ctx.Err() != nil {
-			return nil // shutdown, not a task failure
-		}
-		// The handler ignored its context and is still running: abandon
-		// it (the goroutine leaks until the handler returns on its own)
-		// and report the timeout so the worker stays live for the next
-		// task — a hung handler must not wedge the worker.
-		w.logf("cluster: worker %q abandoning task %s after %v (handler ignored context)", w.Name, m.TaskID, w.TaskTimeout)
-		return &message{Type: msgResult, TaskID: m.TaskID,
-			Err: fmt.Sprintf("cluster: task timed out after %v", w.TaskTimeout)}
+	case ex.jobs <- job:
+	case <-ctx.Done():
+		return nil
 	}
 
+	var beats <-chan time.Time // nil, and never ready, without a Heartbeat
+	if w.Heartbeat > 0 {
+		ticker := time.NewTicker(w.Heartbeat)
+		defer ticker.Stop()
+		beats = ticker.C
+	}
+	for {
+		select {
+		case out := <-ex.done:
+			return taskResult(ctx, taskCtx, m.TaskID, out)
+		case <-beats:
+			// A failed heartbeat is not fatal here; the serve loop will
+			// see the connection error on its next read or write.
+			_ = cd.write(&message{Type: msgHeartbeat, TaskID: m.TaskID})
+		case <-taskCtx.Done():
+			// The handler is still running: leave it its executor and
+			// start a fresh one for the next task.
+			ex.stop()
+			w.exec = nil
+			if ctx.Err() != nil {
+				return nil // shutdown, not a task failure
+			}
+			// The handler ignored its context; report the timeout so the
+			// worker stays live for the next task — a hung handler must
+			// not wedge the worker.
+			w.logf("cluster: worker %q abandoning task %s after %v (handler ignored context)", w.Name, m.TaskID, w.TaskTimeout)
+			return &message{Type: msgResult, TaskID: m.TaskID,
+				Err: fmt.Sprintf("cluster: task timed out after %v", w.TaskTimeout)}
+		}
+	}
+}
+
+// taskResult turns a handler's outcome into the result message, or nil
+// when the outcome is the worker's own shutdown.
+func taskResult(ctx, taskCtx context.Context, id string, out handlerOut) *message {
 	if out.err == nil && taskCtx.Err() != nil {
 		// The handler returned success but its deadline had passed;
 		// classify by cause rather than blaming every cancellation on
@@ -363,8 +402,7 @@ func (w *Worker) execute(ctx context.Context, cd codec, m *message) *message {
 	if out.err != nil && errors.Is(out.err, context.Canceled) && ctx.Err() != nil {
 		return nil
 	}
-
-	res := &message{Type: msgResult, TaskID: m.TaskID}
+	res := &message{Type: msgResult, TaskID: id}
 	if out.err != nil {
 		res.Err = out.err.Error()
 	} else {

@@ -112,11 +112,11 @@ func (s *Evaluator) EvaluateGenome(g ea.Genome) (Result, error) {
 	return s.EvaluateParams(h, genomeHash(s.cfg.Seed, g)), nil
 }
 
-// noiseRands recycles the per-evaluation noise generator: a fresh
-// math/rand source is 4.9 kB for at most four draws.  Rand.Seed reseeds
-// the source and resets the read position, so a pooled generator yields
-// the same stream as rand.New(rand.NewSource(key)).
-var noiseRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// noiseRands recycles the per-evaluation noise generator: a source is
+// 4.9 kB for at most four draws.  Rand.Seed reseeds the noiseSource in
+// O(1) and resets the read position, so a pooled generator yields the
+// same stream as rand.New(rand.NewSource(key)).
+var noiseRands = sync.Pool{New: func() any { return rand.New(new(noiseSource)) }}
 
 // EvaluateParams scores decoded hyperparameters with the given noise
 // stream key.
