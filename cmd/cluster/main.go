@@ -7,31 +7,22 @@
 // Usage:
 //
 //	cluster -mode scheduler [-addr 127.0.0.1:7077] [-lease 10m] [-stats 30s] [-events]
-//	                        [-queue-depth 4096] [-queue-shards 8] [-coalesce 0]
+//	                        [-queue-depth 4096] [-queue-shards 8]
 //	cluster -mode worker    [-addr 127.0.0.1:7077] [-name w0] [-seed 2023] [-task-timeout 2h] [-heartbeat 15s] [-transport binary|json]
-//	                        [-mux-conns 0] [-coalesce 0]
 //	cluster -mode drive     [-addr 127.0.0.1:7077] [-runs 1] [-pop 20] [-gens 3] [-transport binary|json]
-//	                        [-mux-conns 0] [-coalesce 0]
 //
 // Workers and drivers frame their connection with the length-prefixed
 // binary wire protocol by default; -transport json selects the legacy
 // JSON framing.  The scheduler needs no flag — it sniffs the first byte
 // of each connection and speaks whichever framing the peer chose, so
-// mixed fleets interoperate.
-//
-// -mux-conns N (workers and drivers) multiplexes every logical
-// connection the process opens over a pool of N shared TCP connections
-// instead of one per peer; -coalesce sets the frame-coalescing latency
-// budget on whichever side the flag is passed to (the scheduler flag
-// governs its reply batching to mux peers, the worker/drive flag the
-// dialer's).  Mux requires binary framing, so -mux-conns rejects
-// -transport json.
+// mixed fleets interoperate.  Every worker and driver holds exactly one
+// TCP connection to the scheduler, as each Dask worker did.
 //
 // The scheduler prints its Stats line every -stats interval and, on
-// Unix, dumps aggregate, per-shard queue-depth, mux-session, and
-// per-worker counters on SIGUSR1.  Workers reconnect to a bounced
-// scheduler with exponential backoff and renew their task leases with
-// heartbeats while a training runs.
+// Unix, dumps aggregate, per-shard queue-depth, and per-worker counters
+// on SIGUSR1.  Workers reconnect to a bounced scheduler with exponential
+// backoff and renew their task leases with heartbeats while a training
+// runs.
 package main
 
 import (
@@ -68,16 +59,11 @@ func main() {
 	transport := flag.String("transport", "binary", "worker/drive: connection framing, binary or json (scheduler auto-negotiates)")
 	queueDepth := flag.Int("queue-depth", 4096, "scheduler: pending-task capacity across all shards; full queue blocks submitters")
 	queueShards := flag.Int("queue-shards", 8, "scheduler: pending-queue shard count (rounded to a power of two)")
-	muxConns := flag.Int("mux-conns", 0, "worker/drive: multiplex over this many shared TCP connections; 0 keeps one connection per peer")
-	coalesce := flag.Duration("coalesce", 0, "frame-coalescing latency budget for mux sessions; 0 batches opportunistically only")
 	flag.Parse()
 
 	tr, err := cluster.ParseTransport(*transport)
 	if err != nil {
 		log.Fatalf("cluster: %v", err)
-	}
-	if *muxConns > 0 && tr != cluster.TransportBinary {
-		log.Fatal("cluster: -mux-conns requires -transport binary")
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -88,7 +74,6 @@ func main() {
 		sched, err := cluster.NewSchedulerWithConfig(*addr, cluster.SchedulerConfig{
 			QueueDepth:  *queueDepth,
 			QueueShards: *queueShards,
-			Coalesce:    *coalesce,
 		})
 		if err != nil {
 			log.Fatalf("scheduler: %v", err)
@@ -102,7 +87,6 @@ func main() {
 		dump := func() {
 			log.Printf("stats: %s", sched)
 			log.Printf("%s", sched.Wire())
-			log.Printf("%s", sched.Mux())
 			log.Printf("queue: shard_depths=%v", sched.QueueDepths())
 			for _, ws := range sched.WorkerStats() {
 				log.Printf("stats: %s", ws)
@@ -130,14 +114,7 @@ func main() {
 
 	case "worker":
 		ev := surrogate.NewEvaluator(surrogate.Config{Seed: *seed})
-		var w *cluster.Worker
-		if *muxConns > 0 {
-			dialer := &cluster.MuxDialer{Addr: *addr, Conns: *muxConns, Coalesce: *coalesce}
-			defer dialer.Close()
-			w, err = cluster.NewWorkerMux(dialer, *name, cluster.EvalHandler(ev))
-		} else {
-			w, err = cluster.NewWorkerTransport(*addr, *name, cluster.EvalHandler(ev), tr)
-		}
+		w, err := cluster.NewWorkerTransport(*addr, *name, cluster.EvalHandler(ev), tr)
 		if err != nil {
 			log.Fatalf("worker: %v", err)
 		}
@@ -151,14 +128,7 @@ func main() {
 		}
 
 	case "drive":
-		var client *cluster.Client
-		if *muxConns > 0 {
-			dialer := &cluster.MuxDialer{Addr: *addr, Conns: *muxConns, Coalesce: *coalesce}
-			defer dialer.Close()
-			client, err = cluster.NewClientMux(dialer)
-		} else {
-			client, err = cluster.NewClientTransport(*addr, tr)
-		}
+		client, err := cluster.NewClientTransport(*addr, tr)
 		if err != nil {
 			log.Fatalf("client: %v", err)
 		}

@@ -10,16 +10,14 @@
 //	serve [-addr 127.0.0.1:8080] [-checkpoint-dir DIR]
 //	      [-backend local|remote] [-workers 4] [-scheduler-addr HOST:PORT]
 //	      [-seed 2023] [-lease 10m] [-transport binary|json] [-no-memo]
-//	      [-mux-conns 0] [-coalesce 0] [-queue-depth 4096]
+//	      [-queue-depth 4096]
 //	      [-max-concurrent 4] [-max-active-per-tenant 2]
 //	      [-max-campaigns-per-tenant 16] [-max-inflight-per-tenant 64]
 //	      [-drain-timeout 30s]
 //
-// -mux-conns N multiplexes the fleet's logical connections over N
-// shared TCP connections (the local backend's whole fleet, or the
-// remote backend's client) with -coalesce as the frame-coalescing
-// latency budget; -queue-depth bounds the local scheduler's pending
-// queue, blocking submitters when it fills.
+// Every worker and the client hold one TCP connection each to the
+// scheduler; -queue-depth bounds the local scheduler's pending queue,
+// blocking submitters when it fills.
 //
 // The local backend starts an in-process scheduler plus -workers
 // surrogate workers (the single-machine analogue of the paper's Summit
@@ -68,8 +66,6 @@ func main() {
 	maxCampaigns := flag.Int("max-campaigns-per-tenant", 16, "one tenant's queued+running campaigns")
 	maxInflight := flag.Int("max-inflight-per-tenant", 64, "one tenant's concurrent evaluations")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight legs to checkpoint on shutdown")
-	muxConns := flag.Int("mux-conns", 0, "multiplex the fleet over this many shared TCP connections; 0 keeps one connection per peer")
-	coalesce := flag.Duration("coalesce", 0, "frame-coalescing latency budget for mux sessions; 0 batches opportunistically only")
 	queueDepth := flag.Int("queue-depth", 4096, "local backend: scheduler pending-task capacity; full queue blocks submitters")
 	flag.Parse()
 
@@ -77,12 +73,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("serve: %v", err)
 	}
-	if *muxConns > 0 && tr != cluster.TransportBinary {
-		log.Fatal("serve: -mux-conns requires -transport binary")
-	}
 	if err := run(*addr, *backend, *workers, *schedulerAddr, *seed, *lease, tr, *noMemo,
 		*checkpointDir, *maxConcurrent, *maxActive, *maxCampaigns, *maxInflight, *drainTimeout,
-		*muxConns, *coalesce, *queueDepth); err != nil {
+		*queueDepth); err != nil {
 		log.Fatalf("serve: %v", err)
 	}
 }
@@ -90,7 +83,7 @@ func main() {
 func run(addr, backend string, workers int, schedulerAddr string, seed int64,
 	lease time.Duration, transport cluster.Transport, noMemo bool, checkpointDir string,
 	maxConcurrent, maxActive, maxCampaigns, maxInflight int, drainTimeout time.Duration,
-	muxConns int, coalesce time.Duration, queueDepth int) error {
+	queueDepth int) error {
 
 	var events cluster.EventCounters
 	cfg := service.Config{
@@ -106,11 +99,8 @@ func run(addr, backend string, workers int, schedulerAddr string, seed int64,
 
 	switch backend {
 	case "local":
-		opts := []cluster.LocalOption{cluster.WithTransport(transport), cluster.WithQueueDepth(queueDepth)}
-		if muxConns > 0 {
-			opts = append(opts, cluster.WithMuxConns(muxConns), cluster.WithCoalesce(coalesce))
-		}
-		lc, err := cluster.NewLocalCluster(workers, cluster.EvalHandler(surrogate.NewEvaluator(surrogate.Config{Seed: seed})), lease, opts...)
+		lc, err := cluster.NewLocalCluster(workers, cluster.EvalHandler(surrogate.NewEvaluator(surrogate.Config{Seed: seed})), lease,
+			cluster.WithTransport(transport), cluster.WithQueueDepth(queueDepth))
 		if err != nil {
 			return fmt.Errorf("local fleet: %w", err)
 		}
@@ -126,22 +116,8 @@ func run(addr, backend string, workers int, schedulerAddr string, seed int64,
 		}
 		cfg.SchedulerWire = lc.Scheduler.Wire
 		cfg.SchedulerQueue = lc.Scheduler.QueueDepths
-		cfg.SchedulerMux = lc.Scheduler.Mux
 	case "remote":
-		var client *cluster.Client
-		var err error
-		if muxConns > 0 {
-			dialer := &cluster.MuxDialer{Addr: schedulerAddr, Conns: muxConns, Coalesce: coalesce}
-			defer func() {
-				if err := dialer.Close(); err != nil {
-					log.Printf("dialer_close err=%v", err)
-				}
-			}()
-			client, err = cluster.NewClientMux(dialer)
-			cfg.SchedulerMux = dialer.Stats
-		} else {
-			client, err = cluster.NewClientTransport(schedulerAddr, transport)
-		}
+		client, err := cluster.NewClientTransport(schedulerAddr, transport)
 		if err != nil {
 			return fmt.Errorf("connecting scheduler %s: %w", schedulerAddr, err)
 		}

@@ -120,9 +120,8 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 // benchScheduler measures sustained submit→assign→result throughput with
 // a pool of echo workers, over loopback TCP or through the chaos proxy's
 // extra hop, on either framing.  ns/op is the wall cost of one task at
-// saturation; bench.sh divides the JSON and binary numbers per
-// configuration into the sched_throughput_speedup_vs_json section of
-// BENCH_7.json.
+// saturation; EXPERIMENTS.md ("Connection multiplexing retired") records
+// the binary and JSON figures of the last full grid.
 func benchScheduler(b *testing.B, workers int, tr Transport, viaProxy bool) {
 	sched, err := NewScheduler("127.0.0.1:0")
 	if err != nil {
@@ -136,14 +135,12 @@ func benchScheduler(b *testing.B, workers int, tr Transport, viaProxy bool) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	pool := make([]*Worker, 0, workers)
 	for i := 0; i < workers; i++ {
 		w, err := NewWorkerTransport(addr, fmt.Sprintf("w%d", i), echoHandler, tr)
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer w.Close()
-		pool = append(pool, w)
 		go func() { _ = w.Run(ctx) }()
 	}
 	for sched.Stats().Workers < int64(workers) {
@@ -176,7 +173,6 @@ func benchScheduler(b *testing.B, workers int, tr Transport, viaProxy bool) {
 	}
 	wg.Wait()
 	b.StopTimer()
-	_ = pool
 }
 
 // BenchmarkSchedulerThroughput is the headline grid: task throughput by
@@ -186,103 +182,6 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 		for _, tr := range []Transport{TransportBinary, TransportJSON} {
 			b.Run(fmt.Sprintf("workers=%d/transport=%v", workers, tr), func(b *testing.B) {
 				benchScheduler(b, workers, tr, false)
-			})
-		}
-	}
-}
-
-// benchSchedulerScaleOut is the scale-out twin of benchScheduler: the
-// same sustained submit→assign→result load, but the whole fleet — every
-// worker plus the client — either multiplexes over a small shared TCP
-// pool (mode=mux, 2 physical connections) or keeps one TCP connection
-// per peer (mode=perconn, the BENCH_7 configuration).  The coalescing
-// budget stays 0 — on the single-core bench box, batching purely
-// opportunistically (frames staged while a flush is in flight leave
-// together) wins over paying the timer latency.  bench.sh divides each
-// point by the BENCH_7 binary baseline into
-// sched_throughput_speedup_vs_bench7 in BENCH_8.json.
-func benchSchedulerScaleOut(b *testing.B, workers int, muxed bool) {
-	const (
-		muxConns = 2
-		coalesce = 0
-	)
-	cfg := SchedulerConfig{}
-	if muxed {
-		cfg.Coalesce = coalesce
-	}
-	sched, err := NewSchedulerWithConfig("127.0.0.1:0", cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sched.Close()
-
-	var dialer *MuxDialer
-	if muxed {
-		dialer = &MuxDialer{Addr: sched.Addr(), Conns: muxConns, Coalesce: coalesce}
-		defer dialer.Close()
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	for i := 0; i < workers; i++ {
-		var w *Worker
-		if muxed {
-			w, err = NewWorkerMux(dialer, fmt.Sprintf("w%d", i), echoHandler)
-		} else {
-			w, err = NewWorker(sched.Addr(), fmt.Sprintf("w%d", i), echoHandler)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer w.Close()
-		go func() { _ = w.Run(ctx) }()
-	}
-	for sched.Stats().Workers < int64(workers) {
-		time.Sleep(time.Millisecond)
-	}
-	var client *Client
-	if muxed {
-		client, err = NewClientMux(dialer)
-	} else {
-		client, err = NewClient(sched.Addr())
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-
-	payload := benchPayload()
-	inflight := 2 * workers
-	if inflight > 256 {
-		inflight = 256
-	}
-	sem := make(chan struct{}, inflight)
-	var wg sync.WaitGroup
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if _, err := client.Submit(ctx, payload); err != nil {
-				b.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	b.StopTimer()
-}
-
-// BenchmarkSchedulerThroughputScaleOut is the fleet-size grid for the
-// mux PR: throughput by worker count, multiplexed over 4 shared TCP
-// connections vs one connection per peer.  The workers=1000 points
-// exist to demonstrate the fleet completes at a size the per-connection
-// path only barely sustains.
-func BenchmarkSchedulerThroughputScaleOut(b *testing.B) {
-	for _, workers := range []int{1, 10, 100, 500, 1000} {
-		for _, mode := range []string{"mux", "perconn"} {
-			b.Run(fmt.Sprintf("workers=%d/mode=%s", workers, mode), func(b *testing.B) {
-				benchSchedulerScaleOut(b, workers, mode == "mux")
 			})
 		}
 	}

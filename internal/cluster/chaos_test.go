@@ -1,7 +1,7 @@
 package cluster
 
 // This file is the fault-injection harness for the evaluation plane: a
-// deterministic chaos TCP proxy that can cut, blackhole, delay, and
+// deterministic chaos TCP proxy that can cut, blackhole, corrupt and
 // truncate traffic between peers and the scheduler, plus the failure-path
 // tests that exercise every recovery mechanism — lease expiry, stale
 // result discard, duplicate accounting, asynchronous task timeout, worker
@@ -36,10 +36,9 @@ type chaosProxy struct {
 
 	mu        sync.Mutex
 	pipes     []*chaosPipe
-	blackhole bool          // swallow all forwarded bytes (peers see a hang)
-	delay     time.Duration // added before each forwarded chunk
-	truncate  int           // >0: forward this many more bytes toward the target side, then cut
-	mutate    func([]byte)  // applied in place to the next toward-target chunk, then disarmed
+	blackhole bool         // swallow all forwarded bytes (peers see a hang)
+	truncate  int          // >0: forward this many more bytes toward the target side, then cut
+	mutate    func([]byte) // applied in place to the next toward-target chunk, then disarmed
 	closed    bool
 }
 
@@ -104,7 +103,7 @@ func (cp *chaosProxy) forward(dst, src net.Conn, pipe *chaosPipe, towardTarget b
 		n, err := src.Read(buf)
 		if n > 0 {
 			cp.mu.Lock()
-			delay, blackhole := cp.delay, cp.blackhole
+			blackhole := cp.blackhole
 			cut := false
 			limit := n
 			if towardTarget && cp.truncate > 0 {
@@ -121,9 +120,6 @@ func (cp *chaosProxy) forward(dst, src net.Conn, pipe *chaosPipe, towardTarget b
 				mutate, cp.mutate = cp.mutate, nil
 			}
 			cp.mu.Unlock()
-			if delay > 0 {
-				time.Sleep(delay)
-			}
 			if mutate != nil {
 				mutate(buf[:limit])
 			}
@@ -154,44 +150,11 @@ func (cp *chaosProxy) CutAll() {
 	}
 }
 
-// CutPipe severs the i-th accepted pipe (0-based, accept order), leaving
-// every other pipe flowing — the blast-radius probe for mux tests, where
-// one physical connection carries several logical streams and cutting it
-// must cost exactly those streams.
-func (cp *chaosProxy) CutPipe(i int) bool {
-	cp.mu.Lock()
-	var p *chaosPipe
-	if i >= 0 && i < len(cp.pipes) {
-		p = cp.pipes[i]
-		cp.pipes = append(cp.pipes[:i], cp.pipes[i+1:]...)
-	}
-	cp.mu.Unlock()
-	if p == nil {
-		return false
-	}
-	p.close()
-	return true
-}
-
-// PipeCount reports how many live pipes the proxy is forwarding.
-func (cp *chaosProxy) PipeCount() int {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	return len(cp.pipes)
-}
-
 // SetBlackhole toggles silent byte-dropping: connections stay up but no
 // data flows, the signature of a hung NIC or a stalled node.
 func (cp *chaosProxy) SetBlackhole(on bool) {
 	cp.mu.Lock()
 	cp.blackhole = on
-	cp.mu.Unlock()
-}
-
-// SetDelay adds latency before each forwarded chunk.
-func (cp *chaosProxy) SetDelay(d time.Duration) {
-	cp.mu.Lock()
-	cp.delay = d
 	cp.mu.Unlock()
 }
 

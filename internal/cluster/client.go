@@ -40,7 +40,6 @@ type Client struct {
 	// Logf, if non-nil, receives diagnostic output.
 	Logf func(format string, args ...interface{})
 
-	addr      string
 	transport Transport
 	dialer    Dialer
 	wire      wireCounters
@@ -67,25 +66,16 @@ func NewClient(addr string) (*Client, error) {
 // NewClientTransport dials the scheduler, speaking the given framing for
 // the life of the client (reconnections included).
 func NewClientTransport(addr string, tr Transport) (*Client, error) {
-	return newClient(addr, tr, tcpDialer(addr))
+	return newClient(tr, tcpDialer(addr))
 }
 
-// NewClientMux dials the scheduler through a shared MuxDialer: the
-// client's "connection" is one logical stream over the dialer's TCP
-// pool (binary framing, the only framing mux carries).  Reconnection
-// opens a fresh stream, lazily re-establishing a dead physical session.
-func NewClientMux(d *MuxDialer) (*Client, error) {
-	return newClient(d.Addr, TransportBinary, d)
-}
-
-func newClient(addr string, tr Transport, dialer Dialer) (*Client, error) {
+func newClient(tr Transport, dialer Dialer) (*Client, error) {
 	conn, err := dialer.Dial()
 	if err != nil {
 		return nil, err
 	}
 	c := &Client{
 		MaxReconnects: 10,
-		addr:          addr,
 		transport:     tr,
 		dialer:        dialer,
 		conn:          conn,

@@ -112,7 +112,6 @@ type codec interface {
 	write(m *message) error
 	writeBatch(ms []*message) error
 	read() (*message, error)
-	transport() Transport
 }
 
 // newCodec builds the codec for an established connection: r is the
@@ -138,8 +137,6 @@ type jsonCodec struct {
 	w countingWriter
 	c *wireCounters
 }
-
-func (j *jsonCodec) transport() Transport { return TransportJSON }
 
 func (j *jsonCodec) write(m *message) error {
 	j.w.n = 0
@@ -198,8 +195,6 @@ type binCodec struct {
 	wm  wire.Message // write-side scratch
 	rm  wire.Message // read-side scratch
 }
-
-func (b *binCodec) transport() Transport { return TransportBinary }
 
 func (b *binCodec) write(m *message) error {
 	if err := toWire(m, &b.wm); err != nil {
@@ -334,24 +329,21 @@ func fromWire(wm *wire.Message) (*message, error) {
 }
 
 // negotiate inspects the first byte of an accepted connection and
-// returns the codec for whichever framing the peer is speaking, plus
-// the buffered reader every subsequent read must go through — a mux
-// hello hands that reader (and any bytes it buffered) over to the
-// session layer, so nothing on the stream is lost in the takeover.
-// Binary frames open with wire.MagicByte0 (0xD5); JSON frames open
-// with a length byte that the 64 MiB cap keeps ≤ 0x04.
-func negotiate(conn io.ReadWriter, c *wireCounters) (codec, *bufio.Reader, error) {
+// returns the codec for whichever framing the peer is speaking.  Binary
+// frames open with wire.MagicByte0 (0xD5); JSON frames open with a
+// length byte that the 64 MiB cap keeps ≤ 0x04.
+func negotiate(conn io.ReadWriter, c *wireCounters) (codec, error) {
 	br := bufio.NewReaderSize(countingReader{conn, &c.bytesIn}, 16<<10)
 	first, err := br.Peek(1)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	tr := TransportJSON
 	if first[0] == wire.MagicByte0 {
 		tr = TransportBinary
 	}
 	c.countConn(tr)
-	return newCodec(tr, br, conn, c), br, nil
+	return newCodec(tr, br, conn, c), nil
 }
 
 // countingReader tallies bytes as they arrive off the connection, ahead

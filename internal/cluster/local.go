@@ -18,10 +18,7 @@ type LocalCluster struct {
 	Scheduler *Scheduler
 	Workers   []*Worker
 	Client    *Client
-	// Dialer is the shared mux dialer when the cluster was built with
-	// WithMuxConns, nil otherwise.
-	Dialer *MuxDialer
-	cancel context.CancelFunc
+	cancel    context.CancelFunc
 }
 
 // LocalOption adjusts a LocalCluster before it starts.
@@ -29,8 +26,6 @@ type LocalOption func(*localConfig)
 
 type localConfig struct {
 	transport  Transport
-	muxConns   int
-	coalesce   time.Duration
 	queueDepth int
 }
 
@@ -38,20 +33,6 @@ type localConfig struct {
 // to the scheduler (default TransportBinary).
 func WithTransport(tr Transport) LocalOption {
 	return func(cfg *localConfig) { cfg.transport = tr }
-}
-
-// WithMuxConns multiplexes every local worker and the client over n
-// shared TCP connections (binary framing) instead of one connection
-// each.  n < 1 is treated as 1.
-func WithMuxConns(n int) LocalOption {
-	return func(cfg *localConfig) { cfg.muxConns = max(n, 1) }
-}
-
-// WithCoalesce sets the frame-coalescing latency budget on both ends
-// of the mux sessions (scheduler side and, with WithMuxConns, the
-// dialer side).
-func WithCoalesce(d time.Duration) LocalOption {
-	return func(cfg *localConfig) { cfg.coalesce = d }
 }
 
 // WithQueueDepth bounds the scheduler's pending-task queue; submitters
@@ -69,25 +50,14 @@ func NewLocalCluster(nWorkers int, handler Handler, taskTimeout time.Duration, o
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	sched, err := NewSchedulerWithConfig("127.0.0.1:0", SchedulerConfig{
-		QueueDepth: cfg.queueDepth,
-		Coalesce:   cfg.coalesce,
-	})
+	sched, err := NewSchedulerWithConfig("127.0.0.1:0", SchedulerConfig{QueueDepth: cfg.queueDepth})
 	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	lc := &LocalCluster{Scheduler: sched, cancel: cancel}
-	if cfg.muxConns > 0 {
-		lc.Dialer = &MuxDialer{Addr: sched.Addr(), Conns: cfg.muxConns, Coalesce: cfg.coalesce}
-	}
 	for i := 0; i < nWorkers; i++ {
-		var w *Worker
-		if lc.Dialer != nil {
-			w, err = NewWorkerMux(lc.Dialer, fmt.Sprintf("worker-%d", i), handler)
-		} else {
-			w, err = NewWorkerTransport(sched.Addr(), fmt.Sprintf("worker-%d", i), handler, cfg.transport)
-		}
+		w, err := NewWorkerTransport(sched.Addr(), fmt.Sprintf("worker-%d", i), handler, cfg.transport)
 		if err != nil {
 			return nil, errors.Join(err, lc.Close())
 		}
@@ -97,12 +67,7 @@ func NewLocalCluster(nWorkers int, handler Handler, taskTimeout time.Duration, o
 		lc.Workers = append(lc.Workers, w)
 		go func() { _ = w.Run(ctx) }()
 	}
-	var client *Client
-	if lc.Dialer != nil {
-		client, err = NewClientMux(lc.Dialer)
-	} else {
-		client, err = NewClientTransport(sched.Addr(), cfg.transport)
-	}
+	client, err := NewClientTransport(sched.Addr(), cfg.transport)
 	if err != nil {
 		return nil, errors.Join(err, lc.Close())
 	}
@@ -121,9 +86,6 @@ func (lc *LocalCluster) Close() error {
 	}
 	for _, w := range lc.Workers {
 		errs = append(errs, w.Close())
-	}
-	if lc.Dialer != nil {
-		errs = append(errs, lc.Dialer.Close())
 	}
 	errs = append(errs, lc.Scheduler.Close())
 	return errors.Join(errs...)

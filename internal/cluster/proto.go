@@ -43,15 +43,9 @@ type message struct {
 // flagWantSnapshot, set on a register message, asks the scheduler for a
 // snapshot reply before the first assignment.  Raw peers that register
 // without it (older code, hand-rolled test workers) see the exact
-// pre-snapshot protocol.
+// pre-snapshot protocol.  It is the only register flag: the scheduler
+// refuses a register that carries any other bit.
 const flagWantSnapshot byte = 1 << 0
-
-// flagMux, set on the first register message of a binary connection,
-// declares that every byte after that hello is a mux session (see
-// internal/cluster/mux): the scheduler hands the connection to the
-// session layer and each accepted stream is then served exactly like a
-// fresh connection.  The value mirrors wire.FlagMux.
-const flagMux byte = 1 << 1
 
 // snapshotData is the compact scheduler state a late-joining worker
 // receives instead of any history replay: where the campaign stands

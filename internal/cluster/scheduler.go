@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,8 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/cluster/mux"
 )
 
 // task is one unit of work tracked by the scheduler.
@@ -98,11 +95,9 @@ type Scheduler struct {
 	OnEvent func(Event)
 
 	ln       net.Listener
-	coalesce time.Duration
 	queue    *dispatchQueue
 	stats    Stats
 	wire     wireCounters
-	mux      mux.Counters
 	wg       sync.WaitGroup
 	closed   chan struct{}
 	once     sync.Once
@@ -125,11 +120,6 @@ type SchedulerConfig struct {
 	// QueueShards is the number of pending-queue shards (rounded up to a
 	// power of two, capped at 256).  Default 8.
 	QueueShards int
-	// Coalesce is the frame-coalescing latency budget for accepted mux
-	// sessions: once a flush batches, the next flush may wait up to this
-	// long to deepen the batch.  0 disables the wait (opportunistic
-	// batching still happens); idle sessions never wait either way.
-	Coalesce time.Duration
 }
 
 func (c *SchedulerConfig) applyDefaults() {
@@ -161,7 +151,6 @@ func NewSchedulerWithConfig(addr string, cfg SchedulerConfig) (*Scheduler, error
 	s := &Scheduler{
 		MaxAttempts: 3,
 		ln:          ln,
-		coalesce:    cfg.Coalesce,
 		closed:      make(chan struct{}),
 		workers:     make(map[*workerProxy]struct{}),
 		conns:       make(map[net.Conn]struct{}),
@@ -201,10 +190,6 @@ func (s *Scheduler) Stats() Stats {
 func (s *Scheduler) QueueDepths() []int {
 	return s.queue.depths(make([]int, 0, len(s.queue.shards)))
 }
-
-// Mux returns a snapshot of the scheduler's multiplexing counters,
-// aggregated across every mux session it has accepted.
-func (s *Scheduler) Mux() mux.Stats { return s.mux.Stats() }
 
 // Wire returns a snapshot of the scheduler's transport counters,
 // aggregated across every connection it has accepted.
@@ -301,7 +286,7 @@ func (s *Scheduler) handleConn(conn net.Conn) {
 		return
 	default:
 	}
-	cd, br, err := negotiate(conn, &s.wire)
+	cd, err := negotiate(conn, &s.wire)
 	if err != nil {
 		return
 	}
@@ -311,12 +296,11 @@ func (s *Scheduler) handleConn(conn net.Conn) {
 	}
 	switch first.Type {
 	case msgRegister:
-		if first.Flags&flagMux != 0 && cd.transport() == TransportBinary {
-			// A mux hello: from here on the connection carries only mux
-			// frames.  The session takes over br (which the frame-exact
-			// decoder left positioned right after the hello) and each
-			// accepted stream is served like a fresh connection.
-			s.runMuxSession(conn, br, first)
+		// A register flag this scheduler does not know (a retired peer's
+		// multiplexing hello among them) would register a phantom worker
+		// whose first task is lost to a decode error: refuse it instead.
+		if first.Flags&^flagWantSnapshot != 0 {
+			s.logf("cluster: refusing register from %q with unknown flags %#x", first.Name, first.Flags)
 			return
 		}
 		s.runWorkerProxy(conn, cd, first)
@@ -324,49 +308,6 @@ func (s *Scheduler) handleConn(conn net.Conn) {
 		s.runClientProxy(cd, first)
 	default:
 		s.logf("cluster: unexpected first message %q", first.Type)
-	}
-}
-
-// runMuxSession accepts logical streams off one multiplexed connection
-// and serves each as if it were a fresh TCP connection: a stream's
-// first message decides worker vs client, and a stream failure costs
-// only that stream.  The physical connection is already registered in
-// s.conns, so scheduler Close force-closes the session, which fails
-// every stream and unwinds every handler.
-func (s *Scheduler) runMuxSession(conn net.Conn, br *bufio.Reader, hello *message) {
-	sess := mux.Server(conn, br, mux.Options{Coalesce: s.coalesce, Counters: &s.mux})
-	defer sess.Close()
-	s.logf("cluster: mux session from %q (%s)", hello.Name, conn.RemoteAddr())
-	for {
-		st, err := sess.Accept()
-		if err != nil {
-			s.logf("cluster: mux session from %q ended: %v", hello.Name, err)
-			return
-		}
-		s.wg.Add(1)
-		go s.handleStream(st)
-	}
-}
-
-// handleStream serves one logical connection inside a mux session.  The
-// codec sits directly on the stream — the session already counts
-// physical bytes in (via the negotiate reader) and the codec counts
-// logical frames both ways, so nothing is double-counted.
-func (s *Scheduler) handleStream(st *mux.Stream) {
-	defer s.wg.Done()
-	defer st.Close()
-	cd := newCodec(TransportBinary, st, st, &s.wire)
-	first, err := cd.read()
-	if err != nil {
-		return
-	}
-	switch first.Type {
-	case msgRegister:
-		s.runWorkerProxy(st, cd, first)
-	case msgSubmit:
-		s.runClientProxy(cd, first)
-	default:
-		s.logf("cluster: unexpected first message %q on mux stream %d", first.Type, st.ID())
 	}
 }
 

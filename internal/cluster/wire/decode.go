@@ -113,19 +113,6 @@ func (d *Decoder) Decode(m *Message) error {
 		}
 		d.leases = leases
 		m.Leases = leases
-	case TypeMuxOpen, TypeMuxClose:
-		if len(body) != 0 {
-			return fmt.Errorf("%w: %d trailing bytes after %v", ErrMalformed, len(body), typ)
-		}
-	case TypeMuxData:
-		m.Payload = body
-	case TypeMuxWindow:
-		if m.Window, body, err = cutUvarint(body); err != nil {
-			return err
-		}
-		if len(body) != 0 {
-			return fmt.Errorf("%w: %d trailing bytes after mux-window", ErrMalformed, len(body))
-		}
 	}
 	return nil
 }

@@ -99,12 +99,6 @@ func AppendFrame(dst []byte, m *Message) ([]byte, error) {
 			dst = binary.AppendUvarint(dst, uint64(len(id)))
 			dst = append(dst, id...)
 		}
-	case TypeMuxOpen, TypeMuxClose:
-		// no body; the stream id rides in the task-id field
-	case TypeMuxData:
-		dst = append(dst, m.Payload...)
-	case TypeMuxWindow:
-		dst = binary.AppendUvarint(dst, m.Window)
 	}
 	bodyLen := len(dst) - bodyStart
 	if bodyLen > MaxFrame {

@@ -29,6 +29,9 @@ func FuzzWireDecode(f *testing.F) {
 	hostile[3] = byte(TypeSubmit)
 	binary.BigEndian.PutUint32(hostile[6:10], 63<<20)
 	f.Add(hostile)
+	for _, typ := range retiredTypes {
+		f.Add(retiredFrame(typ))
+	}
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var before, after runtime.MemStats

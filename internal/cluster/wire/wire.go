@@ -36,10 +36,6 @@
 //	Result:    len(err) err payload
 //	Heartbeat: (empty)
 //	Snapshot:  epoch pending nleases { len(id) id }*
-//	MuxOpen:   (empty; stream id in the task-id field)
-//	MuxData:   chunk (the remaining body bytes, verbatim)
-//	MuxClose:  (empty)
-//	MuxWindow: window (bytes of send credit granted)
 //
 // The JSON transport frames messages as a 4-byte big-endian length
 // followed by a JSON object; its first byte is always ≤ 0x04 (lengths
@@ -97,20 +93,8 @@ const (
 	// a late-joining worker learns where the campaign stands without any
 	// history replay.
 	TypeSnapshot Type = 6
-	// TypeMuxOpen opens one logical stream inside a multiplexed session.
-	// The stream id travels in the task-id header field as 4 big-endian
-	// bytes (see package mux).
-	TypeMuxOpen Type = 7
-	// TypeMuxData carries one chunk of stream bytes; the body is the
-	// chunk, verbatim.
-	TypeMuxData Type = 8
-	// TypeMuxClose tears down one logical stream in both directions.
-	TypeMuxClose Type = 9
-	// TypeMuxWindow grants the peer Window more bytes of send credit on
-	// one stream (flow control; see package mux).
-	TypeMuxWindow Type = 10
 
-	typeMax = TypeMuxWindow
+	typeMax = TypeSnapshot
 )
 
 // String names the type for diagnostics.
@@ -128,14 +112,6 @@ func (t Type) String() string {
 		return "heartbeat"
 	case TypeSnapshot:
 		return "snapshot"
-	case TypeMuxOpen:
-		return "mux-open"
-	case TypeMuxData:
-		return "mux-data"
-	case TypeMuxClose:
-		return "mux-close"
-	case TypeMuxWindow:
-		return "mux-window"
 	}
 	return fmt.Sprintf("type(%d)", byte(t))
 }
@@ -143,18 +119,6 @@ func (t Type) String() string {
 // FlagWantSnapshot, set on a Register frame, asks the scheduler for a
 // Snapshot reply before the first assignment.
 const FlagWantSnapshot byte = 1 << 0
-
-// FlagMux, set on the first Register frame of a connection, declares the
-// connection a multiplexed session: every following frame belongs to the
-// mux layer (MuxOpen/MuxData/MuxClose/MuxWindow), and logical workers
-// and clients speak the ordinary protocol inside individual streams.
-const FlagMux byte = 1 << 1
-
-// FlagCoalesced marks a frame that was staged behind at least one other
-// frame and left the sender in a single batched write.  It is purely
-// observational — decoders ignore it — but it makes the coalescing
-// behaviour visible on the wire and in counters.
-const FlagCoalesced byte = 1 << 2
 
 // Message is one protocol message.  Byte fields produced by Decode
 // alias the Decoder's internal buffer and are valid only until the next
@@ -176,9 +140,6 @@ type Message struct {
 	Epoch   uint64
 	Pending uint64
 	Leases  [][]byte
-	// Window is the MuxWindow field: bytes of send credit granted to the
-	// peer on the stream named by TaskID.
-	Window uint64
 }
 
 // Decode-failure sentinels.  Every malformed-frame error returned by

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -15,6 +16,9 @@ func sampleMessages() []Message {
 	return []Message{
 		{Type: TypeRegister, Name: []byte("worker-0"), Flags: FlagWantSnapshot},
 		{Type: TypeRegister, Name: nil},
+		// Bit 1 was the retired multiplexing hello: still a well-formed
+		// frame (flags are opaque here), refused by the scheduler.
+		{Type: TypeRegister, Name: []byte("stale-peer"), Flags: 1 << 1},
 		{Type: TypeSubmit, TaskID: []byte("task-1"), Payload: []byte(`{"genome":[0.1,0.2]}`)},
 		{Type: TypeSubmit, TaskID: []byte("t"), Payload: nil},
 		{Type: TypeAssign, TaskID: []byte("task-2"), Payload: []byte(`{"genome":[1,2,3]}`)},
@@ -23,17 +27,22 @@ func sampleMessages() []Message {
 		{Type: TypeHeartbeat, TaskID: []byte("task-5")},
 		{Type: TypeSnapshot, Epoch: 12345, Pending: 7, Leases: [][]byte{[]byte("a"), []byte("lease-b")}},
 		{Type: TypeSnapshot},
-		{Type: TypeMuxOpen, TaskID: []byte{0, 0, 0, 1}},
-		{Type: TypeMuxData, TaskID: []byte{0, 0, 0, 1}, Payload: []byte("stream bytes"), Flags: FlagCoalesced},
-		{Type: TypeMuxData, TaskID: []byte{0, 0, 0, 2}},
-		{Type: TypeMuxClose, TaskID: []byte{0, 0, 0, 2}},
-		{Type: TypeMuxWindow, TaskID: []byte{0, 0, 0, 1}, Window: 131072},
 	}
+}
+
+// retiredTypes are the type bytes of the multiplexing frames the format
+// once carried (open, data, close, window).  Encoder and decoder must
+// both reject them, so they cannot come back unnoticed.
+var retiredTypes = []byte{7, 8, 9, 10}
+
+// retiredFrame is a header-only frame carrying type byte typ.
+func retiredFrame(typ byte) []byte {
+	return []byte{MagicByte0, byte(Magic & 0xFF), Version, typ, 0, 0, 0, 0, 0, 0}
 }
 
 func equalMessages(a, b *Message) bool {
 	if a.Type != b.Type || a.Flags != b.Flags || a.Epoch != b.Epoch ||
-		a.Pending != b.Pending || a.Window != b.Window {
+		a.Pending != b.Pending {
 		return false
 	}
 	if !bytes.Equal(a.TaskID, b.TaskID) || !bytes.Equal(a.Name, b.Name) ||
@@ -149,6 +158,11 @@ func TestEncodeValidation(t *testing.T) {
 	if _, err := AppendFrame(nil, &Message{Type: typeMax + 1}); !errors.Is(err, ErrBadType) {
 		t.Errorf("type %d: %v, want ErrBadType", typeMax+1, err)
 	}
+	for _, typ := range retiredTypes {
+		if _, err := AppendFrame(nil, &Message{Type: Type(typ)}); !errors.Is(err, ErrBadType) {
+			t.Errorf("retired type %d: %v, want ErrBadType", typ, err)
+		}
+	}
 	long := make([]byte, MaxTaskID+1)
 	if _, err := AppendFrame(nil, &Message{Type: TypeHeartbeat, TaskID: long}); err == nil {
 		t.Error("oversized task id encoded without error")
@@ -173,11 +187,12 @@ func frameFor(t *testing.T, m *Message) []byte {
 // failure maps to its sentinel and satisfies IsDecodeError.
 func TestDecodeRejections(t *testing.T) {
 	base := &Message{Type: TypeResult, TaskID: []byte("task"), Payload: []byte("p"), Err: nil}
-	cases := []struct {
+	type rejection struct {
 		name    string
 		mutate  func([]byte) []byte
 		wantErr error
-	}{
+	}
+	cases := []rejection{
 		{"bad magic", func(f []byte) []byte { f[0] = 0x00; return f }, ErrBadMagic},
 		{"bad version", func(f []byte) []byte { f[2] = Version + 1; return f }, ErrVersion},
 		{"bad type", func(f []byte) []byte { f[3] = 99; return f }, ErrBadType},
@@ -187,6 +202,9 @@ func TestDecodeRejections(t *testing.T) {
 		}, ErrFrameTooLarge},
 		{"truncated mid-frame", func(f []byte) []byte { return f[:len(f)-1] }, io.ErrUnexpectedEOF},
 		{"truncated header", func(f []byte) []byte { return f[:HeaderSize-2] }, io.ErrUnexpectedEOF},
+	}
+	for _, typ := range retiredTypes {
+		cases = append(cases, rejection{fmt.Sprintf("retired type %d", typ), func([]byte) []byte { return retiredFrame(typ) }, ErrBadType})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

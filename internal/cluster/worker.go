@@ -16,6 +16,17 @@ import (
 // read lcurve.out).
 type Handler func(ctx context.Context, payload json.RawMessage) (json.RawMessage, error)
 
+// Dialer abstracts how a worker or client obtains its one connection to
+// the scheduler, and each reconnection after it.
+type Dialer interface {
+	Dial() (net.Conn, error)
+}
+
+// tcpDialer is the default dialer: one TCP connection per Dial.
+type tcpDialer string
+
+func (d tcpDialer) Dial() (net.Conn, error) { return net.Dial("tcp", string(d)) }
+
 // Worker connects to a scheduler, executes assigned tasks, and returns
 // results.  There is intentionally no supervision/restart of the process
 // itself: the paper found it best to "disable nannies, let workers fail,
@@ -82,25 +93,6 @@ func NewWorkerTransport(addr, name string, handler Handler, tr Transport) (*Work
 		return nil, fmt.Errorf("cluster: worker needs a handler")
 	}
 	w := &Worker{Name: name, Handler: handler, addr: addr, transport: tr, dialer: tcpDialer(addr)}
-	conn, cd, snap, err := w.dialAndRegister()
-	if err != nil {
-		return nil, err
-	}
-	w.conn, w.cd, w.snap = conn, cd, snap
-	return w, nil
-}
-
-// NewWorkerMux dials the scheduler through a shared MuxDialer: the
-// worker's "connection" is one logical stream multiplexed with its
-// siblings over the dialer's TCP pool.  Framing is binary (the only
-// framing mux carries); reconnection works exactly as over TCP — each
-// re-dial just opens a fresh stream, re-establishing a dead physical
-// session lazily if its slot needs one.
-func NewWorkerMux(d *MuxDialer, name string, handler Handler) (*Worker, error) {
-	if handler == nil {
-		return nil, fmt.Errorf("cluster: worker needs a handler")
-	}
-	w := &Worker{Name: name, Handler: handler, addr: d.Addr, transport: TransportBinary, dialer: d}
 	conn, cd, snap, err := w.dialAndRegister()
 	if err != nil {
 		return nil, err

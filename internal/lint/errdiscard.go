@@ -23,9 +23,6 @@ var errDiscardPkgs = map[string]bool{
 	// short-write error there desynchronizes the stream for every
 	// message that follows.
 	"wire": true,
-	// mux is the session layer over wire; a dropped flush or frame
-	// error there silently stalls every stream on the connection.
-	"mux": true,
 }
 
 // ErrDiscard flags discarded errors on I/O, network and encode paths in

@@ -19,9 +19,6 @@ var goroutinePkgs = map[string]bool{
 	"cluster": true,
 	"service": true,
 	"stream":  true,
-	// mux runs a flusher and a read loop per session; either leaking
-	// past Close would pin the connection's buffers forever.
-	"mux": true,
 }
 
 // GoroutineLeak flags goroutines whose blocking channel operations have

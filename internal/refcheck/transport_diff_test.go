@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/deepmd"
@@ -28,25 +27,15 @@ func TestGoldenCampaignTransportDifferential(t *testing.T) {
 		name      string
 		transport cluster.Transport
 		threads   int
-		muxConns  int
 	}{
-		{"binary_threads1", cluster.TransportBinary, 1, 0},
-		{"binary_threads8", cluster.TransportBinary, 8, 0},
-		{"json_threads1", cluster.TransportJSON, 1, 0},
-		// The mux leg multiplexes both workers and the client over one
-		// shared TCP connection with coalescing on: batching frames must
-		// never change a byte of what they carry.
-		{"mux_conns1_threads1", cluster.TransportBinary, 1, 1},
+		{"binary_threads1", cluster.TransportBinary, 1},
+		{"binary_threads8", cluster.TransportBinary, 8},
+		{"json_threads1", cluster.TransportJSON, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			worker := &GoldenEvaluator{Train: train, Val: val, Threads: tc.threads}
-			opts := []cluster.LocalOption{cluster.WithTransport(tc.transport)}
-			if tc.muxConns > 0 {
-				opts = append(opts, cluster.WithMuxConns(tc.muxConns),
-					cluster.WithCoalesce(200*time.Microsecond))
-			}
-			lc, err := cluster.NewLocalCluster(2, cluster.EvalHandler(worker), 0, opts...)
+			lc, err := cluster.NewLocalCluster(2, cluster.EvalHandler(worker), 0, cluster.WithTransport(tc.transport))
 			if err != nil {
 				t.Fatalf("local cluster: %v", err)
 			}
@@ -88,17 +77,9 @@ func TestGoldenLCurveTransportInvariance(t *testing.T) {
 		return json.Marshal(buf.String())
 	}
 
-	legs := []struct {
-		name string
-		opts []cluster.LocalOption
-	}{
-		{"binary", []cluster.LocalOption{cluster.WithTransport(cluster.TransportBinary)}},
-		{"json", []cluster.LocalOption{cluster.WithTransport(cluster.TransportJSON)}},
-		{"mux", []cluster.LocalOption{cluster.WithMuxConns(1), cluster.WithCoalesce(200 * time.Microsecond)}},
-	}
-	for _, leg := range legs {
-		t.Run(leg.name, func(t *testing.T) {
-			lc, err := cluster.NewLocalCluster(1, handler, 0, leg.opts...)
+	for _, tr := range []cluster.Transport{cluster.TransportBinary, cluster.TransportJSON} {
+		t.Run(tr.String(), func(t *testing.T) {
+			lc, err := cluster.NewLocalCluster(1, handler, 0, cluster.WithTransport(tr))
 			if err != nil {
 				t.Fatalf("local cluster: %v", err)
 			}
@@ -106,11 +87,11 @@ func TestGoldenLCurveTransportInvariance(t *testing.T) {
 
 			out, err := lc.Client.Submit(context.Background(), json.RawMessage(`{}`))
 			if err != nil {
-				t.Fatalf("lcurve round trip via %s: %v", leg.name, err)
+				t.Fatalf("lcurve round trip via %v: %v", tr, err)
 			}
 			var lcurve string
 			if err := json.Unmarshal(out, &lcurve); err != nil {
-				t.Fatalf("bad lcurve payload via %s: %v", leg.name, err)
+				t.Fatalf("bad lcurve payload via %v: %v", tr, err)
 			}
 			checkGolden(t, "lcurve.out", []byte(lcurve))
 		})

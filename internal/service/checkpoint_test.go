@@ -229,8 +229,20 @@ func TestCheckpointTornTailRestores(t *testing.T) {
 		t.Fatalf("last line before the state line is not a record: %s", whole[start:end])
 	}
 
-	for _, cut := range []int{start + 1, (start + end) / 2, end - 1, end} {
-		t.Run(fmt.Sprintf("cut_%d_of_%d", cut-start, end-start), func(t *testing.T) {
+	// Subtest names stay fixed: the record's length depends on which lane
+	// wrote it last, so it goes to the log, not into the name.
+	for _, tc := range []struct {
+		name string
+		cut  int
+	}{
+		{"keep_1_byte", start + 1},
+		{"keep_half", (start + end) / 2},
+		{"drop_last_byte", end - 1},
+		{"drop_newline", end},
+	} {
+		cut := tc.cut
+		t.Run(tc.name, func(t *testing.T) {
+			t.Logf("cut %d of the record's %d bytes", cut-start, end-start)
 			dir2 := t.TempDir()
 			path := filepath.Join(dir2, c1.ID+".json")
 			if err := os.WriteFile(path, whole[:cut], 0o644); err != nil {

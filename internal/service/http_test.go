@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/cluster/mux"
 	"repro/internal/hpo"
 	"repro/internal/service"
 )
@@ -83,9 +82,6 @@ func TestHTTPCampaignLifecycle(t *testing.T) {
 			return cluster.WireStats{FramesIn: 7, FramesOut: 9, BytesIn: 512, BytesOut: 1024, BinaryConns: 3}
 		}
 		cfg.SchedulerQueue = func() []int { return []int{2, 0, 5} }
-		cfg.SchedulerMux = func() mux.Stats {
-			return mux.Stats{Sessions: 2, Streams: 11, FramesOut: 40, Flushes: 13, BatchedFlushes: 6, CoalescedFrames: 27}
-		}
 	})
 	base := srv.URL
 
@@ -212,8 +208,6 @@ func TestHTTPCampaignLifecycle(t *testing.T) {
 		"repro_cluster_wire_frames_in_total 7",
 		`repro_cluster_wire_conns_total{transport="binary"} 3`,
 		`repro_cluster_queue_depth{shard="2"} 5`,
-		"repro_cluster_mux_sessions_total 2",
-		"repro_cluster_mux_coalesced_frames_total 27",
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)

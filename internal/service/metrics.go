@@ -97,17 +97,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(&buf, "repro_cluster_queue_depth{shard=\"%d\"} %d\n", i, d)
 		}
 	}
-	if s.cfg.SchedulerMux != nil {
-		ms := s.cfg.SchedulerMux()
-		fmt.Fprintf(&buf, "# HELP repro_cluster_mux Session-layer multiplexing and frame-coalescing counters.\n")
-		fmt.Fprintf(&buf, "# TYPE repro_cluster_mux_sessions_total counter\nrepro_cluster_mux_sessions_total %d\n", ms.Sessions)
-		fmt.Fprintf(&buf, "# TYPE repro_cluster_mux_streams_total counter\nrepro_cluster_mux_streams_total %d\n", ms.Streams)
-		fmt.Fprintf(&buf, "# TYPE repro_cluster_mux_frames_in_total counter\nrepro_cluster_mux_frames_in_total %d\n", ms.FramesIn)
-		fmt.Fprintf(&buf, "# TYPE repro_cluster_mux_frames_out_total counter\nrepro_cluster_mux_frames_out_total %d\n", ms.FramesOut)
-		fmt.Fprintf(&buf, "# TYPE repro_cluster_mux_flushes_total counter\nrepro_cluster_mux_flushes_total %d\n", ms.Flushes)
-		fmt.Fprintf(&buf, "# TYPE repro_cluster_mux_batched_flushes_total counter\nrepro_cluster_mux_batched_flushes_total %d\n", ms.BatchedFlushes)
-		fmt.Fprintf(&buf, "# TYPE repro_cluster_mux_coalesced_frames_total counter\nrepro_cluster_mux_coalesced_frames_total %d\n", ms.CoalescedFrames)
-	}
 	if s.cfg.SchedulerEvents != nil {
 		types, counts := s.cfg.SchedulerEvents.Counts()
 		fmt.Fprintf(&buf, "# HELP repro_cluster_events_total Scheduler lifecycle events by type.\n")

@@ -57,7 +57,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/cluster/mux"
 	"repro/internal/ea"
 	"repro/internal/uuid"
 )
@@ -110,10 +109,6 @@ type Config struct {
 	// SchedulerQueue, if non-nil, feeds per-shard pending-queue depths
 	// into /metrics (wire it to Scheduler.QueueDepths).
 	SchedulerQueue func() []int
-	// SchedulerMux, if non-nil, feeds mux session/stream/coalescing
-	// counters into /metrics (wire it to Scheduler.Mux, or
-	// MuxDialer.Stats for a remote backend dialing through a mux pool).
-	SchedulerMux func() mux.Stats
 }
 
 func (cfg Config) withDefaults() Config {

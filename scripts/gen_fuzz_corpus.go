@@ -155,30 +155,6 @@ func main() {
 	hostileWire[3] = 2 // submit
 	binary.BigEndian.PutUint32(hostileWire[6:10], 63<<20)
 	writeCorpus(wireDir, "hostile_length_no_body", bytesEntry(hostileWire))
-	// Mux session frames: stream ids are 4 big-endian bytes in the id
-	// field; data bodies are raw chunks, window bodies a uvarint grant.
-	writeCorpus(wireDir, "mux_open",
-		bytesEntry(wireFrame(&wire.Message{Type: wire.TypeMuxOpen, TaskID: []byte{0, 0, 0, 1}})))
-	writeCorpus(wireDir, "mux_data_coalesced",
-		bytesEntry(wireFrame(&wire.Message{Type: wire.TypeMuxData, Flags: wire.FlagCoalesced,
-			TaskID: []byte{0, 0, 0, 1}, Payload: []byte(`{"type":"heartbeat"}`)})))
-	writeCorpus(wireDir, "mux_data_empty",
-		bytesEntry(wireFrame(&wire.Message{Type: wire.TypeMuxData, TaskID: []byte{0, 0, 0, 2}})))
-	writeCorpus(wireDir, "mux_close",
-		bytesEntry(wireFrame(&wire.Message{Type: wire.TypeMuxClose, TaskID: []byte{0, 0, 0, 1}})))
-	writeCorpus(wireDir, "mux_window",
-		bytesEntry(wireFrame(&wire.Message{Type: wire.TypeMuxWindow, TaskID: []byte{0, 0, 0, 2}, Window: 131072})))
-	// A close frame that illegally carries a body: patch the body length
-	// and append junk — the decoder must reject trailing bytes.
-	muxTrailing := wireFrame(&wire.Message{Type: wire.TypeMuxClose, TaskID: []byte{0, 0, 0, 3}})
-	muxTrailing = append(muxTrailing, 0xDE, 0xAD)
-	binary.BigEndian.PutUint32(muxTrailing[6:10], 2)
-	writeCorpus(wireDir, "mux_close_trailing_bytes", bytesEntry(muxTrailing))
-	// A window grant whose uvarint never terminates.
-	muxBadVarint := wireFrame(&wire.Message{Type: wire.TypeMuxWindow, TaskID: []byte{0, 0, 0, 4}, Window: 1})
-	muxBadVarint = muxBadVarint[:len(muxBadVarint)-1]
-	muxBadVarint = append(muxBadVarint, 0xFF)
-	writeCorpus(wireDir, "mux_window_bad_varint", bytesEntry(muxBadVarint))
 
 	diffDir := filepath.Join("internal", "cluster", "testdata", "fuzz", "FuzzTransportDifferential")
 	diff := func(typ, flags byte, taskID, name, errStr string, payload []byte, epoch, pending uint64, lease string) string {
