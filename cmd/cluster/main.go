@@ -8,15 +8,12 @@
 //
 //	cluster -mode scheduler [-addr 127.0.0.1:7077] [-lease 10m] [-stats 30s] [-events]
 //	                        [-queue-depth 4096] [-queue-shards 8]
-//	cluster -mode worker    [-addr 127.0.0.1:7077] [-name w0] [-seed 2023] [-task-timeout 2h] [-heartbeat 15s] [-transport binary|json]
-//	cluster -mode drive     [-addr 127.0.0.1:7077] [-runs 1] [-pop 20] [-gens 3] [-transport binary|json]
+//	cluster -mode worker    [-addr 127.0.0.1:7077] [-name w0] [-seed 2023] [-task-timeout 2h] [-heartbeat 15s]
+//	cluster -mode drive     [-addr 127.0.0.1:7077] [-runs 1] [-pop 20] [-gens 3]
 //
-// Workers and drivers frame their connection with the length-prefixed
-// binary wire protocol by default; -transport json selects the legacy
-// JSON framing.  The scheduler needs no flag — it sniffs the first byte
-// of each connection and speaks whichever framing the peer chose, so
-// mixed fleets interoperate.  Every worker and driver holds exactly one
-// TCP connection to the scheduler, as each Dask worker did.
+// Every worker and driver holds exactly one TCP connection to the
+// scheduler, as each Dask worker did, framed with the length-prefixed
+// binary wire protocol (internal/cluster/wire) from its first byte.
 //
 // The scheduler prints its Stats line every -stats interval and, on
 // Unix, dumps aggregate, per-shard queue-depth, and per-worker counters
@@ -56,15 +53,9 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", 15*time.Second, "worker: lease-renewal interval while executing; 0 disables")
 	maxReconnects := flag.Int("max-reconnects", 0, "worker: consecutive failed re-dials before giving up; 0 retries forever")
 	noMemo := flag.Bool("no-memo", false, "drive: disable genome-keyed fitness memoization")
-	transport := flag.String("transport", "binary", "worker/drive: connection framing, binary or json (scheduler auto-negotiates)")
 	queueDepth := flag.Int("queue-depth", 4096, "scheduler: pending-task capacity across all shards; full queue blocks submitters")
 	queueShards := flag.Int("queue-shards", 8, "scheduler: pending-queue shard count (rounded to a power of two)")
 	flag.Parse()
-
-	tr, err := cluster.ParseTransport(*transport)
-	if err != nil {
-		log.Fatalf("cluster: %v", err)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -114,7 +105,7 @@ func main() {
 
 	case "worker":
 		ev := surrogate.NewEvaluator(surrogate.Config{Seed: *seed})
-		w, err := cluster.NewWorkerTransport(*addr, *name, cluster.EvalHandler(ev), tr)
+		w, err := cluster.NewWorker(*addr, *name, cluster.EvalHandler(ev))
 		if err != nil {
 			log.Fatalf("worker: %v", err)
 		}
@@ -128,7 +119,7 @@ func main() {
 		}
 
 	case "drive":
-		client, err := cluster.NewClientTransport(*addr, tr)
+		client, err := cluster.NewClient(*addr)
 		if err != nil {
 			log.Fatalf("client: %v", err)
 		}

@@ -9,7 +9,7 @@
 //
 //	serve [-addr 127.0.0.1:8080] [-checkpoint-dir DIR]
 //	      [-backend local|remote] [-workers 4] [-scheduler-addr HOST:PORT]
-//	      [-seed 2023] [-lease 10m] [-transport binary|json] [-no-memo]
+//	      [-seed 2023] [-lease 10m] [-no-memo]
 //	      [-queue-depth 4096]
 //	      [-max-concurrent 4] [-max-active-per-tenant 2]
 //	      [-max-campaigns-per-tenant 16] [-max-inflight-per-tenant 64]
@@ -58,7 +58,6 @@ func main() {
 	schedulerAddr := flag.String("scheduler-addr", "127.0.0.1:7077", "remote backend: scheduler address")
 	seed := flag.Int64("seed", 2023, "local backend: surrogate model seed")
 	lease := flag.Duration("lease", 10*time.Minute, "local backend: per-task lease; 0 disables")
-	transport := flag.String("transport", "binary", "cluster framing: binary (length-prefixed wire protocol) or json (compatibility)")
 	noMemo := flag.Bool("no-memo", false, "disable the shared genome-keyed memo cache")
 	checkpointDir := flag.String("checkpoint-dir", "", "directory for campaign checkpoints; empty disables persistence")
 	maxConcurrent := flag.Int("max-concurrent", 4, "campaigns running at once, all tenants combined")
@@ -69,11 +68,7 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 4096, "local backend: scheduler pending-task capacity; full queue blocks submitters")
 	flag.Parse()
 
-	tr, err := cluster.ParseTransport(*transport)
-	if err != nil {
-		log.Fatalf("serve: %v", err)
-	}
-	if err := run(*addr, *backend, *workers, *schedulerAddr, *seed, *lease, tr, *noMemo,
+	if err := run(*addr, *backend, *workers, *schedulerAddr, *seed, *lease, *noMemo,
 		*checkpointDir, *maxConcurrent, *maxActive, *maxCampaigns, *maxInflight, *drainTimeout,
 		*queueDepth); err != nil {
 		log.Fatalf("serve: %v", err)
@@ -81,7 +76,7 @@ func main() {
 }
 
 func run(addr, backend string, workers int, schedulerAddr string, seed int64,
-	lease time.Duration, transport cluster.Transport, noMemo bool, checkpointDir string,
+	lease time.Duration, noMemo bool, checkpointDir string,
 	maxConcurrent, maxActive, maxCampaigns, maxInflight int, drainTimeout time.Duration,
 	queueDepth int) error {
 
@@ -100,7 +95,7 @@ func run(addr, backend string, workers int, schedulerAddr string, seed int64,
 	switch backend {
 	case "local":
 		lc, err := cluster.NewLocalCluster(workers, cluster.EvalHandler(surrogate.NewEvaluator(surrogate.Config{Seed: seed})), lease,
-			cluster.WithTransport(transport), cluster.WithQueueDepth(queueDepth))
+			cluster.WithQueueDepth(queueDepth))
 		if err != nil {
 			return fmt.Errorf("local fleet: %w", err)
 		}
@@ -117,7 +112,7 @@ func run(addr, backend string, workers int, schedulerAddr string, seed int64,
 		cfg.SchedulerWire = lc.Scheduler.Wire
 		cfg.SchedulerQueue = lc.Scheduler.QueueDepths
 	case "remote":
-		client, err := cluster.NewClientTransport(schedulerAddr, transport)
+		client, err := cluster.NewClient(schedulerAddr)
 		if err != nil {
 			return fmt.Errorf("connecting scheduler %s: %w", schedulerAddr, err)
 		}

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cluster/wire"
 )
 
 // BenchmarkTaskRoundTrip measures one submit→assign→result cycle through
@@ -57,28 +59,9 @@ func BenchmarkThroughputByWorkers(b *testing.B) {
 	}
 }
 
-func BenchmarkMessageFraming(b *testing.B) {
-	m := &message{Type: msgSubmit, TaskID: "0123456789abcdef", Payload: json.RawMessage(`{"genome":[0.1,0.2,0.3,0.4,0.5,0.6,0.7]}`)}
-	var buf discardBuffer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := writeMessage(&buf, m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-type discardBuffer struct{}
-
-func (discardBuffer) Write(p []byte) (int, error) { return len(p), nil }
-
 // benchPayload is a campaign-realistic task body: a 512-gene genome,
 // the size class a wide hyperparameter search with per-layer knobs and
 // an inlined training config ships per evaluation (~6 KiB of JSON).
-// Framing cost scales with payload size — the JSON codec must scan
-// every byte of the embedded RawMessage to find its end, the binary
-// codec just copies a length-prefixed region — so the payload size
-// class is the main lever on the cross-transport ratio.
 func benchPayload() json.RawMessage {
 	var sb bytes.Buffer
 	sb.WriteString(`{"genome":[`)
@@ -92,37 +75,32 @@ func benchPayload() json.RawMessage {
 	return sb.Bytes()
 }
 
-// BenchmarkCodecRoundTrip pins the per-frame cost of each codec in
+// BenchmarkCodecRoundTrip pins the per-frame cost of the codec in
 // isolation: one submit message encoded and decoded through an in-memory
 // stream, no scheduler and no sockets.
 func BenchmarkCodecRoundTrip(b *testing.B) {
-	m := &message{Type: msgSubmit, TaskID: "0123456789abcdef", Payload: benchPayload()}
-	for _, tr := range []Transport{TransportBinary, TransportJSON} {
-		b.Run("transport="+tr.String(), func(b *testing.B) {
-			var buf bytes.Buffer
-			var wc wireCounters
-			cd := newCodec(tr, &buf, &buf, &wc)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				if err := cd.write(m); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := cd.read(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	m := &message{Type: wire.TypeSubmit, TaskID: "0123456789abcdef", Payload: benchPayload()}
+	var buf bytes.Buffer
+	cd := newCodec(&buf, &wireCounters{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := cd.write(m); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cd.read(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // benchScheduler measures sustained submit→assign→result throughput with
 // a pool of echo workers, over loopback TCP or through the chaos proxy's
-// extra hop, on either framing.  ns/op is the wall cost of one task at
-// saturation; EXPERIMENTS.md ("Connection multiplexing retired") records
-// the binary and JSON figures of the last full grid.
-func benchScheduler(b *testing.B, workers int, tr Transport, viaProxy bool) {
+// extra hop.  ns/op is the wall cost of one task at saturation;
+// EXPERIMENTS.md ("Connection multiplexing retired") records the figures
+// of the last full grid.
+func benchScheduler(b *testing.B, workers int, viaProxy bool) {
 	sched, err := NewScheduler("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -136,7 +114,7 @@ func benchScheduler(b *testing.B, workers int, tr Transport, viaProxy bool) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for i := 0; i < workers; i++ {
-		w, err := NewWorkerTransport(addr, fmt.Sprintf("w%d", i), echoHandler, tr)
+		w, err := NewWorker(addr, fmt.Sprintf("w%d", i), echoHandler)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +124,7 @@ func benchScheduler(b *testing.B, workers int, tr Transport, viaProxy bool) {
 	for sched.Stats().Workers < int64(workers) {
 		time.Sleep(time.Millisecond)
 	}
-	client, err := NewClientTransport(addr, tr)
+	client, err := NewClient(addr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -176,14 +154,12 @@ func benchScheduler(b *testing.B, workers int, tr Transport, viaProxy bool) {
 }
 
 // BenchmarkSchedulerThroughput is the headline grid: task throughput by
-// worker-pool size and framing over plain loopback.
+// worker-pool size over plain loopback.
 func BenchmarkSchedulerThroughput(b *testing.B) {
 	for _, workers := range []int{1, 10, 100, 500} {
-		for _, tr := range []Transport{TransportBinary, TransportJSON} {
-			b.Run(fmt.Sprintf("workers=%d/transport=%v", workers, tr), func(b *testing.B) {
-				benchScheduler(b, workers, tr, false)
-			})
-		}
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchScheduler(b, workers, false)
+		})
 	}
 }
 
@@ -192,10 +168,8 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 // per direction — closer to a real network path than bare loopback.
 func BenchmarkSchedulerThroughputChaos(b *testing.B) {
 	for _, workers := range []int{10, 100} {
-		for _, tr := range []Transport{TransportBinary, TransportJSON} {
-			b.Run(fmt.Sprintf("workers=%d/transport=%v", workers, tr), func(b *testing.B) {
-				benchScheduler(b, workers, tr, true)
-			})
-		}
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchScheduler(b, workers, true)
+		})
 	}
 }

@@ -302,18 +302,19 @@ func TestDuplicateResultDoesNotInflateStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeMessage(conn, &message{Type: msgRegister, Name: "duplicator"}); err != nil {
+	cd := newCodec(conn, &wireCounters{})
+	if err := cd.write(&message{Type: wire.TypeRegister, Name: "duplicator"}); err != nil {
 		t.Fatal(err)
 	}
 	go func() {
 		for {
-			m, err := readMessage(conn)
+			m, err := cd.read()
 			if err != nil {
 				return
 			}
-			res := &message{Type: msgResult, TaskID: m.TaskID, Payload: m.Payload}
-			_ = writeMessage(conn, res)
-			_ = writeMessage(conn, res) // the duplicate
+			res := &message{Type: wire.TypeResult, TaskID: m.TaskID, Payload: m.Payload}
+			_ = cd.write(res)
+			_ = cd.write(res) // the duplicate
 		}
 	}()
 
@@ -513,10 +514,10 @@ func TestVanishedClientDoesNotBlockWorkerReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cd := dialCodec(TransportBinary, conn, &wireCounters{})
+	cd := newCodec(conn, &wireCounters{})
 	const held = 3
 	for i := 0; i < held; i++ {
-		m := &message{Type: msgSubmit, TaskID: fmt.Sprintf("held-%d", i), Payload: json.RawMessage(fmt.Sprintf(`{"held":%d}`, i))}
+		m := &message{Type: wire.TypeSubmit, TaskID: fmt.Sprintf("held-%d", i), Payload: json.RawMessage(fmt.Sprintf(`{"held":%d}`, i))}
 		if err := cd.write(m); err != nil {
 			t.Fatal(err)
 		}
@@ -584,13 +585,13 @@ func TestWorkerCancellationIsNotATimeout(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	if res := w.execute(ctx, dialCodec(TransportBinary, a, &w.wire), &message{Type: msgAssign, TaskID: "x"}); res != nil {
+	if res := w.execute(ctx, newCodec(a, &w.wire), &message{Type: wire.TypeAssign, TaskID: "x"}); res != nil {
 		t.Errorf("cancelled task produced result %+v, want nil (propagated shutdown)", res)
 	}
 
 	// Case 2: per-task deadline with live parent → timeout failure result.
 	w2 := &Worker{Name: "t2", Handler: blocker, TaskTimeout: 20 * time.Millisecond}
-	res := w2.execute(context.Background(), dialCodec(TransportBinary, a, &w2.wire), &message{Type: msgAssign, TaskID: "y"})
+	res := w2.execute(context.Background(), newCodec(a, &w2.wire), &message{Type: wire.TypeAssign, TaskID: "y"})
 	if res == nil || !strings.Contains(res.Err, "timed out") {
 		t.Errorf("timed-out task result = %+v, want timeout error", res)
 	}
@@ -811,26 +812,19 @@ func TestChaosTruncatedResultFrame(t *testing.T) {
 }
 
 // TestChaosCorruptedFrameDropsConnNotCampaign corrupts a single result
-// frame in flight — flipped length prefix or bad magic, over both
-// framings — and verifies the blast radius is exactly one connection:
+// frame in flight — flipped length prefix or bad magic — and verifies the blast radius is exactly one connection:
 // the scheduler counts a decode error and drops the worker connection,
 // the worker reconnects, the task is requeued and completes, and the
 // untouched client connection never notices.
 func TestChaosCorruptedFrameDropsConnNotCampaign(t *testing.T) {
 	cases := []struct {
 		name    string
-		tr      Transport
 		corrupt func([]byte)
 	}{
-		{"binary_bad_magic", TransportBinary, func(b []byte) { b[0] = 0x00 }},
-		{"binary_length_flip", TransportBinary, func(b []byte) {
+		{"binary_bad_magic", func(b []byte) { b[0] = 0x00 }},
+		{"binary_length_flip", func(b []byte) {
 			if len(b) >= wire.HeaderSize {
 				binary.BigEndian.PutUint32(b[6:10], 0xFFFFFFFF)
-			}
-		}},
-		{"json_length_flip", TransportJSON, func(b []byte) {
-			if len(b) >= 4 {
-				binary.BigEndian.PutUint32(b[0:4], 0xFFFFFFFF)
 			}
 		}},
 	}
@@ -849,7 +843,7 @@ func TestChaosCorruptedFrameDropsConnNotCampaign(t *testing.T) {
 				calls.Add(1)
 				return payload, nil
 			}
-			w, err := NewWorkerTransport(proxy.Addr(), "victim", handler, tc.tr)
+			w, err := NewWorker(proxy.Addr(), "victim", handler)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -857,7 +851,7 @@ func TestChaosCorruptedFrameDropsConnNotCampaign(t *testing.T) {
 			defer w.Close()
 			go func() { _ = w.Run(context.Background()) }()
 
-			client, err := NewClientTransport(sched.Addr(), tc.tr) // direct, unproxied
+			client, err := NewClient(sched.Addr()) // direct, unproxied
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -893,8 +887,8 @@ func TestChaosCorruptedFrameDropsConnNotCampaign(t *testing.T) {
 			// Exactly one client connection was ever dialed: the corruption
 			// cost the worker's connection, nobody else's.
 			cw := client.Wire()
-			if conns := cw.BinaryConns + cw.JSONConns; conns != 1 {
-				t.Errorf("client dialed %d connections, want 1 (its connection must survive)", conns)
+			if cw.Conns != 1 {
+				t.Errorf("client dialed %d connections, want 1 (its connection must survive)", cw.Conns)
 			}
 		})
 	}
@@ -1040,8 +1034,7 @@ func paretoSize(pop ea.Population) int {
 // killed and restarted mid-flight.  Workers reconnect with backoff, the
 // client resubmits its in-flight generation, and the campaign finishes
 // with the exact frontier a local run produces — no spurious MAXINT
-// failures anywhere.  Both framings must deliver the bit-identical
-// frontier.
+// failures anywhere.
 func TestSchedulerBounceMidCampaign(t *testing.T) {
 	// Reference: the same campaign evaluated in-process.
 	ref, err := nsga2.Run(context.Background(), bounceCampaignConfig(ea.EvaluatorFunc(clusterEval)))
@@ -1049,75 +1042,73 @@ func TestSchedulerBounceMidCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, tr := range []Transport{TransportBinary, TransportJSON} {
-		t.Run(tr.String(), func(t *testing.T) {
-			sched, err := NewScheduler("127.0.0.1:0")
+	t.Run("binary", func(t *testing.T) {
+		sched, err := NewScheduler("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		watchBooks(t, sched)
+		addr := sched.Addr()
+
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		var workers []*Worker
+		for i := 0; i < 4; i++ {
+			w, err := NewWorker(addr, fmt.Sprintf("w%d", i), EvalHandler(ea.EvaluatorFunc(clusterEval)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			watchBooks(t, sched)
-			addr := sched.Addr()
+			w.ReconnectInitial = 10 * time.Millisecond
+			workers = append(workers, w)
+			go func() { _ = w.Run(ctx) }()
+		}
+		defer func() {
+			for _, w := range workers {
+				w.Close()
+			}
+		}()
 
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			var workers []*Worker
-			for i := 0; i < 4; i++ {
-				w, err := NewWorkerTransport(addr, fmt.Sprintf("w%d", i), EvalHandler(ea.EvaluatorFunc(clusterEval)), tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				w.ReconnectInitial = 10 * time.Millisecond
-				workers = append(workers, w)
-				go func() { _ = w.Run(ctx) }()
-			}
-			defer func() {
-				for _, w := range workers {
-					w.Close()
-				}
-			}()
+		client, err := NewClient(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client.ReconnectInitial = 10 * time.Millisecond
+		client.MaxReconnects = 200
+		defer client.Close()
 
-			client, err := NewClientTransport(addr, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			client.ReconnectInitial = 10 * time.Millisecond
-			client.MaxReconnects = 200
-			defer client.Close()
+		// Bounce the scheduler once the campaign is under way.
+		bounced := make(chan *Scheduler, 1)
+		go func() {
+			time.Sleep(60 * time.Millisecond)
+			sched.Close()
+			bounced <- restartScheduler(t, addr)
+		}()
 
-			// Bounce the scheduler once the campaign is under way.
-			bounced := make(chan *Scheduler, 1)
-			go func() {
-				time.Sleep(60 * time.Millisecond)
-				sched.Close()
-				bounced <- restartScheduler(t, addr)
-			}()
+		res, err := nsga2.Run(ctx, bounceCampaignConfig(&Evaluator{Client: client}))
+		if err != nil {
+			t.Fatalf("campaign failed across scheduler bounce: %v", err)
+		}
+		sched2 := <-bounced
+		defer sched2.Close()
 
-			res, err := nsga2.Run(ctx, bounceCampaignConfig(&Evaluator{Client: client}))
-			if err != nil {
-				t.Fatalf("campaign failed across scheduler bounce: %v", err)
-			}
-			sched2 := <-bounced
-			defer sched2.Close()
-
-			if got := res.TotalFailures(); got != 0 {
-				t.Errorf("bounced campaign recorded %d spurious failures", got)
-			}
-			if got, want := res.TotalEvaluations(), ref.TotalEvaluations(); got != want {
-				t.Errorf("evaluations = %d, want %d", got, want)
-			}
-			if got, want := paretoSize(res.Final), paretoSize(ref.Final); got != want {
-				t.Errorf("frontier size after bounce = %d, want %d (reference run)", got, want)
-			}
-			for i, ind := range res.Final {
-				refInd := ref.Final[i]
-				for k := range ind.Fitness {
-					if ind.Fitness[k] != refInd.Fitness[k] {
-						t.Fatalf("final[%d].Fitness[%d] = %v, want %v", i, k, ind.Fitness[k], refInd.Fitness[k])
-					}
+		if got := res.TotalFailures(); got != 0 {
+			t.Errorf("bounced campaign recorded %d spurious failures", got)
+		}
+		if got, want := res.TotalEvaluations(), ref.TotalEvaluations(); got != want {
+			t.Errorf("evaluations = %d, want %d", got, want)
+		}
+		if got, want := paretoSize(res.Final), paretoSize(ref.Final); got != want {
+			t.Errorf("frontier size after bounce = %d, want %d (reference run)", got, want)
+		}
+		for i, ind := range res.Final {
+			refInd := ref.Final[i]
+			for k := range ind.Fitness {
+				if ind.Fitness[k] != refInd.Fitness[k] {
+					t.Fatalf("final[%d].Fitness[%d] = %v, want %v", i, k, ind.Fitness[k], refInd.Fitness[k])
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestSchedulerCloseRacesNewConnections closes schedulers while peers are
@@ -1127,6 +1118,10 @@ func TestSchedulerBounceMidCampaign(t *testing.T) {
 // starts after the sweep must notice the shutdown itself, and a worker
 // proxy that dies before its reader starts must not wait for it.
 func TestSchedulerCloseRacesNewConnections(t *testing.T) {
+	register, err := wire.AppendFrame(nil, &wire.Message{Type: wire.TypeRegister, Name: []byte("late"), Flags: wire.FlagWantSnapshot})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 200; i++ {
 		sched, err := NewScheduler("127.0.0.1:0")
 		if err != nil {
@@ -1141,7 +1136,7 @@ func TestSchedulerCloseRacesNewConnections(t *testing.T) {
 		go func() { // worker that registers as the scheduler goes down
 			c, err := net.Dial("tcp", addr)
 			if err == nil {
-				_ = writeMessage(c, &message{Type: msgRegister, Name: "late", Flags: flagWantSnapshot})
+				_, _ = c.Write(register)
 			}
 			peers <- c
 		}()

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster/wire"
 	"repro/internal/uuid"
 )
 
@@ -40,13 +41,12 @@ type Client struct {
 	// Logf, if non-nil, receives diagnostic output.
 	Logf func(format string, args ...interface{})
 
-	transport Transport
-	dialer    Dialer
-	wire      wireCounters
+	dialer Dialer
+	wire   wireCounters
 
 	mu      sync.Mutex // guards conn/cd writes, waiters, readErr, closed
 	conn    net.Conn
-	cd      codec
+	cd      *codec
 	waiters map[string]*pendingCall
 	readErr error
 	closed  bool
@@ -58,32 +58,25 @@ type Client struct {
 	// (ReconnectInitial etc.) may be set freely between NewClient and use
 }
 
-// NewClient dials the scheduler over the default binary framing.
+// NewClient dials the scheduler.
 func NewClient(addr string) (*Client, error) {
-	return NewClientTransport(addr, TransportBinary)
+	return newClient(tcpDialer(addr))
 }
 
-// NewClientTransport dials the scheduler, speaking the given framing for
-// the life of the client (reconnections included).
-func NewClientTransport(addr string, tr Transport) (*Client, error) {
-	return newClient(tr, tcpDialer(addr))
-}
-
-func newClient(tr Transport, dialer Dialer) (*Client, error) {
+func newClient(dialer Dialer) (*Client, error) {
 	conn, err := dialer.Dial()
 	if err != nil {
 		return nil, err
 	}
 	c := &Client{
 		MaxReconnects: 10,
-		transport:     tr,
 		dialer:        dialer,
 		conn:          conn,
 		waiters:       make(map[string]*pendingCall),
 		closeCh:       make(chan struct{}),
 		done:          make(chan struct{}),
 	}
-	c.cd = dialCodec(tr, conn, &c.wire)
+	c.cd = newCodec(conn, &c.wire)
 	return c, nil
 }
 
@@ -180,14 +173,14 @@ func (c *Client) adopt(conn net.Conn) error {
 	}
 	old := c.conn
 	c.conn = conn
-	c.cd = dialCodec(c.transport, conn, &c.wire)
+	c.cd = newCodec(conn, &c.wire)
 	if old != nil && old != conn {
 		//lint:ignore errdiscard best-effort: the stale conn was already replaced by the reconnect; its close error is unactionable
 		old.Close()
 	}
 	n := 0
 	for id, pc := range c.waiters {
-		if err := c.cd.write(&message{Type: msgSubmit, TaskID: id, Payload: pc.payload}); err != nil {
+		if err := c.cd.write(&message{Type: wire.TypeSubmit, TaskID: id, Payload: pc.payload}); err != nil {
 			return err
 		}
 		n++
@@ -241,7 +234,7 @@ func (c *Client) Submit(ctx context.Context, payload json.RawMessage) (json.RawM
 	// A write error is not reported here: the read loop will observe the
 	// same broken connection and resubmit this call after reconnecting.
 	//lint:ignore errdiscard the read loop observes the same broken conn and resubmits; handling here would double-report
-	_ = c.cd.write(&message{Type: msgSubmit, TaskID: id, Payload: payload})
+	_ = c.cd.write(&message{Type: wire.TypeSubmit, TaskID: id, Payload: payload})
 	c.mu.Unlock()
 
 	select {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,33 +11,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster/wire"
 	"repro/internal/ea"
 )
 
 func echoHandler(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
 	return payload, nil
-}
-
-func TestMessageFraming(t *testing.T) {
-	var buf bytes.Buffer
-	in := &message{Type: msgSubmit, TaskID: "t1", Payload: json.RawMessage(`{"x":1}`)}
-	if err := writeMessage(&buf, in); err != nil {
-		t.Fatalf("writeMessage: %v", err)
-	}
-	out, err := readMessage(&buf)
-	if err != nil {
-		t.Fatalf("readMessage: %v", err)
-	}
-	if out.Type != in.Type || out.TaskID != in.TaskID || string(out.Payload) != string(in.Payload) {
-		t.Errorf("round trip mismatch: %+v", out)
-	}
-}
-
-func TestMessageFramingRejectsHugeFrame(t *testing.T) {
-	buf := bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0, 0})
-	if _, err := readMessage(buf); err == nil {
-		t.Error("oversized frame accepted")
-	}
 }
 
 func TestLocalClusterEcho(t *testing.T) {
@@ -61,6 +39,19 @@ func TestLocalClusterEcho(t *testing.T) {
 	st := lc.Scheduler.Stats()
 	if st.Completed != 10 || st.Submitted != 10 {
 		t.Errorf("stats = %+v, want 10 submitted/completed", st)
+	}
+	// The client's counters are final once its last Submit returns: ten
+	// submits out, ten results in, one connection.
+	if cw := lc.Client.Wire(); cw.FramesOut != 10 || cw.FramesIn != 10 || cw.Conns != 1 || cw.DecodeErrors != 0 {
+		t.Errorf("client wire counters = %v, want 10 frames each way on 1 connection", cw)
+	}
+	// Three workers and the client, every link healthy.
+	ws := lc.Scheduler.Wire()
+	if ws.Conns != 4 || ws.DecodeErrors != 0 {
+		t.Errorf("scheduler wire counters = %v, want 4 connections and no decode errors", ws)
+	}
+	if ws.FramesIn == 0 || ws.FramesOut == 0 || ws.BytesIn == 0 || ws.BytesOut == 0 {
+		t.Errorf("scheduler wire counters did not move: %v", ws)
 	}
 }
 
@@ -356,13 +347,14 @@ func TestSchedulerTaskTimeoutReassignsFromHungWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hungConn.Close()
-	if err := writeMessage(hungConn, &message{Type: msgRegister, Name: "hung"}); err != nil {
+	cd := newCodec(hungConn, &wireCounters{})
+	if err := cd.write(&message{Type: wire.TypeRegister, Name: "hung"}); err != nil {
 		t.Fatal(err)
 	}
 	go func() {
 		// Read assignments forever, never reply.
 		for {
-			if _, err := readMessage(hungConn); err != nil {
+			if _, err := cd.read(); err != nil {
 				return
 			}
 		}

@@ -2,76 +2,17 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/json"
-	"runtime"
-	"strings"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster/wire"
 )
 
-// FuzzProtoDecode feeds arbitrary bytes to the wire-format decoder.
-// readMessage must never panic, and — the property the chunked frame
-// reader guarantees — a hostile length header on a short stream must
-// not allocate anywhere near the claimed frame size.  Accepted messages
-// must survive a re-encode → re-decode round trip.
-func FuzzProtoDecode(f *testing.F) {
-	var seed bytes.Buffer
-	if err := writeMessage(&seed, &message{Type: msgSubmit, TaskID: "t1", Payload: []byte(`{"genome":[1,2]}`)}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0})
-	// A 63 MiB claim with no body: must fail fast without the allocation.
-	var huge [4]byte
-	binary.BigEndian.PutUint32(huge[:], 63<<20)
-	f.Add(huge[:])
-
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		m, err := readMessage(bytes.NewReader(in))
-		runtime.ReadMemStats(&after)
-		if grown := after.TotalAlloc - before.TotalAlloc; grown > uint64(len(in))+1<<20 {
-			t.Fatalf("decoding %d input bytes allocated %d bytes", len(in), grown)
-		}
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := writeMessage(&out, m); err != nil {
-			t.Fatalf("re-encoding accepted message: %v", err)
-		}
-		m2, err := readMessage(bytes.NewReader(out.Bytes()))
-		if err != nil {
-			t.Fatalf("re-decoding re-encoded message: %v", err)
-		}
-		if m2.Type != m.Type || m2.TaskID != m.TaskID || m2.Name != m.Name || m2.Err != m.Err {
-			t.Fatalf("round trip changed message: %+v vs %+v", m, m2)
-		}
-	})
-}
-
-// clampUTF8 bounds s to at most n bytes of valid UTF-8.  Both framings
-// must agree on the value they carry, and JSON marshaling replaces
-// invalid sequences while the binary codec preserves raw bytes — so the
-// differential fuzz only feeds values both can represent.
-func clampUTF8(s string, n int) string {
-	s = strings.ToValidUTF8(s, "?")
-	if len(s) > n {
-		s = strings.ToValidUTF8(s[:n], "")
-	}
-	return s
-}
-
-// FuzzTransportDifferential is the cross-transport oracle: one message,
-// encoded and decoded through the binary codec and through the JSON
-// codec, must come out semantically identical on both paths.  Any field
-// one framing drops, reorders or mangles that the other keeps is a bug
-// in the binary codec (the JSON path is the reference).
-func FuzzTransportDifferential(f *testing.F) {
+// FuzzMessageRoundTrip: a message written through the codec and read
+// back must come out identical, field for field — raw non-UTF-8 ids,
+// names, errors and payload bytes included.  With one framing the
+// identity is the spec.
+func FuzzMessageRoundTrip(f *testing.F) {
 	f.Add(byte(0), byte(1), "", "worker-0", "", []byte(nil), uint64(0), uint64(0), "")
 	f.Add(byte(1), byte(0), "task-1", "", "", []byte(`{"genome":[0.5,-1.5]}`), uint64(0), uint64(0), "")
 	f.Add(byte(2), byte(0), "task-2", "", "", []byte(`{"genome":[1]}`), uint64(0), uint64(0), "")
@@ -80,69 +21,36 @@ func FuzzTransportDifferential(f *testing.F) {
 	f.Add(byte(5), byte(0), "", "", "", []byte(nil), uint64(981), uint64(12), "lease-a")
 
 	f.Fuzz(func(t *testing.T, typ, flags byte, taskID, name, errStr string, payload []byte, epoch, pending uint64, lease string) {
-		types := []msgType{msgRegister, msgSubmit, msgAssign, msgResult, msgHeartbeat, msgSnapshot}
-		m := &message{Type: types[int(typ)%len(types)], Flags: flags}
-		// Populate only the fields the message type carries on the binary
-		// wire; the JSON framing would happily ship the rest, which is a
-		// format difference, not a codec bug.
+		m := &message{Type: wire.TypeRegister + wire.Type(typ%6), Flags: flags}
+		// Populate only the fields the frame type carries; the codec drops
+		// the rest by design.
 		switch m.Type {
-		case msgRegister:
-			m.Name = clampUTF8(name, 1<<10)
-		case msgSubmit, msgAssign, msgResult, msgHeartbeat:
-			m.TaskID = clampUTF8(taskID, wire.MaxTaskID)
+		case wire.TypeRegister:
+			m.Name = name
+		case wire.TypeSubmit, wire.TypeAssign, wire.TypeResult, wire.TypeHeartbeat:
+			m.TaskID = taskID[:min(len(taskID), wire.MaxTaskID)]
+		case wire.TypeSnapshot:
+			m.Snap = &Snapshot{Epoch: epoch, Pending: int(pending), Leases: []string{lease}}
 		}
-		if m.Type == msgSubmit || m.Type == msgAssign || m.Type == msgResult {
-			// The JSON envelope requires the payload itself to be valid
-			// JSON, so wrap the fuzz bytes as a JSON string value.
-			pj, err := json.Marshal(strings.ToValidUTF8(string(payload), "?"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.Payload = pj
+		// An empty payload reads back as nil.
+		if (m.Type == wire.TypeSubmit || m.Type == wire.TypeAssign || m.Type == wire.TypeResult) && len(payload) > 0 {
+			m.Payload = payload
 		}
-		if m.Type == msgResult {
-			m.Err = clampUTF8(errStr, 1<<10)
-		}
-		if m.Type == msgSnapshot {
-			m.Snap = &snapshotData{
-				Epoch:   epoch,
-				Pending: int(pending % (1 << 30)),
-				Leases:  []string{clampUTF8(lease, 64)},
-			}
+		if m.Type == wire.TypeResult {
+			m.Err = errStr
 		}
 
-		roundTrip := func(tr Transport) *message {
-			var buf bytes.Buffer
-			var wc wireCounters
-			cd := newCodec(tr, &buf, &buf, &wc)
-			if err := cd.write(m); err != nil {
-				t.Fatalf("%v encode of %+v: %v", tr, m, err)
-			}
-			out, err := cd.read()
-			if err != nil {
-				t.Fatalf("%v decode of own encoding of %+v: %v", tr, m, err)
-			}
-			return out
+		var buf bytes.Buffer
+		cd := newCodec(&buf, &wireCounters{})
+		if err := cd.write(m); err != nil {
+			t.Fatalf("encode of %+v: %v", m, err)
 		}
-		b, j := roundTrip(TransportBinary), roundTrip(TransportJSON)
-
-		if b.Type != j.Type || b.Flags != j.Flags || b.TaskID != j.TaskID ||
-			b.Name != j.Name || b.Err != j.Err || !bytes.Equal(b.Payload, j.Payload) {
-			t.Fatalf("transports disagree:\n binary %+v\n json   %+v", b, j)
+		out, err := cd.read()
+		if err != nil {
+			t.Fatalf("decode of own encoding of %+v: %v", m, err)
 		}
-		if (b.Snap == nil) != (j.Snap == nil) {
-			t.Fatalf("snapshot presence disagrees: binary %+v, json %+v", b.Snap, j.Snap)
-		}
-		if b.Snap != nil {
-			if b.Snap.Epoch != j.Snap.Epoch || b.Snap.Pending != j.Snap.Pending ||
-				len(b.Snap.Leases) != len(j.Snap.Leases) {
-				t.Fatalf("snapshots disagree:\n binary %+v\n json   %+v", b.Snap, j.Snap)
-			}
-			for i := range b.Snap.Leases {
-				if b.Snap.Leases[i] != j.Snap.Leases[i] {
-					t.Fatalf("lease %d disagrees: %q vs %q", i, b.Snap.Leases[i], j.Snap.Leases[i])
-				}
-			}
+		if !reflect.DeepEqual(out, m) {
+			t.Fatalf("round trip changed the message:\n in  %+v %+v\n out %+v %+v", m, m.Snap, out, out.Snap)
 		}
 	})
 }

@@ -25,14 +25,7 @@ type LocalCluster struct {
 type LocalOption func(*localConfig)
 
 type localConfig struct {
-	transport  Transport
 	queueDepth int
-}
-
-// WithTransport selects the framing the local workers and client speak
-// to the scheduler (default TransportBinary).
-func WithTransport(tr Transport) LocalOption {
-	return func(cfg *localConfig) { cfg.transport = tr }
 }
 
 // WithQueueDepth bounds the scheduler's pending-task queue; submitters
@@ -57,7 +50,7 @@ func NewLocalCluster(nWorkers int, handler Handler, taskTimeout time.Duration, o
 	ctx, cancel := context.WithCancel(context.Background())
 	lc := &LocalCluster{Scheduler: sched, cancel: cancel}
 	for i := 0; i < nWorkers; i++ {
-		w, err := NewWorkerTransport(sched.Addr(), fmt.Sprintf("worker-%d", i), handler, cfg.transport)
+		w, err := NewWorker(sched.Addr(), fmt.Sprintf("worker-%d", i), handler)
 		if err != nil {
 			return nil, errors.Join(err, lc.Close())
 		}
@@ -67,7 +60,7 @@ func NewLocalCluster(nWorkers int, handler Handler, taskTimeout time.Duration, o
 		lc.Workers = append(lc.Workers, w)
 		go func() { _ = w.Run(ctx) }()
 	}
-	client, err := NewClientTransport(sched.Addr(), cfg.transport)
+	client, err := NewClient(sched.Addr())
 	if err != nil {
 		return nil, errors.Join(err, lc.Close())
 	}

@@ -4,12 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/cluster/wire"
 )
 
 // task is one unit of work tracked by the scheduler.
@@ -260,13 +261,12 @@ func (s *Scheduler) acceptLoop() {
 	}
 }
 
-// handleConn peeks the first byte to negotiate the framing (binary
-// frames start with wire.MagicByte0; JSON length prefixes cannot), reads
-// the first message to learn whether the peer is a worker or a client,
-// then runs the corresponding proxy loop.  A frame that fails to decode
-// — here or in either proxy — costs only this connection: the codec
-// counts the error, the handler returns, and the campaign carries on
-// over the surviving connections.
+// handleConn reads the first message to learn whether the peer is a
+// worker or a client, then runs the corresponding proxy loop.  A frame
+// that fails to decode — here or in either proxy, and including a
+// foreign peer whose first bytes are not wire.Magic — costs only this
+// connection: the codec counts the error, the handler returns, and the
+// campaign carries on over the surviving connections.
 func (s *Scheduler) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
@@ -286,25 +286,22 @@ func (s *Scheduler) handleConn(conn net.Conn) {
 		return
 	default:
 	}
-	cd, err := negotiate(conn, &s.wire)
-	if err != nil {
-		return
-	}
+	cd := newCodec(conn, &s.wire)
 	first, err := cd.read()
 	if err != nil {
 		return
 	}
 	switch first.Type {
-	case msgRegister:
+	case wire.TypeRegister:
 		// A register flag this scheduler does not know (a retired peer's
 		// multiplexing hello among them) would register a phantom worker
 		// whose first task is lost to a decode error: refuse it instead.
-		if first.Flags&^flagWantSnapshot != 0 {
+		if first.Flags&^wire.FlagWantSnapshot != 0 {
 			s.logf("cluster: refusing register from %q with unknown flags %#x", first.Name, first.Flags)
 			return
 		}
 		s.runWorkerProxy(conn, cd, first)
-	case msgSubmit:
+	case wire.TypeSubmit:
 		s.runClientProxy(cd, first)
 	default:
 		s.logf("cluster: unexpected first message %q", first.Type)
@@ -315,11 +312,11 @@ func (s *Scheduler) handleConn(conn net.Conn) {
 // worker that asked for it: the campaign epoch (tasks submitted so
 // far), the queue depth, and the sorted ids of every outstanding lease.
 // Its cost is O(in-flight tasks) — there is no history to replay.
-func (s *Scheduler) snapshot() *snapshotData {
+func (s *Scheduler) snapshot() *Snapshot {
 	// Pending sums the shards under a consistent view (every shard lock
 	// held at once) — reading shard lengths one at a time could count a
 	// task twice or not at all while pushes and steals are in flight.
-	snap := &snapshotData{
+	snap := &Snapshot{
 		Epoch:   uint64(atomic.LoadInt64(&s.stats.Submitted)),
 		Pending: s.queue.queued(),
 	}
@@ -342,7 +339,7 @@ func (s *Scheduler) snapshot() *snapshotData {
 type workerProxy struct {
 	s    *Scheduler
 	conn net.Conn
-	cd   codec
+	cd   *codec
 	name string
 
 	mu       sync.Mutex
@@ -368,7 +365,7 @@ func (w *workerProxy) snapshot() WorkerStats {
 // failure, with nannies disabled (§2.2.5).  A worker that is merely slow
 // loses the lease but keeps the connection, so one slow task cannot
 // permanently remove a healthy node from the pool.
-func (s *Scheduler) runWorkerProxy(conn net.Conn, cd codec, first *message) {
+func (s *Scheduler) runWorkerProxy(conn net.Conn, cd *codec, first *message) {
 	name := first.Name
 	w := &workerProxy{
 		s:        s,
@@ -399,11 +396,11 @@ func (s *Scheduler) runWorkerProxy(conn net.Conn, cd codec, first *message) {
 	// waits for the reader to close w.dead.
 	go w.readLoop()
 
-	// A worker that set flagWantSnapshot (our Worker always does) gets the
-	// compact catch-up state before its first assignment.  Raw registrants
-	// without the flag see the exact pre-snapshot protocol.
-	if first.Flags&flagWantSnapshot != 0 {
-		if err := cd.write(&message{Type: msgSnapshot, Snap: s.snapshot()}); err != nil {
+	// A worker that set wire.FlagWantSnapshot (our Worker always does)
+	// gets the compact catch-up state before its first assignment.  Raw
+	// registrants without the flag see the exact pre-snapshot protocol.
+	if first.Flags&wire.FlagWantSnapshot != 0 {
+		if err := cd.write(&message{Type: wire.TypeSnapshot, Snap: s.snapshot()}); err != nil {
 			return
 		}
 	}
@@ -439,7 +436,7 @@ func (w *workerProxy) dispatch(t *task) bool {
 	w.inflight[t.id] = l
 	w.mu.Unlock()
 
-	if err := w.cd.write(&message{Type: msgAssign, TaskID: t.id, Payload: t.payload}); err != nil {
+	if err := w.cd.write(&message{Type: wire.TypeAssign, TaskID: t.id, Payload: t.payload}); err != nil {
 		w.take(t.id)
 		s.requeue(t, w.name, fmt.Sprintf("assign write failed: %v", err))
 		return false
@@ -534,7 +531,7 @@ func (w *workerProxy) readLoop() {
 		w.ws.LastSeen = time.Now()
 		w.mu.Unlock()
 		switch m.Type {
-		case msgHeartbeat:
+		case wire.TypeHeartbeat:
 			if s.TaskTimeout > 0 {
 				w.mu.Lock()
 				if l, ok := w.inflight[m.TaskID]; ok {
@@ -542,7 +539,7 @@ func (w *workerProxy) readLoop() {
 				}
 				w.mu.Unlock()
 			}
-		case msgResult:
+		case wire.TypeResult:
 			l, held := w.take(m.TaskID)
 			if !held {
 				atomic.AddInt64(&s.stats.Stale, 1)
@@ -599,7 +596,7 @@ func (s *Scheduler) requeue(t *task, worker, why string) {
 	}
 	t.attempts++
 	if t.attempts >= s.MaxAttempts {
-		if t.complete(&message{Type: msgResult, TaskID: t.id, Err: "cluster: task abandoned after repeated worker failures"}, &s.stats.Failed) && s.OnEvent != nil {
+		if t.complete(&message{Type: wire.TypeResult, TaskID: t.id, Err: "cluster: task abandoned after repeated worker failures"}, &s.stats.Failed) && s.OnEvent != nil {
 			s.event(EventTaskAbandoned, worker, t.id, fmt.Sprintf("after %d attempts (%s)", t.attempts, why))
 		}
 		return
@@ -658,7 +655,7 @@ func (o *outbox) close() {
 // returns results as they complete.  Results may arrive out of submission
 // order; the TaskID correlates them.  One writer goroutine sends each
 // batch of queued results with a single write.
-func (s *Scheduler) runClientProxy(cd codec, first *message) {
+func (s *Scheduler) runClientProxy(cd *codec, first *message) {
 	out := &outbox{wake: make(chan struct{}, 1)}
 	writerDone := make(chan struct{})
 	clientDone := make(chan struct{})
@@ -702,7 +699,7 @@ func (s *Scheduler) runClientProxy(cd codec, first *message) {
 		if err != nil {
 			return
 		}
-		if m.Type != msgSubmit {
+		if m.Type != wire.TypeSubmit {
 			s.logf("cluster: client protocol violation: %q", m.Type)
 			return
 		}
@@ -711,9 +708,6 @@ func (s *Scheduler) runClientProxy(cd codec, first *message) {
 		}
 	}
 }
-
-// ensure log is referenced for default diagnostics wiring.
-var _ = log.Printf
 
 // String describes the scheduler state for diagnostics.
 func (s *Scheduler) String() string {

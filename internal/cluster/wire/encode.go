@@ -8,10 +8,9 @@ import (
 
 // Encoder frames messages onto one writer.  The frame is staged in a
 // reusable buffer and written with a single Write call, so steady-state
-// encoding allocates nothing and costs one syscall per message (the JSON
-// transport pays two: header, then body).  Encoder is not safe for
-// concurrent use; callers serialize writes per connection exactly as
-// they must for the underlying net.Conn.
+// encoding allocates nothing and costs one syscall per message.  Encoder
+// is not safe for concurrent use; callers serialize writes per
+// connection exactly as they must for the underlying net.Conn.
 type Encoder struct {
 	w   io.Writer
 	buf []byte

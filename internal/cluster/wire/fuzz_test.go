@@ -21,7 +21,7 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(frame)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{MagicByte0})
+	f.Add([]byte{byte(Magic >> 8)})
 	// A near-MaxFrame claim with no body: must fail fast, no allocation.
 	hostile := make([]byte, HeaderSize)
 	binary.BigEndian.PutUint16(hostile[0:2], Magic)

@@ -1,11 +1,12 @@
-// Package wire is the binary framing for the cluster plane: a hand-rolled
-// length-prefixed codec that replaces the JSON transport on the hot path
-// (submit → assign → result → heartbeat) with fixed-width headers and
-// varint-delimited fields.  The paper's deployment moved hundreds of
-// fitness tasks per generation between the Dask client, scheduler and
-// workers (§2.2.5); at that rate the envelope cost — reflection-driven
-// JSON marshal/unmarshal plus an allocation per message — dominates the
-// scheduler's CPU, so the codec here is built around two properties:
+// Package wire is the framing of the cluster plane, and its only one: a
+// hand-rolled length-prefixed codec that carries every protocol message
+// (register, submit → assign → result, heartbeat, snapshot) with
+// fixed-width headers and varint-delimited fields.  The paper's
+// deployment moved hundreds of fitness tasks per generation between the
+// Dask client, scheduler and workers (§2.2.5); at that rate the envelope
+// cost of a reflective text format — marshal/unmarshal plus an
+// allocation per message — would dominate the scheduler's CPU, so the
+// codec here is built around two properties:
 //
 //   - Zero-copy decode: Decode parses a frame into a Message whose byte
 //     fields alias the Decoder's internal buffer.  Nothing is copied and
@@ -18,8 +19,7 @@
 // Frame layout (all multi-byte integers big-endian):
 //
 //	offset size field
-//	0      2    magic     0xD5A7 — never a legal JSON length prefix,
-//	                      so one peeked byte selects the transport
+//	0      2    magic     0xD5A7
 //	2      1    version   format version (currently 1)
 //	3      1    type      message type (Register … Snapshot)
 //	4      1    flags     per-type bits (e.g. FlagWantSnapshot)
@@ -37,12 +37,10 @@
 //	Heartbeat: (empty)
 //	Snapshot:  epoch pending nleases { len(id) id }*
 //
-// The JSON transport frames messages as a 4-byte big-endian length
-// followed by a JSON object; its first byte is always ≤ 0x04 (lengths
-// are capped at 64 MiB), while a binary frame always begins 0xD5.  The
-// scheduler peeks that one byte per accepted connection and speaks
-// whichever protocol the peer chose — binary is the default, JSON the
-// compatibility fallback.
+// Every connection speaks this framing from its first byte; there is no
+// negotiation.  A peer that sends anything else — another framing, or a
+// frame corrupted in flight — fails Decode with one of the sentinels
+// below, and the cluster drops that one connection.
 package wire
 
 import (
@@ -50,25 +48,20 @@ import (
 	"fmt"
 )
 
-// Magic identifies a binary frame.  The first byte (0xD5) can never
-// begin a JSON-transport frame, whose leading length byte is ≤ 0x04.
+// Magic opens every frame; a stream that does not start with it is not
+// speaking this protocol (ErrBadMagic).
 const Magic uint16 = 0xD5A7
 
-// MagicByte0 is the first on-the-wire byte of every binary frame — the
-// single byte transport negotiation peeks at.
-const MagicByte0 byte = byte(Magic >> 8)
-
-// Version is the wire-format version encoded in every frame.  A
-// scheduler that sees a newer version drops the connection; the peer
-// falls back to reconnecting with JSON framing.
+// Version is the wire-format version encoded in every frame.  Decode
+// rejects any other version (ErrVersion), so a scheduler that sees one
+// drops the connection.
 const Version byte = 1
 
 // HeaderSize is the fixed frame-header length in bytes.
 const HeaderSize = 10
 
-// MaxFrame bounds the body of one frame, mirroring the JSON transport's
-// cap, so a corrupt or hostile length prefix cannot force a huge
-// allocation.
+// MaxFrame bounds the body of one frame (64 MiB), so a corrupt or
+// hostile length prefix cannot force a huge allocation.
 const MaxFrame = 64 << 20
 
 // MaxTaskID bounds the task-id field (it has a 1-byte length).

@@ -37,7 +37,7 @@ var retiredTypes = []byte{7, 8, 9, 10}
 
 // retiredFrame is a header-only frame carrying type byte typ.
 func retiredFrame(typ byte) []byte {
-	return []byte{MagicByte0, byte(Magic & 0xFF), Version, typ, 0, 0, 0, 0, 0, 0}
+	return []byte{byte(Magic >> 8), byte(Magic & 0xFF), Version, typ, 0, 0, 0, 0, 0, 0}
 }
 
 func equalMessages(a, b *Message) bool {

@@ -8,6 +8,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/cluster/wire"
 )
 
 // Handler executes one task payload and returns a result payload.  In the
@@ -64,15 +66,14 @@ type Worker struct {
 	// Logf, if non-nil, receives diagnostic output.
 	Logf func(format string, args ...interface{})
 
-	addr      string
-	transport Transport
-	dialer    Dialer
-	wire      wireCounters
+	addr   string
+	dialer Dialer
+	wire   wireCounters
 
 	mu     sync.Mutex // guards conn, cd, snap, closed
 	conn   net.Conn
-	cd     codec
-	snap   *snapshotData
+	cd     *codec
+	snap   *Snapshot
 	closed bool
 
 	// exec runs handlers; only the goroutine in Run touches it, and that
@@ -80,19 +81,12 @@ type Worker struct {
 	exec *executor
 }
 
-// NewWorker dials the scheduler and registers over the default binary
-// framing.
+// NewWorker dials the scheduler and registers.
 func NewWorker(addr, name string, handler Handler) (*Worker, error) {
-	return NewWorkerTransport(addr, name, handler, TransportBinary)
-}
-
-// NewWorkerTransport dials the scheduler and registers, speaking the
-// given framing for the life of the worker (reconnections included).
-func NewWorkerTransport(addr, name string, handler Handler, tr Transport) (*Worker, error) {
 	if handler == nil {
 		return nil, fmt.Errorf("cluster: worker needs a handler")
 	}
-	w := &Worker{Name: name, Handler: handler, addr: addr, transport: tr, dialer: tcpDialer(addr)}
+	w := &Worker{Name: name, Handler: handler, addr: addr, dialer: tcpDialer(addr)}
 	conn, cd, snap, err := w.dialAndRegister()
 	if err != nil {
 		return nil, err
@@ -101,17 +95,17 @@ func NewWorkerTransport(addr, name string, handler Handler, tr Transport) (*Work
 	return w, nil
 }
 
-// dialAndRegister dials, registers with flagWantSnapshot, and waits for
-// the scheduler's snapshot reply.  Registering mid-campaign therefore
+// dialAndRegister dials, registers with wire.FlagWantSnapshot, and waits
+// for the scheduler's snapshot reply.  Registering mid-campaign therefore
 // costs one compact frame — where the campaign stands and which leases
 // are outstanding — never a replay of history.
-func (w *Worker) dialAndRegister() (net.Conn, codec, *snapshotData, error) {
+func (w *Worker) dialAndRegister() (net.Conn, *codec, *Snapshot, error) {
 	conn, err := w.dialer.Dial()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	cd := dialCodec(w.transport, conn, &w.wire)
-	if err := cd.write(&message{Type: msgRegister, Name: w.Name, Flags: flagWantSnapshot}); err != nil {
+	cd := newCodec(conn, &w.wire)
+	if err := cd.write(&message{Type: wire.TypeRegister, Name: w.Name, Flags: wire.FlagWantSnapshot}); err != nil {
 		//lint:ignore errdiscard best-effort close of a half-registered conn; the register error is returned
 		conn.Close()
 		return nil, nil, nil, err
@@ -122,21 +116,19 @@ func (w *Worker) dialAndRegister() (net.Conn, codec, *snapshotData, error) {
 		conn.Close()
 		return nil, nil, nil, fmt.Errorf("cluster: reading register snapshot: %w", err)
 	}
-	if first.Type != msgSnapshot {
+	if first.Type != wire.TypeSnapshot {
 		//lint:ignore errdiscard best-effort close of a conn that broke protocol; the type error is returned
 		conn.Close()
 		return nil, nil, nil, fmt.Errorf("cluster: expected snapshot after register, got %q", first.Type)
 	}
-	snap := first.Snap
-	if snap == nil {
-		snap = &snapshotData{}
-	}
-	return conn, cd, snap, nil
+	return conn, cd, first.Snap, nil
 }
 
-// Snapshot is the catch-up state a worker received when it registered:
-// the campaign epoch (tasks submitted before it joined), the queue depth
-// at join time, and the leases that were outstanding.
+// Snapshot is the compact catch-up state the scheduler sends a worker
+// that registers, instead of any history replay: the campaign epoch
+// (tasks submitted before it joined), the queue depth at join time, and
+// the leases that were outstanding.  Its size is O(in-flight tasks),
+// independent of how long the campaign has been running.
 type Snapshot struct {
 	Epoch   uint64
 	Pending int
@@ -151,11 +143,9 @@ func (w *Worker) Snapshot() (Snapshot, bool) {
 	if w.snap == nil {
 		return Snapshot{}, false
 	}
-	return Snapshot{
-		Epoch:   w.snap.Epoch,
-		Pending: w.snap.Pending,
-		Leases:  append([]string(nil), w.snap.Leases...),
-	}, true
+	snap := *w.snap
+	snap.Leases = append([]string(nil), snap.Leases...)
+	return snap, true
 }
 
 // Wire returns a snapshot of the worker's transport counters across all
@@ -168,7 +158,7 @@ func (w *Worker) logf(format string, args ...interface{}) {
 	}
 }
 
-func (w *Worker) current() (net.Conn, codec) {
+func (w *Worker) current() (net.Conn, *codec) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.conn, w.cd
@@ -220,7 +210,7 @@ func (w *Worker) Run(ctx context.Context) error {
 // reconnect re-dials the scheduler with backoff until it succeeds, the
 // context is cancelled, Close is called, or MaxReconnects consecutive
 // attempts fail.
-func (w *Worker) reconnect(ctx context.Context, bo *backoff) (net.Conn, codec, error) {
+func (w *Worker) reconnect(ctx context.Context, bo *backoff) (net.Conn, *codec, error) {
 	attempts := 0
 	for {
 		if ctx.Err() != nil || w.isClosed() {
@@ -262,19 +252,19 @@ func (w *Worker) reconnect(ctx context.Context, bo *backoff) (net.Conn, codec, e
 }
 
 // serve pulls assignments from one connection until it fails.
-func (w *Worker) serve(ctx context.Context, cd codec) error {
+func (w *Worker) serve(ctx context.Context, cd *codec) error {
 	for {
 		m, err := cd.read()
 		if err != nil {
 			return err
 		}
-		if m.Type == msgSnapshot {
+		if m.Type == wire.TypeSnapshot {
 			w.mu.Lock()
 			w.snap = m.Snap
 			w.mu.Unlock()
 			continue
 		}
-		if m.Type != msgAssign {
+		if m.Type != wire.TypeAssign {
 			w.logf("cluster: worker %q got unexpected message %q; ignoring", w.Name, m.Type)
 			continue
 		}
@@ -326,7 +316,7 @@ func (ex *executor) stop() { close(ex.jobs) }
 // outcome, the next heartbeat and the task's context.  It returns nil
 // when the parent context was cancelled (worker shutting down), so that
 // Ctrl-C is never misreported as a task timeout.
-func (w *Worker) execute(ctx context.Context, cd codec, m *message) *message {
+func (w *Worker) execute(ctx context.Context, cd *codec, m *message) *message {
 	taskCtx := ctx
 	if w.TaskTimeout > 0 {
 		var cancel context.CancelFunc
@@ -360,7 +350,7 @@ func (w *Worker) execute(ctx context.Context, cd codec, m *message) *message {
 		case <-beats:
 			// A failed heartbeat is not fatal here; the serve loop will
 			// see the connection error on its next read or write.
-			_ = cd.write(&message{Type: msgHeartbeat, TaskID: m.TaskID})
+			_ = cd.write(&message{Type: wire.TypeHeartbeat, TaskID: m.TaskID})
 		case <-taskCtx.Done():
 			// The handler is still running: leave it its executor and
 			// start a fresh one for the next task.
@@ -373,7 +363,7 @@ func (w *Worker) execute(ctx context.Context, cd codec, m *message) *message {
 			// worker stays live for the next task — a hung handler must
 			// not wedge the worker.
 			w.logf("cluster: worker %q abandoning task %s after %v (handler ignored context)", w.Name, m.TaskID, w.TaskTimeout)
-			return &message{Type: msgResult, TaskID: m.TaskID,
+			return &message{Type: wire.TypeResult, TaskID: m.TaskID,
 				Err: fmt.Sprintf("cluster: task timed out after %v", w.TaskTimeout)}
 		}
 	}
@@ -394,7 +384,7 @@ func taskResult(ctx, taskCtx context.Context, id string, out handlerOut) *messag
 	if out.err != nil && errors.Is(out.err, context.Canceled) && ctx.Err() != nil {
 		return nil
 	}
-	res := &message{Type: msgResult, TaskID: id}
+	res := &message{Type: wire.TypeResult, TaskID: id}
 	if out.err != nil {
 		res.Err = out.err.Error()
 	} else {

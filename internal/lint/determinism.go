@@ -26,8 +26,8 @@ var deterministicPkgs = map[string]bool{
 	// stray clock or map-order leak in it breaks the resume contract.
 	"service": true,
 	// wire frames must encode byte-identically for the same message — the
-	// cross-transport golden tests compare campaign artifacts bit for
-	// bit, so the codec gets the same no-clock/no-rand discipline.
+	// cluster golden tests compare campaign artifacts bit for bit, so the
+	// codec gets the same no-clock/no-rand discipline.
 	"wire": true,
 }
 

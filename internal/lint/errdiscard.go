@@ -51,7 +51,7 @@ var ioPkgPaths = map[string]bool{
 }
 
 // ioFuncPrefixes match project-local helpers on the wire/shard paths
-// (writeMessage, readFrame, sendResult, …).
+// (writeBatch, readFrame, sendResult, …).
 var ioFuncPrefixes = []string{"write", "read", "send", "recv", "flush", "encode", "decode", "marshal", "unmarshal"}
 
 func runErrDiscard(pass *Pass) {

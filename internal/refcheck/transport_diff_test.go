@@ -11,31 +11,28 @@ import (
 	"repro/internal/deepmd"
 )
 
-// TestGoldenCampaignTransportDifferential is the cross-transport oracle
-// for the whole pipeline: the golden campaign run over the cluster plane
-// with binary framing, with JSON framing, and at different per-worker
-// thread counts must reproduce the committed local fixtures byte for
-// byte.  Local execution pins the same fixtures in
-// TestGoldenCampaignLocal, so any divergence here isolates a transport
-// bug rather than a numeric one.
+// TestGoldenCampaignTransportDifferential is the transport oracle for
+// the whole pipeline: the golden campaign run over the cluster plane's
+// wire framing at different per-worker thread counts must reproduce the
+// committed local fixtures byte for byte.  Local execution pins the same
+// fixtures in TestGoldenCampaignLocal, so any divergence here isolates a
+// transport bug rather than a numeric one.
 func TestGoldenCampaignTransportDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	train, val := goldenDataset(t)
 	cases := []struct {
-		name      string
-		transport cluster.Transport
-		threads   int
+		name    string
+		threads int
 	}{
-		{"binary_threads1", cluster.TransportBinary, 1},
-		{"binary_threads8", cluster.TransportBinary, 8},
-		{"json_threads1", cluster.TransportJSON, 1},
+		{"binary_threads1", 1},
+		{"binary_threads8", 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			worker := &GoldenEvaluator{Train: train, Val: val, Threads: tc.threads}
-			lc, err := cluster.NewLocalCluster(2, cluster.EvalHandler(worker), 0, cluster.WithTransport(tc.transport))
+			lc, err := cluster.NewLocalCluster(2, cluster.EvalHandler(worker), 0)
 			if err != nil {
 				t.Fatalf("local cluster: %v", err)
 			}
@@ -43,7 +40,7 @@ func TestGoldenCampaignTransportDifferential(t *testing.T) {
 
 			res, err := RunGoldenCampaign(context.Background(), &cluster.Evaluator{Client: lc.Client}, 2)
 			if err != nil {
-				t.Fatalf("golden campaign via %v cluster: %v", tc.transport, err)
+				t.Fatalf("golden campaign via cluster: %v", err)
 			}
 			checkGolden(t, "frontier.txt", []byte(FormatFrontier(res.Final)))
 			checkGolden(t, "hypervolume.txt", []byte(FormatHypervolume(res.Final)))
@@ -52,11 +49,11 @@ func TestGoldenCampaignTransportDifferential(t *testing.T) {
 }
 
 // TestGoldenLCurveTransportInvariance ships the reference candidate's
-// raw learning-curve bytes through a cluster round trip on each framing
-// and requires both to deliver the committed lcurve.out fixture exactly.
-// The lcurve is the most fragile artifact we emit — free-form text with
-// scientific-notation floats — so it makes a good payload-transparency
-// probe for the binary codec.
+// raw learning-curve bytes through a cluster round trip and requires it
+// to deliver the committed lcurve.out fixture exactly.  The lcurve is the
+// most fragile artifact we emit — free-form text with scientific-notation
+// floats — so it makes a good payload-transparency probe for the wire
+// codec.
 func TestGoldenLCurveTransportInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -77,23 +74,21 @@ func TestGoldenLCurveTransportInvariance(t *testing.T) {
 		return json.Marshal(buf.String())
 	}
 
-	for _, tr := range []cluster.Transport{cluster.TransportBinary, cluster.TransportJSON} {
-		t.Run(tr.String(), func(t *testing.T) {
-			lc, err := cluster.NewLocalCluster(1, handler, 0, cluster.WithTransport(tr))
-			if err != nil {
-				t.Fatalf("local cluster: %v", err)
-			}
-			defer lc.Close()
+	t.Run("binary", func(t *testing.T) {
+		lc, err := cluster.NewLocalCluster(1, handler, 0)
+		if err != nil {
+			t.Fatalf("local cluster: %v", err)
+		}
+		defer lc.Close()
 
-			out, err := lc.Client.Submit(context.Background(), json.RawMessage(`{}`))
-			if err != nil {
-				t.Fatalf("lcurve round trip via %v: %v", tr, err)
-			}
-			var lcurve string
-			if err := json.Unmarshal(out, &lcurve); err != nil {
-				t.Fatalf("bad lcurve payload via %v: %v", tr, err)
-			}
-			checkGolden(t, "lcurve.out", []byte(lcurve))
-		})
-	}
+		out, err := lc.Client.Submit(context.Background(), json.RawMessage(`{}`))
+		if err != nil {
+			t.Fatalf("lcurve round trip: %v", err)
+		}
+		var lcurve string
+		if err := json.Unmarshal(out, &lcurve); err != nil {
+			t.Fatalf("bad lcurve payload: %v", err)
+		}
+		checkGolden(t, "lcurve.out", []byte(lcurve))
+	})
 }

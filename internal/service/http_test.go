@@ -79,7 +79,7 @@ func waitStatusHTTP(t *testing.T, base, id string, want service.State) service.S
 func TestHTTPCampaignLifecycle(t *testing.T) {
 	_, srv := newTestServer(t, func(cfg *service.Config) {
 		cfg.SchedulerWire = func() cluster.WireStats {
-			return cluster.WireStats{FramesIn: 7, FramesOut: 9, BytesIn: 512, BytesOut: 1024, BinaryConns: 3}
+			return cluster.WireStats{FramesIn: 7, FramesOut: 9, BytesIn: 512, BytesOut: 1024, Conns: 3}
 		}
 		cfg.SchedulerQueue = func() []int { return []int{2, 0, 5} }
 	})
@@ -206,7 +206,7 @@ func TestHTTPCampaignLifecycle(t *testing.T) {
 		"repro_service_evaluations_total",
 		"repro_service_memo_misses_total",
 		"repro_cluster_wire_frames_in_total 7",
-		`repro_cluster_wire_conns_total{transport="binary"} 3`,
+		"repro_cluster_wire_conns_total 3\n",
 		`repro_cluster_queue_depth{shard="2"} 5`,
 	} {
 		if !strings.Contains(string(metrics), want) {

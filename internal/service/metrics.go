@@ -85,9 +85,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&buf, "# TYPE repro_cluster_wire_bytes_in_total counter\nrepro_cluster_wire_bytes_in_total %d\n", ws.BytesIn)
 		fmt.Fprintf(&buf, "# TYPE repro_cluster_wire_bytes_out_total counter\nrepro_cluster_wire_bytes_out_total %d\n", ws.BytesOut)
 		fmt.Fprintf(&buf, "# TYPE repro_cluster_wire_decode_errors_total counter\nrepro_cluster_wire_decode_errors_total %d\n", ws.DecodeErrors)
-		fmt.Fprintf(&buf, "# TYPE repro_cluster_wire_conns_total counter\n")
-		fmt.Fprintf(&buf, "repro_cluster_wire_conns_total{transport=\"binary\"} %d\n", ws.BinaryConns)
-		fmt.Fprintf(&buf, "repro_cluster_wire_conns_total{transport=\"json\"} %d\n", ws.JSONConns)
+		fmt.Fprintf(&buf, "# TYPE repro_cluster_wire_conns_total counter\nrepro_cluster_wire_conns_total %d\n", ws.Conns)
 	}
 	if s.cfg.SchedulerQueue != nil {
 		depths := s.cfg.SchedulerQueue()

@@ -76,15 +76,6 @@ func rawNpy(header string, payload []byte) []byte {
 	return buf.Bytes()
 }
 
-func frame(payload []byte) []byte {
-	var buf bytes.Buffer
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	buf.Write(hdr[:])
-	buf.Write(payload)
-	return buf.Bytes()
-}
-
 func main() {
 	npyDir := filepath.Join("internal", "npy", "testdata", "fuzz", "FuzzNpyRoundTrip")
 	valid := npyBytes([]int{2, 3}, []float64{1, 2, 3, 4, 5, 6})
@@ -110,23 +101,6 @@ func main() {
 		bytesEntry(rawNpy("{'descr': '>c16', 'fortran_order': False, 'shape': (1,), }", nil)))
 	writeCorpus(npyDir, "zero_dim",
 		bytesEntry(npyBytes([]int{0, 3}, nil)))
-
-	clusterDir := filepath.Join("internal", "cluster", "testdata", "fuzz", "FuzzProtoDecode")
-	writeCorpus(clusterDir, "register",
-		bytesEntry(frame([]byte(`{"type":"register","name":"worker-0"}`))))
-	writeCorpus(clusterDir, "submit",
-		bytesEntry(frame([]byte(`{"type":"submit","task_id":"t1","payload":{"genome":[0.5,-1.5]}}`))))
-	writeCorpus(clusterDir, "result_err",
-		bytesEntry(frame([]byte(`{"type":"result","task_id":"t1","err":"diverged"}`))))
-	writeCorpus(clusterDir, "empty_frame", bytesEntry(frame(nil)))
-	writeCorpus(clusterDir, "truncated_frame", bytesEntry(frame([]byte(`{"type":"submit"}`))[:8]))
-	var overLimit [4]byte
-	binary.BigEndian.PutUint32(overLimit[:], 64<<20+1)
-	writeCorpus(clusterDir, "over_limit_claim", bytesEntry(overLimit[:]))
-	var hostile [4]byte
-	binary.BigEndian.PutUint32(hostile[:], 63<<20)
-	writeCorpus(clusterDir, "hostile_length_no_body", bytesEntry(hostile[:]))
-	writeCorpus(clusterDir, "bad_json", bytesEntry(frame([]byte(`{"type":`))))
 
 	wireDir := filepath.Join("internal", "cluster", "wire", "testdata", "fuzz", "FuzzWireDecode")
 	writeCorpus(wireDir, "register",
@@ -156,19 +130,19 @@ func main() {
 	binary.BigEndian.PutUint32(hostileWire[6:10], 63<<20)
 	writeCorpus(wireDir, "hostile_length_no_body", bytesEntry(hostileWire))
 
-	diffDir := filepath.Join("internal", "cluster", "testdata", "fuzz", "FuzzTransportDifferential")
-	diff := func(typ, flags byte, taskID, name, errStr string, payload []byte, epoch, pending uint64, lease string) string {
+	msgDir := filepath.Join("internal", "cluster", "testdata", "fuzz", "FuzzMessageRoundTrip")
+	msg := func(typ, flags byte, taskID, name, errStr string, payload []byte, epoch, pending uint64, lease string) string {
 		return multiEntry(byteEntry(typ), byteEntry(flags),
 			stringEntry(taskID), stringEntry(name), stringEntry(errStr),
 			bytesEntry(payload), uint64Entry(epoch), uint64Entry(pending), stringEntry(lease))
 	}
-	writeCorpus(diffDir, "register", diff(0, 1, "", "worker-0", "", nil, 0, 0, ""))
-	writeCorpus(diffDir, "submit", diff(1, 0, "task-1", "", "", []byte(`{"genome":[0.5,-1.5]}`), 0, 0, ""))
-	writeCorpus(diffDir, "assign", diff(2, 0, "task-2", "", "", []byte(`{"genome":[1]}`), 0, 0, ""))
-	writeCorpus(diffDir, "result_err", diff(3, 0, "task-3", "", "diverged", []byte(`{"fitness":[2.5]}`), 0, 0, ""))
-	writeCorpus(diffDir, "heartbeat", diff(4, 0, "task-4", "", "", nil, 0, 0, ""))
-	writeCorpus(diffDir, "snapshot", diff(5, 0, "", "", "", nil, 981, 12, "lease-a"))
-	writeCorpus(diffDir, "non_utf8_id", diff(1, 0, "id-\xff\xfe", "", "", []byte{0x80, 0x81}, 0, 0, ""))
+	writeCorpus(msgDir, "register", msg(0, 1, "", "worker-0", "", nil, 0, 0, ""))
+	writeCorpus(msgDir, "submit", msg(1, 0, "task-1", "", "", []byte(`{"genome":[0.5,-1.5]}`), 0, 0, ""))
+	writeCorpus(msgDir, "assign", msg(2, 0, "task-2", "", "", []byte(`{"genome":[1]}`), 0, 0, ""))
+	writeCorpus(msgDir, "result_err", msg(3, 0, "task-3", "", "diverged", []byte(`{"fitness":[2.5]}`), 0, 0, ""))
+	writeCorpus(msgDir, "heartbeat", msg(4, 0, "task-4", "", "", nil, 0, 0, ""))
+	writeCorpus(msgDir, "snapshot", msg(5, 0, "", "", "", nil, 981, 12, "lease-a"))
+	writeCorpus(msgDir, "non_utf8_id", msg(1, 0, "id-\xff\xfe", "", "", []byte{0x80, 0x81}, 0, 0, ""))
 
 	streamDir := filepath.Join("internal", "dataset", "stream", "testdata", "fuzz", "FuzzShardIndex")
 	shardOK := npyBytes([]int{2, 6}, []float64{0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5, 8.5, 9.5, 10.5, 11.5})
