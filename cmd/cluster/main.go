@@ -7,17 +7,18 @@
 // Usage:
 //
 //	cluster -mode scheduler [-addr 127.0.0.1:7077] [-lease 10m] [-stats 30s] [-events]
-//	                        [-queue-depth 4096] [-queue-shards 8]
-//	cluster -mode worker    [-addr 127.0.0.1:7077] [-name w0] [-seed 2023] [-task-timeout 2h] [-heartbeat 15s]
+//	cluster -mode worker   [-addr 127.0.0.1:7077] [-name w0] [-seed 2023] [-task-timeout 2h] [-heartbeat 15s]
 //	cluster -mode drive     [-addr 127.0.0.1:7077] [-runs 1] [-pop 20] [-gens 3]
 //
 // Every worker and driver holds exactly one TCP connection to the
 // scheduler, as each Dask worker did, framed with the length-prefixed
-// binary wire protocol (internal/cluster/wire) from its first byte.
+// binary wire protocol (internal/cluster/wire) from its first byte.  The
+// scheduler's pending queue is one FIFO of 4096 tasks; a full queue
+// blocks submitters.
 //
-// The scheduler prints its Stats line every -stats interval and, on
-// Unix, dumps aggregate, per-shard queue-depth, and per-worker counters
-// on SIGUSR1.  Workers reconnect to a bounced scheduler with exponential
+// The scheduler prints its Stats line (pending-queue length included)
+// every -stats interval and, on Unix, dumps aggregate, wire, and
+// per-worker counters on SIGUSR1.  Workers reconnect to a bounced scheduler with exponential
 // backoff and renew their task leases with heartbeats while a training
 // runs.
 package main
@@ -53,8 +54,6 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", 15*time.Second, "worker: lease-renewal interval while executing; 0 disables")
 	maxReconnects := flag.Int("max-reconnects", 0, "worker: consecutive failed re-dials before giving up; 0 retries forever")
 	noMemo := flag.Bool("no-memo", false, "drive: disable genome-keyed fitness memoization")
-	queueDepth := flag.Int("queue-depth", 4096, "scheduler: pending-task capacity across all shards; full queue blocks submitters")
-	queueShards := flag.Int("queue-shards", 8, "scheduler: pending-queue shard count (rounded to a power of two)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -62,10 +61,7 @@ func main() {
 
 	switch *mode {
 	case "scheduler":
-		sched, err := cluster.NewSchedulerWithConfig(*addr, cluster.SchedulerConfig{
-			QueueDepth:  *queueDepth,
-			QueueShards: *queueShards,
-		})
+		sched, err := cluster.NewScheduler(*addr)
 		if err != nil {
 			log.Fatalf("scheduler: %v", err)
 		}
@@ -78,7 +74,6 @@ func main() {
 		dump := func() {
 			log.Printf("stats: %s", sched)
 			log.Printf("%s", sched.Wire())
-			log.Printf("queue: shard_depths=%v", sched.QueueDepths())
 			for _, ws := range sched.WorkerStats() {
 				log.Printf("stats: %s", ws)
 			}

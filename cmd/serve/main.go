@@ -10,14 +10,13 @@
 //	serve [-addr 127.0.0.1:8080] [-checkpoint-dir DIR]
 //	      [-backend local|remote] [-workers 4] [-scheduler-addr HOST:PORT]
 //	      [-seed 2023] [-lease 10m] [-no-memo]
-//	      [-queue-depth 4096]
 //	      [-max-concurrent 4] [-max-active-per-tenant 2]
 //	      [-max-campaigns-per-tenant 16] [-max-inflight-per-tenant 64]
 //	      [-drain-timeout 30s]
 //
 // Every worker and the client hold one TCP connection each to the
-// scheduler; -queue-depth bounds the local scheduler's pending queue,
-// blocking submitters when it fills.
+// scheduler, whose pending queue is one FIFO of 4096 tasks that blocks
+// submitters when it fills.
 //
 // The local backend starts an in-process scheduler plus -workers
 // surrogate workers (the single-machine analogue of the paper's Summit
@@ -65,20 +64,17 @@ func main() {
 	maxCampaigns := flag.Int("max-campaigns-per-tenant", 16, "one tenant's queued+running campaigns")
 	maxInflight := flag.Int("max-inflight-per-tenant", 64, "one tenant's concurrent evaluations")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight legs to checkpoint on shutdown")
-	queueDepth := flag.Int("queue-depth", 4096, "local backend: scheduler pending-task capacity; full queue blocks submitters")
 	flag.Parse()
 
 	if err := run(*addr, *backend, *workers, *schedulerAddr, *seed, *lease, *noMemo,
-		*checkpointDir, *maxConcurrent, *maxActive, *maxCampaigns, *maxInflight, *drainTimeout,
-		*queueDepth); err != nil {
+		*checkpointDir, *maxConcurrent, *maxActive, *maxCampaigns, *maxInflight, *drainTimeout); err != nil {
 		log.Fatalf("serve: %v", err)
 	}
 }
 
 func run(addr, backend string, workers int, schedulerAddr string, seed int64,
 	lease time.Duration, noMemo bool, checkpointDir string,
-	maxConcurrent, maxActive, maxCampaigns, maxInflight int, drainTimeout time.Duration,
-	queueDepth int) error {
+	maxConcurrent, maxActive, maxCampaigns, maxInflight int, drainTimeout time.Duration) error {
 
 	var events cluster.EventCounters
 	cfg := service.Config{
@@ -94,8 +90,7 @@ func run(addr, backend string, workers int, schedulerAddr string, seed int64,
 
 	switch backend {
 	case "local":
-		lc, err := cluster.NewLocalCluster(workers, cluster.EvalHandler(surrogate.NewEvaluator(surrogate.Config{Seed: seed})), lease,
-			cluster.WithQueueDepth(queueDepth))
+		lc, err := cluster.NewLocalCluster(workers, cluster.EvalHandler(surrogate.NewEvaluator(surrogate.Config{Seed: seed})), lease)
 		if err != nil {
 			return fmt.Errorf("local fleet: %w", err)
 		}
@@ -110,7 +105,6 @@ func run(addr, backend string, workers int, schedulerAddr string, seed int64,
 			return lc.Scheduler.Stats(), lc.Scheduler.WorkerStats()
 		}
 		cfg.SchedulerWire = lc.Scheduler.Wire
-		cfg.SchedulerQueue = lc.Scheduler.QueueDepths
 	case "remote":
 		client, err := cluster.NewClient(schedulerAddr)
 		if err != nil {

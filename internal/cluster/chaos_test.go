@@ -545,8 +545,9 @@ func TestVanishedClientDoesNotBlockWorkerReader(t *testing.T) {
 	if err != nil || string(out) != `{"next":true}` {
 		t.Fatalf("task after the vanished client: %s, %v", out, err)
 	}
-	// The queue is sharded, so a held task can still be running: nobody
-	// waits on the vanished client's results, so wait for the worker's.
+	// The worker runs tasks in order, but WorkerStats.Completed is bumped
+	// after the result is published, so the next task's result can
+	// arrive before the count settles: wait for it.
 	waitFor(t, "the one worker to complete every task", func() bool {
 		ws := sched.WorkerStats()
 		return len(ws) == 1 && ws[0].Completed == held+1

@@ -314,8 +314,8 @@ func TestSchedulerString(t *testing.T) {
 		t.Fatalf("NewScheduler: %v", err)
 	}
 	defer sched.Close()
-	if !strings.Contains(sched.String(), "Scheduler{") {
-		t.Errorf("String() = %q", sched.String())
+	if s := sched.String(); !strings.Contains(s, "Scheduler{") || !strings.Contains(s, " pending=0}") {
+		t.Errorf("String() = %q", s)
 	}
 }
 
@@ -495,5 +495,106 @@ func TestMultipleClientsShareWorkers(t *testing.T) {
 	}
 	if st := lc.Scheduler.Stats(); st.Completed != 20 {
 		t.Errorf("completed %d, want 20", st.Completed)
+	}
+}
+
+// TestPendingQueueBackpressureFIFO pins the pending queue's two
+// promises.  With no worker connected, a raw submitter writes one task
+// more than the queue holds: the last submission blocks and is counted
+// once in QueueWaits.  A worker that joins then runs every task in
+// submission order.
+func TestPendingQueueBackpressureFIFO(t *testing.T) {
+	sched, err := NewScheduler("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled := watchBooks(t, sched)
+	defer sched.Close()
+
+	conn, err := net.Dial("tcp", sched.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const n = queueDepth + 1
+	subs := make([]*message, n)
+	for i := range subs {
+		subs[i] = &message{Type: wire.TypeSubmit, TaskID: fmt.Sprintf("t%d", i), Payload: json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))}
+	}
+	cd := newCodec(conn, &wireCounters{})
+	if err := cd.writeBatch(subs); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the queue to fill and the last submission to block", func() bool {
+		st := sched.Stats()
+		return st.Submitted == n && st.QueueWaits == 1 && st.Pending == queueDepth
+	})
+
+	var mu sync.Mutex
+	var ran []string
+	record := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+		mu.Lock()
+		ran = append(ran, string(payload))
+		mu.Unlock()
+		return payload, nil
+	}
+	w, err := NewWorker(sched.Addr(), "only", record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if snap, ok := w.Snapshot(); !ok || snap.Pending != queueDepth {
+		t.Errorf("join snapshot = %+v, %v; want Pending %d", snap, ok, queueDepth)
+	}
+	go func() { _ = w.Run(context.Background()) }()
+
+	if err := conn.SetReadDeadline(time.Now().Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		m, err := cd.read()
+		if err != nil {
+			t.Fatalf("result %d: %v", i, err)
+		}
+		if m.Type != wire.TypeResult || m.Err != "" {
+			t.Fatalf("result %d: %+v", i, m)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ran) != n {
+		t.Fatalf("worker ran %d tasks, want %d", len(ran), n)
+	}
+	for i, p := range ran {
+		if p != string(subs[i].Payload) {
+			t.Fatalf("task %d run was %s, want %s: dispatch is not FIFO", i, p, subs[i].Payload)
+		}
+	}
+	if st := sched.Stats(); st.QueueWaits != 1 || st.Pending != 0 {
+		t.Errorf("after the drain: %+v, want QueueWaits 1 and Pending 0", st)
+	}
+	settled()
+}
+
+// TestPendingQueueClosedWhileFull: a submission that finds the queue
+// full waits for a slot or for Close, and Close makes it give up.
+func TestPendingQueueClosedWhileFull(t *testing.T) {
+	sched, err := NewScheduler("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sched.Close()
+	for i := 0; i < queueDepth; i++ {
+		sched.pending <- &task{}
+	}
+	done := make(chan bool)
+	go func() { done <- sched.enqueue(&task{}) }()
+	waitFor(t, "the enqueue to block", func() bool { return sched.Stats().QueueWaits == 1 })
+	sched.Close()
+	if <-done {
+		t.Error("enqueue on a full queue succeeded after Close")
+	}
+	if st := sched.Stats(); st.Pending != queueDepth {
+		t.Errorf("Pending = %d, want %d", st.Pending, queueDepth)
 	}
 }

@@ -21,29 +21,12 @@ type LocalCluster struct {
 	cancel    context.CancelFunc
 }
 
-// LocalOption adjusts a LocalCluster before it starts.
-type LocalOption func(*localConfig)
-
-type localConfig struct {
-	queueDepth int
-}
-
-// WithQueueDepth bounds the scheduler's pending-task queue; submitters
-// block when it fills (default SchedulerConfig's 4096).
-func WithQueueDepth(n int) LocalOption {
-	return func(cfg *localConfig) { cfg.queueDepth = n }
-}
-
 // NewLocalCluster starts everything on 127.0.0.1 with the given handler
 // and per-worker task timeout (0 = none).  Workers are wired with a fast
 // reconnect schedule, so a locally bounced scheduler is reacquired in
 // tens of milliseconds rather than the production default's seconds.
-func NewLocalCluster(nWorkers int, handler Handler, taskTimeout time.Duration, opts ...LocalOption) (*LocalCluster, error) {
-	var cfg localConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	sched, err := NewSchedulerWithConfig("127.0.0.1:0", SchedulerConfig{QueueDepth: cfg.queueDepth})
+func NewLocalCluster(nWorkers int, handler Handler, taskTimeout time.Duration) (*LocalCluster, error) {
+	sched, err := NewScheduler("127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}

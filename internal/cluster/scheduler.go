@@ -61,7 +61,14 @@ type Stats struct {
 	Stale      int64 // late/duplicate results discarded
 	Workers    int64 // workers currently connected
 	QueueWaits int64 // enqueues that blocked on a full pending queue (backpressure)
+	Pending    int64 // tasks waiting in the pending queue (a gauge)
 }
+
+// queueDepth bounds the scheduler's pending queue.  A submitter that
+// finds it full blocks, and Stats.QueueWaits counts the wait.  A paper
+// campaign puts at most one wave of five runs × 100 individuals in
+// flight, so 4096 only pushes back on a submitter far beyond that.
+const queueDepth = 4096
 
 // lease tracks one in-flight assignment: which task a worker is holding
 // and until when the scheduler believes it.  Heartbeats renew the
@@ -95,14 +102,18 @@ type Scheduler struct {
 	// the scheduler.  Set it before the first connection arrives.
 	OnEvent func(Event)
 
-	ln       net.Listener
-	queue    *dispatchQueue
-	stats    Stats
-	wire     wireCounters
-	wg       sync.WaitGroup
-	closed   chan struct{}
-	once     sync.Once
-	nextHome atomic.Uint32
+	ln net.Listener
+	// pending is the dispatch queue: one bounded FIFO channel.  A send
+	// that finds worker proxies parked on it hands the task straight to
+	// the one that has waited longest (Go serves blocked receivers in
+	// order), so load spreads round-robin and a worker that just bounced
+	// a task cannot win it straight back from a parked healthy one.
+	pending chan *task
+	stats   Stats
+	wire    wireCounters
+	wg      sync.WaitGroup
+	closed  chan struct{}
+	once    sync.Once
 
 	workersMu sync.Mutex
 	workers   map[*workerProxy]struct{}
@@ -111,40 +122,8 @@ type Scheduler struct {
 	conns   map[net.Conn]struct{}
 }
 
-// SchedulerConfig tunes the scheduler's dispatch queue.  The zero value
-// selects the defaults, which match the previous hard-coded behaviour
-// (a 4096-task queue) plus sharding.
-type SchedulerConfig struct {
-	// QueueDepth bounds the tasks queued across all shards; submitters
-	// block (and Stats.QueueWaits counts) when it is full.  Default 4096.
-	QueueDepth int
-	// QueueShards is the number of pending-queue shards (rounded up to a
-	// power of two, capped at 256).  Default 8.
-	QueueShards int
-}
-
-func (c *SchedulerConfig) applyDefaults() {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4096
-	}
-	if c.QueueShards <= 0 {
-		c.QueueShards = 8
-	}
-	if c.QueueShards > 256 {
-		c.QueueShards = 256
-	}
-}
-
-// NewScheduler creates a scheduler listening on addr (e.g. "127.0.0.1:0")
-// with default queue settings.
+// NewScheduler creates a scheduler listening on addr (e.g. "127.0.0.1:0").
 func NewScheduler(addr string) (*Scheduler, error) {
-	return NewSchedulerWithConfig(addr, SchedulerConfig{})
-}
-
-// NewSchedulerWithConfig creates a scheduler with an explicit queue
-// configuration.
-func NewSchedulerWithConfig(addr string, cfg SchedulerConfig) (*Scheduler, error) {
-	cfg.applyDefaults()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -152,11 +131,11 @@ func NewSchedulerWithConfig(addr string, cfg SchedulerConfig) (*Scheduler, error
 	s := &Scheduler{
 		MaxAttempts: 3,
 		ln:          ln,
+		pending:     make(chan *task, queueDepth),
 		closed:      make(chan struct{}),
 		workers:     make(map[*workerProxy]struct{}),
 		conns:       make(map[net.Conn]struct{}),
 	}
-	s.queue = newDispatchQueue(cfg.QueueDepth, cfg.QueueShards, s.closed)
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -181,15 +160,9 @@ func (s *Scheduler) Stats() Stats {
 		Expired:    atomic.LoadInt64(&s.stats.Expired),
 		Stale:      atomic.LoadInt64(&s.stats.Stale),
 		Workers:    atomic.LoadInt64(&s.stats.Workers),
-		QueueWaits: s.queue.waits.Load(),
+		QueueWaits: atomic.LoadInt64(&s.stats.QueueWaits),
+		Pending:    int64(len(s.pending)),
 	}
-}
-
-// QueueDepths returns the per-shard pending-queue depths under a
-// consistent view (all shard locks held at once), for stats dumps and
-// metrics.
-func (s *Scheduler) QueueDepths() []int {
-	return s.queue.depths(make([]int, 0, len(s.queue.shards)))
 }
 
 // Wire returns a snapshot of the scheduler's transport counters,
@@ -313,12 +286,9 @@ func (s *Scheduler) handleConn(conn net.Conn) {
 // far), the queue depth, and the sorted ids of every outstanding lease.
 // Its cost is O(in-flight tasks) — there is no history to replay.
 func (s *Scheduler) snapshot() *Snapshot {
-	// Pending sums the shards under a consistent view (every shard lock
-	// held at once) — reading shard lengths one at a time could count a
-	// task twice or not at all while pushes and steals are in flight.
 	snap := &Snapshot{
 		Epoch:   uint64(atomic.LoadInt64(&s.stats.Submitted)),
-		Pending: s.queue.queued(),
+		Pending: len(s.pending),
 	}
 	s.workersMu.Lock()
 	for w := range s.workers {
@@ -405,12 +375,13 @@ func (s *Scheduler) runWorkerProxy(conn net.Conn, cd *codec, first *message) {
 		}
 	}
 
-	// Each proxy pops from its own home shard first (assigned round-robin
-	// so proxies spread across shards) and steals from the rest.
-	waiter := s.queue.newWaiter(s.nextHome.Add(1))
 	for {
-		t, ok := s.queue.pop(waiter, w.dead)
-		if !ok {
+		var t *task
+		select {
+		case t = <-s.pending:
+		case <-w.dead:
+			return
+		case <-s.closed:
 			return
 		}
 		if t.isDone() {
@@ -603,10 +574,28 @@ func (s *Scheduler) requeue(t *task, worker, why string) {
 	}
 	atomic.AddInt64(&s.stats.Reassigned, 1)
 	s.event(EventRequeue, worker, t.id, why)
-	// A push that fails means the scheduler closed; dropping the task is
-	// deliberate — the client connection is going down with the scheduler,
-	// and a reconnecting client resubmits.
-	s.queue.push(t)
+	// An enqueue that fails means the scheduler closed; dropping the task
+	// is deliberate — the client connection is going down with the
+	// scheduler, and a reconnecting client resubmits.
+	s.enqueue(t)
+}
+
+// enqueue puts t on the pending queue, blocking while the queue is full;
+// a submission that has to wait is counted once in Stats.QueueWaits.  It
+// reports false if the scheduler closed before a slot freed.
+func (s *Scheduler) enqueue(t *task) bool {
+	select {
+	case s.pending <- t:
+		return true
+	default:
+	}
+	atomic.AddInt64(&s.stats.QueueWaits, 1)
+	select {
+	case s.pending <- t:
+		return true
+	case <-s.closed:
+		return false
+	}
 }
 
 // outbox queues one client connection's results for its writer.  put
@@ -685,7 +674,7 @@ func (s *Scheduler) runClientProxy(cd *codec, first *message) {
 
 	submit := func(m *message) error {
 		atomic.AddInt64(&s.stats.Submitted, 1)
-		if !s.queue.push(&task{id: m.TaskID, payload: m.Payload, out: out}) {
+		if !s.enqueue(&task{id: m.TaskID, payload: m.Payload, out: out}) {
 			return errors.New("scheduler closed")
 		}
 		return nil
@@ -712,6 +701,6 @@ func (s *Scheduler) runClientProxy(cd *codec, first *message) {
 // String describes the scheduler state for diagnostics.
 func (s *Scheduler) String() string {
 	st := s.Stats()
-	return fmt.Sprintf("Scheduler{addr=%s workers=%d submitted=%d completed=%d failed=%d reassigned=%d expired=%d stale=%d queue_waits=%d}",
-		s.Addr(), st.Workers, st.Submitted, st.Completed, st.Failed, st.Reassigned, st.Expired, st.Stale, st.QueueWaits)
+	return fmt.Sprintf("Scheduler{addr=%s workers=%d submitted=%d completed=%d failed=%d reassigned=%d expired=%d stale=%d queue_waits=%d pending=%d}",
+		s.Addr(), st.Workers, st.Submitted, st.Completed, st.Failed, st.Reassigned, st.Expired, st.Stale, st.QueueWaits, st.Pending)
 }

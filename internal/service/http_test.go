@@ -81,7 +81,9 @@ func TestHTTPCampaignLifecycle(t *testing.T) {
 		cfg.SchedulerWire = func() cluster.WireStats {
 			return cluster.WireStats{FramesIn: 7, FramesOut: 9, BytesIn: 512, BytesOut: 1024, Conns: 3}
 		}
-		cfg.SchedulerQueue = func() []int { return []int{2, 0, 5} }
+		cfg.SchedulerStats = func() (cluster.Stats, []cluster.WorkerStats) {
+			return cluster.Stats{Submitted: 12, QueueWaits: 1, Pending: 5}, nil
+		}
 	})
 	base := srv.URL
 
@@ -207,11 +209,15 @@ func TestHTTPCampaignLifecycle(t *testing.T) {
 		"repro_service_memo_misses_total",
 		"repro_cluster_wire_frames_in_total 7",
 		"repro_cluster_wire_conns_total 3\n",
-		`repro_cluster_queue_depth{shard="2"} 5`,
+		"repro_cluster_queue_waits_total 1\n",
+		"repro_cluster_queue_depth 5\n",
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
 		}
+	}
+	if strings.Contains(string(metrics), "repro_cluster_queue_depth{") {
+		t.Errorf("queue depth is one unlabelled gauge, got labelled lines:\n%s", metrics)
 	}
 
 	// pprof is mounted.

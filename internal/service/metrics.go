@@ -67,6 +67,8 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&buf, "# TYPE repro_cluster_tasks_stale_total counter\nrepro_cluster_tasks_stale_total %d\n", st.Stale)
 		fmt.Fprintf(&buf, "# HELP repro_cluster_queue_waits_total Submissions that blocked on a full pending queue (backpressure).\n")
 		fmt.Fprintf(&buf, "# TYPE repro_cluster_queue_waits_total counter\nrepro_cluster_queue_waits_total %d\n", st.QueueWaits)
+		fmt.Fprintf(&buf, "# HELP repro_cluster_queue_depth Tasks waiting in the pending queue.\n")
+		fmt.Fprintf(&buf, "# TYPE repro_cluster_queue_depth gauge\nrepro_cluster_queue_depth %d\n", st.Pending)
 		fmt.Fprintf(&buf, "# TYPE repro_cluster_workers gauge\nrepro_cluster_workers %d\n", len(workers))
 		fmt.Fprintf(&buf, "# TYPE repro_cluster_worker_inflight gauge\n")
 		for _, ws := range workers { // WorkerStats arrives sorted by name
@@ -86,14 +88,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&buf, "# TYPE repro_cluster_wire_bytes_out_total counter\nrepro_cluster_wire_bytes_out_total %d\n", ws.BytesOut)
 		fmt.Fprintf(&buf, "# TYPE repro_cluster_wire_decode_errors_total counter\nrepro_cluster_wire_decode_errors_total %d\n", ws.DecodeErrors)
 		fmt.Fprintf(&buf, "# TYPE repro_cluster_wire_conns_total counter\nrepro_cluster_wire_conns_total %d\n", ws.Conns)
-	}
-	if s.cfg.SchedulerQueue != nil {
-		depths := s.cfg.SchedulerQueue()
-		fmt.Fprintf(&buf, "# HELP repro_cluster_queue_depth Pending tasks per dispatch-queue shard.\n")
-		fmt.Fprintf(&buf, "# TYPE repro_cluster_queue_depth gauge\n")
-		for i, d := range depths {
-			fmt.Fprintf(&buf, "repro_cluster_queue_depth{shard=\"%d\"} %d\n", i, d)
-		}
 	}
 	if s.cfg.SchedulerEvents != nil {
 		types, counts := s.cfg.SchedulerEvents.Counts()

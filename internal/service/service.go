@@ -106,9 +106,6 @@ type Config struct {
 	// counters into /metrics (wire it to Scheduler.Wire, or Client.Wire
 	// for a remote backend).
 	SchedulerWire func() cluster.WireStats
-	// SchedulerQueue, if non-nil, feeds per-shard pending-queue depths
-	// into /metrics (wire it to Scheduler.QueueDepths).
-	SchedulerQueue func() []int
 }
 
 func (cfg Config) withDefaults() Config {
