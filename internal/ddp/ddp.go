@@ -1,86 +1,72 @@
 // Package ddp simulates Horovod-style distributed data-parallel training
 // (§2.1.2): several workers each compute gradients on their own shard of a
-// minibatch, the gradients are combined with a ring allreduce, and every
-// worker applies the same averaged update.  The paper's scale_by_worker
-// gene controls how the learning rate is scaled by the worker count in
-// this regime; nn.WorkerScale implements the schemes.
+// minibatch, the gradients are averaged in a fixed order, and one averaged
+// update is applied.  The paper's scale_by_worker gene controls how the
+// learning rate is scaled by the worker count in this regime;
+// nn.WorkerScale implements the schemes.
+//
+// There is no allgather.  Horovod's ranks each hold their own copy of the
+// parameters, so its allreduce must leave the mean on every rank.  The
+// simulated workers here run on in-process replicas that share one
+// parameter copy, so the mean is reduced once, into one destination (the
+// model's gradient), and the single optimizer step taken on it is seen by
+// every replica.
 package ddp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 )
 
-// AllReduceMean averages the gradient buffers of all workers in place:
-// after the call every buffer holds the elementwise mean.  The reduction
-// is organized as a ring — each worker owns a contiguous chunk, reduces it
-// across peers, then broadcasts — matching how Horovod moves data, though
-// here peers are goroutines rather than GPUs.
-func AllReduceMean(buffers [][]float64) error {
+// ReduceMean writes the elementwise mean of buffers into dst, leaving the
+// buffers untouched.  It is the reduce-scatter half of a ring allreduce:
+// chunk k of dst is computed on its own goroutine as buffers[k] plus the
+// peers p = 0, 1, … in ascending order (k skipped), then scaled by
+// 1/len(buffers) — a fixed per-element order, so the mean is the same
+// bits however the chunks are scheduled.
+func ReduceMean(dst []float64, buffers [][]float64) error {
 	if len(buffers) == 0 {
-		return nil
+		return errors.New("ddp: no buffers to reduce")
 	}
-	n := len(buffers[0])
 	for i, b := range buffers {
-		if len(b) != n {
-			return fmt.Errorf("ddp: buffer %d length %d != %d", i, len(b), n)
+		if len(b) != len(dst) {
+			return fmt.Errorf("ddp: buffer %d length %d != %d", i, len(b), len(dst))
 		}
 	}
-	w := len(buffers)
-	if w == 1 {
-		return nil
-	}
-
-	// Chunk boundaries: worker k owns [starts[k], starts[k+1]).
-	starts := make([]int, w+1)
-	for k := 0; k <= w; k++ {
-		starts[k] = k * n / w
-	}
-
 	var wg sync.WaitGroup
-	// Reduce-scatter: worker k sums chunk k from all peers into its own
-	// buffer.
-	for k := 0; k < w; k++ {
+	for k := 1; k < len(buffers); k++ {
 		wg.Add(1)
-		go func(k int) {
+		go func() {
 			defer wg.Done()
-			lo, hi := starts[k], starts[k+1]
-			own := buffers[k]
-			for p := 0; p < w; p++ {
-				if p == k {
-					continue
-				}
-				peer := buffers[p]
-				for i := lo; i < hi; i++ {
-					own[i] += peer[i]
-				}
-			}
-			inv := 1 / float64(w)
-			for i := lo; i < hi; i++ {
-				own[i] *= inv
-			}
-		}(k)
+			reduceChunk(dst, buffers, k)
+		}()
 	}
-	wg.Wait()
-
-	// Allgather: every worker copies each owner's reduced chunk.
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			for owner := 0; owner < w; owner++ {
-				if owner == k {
-					continue
-				}
-				lo, hi := starts[owner], starts[owner+1]
-				copy(buffers[k][lo:hi], buffers[owner][lo:hi])
-			}
-		}(k)
-	}
+	reduceChunk(dst, buffers, 0)
 	wg.Wait()
 	return nil
+}
+
+// reduceChunk writes chunk k of the mean (see ReduceMean) into dst.
+func reduceChunk(dst []float64, buffers [][]float64, k int) {
+	n, w := len(dst), len(buffers)
+	lo, hi := k*n/w, (k+1)*n/w
+	d := dst[lo:hi]
+	copy(d, buffers[k][lo:hi])
+	for p, peer := range buffers {
+		if p == k {
+			continue
+		}
+		for i, v := range peer[lo:hi] {
+			d[i] += v
+		}
+	}
+	inv := 1 / float64(w)
+	for i := range d {
+		d[i] *= inv
+	}
 }
 
 // ShardIndices partitions frame indices [0, total) round-robin across
@@ -97,8 +83,8 @@ func ShardIndices(total, nWorkers, w int) []int {
 	return out
 }
 
-// Group runs the data-parallel step "workers compute → allreduce →
-// apply": NWorkers gradient computations per step, at most Replicas of
+// Group runs the data-parallel step "workers compute → reduce to the
+// mean": NWorkers gradient computations per step, at most Replicas of
 // them at once.  This mirrors the paper's 6-GPU-per-node Horovod layout,
 // where each GPU holds a replica of the model and trains on its own
 // batch.
@@ -124,19 +110,19 @@ func NewGroup(nWorkers, replicas, nParams int) *Group {
 }
 
 // Step runs compute(r, w, grad) once per worker w — on replica r, which
-// must leave worker w's gradient in grad — allreduces the buffers to
-// their mean and hands it to apply.  Replicas claim worker indices in
-// ascending order from a shared counter; replica 0 is the calling
-// goroutine, so a single replica is a plain loop, and every goroutine
-// Step starts has returned before Step does.
+// must leave worker w's gradient in grad, whatever grad held before — and
+// writes the workers' mean gradient into dst (ReduceMean).  Replicas
+// claim worker indices in ascending order from a shared counter; replica
+// 0 is the calling goroutine, so a single replica is a plain loop, and
+// every goroutine Step starts has returned before Step does.
 //
 // A replica stops claiming once ctx is done or a worker has failed.
 // Step then returns ctx.Err() if the context ended, otherwise the error
 // of the lowest-numbered failing worker: every worker below it was
 // claimed earlier and runs to completion, so which error is returned
-// does not depend on the replica count or on timing.  apply runs only
-// when every worker succeeded.
-func (g *Group) Step(ctx context.Context, compute func(r, w int, grad []float64) error, apply func(mean []float64)) error {
+// does not depend on the replica count or on timing.  dst is written
+// only when every worker succeeded.
+func (g *Group) Step(ctx context.Context, compute func(r, w int, grad []float64) error, dst []float64) error {
 	clear(g.errs)
 	var next atomic.Int64
 	var failed atomic.Bool
@@ -169,9 +155,5 @@ func (g *Group) Step(ctx context.Context, compute func(r, w int, grad []float64)
 			return err
 		}
 	}
-	if err := AllReduceMean(g.flat); err != nil {
-		return err
-	}
-	apply(g.flat[0])
-	return nil
+	return ReduceMean(dst, g.flat)
 }

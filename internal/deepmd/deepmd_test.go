@@ -153,16 +153,23 @@ func TestBatchGradMatchesLossFiniteDifference(t *testing.T) {
 	}
 }
 
-// TestBatchGradSteadyStateAllocs pins the fused training sweep at zero
-// allocations from the second call on: the first sizes the workspace,
-// every later one only reuses it.
+// TestBatchGradSteadyStateAllocs pins a worker's step on a replica —
+// binding the replica's gradient views to the worker's buffer, clearing
+// it and the fused training sweep — at zero allocations from the second
+// call on: the first sizes the workspace, every later one only reuses it.
 func TestBatchGradSteadyStateAllocs(t *testing.T) {
 	d := tinyData(t, 2)
 	m, _ := NewModel(rand.New(rand.NewSource(3)), tinyModelConfig())
 	frames := []*dataset.Frame{&d.Frames[0], &d.Frames[1]}
-	ws := &batchScratch{threads: 1}
+	rep := m.newReplica(1, len(frames))
+	bufs := [][]float64{make([]float64, m.ParamCount()), make([]float64, m.ParamCount())}
+	step := 0
 	sweep := func() {
-		if err := m.accumulateBatchGrad(ws, d.Types, frames, 0.7, 1.3, 1e-4); err != nil {
+		grad := bufs[step%2]
+		step++
+		nn.Bind(rep.m.layers, nil, grad)
+		clear(grad)
+		if err := rep.m.accumulateBatchGrad(&rep.ws, d.Types, frames, 0.7, 1.3, 1e-4); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,26 +179,75 @@ func TestBatchGradSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func TestFlatGradRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	m, _ := NewModel(rng, tinyModelConfig())
+// TestModelArenaViews checks the arena layout after NewModel and after
+// LoadModel: every layer's W, B, GradW and GradB is the arena window at
+// its Params offset with cap == len, so an append to a view reallocates
+// instead of overwriting its neighbour, and a gradient accumulated
+// through the views is the gradient arena.
+func TestModelArenaViews(t *testing.T) {
+	built, _ := NewModel(rand.New(rand.NewSource(4)), tinyModelConfig())
+	var saved bytes.Buffer
+	if err := built.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadModel(&saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*Model{"NewModel": built, "LoadModel": loaded} {
+		params := m.Params()
+		if want := 2 * len(m.layers); len(params) != want {
+			t.Fatalf("%s: %d tensors, want %d", name, len(params), want)
+		}
+		off := 0
+		for i, pg := range params {
+			n := len(pg.Param)
+			if n == 0 || len(pg.Grad) != n || cap(pg.Param) != n || cap(pg.Grad) != n {
+				t.Fatalf("%s: tensor %d has len %d/%d, cap %d/%d", name, i, n, len(pg.Grad), cap(pg.Param), cap(pg.Grad))
+			}
+			if &pg.Param[0] != &m.param[off] || &pg.Grad[0] != &m.grad[off] {
+				t.Fatalf("%s: tensor %d is not the arena window at offset %d", name, i, off)
+			}
+			next := off + n
+			if next < len(m.param) {
+				before := m.param[next]
+				grown := append(pg.Param, 42)
+				if &grown[0] == &m.param[off] || m.param[next] != before {
+					t.Fatalf("%s: append to tensor %d wrote into its neighbour", name, i)
+				}
+			}
+			off = next
+		}
+		if off != len(m.param) || off != m.ParamCount() || len(m.grad) != off {
+			t.Fatalf("%s: tensors cover %d of %d parameters", name, off, len(m.param))
+		}
+	}
+	for i := range built.param {
+		if built.param[i] != loaded.param[i] {
+			t.Fatalf("LoadModel parameter %d = %v, saved %v", i, loaded.param[i], built.param[i])
+		}
+	}
+
 	d := tinyData(t, 1)
 	fr := &d.Frames[0]
-	m.ZeroGrad()
-	m.AccumulateEnergyGrad(fr.Coord, d.Types, fr.Box, 1.0)
-	flat := m.FlatGrad(nil)
-	if len(flat) != m.ParamCount() {
-		t.Fatalf("flat grad length %d, want %d", len(flat), m.ParamCount())
-	}
-	for i := range flat {
-		flat[i] *= 2
-	}
-	m.SetFlatGrad(flat)
-	flat2 := m.FlatGrad(nil)
-	for i := range flat {
-		if flat2[i] != flat[i] {
-			t.Fatal("SetFlatGrad/FlatGrad not inverse")
+	built.ZeroGrad()
+	built.AccumulateEnergyGrad(fr.Coord, d.Types, fr.Box, 1.0)
+	nonzero := 0
+	for _, pg := range built.Params() {
+		for _, g := range pg.Grad {
+			if g != 0 {
+				nonzero++
+			}
 		}
+	}
+	arena := 0
+	for _, g := range built.grad {
+		if g != 0 {
+			arena++
+		}
+	}
+	if nonzero == 0 || nonzero != arena {
+		t.Fatalf("%d nonzero gradients through the views, %d in the arena", nonzero, arena)
 	}
 }
 

@@ -65,12 +65,18 @@ type Model struct {
 	// from the training-set mean so the networks only learn residuals.
 	Bias []float64
 
+	// param and grad are the model's two arenas: every layer's W and B
+	// view param, and its GradW and GradB the same windows of grad, in
+	// layers order (nn.Pack).
+	param, grad []float64
+	// layers lists every layer in arena order: the embedding nets in
+	// index order, then the fitting nets, each net's layers in order.
+	layers []*nn.Dense
+
 	// threads bounds the per-atom worker pool (and EvalErrors' frame
 	// pool).  Results are bit-identical for every value: per-atom
 	// contributions are always merged in atom-index order.
 	threads int
-	// params caches the Params() view, built once at construction.
-	params []nn.ParamGrad
 	// scratch pools per-worker evaluation state (environments, tapes,
 	// neighbor lists).
 	scratch sync.Pool
@@ -89,8 +95,9 @@ func NewModel(rng *rand.Rand, cfg ModelConfig) (*Model, error) {
 	for t := 0; t < cfg.NumSpecies; t++ {
 		m.Fit = append(m.Fit, nn.NewMLP(rng, cfg.Descriptor.OutDim(), cfg.FittingSizes, 1, cfg.FittingActivation))
 	}
+	m.layers = m.collectLayers()
+	m.param, m.grad = nn.Pack(m.layers)
 	m.threads = runtime.GOMAXPROCS(0)
-	m.params = m.buildParams()
 	m.scratch.New = func() any { return &evalScratch{} }
 	return m, nil
 }
@@ -428,57 +435,25 @@ func (m *Model) evalFrame(s *evalScratch, coord []float64, types []int, box floa
 	return energy, s.forces
 }
 
-// Params returns every trainable parameter (descriptor embeddings plus
-// fitting networks) for optimizers and data-parallel reduction.  The
-// result is cached at construction; callers must not append to it.
-func (m *Model) Params() []nn.ParamGrad {
-	if m.params != nil {
-		return m.params
+// collectLayers lists m's layers in arena order (see Model.layers).
+func (m *Model) collectLayers() []*nn.Dense {
+	var ls []*nn.Dense
+	for _, net := range m.Desc.Embed {
+		ls = append(ls, net.Layers...)
 	}
-	return m.buildParams()
+	for _, net := range m.Fit {
+		ls = append(ls, net.Layers...)
+	}
+	return ls
 }
 
-func (m *Model) buildParams() []nn.ParamGrad {
-	out := append([]nn.ParamGrad(nil), m.Desc.Params()...)
-	for _, f := range m.Fit {
-		out = append(out, f.Params()...)
-	}
-	return out
-}
+// Params returns every parameter tensor (descriptor embeddings, then
+// fitting networks) paired with its gradient, in arena order: the
+// per-tensor view Save and LoadModel use.  Each call builds a new slice.
+func (m *Model) Params() []nn.ParamGrad { return nn.Params(m.layers) }
 
-// ZeroGrad clears all gradient accumulators.
-func (m *Model) ZeroGrad() {
-	m.Desc.ZeroGrad()
-	for _, f := range m.Fit {
-		f.ZeroGrad()
-	}
-}
+// ZeroGrad clears the gradient arena.
+func (m *Model) ZeroGrad() { clear(m.grad) }
 
 // ParamCount returns the total number of trainable parameters.
-func (m *Model) ParamCount() int {
-	n := m.Desc.ParamCount()
-	for _, f := range m.Fit {
-		n += f.ParamCount()
-	}
-	return n
-}
-
-// FlatGrad copies all gradient accumulators into a single vector.
-func (m *Model) FlatGrad(dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, m.ParamCount())
-	}
-	k := 0
-	for _, pg := range m.Params() {
-		k += copy(dst[k:], pg.Grad)
-	}
-	return dst
-}
-
-// SetFlatGrad overwrites the gradient accumulators from a flat vector.
-func (m *Model) SetFlatGrad(src []float64) {
-	k := 0
-	for _, pg := range m.Params() {
-		k += copy(pg.Grad, src[k:k+len(pg.Grad)])
-	}
-}
+func (m *Model) ParamCount() int { return len(m.param) }

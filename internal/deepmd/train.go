@@ -47,8 +47,8 @@ type TrainConfig struct {
 	// evaluations spread frames over all Threads.  0 means GOMAXPROCS.  Training output is
 	// bit-identical for every value — a worker's gradient does not depend
 	// on which replica computes it, and gradients are reduced in a fixed
-	// order — so Threads trades wall time (and, per extra replica, one
-	// set of gradient accumulators plus a workspace) only.
+	// order — so Threads trades wall time (and, per extra replica, a
+	// workspace) only.
 	Threads int
 	// Seed drives batch sampling.
 	Seed int64
@@ -140,15 +140,14 @@ func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg Trai
 
 	sched := nn.ExpDecaySchedule{Start: cfg.StartLR, Stop: cfg.StopLR, TotalSteps: cfg.Steps}
 	opt := nn.NewAdam()
-	params := m.Params()
 
 	// The step's Workers gradients are computed on min(Threads, Workers)
 	// replicas, as the paper's node computes them on its six GPUs.
 	reps := make([]*replica, min(m.threads, cfg.Workers))
 	for r := range reps {
-		reps[r] = m.newReplica(r, m.threads/len(reps), cfg.BatchSize)
+		reps[r] = m.newReplica(m.threads/len(reps), cfg.BatchSize)
 	}
-	group := ddp.NewGroup(cfg.Workers, len(reps), m.ParamCount())
+	group := ddp.NewGroup(cfg.Workers, len(reps), len(m.param))
 
 	// Sampling is drawn one step ahead of consumption: idx holds the
 	// current step's frame indices, nextIdx the following step's.  The
@@ -192,12 +191,14 @@ func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg Trai
 		}
 
 		// Each simulated worker computes the gradient of its own random
-		// batch on whichever replica is free.  The replicas share the
-		// parameters and nothing else, so the gradient of worker w is the
-		// same bits on any of them.
+		// batch on whichever replica is free, straight into its buffer in
+		// the group; the mean lands in the model's gradient arena.  The
+		// replicas share the parameters and nothing else, so the gradient
+		// of worker w is the same bits on any of them.
 		err := group.Step(ctx, func(r, w int, grad []float64) error {
 			rep := reps[r]
-			rep.m.ZeroGrad()
+			nn.Bind(rep.m.layers, nil, grad)
+			clear(grad)
 			for b, fi := range idx[w*cfg.BatchSize : (w+1)*cfg.BatchSize] {
 				fr, err := train.Frame(fi)
 				if err != nil {
@@ -209,17 +210,17 @@ func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg Trai
 				return err
 			}
 			if cfg.BatchSize > 1 {
-				scaleFlat(rep.m, 1/float64(cfg.BatchSize))
+				s := 1 / float64(cfg.BatchSize)
+				for i := range grad {
+					grad[i] *= s
+				}
 			}
-			rep.m.FlatGrad(grad)
 			return nil
-		}, func(mean []float64) {
-			m.SetFlatGrad(mean)
-			opt.Step(params, lr)
-		})
+		}, m.grad)
 		if err != nil {
 			return res, err
 		}
+		opt.Step(m.param, m.grad, lr)
 		idx, nextIdx = nextIdx, idx
 		res.StepsRun = step + 1
 
@@ -246,28 +247,27 @@ func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg Trai
 }
 
 // replica is one data-parallel copy of the model inside TrainSource: a
-// view that aliases the model's W, B and Bias and owns private gradient
-// accumulators, with the workspace one worker's gradient needs.  The view
-// serves accumulateBatchGrad only: it has no inference scratch pool.
+// view whose layers alias the model's W, B and Bias and own no gradient
+// storage — each worker binds them to its own buffer — with the
+// workspace one worker's gradient needs.  The view serves
+// accumulateBatchGrad only: it has no arenas and no inference scratch
+// pool.
 type replica struct {
 	m     *Model
 	ws    batchScratch
 	batch []*dataset.Frame
 }
 
-// newReplica builds replica r, whose forwardSlots pool is bounded by
-// threads.  Replica 0 is the model itself; the others are shadow clones,
-// so only gradient accumulators and the workspace are per replica.
-func (m *Model) newReplica(r, threads, batchSize int) *replica {
-	rep := &replica{m: m, ws: batchScratch{threads: threads}, batch: make([]*dataset.Frame, batchSize)}
-	if r > 0 {
-		rep.m = &Model{Cfg: m.Cfg, Desc: m.Desc.ShadowClone(), Bias: m.Bias}
-		for _, f := range m.Fit {
-			rep.m.Fit = append(rep.m.Fit, f.ShadowClone())
-		}
-		rep.m.params = rep.m.buildParams()
+// newReplica builds a replica whose forwardSlots pool is bounded by
+// threads.  Its layers are shadow clones, so the model's own gradient
+// views never leave its arena and only the workspace is per replica.
+func (m *Model) newReplica(threads, batchSize int) *replica {
+	s := &Model{Cfg: m.Cfg, Desc: m.Desc.ShadowClone(), Bias: m.Bias}
+	for _, f := range m.Fit {
+		s.Fit = append(s.Fit, f.ShadowClone())
 	}
-	return rep
+	s.layers = s.collectLayers()
+	return &replica{m: s, ws: batchScratch{threads: threads}, batch: make([]*dataset.Frame, batchSize)}
 }
 
 // initBias sets the per-species energy bias so the untrained network
@@ -283,15 +283,6 @@ func initBias(m *Model, src FrameSource) {
 	perAtom := src.MeanEnergy() / float64(natoms)
 	for t := range m.Bias {
 		m.Bias[t] = perAtom
-	}
-}
-
-// scaleFlat multiplies every gradient accumulator by s.
-func scaleFlat(m *Model, s float64) {
-	for _, pg := range m.Params() {
-		for i := range pg.Grad {
-			pg.Grad[i] *= s
-		}
 	}
 }
 

@@ -138,7 +138,7 @@ func TestBackwardEnvBatchGeometryMatchesBackward(t *testing.T) {
 			t.Fatalf("dcoord[%d] = %v (fused) vs %v (per-atom Backward)", k, got[k], want[k])
 		}
 	}
-	for _, pg := range d.Params() {
+	for _, pg := range nn.Params(embedLayers(d)) {
 		for _, g := range pg.Grad {
 			if g != 0 {
 				t.Fatal("BackwardEnvBatchGeometry accumulated parameter gradients")

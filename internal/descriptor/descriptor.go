@@ -74,9 +74,6 @@ type Descriptor struct {
 	// (center, neighbour) pair (index = center·NumSpecies + neighbour).
 	Embed []*nn.MLP
 
-	// params caches the Params() view (built by New/ShadowClone).
-	params []nn.ParamGrad
-
 	// envPool recycles Envs between Forward and Release so the
 	// convenience API is allocation-free in steady state, like the
 	// explicit ForwardEnv reuse path.
@@ -84,14 +81,15 @@ type Descriptor struct {
 }
 
 // ShadowClone returns a descriptor sharing this one's embedding
-// parameters but owning private gradient accumulators, so data-parallel
-// replicas can run BackwardEnvBatchParams concurrently without racing.
+// parameters with no gradient accumulators of its own (see
+// nn.Dense.ShadowClone): each data-parallel replica binds its clone's
+// gradients to the buffer of the worker it computes, so replicas run
+// BackwardEnvBatchParams concurrently without racing.
 func (d *Descriptor) ShadowClone() *Descriptor {
 	s := &Descriptor{Cfg: d.Cfg, Switch: d.Switch, Embed: make([]*nn.MLP, len(d.Embed))}
 	for i, m := range d.Embed {
 		s.Embed[i] = m.ShadowClone()
 	}
-	s.params = s.buildParams()
 	return s
 }
 
@@ -129,7 +127,6 @@ func New(rng *rand.Rand, cfg Config) (*Descriptor, error) {
 		// nonlinearity).
 		d.Embed = append(d.Embed, nn.NewMLP(rng, 1, hidden, cfg.M1(), cfg.Activation))
 	}
-	d.params = d.buildParams()
 	return d, nil
 }
 
@@ -513,30 +510,6 @@ func (d *Descriptor) geometryChain(env *Env, dcoord []float64) {
 			dcoord[3*env.center+k] -= dd[k]
 		}
 	}
-}
-
-// ZeroGrad clears all embedding-network gradients.
-func (d *Descriptor) ZeroGrad() {
-	for _, m := range d.Embed {
-		m.ZeroGrad()
-	}
-}
-
-// Params returns all embedding parameters for the optimizer.  The result
-// is cached at construction; callers must not append to it.
-func (d *Descriptor) Params() []nn.ParamGrad {
-	if d.params != nil {
-		return d.params
-	}
-	return d.buildParams()
-}
-
-func (d *Descriptor) buildParams() []nn.ParamGrad {
-	var out []nn.ParamGrad
-	for _, m := range d.Embed {
-		out = append(out, m.Params()...)
-	}
-	return out
 }
 
 // ParamCount returns the total embedding parameter count.

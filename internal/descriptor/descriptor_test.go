@@ -286,7 +286,6 @@ func TestDescriptorParameterGradients(t *testing.T) {
 		return s
 	}
 
-	d.ZeroGrad()
 	var eb EnvBatch
 	envs := make([]*Env, len(types))
 	for i := range envs {
@@ -296,7 +295,7 @@ func TestDescriptorParameterGradients(t *testing.T) {
 	d.BackwardEnvBatchParams(&eb, envs, func(int) []float64 { return w })
 
 	const h = 1e-6
-	for pi, pg := range d.Params() {
+	for pi, pg := range nn.Params(embedLayers(d)) {
 		for j := 0; j < len(pg.Param); j += 5 {
 			orig := pg.Param[j]
 			pg.Param[j] = orig + h
@@ -316,7 +315,6 @@ func TestBackwardInferenceDoesNotTouchParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	d, _ := New(rng, testConfig())
 	coord, types, box := testConfiguration()
-	d.ZeroGrad()
 	env := d.Forward(coord, types, box, 0)
 	dOut := make([]float64, d.Cfg.OutDim())
 	for i := range dOut {
@@ -324,7 +322,7 @@ func TestBackwardInferenceDoesNotTouchParams(t *testing.T) {
 	}
 	dcoord := make([]float64, len(coord))
 	d.Backward(env, dOut, dcoord)
-	for _, pg := range d.Params() {
+	for _, pg := range nn.Params(embedLayers(d)) {
 		for _, g := range pg.Grad {
 			if g != 0 {
 				t.Fatal("inference Backward accumulated parameter gradients")
@@ -432,4 +430,14 @@ func TestPairTypeEmbeddingDiffersByCenter(t *testing.T) {
 	if same {
 		t.Error("pair embedding gave identical descriptors for different center types")
 	}
+}
+
+// embedLayers lists every embedding-network layer of d, nets in index
+// order.
+func embedLayers(d *Descriptor) []*nn.Dense {
+	var ls []*nn.Dense
+	for _, m := range d.Embed {
+		ls = append(ls, m.Layers...)
+	}
+	return ls
 }

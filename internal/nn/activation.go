@@ -3,7 +3,7 @@
 // dense layers, the five activation functions the paper's EA selects
 // between (relu, relu6, softplus, sigmoid, tanh), manual backpropagation
 // with input gradients (needed because atomic forces are the negative
-// gradient of the predicted energy), SGD and Adam optimizers, and the
+// gradient of the predicted energy), the Adam optimizer, and the
 // exponentially decaying learning-rate schedule DeePMD uses between
 // start_lr and stop_lr.
 package nn

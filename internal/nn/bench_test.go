@@ -154,15 +154,13 @@ func BenchmarkActivations(b *testing.B) {
 func BenchmarkAdamStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	m := NewMLP(rng, 400, []int{240, 240, 240}, 1, Tanh)
-	params := m.Params()
-	for _, pg := range params {
-		for i := range pg.Grad {
-			pg.Grad[i] = rng.NormFloat64()
-		}
+	param, grad := Pack(m.Layers)
+	for i := range grad {
+		grad[i] = rng.NormFloat64()
 	}
 	opt := NewAdam()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opt.Step(params, 1e-3)
+		opt.Step(param, grad, 1e-3)
 	}
 }

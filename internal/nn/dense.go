@@ -7,7 +7,8 @@ import (
 )
 
 // Dense is a fully connected layer y = act(W·x + b) with weights stored
-// row-major: W[out][in] at index out*In + in.
+// row-major: W[out][in] at index out*In + in.  W, B and the gradient
+// accumulators may be views into arenas a model owns (see Pack).
 type Dense struct {
 	In, Out int
 	W       []float64 // len In*Out
@@ -100,7 +101,7 @@ func (d *Dense) ForwardInto(tr *Trace, x []float64) []float64 {
 // Backward accumulates parameter gradients given the upstream gradient
 // dL/dy and returns dL/dx.  The returned slice is owned by the trace and
 // overwritten by the next Backward/InputGrad replay of the same trace.
-// Call ZeroGrad before a new minibatch.
+// Clear the accumulators before a new minibatch.
 func (d *Dense) Backward(tr *Trace, dy []float64) (dx []float64) {
 	if len(dy) != d.Out {
 		panic(fmt.Sprintf("nn: dense upstream grad %d, want %d", len(dy), d.Out))
@@ -156,26 +157,11 @@ func (d *Dense) InputGrad(tr *Trace, dy []float64) (dx []float64) {
 }
 
 // ShadowClone returns a layer sharing this layer's parameters (W and B
-// alias the receiver's storage) but owning fresh, zeroed gradient
-// accumulators.  Shadow layers let concurrent workers accumulate
-// gradients without racing on the shared accumulators.
+// alias the receiver's storage) with no gradient accumulators of its own:
+// a data-parallel replica binds GradW and GradB to a worker's gradient
+// buffer (Bind) before it accumulates.
 func (d *Dense) ShadowClone() *Dense {
-	return &Dense{
-		In: d.In, Out: d.Out, Act: d.Act,
-		W: d.W, B: d.B,
-		GradW: make([]float64, len(d.GradW)),
-		GradB: make([]float64, len(d.GradB)),
-	}
-}
-
-// ZeroGrad clears the gradient accumulators.
-func (d *Dense) ZeroGrad() {
-	for i := range d.GradW {
-		d.GradW[i] = 0
-	}
-	for i := range d.GradB {
-		d.GradB[i] = 0
-	}
+	return &Dense{In: d.In, Out: d.Out, Act: d.Act, W: d.W, B: d.B}
 }
 
 // ParamCount returns the number of trainable parameters.
@@ -184,10 +170,6 @@ func (d *Dense) ParamCount() int { return len(d.W) + len(d.B) }
 // MLP is a feed-forward stack of dense layers.
 type MLP struct {
 	Layers []*Dense
-
-	// params caches the Params() view; built once by the constructors so
-	// hot loops don't rebuild the slice every call.
-	params []ParamGrad
 }
 
 // NewMLP builds a network with the given hidden sizes and activation,
@@ -202,18 +184,16 @@ func NewMLP(rng *rand.Rand, inDim int, hidden []int, outDim int, act Activation)
 		prev = h
 	}
 	m.Layers = append(m.Layers, NewDense(rng, prev, outDim, Identity))
-	m.params = m.buildParams()
 	return m
 }
 
 // ShadowClone returns an MLP whose layers share the receiver's parameters
-// but own private gradient accumulators.  See Dense.ShadowClone.
+// and own no gradient accumulators.  See Dense.ShadowClone.
 func (m *MLP) ShadowClone() *MLP {
 	s := &MLP{Layers: make([]*Dense, len(m.Layers))}
 	for i, l := range m.Layers {
 		s.Layers[i] = l.ShadowClone()
 	}
-	s.params = s.buildParams()
 	return s
 }
 
@@ -275,13 +255,6 @@ func (m *MLP) InputGrad(tape *Tape, dy []float64) []float64 {
 	return cur
 }
 
-// ZeroGrad clears every layer's gradient accumulators.
-func (m *MLP) ZeroGrad() {
-	for _, l := range m.Layers {
-		l.ZeroGrad()
-	}
-}
-
 // ParamCount returns the total number of trainable parameters.
 func (m *MLP) ParamCount() int {
 	n := 0
@@ -291,27 +264,61 @@ func (m *MLP) ParamCount() int {
 	return n
 }
 
-// Params returns views of every parameter slice paired with its gradient
-// accumulator, in a stable order, for optimizers and allreduce.  The
-// result is cached at construction; callers must not append to it.
-func (m *MLP) Params() []ParamGrad {
-	if m.params != nil {
-		return m.params
-	}
-	return m.buildParams()
+// ParamGrad pairs a parameter tensor with its gradient accumulator.  Both
+// slices alias layer storage, so updates through them are visible in
+// place.
+type ParamGrad struct {
+	Param []float64
+	Grad  []float64
 }
 
-func (m *MLP) buildParams() []ParamGrad {
-	out := make([]ParamGrad, 0, 2*len(m.Layers))
-	for _, l := range m.Layers {
+// Params lists the layers' tensors in arena order — per layer W, then B —
+// each paired with its gradient.
+func Params(layers []*Dense) []ParamGrad {
+	out := make([]ParamGrad, 0, 2*len(layers))
+	for _, l := range layers {
 		out = append(out, ParamGrad{Param: l.W, Grad: l.GradW}, ParamGrad{Param: l.B, Grad: l.GradB})
 	}
 	return out
 }
 
-// ParamGrad pairs a parameter slice with its gradient accumulator.  Both
-// slices alias layer storage, so optimizer updates are visible in place.
-type ParamGrad struct {
-	Param []float64
-	Grad  []float64
+// Pack moves the layers' parameters into one new arena, in Params order,
+// and gives them a second, zeroed arena of the same layout for their
+// gradients; every W, B, GradW and GradB becomes a view into the two (see
+// Bind).  The parameter values are unchanged.
+func Pack(layers []*Dense) (param, grad []float64) {
+	n := 0
+	for _, l := range layers {
+		n += l.ParamCount()
+	}
+	param, grad = make([]float64, n), make([]float64, n)
+	off := 0
+	for _, l := range layers {
+		off += copy(param[off:], l.W)
+		off += copy(param[off:], l.B)
+	}
+	Bind(layers, param, grad)
+	return param, grad
+}
+
+// Bind points the layers' W and B at consecutive windows of param, in
+// Params order, and GradW and GradB at the same windows of grad; a nil
+// arena leaves that side as it is.  Every view is capacity-clipped, so an
+// append to one reallocates instead of overwriting its neighbour.  Bind
+// allocates nothing: a data-parallel replica rebinds its gradients onto
+// each worker's buffer it computes.
+//
+//lint:hot
+func Bind(layers []*Dense, param, grad []float64) {
+	off := 0
+	for _, l := range layers {
+		w, b := off+l.In*l.Out, off+l.In*l.Out+l.Out
+		if param != nil {
+			l.W, l.B = param[off:w:w], param[w:b:b]
+		}
+		if grad != nil {
+			l.GradW, l.GradB = grad[off:w:w], grad[w:b:b]
+		}
+		off = b
+	}
 }

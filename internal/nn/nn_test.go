@@ -112,8 +112,7 @@ func gradCheckMLP(t *testing.T, act Activation) {
 		return s / 2
 	}
 
-	// Analytic gradients.
-	m.ZeroGrad()
+	// Analytic gradients (a fresh network's accumulators are zero).
 	y, tape := m.Forward(x)
 	dy := make([]float64, len(y))
 	copy(dy, y) // dL/dy = y
@@ -121,7 +120,7 @@ func gradCheckMLP(t *testing.T, act Activation) {
 
 	const h = 1e-6
 	// Parameter gradients.
-	for pi, pg := range m.Params() {
+	for pi, pg := range Params(m.Layers) {
 		for j := 0; j < len(pg.Param); j += 7 { // sample every 7th parameter
 			orig := pg.Param[j]
 			pg.Param[j] = orig + h
@@ -160,7 +159,6 @@ func TestMLPInputGradMatchesBackward(t *testing.T) {
 	x := []float64{0.1, 0.2, 0.3}
 	_, tape := m.Forward(x)
 	dy := []float64{1}
-	m.ZeroGrad()
 	dxB := m.Backward(tape, dy)
 	_, tape2 := m.Forward(x)
 	dxI := m.InputGrad(tape2, dy)
@@ -170,10 +168,13 @@ func TestMLPInputGradMatchesBackward(t *testing.T) {
 		}
 	}
 	// InputGrad must not have touched parameter gradients.
-	m.ZeroGrad()
+	params := Params(m.Layers)
+	for _, pg := range params {
+		clear(pg.Grad)
+	}
 	_, tape3 := m.Forward(x)
 	m.InputGrad(tape3, dy)
-	for _, pg := range m.Params() {
+	for _, pg := range params {
 		for _, g := range pg.Grad {
 			if g != 0 {
 				t.Fatal("InputGrad accumulated parameter gradients")
@@ -187,7 +188,6 @@ func TestGradientsAccumulate(t *testing.T) {
 	m := NewMLP(rng, 2, nil, 1, Identity)
 	x := []float64{1, 2}
 	dy := []float64{1}
-	m.ZeroGrad()
 	_, tape := m.Forward(x)
 	m.Backward(tape, dy)
 	g1 := append([]float64(nil), m.Layers[0].GradW...)
@@ -200,43 +200,13 @@ func TestGradientsAccumulate(t *testing.T) {
 	}
 }
 
-func TestSGDReducesQuadratic(t *testing.T) {
-	// Minimize (w-3)² with SGD: parameter must approach 3.
-	w := []float64{0}
-	g := []float64{0}
-	params := []ParamGrad{{Param: w, Grad: g}}
-	opt := NewSGD(0)
-	for i := 0; i < 200; i++ {
-		g[0] = 2 * (w[0] - 3)
-		opt.Step(params, 0.1)
-	}
-	if math.Abs(w[0]-3) > 1e-6 {
-		t.Errorf("SGD converged to %v, want 3", w[0])
-	}
-}
-
-func TestSGDMomentumReducesQuadratic(t *testing.T) {
-	w := []float64{0}
-	g := []float64{0}
-	params := []ParamGrad{{Param: w, Grad: g}}
-	opt := NewSGD(0.9)
-	for i := 0; i < 400; i++ {
-		g[0] = 2 * (w[0] - 3)
-		opt.Step(params, 0.01)
-	}
-	if math.Abs(w[0]-3) > 1e-4 {
-		t.Errorf("momentum SGD converged to %v, want 3", w[0])
-	}
-}
-
 func TestAdamReducesQuadratic(t *testing.T) {
 	w := []float64{-5}
 	g := []float64{0}
-	params := []ParamGrad{{Param: w, Grad: g}}
 	opt := NewAdam()
 	for i := 0; i < 3000; i++ {
 		g[0] = 2 * (w[0] - 3)
-		opt.Step(params, 0.05)
+		opt.Step(w, g, 0.05)
 	}
 	if math.Abs(w[0]-3) > 1e-3 {
 		t.Errorf("Adam converged to %v, want 3", w[0])
@@ -246,16 +216,17 @@ func TestAdamReducesQuadratic(t *testing.T) {
 func TestMLPTrainsXORWithAdam(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := NewMLP(rng, 2, []int{8}, 1, Tanh)
+	param, grad := Pack(m.Layers)
 	opt := NewAdam()
 	inputs := [][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
 	targets := []float64{0, 1, 1, 0}
 	for epoch := 0; epoch < 2000; epoch++ {
-		m.ZeroGrad()
+		clear(grad)
 		for k, x := range inputs {
 			y, tape := m.Forward(x)
 			m.Backward(tape, []float64{y[0] - targets[k]})
 		}
-		opt.Step(m.Params(), 0.01)
+		opt.Step(param, grad, 0.01)
 	}
 	for k, x := range inputs {
 		y, _ := m.Forward(x)

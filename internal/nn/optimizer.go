@@ -2,81 +2,35 @@ package nn
 
 import "math"
 
-// Optimizer updates parameters from accumulated gradients.
-type Optimizer interface {
-	// Step applies one update with the given learning rate, then the
-	// caller typically zeroes gradients.
-	Step(params []ParamGrad, lr float64)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	Momentum float64
-	velocity [][]float64
-}
-
-// NewSGD creates an SGD optimizer; momentum 0 gives vanilla SGD.
-func NewSGD(momentum float64) *SGD { return &SGD{Momentum: momentum} }
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []ParamGrad, lr float64) {
-	if s.Momentum == 0 {
-		for _, pg := range params {
-			for i := range pg.Param {
-				pg.Param[i] -= lr * pg.Grad[i]
-			}
-		}
-		return
-	}
-	if s.velocity == nil {
-		s.velocity = make([][]float64, len(params))
-		for i, pg := range params {
-			s.velocity[i] = make([]float64, len(pg.Param))
-		}
-	}
-	for i, pg := range params {
-		v := s.velocity[i]
-		for j := range pg.Param {
-			v[j] = s.Momentum*v[j] - lr*pg.Grad[j]
-			pg.Param[j] += v[j]
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba, 2015), the default DeePMD-kit
 // trainer.
 type Adam struct {
 	Beta1, Beta2, Eps float64
 	t                 int
-	m, v              [][]float64
+	m, v              []float64
 }
 
 // NewAdam creates an Adam optimizer with the standard hyperparameters.
 func NewAdam() *Adam { return &Adam{Beta1: 0.9, Beta2: 0.999, Eps: 1e-8} }
 
-// Step implements Optimizer.
-func (a *Adam) Step(params []ParamGrad, lr float64) {
+// Step applies one update with learning rate lr to param from its
+// gradient grad — a model's two arenas (see Pack).  Every call must pass
+// slices of the length the first one did.
+func (a *Adam) Step(param, grad []float64, lr float64) {
 	if a.m == nil {
-		a.m = make([][]float64, len(params))
-		a.v = make([][]float64, len(params))
-		for i, pg := range params {
-			a.m[i] = make([]float64, len(pg.Param))
-			a.v[i] = make([]float64, len(pg.Param))
-		}
+		a.m = make([]float64, len(param))
+		a.v = make([]float64, len(param))
 	}
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for i, pg := range params {
-		m, v := a.m[i], a.v[i]
-		for j := range pg.Param {
-			g := pg.Grad[j]
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*g*g
-			mh := m[j] / c1
-			vh := v[j] / c2
-			pg.Param[j] -= lr * mh / (math.Sqrt(vh) + a.Eps)
-		}
+	m, v, grad := a.m[:len(param)], a.v[:len(param)], grad[:len(param)]
+	for j, g := range grad {
+		m[j] = a.Beta1*m[j] + (1-a.Beta1)*g
+		v[j] = a.Beta2*v[j] + (1-a.Beta2)*g*g
+		mh := m[j] / c1
+		vh := v[j] / c2
+		param[j] -= lr * mh / (math.Sqrt(vh) + a.Eps)
 	}
 }
 

@@ -68,7 +68,7 @@ func TestBatchedMLPMatchesScalarBitwise(t *testing.T) {
 			}
 		}
 
-		bp, sp := batched.Params(), scalar.Params()
+		bp, sp := nn.Params(batched.Layers), nn.Params(scalar.Layers)
 		for p := range bp {
 			for j := range bp[p].Grad {
 				if bp[p].Grad[j] != sp[p].Grad[j] {
@@ -79,7 +79,9 @@ func TestBatchedMLPMatchesScalarBitwise(t *testing.T) {
 		}
 
 		// InputGradBatch: same dx, no gradient side effects.
-		batched.ZeroGrad()
+		for _, pg := range bp {
+			clear(pg.Grad)
+		}
 		batched.ForwardBatch(btape, x, tc.n)
 		gotDx = batched.InputGradBatch(btape, dy, tc.n)
 		for r := 0; r < tc.n; r++ {
