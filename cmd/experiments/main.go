@@ -92,43 +92,11 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote level-plot PNGs to %s\n", *pngDir)
 	}
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-
-	if want("table1") {
-		show("Table 1", experiments.RenderTable1())
+	text, err := experiments.Render(c, *exp)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if want("fig1") {
-		show("Fig. 1", experiments.Fig1(c).Render())
-	}
-	if want("fig2") {
-		show("Fig. 2", experiments.RenderFig2(c))
-	}
-	if want("table2") {
-		show("Table 2", experiments.RenderTable2(c))
-	}
-	if want("fig3") {
-		show("Fig. 3", experiments.RenderFig3(c))
-	}
-	if want("table3") {
-		text, err := experiments.RenderTable3(c)
-		if err != nil {
-			log.Fatalf("table3: %v", err)
-		}
-		show("Table 3", text)
-	}
-	if want("failures") {
-		show("Failures", experiments.RenderFailures(c))
-	}
-	if want("convergence") {
-		show("Convergence (Fig. 1 companion)", experiments.RenderConvergence(c))
-	}
-	if want("correlations") {
-		text, err := experiments.RenderCorrelations(c)
-		if err != nil {
-			log.Fatalf("correlations: %v", err)
-		}
-		show("Correlations (Fig. 3 companion)", text)
-	}
+	fmt.Print(text)
 	if *exp == "ablation" { // expensive: only on explicit request
 		abl, err := experiments.PipelineAblation(context.Background(), opts)
 		if err != nil {

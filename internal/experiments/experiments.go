@@ -459,3 +459,47 @@ func RenderFailures(c *Campaign) string {
 	}
 	return b.String()
 }
+
+// ---------------------------------------------------------------------------
+// Everything at once: what `cmd/experiments -exp all` prints.
+
+// artifacts lists, in print order, the artifacts Render draws from one
+// campaign: each one's -exp name, its heading and its renderer.
+var artifacts = []struct {
+	name, title string
+	render      func(*Campaign) (string, error)
+}{
+	{"table1", "Table 1", func(*Campaign) (string, error) { return RenderTable1(), nil }},
+	{"fig1", "Fig. 1", func(c *Campaign) (string, error) { return Fig1(c).Render(), nil }},
+	{"fig2", "Fig. 2", func(c *Campaign) (string, error) { return RenderFig2(c), nil }},
+	{"table2", "Table 2", func(c *Campaign) (string, error) { return RenderTable2(c), nil }},
+	{"fig3", "Fig. 3", func(c *Campaign) (string, error) { return RenderFig3(c), nil }},
+	{"table3", "Table 3", RenderTable3},
+	{"failures", "Failures", func(c *Campaign) (string, error) { return RenderFailures(c), nil }},
+	{"convergence", "Convergence (Fig. 1 companion)", func(c *Campaign) (string, error) { return RenderConvergence(c), nil }},
+	{"correlations", "Correlations (Fig. 3 companion)", RenderCorrelations},
+}
+
+// RenderAll renders every artifact of the paper's evaluation section —
+// Tables 1–3, Figs. 1–3, the §3.2 failure count and the two companion
+// tables — from one campaign, each under a "==== title ====" heading:
+// the text `cmd/experiments -exp all` prints.
+func RenderAll(c *Campaign) (string, error) { return Render(c, "all") }
+
+// Render is RenderAll restricted to the artifact named exp (an -exp value
+// such as "fig2"); "all" selects every one, and a name outside the list
+// renders nothing.
+func Render(c *Campaign, exp string) (string, error) {
+	var b strings.Builder
+	for _, a := range artifacts {
+		if exp != "all" && exp != a.name {
+			continue
+		}
+		text, err := a.render(c)
+		if err != nil {
+			return "", fmt.Errorf("%s: %w", a.name, err)
+		}
+		fmt.Fprintf(&b, "==== %s ====\n%s\n", a.title, text)
+	}
+	return b.String(), nil
+}

@@ -37,9 +37,6 @@ type Config struct {
 	Pool ea.PoolConfig
 	// Seed makes the run reproducible.
 	Seed int64
-	// Sort selects the non-dominated sorting implementation; nil means
-	// RankOrdinalSort, the paper's speed-up.
-	Sort SortFunc
 	// Observer, if non-nil, is invoked after each generation with the
 	// individuals evaluated in that generation and the survivors selected
 	// as the next parents.  Generation 0 is the random initial population.
@@ -139,10 +136,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.AnnealFactor == 0 {
 		cfg.AnnealFactor = 0.85
 	}
-	sortFn := cfg.Sort
-	if sortFn == nil {
-		sortFn = RankOrdinalSort
-	}
 	if cfg.Pool.Objectives <= 0 {
 		cfg.Pool.Objectives = 2
 	}
@@ -175,7 +168,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	fronts := sortFn(parents)
+	fronts := RankOrdinalSort(parents)
 	CrowdingDistanceAll(fronts)
 	rec := GenerationRecord{Gen: 0, Evaluated: parents, Survivors: parents, Failures: parents.Failures()}
 	res.Generations = append(res.Generations, rec)
@@ -203,7 +196,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 
 		combined := append(parents.Clone(), offspring...)
-		parents = Select(combined, cfg.PopSize, sortFn)
+		parents = Select(combined, cfg.PopSize, RankOrdinalSort)
 
 		// Anneal mutation σ after the offspring return from the pipeline,
 		// exactly where the paper multiplies context['std'] by 0.85.

@@ -28,7 +28,6 @@ type SteadyConfig struct {
 	Evaluator    ea.Evaluator
 	Parallelism  int
 	Seed         int64
-	Sort         SortFunc
 }
 
 // RunSteadyState executes the asynchronous steady-state loop and returns
@@ -47,11 +46,6 @@ func RunSteadyState(ctx context.Context, cfg SteadyConfig) (final, all ea.Popula
 	if cfg.AnnealFactor == 0 {
 		cfg.AnnealFactor = 0.85
 	}
-	sortFn := cfg.Sort
-	if sortFn == nil {
-		sortFn = RankOrdinalSort
-	}
-
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	eaCtx := ea.NewContext(cfg.InitialStd)
 
@@ -131,7 +125,7 @@ func RunSteadyState(ctx context.Context, cfg SteadyConfig) (final, all ea.Popula
 			}
 			completed++
 			all = append(all, ind)
-			current = merge(current, ind, cfg.PopSize, sortFn)
+			current = merge(current, ind, cfg.PopSize)
 			if completed%cfg.PopSize == 0 {
 				eaCtx.AnnealStd(cfg.AnnealFactor)
 			}
@@ -153,12 +147,12 @@ func RunSteadyState(ctx context.Context, cfg SteadyConfig) (final, all ea.Popula
 }
 
 // merge inserts one evaluated individual and truncates to popSize.
-func merge(current ea.Population, ind *ea.Individual, popSize int, sortFn SortFunc) ea.Population {
+func merge(current ea.Population, ind *ea.Individual, popSize int) ea.Population {
 	current = append(current, ind)
 	if len(current) <= popSize {
 		return current
 	}
-	return Select(current, popSize, sortFn)
+	return Select(current, popSize, RankOrdinalSort)
 }
 
 var errSteadyConfig = errConfig("nsga2: steady-state needs PopSize > 0 and Evaluations >= PopSize")
