@@ -3,8 +3,10 @@ package deepmd
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -83,6 +85,23 @@ func TestModelEnergyPermutationInvariance(t *testing.T) {
 	}
 }
 
+// probeIndices returns the arena indices the finite-difference checks
+// probe: every 11th entry of each layer's W and of its B, each tensor from
+// its first entry, so every bias is probed too.
+func probeIndices(m *Model) []int {
+	var idx []int
+	off := 0
+	for _, l := range m.layers {
+		for _, n := range [2]int{l.In * l.Out, l.Out} {
+			for j := 0; j < n; j += 11 {
+				idx = append(idx, off+j)
+			}
+			off += n
+		}
+	}
+	return idx
+}
+
 func TestAccumulateEnergyGradMatchesFiniteDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m, _ := NewModel(rng, tinyModelConfig())
@@ -93,18 +112,16 @@ func TestAccumulateEnergyGradMatchesFiniteDifference(t *testing.T) {
 	m.AccumulateEnergyGrad(fr.Coord, d.Types, fr.Box, 1.0)
 
 	const h = 1e-6
-	for pi, pg := range m.Params() {
-		for j := 0; j < len(pg.Param); j += 11 {
-			orig := pg.Param[j]
-			pg.Param[j] = orig + h
-			ep := m.Energy(fr.Coord, d.Types, fr.Box)
-			pg.Param[j] = orig - h
-			em := m.Energy(fr.Coord, d.Types, fr.Box)
-			pg.Param[j] = orig
-			fd := (ep - em) / (2 * h)
-			if math.Abs(fd-pg.Grad[j]) > 1e-4*(1+math.Abs(fd)) {
-				t.Errorf("param %d[%d]: grad %v, finite diff %v", pi, j, pg.Grad[j], fd)
-			}
+	for _, j := range probeIndices(m) {
+		orig := m.param[j]
+		m.param[j] = orig + h
+		ep := m.Energy(fr.Coord, d.Types, fr.Box)
+		m.param[j] = orig - h
+		em := m.Energy(fr.Coord, d.Types, fr.Box)
+		m.param[j] = orig
+		fd := (ep - em) / (2 * h)
+		if math.Abs(fd-m.grad[j]) > 1e-4*(1+math.Abs(fd)) {
+			t.Errorf("param[%d]: grad %v, finite diff %v", j, m.grad[j], fd)
 		}
 	}
 }
@@ -133,21 +150,19 @@ func TestBatchGradMatchesLossFiniteDifference(t *testing.T) {
 			t.Fatal(err)
 		}
 		const h = 1e-6
-		for pi, pg := range m.Params() {
-			for j := 0; j < len(pg.Param); j += 11 {
-				orig := pg.Param[j]
-				pg.Param[j] = orig + h
-				lp := loss()
-				pg.Param[j] = orig - h
-				lm := loss()
-				pg.Param[j] = orig
-				fd := (lp - lm) / (2 * h)
-				// The untrained model's gradients are small (1e-9 … 1e-2):
-				// relative tolerance above the difference quotient's
-				// rounding floor.
-				if math.Abs(fd-pg.Grad[j]) > 1e-3*math.Abs(fd)+5e-10 {
-					t.Errorf("%d frames, param %d[%d]: grad %v, finite diff %v", len(frames), pi, j, pg.Grad[j], fd)
-				}
+		for _, j := range probeIndices(m) {
+			orig := m.param[j]
+			m.param[j] = orig + h
+			lp := loss()
+			m.param[j] = orig - h
+			lm := loss()
+			m.param[j] = orig
+			fd := (lp - lm) / (2 * h)
+			// The untrained model's gradients are small (1e-9 … 1e-2):
+			// relative tolerance above the difference quotient's
+			// rounding floor.
+			if math.Abs(fd-m.grad[j]) > 1e-3*math.Abs(fd)+5e-10 {
+				t.Errorf("%d frames, param[%d]: grad %v, finite diff %v", len(frames), j, m.grad[j], fd)
 			}
 		}
 	}
@@ -181,7 +196,7 @@ func TestBatchGradSteadyStateAllocs(t *testing.T) {
 
 // TestModelArenaViews checks the arena layout after NewModel and after
 // LoadModel: every layer's W, B, GradW and GradB is the arena window at
-// its Params offset with cap == len, so an append to a view reallocates
+// its table offset with cap == len, so an append to a view reallocates
 // instead of overwriting its neighbour, and a gradient accumulated
 // through the views is the gradient arena.
 func TestModelArenaViews(t *testing.T) {
@@ -195,28 +210,30 @@ func TestModelArenaViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, m := range map[string]*Model{"NewModel": built, "LoadModel": loaded} {
-		params := m.Params()
-		if want := 2 * len(m.layers); len(params) != want {
-			t.Fatalf("%s: %d tensors, want %d", name, len(params), want)
+		if want := len(layerTable(m.Cfg)); len(m.layers) != want {
+			t.Fatalf("%s: %d layers, want %d", name, len(m.layers), want)
 		}
 		off := 0
-		for i, pg := range params {
-			n := len(pg.Param)
-			if n == 0 || len(pg.Grad) != n || cap(pg.Param) != n || cap(pg.Grad) != n {
-				t.Fatalf("%s: tensor %d has len %d/%d, cap %d/%d", name, i, n, len(pg.Grad), cap(pg.Param), cap(pg.Grad))
-			}
-			if &pg.Param[0] != &m.param[off] || &pg.Grad[0] != &m.grad[off] {
-				t.Fatalf("%s: tensor %d is not the arena window at offset %d", name, i, off)
-			}
-			next := off + n
-			if next < len(m.param) {
-				before := m.param[next]
-				grown := append(pg.Param, 42)
-				if &grown[0] == &m.param[off] || m.param[next] != before {
-					t.Fatalf("%s: append to tensor %d wrote into its neighbour", name, i)
+		for i, l := range m.layers {
+			for k, v := range [][2][]float64{{l.W, l.GradW}, {l.B, l.GradB}} {
+				p, g := v[0], v[1]
+				n := len(p)
+				if n == 0 || len(g) != n || cap(p) != n || cap(g) != n {
+					t.Fatalf("%s: layer %d tensor %d has len %d/%d, cap %d/%d", name, i, k, n, len(g), cap(p), cap(g))
 				}
+				if &p[0] != &m.param[off] || &g[0] != &m.grad[off] {
+					t.Fatalf("%s: layer %d tensor %d is not the arena window at offset %d", name, i, k, off)
+				}
+				next := off + n
+				if next < len(m.param) {
+					before := m.param[next]
+					grown := append(p, 42)
+					if &grown[0] == &m.param[off] || m.param[next] != before {
+						t.Fatalf("%s: append to layer %d tensor %d wrote into its neighbour", name, i, k)
+					}
+				}
+				off = next
 			}
-			off = next
 		}
 		if off != len(m.param) || off != m.ParamCount() || len(m.grad) != off {
 			t.Fatalf("%s: tensors cover %d of %d parameters", name, off, len(m.param))
@@ -233,8 +250,8 @@ func TestModelArenaViews(t *testing.T) {
 	built.ZeroGrad()
 	built.AccumulateEnergyGrad(fr.Coord, d.Types, fr.Box, 1.0)
 	nonzero := 0
-	for _, pg := range built.Params() {
-		for _, g := range pg.Grad {
+	for _, l := range built.layers {
+		for _, g := range append(append([]float64(nil), l.GradW...), l.GradB...) {
 			if g != 0 {
 				nonzero++
 			}
@@ -248,6 +265,66 @@ func TestModelArenaViews(t *testing.T) {
 	}
 	if nonzero == 0 || nonzero != arena {
 		t.Fatalf("%d nonzero gradients through the views, %d in the arena", nonzero, arena)
+	}
+}
+
+// allocBytes returns the bytes fn allocates on the heap.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestModelAllocatesTwoArenas pins what building and loading the
+// paper-shaped model allocate: one parameter arena and one gradient
+// arena, 2 × 8 × ParamCount bytes, plus a small fixed slack for the layer
+// table and structs.  LoadModel is charged beyond decoding the file, which
+// the gob decoder does into its own tensors first.
+func TestModelAllocatesTwoArenas(t *testing.T) {
+	in, err := ParseInput(strings.NewReader(sampleInput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := in.ModelConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewModel(rand.New(rand.NewSource(1)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := m.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	arenas := uint64(2 * 8 * m.ParamCount())
+	const slack = 64 << 10
+
+	built := allocBytes(func() {
+		if _, err := NewModel(rand.New(rand.NewSource(1)), cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	decoded := allocBytes(func() {
+		var sm savedModel
+		if err := gob.NewDecoder(bytes.NewReader(saved.Bytes())).Decode(&sm); err != nil {
+			t.Fatal(err)
+		}
+	})
+	loaded := allocBytes(func() {
+		if _, err := LoadModel(bytes.NewReader(saved.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("arenas %d B; NewModel %d B; LoadModel %d B, of which decoding %d B", arenas, built, loaded, decoded)
+	if built < arenas || built > arenas+slack {
+		t.Errorf("NewModel allocated %d bytes, want the two arenas' %d plus at most %d", built, arenas, slack)
+	}
+	if loaded < decoded+arenas || loaded > decoded+arenas+slack {
+		t.Errorf("LoadModel allocated %d bytes beyond decoding, want the two arenas' %d plus at most %d",
+			loaded-decoded, arenas, slack)
 	}
 }
 
@@ -521,6 +598,11 @@ func TestModelConfigValidate(t *testing.T) {
 	c.FittingSizes = nil
 	if err := c.Validate(); err == nil {
 		t.Error("empty fitting sizes accepted")
+	}
+	c = tinyModelConfig()
+	c.FittingSizes = []int{10, -1}
+	if err := c.Validate(); err == nil {
+		t.Error("negative fitting size accepted")
 	}
 	c = tinyModelConfig()
 	c.NumSpecies = 2 // mismatch with descriptor's 3

@@ -3,6 +3,7 @@ package deepmd
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -79,6 +80,69 @@ func TestLoadModelRejectsGarbage(t *testing.T) {
 	raw[idx] = 'X'
 	if _, err := LoadModel(bytes.NewReader(raw)); err == nil {
 		t.Error("wrong-format model accepted")
+	}
+}
+
+// TestLoadModelRejectsMismatchedTensors hand-builds version-1 files whose
+// tensors do not fit their own configuration and requires LoadModel to
+// refuse each with an error, never a panic.
+func TestLoadModelRejectsMismatchedTensors(t *testing.T) {
+	m, _ := NewModel(rand.New(rand.NewSource(3)), tinyModelConfig())
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var good savedModel
+	if err := gob.NewDecoder(&buf).Decode(&good); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(sm *savedModel)
+	}{
+		{"one tensor missing", func(sm *savedModel) { sm.Weights = sm.Weights[:len(sm.Weights)-1] }},
+		{"one tensor extra", func(sm *savedModel) { sm.Weights = append(sm.Weights, []float64{1}) }},
+		{"no tensors", func(sm *savedModel) { sm.Weights = nil }},
+		{"weight tensor short", func(sm *savedModel) { sm.Weights[0] = sm.Weights[0][:len(sm.Weights[0])-1] }},
+		{"bias tensor long", func(sm *savedModel) { sm.Weights[1] = append(sm.Weights[1], 0) }},
+		{"last tensor empty", func(sm *savedModel) { sm.Weights[len(sm.Weights)-1] = nil }},
+		{"weights and bias swapped", func(sm *savedModel) { sm.Weights[2], sm.Weights[3] = sm.Weights[3], sm.Weights[2] }},
+		{"fitting sizes wider than the tensors", func(sm *savedModel) { sm.FitSizes = []int{11} }},
+		{"embedding sizes deeper than the tensors", func(sm *savedModel) { sm.EmbSizes = []int{4, 4, 8} }},
+		{"one species fewer than the tensors", func(sm *savedModel) { sm.NSpecies = 2 }},
+		{"bias count wrong", func(sm *savedModel) { sm.Bias = sm.Bias[:1] }},
+		{"zero fitting size", func(sm *savedModel) { sm.FitSizes = []int{0} }},
+		{"negative embedding size", func(sm *savedModel) { sm.EmbSizes = []int{-4, 8} }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sm := good
+			sm.EmbSizes = append([]int(nil), good.EmbSizes...)
+			sm.FitSizes = append([]int(nil), good.FitSizes...)
+			sm.Bias = append([]float64(nil), good.Bias...)
+			sm.Weights = append([][]float64(nil), good.Weights...)
+			tc.mutate(&sm)
+			var file bytes.Buffer
+			if err := gob.NewEncoder(&file).Encode(&sm); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("LoadModel panicked: %v", r)
+				}
+			}()
+			if _, err := LoadModel(&file); err == nil {
+				t.Fatal("LoadModel accepted the file")
+			}
+		})
+	}
+	// The unmutated copy still loads: the cases fail for their mutation.
+	var file bytes.Buffer
+	if err := gob.NewEncoder(&file).Encode(&good); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadModel(&file); err != nil {
+		t.Fatalf("unmutated file: %v", err)
 	}
 }
 

@@ -37,9 +37,9 @@ func frozenEF(t *testing.T, m *Model) []byte {
 // TestFrozenModelGolden loads a small model frozen by an earlier build of
 // this package and requires its energies and forces bit for bit, and a
 // re-save of the loaded model byte for byte: the version-1 format
-// (per-tensor Weights in Params order) and the arithmetic that consumes
-// it are both pinned.  -update-golden trains a fresh model for a few
-// steps, freezes it and rewrites both fixtures.
+// (per-tensor Weights: each layer's W then B, in layer-table order) and
+// the arithmetic that consumes it are both pinned.  -update-golden trains
+// a fresh model for a few steps, freezes it and rewrites both fixtures.
 func TestFrozenModelGolden(t *testing.T) {
 	if *updateGolden {
 		m := newTestModel(t, 41)

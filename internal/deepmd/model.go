@@ -44,6 +44,11 @@ func (c *ModelConfig) Validate() error {
 	if len(c.FittingSizes) == 0 {
 		return fmt.Errorf("deepmd: FittingSizes empty")
 	}
+	for _, n := range c.FittingSizes {
+		if n <= 0 {
+			return fmt.Errorf("deepmd: fitting size %d not positive", n)
+		}
+	}
 	if c.NumSpecies <= 0 || c.NumSpecies != c.Descriptor.NumSpecies {
 		return fmt.Errorf("deepmd: NumSpecies %d inconsistent with descriptor %d",
 			c.NumSpecies, c.Descriptor.NumSpecies)
@@ -67,10 +72,11 @@ type Model struct {
 
 	// param and grad are the model's two arenas: every layer's W and B
 	// view param, and its GradW and GradB the same windows of grad, in
-	// layers order (nn.Pack).
+	// layers order (nn.NewArena).
 	param, grad []float64
-	// layers lists every layer in arena order: the embedding nets in
-	// index order, then the fitting nets, each net's layers in order.
+	// layers lists every layer in table order (layerTable): the embedding
+	// nets in index order, then the fitting nets, each net's layers in
+	// order.
 	layers []*nn.Dense
 
 	// threads bounds the per-atom worker pool (and EvalErrors' frame
@@ -82,24 +88,52 @@ type Model struct {
 	scratch sync.Pool
 }
 
-// NewModel builds a model with randomly initialized networks.
+// layerTable declares cfg's layers in arena order: the embedding nets
+// (descriptor.Config.Layers), then one fitting net per species — the
+// fitting sizes with the fitting activation and a linear one-unit output.
+// cfg must be valid.
+func layerTable(cfg ModelConfig) []nn.Spec {
+	table := cfg.Descriptor.Layers()
+	fit := nn.MLPSpecs(cfg.Descriptor.OutDim(), cfg.FittingSizes, 1, cfg.FittingActivation)
+	for range cfg.NumSpecies {
+		table = append(table, fit...)
+	}
+	return table
+}
+
+// NewModel builds a model with randomly initialized networks: Glorot
+// weights drawn into the parameter arena layer by layer in table order,
+// zero biases.
 func NewModel(rng *rand.Rand, cfg ModelConfig) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	desc, err := descriptor.New(rng, cfg.Descriptor)
-	if err != nil {
-		return nil, err
-	}
-	m := &Model{Cfg: cfg, Desc: desc, Bias: make([]float64, cfg.NumSpecies)}
-	for t := 0; t < cfg.NumSpecies; t++ {
-		m.Fit = append(m.Fit, nn.NewMLP(rng, cfg.Descriptor.OutDim(), cfg.FittingSizes, 1, cfg.FittingActivation))
-	}
-	m.layers = m.collectLayers()
-	m.param, m.grad = nn.Pack(m.layers)
+	m := newModel(cfg)
+	nn.Glorot(rng, m.layers)
+	return m, nil
+}
+
+// newModel builds cfg's model over two fresh, zeroed arenas.  cfg must be
+// valid.
+func newModel(cfg ModelConfig) *Model {
+	layers, param, grad := nn.NewArena(layerTable(cfg))
+	m := assemble(cfg, layers)
+	m.Bias, m.param, m.grad = make([]float64, cfg.NumSpecies), param, grad
 	m.threads = runtime.GOMAXPROCS(0)
 	m.scratch.New = func() any { return &evalScratch{} }
-	return m, nil
+	return m
+}
+
+// assemble wires layers, laid out as layerTable(cfg) declares them, into
+// a model's descriptor and fitting nets.
+func assemble(cfg ModelConfig, layers []*nn.Dense) *Model {
+	nEmbed := len(layers) - cfg.NumSpecies*(len(cfg.FittingSizes)+1)
+	return &Model{
+		Cfg:    cfg,
+		Desc:   descriptor.New(cfg.Descriptor, layers[:nEmbed]),
+		Fit:    nn.Split(layers[nEmbed:], cfg.NumSpecies),
+		layers: layers,
+	}
 }
 
 // SetThreads bounds the worker pool used inside EnergyForces /
@@ -435,22 +469,10 @@ func (m *Model) evalFrame(s *evalScratch, coord []float64, types []int, box floa
 	return energy, s.forces
 }
 
-// collectLayers lists m's layers in arena order (see Model.layers).
-func (m *Model) collectLayers() []*nn.Dense {
-	var ls []*nn.Dense
-	for _, net := range m.Desc.Embed {
-		ls = append(ls, net.Layers...)
-	}
-	for _, net := range m.Fit {
-		ls = append(ls, net.Layers...)
-	}
-	return ls
-}
-
-// Params returns every parameter tensor (descriptor embeddings, then
-// fitting networks) paired with its gradient, in arena order: the
-// per-tensor view Save and LoadModel use.  Each call builds a new slice.
-func (m *Model) Params() []nn.ParamGrad { return nn.Params(m.layers) }
+// Arenas returns the model's parameter and gradient arenas: every
+// layer's W and B, then the next layer's, in table order (layerTable).
+// Writes through them are writes to the model.
+func (m *Model) Arenas() (param, grad []float64) { return m.param, m.grad }
 
 // ZeroGrad clears the gradient arena.
 func (m *Model) ZeroGrad() { clear(m.grad) }

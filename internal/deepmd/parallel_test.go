@@ -101,10 +101,7 @@ func checkTrainThreadInvariant(t *testing.T, batchSize int) {
 			if _, err := Train(context.Background(), m, train, val, cfg, &buf); err != nil {
 				t.Fatalf("Train(batch=%d, workers=%d, threads=%d): %v", batchSize, workers, threads, err)
 			}
-			var params []float64
-			for _, pg := range m.Params() {
-				params = append(params, pg.Param...)
-			}
+			params := m.param
 			if wantParams == nil {
 				wantOut, wantParams = buf.String(), params
 				continue

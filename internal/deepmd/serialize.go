@@ -4,20 +4,16 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 
 	"repro/internal/descriptor"
 	"repro/internal/nn"
 )
 
-// newZeroRand seeds throwaway weight initialization that LoadModel
-// immediately overwrites.
-func newZeroRand() *rand.Rand { return rand.New(rand.NewSource(0)) }
-
 // savedModel is the on-disk representation of a trained potential — the
 // analogue of DeePMD-kit's frozen model file.  Activations are stored by
-// name; weights in Params() order.
+// name.  Weights holds every layer's W, then its B, in table order
+// (layerTable): the parameter arena, cut at its tensor windows.
 type savedModel struct {
 	Format   string // "repro-deeppot"
 	Version  int
@@ -56,8 +52,8 @@ func (m *Model) Save(w io.Writer) error {
 		FitAct:   m.Cfg.FittingActivation.Name(),
 		Bias:     m.Bias,
 	}
-	for _, pg := range m.Params() {
-		sm.Weights = append(sm.Weights, pg.Param)
+	for _, l := range m.layers {
+		sm.Weights = append(sm.Weights, l.W, l.B)
 	}
 	return gob.NewEncoder(w).Encode(&sm)
 }
@@ -75,8 +71,9 @@ func (m *Model) SaveFile(path string) error {
 	return f.Close()
 }
 
-// LoadModel reconstructs a model saved with Save; predictions are
-// bit-identical to the original.
+// LoadModel reconstructs a model saved with Save into fresh arenas,
+// drawing nothing; predictions are bit-identical to the original.  A file
+// whose tensors do not match its own configuration is an error.
 func LoadModel(r io.Reader) (*Model, error) {
 	var sm savedModel
 	if err := gob.NewDecoder(r).Decode(&sm); err != nil {
@@ -107,22 +104,31 @@ func LoadModel(r io.Reader) (*Model, error) {
 		FittingActivation: fitAct,
 		NumSpecies:        sm.NSpecies,
 	}
-	m, err := NewModel(newZeroRand(), cfg)
-	if err != nil {
+	// Check the tensors against the layer table before allocating, so a
+	// file that does not match its own configuration is an error, never a
+	// panic or an arena sized by a corrupt header.
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	copy(m.Bias, sm.Bias)
-	params := m.Params()
-	if len(params) != len(sm.Weights) {
-		return nil, fmt.Errorf("deepmd: model has %d parameter tensors, file has %d",
-			len(params), len(sm.Weights))
+	if len(sm.Bias) != cfg.NumSpecies {
+		return nil, fmt.Errorf("deepmd: model has %d species biases, file has %d", cfg.NumSpecies, len(sm.Bias))
 	}
-	for i, pg := range params {
-		if len(pg.Param) != len(sm.Weights[i]) {
-			return nil, fmt.Errorf("deepmd: parameter tensor %d has %d values, file has %d",
-				i, len(pg.Param), len(sm.Weights[i]))
+	table := layerTable(cfg)
+	if len(sm.Weights) != 2*len(table) {
+		return nil, fmt.Errorf("deepmd: model has %d parameter tensors, file has %d", 2*len(table), len(sm.Weights))
+	}
+	for i, l := range table {
+		for k, n := range [2]int{l.In * l.Out, l.Out} {
+			if got := len(sm.Weights[2*i+k]); got != n {
+				return nil, fmt.Errorf("deepmd: parameter tensor %d has %d values, file has %d", 2*i+k, n, got)
+			}
 		}
-		copy(pg.Param, sm.Weights[i])
+	}
+	m := newModel(cfg)
+	copy(m.Bias, sm.Bias)
+	off := 0
+	for _, w := range sm.Weights {
+		off += copy(m.param[off:], w)
 	}
 	return m, nil
 }

@@ -247,11 +247,11 @@ func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg Trai
 }
 
 // replica is one data-parallel copy of the model inside TrainSource: a
-// view whose layers alias the model's W, B and Bias and own no gradient
-// storage — each worker binds them to its own buffer — with the
-// workspace one worker's gradient needs.  The view serves
-// accumulateBatchGrad only: it has no arenas and no inference scratch
-// pool.
+// second set of layers bound to the model's parameter arena, sharing its
+// Bias, with no gradient storage of its own — each worker binds them to
+// its own buffer — and the workspace one worker's gradient needs.  The
+// view serves accumulateBatchGrad only: it has no arenas and no inference
+// scratch pool.
 type replica struct {
 	m     *Model
 	ws    batchScratch
@@ -259,14 +259,11 @@ type replica struct {
 }
 
 // newReplica builds a replica whose forwardSlots pool is bounded by
-// threads.  Its layers are shadow clones, so the model's own gradient
-// views never leave its arena and only the workspace is per replica.
+// threads.  The model's own gradient views never leave its arena; only
+// the layer structs and the workspace are per replica.
 func (m *Model) newReplica(threads, batchSize int) *replica {
-	s := &Model{Cfg: m.Cfg, Desc: m.Desc.ShadowClone(), Bias: m.Bias}
-	for _, f := range m.Fit {
-		s.Fit = append(s.Fit, f.ShadowClone())
-	}
-	s.layers = s.collectLayers()
+	s := assemble(m.Cfg, nn.Layers(layerTable(m.Cfg), m.param, nil))
+	s.Bias = m.Bias
 	return &replica{m: s, ws: batchScratch{threads: threads}, batch: make([]*dataset.Frame, batchSize)}
 }
 

@@ -17,7 +17,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Skip("race detector makes sync.Pool drop items; pooled paths allocate by design")
 	}
 	rng := rand.New(rand.NewSource(9))
-	d, err := New(rng, Config{
+	d, _, _ := newDescriptor(t, rng, Config{
 		RCut: 4.0, RCutSmth: 1.0,
 		EmbeddingSizes: []int{4, 8},
 		AxisNeurons:    2,
@@ -25,9 +25,6 @@ func TestSteadyStateAllocs(t *testing.T) {
 		NumSpecies:     3,
 		NeighborNorm:   6,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 24
 	box := 6.0
 	coord, types := benchConfiguration(rng, n, box)
@@ -101,10 +98,7 @@ func TestBackwardEnvBatchGeometryMatchesBackward(t *testing.T) {
 		NumSpecies:     3,
 		NeighborNorm:   6,
 	}
-	d, err := New(rng, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, _, grad := newDescriptor(t, rng, cfg)
 	const n = 12
 	box := 5.0
 	coord, types := benchConfiguration(rng, n, box)
@@ -138,11 +132,9 @@ func TestBackwardEnvBatchGeometryMatchesBackward(t *testing.T) {
 			t.Fatalf("dcoord[%d] = %v (fused) vs %v (per-atom Backward)", k, got[k], want[k])
 		}
 	}
-	for _, pg := range nn.Params(embedLayers(d)) {
-		for _, g := range pg.Grad {
-			if g != 0 {
-				t.Fatal("BackwardEnvBatchGeometry accumulated parameter gradients")
-			}
+	for _, g := range grad {
+		if g != 0 {
+			t.Fatal("BackwardEnvBatchGeometry accumulated parameter gradients")
 		}
 	}
 }

@@ -105,8 +105,8 @@ func (d *Descriptor) stageDy(eb *EnvBatch, envs []*Env) {
 // environment with one fused input-gradient pass per network, leaving
 // parameter accumulators untouched.  dOut(vi) is envs[vi]'s upstream
 // dL/dD; dcoord(vi) the flat gradient target of its frame (gradients
-// add).  Tape traces survive for a subsequent BackwardEnvBatchParams on
-// the same sweep.
+// add).  The batch tapes survive for a subsequent
+// BackwardEnvBatchParams on the same sweep.
 func (d *Descriptor) BackwardEnvBatchGeometry(eb *EnvBatch, envs []*Env, dOut func(vi int) []float64, dcoord func(vi int) []float64) {
 	d.stageDy(eb, envs)
 	for vi, env := range envs {

@@ -25,7 +25,7 @@ func benchConfiguration(rng *rand.Rand, n int, box float64) (coord []float64, ty
 func paperScaleDescriptor(b *testing.B, rcut float64) *Descriptor {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
-	d, err := New(rng, Config{
+	d, _, _ := newDescriptor(b, rng, Config{
 		RCut: rcut, RCutSmth: 2.0,
 		EmbeddingSizes: []int{25, 50, 100}, // the paper's embedding net
 		AxisNeurons:    4,
@@ -33,9 +33,6 @@ func paperScaleDescriptor(b *testing.B, rcut float64) *Descriptor {
 		NumSpecies:     3,
 		NeighborNorm:   40,
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
 	return d
 }
 

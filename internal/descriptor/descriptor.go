@@ -3,7 +3,6 @@ package descriptor
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"repro/internal/nn"
@@ -48,6 +47,11 @@ func (c *Config) Validate() error {
 	if len(c.EmbeddingSizes) == 0 {
 		return fmt.Errorf("descriptor: EmbeddingSizes empty")
 	}
+	for _, n := range c.EmbeddingSizes {
+		if n <= 0 {
+			return fmt.Errorf("descriptor: embedding size %d not positive", n)
+		}
+	}
 	if c.AxisNeurons <= 0 || c.AxisNeurons > c.EmbeddingSizes[len(c.EmbeddingSizes)-1] {
 		return fmt.Errorf("descriptor: AxisNeurons %d out of range", c.AxisNeurons)
 	}
@@ -62,6 +66,30 @@ func (c *Config) M1() int { return c.EmbeddingSizes[len(c.EmbeddingSizes)-1] }
 
 // OutDim returns the flattened descriptor dimension M1×M2 per atom.
 func (c *Config) OutDim() int { return c.M1() * c.AxisNeurons }
+
+// nets returns the number of embedding networks: one per neighbour type,
+// or one per (center, neighbour) type pair.
+func (c *Config) nets() int {
+	if c.PairTypeEmbedding {
+		return c.NumSpecies * c.NumSpecies
+	}
+	return c.NumSpecies
+}
+
+// Layers returns the embedding networks' rows of a model's layer table,
+// net by net in index order.  Each net takes the scalar s(r), runs the
+// hidden sizes with the chosen activation and ends in a linear M1-wide
+// layer (DeePMD embeds with the nonlinearity on the output layer too; we
+// keep the final layer linear for gradient simplicity — the hidden stack
+// carries the nonlinearity).  c must be valid.
+func (c *Config) Layers() []nn.Spec {
+	net := nn.MLPSpecs(1, c.EmbeddingSizes[:len(c.EmbeddingSizes)-1], c.M1(), c.Activation)
+	table := make([]nn.Spec, 0, c.nets()*len(net))
+	for range c.nets() {
+		table = append(table, net...)
+	}
+	return table
+}
 
 // Descriptor holds the embedding networks and evaluates per-atom
 // DeepPot-SE feature vectors with exact coordinate gradients.
@@ -80,19 +108,6 @@ type Descriptor struct {
 	envPool sync.Pool
 }
 
-// ShadowClone returns a descriptor sharing this one's embedding
-// parameters with no gradient accumulators of its own (see
-// nn.Dense.ShadowClone): each data-parallel replica binds its clone's
-// gradients to the buffer of the worker it computes, so replicas run
-// BackwardEnvBatchParams concurrently without racing.
-func (d *Descriptor) ShadowClone() *Descriptor {
-	s := &Descriptor{Cfg: d.Cfg, Switch: d.Switch, Embed: make([]*nn.MLP, len(d.Embed))}
-	for i, m := range d.Embed {
-		s.Embed[i] = m.ShadowClone()
-	}
-	return s
-}
-
 // embedIndex selects the embedding network for a center/neighbour type
 // pair.
 func (d *Descriptor) embedIndex(centerType, neighborType int) int {
@@ -102,32 +117,17 @@ func (d *Descriptor) embedIndex(centerType, neighborType int) int {
 	return neighborType
 }
 
-// New builds a descriptor with randomly initialized embedding networks.
-func New(rng *rand.Rand, cfg Config) (*Descriptor, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// New builds a descriptor whose embedding networks are layers, laid out
+// as cfg.Layers() declares them.  cfg must be valid (Validate).
+func New(cfg Config, layers []*nn.Dense) *Descriptor {
 	if cfg.NeighborNorm <= 0 {
 		cfg.NeighborNorm = 16
 	}
-	d := &Descriptor{
+	return &Descriptor{
 		Cfg:    cfg,
 		Switch: SwitchFunc{RMin: cfg.RCutSmth, RMax: cfg.RCut},
+		Embed:  nn.Split(layers, cfg.nets()),
 	}
-	hidden := cfg.EmbeddingSizes[:len(cfg.EmbeddingSizes)-1]
-	nNets := cfg.NumSpecies
-	if cfg.PairTypeEmbedding {
-		nNets = cfg.NumSpecies * cfg.NumSpecies
-	}
-	for t := 0; t < nNets; t++ {
-		// Embedding net: scalar input, hidden layers, M1 outputs, all with
-		// the chosen activation (DeePMD embeds with the nonlinearity on
-		// the output layer too; we keep the final layer linear for
-		// gradient simplicity — the hidden stack carries the
-		// nonlinearity).
-		d.Embed = append(d.Embed, nn.NewMLP(rng, 1, hidden, cfg.M1(), cfg.Activation))
-	}
-	return d, nil
 }
 
 // neighbor is one entry of an atom's environment.
@@ -146,10 +146,9 @@ type neighbor struct {
 }
 
 // netBatch gathers every neighbour sharing one embedding network so the
-// whole group runs through the net as a single ForwardBatch/BackwardBatch
-// instead of per-neighbour vector passes.  Rows keep the neighbours'
-// ascending scan order, so per-net gradient accumulation follows exactly
-// the order the per-neighbour path used.
+// whole group runs through the net as a single ForwardBatch/BackwardBatch.
+// Rows keep the neighbours' ascending scan order, so per-net gradient
+// accumulation follows the neighbours in scan order.
 type netBatch struct {
 	net  int           // embedding-network index
 	n    int           // active rows
@@ -232,9 +231,9 @@ func (d *Descriptor) ForwardEnv(env *Env, coord []float64, types []int, box floa
 	env = d.ScanEnv(env, coord, types, box, i, cand)
 
 	// Batched embedding: every neighbour sharing a net runs through it as
-	// one ForwardBatch.  Row r of each batch is bit-identical to the old
-	// per-neighbour scalar forward, so everything downstream sees the same
-	// bits in the same order.
+	// one ForwardBatch.  Row r of each batch is bit-identical to a one-row
+	// pass of that neighbour, so everything downstream sees the same bits
+	// in the same order.
 	for bi := 0; bi < env.nBatches; bi++ {
 		b := &env.batches[bi]
 		if b.tape == nil {

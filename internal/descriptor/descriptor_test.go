@@ -104,6 +104,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.RCut = 0 },
 		func(c *Config) { c.RCutSmth = 5 },
 		func(c *Config) { c.EmbeddingSizes = nil },
+		func(c *Config) { c.EmbeddingSizes = []int{0, 8} },
 		func(c *Config) { c.AxisNeurons = 0 },
 		func(c *Config) { c.AxisNeurons = 100 },
 		func(c *Config) { c.NumSpecies = 0 },
@@ -119,10 +120,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestDescriptorOutputShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	d, err := New(rng, testConfig())
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	d, _, _ := newDescriptor(t, rng, testConfig())
 	coord, types, box := testConfiguration()
 	env := d.Forward(coord, types, box, 0)
 	if len(env.Out()) != d.Cfg.OutDim() {
@@ -135,7 +133,7 @@ func TestDescriptorOutputShape(t *testing.T) {
 
 func TestDescriptorTranslationInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	d, _ := New(rng, testConfig())
+	d, _, _ := newDescriptor(t, rng, testConfig())
 	coord, types, box := testConfiguration()
 	env1 := d.Forward(coord, types, box, 0)
 
@@ -156,7 +154,7 @@ func TestDescriptorRotationInvariance(t *testing.T) {
 	// so rotating the whole configuration about the center atom must leave
 	// D unchanged (no PBC for a clean rotation).
 	rng := rand.New(rand.NewSource(3))
-	d, _ := New(rng, testConfig())
+	d, _, _ := newDescriptor(t, rng, testConfig())
 	coord, types, _ := testConfiguration()
 	env1 := d.Forward(coord, types, 0, 0)
 
@@ -180,7 +178,7 @@ func TestDescriptorRotationInvariance(t *testing.T) {
 func TestDescriptorPermutationCovariance(t *testing.T) {
 	// Swapping two same-type neighbours must not change the descriptor.
 	rng := rand.New(rand.NewSource(4))
-	d, _ := New(rng, testConfig())
+	d, _, _ := newDescriptor(t, rng, testConfig())
 	coord, types, box := testConfiguration()
 	env1 := d.Forward(coord, types, box, 0)
 
@@ -203,7 +201,7 @@ func TestDescriptorSmoothAtCutoff(t *testing.T) {
 	// continuously (this is the whole point of rcut_smth).
 	rng := rand.New(rand.NewSource(5))
 	cfg := testConfig()
-	d, _ := New(rng, cfg)
+	d, _, _ := newDescriptor(t, rng, cfg)
 	types := []int{0, 1}
 	norm := func(r float64) float64 {
 		coord := []float64{0, 0, 0, r, 0, 0}
@@ -226,7 +224,7 @@ func TestDescriptorSmoothAtCutoff(t *testing.T) {
 
 func TestDescriptorCoordinateGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	d, _ := New(rng, testConfig())
+	d, _, _ := newDescriptor(t, rng, testConfig())
 	coord, types, box := testConfiguration()
 
 	// Scalar loss L = Σ_k w_k·D_k with fixed random weights.
@@ -268,7 +266,7 @@ func TestDescriptorCoordinateGradients(t *testing.T) {
 // through the inference forward.
 func TestDescriptorParameterGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	d, _ := New(rng, testConfig())
+	d, param, grad := newDescriptor(t, rng, testConfig())
 	coord, types, box := testConfiguration()
 	w := make([]float64, d.Cfg.OutDim())
 	for i := range w {
@@ -295,25 +293,23 @@ func TestDescriptorParameterGradients(t *testing.T) {
 	d.BackwardEnvBatchParams(&eb, envs, func(int) []float64 { return w })
 
 	const h = 1e-6
-	for pi, pg := range nn.Params(embedLayers(d)) {
-		for j := 0; j < len(pg.Param); j += 5 {
-			orig := pg.Param[j]
-			pg.Param[j] = orig + h
-			lp := loss()
-			pg.Param[j] = orig - h
-			lm := loss()
-			pg.Param[j] = orig
-			fd := (lp - lm) / (2 * h)
-			if math.Abs(fd-pg.Grad[j]) > 1e-4*(1+math.Abs(fd)) {
-				t.Errorf("param %d[%d]: grad %v, finite diff %v", pi, j, pg.Grad[j], fd)
-			}
+	for j := 0; j < len(param); j += 5 {
+		orig := param[j]
+		param[j] = orig + h
+		lp := loss()
+		param[j] = orig - h
+		lm := loss()
+		param[j] = orig
+		fd := (lp - lm) / (2 * h)
+		if math.Abs(fd-grad[j]) > 1e-4*(1+math.Abs(fd)) {
+			t.Errorf("param[%d]: grad %v, finite diff %v", j, grad[j], fd)
 		}
 	}
 }
 
 func TestBackwardInferenceDoesNotTouchParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	d, _ := New(rng, testConfig())
+	d, _, grad := newDescriptor(t, rng, testConfig())
 	coord, types, box := testConfiguration()
 	env := d.Forward(coord, types, box, 0)
 	dOut := make([]float64, d.Cfg.OutDim())
@@ -322,18 +318,16 @@ func TestBackwardInferenceDoesNotTouchParams(t *testing.T) {
 	}
 	dcoord := make([]float64, len(coord))
 	d.Backward(env, dOut, dcoord)
-	for _, pg := range nn.Params(embedLayers(d)) {
-		for _, g := range pg.Grad {
-			if g != 0 {
-				t.Fatal("inference Backward accumulated parameter gradients")
-			}
+	for _, g := range grad {
+		if g != 0 {
+			t.Fatal("inference Backward accumulated parameter gradients")
 		}
 	}
 }
 
 func TestIsolatedAtomZeroDescriptor(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	d, _ := New(rng, testConfig())
+	d, _, _ := newDescriptor(t, rng, testConfig())
 	coord := []float64{0, 0, 0, 100, 100, 100}
 	types := []int{0, 1}
 	env := d.Forward(coord, types, 0, 0)
@@ -346,7 +340,7 @@ func TestIsolatedAtomZeroDescriptor(t *testing.T) {
 
 func TestParamCountPositive(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	d, _ := New(rng, testConfig())
+	d, _, _ := newDescriptor(t, rng, testConfig())
 	// 2 species × ((1×6+6) + (6×8+8)) = 2 × 68 = 136
 	if got := d.ParamCount(); got != 136 {
 		t.Errorf("ParamCount = %d, want 136", got)
@@ -357,10 +351,7 @@ func TestPairTypeEmbeddingGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cfg := testConfig()
 	cfg.PairTypeEmbedding = true
-	d, err := New(rng, cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	d, _, _ := newDescriptor(t, rng, cfg)
 	if len(d.Embed) != cfg.NumSpecies*cfg.NumSpecies {
 		t.Fatalf("pair embedding built %d nets, want %d", len(d.Embed), cfg.NumSpecies*cfg.NumSpecies)
 	}
@@ -402,7 +393,7 @@ func TestPairTypeEmbeddingDiffersByCenter(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	cfg := testConfig()
 	cfg.PairTypeEmbedding = true
-	d, _ := New(rng, cfg)
+	d, _, _ := newDescriptor(t, rng, cfg)
 	// Symmetric configuration: atoms 0 and 2 are different types, both at
 	// distance 1.5 from atom 1 (type 1).
 	coord := []float64{0, 0, 0, 1.5, 0, 0, 3.0, 0, 0}
@@ -432,12 +423,15 @@ func TestPairTypeEmbeddingDiffersByCenter(t *testing.T) {
 	}
 }
 
-// embedLayers lists every embedding-network layer of d, nets in index
-// order.
-func embedLayers(d *Descriptor) []*nn.Dense {
-	var ls []*nn.Dense
-	for _, m := range d.Embed {
-		ls = append(ls, m.Layers...)
+// newDescriptor builds a descriptor the way a model's layer table builds
+// its embedding nets: fresh zeroed arenas, Glorot weights drawn into them.
+// It returns the two arenas too.
+func newDescriptor(tb testing.TB, rng *rand.Rand, cfg Config) (d *Descriptor, param, grad []float64) {
+	tb.Helper()
+	if err := cfg.Validate(); err != nil {
+		tb.Fatal(err)
 	}
-	return ls
+	layers, param, grad := nn.NewArena(cfg.Layers())
+	nn.Glorot(rng, layers)
+	return New(cfg, layers), param, grad
 }

@@ -7,6 +7,7 @@ import (
 )
 
 func TestMSDGrowsInLiquid(t *testing.T) {
+	skipTrajectoryUnderRace(t)
 	rng := rand.New(rand.NewSource(1))
 	sys := NewSystem(rng, PaperComposition(), 17.84, 900) // hot melt diffuses fast
 	pot := NewPaperBMH(5.0)
@@ -85,6 +86,7 @@ func TestDiffusionNeedsSamples(t *testing.T) {
 }
 
 func TestVACFStartsAtOneAndDecays(t *testing.T) {
+	skipTrajectoryUnderRace(t)
 	rng := rand.New(rand.NewSource(4))
 	sys := NewSystem(rng, PaperComposition(), 17.84, 498)
 	pot := NewPaperBMH(5.0)
@@ -120,6 +122,7 @@ func TestLsSlopeKnown(t *testing.T) {
 }
 
 func TestNoseHooverDrivesTemperature(t *testing.T) {
+	skipTrajectoryUnderRace(t)
 	rng := rand.New(rand.NewSource(20))
 	sys := NewSystem(rng, PaperComposition(), 17.84, 200)
 	pot := NewPaperBMH(5.0)
@@ -158,6 +161,7 @@ func TestPressureIdealGasLimit(t *testing.T) {
 }
 
 func TestPressureOfDenseMeltExceedsIdeal(t *testing.T) {
+	skipTrajectoryUnderRace(t)
 	rng := rand.New(rand.NewSource(31))
 	sys := NewSystem(rng, PaperComposition(), 17.84, 498)
 	pot := NewPaperBMH(5.0)

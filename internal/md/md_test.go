@@ -6,6 +6,18 @@ import (
 	"testing"
 )
 
+// skipTrajectoryUnderRace skips a test that integrates a trajectory of
+// the 160-atom paper cell when the race detector is on.  The package
+// starts no goroutines, so -race can find nothing in it, and those
+// trajectories are nearly all of its race-build time; plain go test
+// still runs them.
+func skipTrajectoryUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("trajectory test: internal/md runs no goroutines, nothing for -race to check")
+	}
+}
+
 func smallSystem(t *testing.T, seed int64) (*System, *BMH) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -159,6 +171,7 @@ func TestShiftedForceContinuousAtCutoff(t *testing.T) {
 }
 
 func TestNVEEnergyConservation(t *testing.T) {
+	skipTrajectoryUnderRace(t)
 	rng := rand.New(rand.NewSource(7))
 	sys := NewSystem(rng, PaperComposition(), 17.84, 300)
 	pot := NewPaperBMH(5.0)
@@ -188,6 +201,7 @@ func TestNVEEnergyConservation(t *testing.T) {
 }
 
 func TestBerendsenDrivesTemperature(t *testing.T) {
+	skipTrajectoryUnderRace(t)
 	rng := rand.New(rand.NewSource(8))
 	sys := NewSystem(rng, PaperComposition(), 17.84, 100)
 	pot := NewPaperBMH(5.0)
@@ -200,6 +214,7 @@ func TestBerendsenDrivesTemperature(t *testing.T) {
 }
 
 func TestLangevinDrivesTemperature(t *testing.T) {
+	skipTrajectoryUnderRace(t)
 	rng := rand.New(rand.NewSource(9))
 	sys := NewSystem(rng, PaperComposition(), 17.84, 100)
 	pot := NewPaperBMH(5.0)
@@ -212,6 +227,7 @@ func TestLangevinDrivesTemperature(t *testing.T) {
 }
 
 func TestPositionsStayWrapped(t *testing.T) {
+	skipTrajectoryUnderRace(t)
 	rng := rand.New(rand.NewSource(10))
 	sys := NewSystem(rng, PaperComposition(), 17.84, 498)
 	pot := NewPaperBMH(5.0)
@@ -227,6 +243,7 @@ func TestPositionsStayWrapped(t *testing.T) {
 }
 
 func TestRDFHasExcludedCore(t *testing.T) {
+	skipTrajectoryUnderRace(t)
 	rng := rand.New(rand.NewSource(11))
 	sys := NewSystem(rng, PaperComposition(), 17.84, 498)
 	pot := NewPaperBMH(5.0)

@@ -5,37 +5,28 @@ import (
 	"testing"
 )
 
-// TestSteadyStateAllocs pins the hot paths to zero allocations per call
-// once their reusable traces are warm.  A regression here usually means a
-// buffer stopped being recycled (e.g. an ensureLen path lost) or an
-// interface method value started escaping in the blas epilogue.
+// TestSteadyStateAllocs pins the batched hot paths to zero allocations
+// per call once their reusable traces are warm.  A regression here
+// usually means a buffer stopped being recycled (e.g. an ensureLen path
+// lost) or an interface method value started escaping in the blas
+// epilogue.
 func TestSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	m := NewMLP(rng, 40, []int{24, 24}, 1, Tanh)
-	x := make([]float64, 40)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
+	m, _, _ := newMLP(rng, 40, []int{24, 24}, 1, Tanh)
 	const n = 8
 	xb := make([]float64, n*40)
 	for i := range xb {
 		xb[i] = rng.NormFloat64()
 	}
-	dy := []float64{1}
 	dyb := make([]float64, n)
 	for i := range dyb {
 		dyb[i] = 1
 	}
 
 	d := m.Layers[0]
-	tr := &Trace{}
-	tape := &Tape{}
 	btape := &BatchTape{}
 	bt := &BatchTrace{}
 	// Warm every buffer once outside the measured runs.
-	d.ForwardInto(tr, x)
-	m.ForwardT(tape, x)
-	m.Backward(tape, dy)
 	m.ForwardBatch(btape, xb, n)
 	m.BackwardBatch(btape, dyb, n)
 	d.ForwardBatch(bt, xb, n)
@@ -44,11 +35,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"Dense.ForwardInto", func() { d.ForwardInto(tr, x) }},
 		{"Dense.ForwardBatch", func() { d.ForwardBatch(bt, xb, n) }},
-		{"MLP.ForwardT", func() { m.ForwardT(tape, x) }},
-		{"MLP.Backward", func() { m.ForwardT(tape, x); m.Backward(tape, dy) }},
-		{"MLP.InputGrad", func() { m.ForwardT(tape, x); m.InputGrad(tape, dy) }},
 		{"MLP.ForwardBatch", func() { m.ForwardBatch(btape, xb, n) }},
 		{"MLP.BackwardBatch", func() { m.ForwardBatch(btape, xb, n); m.BackwardBatch(btape, dyb, n) }},
 		{"MLP.InputGradBatch", func() { m.ForwardBatch(btape, xb, n); m.InputGradBatch(btape, dyb, n) }},
@@ -57,19 +44,5 @@ func TestSteadyStateAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(20, tc.fn); got != 0 {
 			t.Errorf("%s: %v allocs/op in steady state, want 0", tc.name, got)
 		}
-	}
-}
-
-// TestForwardAllocsOnce pins Dense.Forward's cost at exactly the trace
-// plus its three buffers on first use; hot loops avoid even that via
-// ForwardInto.
-func TestForwardAllocsOnce(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	d := NewDense(rng, 16, 8, Tanh)
-	x := make([]float64, 16)
-	got := testing.AllocsPerRun(20, func() { d.Forward(x) })
-	// Trace struct + input + preact + out buffers.
-	if got > 4 {
-		t.Errorf("Dense.Forward: %v allocs/op, want <= 4", got)
 	}
 }

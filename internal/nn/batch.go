@@ -6,9 +6,9 @@ import (
 	"repro/internal/nn/blas"
 )
 
-// BatchTrace holds the per-layer state of one batched forward pass — the
-// N-row analogue of Trace.  All buffers are owned by the trace and reused
-// across calls, so steady-state batched evaluation allocates nothing.
+// BatchTrace holds the per-layer state of one batched forward pass over
+// N rows.  All buffers are owned by the trace and reused across calls, so
+// steady-state batched evaluation allocates nothing.
 type BatchTrace struct {
 	n      int
 	input  []float64 // n×In copy of the layer input
@@ -21,8 +21,9 @@ type BatchTrace struct {
 // ForwardBatch computes the layer output for n row-major inputs (x is
 // n×In) into the trace's reusable buffers and returns the n×Out output
 // (owned by the trace).  Each row is arithmetically identical — bit for
-// bit — to a scalar Forward of that row: the kernel blocks over rows and
-// output columns only, never over the k reduction (see package blas).
+// bit — to the textbook one-row loop (refcheck keeps it as the oracle):
+// the kernel blocks over rows and output columns only, never over the k
+// reduction (see package blas).
 //
 //lint:hot
 func (d *Dense) ForwardBatch(bt *BatchTrace, x []float64, n int) []float64 {
@@ -41,8 +42,8 @@ func (d *Dense) ForwardBatch(bt *BatchTrace, x []float64, n int) []float64 {
 // BackwardBatch accumulates parameter gradients for a recorded batch and
 // returns the n×In input gradient (trace-owned).  The sample reduction
 // into GradW/GradB runs in ascending row order, so the accumulated
-// gradients are bit-identical to n sequential scalar Backward calls over
-// the same rows.
+// gradients are bit-identical to n one-row backward passes over the same
+// rows in order.
 func (d *Dense) BackwardBatch(bt *BatchTrace, dy []float64, n int) []float64 {
 	bt.checkBatch(d, dy, n)
 	d.scaleDeriv(bt, dy, n)
@@ -53,8 +54,8 @@ func (d *Dense) BackwardBatch(bt *BatchTrace, dy []float64, n int) []float64 {
 }
 
 // InputGradBatch returns the n×In input gradient for a recorded batch
-// without touching the parameter-gradient accumulators — the batched
-// InputGrad used for force inference.
+// without touching the parameter-gradient accumulators, as force
+// inference needs.
 func (d *Dense) InputGradBatch(bt *BatchTrace, dy []float64, n int) []float64 {
 	bt.checkBatch(d, dy, n)
 	d.scaleDeriv(bt, dy, n)
@@ -93,18 +94,17 @@ func (d *Dense) scaleDeriv(bt *BatchTrace, dy []float64, n int) {
 }
 
 // BatchTape records the batch traces of one ForwardBatch pass through an
-// MLP so the matching backward pass can be replayed.  Like Tape, a
-// BatchTape is reusable across passes (and across networks of identical
-// depth); reuse makes the batched forward/backward pair allocation-free
-// in steady state.
+// MLP so the matching backward pass can be replayed.  A BatchTape is
+// reusable across passes (and across networks of identical depth); reuse
+// makes the batched forward/backward pair allocation-free in steady
+// state.
 type BatchTape struct {
 	traces []*BatchTrace
 }
 
 // ForwardBatch runs the network on n row-major inputs (x is n×InDim),
 // recording traces into tape.  The returned n×OutDim output is owned by
-// the tape and overwritten by the next call.  Row r of the result is
-// bit-identical to ForwardT of row r.
+// the tape and overwritten by the next call.
 //
 //lint:hot
 func (m *MLP) ForwardBatch(tape *BatchTape, x []float64, n int) []float64 {
@@ -123,8 +123,7 @@ func (m *MLP) ForwardBatch(tape *BatchTape, x []float64, n int) []float64 {
 
 // BackwardBatch accumulates parameter gradients for the recorded batch
 // and returns the n×InDim gradient with respect to the network input.
-// Gradient accumulation is bit-identical to replaying the rows through
-// scalar Backward in ascending row order.
+// Rows reduce into the gradients in ascending order.
 //
 //lint:hot
 func (m *MLP) BackwardBatch(tape *BatchTape, dy []float64, n int) []float64 {

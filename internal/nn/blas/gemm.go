@@ -1,6 +1,7 @@
 // Package blas holds the batched kernels behind nn's
 // ForwardBatch/BackwardBatch paths.  Everything is row-major float64,
-// shaped exactly like the scalar loops in internal/nn:
+// shaped exactly like the one-row dense loops refcheck keeps as the
+// reference:
 //
 //	x      n×in        batch of inputs (rows are samples)
 //	w      out×in      layer weights, w[o][k] at o*in+k
@@ -71,7 +72,7 @@ func GemmBiasAct(preact, out, x, w, bias []float64, n, in, outDim int, act func(
 //	dx[r][i] = Σ_o g[r][o]·w[o][i]   (o ascending)
 //
 // dx is n×in and fully overwritten: zeroed, then accumulated into, as the
-// scalar Backward does.
+// one-row backward does.
 func GemmNN(dx, g, w []float64, n, in, outDim int) {
 	checkDims("GemmNN", n, in, outDim)
 	checkLen("GemmNN", "dx", len(dx), "n×in", n*in)
@@ -87,8 +88,8 @@ func GemmNN(dx, g, w []float64, n, in, outDim int) {
 //	gradB[o]    += Σ_r g[r][o]           (r ascending)
 //
 // Each sum starts from the stored gradient and adds its terms one after
-// another, so the result is bit-identical to n sequential scalar Backward
-// calls.
+// another, so the result is bit-identical to n sequential one-row
+// backward passes.
 func AccumGrad(gradW, gradB, g, x []float64, n, in, outDim int) {
 	checkDims("AccumGrad", n, in, outDim)
 	checkLen("AccumGrad", "gradW", len(gradW), "out×in", outDim*in)

@@ -137,7 +137,7 @@ func gemmBiasActGeneric(preact, out, x, w, bias []float64, n, in, outDim int, ac
 }
 
 // gemmNNGeneric is GemmNN in Go.  The o loop is outermost per row block —
-// matching the scalar Backward, which walks outputs outermost — so each
+// matching the one-row backward, which walks outputs outermost — so each
 // dx element accumulates its o terms in the scalar order; the four-wide
 // unroll is across i (independent accumulators).
 func gemmNNGeneric(dx, g, w []float64, n, in, outDim int) {
@@ -210,8 +210,8 @@ func gemmNNGeneric(dx, g, w []float64, n, in, outDim int) {
 // accumGradGeneric is AccumGrad in Go.  The sample reduction is a
 // sequence of rank-1 updates applied in ascending row order — four rows
 // are loaded per block but their terms are added one after another into
-// each accumulator, so the result is bit-identical to n sequential scalar
-// Backward calls.
+// each accumulator, so the result is bit-identical to n sequential
+// one-row backward passes.
 func accumGradGeneric(gradW, gradB, g, x []float64, n, in, outDim int) {
 	r := 0
 	for ; r+4 <= n; r += 4 {

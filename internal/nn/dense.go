@@ -7,8 +7,9 @@ import (
 )
 
 // Dense is a fully connected layer y = act(W·x + b) with weights stored
-// row-major: W[out][in] at index out*In + in.  W, B and the gradient
-// accumulators may be views into arenas a model owns (see Pack).
+// row-major: W[out][in] at index out*In + in.  W and B are windows of a
+// model's parameter arena, GradW and GradB the same windows of its
+// gradient arena (see NewArena).
 type Dense struct {
 	In, Out int
 	W       []float64 // len In*Out
@@ -20,35 +21,6 @@ type Dense struct {
 	GradB []float64
 }
 
-// NewDense creates a layer with Glorot/Xavier-uniform initialized weights,
-// the TensorFlow default DeePMD-kit inherits.
-func NewDense(rng *rand.Rand, in, out int, act Activation) *Dense {
-	if in <= 0 || out <= 0 {
-		panic(fmt.Sprintf("nn: invalid dense shape %dx%d", in, out))
-	}
-	d := &Dense{
-		In: in, Out: out, Act: act,
-		W: make([]float64, in*out), B: make([]float64, out),
-		GradW: make([]float64, in*out), GradB: make([]float64, out),
-	}
-	limit := math.Sqrt(6.0 / float64(in+out))
-	for i := range d.W {
-		d.W[i] = (2*rng.Float64() - 1) * limit
-	}
-	return d
-}
-
-// Trace holds per-sample state needed for backprop.  All buffers are
-// owned by the trace and reused when the trace is replayed through
-// ForwardInto/Backward, so a trace-reusing caller allocates nothing in
-// steady state.
-type Trace struct {
-	input  []float64
-	preact []float64
-	out    []float64
-	dx     []float64
-}
-
 // ensureLen returns buf resized to n, reusing its backing array when the
 // capacity allows.
 func ensureLen(buf []float64, n int) []float64 {
@@ -58,201 +30,82 @@ func ensureLen(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// forwardInto computes the layer output into the trace's reusable
-// buffers and returns the output slice (owned by the trace).
-func (d *Dense) forwardInto(tr *Trace, x []float64) []float64 {
-	if len(x) != d.In {
-		panic(fmt.Sprintf("nn: dense input %d, want %d", len(x), d.In))
-	}
-	tr.input = ensureLen(tr.input, d.In)
-	copy(tr.input, x)
-	tr.preact = ensureLen(tr.preact, d.Out)
-	tr.out = ensureLen(tr.out, d.Out)
-	for o := 0; o < d.Out; o++ {
-		s := d.B[o]
-		row := d.W[o*d.In : (o+1)*d.In]
-		for i, xi := range x {
-			s += row[i] * xi
-		}
-		tr.preact[o] = s
-		tr.out[o] = d.Act.Apply(s)
-	}
-	return tr.out
-}
-
-// Forward computes the layer output for input x, returning the output and
-// a trace for Backward.  The trace keeps Forward re-entrant so a single
-// layer can serve many atoms in one configuration.  Forward allocates the
-// trace; hot loops should hold one Trace and call ForwardInto instead.
-func (d *Dense) Forward(x []float64) (out []float64, tr *Trace) {
-	tr = &Trace{}
-	return d.forwardInto(tr, x), tr
-}
-
-// ForwardInto is Forward with a caller-owned reusable trace: passing the
-// same Trace back recycles its buffers, so repeated calls allocate
-// nothing in steady state.  The returned output is trace-owned.
-//
-//lint:hot
-func (d *Dense) ForwardInto(tr *Trace, x []float64) []float64 {
-	return d.forwardInto(tr, x)
-}
-
-// Backward accumulates parameter gradients given the upstream gradient
-// dL/dy and returns dL/dx.  The returned slice is owned by the trace and
-// overwritten by the next Backward/InputGrad replay of the same trace.
-// Clear the accumulators before a new minibatch.
-func (d *Dense) Backward(tr *Trace, dy []float64) (dx []float64) {
-	if len(dy) != d.Out {
-		panic(fmt.Sprintf("nn: dense upstream grad %d, want %d", len(dy), d.Out))
-	}
-	tr.dx = ensureLen(tr.dx, d.In)
-	dx = tr.dx
-	for i := range dx {
-		dx[i] = 0
-	}
-	od, hasOD := d.Act.(OutputDeriver)
-	for o := 0; o < d.Out; o++ {
-		var g float64
-		if hasOD {
-			g = dy[o] * od.DerivFromOutput(tr.out[o])
-		} else {
-			g = dy[o] * d.Act.Deriv(tr.preact[o])
-		}
-		d.GradB[o] += g
-		row := d.W[o*d.In : (o+1)*d.In]
-		grow := d.GradW[o*d.In : (o+1)*d.In]
-		for i := 0; i < d.In; i++ {
-			grow[i] += g * tr.input[i]
-			dx[i] += g * row[i]
-		}
-	}
-	return dx
-}
-
-// InputGrad returns dL/dx without touching the parameter-gradient
-// accumulators; used for force evaluation at inference time where only the
-// energy gradient with respect to coordinates is needed.  The returned
-// slice is trace-owned scratch, like Backward's.
-func (d *Dense) InputGrad(tr *Trace, dy []float64) (dx []float64) {
-	tr.dx = ensureLen(tr.dx, d.In)
-	dx = tr.dx
-	for i := range dx {
-		dx[i] = 0
-	}
-	od, hasOD := d.Act.(OutputDeriver)
-	for o := 0; o < d.Out; o++ {
-		var g float64
-		if hasOD {
-			g = dy[o] * od.DerivFromOutput(tr.out[o])
-		} else {
-			g = dy[o] * d.Act.Deriv(tr.preact[o])
-		}
-		row := d.W[o*d.In : (o+1)*d.In]
-		for i := 0; i < d.In; i++ {
-			dx[i] += g * row[i]
-		}
-	}
-	return dx
-}
-
-// ShadowClone returns a layer sharing this layer's parameters (W and B
-// alias the receiver's storage) with no gradient accumulators of its own:
-// a data-parallel replica binds GradW and GradB to a worker's gradient
-// buffer (Bind) before it accumulates.
-func (d *Dense) ShadowClone() *Dense {
-	return &Dense{In: d.In, Out: d.Out, Act: d.Act, W: d.W, B: d.B}
-}
-
 // ParamCount returns the number of trainable parameters.
-func (d *Dense) ParamCount() int { return len(d.W) + len(d.B) }
+func (d *Dense) ParamCount() int { return d.In*d.Out + d.Out }
+
+// Spec declares one dense layer: a row of a model's layer table.
+type Spec struct {
+	In, Out int
+	Act     Activation
+}
+
+// MLPSpecs returns the table rows of one feed-forward net: the hidden
+// sizes sharing one activation, then a linear layer of outDim units.
+// hidden may be empty.  This mirrors DeePMD's fitting network.
+func MLPSpecs(inDim int, hidden []int, outDim int, act Activation) []Spec {
+	rows := make([]Spec, 0, len(hidden)+1)
+	prev := inDim
+	for _, h := range hidden {
+		rows = append(rows, Spec{In: prev, Out: h, Act: act})
+		prev = h
+	}
+	return append(rows, Spec{In: prev, Out: outDim, Act: Identity})
+}
+
+// NewArena allocates a zeroed parameter arena and a zeroed gradient arena
+// for table and returns one layer per row viewing them (Layers).  It is
+// the only allocation of parameter storage: a model is its table over
+// these two slices.
+func NewArena(table []Spec) (layers []*Dense, param, grad []float64) {
+	n := 0
+	for _, s := range table {
+		if s.In <= 0 || s.Out <= 0 {
+			panic(fmt.Sprintf("nn: invalid dense shape %dx%d", s.In, s.Out))
+		}
+		n += s.In*s.Out + s.Out
+	}
+	param, grad = make([]float64, n), make([]float64, n)
+	return Layers(table, param, grad), param, grad
+}
+
+// Layers returns one layer per table row, bound to consecutive windows of
+// param and grad (Bind).  A data-parallel replica passes its model's
+// parameter arena and a nil grad, then binds each worker's buffer.
+func Layers(table []Spec, param, grad []float64) []*Dense {
+	layers := make([]*Dense, len(table))
+	for i, s := range table {
+		layers[i] = &Dense{In: s.In, Out: s.Out, Act: s.Act}
+	}
+	Bind(layers, param, grad)
+	return layers
+}
+
+// Glorot draws every layer's weights from the Glorot/Xavier-uniform
+// distribution, the TensorFlow default DeePMD-kit inherits: layer by
+// layer, each W in index order.  Biases are left as they are.
+func Glorot(rng *rand.Rand, layers []*Dense) {
+	for _, l := range layers {
+		limit := math.Sqrt(6.0 / float64(l.In+l.Out))
+		for i := range l.W {
+			l.W[i] = (2*rng.Float64() - 1) * limit
+		}
+	}
+}
 
 // MLP is a feed-forward stack of dense layers.
 type MLP struct {
 	Layers []*Dense
 }
 
-// NewMLP builds a network with the given hidden sizes and activation,
-// ending in a linear layer of outDim units.  hidden may be empty.  This
-// mirrors DeePMD's fitting network: hidden layers share one activation and
-// the output is linear.
-func NewMLP(rng *rand.Rand, inDim int, hidden []int, outDim int, act Activation) *MLP {
-	m := &MLP{}
-	prev := inDim
-	for _, h := range hidden {
-		m.Layers = append(m.Layers, NewDense(rng, prev, h, act))
-		prev = h
+// Split cuts layers into n nets of equal depth, in order: the table rows
+// of n nets of one shape become n MLPs.
+func Split(layers []*Dense, n int) []*MLP {
+	depth := len(layers) / n
+	nets := make([]*MLP, n)
+	for i := range nets {
+		nets[i] = &MLP{Layers: layers[i*depth : (i+1)*depth : (i+1)*depth]}
 	}
-	m.Layers = append(m.Layers, NewDense(rng, prev, outDim, Identity))
-	return m
-}
-
-// ShadowClone returns an MLP whose layers share the receiver's parameters
-// and own no gradient accumulators.  See Dense.ShadowClone.
-func (m *MLP) ShadowClone() *MLP {
-	s := &MLP{Layers: make([]*Dense, len(m.Layers))}
-	for i, l := range m.Layers {
-		s.Layers[i] = l.ShadowClone()
-	}
-	return s
-}
-
-// Tape records the traces of one forward pass so the matching backward
-// pass can be replayed.  A Tape may be reused across forward passes (and
-// across networks of identical layer shapes) via ForwardT; reuse makes
-// the forward/backward pair allocation-free in steady state.
-type Tape struct {
-	traces []*Trace
-}
-
-// Forward runs the network on x and returns the output plus a fresh tape.
-func (m *MLP) Forward(x []float64) ([]float64, *Tape) {
-	tape := &Tape{}
-	return m.ForwardT(tape, x), tape
-}
-
-// ForwardT runs the network on x, recording traces into tape.  The tape's
-// buffers are reused when their shapes match, so repeated calls with the
-// same tape do not allocate.  The returned output slice is owned by the
-// tape and overwritten by the next ForwardT call.
-//
-//lint:hot
-func (m *MLP) ForwardT(tape *Tape, x []float64) []float64 {
-	if len(tape.traces) != len(m.Layers) {
-		tape.traces = make([]*Trace, len(m.Layers))
-		for i := range tape.traces {
-			tape.traces[i] = &Trace{}
-		}
-	}
-	cur := x
-	for i, l := range m.Layers {
-		cur = l.forwardInto(tape.traces[i], cur)
-	}
-	return cur
-}
-
-// Backward accumulates parameter gradients for the recorded pass and
-// returns the gradient with respect to the network input.
-//
-//lint:hot
-func (m *MLP) Backward(tape *Tape, dy []float64) []float64 {
-	cur := dy
-	for i := len(m.Layers) - 1; i >= 0; i-- {
-		cur = m.Layers[i].Backward(tape.traces[i], cur)
-	}
-	return cur
-}
-
-// InputGrad returns dL/dx for the recorded pass without accumulating
-// parameter gradients.
-//
-//lint:hot
-func (m *MLP) InputGrad(tape *Tape, dy []float64) []float64 {
-	cur := dy
-	for i := len(m.Layers) - 1; i >= 0; i-- {
-		cur = m.Layers[i].InputGrad(tape.traces[i], cur)
-	}
-	return cur
+	return nets
 }
 
 // ParamCount returns the total number of trainable parameters.
@@ -264,49 +117,12 @@ func (m *MLP) ParamCount() int {
 	return n
 }
 
-// ParamGrad pairs a parameter tensor with its gradient accumulator.  Both
-// slices alias layer storage, so updates through them are visible in
-// place.
-type ParamGrad struct {
-	Param []float64
-	Grad  []float64
-}
-
-// Params lists the layers' tensors in arena order — per layer W, then B —
-// each paired with its gradient.
-func Params(layers []*Dense) []ParamGrad {
-	out := make([]ParamGrad, 0, 2*len(layers))
-	for _, l := range layers {
-		out = append(out, ParamGrad{Param: l.W, Grad: l.GradW}, ParamGrad{Param: l.B, Grad: l.GradB})
-	}
-	return out
-}
-
-// Pack moves the layers' parameters into one new arena, in Params order,
-// and gives them a second, zeroed arena of the same layout for their
-// gradients; every W, B, GradW and GradB becomes a view into the two (see
-// Bind).  The parameter values are unchanged.
-func Pack(layers []*Dense) (param, grad []float64) {
-	n := 0
-	for _, l := range layers {
-		n += l.ParamCount()
-	}
-	param, grad = make([]float64, n), make([]float64, n)
-	off := 0
-	for _, l := range layers {
-		off += copy(param[off:], l.W)
-		off += copy(param[off:], l.B)
-	}
-	Bind(layers, param, grad)
-	return param, grad
-}
-
 // Bind points the layers' W and B at consecutive windows of param, in
-// Params order, and GradW and GradB at the same windows of grad; a nil
-// arena leaves that side as it is.  Every view is capacity-clipped, so an
-// append to one reallocates instead of overwriting its neighbour.  Bind
-// allocates nothing: a data-parallel replica rebinds its gradients onto
-// each worker's buffer it computes.
+// table order (per layer W, then B), and GradW and GradB at the same
+// windows of grad; a nil arena leaves that side as it is.  Every view is
+// capacity-clipped, so an append to one reallocates instead of
+// overwriting its neighbour.  Bind allocates nothing: a data-parallel
+// replica rebinds its gradients onto each worker's buffer it computes.
 //
 //lint:hot
 func Bind(layers []*Dense, param, grad []float64) {

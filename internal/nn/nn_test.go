@@ -73,38 +73,53 @@ func TestActivationByName(t *testing.T) {
 	}
 }
 
+// newMLP builds one net of the given shape the way a model's layer table
+// does: fresh zeroed arenas, Glorot weights drawn into them.
+func newMLP(rng *rand.Rand, in int, hidden []int, out int, act Activation) (m *MLP, param, grad []float64) {
+	layers, param, grad := NewArena(MLPSpecs(in, hidden, out, act))
+	Glorot(rng, layers)
+	return &MLP{Layers: layers}, param, grad
+}
+
 func TestDenseForwardShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	d := NewDense(rng, 3, 5, Tanh)
-	out, tr := d.Forward([]float64{1, 2, 3})
-	if len(out) != 5 {
-		t.Fatalf("output dim %d, want 5", len(out))
+	m, _, _ := newMLP(rng, 3, nil, 5, Tanh)
+	d := m.Layers[0]
+	bt := &BatchTrace{}
+	out := d.ForwardBatch(bt, []float64{1, 2, 3, 4, 5, 6}, 2)
+	if len(out) != 2*5 {
+		t.Fatalf("output len %d, want 2×5", len(out))
 	}
-	if tr == nil || len(tr.preact) != 5 {
-		t.Fatal("trace missing")
+	if len(bt.preact) != 2*5 || len(bt.input) != 2*3 {
+		t.Fatalf("trace holds %d pre-activations and %d inputs, want 10 and 6", len(bt.preact), len(bt.input))
 	}
 }
 
 func TestDenseKnownValues(t *testing.T) {
 	d := &Dense{In: 2, Out: 1, W: []float64{2, -1}, B: []float64{0.5}, Act: Identity,
 		GradW: make([]float64, 2), GradB: make([]float64, 1)}
-	out, _ := d.Forward([]float64{3, 4})
-	// 2*3 - 1*4 + 0.5 = 2.5
-	if math.Abs(out[0]-2.5) > 1e-12 {
-		t.Errorf("Forward = %v, want 2.5", out[0])
+	out := d.ForwardBatch(&BatchTrace{}, []float64{3, 4, 1, 0}, 2)
+	// 2*3 - 1*4 + 0.5 = 2.5; 2*1 - 1*0 + 0.5 = 2.5.
+	for r, want := range []float64{2.5, 2.5} {
+		if math.Abs(out[r]-want) > 1e-12 {
+			t.Errorf("ForwardBatch row %d = %v, want %v", r, out[r], want)
+		}
 	}
 }
 
-// gradCheckMLP verifies parameter and input gradients of a network against
-// central finite differences on a scalar loss L = sum(y²)/2.
+// gradCheckMLP verifies every parameter gradient and every input gradient
+// of a batched pass against central finite differences on the scalar
+// loss L = sum(y²)/2 over a two-row batch.
 func gradCheckMLP(t *testing.T, act Activation) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
-	m := NewMLP(rng, 4, []int{6, 5}, 2, act)
-	x := []float64{0.3, -0.7, 1.1, 0.2}
+	m, param, grad := newMLP(rng, 4, []int{6, 5}, 2, act)
+	const n = 2
+	x := []float64{0.3, -0.7, 1.1, 0.2, -0.4, 0.9, 0.05, -1.3}
 
+	tape := &BatchTape{}
 	loss := func() float64 {
-		y, _ := m.Forward(x)
+		y := m.ForwardBatch(tape, x, n)
 		s := 0.0
 		for _, v := range y {
 			s += v * v
@@ -112,26 +127,23 @@ func gradCheckMLP(t *testing.T, act Activation) {
 		return s / 2
 	}
 
-	// Analytic gradients (a fresh network's accumulators are zero).
-	y, tape := m.Forward(x)
-	dy := make([]float64, len(y))
-	copy(dy, y) // dL/dy = y
-	dx := m.Backward(tape, dy)
+	// Analytic gradients (a fresh arena's accumulators are zero).
+	y := m.ForwardBatch(tape, x, n)
+	dy := append([]float64(nil), y...) // dL/dy = y
+	dx := append([]float64(nil), m.BackwardBatch(tape, dy, n)...)
 
 	const h = 1e-6
-	// Parameter gradients.
-	for pi, pg := range Params(m.Layers) {
-		for j := 0; j < len(pg.Param); j += 7 { // sample every 7th parameter
-			orig := pg.Param[j]
-			pg.Param[j] = orig + h
-			lp := loss()
-			pg.Param[j] = orig - h
-			lm := loss()
-			pg.Param[j] = orig
-			fd := (lp - lm) / (2 * h)
-			if math.Abs(fd-pg.Grad[j]) > 1e-4*(1+math.Abs(fd)) {
-				t.Errorf("%s param %d[%d]: grad %v, finite diff %v", act.Name(), pi, j, pg.Grad[j], fd)
-			}
+	// Parameter gradients, weights and biases alike.
+	for j := range param {
+		orig := param[j]
+		param[j] = orig + h
+		lp := loss()
+		param[j] = orig - h
+		lm := loss()
+		param[j] = orig
+		fd := (lp - lm) / (2 * h)
+		if math.Abs(fd-grad[j]) > 1e-4*(1+math.Abs(fd)) {
+			t.Errorf("%s param[%d]: grad %v, finite diff %v", act.Name(), j, grad[j], fd)
 		}
 	}
 	// Input gradients.
@@ -155,47 +167,44 @@ func TestMLPGradientsSoftplus(t *testing.T) { gradCheckMLP(t, Softplus) }
 
 func TestMLPInputGradMatchesBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	m := NewMLP(rng, 3, []int{4}, 1, Tanh)
-	x := []float64{0.1, 0.2, 0.3}
-	_, tape := m.Forward(x)
-	dy := []float64{1}
-	dxB := m.Backward(tape, dy)
-	_, tape2 := m.Forward(x)
-	dxI := m.InputGrad(tape2, dy)
+	m, _, grad := newMLP(rng, 3, []int{4}, 1, Tanh)
+	x := []float64{0.1, 0.2, 0.3, -0.5, 0.7, 1.1}
+	dy := []float64{1, -2}
+	tape := &BatchTape{}
+	m.ForwardBatch(tape, x, 2)
+	dxB := append([]float64(nil), m.BackwardBatch(tape, dy, 2)...)
+	m.ForwardBatch(tape, x, 2)
+	dxI := m.InputGradBatch(tape, dy, 2)
 	for i := range dxB {
-		if math.Abs(dxB[i]-dxI[i]) > 1e-12 {
-			t.Errorf("InputGrad[%d] = %v, Backward dx = %v", i, dxI[i], dxB[i])
+		if dxB[i] != dxI[i] {
+			t.Errorf("InputGradBatch[%d] = %v, BackwardBatch dx = %v", i, dxI[i], dxB[i])
 		}
 	}
-	// InputGrad must not have touched parameter gradients.
-	params := Params(m.Layers)
-	for _, pg := range params {
-		clear(pg.Grad)
-	}
-	_, tape3 := m.Forward(x)
-	m.InputGrad(tape3, dy)
-	for _, pg := range params {
-		for _, g := range pg.Grad {
-			if g != 0 {
-				t.Fatal("InputGrad accumulated parameter gradients")
-			}
+	// InputGradBatch must not have touched parameter gradients.
+	clear(grad)
+	m.ForwardBatch(tape, x, 2)
+	m.InputGradBatch(tape, dy, 2)
+	for _, g := range grad {
+		if g != 0 {
+			t.Fatal("InputGradBatch accumulated parameter gradients")
 		}
 	}
 }
 
 func TestGradientsAccumulate(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	m := NewMLP(rng, 2, nil, 1, Identity)
+	m, _, grad := newMLP(rng, 2, nil, 1, Identity)
 	x := []float64{1, 2}
 	dy := []float64{1}
-	_, tape := m.Forward(x)
-	m.Backward(tape, dy)
-	g1 := append([]float64(nil), m.Layers[0].GradW...)
-	_, tape = m.Forward(x)
-	m.Backward(tape, dy)
+	tape := &BatchTape{}
+	m.ForwardBatch(tape, x, 1)
+	m.BackwardBatch(tape, dy, 1)
+	g1 := append([]float64(nil), grad...)
+	m.ForwardBatch(tape, x, 1)
+	m.BackwardBatch(tape, dy, 1)
 	for i := range g1 {
-		if math.Abs(m.Layers[0].GradW[i]-2*g1[i]) > 1e-12 {
-			t.Errorf("gradient did not accumulate: %v vs 2*%v", m.Layers[0].GradW[i], g1[i])
+		if math.Abs(grad[i]-2*g1[i]) > 1e-12 {
+			t.Errorf("gradient did not accumulate: %v vs 2*%v", grad[i], g1[i])
 		}
 	}
 }
@@ -215,23 +224,25 @@ func TestAdamReducesQuadratic(t *testing.T) {
 
 func TestMLPTrainsXORWithAdam(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m := NewMLP(rng, 2, []int{8}, 1, Tanh)
-	param, grad := Pack(m.Layers)
+	m, param, grad := newMLP(rng, 2, []int{8}, 1, Tanh)
 	opt := NewAdam()
-	inputs := [][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
+	inputs := []float64{0, 0, 0, 1, 1, 0, 1, 1}
 	targets := []float64{0, 1, 1, 0}
+	tape := &BatchTape{}
+	dy := make([]float64, len(targets))
 	for epoch := 0; epoch < 2000; epoch++ {
 		clear(grad)
-		for k, x := range inputs {
-			y, tape := m.Forward(x)
-			m.Backward(tape, []float64{y[0] - targets[k]})
+		y := m.ForwardBatch(tape, inputs, len(targets))
+		for k := range dy {
+			dy[k] = y[k] - targets[k]
 		}
+		m.BackwardBatch(tape, dy, len(targets))
 		opt.Step(param, grad, 0.01)
 	}
-	for k, x := range inputs {
-		y, _ := m.Forward(x)
-		if math.Abs(y[0]-targets[k]) > 0.2 {
-			t.Errorf("XOR(%v) = %v, want %v", x, y[0], targets[k])
+	y := m.ForwardBatch(tape, inputs, len(targets))
+	for k, want := range targets {
+		if math.Abs(y[k]-want) > 0.2 {
+			t.Errorf("XOR(%v) = %v, want %v", inputs[2*k:2*k+2], y[k], want)
 		}
 	}
 }
@@ -296,20 +307,23 @@ func TestWorkerScale(t *testing.T) {
 
 func TestParamCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	m := NewMLP(rng, 3, []int{5, 7}, 2, Tanh)
+	m, param, grad := newMLP(rng, 3, []int{5, 7}, 2, Tanh)
 	want := (3*5 + 5) + (5*7 + 7) + (7*2 + 2)
 	if got := m.ParamCount(); got != want {
 		t.Errorf("ParamCount = %d, want %d", got, want)
+	}
+	if len(param) != want || len(grad) != want {
+		t.Errorf("arenas hold %d and %d values, want %d", len(param), len(grad), want)
 	}
 }
 
 func TestDensePanicsOnBadInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	d := NewDense(rng, 3, 2, Tanh)
+	m, _, _ := newMLP(rng, 3, nil, 2, Tanh)
 	defer func() {
 		if recover() == nil {
-			t.Error("Forward with wrong input size did not panic")
+			t.Error("ForwardBatch with wrong input size did not panic")
 		}
 	}()
-	d.Forward([]float64{1})
+	m.Layers[0].ForwardBatch(&BatchTrace{}, []float64{1}, 1)
 }

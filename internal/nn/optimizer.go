@@ -14,7 +14,7 @@ type Adam struct {
 func NewAdam() *Adam { return &Adam{Beta1: 0.9, Beta2: 0.999, Eps: 1e-8} }
 
 // Step applies one update with learning rate lr to param from its
-// gradient grad — a model's two arenas (see Pack).  Every call must pass
+// gradient grad — a model's two arenas (see NewArena).  Every call must pass
 // slices of the length the first one did.
 func (a *Adam) Step(param, grad []float64, lr float64) {
 	if a.m == nil {

@@ -9,12 +9,89 @@ import (
 	"repro/internal/nn"
 )
 
+// refDense is the textbook one-row dense layer y = act(W·x + b): the
+// reference the batched kernels are held to.  It copies its parameters
+// from the layer under test and keeps its own gradient buffers and trace,
+// so it shares no state with nn.Dense.
+type refDense struct {
+	in, out      int
+	w, b         []float64
+	act          nn.Activation
+	gradW, gradB []float64
+	x, pre, y    []float64 // trace of the last forward
+}
+
+func newRefDense(l *nn.Dense) *refDense {
+	return &refDense{
+		in: l.In, out: l.Out, act: l.Act,
+		w: append([]float64(nil), l.W...), b: append([]float64(nil), l.B...),
+		gradW: make([]float64, len(l.W)), gradB: make([]float64, len(l.B)),
+		x: make([]float64, l.In), pre: make([]float64, l.Out), y: make([]float64, l.Out),
+	}
+}
+
+// forward evaluates one row, summing each output's inputs in ascending
+// order from the bias, and records the trace.
+func (l *refDense) forward(x []float64) []float64 {
+	copy(l.x, x)
+	for o := 0; o < l.out; o++ {
+		s := l.b[o]
+		for i, xi := range x {
+			s += l.w[o*l.in+i] * xi
+		}
+		l.pre[o] = s
+		l.y[o] = l.act.Apply(s)
+	}
+	return l.y
+}
+
+// backward returns dL/dx for the recorded row, walking outputs outermost;
+// with accumulate it also adds the row's parameter gradients.
+func (l *refDense) backward(dy []float64, accumulate bool) []float64 {
+	dx := make([]float64, l.in)
+	od, hasOD := l.act.(nn.OutputDeriver)
+	for o := 0; o < l.out; o++ {
+		var g float64
+		if hasOD {
+			g = dy[o] * od.DerivFromOutput(l.y[o])
+		} else {
+			g = dy[o] * l.act.Deriv(l.pre[o])
+		}
+		if accumulate {
+			l.gradB[o] += g
+		}
+		for i := 0; i < l.in; i++ {
+			if accumulate {
+				l.gradW[o*l.in+i] += g * l.x[i]
+			}
+			dx[i] += g * l.w[o*l.in+i]
+		}
+	}
+	return dx
+}
+
+// refForward and refBackward run one row through a stack of reference
+// layers.
+func refForward(net []*refDense, x []float64) []float64 {
+	for _, l := range net {
+		x = l.forward(x)
+	}
+	return x
+}
+
+func refBackward(net []*refDense, dy []float64, accumulate bool) []float64 {
+	for i := len(net) - 1; i >= 0; i-- {
+		dy = net[i].backward(dy, accumulate)
+	}
+	return dy
+}
+
 // TestBatchedMLPMatchesScalarBitwise is the differential check behind the
 // batched-kernel contract: for randomized network shapes and batch sizes
 // — including N=0, N=1, and ragged last tiles — ForwardBatch,
 // BackwardBatch, and InputGradBatch must be bit-identical to replaying
-// the rows one at a time through the scalar Forward/Backward/InputGrad
-// path, outputs and every accumulated parameter gradient alike.
+// the rows one at a time through the one-row reference (refDense),
+// outputs and every accumulated parameter gradient alike.
 func TestBatchedMLPMatchesScalarBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cases := []struct {
@@ -34,10 +111,13 @@ func TestBatchedMLPMatchesScalarBitwise(t *testing.T) {
 		{19, 7, []int{6, 6}, 5, nn.Tanh},
 	}
 	for _, tc := range cases {
-		// Two models with identical parameters: one driven batched, one
-		// scalar, so gradient accumulators can be compared afterwards.
-		batched := nn.NewMLP(rand.New(rand.NewSource(99)), tc.in, tc.hidden, tc.out, tc.act)
-		scalar := nn.NewMLP(rand.New(rand.NewSource(99)), tc.in, tc.hidden, tc.out, tc.act)
+		layers, _, grad := nn.NewArena(nn.MLPSpecs(tc.in, tc.hidden, tc.out, tc.act))
+		nn.Glorot(rand.New(rand.NewSource(99)), layers)
+		batched := &nn.MLP{Layers: layers}
+		var ref []*refDense
+		for _, l := range layers {
+			ref = append(ref, newRefDense(l))
+		}
 
 		x := make([]float64, tc.n*tc.in)
 		dy := make([]float64, tc.n*tc.out)
@@ -52,15 +132,14 @@ func TestBatchedMLPMatchesScalarBitwise(t *testing.T) {
 		gotOut := batched.ForwardBatch(btape, x, tc.n)
 		gotDx := batched.BackwardBatch(btape, dy, tc.n)
 
-		stape := &nn.Tape{}
 		for r := 0; r < tc.n; r++ {
-			wantOut := scalar.ForwardT(stape, x[r*tc.in:(r+1)*tc.in])
+			wantOut := refForward(ref, x[r*tc.in:(r+1)*tc.in])
 			for o, v := range wantOut {
 				if gotOut[r*tc.out+o] != v {
 					t.Fatalf("case %+v row %d: out[%d] = %v, want %v", tc, r, o, gotOut[r*tc.out+o], v)
 				}
 			}
-			wantDx := scalar.Backward(stape, dy[r*tc.out:(r+1)*tc.out])
+			wantDx := refBackward(ref, dy[r*tc.out:(r+1)*tc.out], true)
 			for i, v := range wantDx {
 				if gotDx[r*tc.in+i] != v {
 					t.Fatalf("case %+v row %d: dx[%d] = %v, want %v", tc, r, i, gotDx[r*tc.in+i], v)
@@ -68,36 +147,35 @@ func TestBatchedMLPMatchesScalarBitwise(t *testing.T) {
 			}
 		}
 
-		bp, sp := nn.Params(batched.Layers), nn.Params(scalar.Layers)
-		for p := range bp {
-			for j := range bp[p].Grad {
-				if bp[p].Grad[j] != sp[p].Grad[j] {
-					t.Fatalf("case %+v: param %d grad[%d] = %v, want %v",
-						tc, p, j, bp[p].Grad[j], sp[p].Grad[j])
+		// The gradient arena holds each layer's GradW, then its GradB.
+		off := 0
+		for li, l := range ref {
+			for _, want := range [][]float64{l.gradW, l.gradB} {
+				for j, v := range want {
+					if grad[off+j] != v {
+						t.Fatalf("case %+v: layer %d gradient %d = %v, want %v", tc, li, off+j, grad[off+j], v)
+					}
 				}
+				off += len(want)
 			}
 		}
 
 		// InputGradBatch: same dx, no gradient side effects.
-		for _, pg := range bp {
-			clear(pg.Grad)
-		}
+		clear(grad)
 		batched.ForwardBatch(btape, x, tc.n)
 		gotDx = batched.InputGradBatch(btape, dy, tc.n)
 		for r := 0; r < tc.n; r++ {
-			scalar.ForwardT(stape, x[r*tc.in:(r+1)*tc.in])
-			wantDx := scalar.InputGrad(stape, dy[r*tc.out:(r+1)*tc.out])
+			refForward(ref, x[r*tc.in:(r+1)*tc.in])
+			wantDx := refBackward(ref, dy[r*tc.out:(r+1)*tc.out], false)
 			for i, v := range wantDx {
 				if gotDx[r*tc.in+i] != v {
 					t.Fatalf("case %+v row %d: inputgrad dx[%d] = %v, want %v", tc, r, i, gotDx[r*tc.in+i], v)
 				}
 			}
 		}
-		for p := range bp {
-			for j := range bp[p].Grad {
-				if bp[p].Grad[j] != 0 {
-					t.Fatalf("case %+v: InputGradBatch touched param %d grad[%d] = %v", tc, p, j, bp[p].Grad[j])
-				}
+		for j, g := range grad {
+			if g != 0 {
+				t.Fatalf("case %+v: InputGradBatch touched gradient %d = %v", tc, j, g)
 			}
 		}
 	}

@@ -17,18 +17,18 @@ func ForceFD(m *deepmd.Model, coord []float64, types []int, box float64, k int, 
 	return -(ep - em) / (2 * h)
 }
 
-// ParamGradFD returns ∂E/∂θ by central finite difference for entry j of
-// the model's p-th parameter block (the flat ordering of Model.Params),
-// restoring the parameter before returning.  It is the oracle for
-// AccumulateEnergyGrad, which runs the batched backward sweep training
-// accumulates its gradients with.
-func ParamGradFD(m *deepmd.Model, coord []float64, types []int, box float64, p, j int, h float64) float64 {
-	pg := m.Params()[p]
-	orig := pg.Param[j]
-	pg.Param[j] = orig + h
+// ParamGradFD returns ∂E/∂θ_i by central finite difference for entry i
+// of the model's parameter arena (Model.Arenas), restoring the parameter
+// before returning.  It is the oracle for AccumulateEnergyGrad, which
+// runs the batched backward sweep training accumulates its gradients
+// with.
+func ParamGradFD(m *deepmd.Model, coord []float64, types []int, box float64, i int, h float64) float64 {
+	param, _ := m.Arenas()
+	orig := param[i]
+	param[i] = orig + h
 	ep := m.Energy(coord, types, box)
-	pg.Param[j] = orig - h
+	param[i] = orig - h
 	em := m.Energy(coord, types, box)
-	pg.Param[j] = orig
+	param[i] = orig
 	return (ep - em) / (2 * h)
 }

@@ -139,11 +139,8 @@ func trainReference(t *testing.T, cfg deepmd.TrainConfig) ([]byte, []float64) {
 	if _, err := deepmd.Train(context.Background(), m, train, val, cfg, &buf); err != nil {
 		t.Fatalf("train reference genome: %v", err)
 	}
-	var params []float64
-	for _, pg := range m.Params() {
-		params = append(params, pg.Param...)
-	}
-	return buf.Bytes(), params
+	param, _ := m.Arenas()
+	return buf.Bytes(), param
 }
 
 // TestGoldenLCurve pins the reference candidate's learning-curve bytes
@@ -266,11 +263,10 @@ func TestGoldenPaperNetBits(t *testing.T) {
 			h := sha256.New()
 			h.Write(curve.Bytes())
 			var word [8]byte
-			for _, pg := range m.Params() {
-				for _, v := range pg.Param {
-					binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
-					h.Write(word[:])
-				}
+			param, _ := m.Arenas()
+			for _, v := range param {
+				binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+				h.Write(word[:])
 			}
 			fmt.Fprintf(&got, "%s %x\n", label, h.Sum(nil))
 		}

@@ -118,7 +118,9 @@ func TestForcesMatchFiniteDifferences(t *testing.T) {
 // parameter gradient of the total energy (AccumulateEnergyGrad with
 // scale 1) against central finite differences under parameter
 // perturbation, probing random entries across embedding and fitting
-// networks of 200 random tiny models.
+// networks of 200 random tiny models.  Each probe picks a layer, then its
+// weights or its bias with even odds: a uniform draw over the arena would
+// almost never hit a bias.
 func TestParamGradMatchesFiniteDifferences(t *testing.T) {
 	rng := rand.New(rand.NewSource(502))
 	const instances = 200
@@ -134,19 +136,34 @@ func TestParamGradMatchesFiniteDifferences(t *testing.T) {
 
 		m.ZeroGrad()
 		m.AccumulateEnergyGrad(coord, types, box, 1)
-		params := m.Params()
+		_, grad := m.Arenas()
+		windows := tensorWindows(m)
 		for probe := 0; probe < 3; probe++ {
-			p := rng.Intn(len(params))
-			if len(params[p].Param) == 0 {
-				continue
-			}
-			j := rng.Intn(len(params[p].Param))
-			got := params[p].Grad[j]
-			want := ParamGradFD(m, coord, types, box, p, j, h)
+			w := windows[rng.Intn(len(windows))]
+			i := w[0] + rng.Intn(w[1]-w[0])
+			got := grad[i]
+			want := ParamGradFD(m, coord, types, box, i, h)
 			if math.Abs(got-want) > fdTol(want) {
-				t.Fatalf("trial %d: grad of param[%d][%d] = %v, finite difference %v",
-					trial, p, j, got, want)
+				t.Fatalf("trial %d: grad of parameter %d (tensor [%d, %d)) = %v, finite difference %v",
+					trial, i, w[0], w[1], got, want)
 			}
 		}
 	}
+}
+
+// tensorWindows returns the arena range [lo, hi) of every layer's W and
+// then its B, in table order: embedding nets, then fitting nets.
+func tensorWindows(m *deepmd.Model) [][2]int {
+	var nets []*nn.MLP
+	nets = append(nets, m.Desc.Embed...)
+	nets = append(nets, m.Fit...)
+	var windows [][2]int
+	off := 0
+	for _, net := range nets {
+		for _, l := range net.Layers {
+			windows = append(windows, [2]int{off, off + l.In*l.Out}, [2]int{off + l.In*l.Out, off + l.In*l.Out + l.Out})
+			off += l.In*l.Out + l.Out
+		}
+	}
+	return windows
 }
