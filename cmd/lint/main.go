@@ -1,8 +1,9 @@
 // Command lint runs the project-native static-analysis suite
 // (internal/lint) over the module and gates the result against the
-// committed baseline.  All nine analyzers run: the five package-local
-// rules plus the four interprocedural rules (goroutineleak, lockorder,
-// detflow, hotalloc) built on the call-graph engine.
+// committed baseline.  All nine analyzers run once each over one
+// Program: the five package-local rules (determinism, floateq,
+// ctxhygiene, lockdiscipline, errdiscard) and the four built on the
+// call-graph engine (goroutineleak, lockorder, detflow, hotalloc).
 //
 // Usage:
 //

@@ -433,3 +433,51 @@ func TestCampaignEvalTimeout(t *testing.T) {
 			res.TotalFailures(), res.TotalEvaluations())
 	}
 }
+
+// TestEstimateNeighborsWrapsAnyCoordinate feeds estimateNeighbors frames
+// whose atoms sit far outside the box.  A displacement is wrapped in one
+// step, so a non-finite or remote coordinate returns at once, and stored
+// images of the same atoms count the same neighbours as the wrapped frame.
+func TestEstimateNeighborsWrapsAnyCoordinate(t *testing.T) {
+	const box, rcut = 10.0, 4.7
+	// Atoms 0 and 1 are 1 Å apart across the x boundary, 2 and 3 are 2 Å
+	// apart inside the box, and 1 and 2 are 4.5 Å apart: four ordered
+	// pairs over four atoms within rcut.
+	wrapped := []float64{0.5, 5, 5, 9.5, 5, 5, 5, 5, 5, 5, 7, 5}
+	shift := func(by []float64) []float64 {
+		c := append([]float64(nil), wrapped...)
+		for k := range c {
+			c[k] += by[k/3] * box
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name  string
+		coord []float64
+		want  float64
+	}{
+		{"wrapped", wrapped, 2},
+		{"three boxes away", shift([]float64{3, -3, 3, -3}), 2},
+		{"1e11 boxes away", shift([]float64{1e11, 0, 0, 0}), 2},
+		// Every pair with atom 0 is NaN apart and never counts; the ordered
+		// pairs 1–2, 2–1, 2–3 and 3–2 remain, so the average is 1.
+		{"+Inf coordinate", append([]float64{math.Inf(1)}, wrapped[1:]...), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := &dataset.Dataset{
+				Types:  []int{0, 1, 0, 1},
+				Frames: []dataset.Frame{{Coord: tc.coord, Box: box}},
+			}
+			done := make(chan float64, 1)
+			go func() { done <- estimateNeighbors(src, rcut) }()
+			select {
+			case got := <-done:
+				if got != tc.want {
+					t.Errorf("estimateNeighbors = %v, want %v", got, tc.want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("estimateNeighbors did not return within 5 s")
+			}
+		})
+	}
+}

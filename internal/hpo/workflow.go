@@ -3,6 +3,7 @@ package hpo
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -165,12 +166,7 @@ func estimateNeighbors(src deepmd.FrameSource, rcut float64) float64 {
 			for k := 0; k < 3; k++ {
 				dk := f.Coord[3*j+k] - f.Coord[3*i+k]
 				if f.Box > 0 {
-					for dk > f.Box/2 {
-						dk -= f.Box
-					}
-					for dk < -f.Box/2 {
-						dk += f.Box
-					}
+					dk -= f.Box * math.Round(dk/f.Box)
 				}
 				r2 += dk * dk
 			}

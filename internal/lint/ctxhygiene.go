@@ -2,7 +2,13 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
+
+// ctxSendPkgs are the packages whose channel sends must stay
+// cancellation-aware: the distributed plane and the campaign service,
+// where a peer can vanish mid-send.
+var ctxSendPkgs = map[string]bool{"cluster": true, "service": true}
 
 // CtxHygiene enforces context discipline:
 //
@@ -12,37 +18,35 @@ import (
 //   - context.Context must be the first parameter (after any *testing.T
 //     / *testing.B / *testing.F), per the standard convention the rest
 //     of the tree relies on when threading cancellation;
-//   - in package cluster, a channel send in a function that has a ctx
+//   - in ctxSendPkgs, a channel send in a function that has a ctx
 //     must sit inside a select — a bare send blocks forever if the peer
 //     is gone, which is exactly when cancellation must still win.
 var CtxHygiene = &Analyzer{
 	Name: "ctxhygiene",
-	Doc:  "no stored contexts, ctx-first signatures, no cancellation-blind sends in cluster",
+	Doc:  "no stored contexts, ctx-first signatures, no cancellation-blind sends in " + scopeDoc(ctxSendPkgs),
 	Run:  runCtxHygiene,
 }
 
-func runCtxHygiene(pass *Pass) {
-	pkg := basePkgName(pass)
-	checkSends := pkg == "cluster" || pkg == "service"
-	inspectWithStack(pass.Files, func(n ast.Node, stack []ast.Node) {
+func runCtxHygiene(pass *ProgPass) {
+	pass.inspect(nil, func(pkg *Package, n ast.Node, stack []ast.Node) {
 		switch node := n.(type) {
 		case *ast.StructType:
 			for _, field := range node.Fields.List {
-				if t := pass.Info.TypeOf(field.Type); t != nil && isContextType(t) {
+				if t := pkg.Info.TypeOf(field.Type); t != nil && isContextType(t) {
 					name := "embedded"
 					if len(field.Names) > 0 {
 						name = field.Names[0].Name
 					}
-					pass.Reportf(field.Pos(), "context.Context stored in struct field %q: a stored ctx detaches cancellation from the call tree; pass it as a parameter", name)
+					pass.Reportf(pkg, field.Pos(), "context.Context stored in struct field %q: a stored ctx detaches cancellation from the call tree; pass it as a parameter", name)
 				}
 			}
 		case *ast.FuncDecl:
-			checkCtxPosition(pass, node.Type)
+			checkCtxPosition(pass, pkg, node.Type)
 		case *ast.FuncLit:
-			checkCtxPosition(pass, node.Type)
+			checkCtxPosition(pass, pkg, node.Type)
 		case *ast.SendStmt:
-			if checkSends && !inTestFile(pass, node) {
-				checkSend(pass, node, stack)
+			if ctxSendPkgs[pkg.BaseName()] && !inTestFileOf(pkg, node.Pos()) {
+				checkSend(pass, pkg, node, stack)
 			}
 		}
 	})
@@ -50,20 +54,20 @@ func runCtxHygiene(pass *Pass) {
 
 // checkCtxPosition flags a context.Context parameter that is not first
 // (testing.T/B/F params may precede it).
-func checkCtxPosition(pass *Pass, ft *ast.FuncType) {
+func checkCtxPosition(pass *ProgPass, pkg *Package, ft *ast.FuncType) {
 	if ft.Params == nil {
 		return
 	}
 	pos := 0
 	for _, field := range ft.Params.List {
-		t := pass.Info.TypeOf(field.Type)
+		t := pkg.Info.TypeOf(field.Type)
 		n := len(field.Names)
 		if n == 0 {
 			n = 1
 		}
 		if t != nil && isContextType(t) {
 			if pos > 0 {
-				pass.Reportf(field.Pos(), "context.Context is parameter %d: ctx goes first (after *testing.T/B/F) so call sites thread cancellation uniformly", pos)
+				pass.Reportf(pkg, field.Pos(), "context.Context is parameter %d: ctx goes first (after *testing.T/B/F) so call sites thread cancellation uniformly", pos)
 			}
 			return // only the first ctx param matters
 		}
@@ -81,11 +85,11 @@ func isTestingParam(t interface{ String() string }) bool {
 	return false
 }
 
-// checkSend flags `ch <- v` outside a select in any cluster function
-// that has a context.Context parameter available to select on.
-func checkSend(pass *Pass, send *ast.SendStmt, stack []ast.Node) {
+// checkSend flags `ch <- v` outside a select in any function that has
+// a context.Context parameter available to select on.
+func checkSend(pass *ProgPass, pkg *Package, send *ast.SendStmt, stack []ast.Node) {
 	ft, fn := enclosingFuncType(stack)
-	if ft == nil || !funcHasCtxParam(pass, ft) {
+	if ft == nil || !funcHasCtxParam(pkg.Info, ft) {
 		return
 	}
 	// Inside a select's comm clause the send is already cancellation-
@@ -98,15 +102,15 @@ func checkSend(pass *Pass, send *ast.SendStmt, stack []ast.Node) {
 			return
 		}
 	}
-	pass.Reportf(send.Pos(), "cancellation-blind channel send in a function with a ctx: a bare send blocks forever if the receiver is gone; select on ctx.Done() too")
+	pass.Reportf(pkg, send.Pos(), "cancellation-blind channel send in a function with a ctx: a bare send blocks forever if the receiver is gone; select on ctx.Done() too")
 }
 
-func funcHasCtxParam(pass *Pass, ft *ast.FuncType) bool {
+func funcHasCtxParam(info *types.Info, ft *ast.FuncType) bool {
 	if ft.Params == nil {
 		return false
 	}
 	for _, field := range ft.Params.List {
-		if t := pass.Info.TypeOf(field.Type); t != nil && isContextType(t) {
+		if t := info.TypeOf(field.Type); t != nil && isContextType(t) {
 			return true
 		}
 	}

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -34,9 +35,11 @@ var deterministicPkgs = map[string]bool{
 // Determinism flags nondeterminism sources in deterministic packages:
 // wall-clock reads (time.Now/Since/Until), the global math/rand source,
 // and map iteration feeding ordered output or float accumulation.
+// DetFlow finds the same sources (wallClockRead, mapOrderEffects) and
+// follows their values across package boundaries.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "no wall clock, global rand, or order-sensitive map iteration in deterministic packages",
+	Doc:  "no wall clock, global rand, or order-sensitive map iteration in " + scopeDoc(deterministicPkgs),
 	Run:  runDeterminism,
 }
 
@@ -55,79 +58,84 @@ var globalRandFuncs = map[string]bool{
 	"Uint32N": true, "Uint64N": true, "UintN": true, "Uint": true,
 }
 
-func runDeterminism(pass *Pass) {
-	if !deterministicPkgs[basePkgName(pass)] {
-		return
-	}
-	inspectWithStack(pass.Files, func(n ast.Node, stack []ast.Node) {
+func runDeterminism(pass *ProgPass) {
+	pass.inspect(deterministicPkgs, func(pkg *Package, n ast.Node, _ []ast.Node) {
 		switch node := n.(type) {
 		case *ast.SelectorExpr:
-			path, name := pkgCall(pass.Info, node)
-			switch {
-			case path == "time" && wallClockFuncs[name]:
-				pass.Reportf(node.Pos(), "time.%s in deterministic package %q: wall-clock reads break bit-identical replay; inject the timestamp at the boundary", name, basePkgName(pass))
-			case (path == "math/rand" || path == "math/rand/v2") && globalRandFuncs[name]:
-				pass.Reportf(node.Pos(), "global math/rand.%s in deterministic package %q: the shared source is seeded per-process; use a seeded *rand.Rand", name, basePkgName(pass))
+			if name, ok := wallClockRead(pkg.Info, node); ok {
+				pass.Reportf(pkg, node.Pos(), "time.%s in deterministic package %q: wall-clock reads break bit-identical replay; inject the timestamp at the boundary", name, pkg.BaseName())
+			} else if path, name := pkgCall(pkg.Info, node); (path == "math/rand" || path == "math/rand/v2") && globalRandFuncs[name] {
+				pass.Reportf(pkg, node.Pos(), "global math/rand.%s in deterministic package %q: the shared source is seeded per-process; use a seeded *rand.Rand", name, pkg.BaseName())
 			}
 		case *ast.RangeStmt:
-			checkMapRange(pass, node)
+			for _, e := range mapOrderEffects(pkg.Info, node) {
+				pass.Reportf(pkg, node.Pos(), "%s", e.msg)
+			}
 		}
 	})
 }
 
-// checkMapRange flags `for … := range m` over a map when the loop body
-// is order-sensitive: it appends to a slice declared outside the loop,
-// accumulates into an outer floating-point variable (float addition is
-// not associative, so sum order changes the bits), or writes ordered
-// output.  Collect-then-sort loops should sort immediately after and
-// carry a //lint:ignore explaining that.
-func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
-	t := pass.Info.TypeOf(rng.X)
-	if t == nil {
-		return
+// wallClockRead reports a time.Now/Since/Until reference and its name.
+func wallClockRead(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
+	path, name := pkgCall(info, sel)
+	return name, path == "time" && wallClockFuncs[name]
+}
+
+// mapEffect is one order-sensitive statement in the body of a map range.
+type mapEffect struct {
+	root types.Object // the outer variable that keeps the order, or nil
+	msg  string       // the determinism finding
+}
+
+// mapOrderEffects returns, in source order, every statement of rng's
+// body that makes the loop order-sensitive, or nil if rng does not range
+// over a map: an append to a slice declared outside the loop, an
+// arithmetic op-assign into an outer floating-point variable (float
+// addition is not associative, so sum order changes the bits), ordered
+// output, and subtest registration.  Collect-then-sort loops should sort
+// immediately after and carry a //lint:ignore explaining that.
+func mapOrderEffects(info *types.Info, rng *ast.RangeStmt) []mapEffect {
+	if t := info.TypeOf(rng.X); t == nil {
+		return nil
+	} else if _, ok := t.Underlying().(*types.Map); !ok {
+		return nil
 	}
-	if _, ok := t.Underlying().(*types.Map); !ok {
-		return
+	outer := func(e ast.Expr) types.Object {
+		if obj := rootIdentObj(info, e); obj != nil && !declaredWithin(obj, rng) {
+			return obj
+		}
+		return nil
 	}
+	var out []mapEffect
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.AssignStmt:
-			switch node.Tok {
-			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-				for _, lhs := range node.Lhs {
-					lt := pass.Info.TypeOf(lhs)
-					obj := rootIdentObj(pass.Info, lhs)
-					if lt != nil && isFloat(lt) && obj != nil && !declaredWithin(obj, rng) {
-						pass.Reportf(rng.Pos(), "map iteration accumulates into float %q: float addition is order-sensitive and map order is random; iterate sorted keys", obj.Name())
-						return false
-					}
+			for i, rhs := range node.Rhs {
+				if i >= len(node.Lhs) {
+					break
 				}
-			case token.ASSIGN, token.DEFINE:
-				// x = append(x, …) with x declared outside the loop.
-				for i, rhs := range node.Rhs {
-					call, ok := rhs.(*ast.CallExpr)
-					if !ok || !isBuiltinAppend(pass.Info, call) || i >= len(node.Lhs) {
-						continue
-					}
-					obj := rootIdentObj(pass.Info, node.Lhs[i])
-					if obj != nil && !declaredWithin(obj, rng) {
-						pass.Reportf(rng.Pos(), "map iteration appends to %q in random order; collect-then-sort (and //lint:ignore with that reason) or iterate sorted keys", obj.Name())
-						return false
-					}
+				obj := outer(node.Lhs[i])
+				call, isCall := rhs.(*ast.CallExpr)
+				lt := info.TypeOf(node.Lhs[i])
+				switch {
+				case obj == nil:
+				case isCall && isBuiltinAppend(info, call):
+					out = append(out, mapEffect{obj, fmt.Sprintf("map iteration appends to %q in random order; collect-then-sort (and //lint:ignore with that reason) or iterate sorted keys", obj.Name())})
+				case node.Tok != token.ASSIGN && node.Tok != token.DEFINE && lt != nil && isFloat(lt):
+					// An op-assign on a float is +=, -=, *= or /=.
+					out = append(out, mapEffect{obj, fmt.Sprintf("map iteration accumulates into float %q: float addition is order-sensitive and map order is random; iterate sorted keys", obj.Name())})
 				}
 			}
 		case *ast.CallExpr:
-			if name, ok := orderedOutputCall(pass.Info, node); ok {
-				pass.Reportf(rng.Pos(), "map iteration feeds ordered output via %s; map order is random — iterate sorted keys", name)
-				return false
-			}
-			if isSubtestRun(pass.Info, node) {
-				pass.Reportf(rng.Pos(), "map iteration registers subtests/benchmarks in random order; -run output and bench tables reorder between runs — iterate a sorted slice")
-				return false
+			if name, ok := orderedOutputCall(info, node); ok {
+				out = append(out, mapEffect{msg: fmt.Sprintf("map iteration feeds ordered output via %s; map order is random — iterate sorted keys", name)})
+			} else if isSubtestRun(info, node) {
+				out = append(out, mapEffect{msg: "map iteration registers subtests/benchmarks in random order; -run output and bench tables reorder between runs — iterate a sorted slice"})
 			}
 		}
 		return true
 	})
+	return out
 }
 
 func isBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {

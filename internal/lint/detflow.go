@@ -8,11 +8,11 @@ import (
 	"strings"
 )
 
-// DetFlow extends the package-local determinism analyzer across
-// package boundaries: a wall-clock read or an order-sensitive map
-// iteration whose *value* escapes through helper-function returns is
-// flagged where a deterministic package consumes it.  The package-local
-// analyzer catches `time.Now()` written inside nsga2; DetFlow catches
+// DetFlow follows determinism's sources across package boundaries: a
+// wall-clock read or an order-sensitive map iteration (wallClockRead,
+// mapOrderEffects) whose *value* escapes through helper-function returns
+// is flagged where a deterministic package consumes it.  Determinism
+// catches `time.Now()` written inside nsga2; DetFlow catches
 // `x := util.Stamp()` inside nsga2 where util.Stamp (any non-
 // deterministic package) returns a time.Now-derived value through any
 // number of intermediate helpers — the leak the golden campaign's
@@ -22,9 +22,9 @@ import (
 // detflow) do not taint their callers: a collect-then-sort map range
 // with a reasoned ignore stays clean interprocedurally too.
 var DetFlow = &Analyzer{
-	Name:       "detflow",
-	Doc:        "no wall-clock or map-order values flowing through helpers into deterministic packages (frontier/lcurve/wire sinks)",
-	RunProgram: runDetFlow,
+	Name: "detflow",
+	Doc:  "no wall-clock or map-order values flowing through helpers into deterministic packages (frontier/lcurve/wire sinks)",
+	Run:  runDetFlow,
 }
 
 // taintSummary records whether a function's return value is derived
@@ -68,7 +68,7 @@ func runDetFlow(pass *ProgPass) {
 	// Findings: deterministic-package code consuming a tainted return
 	// from a non-deterministic package's function.
 	for _, n := range prog.Nodes() {
-		if !deterministicPkgs[strings.TrimSuffix(n.Pkg.Name, "_test")] {
+		if !deterministicPkgs[n.Pkg.BaseName()] {
 			continue
 		}
 		var stack []ast.Node
@@ -91,8 +91,8 @@ func runDetFlow(pass *ProgPass) {
 					continue
 				}
 				callee := rc.node
-				if deterministicPkgs[strings.TrimSuffix(callee.Pkg.Name, "_test")] {
-					continue // intra-deterministic calls are the local analyzer's job
+				if deterministicPkgs[callee.Pkg.BaseName()] {
+					continue // intra-deterministic calls are determinism's job
 				}
 				sum := summaries[callee.Key]
 				if sum == nil {
@@ -102,11 +102,11 @@ func runDetFlow(pass *ProgPass) {
 				case sum.clock:
 					pass.Reportf(n.Pkg, call.Pos(),
 						"call to %s returns a wall-clock-derived value (%s) into deterministic package %q: the result poisons bit-identical replay; inject the timestamp at the boundary",
-						shortKey(callee.Key), sum.clockWhy, strings.TrimSuffix(n.Pkg.Name, "_test"))
+						shortKey(callee.Key), sum.clockWhy, n.Pkg.BaseName())
 				case sum.mapOrder:
 					pass.Reportf(n.Pkg, call.Pos(),
 						"call to %s returns a map-iteration-ordered value (%s) into deterministic package %q: map order is random per run; sort in the helper or iterate sorted keys",
-						shortKey(callee.Key), sum.mapWhy, strings.TrimSuffix(n.Pkg.Name, "_test"))
+						shortKey(callee.Key), sum.mapWhy, n.Pkg.BaseName())
 				}
 			}
 			stack = append(stack, node)
@@ -148,8 +148,10 @@ func resultDiscarded(stack []ast.Node) bool {
 	return false
 }
 
-func inTestFileOf(pkg *Package, pos token.Pos) bool {
-	return strings.HasSuffix(pkg.Fset.Position(pos).Filename, "_test.go")
+// sourceSuppressed reports a nondeterminism source silenced in place
+// under either rule name: it does not taint its callers.
+func (prog *Program) sourceSuppressed(pos token.Position) bool {
+	return prog.suppressedAt(pos.Filename, pos.Line, "determinism") || prog.suppressedAt(pos.Filename, pos.Line, "detflow")
 }
 
 // returnTaintOf analyzes one function body: local objects assigned from
@@ -160,50 +162,26 @@ func returnTaintOf(prog *Program, n *FuncNode, summaries map[string]*taintSummar
 	taintedClock := map[types.Object]string{}
 	taintedMap := map[types.Object]string{}
 
-	// Map-order roots: variables appended to / accumulated inside a map
-	// range (the package-local analyzer's definition), unless suppressed.
-	markMapRoots := func() {
-		ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-			rng, ok := node.(*ast.RangeStmt)
-			if !ok {
-				return true
-			}
-			t := pkg.Info.TypeOf(rng.X)
-			if t == nil {
-				return true
-			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			pos := pkg.Fset.Position(rng.Pos())
-			if prog.suppressedAt(pos.Filename, pos.Line, "determinism") || prog.suppressedAt(pos.Filename, pos.Line, "detflow") {
-				return true
-			}
-			ast.Inspect(rng.Body, func(m ast.Node) bool {
-				as, ok := m.(*ast.AssignStmt)
-				if !ok {
-					return true
-				}
-				for i, rhs := range as.Rhs {
-					if i >= len(as.Lhs) {
-						break
-					}
-					call, isCall := rhs.(*ast.CallExpr)
-					isAppend := isCall && isBuiltinAppend(pkg.Info, call)
-					if !isAppend && as.Tok != token.ADD_ASSIGN {
-						continue
-					}
-					obj := rootIdentObj(pkg.Info, as.Lhs[i])
-					if obj != nil && !declaredWithin(obj, rng) {
-						taintedMap[obj] = fmt.Sprintf("map range at %s:%d", pos.Filename, pos.Line)
-					}
-				}
-				return true
-			})
+	// Map-order roots: the outer variables determinism's map-range
+	// effects write, unless the range is suppressed.
+	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
+		rng, ok := node.(*ast.RangeStmt)
+		if !ok {
 			return true
-		})
-	}
-	markMapRoots()
+		}
+		effects := mapOrderEffects(pkg.Info, rng)
+		if len(effects) == 0 {
+			return true
+		}
+		if pos := pkg.Fset.Position(rng.Pos()); !prog.sourceSuppressed(pos) {
+			for _, e := range effects {
+				if e.root != nil {
+					taintedMap[e.root] = fmt.Sprintf("map range at %s:%d", pos.Filename, pos.Line)
+				}
+			}
+		}
+		return true
+	})
 
 	// exprTaint classifies an expression's taint by walking its subtree.
 	exprTaint := func(e ast.Expr) (c bool, cWhy string, m bool, mWhy string) {
@@ -231,9 +209,8 @@ func returnTaintOf(prog *Program, n *FuncNode, summaries map[string]*taintSummar
 					}
 				}
 			case *ast.SelectorExpr:
-				if path, name := pkgCall(pkg.Info, v); path == "time" && wallClockFuncs[name] {
-					pos := pkg.Fset.Position(v.Pos())
-					if !prog.suppressedAt(pos.Filename, pos.Line, "determinism") && !prog.suppressedAt(pos.Filename, pos.Line, "detflow") {
+				if name, ok := wallClockRead(pkg.Info, v); ok {
+					if pos := pkg.Fset.Position(v.Pos()); !prog.sourceSuppressed(pos) {
 						c, cWhy = true, fmt.Sprintf("time.%s at %s:%d", name, pos.Filename, pos.Line)
 					}
 				}

@@ -4,24 +4,25 @@
 // semantics depend on: bit-identical determinism in the numeric
 // packages, no exact float comparisons outside a small allowlist,
 // context hygiene in the distributed plane, lock discipline, no
-// silently dropped I/O errors on the persistence paths — and, through
-// a whole-program layer, goroutine teardown, cross-package lock
+// silently dropped I/O errors on the persistence paths — and, across
+// the call graph, goroutine teardown, cross-package lock
 // ordering, interprocedural determinism taint and the 0-allocs/op
 // hot-path contract.
 //
-// # Two layers
+// # One layer
 //
-// Package-local analyzers (Analyzer.Run) inspect one type-checked
-// package at a time; Run drives them.  Interprocedural analyzers
-// (Analyzer.RunProgram) need the whole module at once: Program indexes
-// every function by a stable cross-package key ("pkgpath.Name" or
-// "pkgpath.Recv.Name" — packages type-check in separate export-data
-// universes, so *types.Func identity does not survive package
-// boundaries, but string keys do), resolves every call site to static,
-// interface-dispatch and method-value edges with go/defer flags, and
-// builds lightweight per-function control-flow graphs (BuildCFG) for
-// reachability questions.  Program.Run drives both layers; All returns
-// the full ordered roster.
+// Every analyzer is one Run over a Program, and Program.Run is the only
+// driver; All returns the ordered roster.  The package-local rules visit
+// the program's packages through one ProgPass helper.  The
+// interprocedural rules use what Program adds: every function indexed
+// by a stable cross-package key ("pkgpath.Name" or "pkgpath.Recv.Name" —
+// packages type-check in separate export-data universes, so *types.Func
+// identity does not survive package boundaries, but string keys do),
+// every call site resolved to static, interface-dispatch and
+// method-value edges with go/defer flags, and lightweight per-function
+// control-flow graphs (BuildCFG) for reachability questions.
+// Determinism and DetFlow share one finder of wall-clock reads and
+// order-sensitive map ranges.
 //
 // # Loading
 //
@@ -31,11 +32,10 @@
 // memoized under <module>/.lintcache, keyed by a content hash of the
 // toolchain version, go.mod/go.sum and every tracked .go file, and
 // validated against the build cache before reuse.  LoadDir loads one
-// testdata package for the golden harness; LoadDirProgram loads a
-// multi-package fixture tree (each subdirectory one package,
-// importable by its directory name) sharing one fileset and importer,
-// which is how the interprocedural golden programs under
-// testdata/prog are exercised.
+// testdata package (testdata/src) for the golden harness;
+// LoadDirProgram loads a multi-package fixture tree (testdata/prog: each
+// subdirectory one package, importable by its directory name) sharing
+// one fileset and importer.  Both become a Program like the module does.
 //
 // # Directives
 //

@@ -32,7 +32,7 @@ var errDiscardPkgs = map[string]bool{
 // best-effort discards take a //lint:ignore with the reason.
 var ErrDiscard = &Analyzer{
 	Name: "errdiscard",
-	Doc:  "no dropped errors on io/net/encode paths in cluster, npy, dataset, stream",
+	Doc:  "no dropped errors on io/net/encode paths in " + scopeDoc(errDiscardPkgs),
 	Run:  runErrDiscard,
 }
 
@@ -54,12 +54,9 @@ var ioPkgPaths = map[string]bool{
 // (writeBatch, readFrame, sendResult, …).
 var ioFuncPrefixes = []string{"write", "read", "send", "recv", "flush", "encode", "decode", "marshal", "unmarshal"}
 
-func runErrDiscard(pass *Pass) {
-	if !errDiscardPkgs[basePkgName(pass)] {
-		return
-	}
-	inspectWithStack(pass.Files, func(n ast.Node, stack []ast.Node) {
-		if inTestFile(pass, n) {
+func runErrDiscard(pass *ProgPass) {
+	pass.inspect(errDiscardPkgs, func(pkg *Package, n ast.Node, stack []ast.Node) {
+		if inTestFileOf(pkg, n.Pos()) {
 			return
 		}
 		// The defer exemption covers the whole deferred subtree, so a
@@ -73,21 +70,21 @@ func runErrDiscard(pass *Pass) {
 		switch node := n.(type) {
 		case *ast.ExprStmt:
 			call, ok := node.X.(*ast.CallExpr)
-			if !ok || !returnsError(pass.Info, call) {
+			if !ok || !returnsError(pkg.Info, call) {
 				return
 			}
-			if name, ok := ioCallee(pass.Info, call); ok {
-				pass.Reportf(node.Pos(), "error from %s dropped by bare call: a failed write/close here is silent data loss; handle it or //lint:ignore with the reason it is best-effort", name)
+			if name, ok := ioCallee(pkg.Info, call); ok {
+				pass.Reportf(pkg, node.Pos(), "error from %s dropped by bare call: a failed write/close here is silent data loss; handle it or //lint:ignore with the reason it is best-effort", name)
 			}
 		case *ast.AssignStmt:
-			checkBlankErrAssign(pass, node)
+			checkBlankErrAssign(pass, pkg, node)
 		}
 	})
 }
 
 // checkBlankErrAssign flags assignments whose error results all land in
 // the blank identifier (`_ = conn.Close()`, `n, _ := w.Write(p)`).
-func checkBlankErrAssign(pass *Pass, as *ast.AssignStmt) {
+func checkBlankErrAssign(pass *ProgPass, pkg *Package, as *ast.AssignStmt) {
 	if len(as.Rhs) != 1 {
 		return
 	}
@@ -95,11 +92,11 @@ func checkBlankErrAssign(pass *Pass, as *ast.AssignStmt) {
 	if !ok {
 		return
 	}
-	name, ok := ioCallee(pass.Info, call)
+	name, ok := ioCallee(pkg.Info, call)
 	if !ok {
 		return
 	}
-	sig := pass.Info.TypeOf(call)
+	sig := pkg.Info.TypeOf(call)
 	if sig == nil {
 		return
 	}
@@ -116,7 +113,7 @@ func checkBlankErrAssign(pass *Pass, as *ast.AssignStmt) {
 			return // at least one error result is bound
 		}
 	}
-	pass.Reportf(as.Pos(), "error from %s assigned to _: a failed write/close here is silent data loss; handle it or //lint:ignore with the reason it is best-effort", name)
+	pass.Reportf(pkg, as.Pos(), "error from %s assigned to _: a failed write/close here is silent data loss; handle it or //lint:ignore with the reason it is best-effort", name)
 }
 
 // errorResultIndices returns the result positions of type error.

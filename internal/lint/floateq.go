@@ -33,39 +33,39 @@ var FloatEq = &Analyzer{
 	Run:  runFloatEq,
 }
 
-func runFloatEq(pass *Pass) {
-	inspectWithStack(pass.Files, func(n ast.Node, stack []ast.Node) {
+func runFloatEq(pass *ProgPass) {
+	pass.inspect(nil, func(pkg *Package, n ast.Node, stack []ast.Node) {
 		bin, ok := n.(*ast.BinaryExpr)
 		if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
 			return
 		}
-		xt, yt := pass.Info.TypeOf(bin.X), pass.Info.TypeOf(bin.Y)
+		xt, yt := pkg.Info.TypeOf(bin.X), pkg.Info.TypeOf(bin.Y)
 		if xt == nil || yt == nil || (!isFloat(xt) && !isFloat(yt)) {
 			return
 		}
-		xv, yv := constValue(pass.Info, bin.X), constValue(pass.Info, bin.Y)
+		xv, yv := constValue(pkg.Info, bin.X), constValue(pkg.Info, bin.Y)
 		switch {
 		case xv != nil && yv != nil:
 			return // compile-time comparison
 		case isIntegralConst(xv) || isIntegralConst(yv):
 			return // exact sentinel (0, 1, MAXINT, …)
-		case inTestFile(pass, bin) && (xv != nil || yv != nil):
+		case inTestFileOf(pkg, bin.Pos()) && (xv != nil || yv != nil):
 			return // exactness assertions in tests
-		case inTestFile(pass, bin) && isTestAssertGuard(pass, bin, stack):
+		case inTestFileOf(pkg, bin.Pos()) && isTestAssertGuard(pkg.Info, bin, stack):
 			return // bit-identity assert: mismatch fails the test
 		case types.ExprString(bin.X) == types.ExprString(bin.Y):
 			return // x != x NaN idiom
-		case isInfNaNCall(pass.Info, bin.X) || isInfNaNCall(pass.Info, bin.Y):
+		case isInfNaNCall(pkg.Info, bin.X) || isInfNaNCall(pkg.Info, bin.Y):
 			return
 		}
-		pass.Reportf(bin.Pos(), "exact float comparison %s between computed values; use an epsilon or //lint:ignore with the reason exact equality is the semantics", bin.Op)
+		pass.Reportf(pkg, bin.Pos(), "exact float comparison %s between computed values; use an epsilon or //lint:ignore with the reason exact equality is the semantics", bin.Op)
 	})
 }
 
 // isTestAssertGuard reports whether bin sits in the condition of an if
 // statement whose body (or else branch) fails or skips the test — the
 // `if got != want { t.Fatalf(…) }` bit-identity idiom.
-func isTestAssertGuard(pass *Pass, bin *ast.BinaryExpr, stack []ast.Node) bool {
+func isTestAssertGuard(info *types.Info, bin *ast.BinaryExpr, stack []ast.Node) bool {
 	for i := len(stack) - 1; i >= 0; i-- {
 		ifStmt, ok := stack[i].(*ast.IfStmt)
 		if !ok || ifStmt.Cond == nil {
@@ -84,7 +84,7 @@ func isTestAssertGuard(pass *Pass, bin *ast.BinaryExpr, stack []ast.Node) bool {
 			if !ok {
 				return true
 			}
-			recv := pass.Info.TypeOf(sel.X)
+			recv := info.TypeOf(sel.X)
 			if recv == nil || !isTestingParam(recv) {
 				return true
 			}

@@ -7,7 +7,6 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
-	"strings"
 )
 
 // goroutinePkgs are the packages whose goroutines must have a reachable
@@ -27,9 +26,9 @@ var goroutinePkgs = map[string]bool{
 // channels it receives on, buffering or a drain loop for the channels
 // it sends on, or a ctx.Done()/done-channel case in its selects).
 var GoroutineLeak = &Analyzer{
-	Name:       "goroutineleak",
-	Doc:        "goroutines in cluster/service/stream must not block forever: every channel op needs a reachable close/cancel/drain",
-	RunProgram: runGoroutineLeak,
+	Name: "goroutineleak",
+	Doc:  "goroutines in " + scopeDoc(goroutinePkgs) + " must not block forever: every channel op needs a reachable close/cancel/drain",
+	Run:  runGoroutineLeak,
 }
 
 // chanFacts is the program-wide channel index: which channel "keys"
@@ -160,7 +159,7 @@ func runGoroutineLeak(pass *ProgPass) {
 	prog := pass.Prog
 	facts := prog.chanIndex()
 	for _, n := range prog.Nodes() {
-		if !goroutinePkgs[strings.TrimSuffix(n.Pkg.Name, "_test")] {
+		if !goroutinePkgs[n.Pkg.BaseName()] {
 			continue
 		}
 		if inTestFileOf(n.Pkg, n.Decl.Pos()) {

@@ -2,7 +2,8 @@ package lint
 
 // Mini golden-test harness in the spirit of x/tools' analysistest
 // (which we cannot depend on): each testdata/src/<case> directory is a
-// standalone package; comments of the form
+// standalone package and each testdata/prog/<case> a small program;
+// comments of the form
 //
 //	// want "regexp"
 //
@@ -31,34 +32,27 @@ type wantDiag struct {
 	hit  bool
 }
 
-// runGolden loads testdata/src/<name> as one package, runs the
-// package-local analyzers, and checks the diagnostics against the
-// package's // want comments.
-func runGolden(t *testing.T, name string, analyzers ...*Analyzer) {
+// runGolden loads one fixture, runs the analyzers over it as a program,
+// and checks the diagnostics against its // want comments.  A
+// testdata/src/<name> fixture is one package; a testdata/prog/<name>
+// fixture is a multi-package program (each subdirectory one package,
+// importable by directory name).
+func runGolden(t *testing.T, kind, name string, analyzers ...*Analyzer) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", name)
-	pkg, err := LoadDir(dir)
+	dir := filepath.Join("testdata", kind, name)
+	var pkgs []*Package
+	var err error
+	if kind == "src" {
+		var pkg *Package
+		pkg, err = LoadDir(dir)
+		pkgs = []*Package{pkg}
+	} else {
+		pkgs, err = LoadDirProgram(dir)
+	}
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)
 	}
-	diags := Run(pkg, analyzers)
-	checkWants(t, []*Package{pkg}, diags)
-}
-
-// runGoldenProgram loads testdata/prog/<name> as a multi-package
-// program (each subdirectory one package, importable by directory
-// name), runs the full-program analyzers over its call graph, and
-// checks the diagnostics against // want comments in any package.
-func runGoldenProgram(t *testing.T, name string, analyzers ...*Analyzer) {
-	t.Helper()
-	dir := filepath.Join("testdata", "prog", name)
-	pkgs, err := LoadDirProgram(dir)
-	if err != nil {
-		t.Fatalf("load %s: %v", dir, err)
-	}
-	prog := NewProgram(pkgs)
-	diags := prog.Run(analyzers)
-	checkWants(t, pkgs, diags)
+	checkWants(t, pkgs, NewProgram(pkgs).Run(analyzers))
 }
 
 // checkWants matches reported diagnostics against the // want comments
@@ -122,18 +116,17 @@ func checkWants(t *testing.T, pkgs []*Package, diags []Diagnostic) {
 	}
 }
 
-func TestGoldenDeterminism(t *testing.T)      { runGolden(t, "determinism", Determinism) }
-func TestGoldenDeterminismScope(t *testing.T) { runGolden(t, "determinism_scope", Determinism) }
-func TestGoldenFloatEq(t *testing.T)          { runGolden(t, "floateq", FloatEq) }
-func TestGoldenCtxHygiene(t *testing.T)       { runGolden(t, "ctxhygiene", CtxHygiene) }
-func TestGoldenLockDiscipline(t *testing.T)   { runGolden(t, "lockdiscipline", LockDiscipline) }
-func TestGoldenErrDiscard(t *testing.T)       { runGolden(t, "errdiscard", ErrDiscard) }
-func TestGoldenErrDiscardScope(t *testing.T)  { runGolden(t, "errdiscard_scope", ErrDiscard) }
-
-func TestGoldenGoroutineLeak(t *testing.T) { runGoldenProgram(t, "goroutineleak", GoroutineLeak) }
-func TestGoldenLockOrder(t *testing.T)     { runGoldenProgram(t, "lockorder", LockOrder) }
-func TestGoldenDetFlow(t *testing.T)       { runGoldenProgram(t, "detflow", DetFlow) }
-func TestGoldenHotAlloc(t *testing.T)      { runGoldenProgram(t, "hotalloc", HotAlloc) }
+func TestGoldenDeterminism(t *testing.T)      { runGolden(t, "src", "determinism", Determinism) }
+func TestGoldenDeterminismScope(t *testing.T) { runGolden(t, "src", "determinism_scope", Determinism) }
+func TestGoldenFloatEq(t *testing.T)          { runGolden(t, "src", "floateq", FloatEq) }
+func TestGoldenCtxHygiene(t *testing.T)       { runGolden(t, "src", "ctxhygiene", CtxHygiene) }
+func TestGoldenLockDiscipline(t *testing.T)   { runGolden(t, "src", "lockdiscipline", LockDiscipline) }
+func TestGoldenErrDiscard(t *testing.T)       { runGolden(t, "src", "errdiscard", ErrDiscard) }
+func TestGoldenErrDiscardScope(t *testing.T)  { runGolden(t, "src", "errdiscard_scope", ErrDiscard) }
+func TestGoldenGoroutineLeak(t *testing.T)    { runGolden(t, "prog", "goroutineleak", GoroutineLeak) }
+func TestGoldenLockOrder(t *testing.T)        { runGolden(t, "prog", "lockorder", LockOrder) }
+func TestGoldenDetFlow(t *testing.T)          { runGolden(t, "prog", "detflow", DetFlow) }
+func TestGoldenHotAlloc(t *testing.T)         { runGolden(t, "prog", "hotalloc", HotAlloc) }
 
 // TestAnalyzerNamesUnique guards the suppression namespace.
 func TestAnalyzerNamesUnique(t *testing.T) {

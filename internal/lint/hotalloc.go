@@ -39,9 +39,9 @@ import (
 // declaration is itself a finding — a misplaced annotation must not
 // silently protect nothing.
 var HotAlloc = &Analyzer{
-	Name:       "hotalloc",
-	Doc:        "//lint:hot functions and their transitive callees must be allocation-free in steady state",
-	RunProgram: runHotAlloc,
+	Name: "hotalloc",
+	Doc:  "//lint:hot functions and their transitive callees must be allocation-free in steady state",
+	Run:  runHotAlloc,
 }
 
 func runHotAlloc(pass *ProgPass) {

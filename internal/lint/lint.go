@@ -4,31 +4,8 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"strings"
 )
-
-// Pass carries one type-checked package through an analyzer.
-type Pass struct {
-	Fset       *token.FileSet
-	Files      []*ast.File
-	Pkg        *types.Package
-	Info       *types.Info
-	ImportPath string
-
-	diags *[]Diagnostic
-	rule  string
-}
-
-// Reportf records a diagnostic at pos under the running analyzer's rule.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	position := p.Fset.Position(pos)
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:  position,
-		Rule: p.rule,
-		Msg:  fmt.Sprintf(format, args...),
-	})
-}
 
 // Diagnostic is one finding.
 type Diagnostic struct {
@@ -52,25 +29,20 @@ func (d Diagnostic) Key() string {
 	return fmt.Sprintf("%s:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Rule, d.Msg)
 }
 
-// Analyzer is one named rule.  Package-local analyzers set Run;
-// interprocedural analyzers set RunProgram and execute once over the
-// whole program (they need the call graph, so Program.Run is the only
-// driver that runs them).  An analyzer may set both.
+// Analyzer is one named rule.  Every analyzer runs once over the whole
+// program; the package-local rules visit its packages through
+// ProgPass.inspect, the interprocedural ones walk the call graph.
 type Analyzer struct {
 	// Name is the rule ID used in diagnostics and //lint:ignore directives.
 	Name string
 	// Doc is a one-line description of the protected invariant.
 	Doc string
-	// Run inspects one package and reports findings via pass.Reportf.
-	Run func(pass *Pass)
-	// RunProgram inspects the whole program (all module packages, call
-	// graph, CFGs) and reports findings via pass.Reportf.
-	RunProgram func(pass *ProgPass)
+	// Run inspects the program and reports findings via pass.Reportf.
+	Run func(pass *ProgPass)
 }
 
 // All returns every analyzer in the suite, in stable order: the five
-// package-local analyzers of the original suite, then the four
-// interprocedural analyzers built on the call-graph engine.
+// package-local rules, then the four built on the call graph.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
@@ -93,32 +65,6 @@ func registeredRules() map[string]bool {
 		rules[a.Name] = true
 	}
 	return rules
-}
-
-// Run executes the package-local analyzers over one loaded package and
-// returns the surviving diagnostics (suppressions applied), sorted by
-// position.  Interprocedural analyzers (RunProgram only) are skipped —
-// they need a Program; use Program.Run for the full suite.
-func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		if a.Run == nil {
-			continue
-		}
-		pass := &Pass{
-			Fset:       pkg.Fset,
-			Files:      pkg.Files,
-			Pkg:        pkg.Types,
-			Info:       pkg.Info,
-			ImportPath: pkg.ImportPath,
-			diags:      &diags,
-			rule:       a.Name,
-		}
-		a.Run(pass)
-	}
-	diags = applyIgnores(pkg, diags)
-	sortDiags(diags)
-	return diags
 }
 
 // ignoreDirective is one parsed //lint:ignore comment.
@@ -185,30 +131,6 @@ func parseIgnores(pkg *Package) (dirs []ignoreDirective, bad []Diagnostic) {
 		}
 	}
 	return dirs, bad
-}
-
-// applyIgnores removes diagnostics covered by a //lint:ignore on the
-// same line or the line immediately above, and appends any malformed-
-// directive findings.
-func applyIgnores(pkg *Package, diags []Diagnostic) []Diagnostic {
-	dirs, bad := parseIgnores(pkg)
-	out := diags[:0]
-	for _, d := range diags {
-		suppressed := false
-		for _, dir := range dirs {
-			if dir.file != d.Pos.Filename || !dir.rules[d.Rule] {
-				continue
-			}
-			if dir.line == d.Pos.Line || dir.line == d.Pos.Line-1 {
-				suppressed = true
-				break
-			}
-		}
-		if !suppressed {
-			out = append(out, d)
-		}
-	}
-	return append(out, bad...)
 }
 
 // pathEnclosing returns the AST node stack from file root down to the

@@ -35,7 +35,7 @@ func f() time.Time {
 	return time.Now()
 }
 `)
-	diags := Run(pkg, []*Analyzer{Determinism})
+	diags := NewProgram([]*Package{pkg}).Run([]*Analyzer{Determinism})
 	var rules []string
 	for _, d := range diags {
 		rules = append(rules, d.Rule)
@@ -68,7 +68,7 @@ func g() time.Time {
 	return time.Now()
 }
 `)
-	diags := Run(pkg, []*Analyzer{Determinism})
+	diags := NewProgram([]*Package{pkg}).Run([]*Analyzer{Determinism})
 	var badMsgs, rules []string
 	for _, d := range diags {
 		rules = append(rules, d.Rule)
@@ -115,7 +115,7 @@ func h() time.Time {
 	return time.Now()
 }
 `)
-	diags := Run(pkg, []*Analyzer{Determinism})
+	diags := NewProgram([]*Package{pkg}).Run([]*Analyzer{Determinism})
 	if len(diags) != 1 {
 		t.Fatalf("want exactly the wrong-rule finding to survive, got:\n%s", FormatDiags(diags))
 	}

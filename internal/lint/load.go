@@ -36,6 +36,10 @@ type Package struct {
 	TypeErrors []error
 }
 
+// BaseName returns the package name with any _test suffix stripped, so
+// external test packages inherit the rules of the package they test.
+func (p *Package) BaseName() string { return strings.TrimSuffix(p.Name, "_test") }
+
 // listPkg mirrors the subset of `go list -json` output the loader needs.
 type listPkg struct {
 	Dir        string

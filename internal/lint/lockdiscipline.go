@@ -28,30 +28,30 @@ var LockDiscipline = &Analyzer{
 
 var syncValueTypes = []string{"Mutex", "RWMutex", "WaitGroup"}
 
-func runLockDiscipline(pass *Pass) {
-	inspectWithStack(pass.Files, func(n ast.Node, _ []ast.Node) {
+func runLockDiscipline(pass *ProgPass) {
+	pass.inspect(nil, func(pkg *Package, n ast.Node, _ []ast.Node) {
 		switch node := n.(type) {
 		case *ast.FuncDecl:
-			checkSignature(pass, node.Type)
+			checkSignature(pass, pkg, node.Type)
 			if node.Body != nil {
-				checkLockPaths(pass, node.Body)
+				checkLockPaths(pass, pkg, node.Body)
 			}
 		case *ast.FuncLit:
-			checkSignature(pass, node.Type)
-			checkLockPaths(pass, node.Body)
+			checkSignature(pass, pkg, node.Type)
+			checkLockPaths(pass, pkg, node.Body)
 		}
 	})
 }
 
 // checkSignature flags by-value sync.Mutex/RWMutex/WaitGroup parameters
 // and results.
-func checkSignature(pass *Pass, ft *ast.FuncType) {
+func checkSignature(pass *ProgPass, pkg *Package, ft *ast.FuncType) {
 	check := func(fl *ast.FieldList, kind string) {
 		if fl == nil {
 			return
 		}
 		for _, field := range fl.List {
-			t := pass.Info.TypeOf(field.Type)
+			t := pkg.Info.TypeOf(field.Type)
 			if t == nil {
 				continue
 			}
@@ -60,7 +60,7 @@ func checkSignature(pass *Pass, ft *ast.FuncType) {
 			}
 			for _, name := range syncValueTypes {
 				if isNamedType(t, "sync", name) {
-					pass.Reportf(field.Pos(), "sync.%s %s by value: the copy guards nothing; pass *sync.%s", name, kind, name)
+					pass.Reportf(pkg, field.Pos(), "sync.%s %s by value: the copy guards nothing; pass *sync.%s", name, kind, name)
 				}
 			}
 		}
@@ -78,7 +78,7 @@ type lockCall struct {
 
 // checkLockPaths analyzes one function body (nested function literals
 // are analyzed separately when the walker reaches them).
-func checkLockPaths(pass *Pass, body *ast.BlockStmt) {
+func checkLockPaths(pass *ProgPass, pkg *Package, body *ast.BlockStmt) {
 	var (
 		locks    []lockCall
 		unlocks  = map[string][]token.Pos{} // key+name -> explicit unlock positions
@@ -91,7 +91,7 @@ func checkLockPaths(pass *Pass, body *ast.BlockStmt) {
 			return
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !isSyncLockerRecv(pass, sel.X) {
+		if !ok || !isSyncLockerRecv(pkg.Info, sel.X) {
 			return
 		}
 		key := types.ExprString(sel.X)
@@ -143,7 +143,7 @@ func checkLockPaths(pass *Pass, body *ast.BlockStmt) {
 		}
 		for _, r := range returns {
 			if r > l.pos && r < end {
-				pass.Reportf(l.pos, "%s held across a return at line %d with no defer %s.%s(): the early-return path leaks the lock", l.key, pass.Fset.Position(r).Line, l.key, l.unlock)
+				pass.Reportf(pkg, l.pos, "%s held across a return at line %d with no defer %s.%s(): the early-return path leaks the lock", l.key, pkg.Fset.Position(r).Line, l.key, l.unlock)
 				break
 			}
 		}
@@ -167,8 +167,8 @@ func walkSameFunc(body *ast.BlockStmt, fn func(n ast.Node)) {
 
 // isSyncLockerRecv reports whether e's type is sync.Mutex or
 // sync.RWMutex (directly or through a pointer).
-func isSyncLockerRecv(pass *Pass, e ast.Expr) bool {
-	t := pass.Info.TypeOf(e)
+func isSyncLockerRecv(info *types.Info, e ast.Expr) bool {
+	t := info.TypeOf(e)
 	if t == nil {
 		return false
 	}

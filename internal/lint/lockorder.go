@@ -19,9 +19,9 @@ import (
 // reported, once per cycle, at the site of the contributing
 // acquisition.
 var LockOrder = &Analyzer{
-	Name:       "lockorder",
-	Doc:        "no cycles in the cross-package lock-acquisition graph (potential deadlocks)",
-	RunProgram: runLockOrder,
+	Name: "lockorder",
+	Doc:  "no cycles in the cross-package lock-acquisition graph (potential deadlocks)",
+	Run:  runLockOrder,
 }
 
 // lockEvent is one Lock/RLock/Unlock/RUnlock on a lock class inside a

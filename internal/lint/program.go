@@ -10,10 +10,9 @@ import (
 	"time"
 )
 
-// Program is the whole-module view the interprocedural analyzers run
-// over: every module package loaded and type-checked once, a function
-// index keyed by stable cross-package keys, and the call graph built on
-// top of it.  Packages are memoized — the expensive `go list -export`
+// Program is the whole-module view every analyzer runs over: every
+// module package loaded and type-checked once, a function index keyed
+// by stable cross-package keys, and the call graph built on top of it.  Packages are memoized — the expensive `go list -export`
 // and type-check happen once per driver run, and every analyzer shares
 // the result.
 type Program struct {
@@ -451,32 +450,16 @@ func (prog *Program) suppressedAt(file string, line int, rule string) bool {
 	return false
 }
 
-// Run executes the analyzers over the whole program: package-local
-// analyzers per package, interprocedural analyzers once, suppressions
-// applied program-wide, output sorted.  Per-analyzer wall times are
-// recorded for Timings.
+// Run executes each analyzer once over the whole program, drops the
+// findings a //lint:ignore covers, and returns the rest sorted, with the
+// malformed-directive findings.  Per-analyzer wall times are recorded
+// for Timings.
 func (prog *Program) Run(analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	prog.timings = prog.timings[:0]
 	for _, a := range analyzers {
 		start := time.Now()
-		if a.Run != nil {
-			for _, pkg := range prog.Pkgs {
-				pass := &Pass{
-					Fset:       pkg.Fset,
-					Files:      pkg.Files,
-					Pkg:        pkg.Types,
-					Info:       pkg.Info,
-					ImportPath: pkg.ImportPath,
-					diags:      &diags,
-					rule:       a.Name,
-				}
-				a.Run(pass)
-			}
-		}
-		if a.RunProgram != nil {
-			a.RunProgram(&ProgPass{Prog: prog, diags: &diags, rule: a.Name})
-		}
+		a.Run(&ProgPass{Prog: prog, diags: &diags, rule: a.Name})
 		prog.timings = append(prog.timings, Timing{Name: a.Name, Duration: time.Since(start)})
 	}
 	diags = prog.filterIgnored(diags)
@@ -498,8 +481,7 @@ func (prog *Program) filterIgnored(diags []Diagnostic) []Diagnostic {
 	return out
 }
 
-// ProgPass carries the whole program through one interprocedural
-// analyzer.
+// ProgPass carries the whole program through one analyzer.
 type ProgPass struct {
 	Prog  *Program
 	diags *[]Diagnostic
@@ -513,6 +495,30 @@ func (p *ProgPass) Reportf(pkg *Package, pos token.Pos, format string, args ...i
 		Rule: p.rule,
 		Msg:  fmt.Sprintf(format, args...),
 	})
+}
+
+// inspect walks every file of every package whose base name scope
+// admits (a nil scope admits all), calling fn with the package, each
+// node and the stack of its ancestors (outermost first, not including
+// the node itself).  It is how the package-local rules visit the program.
+func (p *ProgPass) inspect(scope map[string]bool, fn func(pkg *Package, n ast.Node, stack []ast.Node)) {
+	for _, pkg := range p.Prog.Pkgs {
+		if scope != nil && !scope[pkg.BaseName()] {
+			continue
+		}
+		for _, f := range pkg.Files {
+			var stack []ast.Node
+			ast.Inspect(f, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return false
+				}
+				fn(pkg, n, stack)
+				stack = append(stack, n)
+				return true
+			})
+		}
+	}
 }
 
 func sortDiags(diags []Diagnostic) {

@@ -3,31 +3,15 @@ package lint
 import (
 	"go/ast"
 	"go/constant"
+	"go/token"
 	"go/types"
 	"strings"
 )
 
-// inspectWithStack walks every file, calling fn with each node and the
-// stack of its ancestors (outermost first, not including n itself).
-func inspectWithStack(files []*ast.File, fn func(n ast.Node, stack []ast.Node)) {
-	for _, f := range files {
-		var stack []ast.Node
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return false
-			}
-			fn(n, stack)
-			stack = append(stack, n)
-			return true
-		})
-	}
-}
-
-// basePkgName returns the package name with any _test suffix stripped,
-// so external test packages inherit the rules of the package they test.
-func basePkgName(p *Pass) string {
-	return strings.TrimSuffix(p.Pkg.Name(), "_test")
+// scopeDoc renders a package table as the sorted, comma-separated list
+// the analyzers' Doc lines quote, so -list cannot drift from the table.
+func scopeDoc(pkgs map[string]bool) string {
+	return strings.Join(sortedKeys(pkgs), ", ")
 }
 
 // pkgCall reports the (import path, selector name) of a package-qualified
@@ -118,7 +102,7 @@ func enclosingFuncType(stack []ast.Node) (*ast.FuncType, ast.Node) {
 	return nil, nil
 }
 
-// inTestFile reports whether the node's file (by position) is a _test.go.
-func inTestFile(p *Pass, n ast.Node) bool {
-	return strings.HasSuffix(p.Fset.Position(n.Pos()).Filename, "_test.go")
+// inTestFileOf reports whether pos lies in one of pkg's _test.go files.
+func inTestFileOf(pkg *Package, pos token.Pos) bool {
+	return strings.HasSuffix(pkg.Fset.Position(pos).Filename, "_test.go")
 }

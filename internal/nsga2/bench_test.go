@@ -22,19 +22,17 @@ func randomPop(rng *rand.Rand, n, m int) ea.Population {
 	return pop
 }
 
-// BenchmarkSortAblation compares the naive Deb sort, the rank-ordinal
-// sort (the paper's adopted speed-up, §2.1.4) and the bi-objective fast
-// path across population sizes — the ablation behind choosing
-// RankOrdinalSort as the production path.
+// BenchmarkSortAblation compares the naive Deb sort and the rank-ordinal
+// sort (the paper's adopted speed-up, §2.1.4) across population sizes —
+// the ablation behind choosing RankOrdinalSort as the production path.
 func BenchmarkSortAblation(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	sorts := []struct {
 		name string
-		fn   SortFunc
+		fn   sortFunc
 	}{
 		{"deb", FastNonDominatedSort},
 		{"rank", RankOrdinalSort},
-		{"two", TwoObjectiveSort},
 	}
 	for _, n := range []int{100, 200, 1000, 4000} {
 		pop := randomPop(rng, n, 2)
@@ -77,7 +75,7 @@ func BenchmarkSelect(b *testing.B) {
 	pop := randomPop(rng, 200, 2) // parents+offspring at paper scale
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Select(pop, 100, nil)
+		Select(pop, 100)
 	}
 }
 

@@ -68,8 +68,8 @@ func TestSortsPlaceNonFiniteInTrailingFront(t *testing.T) {
 			ea.Fitness{math.Inf(-1), math.NaN()},
 		)
 	}
-	for name, fn := range map[string]SortFunc{
-		"fast": FastNonDominatedSort, "rank": RankOrdinalSort, "two": TwoObjectiveSort,
+	for name, fn := range map[string]sortFunc{
+		"fast": FastNonDominatedSort, "rank": RankOrdinalSort,
 	} {
 		pop := mk()
 		fronts := fn(pop)
@@ -92,8 +92,8 @@ func TestSortsPlaceNonFiniteInTrailingFront(t *testing.T) {
 }
 
 func TestSortsAllNonFinite(t *testing.T) {
-	for name, fn := range map[string]SortFunc{
-		"fast": FastNonDominatedSort, "rank": RankOrdinalSort, "two": TwoObjectiveSort,
+	for name, fn := range map[string]sortFunc{
+		"fast": FastNonDominatedSort, "rank": RankOrdinalSort,
 	} {
 		pop := popFrom(nan2(), inf2(), nan2())
 		fronts := fn(pop)
@@ -173,7 +173,7 @@ func TestSelectDropsNonFiniteFirst(t *testing.T) {
 	pop := popFrom(
 		ea.Fitness{1, 1}, nan2(), ea.Fitness{2, 2}, inf2(), ea.Fitness{3, 3},
 	)
-	sel := Select(pop, 3, nil)
+	sel := Select(pop, 3)
 	for _, ind := range sel {
 		if nonFinite(ind.Fitness) {
 			t.Errorf("selection kept broken fitness %v over finite candidates", ind.Fitness)

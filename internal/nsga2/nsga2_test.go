@@ -95,7 +95,7 @@ func TestFrontsAreMutuallyNonDominating(t *testing.T) {
 	for i := range pop {
 		pop[i] = &ea.Individual{Fitness: ea.Fitness{rng.Float64(), rng.Float64(), rng.Float64()}}
 	}
-	for name, sortFn := range map[string]SortFunc{
+	for name, sortFn := range map[string]sortFunc{
 		"fast": FastNonDominatedSort, "rank": RankOrdinalSort,
 	} {
 		fronts := sortFn(pop)
@@ -131,9 +131,12 @@ func TestFrontsAreMutuallyNonDominating(t *testing.T) {
 	}
 }
 
+// sortFunc is the shape of the non-dominated sorts the tests compare.
+type sortFunc func(ea.Population) []ea.Population
+
 // ranksBy runs a sort function on a copy and returns fitness->rank pairs
 // keyed by individual index.
-func ranksBy(pop ea.Population, fn SortFunc) []int {
+func ranksBy(pop ea.Population, fn sortFunc) []int {
 	fn(pop)
 	out := make([]int, len(pop))
 	for i, ind := range pop {
@@ -164,15 +167,6 @@ func TestSortImplementationsAgreeRandom(t *testing.T) {
 					trial, i, got[i], want[i], pop[i].Fitness)
 			}
 		}
-		if m == 2 {
-			got2 := ranksBy(pop, TwoObjectiveSort)
-			for i := range want {
-				if got2[i] != want[i] {
-					t.Fatalf("trial %d: TwoObjectiveSort rank[%d] = %d, want %d (fitness %v)",
-						trial, i, got2[i], want[i], pop[i].Fitness)
-				}
-			}
-		}
 	}
 }
 
@@ -181,8 +175,8 @@ func TestSortHandlesDuplicates(t *testing.T) {
 		ea.Fitness{1, 1}, ea.Fitness{1, 1}, ea.Fitness{1, 1},
 		ea.Fitness{2, 2}, ea.Fitness{2, 2},
 	)
-	for name, fn := range map[string]SortFunc{
-		"fast": FastNonDominatedSort, "rank": RankOrdinalSort, "two": TwoObjectiveSort,
+	for name, fn := range map[string]sortFunc{
+		"fast": FastNonDominatedSort, "rank": RankOrdinalSort,
 	} {
 		fronts := fn(pop)
 		if len(fronts) != 2 || len(fronts[0]) != 3 || len(fronts[1]) != 2 {
@@ -211,8 +205,8 @@ func TestSortHandlesFailureFitness(t *testing.T) {
 }
 
 func TestSortEmptyAndSingle(t *testing.T) {
-	for name, fn := range map[string]SortFunc{
-		"fast": FastNonDominatedSort, "rank": RankOrdinalSort, "two": TwoObjectiveSort,
+	for name, fn := range map[string]sortFunc{
+		"fast": FastNonDominatedSort, "rank": RankOrdinalSort,
 	} {
 		if fronts := fn(nil); fronts != nil {
 			t.Errorf("%s(nil) = %v, want nil", name, fronts)
@@ -238,9 +232,8 @@ func TestQuickSortEquivalence(t *testing.T) {
 		}
 		want := ranksBy(pop, FastNonDominatedSort)
 		got := ranksBy(pop, RankOrdinalSort)
-		got2 := ranksBy(pop, TwoObjectiveSort)
 		for i := range want {
-			if got[i] != want[i] || got2[i] != want[i] {
+			if got[i] != want[i] {
 				return false
 			}
 		}
@@ -342,7 +335,7 @@ func TestSelectKeepsParetoFront(t *testing.T) {
 		ea.Fitness{1, 1}, ea.Fitness{0, 2}, ea.Fitness{2, 0}, // front 0
 		ea.Fitness{3, 3}, ea.Fitness{4, 4}, ea.Fitness{5, 5},
 	)
-	sel := Select(pop, 3, nil)
+	sel := Select(pop, 3)
 	for _, ind := range sel {
 		if ind.Rank != 0 {
 			t.Errorf("selected individual with rank %d, want 0", ind.Rank)
@@ -396,7 +389,7 @@ func TestSelectNeverDropsFirstFrontWhenItFits(t *testing.T) {
 		if n > len(pop) {
 			n = len(pop)
 		}
-		sel := Select(pop, n, nil)
+		sel := Select(pop, n)
 		inSel := map[*ea.Individual]bool{}
 		for _, ind := range sel {
 			inSel[ind] = true

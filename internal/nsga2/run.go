@@ -196,7 +196,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 
 		combined := append(parents.Clone(), offspring...)
-		parents = Select(combined, cfg.PopSize, RankOrdinalSort)
+		parents = Select(combined, cfg.PopSize)
 
 		// Anneal mutation σ after the offspring return from the pipeline,
 		// exactly where the paper multiplies context['std'] by 0.85.

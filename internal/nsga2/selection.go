@@ -26,18 +26,10 @@ func TruncationSelect(pop ea.Population, n int) ea.Population {
 	return sorted[:n]
 }
 
-// SortFunc selects which non-dominated sorting implementation the
-// generational loop uses; the ablation benchmarks compare them.
-type SortFunc func(ea.Population) []ea.Population
-
 // Select runs the full NSGA-II environmental-selection step on a combined
-// parent+offspring population: non-dominated sort, crowding distance, then
-// truncation to n survivors.
-func Select(pop ea.Population, n int, sortFn SortFunc) ea.Population {
-	if sortFn == nil {
-		sortFn = RankOrdinalSort
-	}
-	fronts := sortFn(pop)
-	CrowdingDistanceAll(fronts)
+// parent+offspring population: rank-ordinal non-dominated sort, crowding
+// distance, then truncation to n survivors.
+func Select(pop ea.Population, n int) ea.Population {
+	CrowdingDistanceAll(RankOrdinalSort(pop))
 	return TruncationSelect(pop, n)
 }

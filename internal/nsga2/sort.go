@@ -149,88 +149,3 @@ func RankOrdinalSort(pop ea.Population) []ea.Population {
 	}
 	return fronts
 }
-
-// TwoObjectiveSort is an O(N log N + N·F) fast path for the bi-objective
-// case the paper optimizes (energy loss, force loss).  With two minimized
-// objectives, after sorting by (f0 asc, f1 asc) an individual is dominated
-// exactly by a predecessor with strictly smaller f1 (or equal-f0 handling
-// via lexicographic order); fronts can be maintained by tracking each
-// front's minimal achievable f1 tail.  Results match FastNonDominatedSort.
-func TwoObjectiveSort(pop ea.Population) []ea.Population {
-	n := len(pop)
-	if n == 0 {
-		return nil
-	}
-	if len(pop[0].Fitness) != 2 {
-		return RankOrdinalSort(pop)
-	}
-	// Non-finite fitnesses are dominated by every finite member and
-	// dominate nothing, so they always form one trailing front (matching
-	// FastNonDominatedSort under the hardened Dominates); the staircase
-	// logic below then only ever sees finite values.
-	var invalid ea.Population
-	order := make([]int, 0, n)
-	for i, ind := range pop {
-		if nonFinite(ind.Fitness) {
-			invalid = append(invalid, ind)
-		} else {
-			order = append(order, i)
-		}
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		fa, fb := pop[order[a]].Fitness, pop[order[b]].Fitness
-		//lint:ignore floateq lexicographic tie-break must distinguish exact bit-equality to keep the order total and replayable
-		if fa[0] != fb[0] {
-			return fa[0] < fb[0]
-		}
-		return fa[1] < fb[1]
-	})
-
-	var fronts []ea.Population
-	// lastF1[f] is the f1 of the most recently inserted member of front f;
-	// within a front, successive members have non-increasing f0 precedence
-	// and we only insert candidates whose f1 is >= no member's... The
-	// invariant: processing in lex order, cand is dominated by front f iff
-	// some member has f1 < cand.f1, or f1 == cand.f1 with strictly smaller
-	// f0.  Since members arrive in ascending (f0, f1) order, the minimal
-	// f1 seen in front f suffices for the strict case; equal-f1 needs an
-	// f0 check against the member that achieved it.
-	type tail struct {
-		minF1   float64
-		f0AtMin float64
-	}
-	var tails []tail
-
-	for _, idx := range order {
-		cand := pop[idx]
-		c0, c1 := cand.Fitness[0], cand.Fitness[1]
-		lo, hi := 0, len(fronts)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			t := tails[mid]
-			//lint:ignore floateq dominance boundary: Deb dominance is defined on exact objective values; an epsilon would merge distinct fronts
-			dominated := t.minF1 < c1 || (t.minF1 == c1 && t.f0AtMin < c0)
-			if dominated {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == len(fronts) {
-			fronts = append(fronts, ea.Population{})
-			tails = append(tails, tail{minF1: c1, f0AtMin: c0})
-		} else if c1 < tails[lo].minF1 || (c1 == tails[lo].minF1 && c0 < tails[lo].f0AtMin) { //lint:ignore floateq dominance boundary: exact tie detection keeps the front assignment identical to the Deb sort
-			tails[lo] = tail{minF1: c1, f0AtMin: c0}
-		}
-		cand.Rank = lo
-		fronts[lo] = append(fronts[lo], cand)
-	}
-	if len(invalid) > 0 {
-		rank := len(fronts)
-		for _, ind := range invalid {
-			ind.Rank = rank
-		}
-		fronts = append(fronts, invalid)
-	}
-	return fronts
-}

@@ -152,7 +152,7 @@ func merge(current ea.Population, ind *ea.Individual, popSize int) ea.Population
 	if len(current) <= popSize {
 		return current
 	}
-	return Select(current, popSize, RankOrdinalSort)
+	return Select(current, popSize)
 }
 
 var errSteadyConfig = errConfig("nsga2: steady-state needs PopSize > 0 and Evaluations >= PopSize")

@@ -8,16 +8,14 @@ import (
 	"repro/internal/nsga2"
 )
 
-// TestSortsMatchBruteOracle cross-checks all three production
-// non-dominated sorts against the O(N³·M) peeling oracle over hundreds of
+// TestSortsMatchBruteOracle cross-checks both non-dominated sorts against the O(N³·M) peeling oracle over hundreds of
 // randomized instances, including duplicate objective vectors, MAXINT
 // failures, NaN/Inf objectives and empty populations.
 func TestSortsMatchBruteOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	sorts := map[string]nsga2.SortFunc{
+	sorts := map[string]func(ea.Population) []ea.Population{
 		"FastNonDominatedSort": nsga2.FastNonDominatedSort,
 		"RankOrdinalSort":      nsga2.RankOrdinalSort,
-		"TwoObjectiveSort":     nsga2.TwoObjectiveSort,
 	}
 	const instances = 250
 	for trial := 0; trial < instances; trial++ {
@@ -27,9 +25,6 @@ func TestSortsMatchBruteOracle(t *testing.T) {
 		want := ParetoRanks(fits)
 
 		for name, fn := range sorts {
-			if name == "TwoObjectiveSort" && m != 2 {
-				continue
-			}
 			pop := popOf(fits)
 			fronts := fn(pop)
 			total := 0

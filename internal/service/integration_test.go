@@ -1,10 +1,14 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -30,6 +34,48 @@ func getBytes(t *testing.T, url string) []byte {
 		t.Fatal(err)
 	}
 	return body
+}
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden fixtures from the current implementation")
+
+// goldenDocs names the served documents the bounce test pins, in the
+// order servedDocs fetches them.
+var goldenDocs = []string{"alice_frontier.json", "alice_lcurve.json", "bob_frontier.json", "bob_lcurve.json"}
+
+// servedDocs fetches the /frontier and /lcurve documents of the two
+// tenants' campaigns, in goldenDocs order.
+func servedDocs(t *testing.T, base, alice, bob string) [][]byte {
+	t.Helper()
+	var docs [][]byte
+	for _, id := range []string{alice, bob} {
+		for _, doc := range []string{"frontier", "lcurve"} {
+			docs = append(docs, getBytes(t, base+"/v1/campaigns/"+id+"/"+doc))
+		}
+	}
+	return docs
+}
+
+// checkGolden compares got with testdata/golden/<name> byte for byte, or
+// rewrites the fixture under -update-golden.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name)
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden fixture %s (run `go test ./internal/service -run BounceResume -update-golden`): %v", path, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s drifted from the golden fixture:\ngot:  %s\nwant: %s", name, got, want)
+	}
 }
 
 // waitGensDone polls until the campaign has completed at least n
@@ -64,7 +110,9 @@ func soleCampaign(t *testing.T, svc *service.Service, tenant string) *service.Ca
 // same checkpoint directory, while the worker fleet keeps running); and
 // the resumed campaigns must finish with frontier and lcurve documents
 // byte-identical to an uninterrupted service's, with zero completed
-// generations lost at the bounce.
+// generations lost at the bounce.  The uninterrupted documents must
+// equal the committed fixtures under testdata/golden, so a change that
+// moves both runs alike fails here too.
 func TestServiceBounceResumeByteIdenticalFrontier(t *testing.T) {
 	// One shared fleet for all three service instances, evaluating with
 	// the deterministic surrogate slowed enough that the drain reliably
@@ -102,15 +150,15 @@ func TestServiceBounceResumeByteIdenticalFrontier(t *testing.T) {
 	}
 
 	// Reference: an uninterrupted service runs both campaigns to done.
-	refSvc, refSrv := newSvc("")
+	_, refSrv := newSvc("")
 	refAlice := postCampaign(t, refSrv.URL, specAlice)
 	refBob := postCampaign(t, refSrv.URL, specBob)
 	waitStatusHTTP(t, refSrv.URL, refAlice.ID, service.StateDone)
 	waitStatusHTTP(t, refSrv.URL, refBob.ID, service.StateDone)
-	refFrontierAlice := getBytes(t, refSrv.URL+"/v1/campaigns/"+refAlice.ID+"/frontier")
-	refFrontierBob := getBytes(t, refSrv.URL+"/v1/campaigns/"+refBob.ID+"/frontier")
-	refLcurveAlice := getBytes(t, refSrv.URL+"/v1/campaigns/"+refAlice.ID+"/lcurve")
-	_ = refSvc
+	ref := servedDocs(t, refSrv.URL, refAlice.ID, refBob.ID)
+	for i, name := range goldenDocs {
+		checkGolden(t, name, ref[i])
+	}
 
 	// Bounced: same specs into a checkpointing service, drained once both
 	// campaigns are mid-flight with at least one completed generation.
@@ -164,21 +212,13 @@ func TestServiceBounceResumeByteIdenticalFrontier(t *testing.T) {
 	waitStatusHTTP(t, srv2.URL, rBob.ID, service.StateDone)
 
 	// The resume contract itself: byte-identical frontier and lcurve
-	// documents, as if the bounce never happened.
-	gotFrontierAlice := getBytes(t, srv2.URL+"/v1/campaigns/"+rAlice.ID+"/frontier")
-	gotFrontierBob := getBytes(t, srv2.URL+"/v1/campaigns/"+rBob.ID+"/frontier")
-	gotLcurveAlice := getBytes(t, srv2.URL+"/v1/campaigns/"+rAlice.ID+"/lcurve")
-	if string(gotFrontierAlice) != string(refFrontierAlice) {
-		t.Errorf("alice frontier diverged after bounce:\nuninterrupted: %s\nresumed:       %s",
-			refFrontierAlice, gotFrontierAlice)
-	}
-	if string(gotFrontierBob) != string(refFrontierBob) {
-		t.Errorf("bob frontier diverged after bounce:\nuninterrupted: %s\nresumed:       %s",
-			refFrontierBob, gotFrontierBob)
-	}
-	if string(gotLcurveAlice) != string(refLcurveAlice) {
-		t.Errorf("alice lcurve diverged after bounce:\nuninterrupted: %s\nresumed:       %s",
-			refLcurveAlice, gotLcurveAlice)
+	// documents, as if the bounce never happened — so the resumed ones
+	// equal the committed fixtures too.
+	got := servedDocs(t, srv2.URL, rAlice.ID, rBob.ID)
+	for i, name := range goldenDocs {
+		if !bytes.Equal(got[i], ref[i]) {
+			t.Errorf("%s diverged after bounce:\nuninterrupted: %s\nresumed:       %s", name, ref[i], got[i])
+		}
 	}
 }
 

@@ -2,10 +2,11 @@
 # Project-native static analysis gate.
 #
 # Runs the internal/lint suite over the whole module and fails on any
-# finding not covered by scripts/lint_baseline.txt.  Nine analyzers:
-# five package-local (determinism, floateq, ctxhygiene, lockdiscipline,
-# errdiscard) and four interprocedural over the cross-package call
-# graph (goroutineleak, lockorder, detflow, hotalloc).  The baseline is
+# finding not covered by scripts/lint_baseline.txt.  Nine analyzers,
+# each run once over the whole program: five package-local
+# (determinism, floateq, ctxhygiene, lockdiscipline, errdiscard) and
+# four over the cross-package call graph (goroutineleak, lockorder,
+# detflow, hotalloc).  The baseline is
 # a ratchet: it may only shrink, and stale entries fail the gate too.
 #
 # The expensive `go list -export` load is memoized in .lintcache/
