@@ -1,27 +1,27 @@
 // Command serve runs the campaign service: a long-lived, multi-tenant
 // HTTP control plane over the NSGA-II hyperparameter-optimization stack.
-// It is the always-on promotion of the one-shot `hpo` and `cluster
-// -mode drive` binaries — clients create campaigns over JSON, stream
-// per-generation events, and fetch frontiers, while every campaign
-// shares one worker fleet and one genome-keyed memo cache.
+// It is the always-on promotion of the one-shot `hpo` binary — clients
+// create campaigns over JSON, stream per-generation events, and fetch
+// frontiers, while every campaign shares one worker fleet and one
+// genome-keyed memo cache.
 //
 // Usage:
 //
 //	serve [-addr 127.0.0.1:8080] [-checkpoint-dir DIR]
-//	      [-backend local|remote] [-workers 4] [-scheduler-addr HOST:PORT]
+//	      [-workers 4] [-workers-listen 127.0.0.1:0]
 //	      [-seed 2023] [-lease 10m] [-no-memo]
 //	      [-max-concurrent 4] [-max-active-per-tenant 2]
 //	      [-max-campaigns-per-tenant 16] [-max-inflight-per-tenant 64]
 //	      [-drain-timeout 30s]
 //
-// Every worker and the client hold one TCP connection each to the
-// scheduler, whose pending queue is one FIFO of 4096 tasks that blocks
-// submitters when it fills.
-//
-// The local backend starts an in-process scheduler plus -workers
-// surrogate workers (the single-machine analogue of the paper's Summit
-// deployment); the remote backend connects to an already-running
-// `cluster -mode scheduler` fleet at -scheduler-addr.
+// The service hosts the scheduler, as the paper's Dask client shared the
+// Summit batch node with its scheduler (§2.2.5): campaigns submit their
+// evaluations to it in process, and its pending queue is one FIFO of
+// 4096 tasks that blocks submitters when it fills.  It starts -workers
+// in-process surrogate workers (0 is allowed) and accepts more on
+// -workers-listen, where `cluster -addr ADDR` workers from other
+// processes or hosts join the same fleet.  Every worker holds one TCP
+// connection to the scheduler.
 //
 // On SIGTERM or SIGINT the service drains: admission stops, every
 // running campaign's in-flight generation is cancelled, and every
@@ -52,11 +52,10 @@ import (
 func main() {
 	log.SetFlags(0)
 	addr := flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
-	backend := flag.String("backend", "local", "evaluation backend: local (in-process fleet) or remote (existing scheduler)")
-	workers := flag.Int("workers", 4, "local backend: in-process surrogate workers")
-	schedulerAddr := flag.String("scheduler-addr", "127.0.0.1:7077", "remote backend: scheduler address")
-	seed := flag.Int64("seed", 2023, "local backend: surrogate model seed")
-	lease := flag.Duration("lease", 10*time.Minute, "local backend: per-task lease; 0 disables")
+	workers := flag.Int("workers", 4, "in-process surrogate workers; 0 leaves the fleet to workers that dial -workers-listen")
+	workersListen := flag.String("workers-listen", "127.0.0.1:0", "address the scheduler accepts workers on")
+	seed := flag.Int64("seed", 2023, "surrogate model seed of the in-process workers")
+	lease := flag.Duration("lease", 10*time.Minute, "in-process workers' per-task execution cap; 0 disables")
 	noMemo := flag.Bool("no-memo", false, "disable the shared genome-keyed memo cache")
 	checkpointDir := flag.String("checkpoint-dir", "", "directory for campaign checkpoints; empty disables persistence")
 	maxConcurrent := flag.Int("max-concurrent", 4, "campaigns running at once, all tenants combined")
@@ -66,13 +65,13 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight legs to checkpoint on shutdown")
 	flag.Parse()
 
-	if err := run(*addr, *backend, *workers, *schedulerAddr, *seed, *lease, *noMemo,
+	if err := run(*addr, *workers, *workersListen, *seed, *lease, *noMemo,
 		*checkpointDir, *maxConcurrent, *maxActive, *maxCampaigns, *maxInflight, *drainTimeout); err != nil {
 		log.Fatalf("serve: %v", err)
 	}
 }
 
-func run(addr, backend string, workers int, schedulerAddr string, seed int64,
+func run(addr string, workers int, workersListen string, seed int64,
 	lease time.Duration, noMemo bool, checkpointDir string,
 	maxConcurrent, maxActive, maxCampaigns, maxInflight int, drainTimeout time.Duration) error {
 
@@ -88,39 +87,21 @@ func run(addr, backend string, workers int, schedulerAddr string, seed int64,
 		SchedulerEvents:       &events,
 	}
 
-	switch backend {
-	case "local":
-		lc, err := cluster.NewLocalCluster(workers, cluster.EvalHandler(surrogate.NewEvaluator(surrogate.Config{Seed: seed})), lease)
-		if err != nil {
-			return fmt.Errorf("local fleet: %w", err)
-		}
-		defer func() {
-			if err := lc.Close(); err != nil {
-				log.Printf("fleet_close err=%v", err)
-			}
-		}()
-		lc.Scheduler.OnEvent = events.Record
-		cfg.Evaluator = &cluster.Evaluator{Client: lc.Client}
-		cfg.SchedulerStats = func() (cluster.Stats, []cluster.WorkerStats) {
-			return lc.Scheduler.Stats(), lc.Scheduler.WorkerStats()
-		}
-		cfg.SchedulerWire = lc.Scheduler.Wire
-	case "remote":
-		client, err := cluster.NewClient(schedulerAddr)
-		if err != nil {
-			return fmt.Errorf("connecting scheduler %s: %w", schedulerAddr, err)
-		}
-		defer func() {
-			if err := client.Close(); err != nil {
-				log.Printf("client_close err=%v", err)
-			}
-		}()
-		client.Logf = log.Printf
-		cfg.Evaluator = &cluster.Evaluator{Client: client}
-		cfg.SchedulerWire = client.Wire
-	default:
-		return fmt.Errorf("unknown backend %q (want local or remote)", backend)
+	lc, err := cluster.ListenLocalCluster(workersListen, workers, cluster.EvalHandler(surrogate.NewEvaluator(surrogate.Config{Seed: seed})), lease)
+	if err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
+	defer func() {
+		if err := lc.Close(); err != nil {
+			log.Printf("fleet_close err=%v", err)
+		}
+	}()
+	lc.Scheduler.OnEvent = events.Record
+	cfg.Evaluator = &cluster.Evaluator{Client: lc.Scheduler}
+	cfg.SchedulerStats = func() (cluster.Stats, []cluster.WorkerStats) {
+		return lc.Scheduler.Stats(), lc.Scheduler.WorkerStats()
+	}
+	cfg.SchedulerWire = lc.Scheduler.Wire
 
 	svc, err := service.New(cfg)
 	if err != nil {
@@ -140,7 +121,7 @@ func run(addr, backend string, workers int, schedulerAddr string, seed int64,
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	// The "listening" line is the readiness handshake scripts wait for.
-	fmt.Printf("serve listening on %s (backend=%s)\n", ln.Addr(), backend)
+	fmt.Printf("serve listening on %s (workers on %s)\n", ln.Addr(), lc.Scheduler.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -43,7 +43,7 @@ func main() {
 
 	res, err := hpo.RunCampaign(context.Background(), hpo.CampaignConfig{
 		Runs: 1, PopSize: 30, Generations: 4,
-		Evaluator:   &cluster.Evaluator{Client: lc.Client},
+		Evaluator:   &cluster.Evaluator{Client: lc.Scheduler},
 		Parallelism: 30, AnnealFactor: 0.85, BaseSeed: 11,
 	})
 	if err != nil {

@@ -2,22 +2,21 @@ package cluster
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 )
 
-// backoff produces exponentially growing delays with jitter, used by
-// workers and clients to re-dial the scheduler after a connection loss.
-// Jitter keeps a hundred workers that lost the same scheduler from
-// re-dialing in lockstep when it comes back — the reconnect stampede is
-// the distributed analogue of the paper's "let workers fail, reassign
-// work" stance (§2.2.5): failure is routine, so recovery must be cheap.
+// backoff produces exponentially growing delays with jitter, used by a
+// worker's Run loop (and only there: it is not safe for concurrent use)
+// to re-dial the scheduler after a connection loss.  Jitter keeps a
+// hundred workers that lost the same scheduler from re-dialing in
+// lockstep when it comes back — the reconnect stampede is the
+// distributed analogue of the paper's "let workers fail, reassign work"
+// stance (§2.2.5): failure is routine, so recovery must be cheap.
 type backoff struct {
 	initial time.Duration // first delay (default 50ms)
 	max     time.Duration // delay ceiling (default 5s)
 	factor  float64       // growth per attempt (default 2)
 
-	mu   sync.Mutex
 	cur  time.Duration
 	rng  *rand.Rand
 	seed int64
@@ -40,8 +39,6 @@ func newBackoff(initial, max time.Duration) *backoff {
 // advances the schedule.  The returned delay is the current base plus up
 // to 50% jitter, capped at max.
 func (b *backoff) next() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.rng == nil {
 		seed := b.seed
 		if seed == 0 {
@@ -66,8 +63,4 @@ func (b *backoff) next() time.Duration {
 
 // reset returns the schedule to the initial delay after a successful
 // connection.
-func (b *backoff) reset() {
-	b.mu.Lock()
-	b.cur = 0
-	b.mu.Unlock()
-}
+func (b *backoff) reset() { b.cur = 0 }

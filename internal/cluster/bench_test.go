@@ -12,8 +12,8 @@ import (
 	"repro/internal/cluster/wire"
 )
 
-// BenchmarkTaskRoundTrip measures one submit→assign→result cycle through
-// the scheduler over loopback TCP.
+// BenchmarkTaskRoundTrip measures one submit→assign→result cycle: an
+// in-process submit, and the assign and result frames over loopback TCP.
 func BenchmarkTaskRoundTrip(b *testing.B) {
 	lc, err := NewLocalCluster(1, echoHandler, 0)
 	if err != nil {
@@ -23,7 +23,7 @@ func BenchmarkTaskRoundTrip(b *testing.B) {
 	payload := json.RawMessage(`{"genome":[1,2,3,4,5,6,7]}`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lc.Client.Submit(context.Background(), payload); err != nil {
+		if _, err := lc.Scheduler.Submit(context.Background(), payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -49,7 +49,7 @@ func BenchmarkThroughputByWorkers(b *testing.B) {
 				go func() {
 					defer wg.Done()
 					defer func() { <-sem }()
-					if _, err := lc.Client.Submit(context.Background(), payload); err != nil {
+					if _, err := lc.Scheduler.Submit(context.Background(), payload); err != nil {
 						b.Error(err)
 					}
 				}()
@@ -76,10 +76,10 @@ func benchPayload() json.RawMessage {
 }
 
 // BenchmarkCodecRoundTrip pins the per-frame cost of the codec in
-// isolation: one submit message encoded and decoded through an in-memory
+// isolation: one assign message encoded and decoded through an in-memory
 // stream, no scheduler and no sockets.
 func BenchmarkCodecRoundTrip(b *testing.B) {
-	m := &message{Type: wire.TypeSubmit, TaskID: "0123456789abcdef", Payload: benchPayload()}
+	m := &message{Type: wire.TypeAssign, TaskID: "0123456789abcdef", Payload: benchPayload()}
 	var buf bytes.Buffer
 	cd := newCodec(&buf, &wireCounters{})
 	b.ReportAllocs()
@@ -96,8 +96,9 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 }
 
 // benchScheduler measures sustained submit→assign→result throughput with
-// a pool of echo workers, over loopback TCP or through the chaos proxy's
-// extra hop.  ns/op is the wall cost of one task at saturation;
+// a pool of echo workers, over loopback TCP or with the workers behind
+// the chaos proxy's extra hop.  ns/op is the wall cost of one task at
+// saturation;
 // EXPERIMENTS.md ("Connection multiplexing retired") records the figures
 // of the last full grid.
 func benchScheduler(b *testing.B, workers int, viaProxy bool) {
@@ -124,12 +125,6 @@ func benchScheduler(b *testing.B, workers int, viaProxy bool) {
 	for sched.Stats().Workers < int64(workers) {
 		time.Sleep(time.Millisecond)
 	}
-	client, err := NewClient(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-
 	payload := benchPayload()
 	inflight := 2 * workers
 	if inflight > 256 {
@@ -144,7 +139,7 @@ func benchScheduler(b *testing.B, workers int, viaProxy bool) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if _, err := client.Submit(ctx, payload); err != nil {
+			if _, err := sched.Submit(ctx, payload); err != nil {
 				b.Error(err)
 			}
 		}()
@@ -164,8 +159,9 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 }
 
 // BenchmarkSchedulerThroughputChaos repeats the mid-size grid points
-// through the chaos proxy (no faults armed), paying one extra TCP hop
-// per direction — closer to a real network path than bare loopback.
+// with the workers behind the chaos proxy (no faults armed), paying one
+// extra TCP hop per direction — closer to a real network path than bare
+// loopback.
 func BenchmarkSchedulerThroughputChaos(b *testing.B) {
 	for _, workers := range []int{10, 100} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -2,10 +2,10 @@ package cluster
 
 // This file is the fault-injection harness for the evaluation plane: a
 // deterministic chaos TCP proxy that can cut, blackhole, corrupt and
-// truncate traffic between peers and the scheduler, plus the failure-path
-// tests that exercise every recovery mechanism — lease expiry, stale
-// result discard, duplicate accounting, asynchronous task timeout, worker
-// and client reconnection, and a full scheduler bounce mid-campaign.
+// truncate traffic between workers and the scheduler, plus the
+// failure-path tests that exercise every recovery mechanism — lease
+// expiry, stale result discard, duplicate accounting, asynchronous task
+// timeout, worker reconnection, and every worker link cut mid-campaign.
 // Faults are driven explicitly from the tests (no randomness), so each
 // recovery path is reproduced on every run.
 
@@ -214,17 +214,11 @@ func TestLeaseExpiryKeepsSlowWorkerAlive(t *testing.T) {
 	defer slow.Close()
 	go func() { _ = slow.Run(context.Background()) }()
 
-	client, err := NewClient(sched.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
 	// Submit while only the slow worker is connected, so it must take the
 	// first task.
 	resCh := make(chan error, 1)
 	go func() {
-		_, err := client.Submit(context.Background(), json.RawMessage(`{"first":true}`))
+		_, err := sched.Submit(context.Background(), json.RawMessage(`{"first":true}`))
 		resCh <- err
 	}()
 	time.Sleep(30 * time.Millisecond) // let the slow worker take the task
@@ -253,7 +247,7 @@ func TestLeaseExpiryKeepsSlowWorkerAlive(t *testing.T) {
 	rescue.Close()
 	time.Sleep(20 * time.Millisecond)
 	for i := 0; i < 3; i++ {
-		if _, err := client.Submit(context.Background(), json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
+		if _, err := sched.Submit(context.Background(), json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
 			t.Fatalf("slow worker no longer serving task %d: %v", i, err)
 		}
 	}
@@ -318,14 +312,8 @@ func TestDuplicateResultDoesNotInflateStats(t *testing.T) {
 		}
 	}()
 
-	client, err := NewClient(sched.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
 	for i := 0; i < 4; i++ {
-		if _, err := client.Submit(context.Background(), json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
+		if _, err := sched.Submit(context.Background(), json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
 	}
@@ -376,7 +364,7 @@ func TestHungHandlerTimesOutWorkerStaysLive(t *testing.T) {
 	defer close(unblock)
 
 	start := time.Now()
-	_, err = lc.Client.Submit(context.Background(), json.RawMessage(`{"hang":true}`))
+	_, err = lc.Scheduler.Submit(context.Background(), json.RawMessage(`{"hang":true}`))
 	if err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("hung handler error = %v, want timeout", err)
 	}
@@ -385,7 +373,7 @@ func TestHungHandlerTimesOutWorkerStaysLive(t *testing.T) {
 	}
 
 	// The worker must still be live for the next task.
-	out, err := lc.Client.Submit(context.Background(), json.RawMessage(`{"ok":true}`))
+	out, err := lc.Scheduler.Submit(context.Background(), json.RawMessage(`{"ok":true}`))
 	if err != nil {
 		t.Fatalf("worker wedged after hung handler: %v", err)
 	}
@@ -447,16 +435,11 @@ func TestAbandonedHandlerGetsFreshExecutor(t *testing.T) {
 		runDone <- w.Run(context.Background())
 	}()
 	id := <-runID
-	client, err := NewClient(sched.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
 
-	if _, err := client.Submit(context.Background(), json.RawMessage(`{"n":1}`)); err == nil || !strings.Contains(err.Error(), "timed out") {
+	if _, err := sched.Submit(context.Background(), json.RawMessage(`{"n":1}`)); err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("stuck handler: err %v, want a timeout", err)
 	}
-	out, err := client.Submit(context.Background(), json.RawMessage(`{"n":2}`))
+	out, err := sched.Submit(context.Background(), json.RawMessage(`{"n":2}`))
 	if err != nil || string(out) != `{"n":2}` {
 		t.Fatalf("task after the abandoned one: %s, %v", out, err)
 	}
@@ -484,10 +467,11 @@ func TestAbandonedHandlerGetsFreshExecutor(t *testing.T) {
 	}
 }
 
-// TestVanishedClientDoesNotBlockWorkerReader: a client that disconnects
-// while its tasks are still running leaves results nobody will read; they
-// must not stall the worker proxy that delivers them, so the next task
-// on that one worker still completes and the books balance.
+// TestVanishedClientDoesNotBlockWorkerReader: submitters that stop
+// waiting (their contexts cancelled) while their tasks still run leave
+// results nobody will read; those must not stall the worker proxy that
+// delivers them, so the next task on that one worker still completes and
+// the books balance.
 func TestVanishedClientDoesNotBlockWorkerReader(t *testing.T) {
 	sched, err := NewScheduler("127.0.0.1:0")
 	if err != nil {
@@ -510,40 +494,32 @@ func TestVanishedClientDoesNotBlockWorkerReader(t *testing.T) {
 	defer w.Close()
 	go func() { _ = w.Run(context.Background()) }()
 
-	conn, err := net.Dial("tcp", sched.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cd := newCodec(conn, &wireCounters{})
 	const held = 3
+	vanish, cancelHeld := context.WithCancel(context.Background())
+	gone := make(chan error, held)
 	for i := 0; i < held; i++ {
-		m := &message{Type: wire.TypeSubmit, TaskID: fmt.Sprintf("held-%d", i), Payload: json.RawMessage(fmt.Sprintf(`{"held":%d}`, i))}
-		if err := cd.write(m); err != nil {
-			t.Fatal(err)
+		go func() {
+			_, err := sched.Submit(vanish, json.RawMessage(fmt.Sprintf(`{"held":%d}`, i)))
+			gone <- err
+		}()
+	}
+	waitFor(t, "the worker to hold a task and the rest to queue", func() bool {
+		ws := sched.WorkerStats()
+		return len(ws) == 1 && ws[0].InFlight == 1 && sched.Stats().Submitted == held
+	})
+	cancelHeld()
+	for i := 0; i < held; i++ {
+		if err := <-gone; !errors.Is(err, context.Canceled) {
+			t.Fatalf("abandoned submit: %v, want context.Canceled", err)
 		}
 	}
-	waitFor(t, "the worker to hold a task", func() bool {
-		ws := sched.WorkerStats()
-		return len(ws) == 1 && ws[0].InFlight == 1
-	})
-	conn.Close()
-	waitFor(t, "the client connection to be gone", func() bool {
-		sched.connsMu.Lock()
-		defer sched.connsMu.Unlock()
-		return len(sched.conns) == 1 // the worker's
-	})
 	close(gate)
 
-	client, err := NewClient(sched.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	out, err := client.Submit(ctx, json.RawMessage(`{"next":true}`))
+	out, err := sched.Submit(ctx, json.RawMessage(`{"next":true}`))
 	if err != nil || string(out) != `{"next":true}` {
-		t.Fatalf("task after the vanished client: %s, %v", out, err)
+		t.Fatalf("task after the abandoned submits: %s, %v", out, err)
 	}
 	// The worker runs tasks in order, but WorkerStats.Completed is bumped
 	// after the result is published, so the next task's result can
@@ -634,6 +610,7 @@ func watchBooks(t testing.TB, sched *Scheduler) (settled func()) {
 
 // restartScheduler brings a new scheduler up on the exact address a
 // previous one occupied, retrying briefly while the OS releases the port.
+// Workers of the old one re-dial it there.
 func restartScheduler(t *testing.T, addr string) *Scheduler {
 	t.Helper()
 	var lastErr error
@@ -670,27 +647,17 @@ func TestWorkerReconnectsAfterSchedulerRestart(t *testing.T) {
 	runDone := make(chan error, 1)
 	go func() { runDone <- w.Run(context.Background()) }()
 
-	c1, err := NewClient(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c1.Submit(context.Background(), json.RawMessage(`{"gen":1}`)); err != nil {
+	if _, err := sched.Submit(context.Background(), json.RawMessage(`{"gen":1}`)); err != nil {
 		t.Fatalf("warm-up submit: %v", err)
 	}
-	c1.Close()
 
 	sched.Close()
 	sched2 := restartScheduler(t, addr)
 	defer sched2.Close()
 
-	c2, err := NewClient(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	out, err := c2.Submit(ctx, json.RawMessage(`{"gen":2}`))
+	out, err := sched2.Submit(ctx, json.RawMessage(`{"gen":2}`))
 	if err != nil {
 		t.Fatalf("submit after scheduler restart: %v", err)
 	}
@@ -724,13 +691,7 @@ func TestChaosCutWorkerReconnects(t *testing.T) {
 	defer w.Close()
 	go func() { _ = w.Run(context.Background()) }()
 
-	client, err := NewClient(sched.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	if _, err := client.Submit(context.Background(), json.RawMessage(`{"before":1}`)); err != nil {
+	if _, err := sched.Submit(context.Background(), json.RawMessage(`{"before":1}`)); err != nil {
 		t.Fatalf("submit before cut: %v", err)
 	}
 
@@ -738,7 +699,7 @@ func TestChaosCutWorkerReconnects(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	out, err := client.Submit(ctx, json.RawMessage(`{"after":1}`))
+	out, err := sched.Submit(ctx, json.RawMessage(`{"after":1}`))
 	if err != nil {
 		t.Fatalf("submit after cut: %v", err)
 	}
@@ -773,12 +734,6 @@ func TestChaosTruncatedResultFrame(t *testing.T) {
 	defer w.Close()
 	go func() { _ = w.Run(context.Background()) }()
 
-	client, err := NewClient(sched.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
 	// Wait until the registration frame has fully crossed the proxy, so
 	// the truncation budget is spent on the result frame, not on it.
 	deadline := time.Now().Add(2 * time.Second)
@@ -793,7 +748,7 @@ func TestChaosTruncatedResultFrame(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	out, err := client.Submit(ctx, json.RawMessage(`{"x":42}`))
+	out, err := sched.Submit(ctx, json.RawMessage(`{"x":42}`))
 	if err != nil {
 		t.Fatalf("submit through truncation: %v", err)
 	}
@@ -816,7 +771,7 @@ func TestChaosTruncatedResultFrame(t *testing.T) {
 // frame in flight — flipped length prefix or bad magic — and verifies the blast radius is exactly one connection:
 // the scheduler counts a decode error and drops the worker connection,
 // the worker reconnects, the task is requeued and completes, and the
-// untouched client connection never notices.
+// submitter only waits a little longer.
 func TestChaosCorruptedFrameDropsConnNotCampaign(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -852,12 +807,6 @@ func TestChaosCorruptedFrameDropsConnNotCampaign(t *testing.T) {
 			defer w.Close()
 			go func() { _ = w.Run(context.Background()) }()
 
-			client, err := NewClient(sched.Addr()) // direct, unproxied
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer client.Close()
-
 			deadline := time.Now().Add(2 * time.Second)
 			for sched.Stats().Workers == 0 {
 				if time.Now().After(deadline) {
@@ -871,7 +820,7 @@ func TestChaosCorruptedFrameDropsConnNotCampaign(t *testing.T) {
 
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			out, err := client.Submit(ctx, json.RawMessage(`{"x":7}`))
+			out, err := sched.Submit(ctx, json.RawMessage(`{"x":7}`))
 			if err != nil {
 				t.Fatalf("campaign did not survive a corrupted frame: %v", err)
 			}
@@ -885,63 +834,12 @@ func TestChaosCorruptedFrameDropsConnNotCampaign(t *testing.T) {
 				t.Errorf("task executed %d times, want >= 2 (original + requeue after drop)", calls.Load())
 			}
 			settled()
-			// Exactly one client connection was ever dialed: the corruption
-			// cost the worker's connection, nobody else's.
-			cw := client.Wire()
-			if cw.Conns != 1 {
-				t.Errorf("client dialed %d connections, want 1 (its connection must survive)", cw.Conns)
+			// The corruption cost exactly the one connection it arrived on:
+			// the worker dialed it and one replacement.
+			if ww := w.Wire(); ww.Conns != 2 {
+				t.Errorf("worker dialed %d connections, want 2 (the dropped one and its replacement)", ww.Conns)
 			}
 		})
-	}
-}
-
-// TestChaosClientReconnectResubmits cuts the client↔scheduler link while
-// a task is in flight; the client must reconnect and resubmit it.
-func TestChaosClientReconnectResubmits(t *testing.T) {
-	sched, err := NewScheduler("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	watchBooks(t, sched)
-	defer sched.Close()
-	proxy := newChaosProxy(t, sched.Addr())
-
-	release := make(chan struct{})
-	var once sync.Once
-	handler := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
-		once.Do(func() { <-release }) // hold the first execution until the cut happened
-		return payload, nil
-	}
-	w, err := NewWorker(sched.Addr(), "steady", handler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	go func() { _ = w.Run(context.Background()) }()
-
-	client, err := NewClient(proxy.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	client.ReconnectInitial = 10 * time.Millisecond
-	defer client.Close()
-
-	resCh := make(chan error, 1)
-	go func() {
-		_, err := client.Submit(context.Background(), json.RawMessage(`{"inflight":1}`))
-		resCh <- err
-	}()
-	time.Sleep(30 * time.Millisecond) // task is now in flight
-	proxy.CutAll()
-	close(release)
-
-	select {
-	case err := <-resCh:
-		if err != nil {
-			t.Fatalf("in-flight task lost across client reconnect: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("in-flight task never completed after reconnect")
 	}
 }
 
@@ -966,17 +864,11 @@ func TestChaosBlackholeLeaseRescue(t *testing.T) {
 	defer w.Close()
 	go func() { _ = w.Run(context.Background()) }()
 
-	client, err := NewClient(sched.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
 	proxy.SetBlackhole(true) // assignments now vanish en route
 
 	resCh := make(chan error, 1)
 	go func() {
-		_, err := client.Submit(context.Background(), json.RawMessage(`{"x":1}`))
+		_, err := sched.Submit(context.Background(), json.RawMessage(`{"x":1}`))
 		resCh <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -999,16 +891,16 @@ func TestChaosBlackholeLeaseRescue(t *testing.T) {
 }
 
 // clusterEval is a deterministic two-objective evaluator used by the
-// end-to-end bounce test: pure function of the genome, so re-executed
-// (resubmitted) tasks always reproduce the same fitness.
+// end-to-end cut test: pure function of the genome, so re-executed
+// (requeued) tasks always reproduce the same fitness.
 func clusterEval(_ context.Context, g ea.Genome) (ea.Fitness, error) {
-	time.Sleep(time.Millisecond) // stretch the campaign so the bounce lands mid-flight
+	time.Sleep(time.Millisecond) // stretch the campaign so the cut lands mid-flight
 	f0 := g[0]*g[0] + g[1]*g[1]
 	f1 := (g[0]-1)*(g[0]-1) + (g[1]-1)*(g[1]-1)
 	return ea.Fitness{f0, f1}, nil
 }
 
-func bounceCampaignConfig(ev ea.Evaluator) nsga2.Config {
+func cutCampaignConfig(ev ea.Evaluator) nsga2.Config {
 	return nsga2.Config{
 		PopSize:      12,
 		Generations:  4,
@@ -1030,86 +922,70 @@ func paretoSize(pop ea.Population) int {
 	return len(fronts[0])
 }
 
-// TestSchedulerBounceMidCampaign is the end-to-end acceptance test: a
-// whole NSGA-II campaign runs through the cluster while the scheduler is
-// killed and restarted mid-flight.  Workers reconnect with backoff, the
-// client resubmits its in-flight generation, and the campaign finishes
-// with the exact frontier a local run produces — no spurious MAXINT
-// failures anywhere.
-func TestSchedulerBounceMidCampaign(t *testing.T) {
+// TestWorkerLinksCutMidCampaign is the end-to-end acceptance test: a
+// whole NSGA-II campaign runs through the cluster while every worker
+// link is cut mid-flight — to the workers, their scheduler vanished.
+// Workers reconnect with backoff, the scheduler requeues the generation
+// they held, and the campaign finishes with the exact frontier a local
+// run produces — no spurious MAXINT failures anywhere.
+func TestWorkerLinksCutMidCampaign(t *testing.T) {
 	// Reference: the same campaign evaluated in-process.
-	ref, err := nsga2.Run(context.Background(), bounceCampaignConfig(ea.EvaluatorFunc(clusterEval)))
+	ref, err := nsga2.Run(context.Background(), cutCampaignConfig(ea.EvaluatorFunc(clusterEval)))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	t.Run("binary", func(t *testing.T) {
-		sched, err := NewScheduler("127.0.0.1:0")
+	sched, err := NewScheduler("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled := watchBooks(t, sched)
+	// A requeued task can meet each of the four cut proxies once before
+	// they notice: leave it attempts for all of them.
+	sched.MaxAttempts = 8
+	defer sched.Close()
+	proxy := newChaosProxy(t, sched.Addr())
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < 4; i++ {
+		w, err := NewWorker(proxy.Addr(), fmt.Sprintf("w%d", i), EvalHandler(ea.EvaluatorFunc(clusterEval)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		watchBooks(t, sched)
-		addr := sched.Addr()
+		w.ReconnectInitial = 10 * time.Millisecond
+		defer w.Close()
+		go func() { _ = w.Run(ctx) }()
+	}
 
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		var workers []*Worker
-		for i := 0; i < 4; i++ {
-			w, err := NewWorker(addr, fmt.Sprintf("w%d", i), EvalHandler(ea.EvaluatorFunc(clusterEval)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			w.ReconnectInitial = 10 * time.Millisecond
-			workers = append(workers, w)
-			go func() { _ = w.Run(ctx) }()
-		}
-		defer func() {
-			for _, w := range workers {
-				w.Close()
-			}
-		}()
+	// Cut every link once the campaign is under way.
+	go func() {
+		time.Sleep(60 * time.Millisecond)
+		proxy.CutAll()
+	}()
 
-		client, err := NewClient(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		client.ReconnectInitial = 10 * time.Millisecond
-		client.MaxReconnects = 200
-		defer client.Close()
-
-		// Bounce the scheduler once the campaign is under way.
-		bounced := make(chan *Scheduler, 1)
-		go func() {
-			time.Sleep(60 * time.Millisecond)
-			sched.Close()
-			bounced <- restartScheduler(t, addr)
-		}()
-
-		res, err := nsga2.Run(ctx, bounceCampaignConfig(&Evaluator{Client: client}))
-		if err != nil {
-			t.Fatalf("campaign failed across scheduler bounce: %v", err)
-		}
-		sched2 := <-bounced
-		defer sched2.Close()
-
-		if got := res.TotalFailures(); got != 0 {
-			t.Errorf("bounced campaign recorded %d spurious failures", got)
-		}
-		if got, want := res.TotalEvaluations(), ref.TotalEvaluations(); got != want {
-			t.Errorf("evaluations = %d, want %d", got, want)
-		}
-		if got, want := paretoSize(res.Final), paretoSize(ref.Final); got != want {
-			t.Errorf("frontier size after bounce = %d, want %d (reference run)", got, want)
-		}
-		for i, ind := range res.Final {
-			refInd := ref.Final[i]
-			for k := range ind.Fitness {
-				if ind.Fitness[k] != refInd.Fitness[k] {
-					t.Fatalf("final[%d].Fitness[%d] = %v, want %v", i, k, ind.Fitness[k], refInd.Fitness[k])
-				}
+	res, err := nsga2.Run(ctx, cutCampaignConfig(&Evaluator{Client: sched}))
+	if err != nil {
+		t.Fatalf("campaign failed across the cut: %v", err)
+	}
+	settled()
+	if got := res.TotalFailures(); got != 0 {
+		t.Errorf("cut campaign recorded %d spurious failures", got)
+	}
+	if got, want := res.TotalEvaluations(), ref.TotalEvaluations(); got != want {
+		t.Errorf("evaluations = %d, want %d", got, want)
+	}
+	if got, want := paretoSize(res.Final), paretoSize(ref.Final); got != want {
+		t.Errorf("frontier size after the cut = %d, want %d (reference run)", got, want)
+	}
+	for i, ind := range res.Final {
+		refInd := ref.Final[i]
+		for k := range ind.Fitness {
+			if ind.Fitness[k] != refInd.Fitness[k] {
+				t.Fatalf("final[%d].Fitness[%d] = %v, want %v", i, k, ind.Fitness[k], refInd.Fitness[k])
 			}
 		}
-	})
+	}
 }
 
 // TestSchedulerCloseRacesNewConnections closes schedulers while peers are
@@ -1187,7 +1063,7 @@ func TestCancelledSubmitNoSpuriousFailure(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	out := ea.EvalPool(ctx, ea.Source(pop), len(pop), &Evaluator{Client: lc.Client},
+	out := ea.EvalPool(ctx, ea.Source(pop), len(pop), &Evaluator{Client: lc.Scheduler},
 		ea.PoolConfig{Parallelism: 2, Objectives: 2})
 
 	for i, ind := range out {
@@ -1230,21 +1106,16 @@ func TestEventHookAndWorkerStats(t *testing.T) {
 	defer w.Close()
 	go func() { _ = w.Run(context.Background()) }()
 
-	client, err := NewClient(sched.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
 	for i := 0; i < 5; i++ {
-		if _, err := client.Submit(context.Background(), json.RawMessage(`{}`)); err != nil {
+		if _, err := sched.Submit(context.Background(), json.RawMessage(`{}`)); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// The assign event fires after the task is written to the worker, on
 	// the dispatching goroutine, and the result event (after the worker's
-	// counters) once the result is queued for the client: the fifth result
-	// can be back with the client before either event is out.
+	// counters) once the result is handed to the submitter: the fifth
+	// result can be back with the submitter before either event is out.
 	for i := 0; i < 2000; i++ {
 		mu.Lock()
 		n := min(seen[EventAssign], seen[EventResult])
@@ -1295,13 +1166,7 @@ func TestHeartbeatRenewsLease(t *testing.T) {
 	defer w.Close()
 	go func() { _ = w.Run(context.Background()) }()
 
-	client, err := NewClient(sched.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	out, err := client.Submit(context.Background(), json.RawMessage(`{"long":true}`))
+	out, err := sched.Submit(context.Background(), json.RawMessage(`{"long":true}`))
 	if err != nil {
 		t.Fatalf("long task failed despite heartbeats: %v", err)
 	}

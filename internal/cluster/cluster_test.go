@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -28,7 +29,7 @@ func TestLocalClusterEcho(t *testing.T) {
 
 	for i := 0; i < 10; i++ {
 		payload := json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))
-		out, err := lc.Client.Submit(context.Background(), payload)
+		out, err := lc.Scheduler.Submit(context.Background(), payload)
 		if err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
@@ -40,17 +41,17 @@ func TestLocalClusterEcho(t *testing.T) {
 	if st.Completed != 10 || st.Submitted != 10 {
 		t.Errorf("stats = %+v, want 10 submitted/completed", st)
 	}
-	// The client's counters are final once its last Submit returns: ten
-	// submits out, ten results in, one connection.
-	if cw := lc.Client.Wire(); cw.FramesOut != 10 || cw.FramesIn != 10 || cw.Conns != 1 || cw.DecodeErrors != 0 {
-		t.Errorf("client wire counters = %v, want 10 frames each way on 1 connection", cw)
-	}
-	// Three workers and the client, every link healthy.
+	// Submits never touch the wire: each task costs one assign out and
+	// one result in, on top of each worker's register and snapshot.  The
+	// assign is counted after its write returns, so the last count can
+	// trail the last result.
+	waitFor(t, "the last assign to be counted", func() bool { return lc.Scheduler.Wire().FramesOut == 3+10 })
+	// Three workers, every link healthy.
 	ws := lc.Scheduler.Wire()
-	if ws.Conns != 4 || ws.DecodeErrors != 0 {
-		t.Errorf("scheduler wire counters = %v, want 4 connections and no decode errors", ws)
+	if ws.Conns != 3 || ws.DecodeErrors != 0 || ws.FramesIn != 3+10 {
+		t.Errorf("scheduler wire counters = %v, want 3 connections, 13 frames in and no decode errors", ws)
 	}
-	if ws.FramesIn == 0 || ws.FramesOut == 0 || ws.BytesIn == 0 || ws.BytesOut == 0 {
+	if ws.BytesIn == 0 || ws.BytesOut == 0 {
 		t.Errorf("scheduler wire counters did not move: %v", ws)
 	}
 }
@@ -70,7 +71,7 @@ func TestConcurrentSubmissions(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			payload := json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))
-			out, err := lc.Client.Submit(context.Background(), payload)
+			out, err := lc.Scheduler.Submit(context.Background(), payload)
 			if err != nil {
 				errs <- err
 				return
@@ -97,7 +98,7 @@ func TestWorkerErrorPropagates(t *testing.T) {
 	}
 	defer lc.Close()
 
-	_, err = lc.Client.Submit(context.Background(), json.RawMessage(`{}`))
+	_, err = lc.Scheduler.Submit(context.Background(), json.RawMessage(`{}`))
 	if err == nil || !strings.Contains(err.Error(), "training crashed") {
 		t.Errorf("Submit error = %v, want training crashed", err)
 	}
@@ -116,12 +117,12 @@ func TestWorkerPanicContained(t *testing.T) {
 	}
 	defer lc.Close()
 
-	_, err = lc.Client.Submit(context.Background(), json.RawMessage(`{}`))
+	_, err = lc.Scheduler.Submit(context.Background(), json.RawMessage(`{}`))
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Errorf("Submit error = %v, want panic message", err)
 	}
 	// The worker must survive to serve another task.
-	_, err = lc.Client.Submit(context.Background(), json.RawMessage(`{}`))
+	_, err = lc.Scheduler.Submit(context.Background(), json.RawMessage(`{}`))
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Errorf("second Submit error = %v", err)
 	}
@@ -143,7 +144,7 @@ func TestTaskTimeout(t *testing.T) {
 	defer lc.Close()
 
 	start := time.Now()
-	_, err = lc.Client.Submit(context.Background(), json.RawMessage(`{}`))
+	_, err = lc.Scheduler.Submit(context.Background(), json.RawMessage(`{}`))
 	if err == nil {
 		t.Fatal("timed-out task returned success")
 	}
@@ -174,18 +175,12 @@ func TestWorkerDeathReassignsTask(t *testing.T) {
 	}
 	go func() { _ = killable.Run(context.Background()) }()
 
-	client, err := NewClient(sched.Addr())
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-	defer client.Close()
-
 	// The healthy worker joins only once the doomed one holds task 0, so
 	// that task is certain to need a reassignment.  (With both workers up
 	// front the healthy one could win all five assignments.)
 	submit := func(i int) error {
 		payload := json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))
-		out, err := client.Submit(context.Background(), payload)
+		out, err := sched.Submit(context.Background(), payload)
 		if err == nil && string(out) != string(payload) {
 			err = fmt.Errorf("result = %s", out)
 		}
@@ -237,11 +232,6 @@ func TestAllWorkersDeadAbandonsTask(t *testing.T) {
 		// will be assigned to a dead connection, forcing a requeue.
 		workers = append(workers, w)
 	}
-	client, err := NewClient(sched.Addr())
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-	defer client.Close()
 
 	// Kill both workers; the scheduler still has their proxies blocked in
 	// the pending receive.  Submitting now assigns to a dead conn, which
@@ -253,7 +243,7 @@ func TestAllWorkersDeadAbandonsTask(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
-	_, err = client.Submit(ctx, json.RawMessage(`{}`))
+	_, err = sched.Submit(ctx, json.RawMessage(`{}`))
 	if err == nil {
 		t.Fatal("Submit succeeded with all workers dead")
 	}
@@ -269,7 +259,7 @@ func TestEvaluatorRoundTrip(t *testing.T) {
 	}
 	defer lc.Close()
 
-	ev := &Evaluator{Client: lc.Client}
+	ev := &Evaluator{Client: lc.Scheduler}
 	fit, err := ev.Evaluate(context.Background(), ea.Genome{3, 4})
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
@@ -298,7 +288,7 @@ func TestEvaluatorWithEvalPool(t *testing.T) {
 		ea.NewIndividual(ea.Genome{0.9}),
 	}
 	out := ea.EvalPool(context.Background(), ea.Source(pop), 3,
-		&Evaluator{Client: lc.Client}, ea.PoolConfig{Parallelism: 3, Objectives: 2})
+		&Evaluator{Client: lc.Scheduler}, ea.PoolConfig{Parallelism: 3, Objectives: 2})
 	if !out[1].Fitness.IsFailure() {
 		t.Errorf("failed task fitness = %v, want MAXINT", out[1].Fitness)
 	}
@@ -319,17 +309,149 @@ func TestSchedulerString(t *testing.T) {
 	}
 }
 
-func TestClientSubmitAfterClose(t *testing.T) {
+func TestSubmitAfterClose(t *testing.T) {
 	lc, err := NewLocalCluster(1, echoHandler, 0)
 	if err != nil {
 		t.Fatalf("NewLocalCluster: %v", err)
 	}
-	lc.Client.Close()
-	_, err = lc.Client.Submit(context.Background(), json.RawMessage(`{}`))
-	if err == nil {
-		t.Error("Submit after Close succeeded")
-	}
+	settled := watchBooks(t, lc.Scheduler)
 	lc.Close()
+	for i := 0; i < 100; i++ {
+		if _, err := lc.Scheduler.Submit(context.Background(), json.RawMessage(`{}`)); !errors.Is(err, errClosed) {
+			t.Fatalf("Submit %d after Close: %v, want %v", i, err, errClosed)
+		}
+	}
+	settled()
+	if st := lc.Scheduler.Stats(); st.Submitted != 0 || st.Pending != 0 {
+		t.Errorf("refused submits reached the books or the queue: %+v", st)
+	}
+}
+
+// TestSubmitCancelledContext: a caller whose context ends stops waiting
+// with ctx.Err(), whether its task is already running or still waits for
+// a queue slot.  A running task still finishes and is counted exactly
+// once; one that never reached the queue is not counted at all.
+func TestSubmitCancelledContext(t *testing.T) {
+	sched, err := NewScheduler("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled := watchBooks(t, sched)
+	defer sched.Close()
+
+	gate := make(chan struct{})
+	held := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+		<-gate
+		return payload, nil
+	}
+	w, err := NewWorker(sched.Addr(), "held", held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	go func() { _ = w.Run(context.Background()) }()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := sched.Submit(ctx, json.RawMessage(`{"running":true}`))
+		done <- err
+	}()
+	waitFor(t, "the worker to hold the task", func() bool {
+		ws := sched.WorkerStats()
+		return len(ws) == 1 && ws[0].InFlight == 1
+	})
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Submit: %v, want context.Canceled", err)
+	}
+	close(gate)
+	waitFor(t, "the abandoned task to finish", func() bool { return sched.Stats().Completed == 1 })
+	settled()
+	if st := sched.Stats(); st.Submitted != 1 || st.Failed != 0 {
+		t.Errorf("abandoned running task: %+v, want it counted once as Completed", st)
+	}
+
+	// Already cancelled: refused before it is queued.
+	if _, err := sched.Submit(ctx, json.RawMessage(`{}`)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Submit with a cancelled context: %v, want context.Canceled", err)
+	}
+	// Cancelled while it waits for a slot in a full queue.  The fillers
+	// are raw tasks, not on the books, and the worker stays busy on one.
+	w.Close()
+	waitFor(t, "the worker to be gone", func() bool { return sched.Stats().Workers == 0 })
+	for i := 0; i < queueDepth; i++ {
+		sched.pending <- &task{res: make(chan *message, 1)}
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	go func() {
+		_, err := sched.Submit(ctx, json.RawMessage(`{"blocked":true}`))
+		done <- err
+	}()
+	waitFor(t, "the submit to block on the full queue", func() bool { return sched.Stats().QueueWaits == 1 })
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Submit cancelled on a full queue: %v, want context.Canceled", err)
+	}
+	if st := sched.Stats(); st.Submitted != 1 || st.Pending != queueDepth {
+		t.Errorf("after the cancelled enqueue: %+v, want Submitted 1 and a full queue", st)
+	}
+}
+
+// TestCloseReleasesWaitingSubmitters: Close while callers wait — one on
+// a task a worker holds, the rest on queued tasks — releases every one
+// of them with an error, and claims each of their tasks as Failed so the
+// books still balance.
+func TestCloseReleasesWaitingSubmitters(t *testing.T) {
+	sched, err := NewScheduler("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled := watchBooks(t, sched)
+	defer sched.Close()
+
+	gate := make(chan struct{})
+	defer close(gate)
+	held := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+		<-gate
+		return payload, nil
+	}
+	w, err := NewWorker(sched.Addr(), "held", held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	go func() { _ = w.Run(context.Background()) }()
+
+	const n = 8
+	done := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			_, err := sched.Submit(context.Background(), json.RawMessage(fmt.Sprintf(`{"i":%d}`, i)))
+			done <- err
+		}()
+	}
+	waitFor(t, "one task held and the rest queued", func() bool {
+		ws := sched.WorkerStats()
+		return len(ws) == 1 && ws[0].InFlight == 1 && sched.Stats().Submitted == n
+	})
+	closed := make(chan struct{})
+	go func() { sched.Close(); close(closed) }()
+	for i := 0; i < n; i++ {
+		select {
+		case err := <-done:
+			if !errors.Is(err, errClosed) {
+				t.Errorf("waiting Submit released with %v, want %v", err, errClosed)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d waiting submitters still blocked after Close", n-i, n)
+		}
+	}
+	<-closed
+	settled()
+	if st := sched.Stats(); st.Failed != n {
+		t.Errorf("after Close: %+v, want all %d tasks Failed", st, n)
+	}
 }
 
 func TestSchedulerTaskTimeoutReassignsFromHungWorker(t *testing.T) {
@@ -361,15 +483,10 @@ func TestSchedulerTaskTimeoutReassignsFromHungWorker(t *testing.T) {
 	}()
 
 	// Give the hung worker time to be the only one and receive the task.
-	client, err := NewClient(sched.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
 
 	resCh := make(chan error, 1)
 	go func() {
-		_, err := client.Submit(context.Background(), json.RawMessage(`{"x":1}`))
+		_, err := sched.Submit(context.Background(), json.RawMessage(`{"x":1}`))
 		resCh <- err
 	}()
 
@@ -406,14 +523,14 @@ type batchResult struct {
 // preserving order — the fan-out an EA generation performs (eval_pool in
 // the paper's Listing 1).  Each element carries either a payload or an
 // error; a failed submission does not abort the rest.
-func submitBatch(ctx context.Context, c *Client, payloads []json.RawMessage) []batchResult {
+func submitBatch(ctx context.Context, s *Scheduler, payloads []json.RawMessage) []batchResult {
 	out := make([]batchResult, len(payloads))
 	var wg sync.WaitGroup
 	for i, p := range payloads {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out[i].Payload, out[i].Err = c.Submit(ctx, p)
+			out[i].Payload, out[i].Err = s.Submit(ctx, p)
 		}()
 	}
 	wg.Wait()
@@ -439,7 +556,7 @@ func TestSubmitBatchOrderAndErrors(t *testing.T) {
 		json.RawMessage(`{"i":2}`),
 		json.RawMessage(`{"i":3}`),
 	}
-	results := submitBatch(context.Background(), lc.Client, payloads)
+	results := submitBatch(context.Background(), lc.Scheduler, payloads)
 	if len(results) != 4 {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -459,50 +576,48 @@ func TestSubmitBatchOrderAndErrors(t *testing.T) {
 	}
 }
 
+// TestMultipleClientsShareWorkers: two submitters — two campaigns of
+// one service, say — share one fleet, and each caller gets its own
+// result back.
 func TestMultipleClientsShareWorkers(t *testing.T) {
 	lc, err := NewLocalCluster(2, echoHandler, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	settled := watchBooks(t, lc.Scheduler)
 	defer lc.Close()
-	second, err := NewClient(lc.Scheduler.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer second.Close()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 20)
 	for i := 0; i < 10; i++ {
-		wg.Add(2)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := lc.Client.Submit(context.Background(), json.RawMessage(fmt.Sprintf(`{"a":%d}`, i))); err != nil {
-				errs <- err
-			}
-		}(i)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := second.Submit(context.Background(), json.RawMessage(fmt.Sprintf(`{"b":%d}`, i))); err != nil {
-				errs <- err
-			}
-		}(i)
+		for _, who := range []string{"a", "b"} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				payload := fmt.Sprintf(`{"%s":%d}`, who, i)
+				if out, err := lc.Scheduler.Submit(context.Background(), json.RawMessage(payload)); err != nil || string(out) != payload {
+					errs <- fmt.Errorf("submitter %s task %d: %s, %v", who, i, out, err)
+				}
+			}()
+		}
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
+	settled()
 	if st := lc.Scheduler.Stats(); st.Completed != 20 {
 		t.Errorf("completed %d, want 20", st.Completed)
 	}
 }
 
 // TestPendingQueueBackpressureFIFO pins the pending queue's two
-// promises.  With no worker connected, a raw submitter writes one task
-// more than the queue holds: the last submission blocks and is counted
-// once in QueueWaits.  A worker that joins then runs every task in
-// submission order.
+// promises.  With no worker connected, in-process callers submit one
+// task more than the queue holds, each after the one before is queued:
+// the last submission blocks and is counted once in QueueWaits (and is
+// on the books while it waits).  A worker that joins then runs every
+// task in submission order.
 func TestPendingQueueBackpressureFIFO(t *testing.T) {
 	sched, err := NewScheduler("127.0.0.1:0")
 	if err != nil {
@@ -511,19 +626,23 @@ func TestPendingQueueBackpressureFIFO(t *testing.T) {
 	settled := watchBooks(t, sched)
 	defer sched.Close()
 
-	conn, err := net.Dial("tcp", sched.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
 	const n = queueDepth + 1
-	subs := make([]*message, n)
-	for i := range subs {
-		subs[i] = &message{Type: wire.TypeSubmit, TaskID: fmt.Sprintf("t%d", i), Payload: json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))}
-	}
-	cd := newCodec(conn, &wireCounters{})
-	if err := cd.writeBatch(subs); err != nil {
-		t.Fatal(err)
+	payloads := make([]string, n)
+	errs := make(chan error, n)
+	for i := range payloads {
+		payloads[i] = fmt.Sprintf(`{"i":%d}`, i)
+		go func() {
+			out, err := sched.Submit(context.Background(), json.RawMessage(payloads[i]))
+			if err == nil && string(out) != payloads[i] {
+				err = fmt.Errorf("task %d came back as %s", i, out)
+			}
+			errs <- err
+		}()
+		for deadline := time.Now().Add(5 * time.Second); i < queueDepth && sched.Stats().Pending <= int64(i); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("task %d never reached the queue", i)
+			}
+		}
 	}
 	waitFor(t, "the queue to fill and the last submission to block", func() bool {
 		st := sched.Stats()
@@ -548,16 +667,14 @@ func TestPendingQueueBackpressureFIFO(t *testing.T) {
 	}
 	go func() { _ = w.Run(context.Background()) }()
 
-	if err := conn.SetReadDeadline(time.Now().Add(time.Minute)); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < n; i++ {
-		m, err := cd.read()
-		if err != nil {
-			t.Fatalf("result %d: %v", i, err)
-		}
-		if m.Type != wire.TypeResult || m.Err != "" {
-			t.Fatalf("result %d: %+v", i, m)
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("%d of %d tasks never came back", n-i, n)
 		}
 	}
 	mu.Lock()
@@ -566,8 +683,8 @@ func TestPendingQueueBackpressureFIFO(t *testing.T) {
 		t.Fatalf("worker ran %d tasks, want %d", len(ran), n)
 	}
 	for i, p := range ran {
-		if p != string(subs[i].Payload) {
-			t.Fatalf("task %d run was %s, want %s: dispatch is not FIFO", i, p, subs[i].Payload)
+		if p != payloads[i] {
+			t.Fatalf("task %d run was %s, want %s: dispatch is not FIFO", i, p, payloads[i])
 		}
 	}
 	if st := sched.Stats(); st.QueueWaits != 1 || st.Pending != 0 {
@@ -587,12 +704,12 @@ func TestPendingQueueClosedWhileFull(t *testing.T) {
 	for i := 0; i < queueDepth; i++ {
 		sched.pending <- &task{}
 	}
-	done := make(chan bool)
-	go func() { done <- sched.enqueue(&task{}) }()
+	done := make(chan error)
+	go func() { done <- sched.enqueue(context.Background(), &task{}) }()
 	waitFor(t, "the enqueue to block", func() bool { return sched.Stats().QueueWaits == 1 })
 	sched.Close()
-	if <-done {
-		t.Error("enqueue on a full queue succeeded after Close")
+	if err := <-done; !errors.Is(err, errClosed) {
+		t.Errorf("enqueue on a full queue after Close: %v, want %v", err, errClosed)
 	}
 	if st := sched.Stats(); st.Pending != queueDepth {
 		t.Errorf("Pending = %d, want %d", st.Pending, queueDepth)

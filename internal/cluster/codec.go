@@ -30,7 +30,7 @@ func (ws WireStats) String() string {
 
 // wireCounters is the shared atomic backing for WireStats; one lives on
 // the scheduler (aggregated across every connection) and one on each
-// worker and client.
+// worker.
 type wireCounters struct {
 	framesIn, framesOut atomic.Int64
 	bytesIn, bytesOut   atomic.Int64
@@ -51,8 +51,8 @@ func (c *wireCounters) snapshot() WireStats {
 
 // codec frames protocol messages over one connection with the binary
 // wire protocol (internal/cluster/wire).  Read and write state are
-// independent, so one goroutine may read while another writes (a
-// proxy's reader and its writer); two concurrent writers or readers
+// independent, so one goroutine may read while another writes (a worker
+// proxy's reader and its dispatcher); two concurrent writers or readers
 // must be serialized by the caller, which matches the discipline
 // net.Conn already demands.  The scratch wire.Messages are reused
 // frame after frame; retained fields are copied out of the decoder's
@@ -67,7 +67,7 @@ type codec struct {
 }
 
 // newCodec counts a connection — accepted by the scheduler or dialed by
-// a worker or client alike — and returns its codec.
+// a worker alike — and returns its codec.
 func newCodec(conn io.ReadWriter, c *wireCounters) *codec {
 	c.conns.Add(1)
 	br := bufio.NewReaderSize(countingReader{conn, &c.bytesIn}, 16<<10)
@@ -82,23 +82,6 @@ func (cd *codec) write(m *message) error {
 		return err
 	}
 	cd.c.framesOut.Add(1)
-	return nil
-}
-
-// writeBatch stages every frame and sends them with one write.
-func (cd *codec) writeBatch(ms []*message) error {
-	for _, m := range ms {
-		toWire(m, &cd.wm)
-		if err := cd.enc.Stage(&cd.wm); err != nil {
-			return err
-		}
-	}
-	n, err := cd.enc.Flush()
-	cd.c.bytesOut.Add(int64(n))
-	if err != nil {
-		return err
-	}
-	cd.c.framesOut.Add(int64(len(ms)))
 	return nil
 }
 

@@ -55,16 +55,10 @@ func TestSnapshotCatchUpMidCampaign(t *testing.T) {
 		t.Errorf("idle-join snapshot = %+v, %v; want empty snapshot", snap, ok)
 	}
 
-	client, err := NewClient(sched.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
 	results := make(chan error, 3)
 	for i := 0; i < 3; i++ {
 		go func(i int) {
-			_, err := client.Submit(ctx, json.RawMessage(fmt.Sprintf(`{"task":%d}`, i)))
+			_, err := sched.Submit(ctx, json.RawMessage(fmt.Sprintf(`{"task":%d}`, i)))
 			results <- err
 		}(i)
 	}
@@ -170,16 +164,11 @@ func TestUnknownRegisterFlagsRefused(t *testing.T) {
 			settled := watchBooks(t, sched)
 			defer sched.Close()
 
-			client, err := NewClient(sched.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer client.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			result := make(chan error, 1)
 			go func() {
-				_, err := client.Submit(ctx, json.RawMessage(`{"queued":true}`))
+				_, err := sched.Submit(ctx, json.RawMessage(`{"queued":true}`))
 				result <- err
 			}()
 			waitFor(t, "the task to be queued", func() bool { return sched.Stats().Submitted == 1 })
@@ -229,5 +218,80 @@ func TestUnknownRegisterFlagsRefused(t *testing.T) {
 				t.Errorf("assignments went to %q, want only the normal worker", assigned)
 			}
 		})
+	}
+}
+
+// TestRetiredSubmitFrameRefused: a peer whose first frame has type byte
+// 2 — the submit of the retired client protocol — is refused while a
+// campaign runs.  The frame fails to decode and is counted in
+// DecodeErrors, the peer loses its connection, and nothing else moves:
+// its task is never queued, and the worker holding the campaign's task
+// keeps its one connection and delivers the result.
+func TestRetiredSubmitFrameRefused(t *testing.T) {
+	lc, err := NewLocalCluster(0, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := lc.Scheduler
+	settled := watchBooks(t, sched)
+	defer lc.Close()
+
+	gate := make(chan struct{})
+	held := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+		<-gate
+		return payload, nil
+	}
+	w, err := NewWorker(sched.Addr(), "holder", held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	go func() { _ = w.Run(context.Background()) }()
+	result := make(chan error, 1)
+	go func() {
+		out, err := sched.Submit(context.Background(), json.RawMessage(`{"campaign":1}`))
+		if err == nil && string(out) != `{"campaign":1}` {
+			err = fmt.Errorf("result = %s", out)
+		}
+		result <- err
+	}()
+	waitFor(t, "the worker to hold the campaign's task", func() bool {
+		ws := sched.WorkerStats()
+		return len(ws) == 1 && ws[0].InFlight == 1
+	})
+
+	// The retired submit frame, built by hand: the encoder refuses type 2.
+	id, payload := "task-1", `{"genome":[0.5]}`
+	submit := []byte{byte(wire.Magic >> 8), byte(wire.Magic & 0xFF), wire.Version, 2, 0, byte(len(id))}
+	submit = binary.BigEndian.AppendUint32(submit, uint32(len(payload)))
+	submit = append(append(submit, id...), payload...)
+	conn, err := net.Dial("tcp", sched.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(submit); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := conn.Read(make([]byte, 64)); err != io.EOF && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("retired submit frame: read %d bytes, err %v; want the connection closed", n, err)
+	}
+	if got := sched.Wire().DecodeErrors; got != 1 {
+		t.Errorf("decode errors = %d, want 1", got)
+	}
+
+	close(gate)
+	if err := <-result; err != nil {
+		t.Fatalf("campaign task after the refused peer: %v", err)
+	}
+	settled()
+	if st := sched.Stats(); st.Submitted != 1 || st.Completed != 1 || st.Workers != 1 {
+		t.Errorf("after the refused peer: %+v, want only the campaign's task on the books and the worker still connected", st)
+	}
+	if ww := w.Wire(); ww.Conns != 1 || ww.DecodeErrors != 0 {
+		t.Errorf("worker wire = %v, want its one connection untouched", ww)
 	}
 }

@@ -76,13 +76,13 @@ func TestEventCountersOnScheduler(t *testing.T) {
 			t.Logf("close: %v", err)
 		}
 	}()
-	if _, err := lc.Client.Submit(context.Background(), []byte(`{"x":1}`)); err != nil {
+	if _, err := lc.Scheduler.Submit(context.Background(), []byte(`{"x":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	// Both events fire on scheduler goroutines after the frame they
-	// describe is on its way — the assign after the write to the worker,
-	// the result after it is queued for the client — so the answer can
-	// reach the client first.
+	// Both events fire on scheduler goroutines after the step they
+	// describe — the assign after the write to the worker, the result
+	// after it is handed to the submitter — so the answer can reach the
+	// submitter first.
 	waitFor(t, "the assign and result events", func() bool {
 		return ec.Count(EventAssign) >= 1 && ec.Count(EventResult) >= 1
 	})

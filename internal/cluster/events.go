@@ -19,7 +19,7 @@ const (
 	EventWorkerDisconnect EventType = "worker_disconnect"
 	// EventAssign fires when a task is written to a worker.
 	EventAssign EventType = "assign"
-	// EventResult fires when a result is delivered to its client.
+	// EventResult fires when a result is delivered to its submitter.
 	EventResult EventType = "result"
 	// EventLeaseExpired fires when an in-flight task's lease runs out and
 	// the task is handed back to the queue while the worker stays

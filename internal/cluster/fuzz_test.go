@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -11,7 +12,8 @@ import (
 // FuzzMessageRoundTrip: a message written through the codec and read
 // back must come out identical, field for field — raw non-UTF-8 ids,
 // names, errors and payload bytes included.  With one framing the
-// identity is the spec.
+// identity is the spec.  Type byte 2, the retired client submit, must
+// instead be refused by the write.
 func FuzzMessageRoundTrip(f *testing.F) {
 	f.Add(byte(0), byte(1), "", "worker-0", "", []byte(nil), uint64(0), uint64(0), "")
 	f.Add(byte(1), byte(0), "task-1", "", "", []byte(`{"genome":[0.5,-1.5]}`), uint64(0), uint64(0), "")
@@ -27,13 +29,13 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		switch m.Type {
 		case wire.TypeRegister:
 			m.Name = name
-		case wire.TypeSubmit, wire.TypeAssign, wire.TypeResult, wire.TypeHeartbeat:
+		case wire.TypeAssign, wire.TypeResult, wire.TypeHeartbeat:
 			m.TaskID = taskID[:min(len(taskID), wire.MaxTaskID)]
 		case wire.TypeSnapshot:
 			m.Snap = &Snapshot{Epoch: epoch, Pending: int(pending), Leases: []string{lease}}
 		}
 		// An empty payload reads back as nil.
-		if (m.Type == wire.TypeSubmit || m.Type == wire.TypeAssign || m.Type == wire.TypeResult) && len(payload) > 0 {
+		if (m.Type == wire.TypeAssign || m.Type == wire.TypeResult) && len(payload) > 0 {
 			m.Payload = payload
 		}
 		if m.Type == wire.TypeResult {
@@ -42,6 +44,12 @@ func FuzzMessageRoundTrip(f *testing.F) {
 
 		var buf bytes.Buffer
 		cd := newCodec(&buf, &wireCounters{})
+		if m.Type == 2 {
+			if err := cd.write(m); !errors.Is(err, wire.ErrBadType) || buf.Len() != 0 {
+				t.Fatalf("write of the retired submit type: err %v, %d bytes out; want ErrBadType and nothing written", err, buf.Len())
+			}
+			return
+		}
 		if err := cd.write(m); err != nil {
 			t.Fatalf("encode of %+v: %v", m, err)
 		}

@@ -10,28 +10,39 @@ import (
 	"repro/internal/ea"
 )
 
-// LocalCluster bundles a scheduler, n workers and a client on the
-// loopback interface — the single-machine analogue of the paper's batch
-// script that launches the Dask scheduler, workers and client on the
-// Summit batch node (§2.2.5).
+// LocalCluster bundles a scheduler and n workers on the loopback
+// interface — the single-machine analogue of the paper's batch script
+// that launches the Dask scheduler and workers on the Summit batch node,
+// next to the process that submits the campaign (§2.2.5).  The caller
+// submits to Scheduler in process; only the workers speak the wire
+// protocol.
 type LocalCluster struct {
 	Scheduler *Scheduler
-	Workers   []*Worker
-	Client    *Client
-	cancel    context.CancelFunc
+	// Client is the same pointer as Scheduler.  It exists only for the
+	// bench/ harness, which reads it by that name.
+	Client  *Scheduler
+	Workers []*Worker
+	cancel  context.CancelFunc
 }
 
-// NewLocalCluster starts everything on 127.0.0.1 with the given handler
-// and per-worker task timeout (0 = none).  Workers are wired with a fast
+// NewLocalCluster starts a scheduler on a free loopback port and
+// nWorkers workers with the given handler and task timeout (0 = none).
+func NewLocalCluster(nWorkers int, handler Handler, taskTimeout time.Duration) (*LocalCluster, error) {
+	return ListenLocalCluster("127.0.0.1:0", nWorkers, handler, taskTimeout)
+}
+
+// ListenLocalCluster is NewLocalCluster with the scheduler listening on
+// addr, so workers in other processes can join the in-process ones (of
+// which there may be none).  The in-process workers are wired with a fast
 // reconnect schedule, so a locally bounced scheduler is reacquired in
 // tens of milliseconds rather than the production default's seconds.
-func NewLocalCluster(nWorkers int, handler Handler, taskTimeout time.Duration) (*LocalCluster, error) {
-	sched, err := NewScheduler("127.0.0.1:0")
+func ListenLocalCluster(addr string, nWorkers int, handler Handler, taskTimeout time.Duration) (*LocalCluster, error) {
+	sched, err := NewScheduler(addr)
 	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	lc := &LocalCluster{Scheduler: sched, cancel: cancel}
+	lc := &LocalCluster{Scheduler: sched, Client: sched, cancel: cancel}
 	for i := 0; i < nWorkers; i++ {
 		w, err := NewWorker(sched.Addr(), fmt.Sprintf("worker-%d", i), handler)
 		if err != nil {
@@ -43,11 +54,6 @@ func NewLocalCluster(nWorkers int, handler Handler, taskTimeout time.Duration) (
 		lc.Workers = append(lc.Workers, w)
 		go func() { _ = w.Run(ctx) }()
 	}
-	client, err := NewClient(sched.Addr())
-	if err != nil {
-		return nil, errors.Join(err, lc.Close())
-	}
-	lc.Client = client
 	return lc, nil
 }
 
@@ -57,9 +63,6 @@ func NewLocalCluster(nWorkers int, handler Handler, taskTimeout time.Duration) (
 func (lc *LocalCluster) Close() error {
 	lc.cancel()
 	var errs []error
-	if lc.Client != nil {
-		errs = append(errs, lc.Client.Close())
-	}
 	for _, w := range lc.Workers {
 		errs = append(errs, w.Close())
 	}
@@ -67,13 +70,14 @@ func (lc *LocalCluster) Close() error {
 	return errors.Join(errs...)
 }
 
-// Evaluator adapts a cluster client into an ea.Evaluator: each genome is
-// shipped to the scheduler as a {"genome":[…]} task and the fitness comes
-// back as {"fitness":[…]} from whichever worker ran it.  Worker-side
-// errors surface as evaluation errors, which the EA converts to MAXINT
-// fitness (§2.2.4).
+// Evaluator adapts a scheduler into an ea.Evaluator: each genome is
+// submitted as a {"genome":[…]} task and the fitness comes back as
+// {"fitness":[…]} from whichever worker ran it.  Worker-side errors
+// surface as evaluation errors, which the EA converts to MAXINT fitness
+// (§2.2.4).
 type Evaluator struct {
-	Client *Client
+	// Client is the scheduler the genomes are submitted to.
+	Client *Scheduler
 }
 
 // Evaluate implements ea.Evaluator.

@@ -190,7 +190,7 @@ func TestNaNPayloadEndsAsMaxint(t *testing.T) {
 		ea.NewIndividual(ea.Genome{0.5, math.Inf(1)}),
 	}
 	out := ea.EvalPool(context.Background(), ea.Source(pop), len(pop),
-		&Evaluator{Client: lc.Client}, ea.PoolConfig{Parallelism: 4, Objectives: 2})
+		&Evaluator{Client: lc.Scheduler}, ea.PoolConfig{Parallelism: 4, Objectives: 2})
 	settled()
 	if got := out[0].Fitness; out[0].Err != nil || got[0] != 0.25 || got[1] != 0.75 {
 		t.Errorf("finite individual: fitness %v, err %v", got, out[0].Err)

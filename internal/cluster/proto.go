@@ -1,10 +1,12 @@
 // Package cluster is a small distributed task system in the style of the
-// Dask scheduler/worker/client deployment the paper used on Summit
-// (§2.2.5): a client submits fitness-evaluation tasks to a scheduler,
-// which fans them out to workers (one per compute node in the paper);
-// results flow back to the client.  Matching the paper's operational
-// choices, there are no "nannies" — a worker that dies stays dead, and the
-// scheduler reassigns its in-flight tasks to surviving workers.
+// Dask scheduler/worker deployment the paper used on Summit (§2.2.5).
+// The campaign process owns the scheduler, as the paper's Dask client
+// shared the batch node with its scheduler: it submits fitness-evaluation
+// tasks in process (Scheduler.Submit), and the scheduler leases them over
+// TCP to workers (one per compute node in the paper), whose results flow
+// back to the waiting submitter.  Matching the paper's operational
+// choices, there are no "nannies" — a worker that dies stays dead, and
+// the scheduler reassigns its in-flight tasks to surviving workers.
 package cluster
 
 import (
@@ -18,7 +20,7 @@ import (
 // (and a payload slice of their own) because they outlive the decoder
 // buffer the frame arrived in — fromWire is the one place they are
 // copied out of it.  Which fields a type carries is the wire package's
-// frame layout: Register a Name, Submit and Assign a Payload, Result an
+// frame layout: Register a Name, Assign a Payload, Result an
 // Err and a Payload, Snapshot a Snap.
 type message struct {
 	Type    wire.Type

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +20,7 @@ type task struct {
 	id       string
 	payload  json.RawMessage
 	attempts int
-	out      *outbox // the submitting client's result queue
+	res      chan *message // one slot: the result, sent exactly once
 	mu       sync.Mutex
 	done     bool
 }
@@ -27,9 +29,9 @@ type task struct {
 // worker that answered after its lease was given away) are dropped.  The
 // call that claims the task adds one to counter — Stats.Completed or
 // Stats.Failed — and only then publishes the result, so a submitter that
-// has its result also finds it counted.  Publishing never blocks: it
-// queues the result for the client's writer.  It reports whether THIS
-// call delivered the result.
+// has its result also finds it counted.  Publishing never blocks, whether
+// or not the submitter still waits: the result goes into the task's one
+// free slot.  It reports whether THIS call delivered the result.
 func (t *task) complete(m *message, counter *int64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -38,7 +40,7 @@ func (t *task) complete(m *message, counter *int64) bool {
 	}
 	t.done = true
 	atomic.AddInt64(counter, 1)
-	t.out.put(m)
+	t.res <- m
 	return true
 }
 
@@ -53,7 +55,7 @@ func (t *task) isDone() bool {
 // Failed, regardless of how many times it was reassigned or how many
 // duplicate results arrived.
 type Stats struct {
-	Submitted  int64 // tasks received from clients
+	Submitted  int64 // tasks Submit queued, one still waiting for a slot included
 	Completed  int64 // tasks finished successfully
 	Failed     int64 // tasks finished with an application error (or abandoned)
 	Reassigned int64 // tasks requeued after a worker death or lease expiry
@@ -82,7 +84,8 @@ type lease struct {
 	resolved chan struct{} // closed when the reader delivers the result
 }
 
-// Scheduler accepts worker and client connections and routes tasks.
+// Scheduler queues the tasks its own process submits and leases them to
+// the workers that connect to it.
 type Scheduler struct {
 	// MaxAttempts bounds how many times a task is reassigned after worker
 	// deaths or lease expiries before being failed outright (default 3).
@@ -102,7 +105,8 @@ type Scheduler struct {
 	// the scheduler.  Set it before the first connection arrives.
 	OnEvent func(Event)
 
-	ln net.Listener
+	ln  net.Listener
+	seq atomic.Uint64 // last task id handed out
 	// pending is the dispatch queue: one bounded FIFO channel.  A send
 	// that finds worker proxies parked on it hands the task straight to
 	// the one that has waited longest (Go serves blocked receivers in
@@ -141,7 +145,7 @@ func NewScheduler(addr string) (*Scheduler, error) {
 	return s, nil
 }
 
-// Addr returns the listen address for clients and workers.
+// Addr returns the address workers dial.
 func (s *Scheduler) Addr() string { return s.ln.Addr().String() }
 
 // Stats returns a snapshot of activity counters.  Completed + Failed <=
@@ -187,9 +191,9 @@ func (s *Scheduler) WorkerStats() []WorkerStats {
 }
 
 // Close shuts the scheduler down and waits for connection handlers.
-// Active worker and client connections are force-closed: their owners are
-// expected to reconnect (and, for clients, resubmit) if a new scheduler
-// comes up — the scheduler holds no durable state worth draining.
+// Every Submit still waiting returns an error, and worker connections are
+// force-closed; their workers re-dial until a new scheduler comes up.
+// The scheduler holds no durable state: a campaign's is its submitter's.
 func (s *Scheduler) Close() error {
 	s.once.Do(func() { close(s.closed) })
 	err := s.ln.Close()
@@ -234,12 +238,12 @@ func (s *Scheduler) acceptLoop() {
 	}
 }
 
-// handleConn reads the first message to learn whether the peer is a
-// worker or a client, then runs the corresponding proxy loop.  A frame
-// that fails to decode — here or in either proxy, and including a
-// foreign peer whose first bytes are not wire.Magic — costs only this
-// connection: the codec counts the error, the handler returns, and the
-// campaign carries on over the surviving connections.
+// handleConn reads the peer's register frame and runs its worker proxy.
+// A frame that fails to decode — here or in the proxy, and including a
+// foreign peer whose first bytes are not wire.Magic or a frame of a
+// retired type — costs only this connection: the codec counts the error,
+// the handler returns, and the campaign carries on over the surviving
+// connections.
 func (s *Scheduler) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
@@ -264,21 +268,18 @@ func (s *Scheduler) handleConn(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	switch first.Type {
-	case wire.TypeRegister:
-		// A register flag this scheduler does not know (a retired peer's
-		// multiplexing hello among them) would register a phantom worker
-		// whose first task is lost to a decode error: refuse it instead.
-		if first.Flags&^wire.FlagWantSnapshot != 0 {
-			s.logf("cluster: refusing register from %q with unknown flags %#x", first.Name, first.Flags)
-			return
-		}
-		s.runWorkerProxy(conn, cd, first)
-	case wire.TypeSubmit:
-		s.runClientProxy(cd, first)
-	default:
+	if first.Type != wire.TypeRegister {
 		s.logf("cluster: unexpected first message %q", first.Type)
+		return
 	}
+	// A register flag this scheduler does not know (a retired peer's
+	// multiplexing hello among them) would register a phantom worker
+	// whose first task is lost to a decode error: refuse it instead.
+	if first.Flags&^wire.FlagWantSnapshot != 0 {
+		s.logf("cluster: refusing register from %q with unknown flags %#x", first.Name, first.Flags)
+		return
+	}
+	s.runWorkerProxy(conn, cd, first)
 }
 
 // snapshot captures the compact catch-up state sent to a late-joining
@@ -466,8 +467,8 @@ func (w *workerProxy) dispatch(t *task) bool {
 			if timer != nil {
 				timer.Stop()
 			}
-			// Leave the task unresolved: client connections are dropping
-			// too, and a reconnecting client will resubmit.
+			// Leave the task unresolved: its Submit returns on the same
+			// close.
 			w.take(t.id)
 			return false
 		}
@@ -575,127 +576,70 @@ func (s *Scheduler) requeue(t *task, worker, why string) {
 	atomic.AddInt64(&s.stats.Reassigned, 1)
 	s.event(EventRequeue, worker, t.id, why)
 	// An enqueue that fails means the scheduler closed; dropping the task
-	// is deliberate — the client connection is going down with the
-	// scheduler, and a reconnecting client resubmits.
-	s.enqueue(t)
+	// is deliberate — its Submit returns on the same close.
+	//lint:ignore errdiscard the only failure is Close, which Submit reports to the task's caller
+	_ = s.enqueue(context.Background(), t)
 }
+
+var errClosed = errors.New("cluster: scheduler closed")
 
 // enqueue puts t on the pending queue, blocking while the queue is full;
 // a submission that has to wait is counted once in Stats.QueueWaits.  It
-// reports false if the scheduler closed before a slot freed.
-func (s *Scheduler) enqueue(t *task) bool {
+// fails if the scheduler closed, or ctx ended, before a slot freed.
+func (s *Scheduler) enqueue(ctx context.Context, t *task) error {
+	select {
+	case <-s.closed:
+		return errClosed
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
+	}
 	select {
 	case s.pending <- t:
-		return true
+		return nil
 	default:
 	}
 	atomic.AddInt64(&s.stats.QueueWaits, 1)
 	select {
 	case s.pending <- t:
-		return true
-	case <-s.closed:
-		return false
-	}
-}
-
-// outbox queues one client connection's results for its writer.  put
-// never blocks, so a slow or vanished client cannot stall the worker
-// proxy reader that delivers into it; once the client proxy is gone,
-// results are dropped.
-type outbox struct {
-	mu     sync.Mutex
-	queue  []*message
-	closed bool
-	wake   chan struct{} // buffer 1: "the queue may be non-empty"
-}
-
-func (o *outbox) put(m *message) {
-	o.mu.Lock()
-	if o.closed {
-		o.mu.Unlock()
-		return
-	}
-	o.queue = append(o.queue, m)
-	o.mu.Unlock()
-	select {
-	case o.wake <- struct{}{}:
-	default: // a wake-up is already pending
-	}
-}
-
-// take swaps the queued results out for batch's emptied backing array.
-func (o *outbox) take(batch []*message) []*message {
-	clear(batch)
-	o.mu.Lock()
-	batch, o.queue = o.queue, batch[:0]
-	o.mu.Unlock()
-	return batch
-}
-
-// close drops whatever is queued and every later result.
-func (o *outbox) close() {
-	o.mu.Lock()
-	o.closed = true
-	o.queue = nil
-	o.mu.Unlock()
-}
-
-// runClientProxy accepts submissions from one client connection and
-// returns results as they complete.  Results may arrive out of submission
-// order; the TaskID correlates them.  One writer goroutine sends each
-// batch of queued results with a single write.
-func (s *Scheduler) runClientProxy(cd *codec, first *message) {
-	out := &outbox{wake: make(chan struct{}, 1)}
-	writerDone := make(chan struct{})
-	clientDone := make(chan struct{})
-	defer func() {
-		close(clientDone)
-		<-writerDone
-	}()
-	go func() {
-		defer close(writerDone)
-		defer out.close()
-		var batch []*message
-		for {
-			select {
-			case <-out.wake:
-			case <-clientDone:
-				return
-			}
-			batch = out.take(batch)
-			if len(batch) == 0 {
-				continue // woken for results an earlier take already sent
-			}
-			if err := cd.writeBatch(batch); err != nil {
-				return
-			}
-		}
-	}()
-
-	submit := func(m *message) error {
-		atomic.AddInt64(&s.stats.Submitted, 1)
-		if !s.enqueue(&task{id: m.TaskID, payload: m.Payload, out: out}) {
-			return errors.New("scheduler closed")
-		}
 		return nil
+	case <-s.closed:
+		return errClosed
+	case <-ctx.Done():
+		return ctx.Err()
 	}
+}
 
-	if err := submit(first); err != nil {
-		return
+// Submit queues one task and blocks until its result arrives, ctx ends,
+// or the scheduler closes; a worker's application error comes back as
+// the error.  Stats.Submitted counts the task only if it reached the
+// queue: the count goes up before the enqueue, so it never trails the
+// result counters, and comes back down if the enqueue gives up.  A
+// caller whose ctx ends stops waiting, but its queued task still runs
+// and is counted once; Close claims the task of every caller still
+// waiting as Failed, so the books balance either way.
+func (s *Scheduler) Submit(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
+	t := &task{id: strconv.FormatUint(s.seq.Add(1), 10), payload: payload, res: make(chan *message, 1)}
+	atomic.AddInt64(&s.stats.Submitted, 1)
+	if err := s.enqueue(ctx, t); err != nil {
+		atomic.AddInt64(&s.stats.Submitted, -1)
+		return nil, err
 	}
-	for {
-		m, err := cd.read()
-		if err != nil {
-			return
+	var m *message
+	select {
+	case m = <-t.res:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-s.closed:
+		if t.complete(&message{Type: wire.TypeResult, TaskID: t.id, Err: errClosed.Error()}, &s.stats.Failed) {
+			return nil, errClosed
 		}
-		if m.Type != wire.TypeSubmit {
-			s.logf("cluster: client protocol violation: %q", m.Type)
-			return
-		}
-		if err := submit(m); err != nil {
-			return
-		}
+		m = <-t.res // a result won the race
 	}
+	if m.Err != "" {
+		return nil, errors.New(m.Err)
+	}
+	return m.Payload, nil
 }
 
 // String describes the scheduler state for diagnostics.

@@ -50,7 +50,7 @@ func (d *Decoder) Decode(m *Message) error {
 		return fmt.Errorf("%w: %d", ErrVersion, d.hdr[2])
 	}
 	typ := Type(d.hdr[3])
-	if typ < TypeRegister || typ > typeMax {
+	if !typ.known() {
 		return fmt.Errorf("%w: %d", ErrBadType, d.hdr[3])
 	}
 	idLen := int(d.hdr[5])
@@ -73,7 +73,7 @@ func (d *Decoder) Decode(m *Message) error {
 		if len(body) != 0 {
 			return fmt.Errorf("%w: %d trailing bytes after register body", ErrMalformed, len(body))
 		}
-	case TypeSubmit, TypeAssign:
+	case TypeAssign:
 		m.Payload = body
 	case TypeResult:
 		if m.Err, body, err = cutBytes(body); err != nil {

@@ -6,7 +6,7 @@ import (
 	"io"
 )
 
-// Encoder frames messages onto one writer.  The frame is staged in a
+// Encoder frames messages onto one writer.  The frame is built in a
 // reusable buffer and written with a single Write call, so steady-state
 // encoding allocates nothing and costs one syscall per message.  Encoder
 // is not safe for concurrent use; callers serialize writes per
@@ -27,41 +27,19 @@ func NewEncoder(w io.Writer) *Encoder {
 //
 //lint:hot
 func (e *Encoder) Encode(m *Message) (int, error) {
-	if err := e.Stage(m); err != nil {
+	frame, err := AppendFrame(e.buf[:0], m)
+	if err != nil {
 		return 0, err
 	}
-	return e.Flush()
-}
-
-// Stage validates and frames m behind the frames already staged, without
-// writing anything; Flush sends them all.  A message that fails
-// validation is not staged.
-//
-//lint:hot
-func (e *Encoder) Stage(m *Message) error {
-	frame, err := AppendFrame(e.buf, m)
-	if err != nil {
-		return err
-	}
 	e.buf = frame
-	return nil
-}
-
-// Flush writes every staged frame with a single Write call and empties
-// the stage, keeping its capacity for the next frames.
-//
-//lint:hot
-func (e *Encoder) Flush() (int, error) {
-	n, err := e.w.Write(e.buf)
-	e.buf = e.buf[:0]
-	return n, err
+	return e.w.Write(frame)
 }
 
 // AppendFrame appends the binary frame for m to dst and returns the
 // extended slice.  It is the allocation-free core of Encode, exported so
 // tests and corpus generators can build frames without a writer.
 func AppendFrame(dst []byte, m *Message) ([]byte, error) {
-	if m.Type < TypeRegister || m.Type > typeMax {
+	if !m.Type.known() {
 		return nil, fmt.Errorf("%w: %d", ErrBadType, byte(m.Type))
 	}
 	if len(m.TaskID) > MaxTaskID {
@@ -82,7 +60,7 @@ func AppendFrame(dst []byte, m *Message) ([]byte, error) {
 	case TypeRegister:
 		dst = binary.AppendUvarint(dst, uint64(len(m.Name)))
 		dst = append(dst, m.Name...)
-	case TypeSubmit, TypeAssign:
+	case TypeAssign:
 		dst = append(dst, m.Payload...)
 	case TypeResult:
 		dst = binary.AppendUvarint(dst, uint64(len(m.Err)))

@@ -26,7 +26,7 @@ func FuzzWireDecode(f *testing.F) {
 	hostile := make([]byte, HeaderSize)
 	binary.BigEndian.PutUint16(hostile[0:2], Magic)
 	hostile[2] = Version
-	hostile[3] = byte(TypeSubmit)
+	hostile[3] = byte(TypeAssign)
 	binary.BigEndian.PutUint32(hostile[6:10], 63<<20)
 	f.Add(hostile)
 	for _, typ := range retiredTypes {

@@ -1,9 +1,9 @@
 // Package wire is the framing of the cluster plane, and its only one: a
 // hand-rolled length-prefixed codec that carries every protocol message
-// (register, submit → assign → result, heartbeat, snapshot) with
+// (register, assign → result, heartbeat, snapshot) with
 // fixed-width headers and varint-delimited fields.  The paper's
 // deployment moved hundreds of fitness tasks per generation between the
-// Dask client, scheduler and workers (§2.2.5); at that rate the envelope
+// Dask scheduler and its workers (§2.2.5); at that rate the envelope
 // cost of a reflective text format — marshal/unmarshal plus an
 // allocation per message — would dominate the scheduler's CPU, so the
 // codec here is built around two properties:
@@ -12,7 +12,7 @@
 //     fields alias the Decoder's internal buffer.  Nothing is copied and
 //     nothing is allocated in steady state; callers that retain a field
 //     past the next Decode must copy it themselves.
-//   - Zero-allocation encode: Encode appends the frame into a reusable
+//   - Zero-allocation encode: Encode builds the frame in a reusable
 //     buffer and issues exactly one Write, so a megabyte-per-second
 //     heartbeat stream costs no garbage and no extra syscalls.
 //
@@ -21,7 +21,7 @@
 //	offset size field
 //	0      2    magic     0xD5A7
 //	2      1    version   format version (currently 1)
-//	3      1    type      message type (Register … Snapshot)
+//	3      1    type      message type (Register, Assign … Snapshot)
 //	4      1    flags     per-type bits (e.g. FlagWantSnapshot)
 //	5      1    id len    task-id length in bytes (0–255)
 //	6      4    body len  length of the body after the task id
@@ -31,8 +31,7 @@
 // Body encodings, all uvarint-delimited:
 //
 //	Register:  len(name) name
-//	Submit:    payload (the remaining body bytes, verbatim)
-//	Assign:    payload
+//	Assign:    payload (the remaining body bytes, verbatim)
 //	Result:    len(err) err payload
 //	Heartbeat: (empty)
 //	Snapshot:  epoch pending nleases { len(id) id }*
@@ -67,17 +66,17 @@ const MaxFrame = 64 << 20
 // MaxTaskID bounds the task-id field (it has a 1-byte length).
 const MaxTaskID = 255
 
-// Type enumerates the protocol messages.
+// Type enumerates the protocol messages.  Byte 2 was the retired client
+// submit, and bytes 7–10 the retired multiplexing frames; they stay
+// unassigned, so both ends refuse them (ErrBadType).
 type Type byte
 
 const (
 	// TypeRegister is worker → scheduler: join the pool.
 	TypeRegister Type = 1
-	// TypeSubmit is client → scheduler: run this task.
-	TypeSubmit Type = 2
 	// TypeAssign is scheduler → worker: lease of one task.
 	TypeAssign Type = 3
-	// TypeResult is worker → scheduler → client: task outcome.
+	// TypeResult is worker → scheduler: task outcome.
 	TypeResult Type = 4
 	// TypeHeartbeat is worker → scheduler: renew the task's lease.
 	TypeHeartbeat Type = 5
@@ -90,21 +89,16 @@ const (
 	typeMax = TypeSnapshot
 )
 
+// known reports whether t is a type this format carries.
+func (t Type) known() bool { return t == TypeRegister || (t >= TypeAssign && t <= typeMax) }
+
+var typeNames = [...]string{TypeRegister: "register", TypeAssign: "assign", TypeResult: "result",
+	TypeHeartbeat: "heartbeat", TypeSnapshot: "snapshot"}
+
 // String names the type for diagnostics.
 func (t Type) String() string {
-	switch t {
-	case TypeRegister:
-		return "register"
-	case TypeSubmit:
-		return "submit"
-	case TypeAssign:
-		return "assign"
-	case TypeResult:
-		return "result"
-	case TypeHeartbeat:
-		return "heartbeat"
-	case TypeSnapshot:
-		return "snapshot"
+	if t.known() {
+		return typeNames[t]
 	}
 	return fmt.Sprintf("type(%d)", byte(t))
 }
@@ -119,13 +113,13 @@ const FlagWantSnapshot byte = 1 << 0
 type Message struct {
 	Type  Type
 	Flags byte
-	// TaskID identifies the task for Submit/Assign/Result/Heartbeat.
+	// TaskID identifies the task for Assign/Result/Heartbeat.
 	TaskID []byte
 	// Name is the worker name (Register only).
 	Name []byte
 	// Err is the application error (Result only; empty = success).
 	Err []byte
-	// Payload is the opaque task/result body (Submit/Assign/Result).
+	// Payload is the opaque task/result body (Assign/Result).
 	Payload []byte
 	// Epoch, Pending and Leases are the Snapshot fields: the scheduler's
 	// campaign epoch (tasks submitted so far), the queued-task count, and

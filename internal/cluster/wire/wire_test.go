@@ -19,9 +19,8 @@ func sampleMessages() []Message {
 		// Bit 1 was the retired multiplexing hello: still a well-formed
 		// frame (flags are opaque here), refused by the scheduler.
 		{Type: TypeRegister, Name: []byte("stale-peer"), Flags: 1 << 1},
-		{Type: TypeSubmit, TaskID: []byte("task-1"), Payload: []byte(`{"genome":[0.1,0.2]}`)},
-		{Type: TypeSubmit, TaskID: []byte("t"), Payload: nil},
 		{Type: TypeAssign, TaskID: []byte("task-2"), Payload: []byte(`{"genome":[1,2,3]}`)},
+		{Type: TypeAssign, TaskID: []byte("t"), Payload: nil},
 		{Type: TypeResult, TaskID: []byte("task-3"), Payload: []byte(`{"fitness":[0.5]}`)},
 		{Type: TypeResult, TaskID: []byte("task-4"), Err: []byte("cluster: task timed out")},
 		{Type: TypeHeartbeat, TaskID: []byte("task-5")},
@@ -30,10 +29,11 @@ func sampleMessages() []Message {
 	}
 }
 
-// retiredTypes are the type bytes of the multiplexing frames the format
-// once carried (open, data, close, window).  Encoder and decoder must
-// both reject them, so they cannot come back unnoticed.
-var retiredTypes = []byte{7, 8, 9, 10}
+// retiredTypes are the type bytes of the frames the format once carried:
+// the client's submit (2) and the multiplexing open, data, close and
+// window (7–10).  Encoder and decoder must both reject them, so they
+// cannot come back unnoticed.
+var retiredTypes = []byte{2, 7, 8, 9, 10}
 
 // retiredFrame is a header-only frame carrying type byte typ.
 func retiredFrame(typ byte) []byte {
@@ -73,53 +73,36 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 
 // TestRoundTrip encodes and decodes every message type and expects the
 // fields back unchanged, as a pipelined stream through a single
-// Encoder/Decoder pair: one Write per frame with Encode, and one Write
-// for all of them with Stage and Flush — where a frame that fails
-// validation is left out and the rest still go.
+// Encoder/Decoder pair that costs one Write per frame.
 func TestRoundTrip(t *testing.T) {
 	msgs := sampleMessages()
-	for _, staged := range []bool{false, true} {
-		var buf writeCounter
-		enc := NewEncoder(&buf)
-		for i := range msgs {
-			var err error
-			if staged {
-				err = enc.Stage(&msgs[i])
-				if bad := enc.Stage(&Message{Type: 0}); !errors.Is(bad, ErrBadType) {
-					t.Fatalf("staging type 0: %v, want ErrBadType", bad)
-				}
-			} else {
-				_, err = enc.Encode(&msgs[i])
-			}
-			if err != nil {
-				t.Fatalf("encode %v: %v", msgs[i].Type, err)
-			}
+	var buf writeCounter
+	enc := NewEncoder(&buf)
+	for i := range msgs {
+		if _, err := enc.Encode(&msgs[i]); err != nil {
+			t.Fatalf("encode %v: %v", msgs[i].Type, err)
 		}
-		wantWrites := len(msgs)
-		if staged {
-			if _, err := enc.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			wantWrites = 1
+		if _, err := enc.Encode(&Message{Type: 0}); !errors.Is(err, ErrBadType) {
+			t.Fatalf("encoding type 0: %v, want ErrBadType", err)
 		}
-		if buf.writes != wantWrites {
-			t.Errorf("staged=%v: %d writes, want %d", staged, buf.writes, wantWrites)
+	}
+	if buf.writes != len(msgs) {
+		t.Errorf("%d writes, want %d", buf.writes, len(msgs))
+	}
+	dec := NewDecoder(&buf)
+	var got Message
+	for i := range msgs {
+		if err := dec.Decode(&got); err != nil {
+			t.Fatalf("decode %v: %v", msgs[i].Type, err)
 		}
-		dec := NewDecoder(&buf)
-		var got Message
-		for i := range msgs {
-			if err := dec.Decode(&got); err != nil {
-				t.Fatalf("staged=%v: decode %v: %v", staged, msgs[i].Type, err)
-			}
-			// Normalize nil-vs-empty before comparing: the decoder hands back
-			// empty (not nil) slices for zero-length fields it sliced out.
-			if !equalMessages(&msgs[i], &got) {
-				t.Errorf("staged=%v: round trip %v:\n sent %+v\n got  %+v", staged, msgs[i].Type, msgs[i], got)
-			}
+		// Normalize nil-vs-empty before comparing: the decoder hands back
+		// empty (not nil) slices for zero-length fields it sliced out.
+		if !equalMessages(&msgs[i], &got) {
+			t.Errorf("round trip %v:\n sent %+v\n got  %+v", msgs[i].Type, msgs[i], got)
 		}
-		if err := dec.Decode(&got); !errors.Is(err, io.EOF) {
-			t.Errorf("staged=%v: decode at end of stream = %v, want io.EOF", staged, err)
-		}
+	}
+	if err := dec.Decode(&got); !errors.Is(err, io.EOF) {
+		t.Errorf("decode at end of stream = %v, want io.EOF", err)
 	}
 }
 
@@ -129,8 +112,8 @@ func TestRoundTrip(t *testing.T) {
 func TestDecodeZeroCopy(t *testing.T) {
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf)
-	m1 := Message{Type: TypeSubmit, TaskID: []byte("id-aaaa"), Payload: []byte("payload-one")}
-	m2 := Message{Type: TypeSubmit, TaskID: []byte("id-bbbb"), Payload: []byte("payload-two")}
+	m1 := Message{Type: TypeAssign, TaskID: []byte("id-aaaa"), Payload: []byte("payload-one")}
+	m2 := Message{Type: TypeAssign, TaskID: []byte("id-bbbb"), Payload: []byte("payload-two")}
 	for _, m := range []*Message{&m1, &m2} {
 		if _, err := enc.Encode(m); err != nil {
 			t.Fatal(err)
@@ -168,7 +151,7 @@ func TestEncodeValidation(t *testing.T) {
 		t.Error("oversized task id encoded without error")
 	}
 	big := make([]byte, MaxFrame+1)
-	if _, err := AppendFrame(nil, &Message{Type: TypeSubmit, Payload: big}); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := AppendFrame(nil, &Message{Type: TypeAssign, Payload: big}); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized payload: %v, want ErrFrameTooLarge", err)
 	}
 }
@@ -268,7 +251,7 @@ func TestAdversarialLengthClaim(t *testing.T) {
 	hdr := make([]byte, HeaderSize)
 	binary.BigEndian.PutUint16(hdr[0:2], Magic)
 	hdr[2] = Version
-	hdr[3] = byte(TypeSubmit)
+	hdr[3] = byte(TypeAssign)
 	binary.BigEndian.PutUint32(hdr[6:10], MaxFrame) // claims 64 MiB
 	stream := append(hdr, []byte("only a few body bytes")...)
 

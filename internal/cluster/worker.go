@@ -18,17 +18,6 @@ import (
 // read lcurve.out).
 type Handler func(ctx context.Context, payload json.RawMessage) (json.RawMessage, error)
 
-// Dialer abstracts how a worker or client obtains its one connection to
-// the scheduler, and each reconnection after it.
-type Dialer interface {
-	Dial() (net.Conn, error)
-}
-
-// tcpDialer is the default dialer: one TCP connection per Dial.
-type tcpDialer string
-
-func (d tcpDialer) Dial() (net.Conn, error) { return net.Dial("tcp", string(d)) }
-
 // Worker connects to a scheduler, executes assigned tasks, and returns
 // results.  There is intentionally no supervision/restart of the process
 // itself: the paper found it best to "disable nannies, let workers fail,
@@ -66,9 +55,8 @@ type Worker struct {
 	// Logf, if non-nil, receives diagnostic output.
 	Logf func(format string, args ...interface{})
 
-	addr   string
-	dialer Dialer
-	wire   wireCounters
+	addr string
+	wire wireCounters
 
 	mu     sync.Mutex // guards conn, cd, snap, closed
 	conn   net.Conn
@@ -86,7 +74,7 @@ func NewWorker(addr, name string, handler Handler) (*Worker, error) {
 	if handler == nil {
 		return nil, fmt.Errorf("cluster: worker needs a handler")
 	}
-	w := &Worker{Name: name, Handler: handler, addr: addr, dialer: tcpDialer(addr)}
+	w := &Worker{Name: name, Handler: handler, addr: addr}
 	conn, cd, snap, err := w.dialAndRegister()
 	if err != nil {
 		return nil, err
@@ -100,7 +88,7 @@ func NewWorker(addr, name string, handler Handler) (*Worker, error) {
 // costs one compact frame — where the campaign stands and which leases
 // are outstanding — never a replay of history.
 func (w *Worker) dialAndRegister() (net.Conn, *codec, *Snapshot, error) {
-	conn, err := w.dialer.Dial()
+	conn, err := net.Dial("tcp", w.addr)
 	if err != nil {
 		return nil, nil, nil, err
 	}

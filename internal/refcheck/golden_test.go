@@ -102,7 +102,7 @@ func TestGoldenCampaignThreadInvariance(t *testing.T) {
 }
 
 // TestGoldenCampaignCluster runs the same campaign through the cluster
-// plane — scheduler, two TCP workers, JSON task round trips — and
+// plane — Scheduler.Submit, two TCP workers, JSON task round trips — and
 // requires the identical frontier and hypervolume bytes.  Genomes and
 // fitnesses must survive serialization exactly for this to hold.
 func TestGoldenCampaignCluster(t *testing.T) {
@@ -117,7 +117,7 @@ func TestGoldenCampaignCluster(t *testing.T) {
 	}
 	defer lc.Close()
 
-	res, err := RunGoldenCampaign(context.Background(), &cluster.Evaluator{Client: lc.Client}, 2)
+	res, err := RunGoldenCampaign(context.Background(), &cluster.Evaluator{Client: lc.Scheduler}, 2)
 	if err != nil {
 		t.Fatalf("golden campaign via cluster: %v", err)
 	}

@@ -38,7 +38,7 @@ func TestGoldenCampaignTransportDifferential(t *testing.T) {
 			}
 			defer lc.Close()
 
-			res, err := RunGoldenCampaign(context.Background(), &cluster.Evaluator{Client: lc.Client}, 2)
+			res, err := RunGoldenCampaign(context.Background(), &cluster.Evaluator{Client: lc.Scheduler}, 2)
 			if err != nil {
 				t.Fatalf("golden campaign via cluster: %v", err)
 			}
@@ -81,7 +81,7 @@ func TestGoldenLCurveTransportInvariance(t *testing.T) {
 		}
 		defer lc.Close()
 
-		out, err := lc.Client.Submit(context.Background(), json.RawMessage(`{}`))
+		out, err := lc.Scheduler.Submit(context.Background(), json.RawMessage(`{}`))
 		if err != nil {
 			t.Fatalf("lcurve round trip: %v", err)
 		}

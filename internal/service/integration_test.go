@@ -137,7 +137,7 @@ func TestServiceBounceResumeByteIdenticalFrontier(t *testing.T) {
 
 	newSvc := func(dir string) (*service.Service, *httptest.Server) {
 		svc, err := service.New(service.Config{
-			Evaluator:     &cluster.Evaluator{Client: lc.Client},
+			Evaluator:     &cluster.Evaluator{Client: lc.Scheduler},
 			CheckpointDir: dir,
 			MaxConcurrent: 2,
 		})

@@ -1,14 +1,14 @@
 // Package service is the long-running, multi-tenant HPO control plane:
-// the promotion of the one-shot cmd/hpo / cmd/cluster-drive binaries
-// into an always-on campaign service, the operational pattern behind the
-// paper's chained 12-hour Summit submissions (§2.2.5) run as a product
-// instead of a batch script.
+// the promotion of the one-shot cmd/hpo binary into an always-on
+// campaign service, the operational pattern behind the paper's chained
+// 12-hour Summit submissions (§2.2.5) run as a product instead of a
+// batch script.
 //
 // Clients create campaigns over an HTTP/JSON API, poll or stream
 // per-generation events (SSE with a long-poll fallback), and fetch
 // frontiers and full campaign records.  Every campaign shares one
-// elastic worker fleet through the configured evaluator — typically a
-// cluster client in front of the lease scheduler, wrapped in the shared
+// elastic worker fleet through the configured evaluator — typically the
+// in-process lease scheduler (cluster.Evaluator), wrapped in the shared
 // genome-keyed memo cache — while keeping its own RNG stream, EA context
 // and event ring.
 //
@@ -103,8 +103,7 @@ type Config struct {
 	// counts into /metrics (wire it to Scheduler.OnEvent).
 	SchedulerEvents *cluster.EventCounters
 	// SchedulerWire, if non-nil, feeds transport-level frame/byte/error
-	// counters into /metrics (wire it to Scheduler.Wire, or Client.Wire
-	// for a remote backend).
+	// counters into /metrics (wire it to Scheduler.Wire).
 	SchedulerWire func() cluster.WireStats
 }
 

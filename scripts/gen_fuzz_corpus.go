@@ -105,8 +105,6 @@ func main() {
 	wireDir := filepath.Join("internal", "cluster", "wire", "testdata", "fuzz", "FuzzWireDecode")
 	writeCorpus(wireDir, "register",
 		bytesEntry(wireFrame(&wire.Message{Type: wire.TypeRegister, Name: []byte("worker-0"), Flags: wire.FlagWantSnapshot})))
-	writeCorpus(wireDir, "submit",
-		bytesEntry(wireFrame(&wire.Message{Type: wire.TypeSubmit, TaskID: []byte("task-1"), Payload: []byte(`{"genome":[0.5,-1.5]}`)})))
 	writeCorpus(wireDir, "assign",
 		bytesEntry(wireFrame(&wire.Message{Type: wire.TypeAssign, TaskID: []byte("task-2"), Payload: []byte(`{"genome":[1]}`)})))
 	writeCorpus(wireDir, "result_ok",
@@ -121,12 +119,12 @@ func main() {
 	badMagic := wireFrame(&wire.Message{Type: wire.TypeHeartbeat, TaskID: []byte("t")})
 	badMagic[0] = 0x00
 	writeCorpus(wireDir, "bad_magic", bytesEntry(badMagic))
-	truncated := wireFrame(&wire.Message{Type: wire.TypeSubmit, TaskID: []byte("t"), Payload: []byte(`{"genome":[1,2,3]}`)})
+	truncated := wireFrame(&wire.Message{Type: wire.TypeAssign, TaskID: []byte("t"), Payload: []byte(`{"genome":[1,2,3]}`)})
 	writeCorpus(wireDir, "truncated_frame", bytesEntry(truncated[:len(truncated)-4]))
 	hostileWire := make([]byte, wire.HeaderSize)
 	binary.BigEndian.PutUint16(hostileWire[0:2], wire.Magic)
 	hostileWire[2] = wire.Version
-	hostileWire[3] = 2 // submit
+	hostileWire[3] = byte(wire.TypeAssign)
 	binary.BigEndian.PutUint32(hostileWire[6:10], 63<<20)
 	writeCorpus(wireDir, "hostile_length_no_body", bytesEntry(hostileWire))
 
@@ -137,6 +135,7 @@ func main() {
 			bytesEntry(payload), uint64Entry(epoch), uint64Entry(pending), stringEntry(lease))
 	}
 	writeCorpus(msgDir, "register", msg(0, 1, "", "worker-0", "", nil, 0, 0, ""))
+	// Type byte 2 is the retired client submit: the codec must refuse it.
 	writeCorpus(msgDir, "submit", msg(1, 0, "task-1", "", "", []byte(`{"genome":[0.5,-1.5]}`), 0, 0, ""))
 	writeCorpus(msgDir, "assign", msg(2, 0, "task-2", "", "", []byte(`{"genome":[1]}`), 0, 0, ""))
 	writeCorpus(msgDir, "result_err", msg(3, 0, "task-3", "", "diverged", []byte(`{"fitness":[2.5]}`), 0, 0, ""))
