@@ -53,7 +53,7 @@ func main() {
 	steps := flag.Int("steps", 200, "training steps per evaluation (real backend)")
 	workers := flag.Int("workers", 6, "simulated data-parallel workers (real backend)")
 	out := flag.String("out", "", "CSV output path (default stdout)")
-	saveJSON := flag.String("save", "", "also save the full campaign (every generation) as JSON")
+	savePath := flag.String("save", "", "also save the full campaign (every generation) to this file as a campaign log")
 	timeout := flag.Duration("timeout", 2*time.Hour, "per-evaluation limit (paper: 2h)")
 	noMemo := flag.Bool("no-memo", false, "disable genome-keyed fitness memoization")
 	flag.Parse()
@@ -143,11 +143,11 @@ func main() {
 			st.Hits, st.Misses, st.Entries)
 	}
 
-	if *saveJSON != "" {
-		if err := hpo.SaveCampaignFile(*saveJSON, res); err != nil {
+	if *savePath != "" {
+		if err := hpo.SaveCampaignFile(*savePath, res); err != nil {
 			log.Fatalf("saving campaign: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "hpo: saved full campaign to %s\n", *saveJSON)
+		fmt.Fprintf(os.Stderr, "hpo: saved full campaign to %s\n", *savePath)
 	}
 
 	w := os.Stdout

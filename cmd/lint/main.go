@@ -131,11 +131,11 @@ func emit(fresh []lint.Diagnostic, asJSON bool, format string) {
 		for _, d := range fresh {
 			out = append(out, jsonDiag{File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column, Rule: d.Rule, Msg: d.Msg})
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		data, err := json.MarshalIndent(out, "", "  ")
+		if err != nil {
 			fatal(2, "lint: encoding findings: %v", err)
 		}
+		fmt.Printf("%s\n", data)
 		return
 	}
 	for _, d := range fresh {

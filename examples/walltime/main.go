@@ -1,9 +1,11 @@
 // Walltime: the multi-job campaign pattern behind the paper's Summit
 // deployment — batch jobs were capped at 12 hours (§2.2.5), so a long
 // campaign must save its state and resume in the next submission.  This
-// example runs "job 1" (3 generations), saves the full campaign as JSON,
-// then "job 2" loads the file and continues for 3 more generations,
-// showing that the frontier strictly improves across the boundary.
+// example runs "job 1" (3 generations), saves the full campaign as a
+// campaign log (campaign.log: a header line, then one JSON line per run
+// and generation), then "job 2" loads the log and continues for 3 more
+// generations, showing that the frontier strictly improves across the
+// boundary.
 //
 //	go run ./examples/walltime
 package main
@@ -27,7 +29,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	checkpoint := filepath.Join(dir, "campaign.json")
+	checkpoint := filepath.Join(dir, "campaign.log")
 
 	cfg := hpo.CampaignConfig{
 		Runs: 2, PopSize: 50, Generations: 3,

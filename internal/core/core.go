@@ -115,14 +115,6 @@ func NewSurrogate(seed int64) Evaluator {
 // EvalTimeout is the paper's per-training wall-clock limit.
 const EvalTimeout = 2 * time.Hour
 
-// SaveCampaign / LoadCampaign persist a campaign's full history (every
-// generation of every run) as JSON, so walltime-limited jobs can be
-// analyzed offline or resumed.
-var (
-	SaveCampaignFile = hpo.SaveCampaignFile
-	LoadCampaignFile = hpo.LoadCampaignFile
-)
-
 // ResumeCampaign continues a saved campaign for additional generations,
 // warm-starting each run from its final population with the mutation σ
 // resumed at its annealed value.

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"testing"
+
+	"repro/internal/hpo"
 )
 
 func TestMinimizeOnSimpleProblem(t *testing.T) {
@@ -109,11 +111,11 @@ func TestFacadeSaveResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/c.json"
-	if err := SaveCampaignFile(path, c.Result); err != nil {
+	path := t.TempDir() + "/c.log"
+	if err := hpo.SaveCampaignFile(path, c.Result); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCampaignFile(path)
+	loaded, err := hpo.LoadCampaignFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,13 +124,9 @@ func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignResult, erro
 			InitialStd:   rep.Std,
 			AnnealFactor: cfg.AnnealFactor,
 			Evaluator:    cfg.Evaluator,
-			Pool: ea.PoolConfig{
-				Parallelism: cfg.Parallelism,
-				Timeout:     cfg.EvalTimeout,
-				Objectives:  2,
-			},
-			Seed:     cfg.BaseSeed + int64(run),
-			Observer: observer,
+			Pool:         poolFromConfig(cfg),
+			Seed:         cfg.BaseSeed + int64(run),
+			Observer:     observer,
 		})
 		if err != nil {
 			return out, fmt.Errorf("hpo: run %d: %w", run, err)

@@ -1,11 +1,14 @@
 package hpo
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"time"
 
@@ -14,22 +17,21 @@ import (
 	"repro/internal/uuid"
 )
 
-// The persistence format stores every evaluation of every generation of
-// every run, so a 12-hour campaign (the paper's Summit jobs) can be
-// analyzed offline or resumed into the figure/table generators without
-// re-running anything.
+// A campaign is stored as a record log of newline-terminated JSON lines,
+// so a 12-hour campaign (the paper's Summit jobs) can be analyzed
+// offline or resumed without re-running anything.  Line 1 is the header
+// {"format":"repro-hpo-campaign","version":2,"runs":N}; every later line
+// is one GenerationRecord.  The service's checkpoints hold the same
+// records under their own header, and ReadRecords replays both.
+// Version 1, one indented JSON document, is refused.
 
-// JSONFloats is a float slice whose non-finite members survive JSON:
-// NaN and ±Inf are encoded as the string sentinels "NaN", "+Inf" and
-// "-Inf" (encoding/json rejects the bare values outright).  Rank and
-// crowding distance are dropped rather than sentinel-encoded because
-// they are recomputable; fitness values are not — an evaluator that
-// returns +Inf for a diverged loss, or the NaNs a cancelled training
-// leaves behind, must round-trip or the whole campaign refuses to save.
-// Finite values use strconv's shortest round-trip formatting, so no
-// precision is lost either way.  Exported because every API surface that
-// serializes fitness vectors (the campaign service's frontier endpoint,
-// for one) has the same problem.
+// JSONFloats is a float slice whose non-finite members survive JSON as
+// the string sentinels "NaN", "+Inf" and "-Inf" (encoding/json rejects
+// the bare values): a diverged or cancelled training leaves them in its
+// fitness, and they must round-trip.  Finite values use strconv's
+// shortest round-trip formatting, so no precision is lost.  Exported for
+// every API surface that serializes fitness vectors (the service's
+// frontier, for one).
 type JSONFloats []float64
 
 // MarshalJSON implements json.Marshaler with sentinel strings for
@@ -58,34 +60,26 @@ func (f JSONFloats) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON implements json.Unmarshaler, accepting both plain
 // numbers and the sentinel strings.
 func (f *JSONFloats) UnmarshalJSON(data []byte) error {
-	var raw []json.RawMessage
+	var raw []interface{}
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return err
 	}
 	out := make(JSONFloats, len(raw))
 	for i, r := range raw {
-		if len(r) > 0 && r[0] == '"' {
-			var s string
-			if err := json.Unmarshal(r, &s); err != nil {
-				return err
+		switch r {
+		case "NaN":
+			out[i] = math.NaN()
+		case "+Inf", "Inf":
+			out[i] = math.Inf(1)
+		case "-Inf":
+			out[i] = math.Inf(-1)
+		default:
+			v, ok := r.(float64)
+			if !ok {
+				return fmt.Errorf("hpo: invalid float %#v", r)
 			}
-			switch s {
-			case "NaN":
-				out[i] = math.NaN()
-			case "+Inf", "Inf":
-				out[i] = math.Inf(1)
-			case "-Inf":
-				out[i] = math.Inf(-1)
-			default:
-				return fmt.Errorf("hpo: invalid float sentinel %q", s)
-			}
-			continue
+			out[i] = v
 		}
-		v, err := strconv.ParseFloat(string(r), 64)
-		if err != nil {
-			return fmt.Errorf("hpo: invalid float %q: %w", r, err)
-		}
-		out[i] = v
 	}
 	*f = out
 	return nil
@@ -103,33 +97,22 @@ type savedIndividual struct {
 	Birth     int        `json:"birth"`
 }
 
-type savedGeneration struct {
+// GenerationRecord is one generation of one run, one line of a log.  A
+// campaign is the records of all its runs in any interleaving, each
+// run's in ascending generation order.
+type GenerationRecord struct {
+	Run         int               `json:"run"`
 	Gen         int               `json:"gen"`
 	Evaluated   []savedIndividual `json:"evaluated"`
 	SurvivorIDs []string          `json:"survivor_ids"`
 	Failures    int               `json:"failures"`
 }
 
-type savedRun struct {
-	Generations []savedGeneration `json:"generations"`
-}
-
-type savedCampaign struct {
-	Format  string     `json:"format"`
-	Version int        `json:"version"`
-	Runs    []savedRun `json:"runs"`
-}
-
-const (
-	campaignFormat  = "repro-hpo-campaign"
-	campaignVersion = 1
-)
-
-// saveGeneration is the one place that knows how a generation and its
-// individuals are written: the campaign document and the standalone
-// records below are both made of it.
-func saveGeneration(gen nsga2.GenerationRecord) savedGeneration {
-	sg := savedGeneration{Gen: gen.Gen, Failures: gen.Failures}
+// MarshalGeneration encodes generation gen of run run as one line of
+// compact JSON (no trailing newline); it decodes with json.Unmarshal
+// into a GenerationRecord.
+func MarshalGeneration(run int, gen nsga2.GenerationRecord) ([]byte, error) {
+	rec := GenerationRecord{Run: run, Gen: gen.Gen, Failures: gen.Failures}
 	for _, ind := range gen.Evaluated {
 		si := savedIndividual{
 			ID:        ind.ID.String(),
@@ -141,121 +124,213 @@ func saveGeneration(gen nsga2.GenerationRecord) savedGeneration {
 		if ind.Err != nil {
 			si.Err = ind.Err.Error()
 		}
-		sg.Evaluated = append(sg.Evaluated, si)
+		rec.Evaluated = append(rec.Evaluated, si)
 	}
 	for _, ind := range gen.Survivors {
-		sg.SurvivorIDs = append(sg.SurvivorIDs, ind.ID.String())
+		rec.SurvivorIDs = append(rec.SurvivorIDs, ind.ID.String())
 	}
-	return sg
+	return json.Marshal(rec)
 }
 
-// GenerationRecord is one generation of one run as a standalone JSON
-// value: the campaign document's generation object with the run index in
-// front.  It is the unit of append-only logs (the campaign service's
-// checkpoints): a campaign is the records of all its runs in any
-// interleaving, each run's in ascending generation order.
-type GenerationRecord struct {
-	Run int `json:"run"`
-	savedGeneration
+const (
+	campaignFormat  = "repro-hpo-campaign"
+	campaignVersion = 2
+	maxRuns         = 1 << 12 // refused in a header before anything is allocated for it
+)
+
+type campaignHeader struct {
+	Format  string `json:"format"`
+	Version int    `json:"version"`
+	Runs    int    `json:"runs"`
 }
 
-// MarshalGeneration encodes generation gen of run run as one line of
-// compact JSON (no trailing newline); it decodes with json.Unmarshal
-// into a GenerationRecord.
-func MarshalGeneration(run int, gen nsga2.GenerationRecord) ([]byte, error) {
-	return json.Marshal(GenerationRecord{Run: run, savedGeneration: saveGeneration(gen)})
-}
-
-// SaveCampaign writes a campaign result as JSON.
+// SaveCampaign writes c as a campaign log, in one write.
 func SaveCampaign(w io.Writer, c *CampaignResult) error {
-	sc := savedCampaign{Format: campaignFormat, Version: campaignVersion}
-	for _, run := range c.Runs {
-		var sr savedRun
-		for _, gen := range run.Generations {
-			sr.Generations = append(sr.Generations, saveGeneration(gen))
-		}
-		sc.Runs = append(sc.Runs, sr)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(&sc)
-}
-
-// SaveCampaignFile writes the campaign to path.
-func SaveCampaignFile(path string, c *CampaignResult) error {
-	f, err := os.Create(path)
+	buf, err := json.Marshal(campaignHeader{Format: campaignFormat, Version: campaignVersion, Runs: len(c.Runs)})
 	if err != nil {
 		return err
 	}
-	if err := SaveCampaign(f, c); err != nil {
-		f.Close()
+	for r, run := range c.Runs {
+		for _, gen := range run.Generations {
+			line, err := MarshalGeneration(r, gen)
+			if err != nil {
+				return err
+			}
+			buf = append(append(buf, '\n'), line...)
+		}
+	}
+	_, err = w.Write(append(buf, '\n'))
+	return err
+}
+
+// SaveCampaignFile writes the campaign log to path.
+func SaveCampaignFile(path string, c *CampaignResult) error {
+	var buf bytes.Buffer
+	if err := SaveCampaign(&buf, c); err != nil {
 		return err
 	}
-	return f.Close()
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
-// savedErr restores evaluation errors as opaque strings.
-type savedErr string
-
-func (e savedErr) Error() string { return string(e) }
-
-// CampaignBuilder assembles a CampaignResult from generation records
-// fed one at a time, so a reader of a record stream can say which record
-// was bad.  Individuals are reconstructed with survivors resolving to
-// the same objects as the evaluated individuals they reference (of this
-// or an earlier generation of the run).
-type CampaignBuilder struct {
-	runs []*nsga2.Result
-	byID []map[string]*ea.Individual // per run: every individual seen so far
+// LoadCampaign reads a campaign log written by SaveCampaign.  Survivors
+// resolve to the same objects as the evaluated individuals they name,
+// and every run's final population has its ranks and crowding distances
+// recomputed.
+func LoadCampaign(r io.Reader) (*CampaignResult, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return readCampaign("input", data)
 }
 
-// NewCampaignBuilder starts a campaign of the given number of runs.
-func NewCampaignBuilder(runs int) *CampaignBuilder {
-	b := &CampaignBuilder{
-		runs: make([]*nsga2.Result, runs),
-		byID: make([]map[string]*ea.Individual, runs),
+// LoadCampaignFile reads the campaign log at path.
+func LoadCampaignFile(path string) (*CampaignResult, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return readCampaign(path, data)
+}
+
+// readCampaign reads the campaign log data, which errors call name.  The
+// header is decoded as the first JSON value, not the first line, so a
+// version-1 document is refused by its version.
+func readCampaign(name string, data []byte) (*CampaignResult, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	var h campaignHeader
+	err := dec.Decode(&h)
+	if h.Format != campaignFormat || h.Version != campaignVersion {
+		return nil, fmt.Errorf("hpo: %s: not a version-%d campaign log (format %q, version %d)", name, campaignVersion, h.Format, h.Version)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("hpo: %s: header: %w", name, err)
+	}
+	body, whole := bytes.CutPrefix(data[dec.InputOffset():], []byte{'\n'})
+	if !whole {
+		return nil, fmt.Errorf("hpo: %s: header line is incomplete", name)
+	}
+	c, _, err := ReadRecords(name, h.Runs, body, nil)
+	if c == nil && err == nil { // no run has a record yet
+		c = newCampaignBuilder(h.Runs).result()
+	}
+	return c, err
+}
+
+// ReadRecords replays the lines of a record log that follow its one-line
+// header: body is every byte after the header's newline, runs the run
+// count the header declares, and name what errors call the log.
+//
+// A final line without its newline is a write a crash tore: it is
+// dropped, and torn is its length.  A complete line that does not parse,
+// or is not its run's next generation, is an error naming the log and
+// the line (the header is line 1).  other, when not nil, sees each line
+// first and claims one that is not a record by returning true.  The
+// campaign is nil when no line was a record.
+func ReadRecords(name string, runs int, body []byte, other func(line []byte) bool) (c *CampaignResult, torn int, err error) {
+	if runs < 0 || runs > maxRuns {
+		return nil, 0, fmt.Errorf("hpo: %s: %d runs, want 0 to %d", name, runs, maxRuns)
+	}
+	if end := bytes.LastIndexByte(body, '\n') + 1; end < len(body) {
+		torn, body = len(body)-end, body[:end]
+	}
+	b, records := newCampaignBuilder(runs), 0
+	for n := 2; len(body) > 0; n++ {
+		var line []byte
+		line, body, _ = bytes.Cut(body, []byte{'\n'})
+		if other != nil && other(line) {
+			continue
+		}
+		var rec GenerationRecord
+		err := json.Unmarshal(line, &rec)
+		if err == nil {
+			err = b.add(rec)
+		}
+		if err != nil {
+			return nil, torn, fmt.Errorf("hpo: %s line %d: %w", name, n, err)
+		}
+		records++
+	}
+	if records == 0 {
+		return nil, torn, nil
+	}
+	return b.result(), torn, nil
+}
+
+// campaignBuilder assembles a campaign from generation records fed one
+// at a time.  A survivor resolves to the object of the evaluated
+// individual it names, of this or an earlier generation of its run.
+type campaignBuilder struct {
+	runs       []*nsga2.Result
+	byID       []map[uuid.UUID]*ea.Individual // per run: every individual evaluated so far
+	objectives int                            // every fitness's length; -1 before the first
+}
+
+func newCampaignBuilder(runs int) *campaignBuilder {
+	b := &campaignBuilder{
+		runs:       make([]*nsga2.Result, runs),
+		byID:       make([]map[uuid.UUID]*ea.Individual, runs),
+		objectives: -1,
 	}
 	for i := range b.runs {
 		b.runs[i] = &nsga2.Result{}
-		b.byID[i] = map[string]*ea.Individual{}
+		b.byID[i] = map[uuid.UUID]*ea.Individual{}
 	}
 	return b
 }
 
-// Add appends rec to its run.  The run must exist and rec must be the
-// run's next generation; after an error the builder is not to be used.
-func (b *CampaignBuilder) Add(rec GenerationRecord) error {
+// add appends rec to its run.  The run must exist and rec must be the
+// run's next generation; an ID is evaluated once per run and names at
+// most one survivor of a generation, and every fitness of the campaign
+// has the same length (the sorts compare them).  After an error the
+// builder is not to be used.
+func (b *campaignBuilder) add(rec GenerationRecord) error {
 	if rec.Run < 0 || rec.Run >= len(b.runs) {
-		return fmt.Errorf("hpo: record for run %d of a %d-run campaign", rec.Run, len(b.runs))
+		return fmt.Errorf("record for run %d of a %d-run campaign", rec.Run, len(b.runs))
 	}
 	run, byID := b.runs[rec.Run], b.byID[rec.Run]
 	if want := len(run.Generations); rec.Gen != want {
-		return fmt.Errorf("hpo: run %d: record for generation %d, want generation %d", rec.Run, rec.Gen, want)
+		return fmt.Errorf("run %d: record for generation %d, want generation %d", rec.Run, rec.Gen, want)
 	}
 	out := nsga2.GenerationRecord{Gen: rec.Gen, Failures: rec.Failures}
 	for _, si := range rec.Evaluated {
 		id, err := uuid.Parse(si.ID)
-		if err != nil {
-			return fmt.Errorf("hpo: run %d gen %d: %w", rec.Run, rec.Gen, err)
+		if b.objectives < 0 {
+			b.objectives = len(si.Fitness)
+		}
+		runtime := time.Duration(si.RuntimeMS) * time.Millisecond
+		switch {
+		case err != nil:
+			return fmt.Errorf("run %d gen %d: %w", rec.Run, rec.Gen, err)
+		case byID[id] != nil:
+			return fmt.Errorf("run %d gen %d: individual %s evaluated twice", rec.Run, rec.Gen, id)
+		case len(si.Fitness) != b.objectives:
+			return fmt.Errorf("run %d gen %d: %d objectives, want %d", rec.Run, rec.Gen, len(si.Fitness), b.objectives)
+		case runtime.Milliseconds() != si.RuntimeMS:
+			return fmt.Errorf("run %d gen %d: runtime %d ms out of range", rec.Run, rec.Gen, si.RuntimeMS)
 		}
 		ind := &ea.Individual{
 			ID:        id,
 			Genome:    ea.Genome(si.Genome),
 			Fitness:   ea.Fitness(si.Fitness),
 			Evaluated: true,
-			Runtime:   time.Duration(si.RuntimeMS) * time.Millisecond,
+			Runtime:   runtime,
 			Birth:     si.Birth,
 		}
 		if si.Err != "" {
-			ind.Err = savedErr(si.Err)
+			ind.Err = errors.New(si.Err) // restored as an opaque string
 		}
-		byID[si.ID] = ind
+		byID[id] = ind
 		out.Evaluated = append(out.Evaluated, ind)
 	}
 	for _, sid := range rec.SurvivorIDs {
-		ind, ok := byID[sid]
-		if !ok {
-			return fmt.Errorf("hpo: run %d gen %d: survivor %s not among evaluated", rec.Run, rec.Gen, sid)
+		id, err := uuid.Parse(sid)
+		ind := byID[id]
+		switch {
+		case err != nil || ind == nil:
+			return fmt.Errorf("run %d gen %d: survivor %s not among evaluated", rec.Run, rec.Gen, sid)
+		case slices.Contains(out.Survivors, ind):
+			return fmt.Errorf("run %d gen %d: survivor %s named twice", rec.Run, rec.Gen, sid)
 		}
 		out.Survivors = append(out.Survivors, ind)
 	}
@@ -263,11 +338,11 @@ func (b *CampaignBuilder) Add(rec GenerationRecord) error {
 	return nil
 }
 
-// Result returns the campaign assembled so far: one entry per run, empty
-// for a run without records.  Every run's final population is its last
-// generation's survivors, with ranks and crowding distances recomputed so
-// the analyses that read them behave as after a live run.
-func (b *CampaignBuilder) Result() *CampaignResult {
+// result returns the campaign: one entry per run, empty for a run
+// without records.  Every run's final population is its last
+// generation's survivors, with ranks and crowding distances recomputed
+// so the analyses that read them behave as after a live run.
+func (b *campaignBuilder) result() *CampaignResult {
 	for _, run := range b.runs {
 		if n := len(run.Generations); n > 0 {
 			run.Final = run.Generations[n-1].Survivors
@@ -276,50 +351,4 @@ func (b *CampaignBuilder) Result() *CampaignResult {
 		}
 	}
 	return &CampaignResult{Runs: b.runs}
-}
-
-// CampaignFromRecords assembles a campaign of the given number of runs
-// from its generation records (see GenerationRecord for the order).
-func CampaignFromRecords(runs int, recs []GenerationRecord) (*CampaignResult, error) {
-	b := NewCampaignBuilder(runs)
-	for _, rec := range recs {
-		if err := b.Add(rec); err != nil {
-			return nil, err
-		}
-	}
-	return b.Result(), nil
-}
-
-// LoadCampaign reads a campaign saved with SaveCampaign.  Individuals are
-// reconstructed with ranks/distances recomputed per run, and survivors
-// resolve to the same objects as the evaluated individuals they
-// reference.
-func LoadCampaign(r io.Reader) (*CampaignResult, error) {
-	var sc savedCampaign
-	if err := json.NewDecoder(r).Decode(&sc); err != nil {
-		return nil, fmt.Errorf("hpo: decoding campaign: %w", err)
-	}
-	if sc.Format != campaignFormat {
-		return nil, fmt.Errorf("hpo: not a campaign file (format %q)", sc.Format)
-	}
-	if sc.Version != campaignVersion {
-		return nil, fmt.Errorf("hpo: unsupported campaign version %d", sc.Version)
-	}
-	var recs []GenerationRecord
-	for ri, sr := range sc.Runs {
-		for _, sg := range sr.Generations {
-			recs = append(recs, GenerationRecord{Run: ri, savedGeneration: sg})
-		}
-	}
-	return CampaignFromRecords(len(sc.Runs), recs)
-}
-
-// LoadCampaignFile reads a campaign from path.
-func LoadCampaignFile(path string) (*CampaignResult, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadCampaign(f)
 }

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -28,7 +30,7 @@ var persistEval = ea.EvaluatorFunc(func(_ context.Context, g ea.Genome) (ea.Fitn
 	return ea.Fitness{h.StartLR, 12 - h.RCut}, nil
 })
 
-func smallCampaign(t *testing.T) *CampaignResult {
+func smallCampaign(t testing.TB) *CampaignResult {
 	t.Helper()
 	res, err := RunCampaign(context.Background(), CampaignConfig{
 		Runs: 2, PopSize: 15, Generations: 3,
@@ -99,7 +101,7 @@ func TestCampaignSaveLoadRoundTrip(t *testing.T) {
 
 func TestCampaignSaveLoadFile(t *testing.T) {
 	orig := smallCampaign(t)
-	path := filepath.Join(t.TempDir(), "campaign.json")
+	path := filepath.Join(t.TempDir(), "campaign.log")
 	if err := SaveCampaignFile(path, orig); err != nil {
 		t.Fatalf("SaveCampaignFile: %v", err)
 	}
@@ -195,25 +197,63 @@ func TestNonFiniteFitnessRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadCampaignRejectsBadInput: a log is refused by its header — a
+// foreign format, any version but 2 (the version-1 document included), a
+// run count out of range — and by its first bad record, with the line.
 func TestLoadCampaignRejectsBadInput(t *testing.T) {
-	if _, err := LoadCampaign(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
+	for _, tc := range []struct {
+		name, in, want string
+	}{
+		{"garbage", "not json", "not a version-2 campaign log"},
+		{"empty", "", "not a version-2 campaign log"},
+		{"wrong_format", `{"format":"other","version":2,"runs":1}` + "\n", `format "other"`},
+		{"version_1", `{"format":"repro-hpo-campaign","version":1,"runs":[]}`, "version 1"},
+		{"version_99", `{"format":"repro-hpo-campaign","version":99,"runs":1}` + "\n", "version 99"},
+		{"runs_negative", `{"format":"repro-hpo-campaign","version":2,"runs":-1}` + "\n", "-1 runs"},
+		{"runs_huge", `{"format":"repro-hpo-campaign","version":2,"runs":1099511627776}` + "\n", "1099511627776 runs"},
+		{"runs_not_int", `{"format":"repro-hpo-campaign","version":2,"runs":"5"}` + "\n", "header"},
+		{"header_torn", `{"format":"repro-hpo-campaign","version":2,"runs":1}`, "incomplete"},
+		{"header_run_on", `{"format":"repro-hpo-campaign","version":2,"runs":1} {}` + "\n", "incomplete"},
+		{"dangling_survivor", `{"format":"repro-hpo-campaign","version":2,"runs":1}` + "\n" +
+			`{"run":0,"gen":0,"evaluated":[],"survivor_ids":["00000000-0000-0000-0000-000000000000"],"failures":0}` + "\n",
+			"line 2"},
+		// The sorts that rank a loaded final population index every
+		// fitness by the first one's length.
+		{"objectives_differ", `{"format":"repro-hpo-campaign","version":2,"runs":1}` + "\n" +
+			`{"run":0,"gen":0,"evaluated":[{"id":"5f0c0a4e-8d3b-4c6a-9a41-0f7d2c9b1e35","genome":[1],"fitness":[1,2],"runtime_ms":0,"birth":0},` +
+			`{"id":"0b6e7a51-2c4d-4f8e-8b3a-6d9c1e2f4a70","genome":[2],"fitness":[2],"runtime_ms":0,"birth":0}],` +
+			`"survivor_ids":["5f0c0a4e-8d3b-4c6a-9a41-0f7d2c9b1e35","0b6e7a51-2c4d-4f8e-8b3a-6d9c1e2f4a70"],"failures":0}` + "\n",
+			"1 objectives, want 2"},
+		// A runtime past time.Duration's range would not save back as read.
+		{"runtime_overflow", `{"format":"repro-hpo-campaign","version":2,"runs":1}` + "\n" +
+			`{"run":0,"gen":0,"evaluated":[{"id":"5f0c0a4e-8d3b-4c6a-9a41-0f7d2c9b1e35","genome":[1],"fitness":[1,2],"runtime_ms":9223372036854775807,"birth":0}],` +
+			`"survivor_ids":["5f0c0a4e-8d3b-4c6a-9a41-0f7d2c9b1e35"],"failures":0}` + "\n",
+			"out of range"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := LoadCampaign(strings.NewReader(tc.in))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one saying %q", err, tc.want)
+			}
+		})
 	}
-	if _, err := LoadCampaign(strings.NewReader(`{"format":"other","version":1}`)); err == nil {
-		t.Error("wrong format accepted")
+
+	// A version-1 document written by the previous SaveCampaign is
+	// refused by name, not mistaken for a log with a damaged header.
+	path := filepath.Join("testdata", "campaign_v1.json")
+	_, err := LoadCampaignFile(path)
+	if err == nil {
+		t.Fatal("version-1 campaign document accepted")
 	}
-	if _, err := LoadCampaign(strings.NewReader(`{"format":"repro-hpo-campaign","version":99}`)); err == nil {
-		t.Error("future version accepted")
-	}
-	bad := `{"format":"repro-hpo-campaign","version":1,"runs":[{"generations":[
-	  {"gen":0,"evaluated":[],"survivor_ids":["00000000-0000-0000-0000-000000000000"],"failures":0}]}]}`
-	if _, err := LoadCampaign(strings.NewReader(bad)); err == nil {
-		t.Error("dangling survivor reference accepted")
+	for _, want := range []string{path, "version 1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
 	}
 }
 
-// saveBytes is the campaign document of c.
-func saveBytes(t *testing.T, c *CampaignResult) []byte {
+// saveBytes is the campaign log of c.
+func saveBytes(t testing.TB, c *CampaignResult) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := SaveCampaign(&buf, c); err != nil {
@@ -222,9 +262,24 @@ func saveBytes(t *testing.T, c *CampaignResult) []byte {
 	return buf.Bytes()
 }
 
-// TestGenerationRecordRoundTrip: one generation survives the standalone
-// record encoding — one line, non-finite fitness sentinels and the
-// evaluation error included — and survivors of a later record resolve to
+// logLines splits a campaign log into its header and record lines.
+func logLines(t *testing.T, log []byte) (header []byte, recs [][]byte) {
+	t.Helper()
+	if len(log) == 0 || log[len(log)-1] != '\n' {
+		t.Fatalf("log does not end in a newline:\n%s", log)
+	}
+	lines := bytes.Split(log[:len(log)-1], []byte{'\n'})
+	return lines[0], lines[1:]
+}
+
+// joinLog is the log of header and lines, every line newline-terminated.
+func joinLog(header []byte, lines ...[]byte) []byte {
+	return append(bytes.Join(append([][]byte{header}, lines...), []byte{'\n'}), '\n')
+}
+
+// TestGenerationRecordRoundTrip: one generation survives the record
+// encoding — one line, non-finite fitness sentinels and the evaluation
+// error included — and survivors of a later record resolve to
 // individuals of an earlier one.
 func TestGenerationRecordRoundTrip(t *testing.T) {
 	mk := func(fit ea.Fitness, err error) *ea.Individual {
@@ -245,7 +300,7 @@ func TestGenerationRecordRoundTrip(t *testing.T) {
 		{Gen: 1, Evaluated: gen1, Survivors: ea.Population{gen1[0], gen0[3]}},
 	}
 
-	var recs []GenerationRecord
+	var lines [][]byte
 	for _, gen := range orig {
 		line, err := MarshalGeneration(3, gen)
 		if err != nil {
@@ -261,9 +316,10 @@ func TestGenerationRecordRoundTrip(t *testing.T) {
 		if rec.Run != 3 || rec.Gen != gen.Gen {
 			t.Fatalf("record is run %d gen %d, want run 3 gen %d", rec.Run, rec.Gen, gen.Gen)
 		}
-		recs = append(recs, rec)
+		lines = append(lines, line)
 	}
-	got, err := CampaignFromRecords(4, recs)
+	header := []byte(`{"format":"repro-hpo-campaign","version":2,"runs":4}`)
+	got, err := LoadCampaign(bytes.NewReader(joinLog(header, lines...)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,22 +359,111 @@ func TestGenerationRecordRoundTrip(t *testing.T) {
 		t.Errorf("final population %d, want the last generation's 2 survivors", len(got.Runs[3].Final))
 	}
 
-	for name, bad := range map[string][]GenerationRecord{
-		"run out of range":   {{Run: 4}},
-		"generation skipped": {recs[1]},
-		"generation twice":   {recs[0], recs[0]},
+	for name, bad := range map[string][][]byte{
+		"run out of range":   {bytes.Replace(lines[0], []byte(`{"run":3,`), []byte(`{"run":4,`), 1)},
+		"generation skipped": {lines[1]},
+		"generation twice":   {lines[0], lines[0]},
 	} {
-		if _, err := CampaignFromRecords(4, bad); err == nil {
+		if _, err := LoadCampaign(bytes.NewReader(joinLog(header, bad...))); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 }
 
-// TestCampaignFromRecordsEqualsLoadCampaign: the campaign document and a
-// record stream are the same encoding.  The generation objects inside a
-// SaveCampaign document, fed as records with their runs interleaved,
-// assemble into what LoadCampaign makes of the document — on a campaign
-// whose runs stand at different generations.
+// TestLoadCampaignRefusesRepeatedID: an ID is evaluated once per run.  A
+// record that evaluates an ID again — in its own generation or after an
+// earlier one — would leave its survivors resolving to whichever
+// individual came last, so it is refused with its line.
+func TestLoadCampaignRefusesRepeatedID(t *testing.T) {
+	a, b := ea.NewIndividual(ea.Genome{1}), ea.NewIndividual(ea.Genome{2})
+	a.Fitness, b.Fitness = ea.Fitness{1, 2}, ea.Fitness{2, 1}
+	header := []byte(`{"format":"repro-hpo-campaign","version":2,"runs":1}`)
+	line := func(gen int, evaluated, survivors ea.Population) []byte {
+		data, err := MarshalGeneration(0, nsga2.GenerationRecord{Gen: gen, Evaluated: evaluated, Survivors: survivors})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for name, tc := range map[string]struct {
+		lines [][]byte
+		want  string
+	}{
+		"same_generation": {[][]byte{line(0, ea.Population{a, b, a}, ea.Population{a})}, "line 2"},
+		"later_generation": {[][]byte{
+			line(0, ea.Population{a, b}, ea.Population{a, b}),
+			line(1, ea.Population{b}, ea.Population{b}),
+		}, "line 3"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, err := LoadCampaign(bytes.NewReader(joinLog(header, tc.lines...)))
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "evaluated twice") {
+				t.Fatalf("error %v, want the repeated ID refused at %s", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestLoadCampaignRefusesRepeatedSurvivor: a generation names each
+// survivor once.  Naming one twice would put the same individual in the
+// final population twice, so it is refused with its line.
+func TestLoadCampaignRefusesRepeatedSurvivor(t *testing.T) {
+	a, b := ea.NewIndividual(ea.Genome{1}), ea.NewIndividual(ea.Genome{2})
+	a.Fitness, b.Fitness = ea.Fitness{1, 2}, ea.Fitness{2, 1}
+	line, err := MarshalGeneration(0, nsga2.GenerationRecord{Evaluated: ea.Population{a, b}, Survivors: ea.Population{a, a}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := []byte(`{"format":"repro-hpo-campaign","version":2,"runs":1}`)
+	_, err = LoadCampaign(bytes.NewReader(joinLog(header, line)))
+	if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "named twice") {
+		t.Fatalf("error %v, want the repeated survivor refused at line 2", err)
+	}
+}
+
+// TestLoadCampaignTornTailAndCorruptLine: only a torn *tail* is a crash.
+// A final line without its newline is dropped, and what is left loads as
+// the campaign without that generation; a complete line that does not
+// parse is an error naming the input and the line.
+func TestLoadCampaignTornTailAndCorruptLine(t *testing.T) {
+	orig := smallCampaign(t)
+	log := saveBytes(t, orig)
+	header, lines := logLines(t, log)
+	last := len(lines) - 1 // run 1's last generation
+
+	for _, keep := range []int{1, len(lines[last]) / 2, len(lines[last])} {
+		torn := append(joinLog(header, lines[:last]...), lines[last][:keep]...)
+		got, err := LoadCampaign(bytes.NewReader(torn))
+		if err != nil {
+			t.Fatalf("torn tail keeping %d bytes: %v", keep, err)
+		}
+		if !bytes.Equal(saveBytes(t, got), joinLog(header, lines[:last]...)) {
+			t.Errorf("torn tail keeping %d bytes: the lines before it did not load as they were", keep)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "damaged.log")
+	damaged := append([][]byte(nil), lines...)
+	damaged[2] = damaged[2][:len(damaged[2])/2]
+	if err := os.WriteFile(path, joinLog(header, damaged...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadCampaignFile(path)
+	if err == nil {
+		t.Fatal("corrupt middle line accepted")
+	}
+	for _, want := range []string{path, "line 4"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
+	}
+}
+
+// TestCampaignFromRecordsEqualsLoadCampaign: a log is its records in any
+// interleaving of the runs.  The record lines of a SaveCampaign log,
+// shuffled across runs with each run's order kept, load into the same
+// campaign and save to the same bytes — on a campaign whose runs stand
+// at different generations.
 func TestCampaignFromRecordsEqualsLoadCampaign(t *testing.T) {
 	orig := smallCampaign(t)
 	ahead, err := ResumeRun(context.Background(), orig.Runs[1], CampaignConfig{
@@ -331,58 +476,95 @@ func TestCampaignFromRecordsEqualsLoadCampaign(t *testing.T) {
 	if a, b := len(orig.Runs[0].Generations), len(orig.Runs[1].Generations); a == b {
 		t.Fatalf("both runs have %d generations; the test wants them apart", a)
 	}
-	doc := saveBytes(t, orig)
-	loaded, err := LoadCampaign(bytes.NewReader(doc))
+	log := saveBytes(t, orig)
+	loaded, err := LoadCampaign(bytes.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(saveBytes(t, loaded), log) {
+		t.Fatal("SaveCampaign → LoadCampaign → SaveCampaign changed the log")
+	}
 
-	var parsed struct {
-		Runs []struct {
-			Generations []json.RawMessage `json:"generations"`
-		} `json:"runs"`
+	header, lines := logLines(t, log)
+	byRun := make([][][]byte, len(orig.Runs))
+	for _, line := range lines {
+		var rec GenerationRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		byRun[rec.Run] = append(byRun[rec.Run], line)
 	}
-	if err := json.Unmarshal(doc, &parsed); err != nil {
-		t.Fatal(err)
-	}
-	var recs []GenerationRecord
-	for g := 0; g < len(parsed.Runs[1].Generations); g++ {
-		for r := len(parsed.Runs) - 1; r >= 0; r-- { // run 1 before run 0, generation by generation
-			if g >= len(parsed.Runs[r].Generations) {
-				continue
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		var shuffled [][]byte
+		next := make([]int, len(byRun))
+		for len(shuffled) < len(lines) {
+			r := rng.Intn(len(byRun))
+			if next[r] < len(byRun[r]) {
+				shuffled = append(shuffled, byRun[r][next[r]])
+				next[r]++
 			}
-			var rec GenerationRecord
-			if err := json.Unmarshal(parsed.Runs[r].Generations[g], &rec); err != nil {
-				t.Fatal(err)
+		}
+		built, err := LoadCampaign(bytes.NewReader(joinLog(header, shuffled...)))
+		if err != nil {
+			t.Fatalf("interleaving %d: %v", trial, err)
+		}
+		if !bytes.Equal(saveBytes(t, built), log) {
+			t.Fatalf("interleaving %d saved different bytes", trial)
+		}
+		for r := range loaded.Runs {
+			lf, bf := loaded.Runs[r].Final, built.Runs[r].Final
+			if len(lf) != len(bf) || len(lf) != 15 {
+				t.Fatalf("run %d final populations: %d loaded, %d built", r, len(lf), len(bf))
 			}
-			rec.Run = r
-			recs = append(recs, rec)
+			for i := range lf {
+				if lf[i].ID != bf[i].ID || lf[i].Rank != bf[i].Rank || lf[i].Distance != bf[i].Distance {
+					t.Errorf("run %d final individual %d differs: %+v vs %+v", r, i, lf[i], bf[i])
+				}
+			}
+			last := built.Runs[r].Generations[len(built.Runs[r].Generations)-1]
+			if built.Runs[r].Final[0] != last.Survivors[0] {
+				t.Errorf("run %d: final population is not the last generation's survivors", r)
+			}
 		}
 	}
-	built, err := CampaignFromRecords(len(parsed.Runs), recs)
+}
+
+// FuzzLoadCampaign: the reader never panics, refuses a header's run
+// count before allocating for it, and whatever it accepts is a fixed
+// point after one SaveCampaign → LoadCampaign round.
+func FuzzLoadCampaign(f *testing.F) {
+	two := smallCampaign(f)
+	log := saveBytes(f, two)
+	f.Add(log)
+	f.Add(log[:len(log)-7]) // torn tail
+	nl := bytes.IndexByte(log, '\n') + 1
+	mid := nl + bytes.IndexByte(log[nl:], '\n') + 1
+	f.Add(append(append(append([]byte(nil), log[:mid]...), "{\"run\":0,\"gen\"\n"...), log[mid:]...)) // corrupt middle line
+	v1, err := os.ReadFile(filepath.Join("testdata", "campaign_v1.json"))
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
+	f.Add(v1)
+	f.Add([]byte(`{"format":"repro-hpo-campaign","version":2,"runs":-1}` + "\n"))
+	f.Add([]byte(`{"format":"repro-hpo-campaign","version":2,"runs":1099511627776}` + "\n"))
+	f.Add([]byte(`{"format":"repro-hpo-campaign","version":2,"runs":1}` + "\n" +
+		`{"run":0,"gen":0,"evaluated":[{"id":"5f0c0a4e-8d3b-4c6a-9a41-0f7d2c9b1e35","genome":[1],"fitness":["NaN","+Inf"],"runtime_ms":3,"birth":0},` +
+		`{"id":"0b6e7a51-2c4d-4f8e-8b3a-6d9c1e2f4a70","genome":[2],"fitness":["-Inf",0.5],"err":"diverged","runtime_ms":4,"birth":0}],` +
+		`"survivor_ids":["5f0c0a4e-8d3b-4c6a-9a41-0f7d2c9b1e35"],"failures":1}` + "\n"))
 
-	if !bytes.Equal(saveBytes(t, built), doc) || !bytes.Equal(saveBytes(t, loaded), doc) {
-		t.Fatal("the campaign document changed on the way through records or LoadCampaign")
-	}
-	for r := range loaded.Runs {
-		lf, bf := loaded.Runs[r].Final, built.Runs[r].Final
-		if len(lf) != len(bf) || len(lf) != 15 {
-			t.Fatalf("run %d final populations: %d loaded, %d built", r, len(lf), len(bf))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		c, err := LoadCampaign(bytes.NewReader(in))
+		if err != nil {
+			return
 		}
-		for i := range lf {
-			if lf[i].ID != bf[i].ID || lf[i].Rank != bf[i].Rank || lf[i].Distance != bf[i].Distance {
-				t.Errorf("run %d final individual %d differs: %+v vs %+v", r, i, lf[i], bf[i])
-			}
+		once := saveBytes(t, c)
+		again, err := LoadCampaign(bytes.NewReader(once))
+		if err != nil {
+			t.Fatalf("the log of an accepted input does not load: %v\n%s", err, once)
 		}
-		last := built.Runs[r].Generations[len(built.Runs[r].Generations)-1]
-		if built.Runs[r].Final[0] != last.Survivors[0] {
-			t.Errorf("run %d: final population is not the last generation's survivors", r)
+		if twice := saveBytes(t, again); !bytes.Equal(twice, once) {
+			t.Fatalf("not a fixed point:\n%s\n%s", once, twice)
 		}
-	}
-	if lf, bf := loaded.ParetoFront(), built.ParetoFront(); len(lf) != len(bf) {
-		t.Errorf("frontier size %d loaded, %d built", len(lf), len(bf))
-	}
+	})
 }

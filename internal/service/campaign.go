@@ -187,8 +187,8 @@ func (c *Campaign) Events() *Ring { return c.ring }
 
 // roundsLocked counts the evaluation rounds every run has completed:
 // the minimum over runs of their generation records (round 0 is the
-// initial population; a run without records, or missing from a restored
-// document, is a lane that has not finished it).  Caller holds c.mu.
+// initial population; a run without records, or missing from the result,
+// is a lane that has not finished it).  Caller holds c.mu.
 func (c *Campaign) roundsLocked() int {
 	if c.result == nil || len(c.result.Runs) < c.Spec.Runs {
 		return 0

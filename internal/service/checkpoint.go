@@ -59,7 +59,8 @@ import (
 // whole-document checkpoint, a foreign file — is refused untouched.  A
 // complete line that does not parse, or a record that is not its run's
 // next generation, is an error naming file and line: it means something
-// other than a crash damaged the file.
+// other than a crash damaged the file.  hpo.ReadRecords, the reader of
+// hpo's campaign log, reads every line after the header.
 
 const (
 	checkpointFormat  = "repro-service-campaign"
@@ -80,13 +81,6 @@ type checkpointHeader struct {
 type stateLine struct {
 	State State  `json:"state"`
 	Error string `json:"error,omitempty"`
-}
-
-// checkpointLine decodes any line after the header: a state line when
-// State is set, else a generation record.
-type checkpointLine struct {
-	stateLine
-	hpo.GenerationRecord
 }
 
 func (s *Service) checkpointPath(id string) string {
@@ -225,35 +219,23 @@ func (s *Service) loadCheckpoint(path string) (*loadedCampaign, error) {
 		return nil, fmt.Errorf("service: checkpoint %s: %w", name, err)
 	}
 
-	if end := bytes.LastIndexByte(rest, '\n') + 1; end < len(rest) {
-		torn := len(rest) - end
-		rest = rest[:end]
+	var torn int
+	lc.result, torn, err = hpo.ReadRecords("checkpoint "+name, lc.head.Spec.Runs, rest, func(line []byte) bool {
+		var st stateLine
+		if json.Unmarshal(line, &st) != nil || st.State == "" {
+			return false
+		}
+		lc.state = st
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	if torn > 0 {
 		if err := os.Truncate(path, int64(len(data)-torn)); err != nil {
 			return nil, fmt.Errorf("service: checkpoint %s: dropping torn tail: %w", name, err)
 		}
 		s.logf("checkpoint_torn_tail", "file", name, "dropped_bytes", torn)
-	}
-
-	b := hpo.NewCampaignBuilder(lc.head.Spec.Runs)
-	records := 0
-	for n := 2; len(rest) > 0; n++ {
-		var line []byte
-		line, rest, _ = bytes.Cut(rest, []byte{'\n'})
-		var ln checkpointLine
-		if err := json.Unmarshal(line, &ln); err != nil {
-			return nil, fmt.Errorf("service: checkpoint %s line %d: %w", name, n, err)
-		}
-		if ln.State != "" {
-			lc.state = ln.stateLine
-			continue
-		}
-		if err := b.Add(ln.GenerationRecord); err != nil {
-			return nil, fmt.Errorf("service: checkpoint %s line %d: %w", name, n, err)
-		}
-		records++
-	}
-	if records > 0 {
-		lc.result = b.Result()
 	}
 	return lc, nil
 }

@@ -392,16 +392,10 @@ func TestRestoreRejectsCorruptMiddleLine(t *testing.T) {
 // has no newline.
 func TestRestoreRefusesV1Untouched(t *testing.T) {
 	spec := service.Spec{Tenant: "alice", Name: "old", Runs: 1, PopSize: 4, Generations: intp(2), BaseSeed: 9}
-	res, err := hpo.RunCampaign(context.Background(), hpo.CampaignConfig{
-		Runs: 1, PopSize: 4, Generations: 1, Evaluator: surrogate.NewEvaluator(surrogate.Config{Seed: 2023}), BaseSeed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc bytes.Buffer
-	if err := hpo.SaveCampaign(&doc, res); err != nil {
-		t.Fatal(err)
-	}
+	// The version-1 checkpoint embedded hpo's version-1 campaign document.
+	doc := `{"format":"repro-hpo-campaign","version":1,"runs":[{"generations":[{"gen":0,"evaluated":[` +
+		`{"id":"6f1c2b7e-3a4d-4e5f-8a9b-0c1d2e3f4a5b","genome":[0.004,3e-05,9.1,5,0.2,3.3,2.6],"fitness":[0.0026,0.069],"runtime_ms":0,"birth":0}],` +
+		`"survivor_ids":["6f1c2b7e-3a4d-4e5f-8a9b-0c1d2e3f4a5b"],"failures":0}]}]}`
 	v1, err := json.Marshal(map[string]interface{}{
 		"format":  "repro-service-campaign",
 		"version": 1,
@@ -409,7 +403,7 @@ func TestRestoreRefusesV1Untouched(t *testing.T) {
 			"id": "00000000-0000-4000-8000-000000000004", "tenant": spec.Tenant,
 			"created": time.Unix(1700000000, 0).UTC(), "spec": spec, "state": service.StateSuspended,
 		},
-		"campaign": json.RawMessage(doc.Bytes()),
+		"campaign": json.RawMessage(doc),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ import (
 //	                                    or JSON long-poll (?after=N&wait_ms=M)
 //	GET    /v1/campaigns/{id}/frontier  Pareto frontier, canonical bytes
 //	GET    /v1/campaigns/{id}/lcurve    per-generation evaluation history
-//	GET    /v1/campaigns/{id}/result    full hpo campaign document
+//	GET    /v1/campaigns/{id}/result    full hpo campaign log (NDJSON)
 //	GET    /healthz                     liveness
 //	GET    /metrics                     Prometheus text format
 //	GET    /debug/pprof/...             runtime profiling
@@ -291,9 +291,9 @@ func (s *Service) handleLcurve(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleResult streams the full hpo campaign document (every evaluation
-// of every generation), loadable by hpo.LoadCampaign and the offline
-// analysis CLIs.
+// handleResult writes the full hpo campaign log (every evaluation of
+// every generation, one JSON line per run and generation), loadable by
+// hpo.LoadCampaign.
 func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	c, ok := s.lookup(w, r)
 	if !ok {
@@ -304,7 +304,7 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusConflict, apiError{Error: "no completed generation yet"})
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	if err := hpo.SaveCampaign(w, res); err != nil {
 		s.logf("result_write_error", "id", c.ID, "err", err)
 	}

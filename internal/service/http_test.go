@@ -161,10 +161,13 @@ func TestHTTPCampaignLifecycle(t *testing.T) {
 		t.Fatalf("lcurve: %+v", lc)
 	}
 
-	// The result endpoint streams a loadable hpo campaign document.
+	// The result endpoint serves a loadable hpo campaign log.
 	resp, err := http.Get(base + "/v1/campaigns/" + st.ID + "/result")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Errorf("result Content-Type %q, want application/x-ndjson", ct)
 	}
 	doc, err := io.ReadAll(resp.Body)
 	resp.Body.Close()

@@ -5,8 +5,8 @@
 # HTTP API (create, SSE event stream, frontier, /metrics), SIGTERMs the
 # process and requires a clean drain and a checkpoint with a header first
 # and a state line last, then restarts it on the same
-# checkpoint directory and requires the campaign — frontier included —
-# to have survived the bounce byte-for-byte.  A second leg starts serve
+# checkpoint directory and requires the campaign — frontier and /result
+# campaign log included — to have survived the bounce byte-for-byte.  A second leg starts serve
 # with no in-process workers and one `cluster` worker process dialing
 # its -workers-listen address, and requires that worker to run the whole
 # tiny campaign.
@@ -86,6 +86,12 @@ esac
 
 curl -sSf "$BASE/v1/campaigns/$id/frontier" >"$WORK/frontier.json"
 grep -q '"points"' "$WORK/frontier.json" || fail "frontier has no points" "$WORK/frontier.json"
+# /result is hpo's campaign log: a header line, then one record per
+# (run, generation) — 1 run × 3 rounds here.
+curl -sSf "$BASE/v1/campaigns/$id/result" >"$WORK/result.log"
+head -n 1 "$WORK/result.log" | grep -qx '{"format":"repro-hpo-campaign","version":2,"runs":1}' \
+    || fail "line 1 of /result is not the campaign-log header" "$WORK/result.log"
+[[ "$(wc -l <"$WORK/result.log")" -eq 4 ]] || fail "/result does not hold 3 records" "$WORK/result.log"
 curl -sSf "$BASE/metrics" | grep -q 'repro_service_campaigns{state="done"} 1' \
     || fail "metrics missing done-campaign gauge"
 curl -sSf "$BASE/healthz" >/dev/null
@@ -117,6 +123,9 @@ esac
 curl -sSf "$BASE/v1/campaigns/$id/frontier" >"$WORK/frontier2.json"
 cmp -s "$WORK/frontier.json" "$WORK/frontier2.json" \
     || fail "frontier changed across bounce" "$WORK/frontier.json" "$WORK/frontier2.json"
+curl -sSf "$BASE/v1/campaigns/$id/result" >"$WORK/result2.log"
+cmp -s "$WORK/result.log" "$WORK/result2.log" \
+    || fail "/result changed across bounce" "$WORK/result.log" "$WORK/result2.log"
 
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || fail "restarted serve exited non-zero on SIGTERM" "$WORK/serve2.log"
