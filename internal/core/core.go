@@ -115,26 +115,6 @@ func NewSurrogate(seed int64) Evaluator {
 // EvalTimeout is the paper's per-training wall-clock limit.
 const EvalTimeout = 2 * time.Hour
 
-// ResumeCampaign continues a saved campaign for additional generations,
-// warm-starting each run from its final population with the mutation σ
-// resumed at its annealed value.
-func ResumeCampaign(ctx context.Context, prev *hpo.CampaignResult, cfg hpo.CampaignConfig, moreGens int) (*hpo.CampaignResult, error) {
-	return hpo.ResumeCampaign(ctx, prev, cfg, moreGens)
-}
-
-// MinimizeSteadyState is the asynchronous steady-state alternative to
-// Minimize: workers never idle waiting for a generation barrier.  The
-// evaluation budget replaces the generation count.
-func MinimizeSteadyState(ctx context.Context, ev Evaluator, bounds Bounds, std []float64,
-	popSize, evaluations int, seed int64) (Population, error) {
-	final, _, err := nsga2.RunSteadyState(ctx, nsga2.SteadyConfig{
-		PopSize: popSize, Evaluations: evaluations,
-		Bounds: bounds, InitialStd: std, AnnealFactor: 0.95,
-		Evaluator: ev, Parallelism: 8, Seed: seed,
-	})
-	return final, err
-}
-
 // Hypervolume2D is the exact bi-objective hypervolume indicator.
 func Hypervolume2D(pop Population, ref Fitness) float64 {
 	return nsga2.Hypervolume2D(pop, ref)

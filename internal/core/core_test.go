@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"testing"
-
-	"repro/internal/hpo"
 )
 
 func TestMinimizeOnSimpleProblem(t *testing.T) {
@@ -84,46 +82,4 @@ func mustEncode(t *testing.T) Genome {
 		t.Fatal(err)
 	}
 	return g
-}
-
-func TestFacadeSteadyState(t *testing.T) {
-	ev := EvaluatorFunc(func(_ context.Context, g Genome) (Fitness, error) {
-		return Fitness{g[0] * g[0], (g[0] - 2) * (g[0] - 2)}, nil
-	})
-	final, err := MinimizeSteadyState(context.Background(), ev,
-		Bounds{{Lo: -10, Hi: 10}}, []float64{0.5}, 20, 400, 3)
-	if err != nil {
-		t.Fatalf("MinimizeSteadyState: %v", err)
-	}
-	if len(final) != 20 {
-		t.Fatalf("final size %d", len(final))
-	}
-	hv := Hypervolume2D(final, Fitness{10, 10})
-	if hv < 80 {
-		t.Errorf("hypervolume %v, want near-complete coverage of [0,10]² minus front", hv)
-	}
-}
-
-func TestFacadeSaveResume(t *testing.T) {
-	opts := DefaultCampaign()
-	opts.Runs, opts.PopSize, opts.Generations = 1, 10, 1
-	c, err := RunCampaign(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/c.log"
-	if err := hpo.SaveCampaignFile(path, c.Result); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := hpo.LoadCampaignFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := ResumeCampaign(context.Background(), loaded, c.Config, 1)
-	if err != nil {
-		t.Fatalf("ResumeCampaign: %v", err)
-	}
-	if resumed.TotalEvaluations() != 10*2+10 {
-		t.Errorf("evaluations = %d", resumed.TotalEvaluations())
-	}
 }

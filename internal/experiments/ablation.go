@@ -101,11 +101,12 @@ func PipelineAblation(ctx context.Context, opts Options) (*AblationResult, error
 		var pool ea.Population
 		failures := 0
 		for r := 0; r < opts.Runs; r++ {
-			final, all, err := nsga2.RunSteadyState(ctx, nsga2.SteadyConfig{
-				PopSize: opts.PopSize, Evaluations: budget,
+			final, all, err := nsga2.RunSteadyState(ctx, nsga2.Config{
+				PopSize: opts.PopSize, Generations: opts.Generations,
 				Bounds: rep.Bounds, InitialStd: rep.Std,
 				AnnealFactor: 0.85, Evaluator: newEval(),
-				Parallelism: opts.Parallelism, Seed: opts.Seed + int64(r),
+				Pool: ea.PoolConfig{Parallelism: opts.Parallelism},
+				Seed: opts.Seed + int64(r),
 			})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: steady-state ablation run %d: %w", r, err)

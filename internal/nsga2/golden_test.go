@@ -110,11 +110,8 @@ func TestGoldenLoops(t *testing.T) {
 	// (d) The steady-state loop on one worker, so completion order is
 	// dispatch order.
 	cfg = goldenConfig(14)
-	final, all, err := RunSteadyState(ctx, SteadyConfig{
-		PopSize: cfg.PopSize, Evaluations: cfg.PopSize * (cfg.Generations + 1),
-		Bounds: cfg.Bounds, InitialStd: cfg.InitialStd, AnnealFactor: cfg.AnnealFactor,
-		Evaluator: cfg.Evaluator, Parallelism: 1, Seed: cfg.Seed,
-	})
+	cfg.Pool.Parallelism = 1
+	final, all, err := RunSteadyState(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

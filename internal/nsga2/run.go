@@ -9,11 +9,12 @@ import (
 	"repro/internal/ea"
 )
 
-// Config parameterizes a generational NSGA-II run matching the paper's
-// setup (§2.2.3, §2.2.5): population size equal to the number of compute
-// nodes, random parent selection, cloning, annealed isotropic Gaussian
-// mutation with hard bounds, pooled parallel evaluation, then combined
-// parent+offspring environmental selection.
+// Config parameterizes an NSGA-II run matching the paper's setup (§2.2.3,
+// §2.2.5): population size equal to the number of compute nodes, random
+// parent selection, cloning, annealed isotropic Gaussian mutation with
+// hard bounds, pooled parallel evaluation, then combined parent+offspring
+// environmental selection.  Run executes it generationally,
+// RunSteadyState asynchronously with the same evaluation budget.
 type Config struct {
 	// PopSize is both the parent and offspring population size (100 in the
 	// paper, one individual per Summit node).
@@ -78,6 +79,9 @@ func (c *Config) Validate() error {
 	if c.AnnealFactor < 0 {
 		return errors.New("nsga2: AnnealFactor must be non-negative")
 	}
+	if c.Initial != nil && len(c.Initial) != c.PopSize {
+		return fmt.Errorf("nsga2: Initial population has %d members, PopSize is %d", len(c.Initial), c.PopSize)
+	}
 	return nil
 }
 
@@ -129,87 +133,43 @@ func (r *Result) TotalFailures() int {
 // selection → clone → isotropic Gaussian mutation (annealed σ, hard
 // bounds) → pooled evaluation; the combined parent+offspring population is
 // rank-sorted with crowding distances and truncated back to PopSize.
+// Generation 0 evaluates the random initial population, or the members
+// of Initial that carry no fitness yet.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	e, err := newEngine(cfg)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.AnnealFactor == 0 {
-		cfg.AnnealFactor = 0.85
-	}
-	if cfg.Pool.Objectives <= 0 {
-		cfg.Pool.Objectives = 2
-	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	eaCtx := ea.NewContext(cfg.InitialStd)
 	res := &Result{}
-
-	// Generation 0: uniform random initial population, or a warm start.
-	var parents ea.Population
-	if cfg.Initial != nil {
-		if len(cfg.Initial) != cfg.PopSize {
-			return nil, fmt.Errorf("nsga2: Initial population has %d members, PopSize is %d",
-				len(cfg.Initial), cfg.PopSize)
-		}
-		parents = cfg.Initial.Clone()
+	for gen := 0; gen <= cfg.Generations; gen++ {
+		batch := e.ask(cfg.PopSize, gen)
 		var pending ea.Population
-		for _, ind := range parents {
+		for _, ind := range batch {
 			if !ind.Evaluated {
 				pending = append(pending, ind)
 			}
 		}
 		if len(pending) > 0 {
-			ea.EvalPool(ctx, ea.Source(pending), len(pending), cfg.Evaluator, cfg.Pool)
+			ea.EvalPool(ctx, ea.Source(pending), len(pending), e.cfg.Evaluator, e.cfg.Pool)
 		}
-	} else {
-		parents = ea.RandomPopulation(rng, cfg.Bounds, cfg.PopSize, 0)
-		parents = ea.EvalPool(ctx, ea.Source(parents), cfg.PopSize, cfg.Evaluator, cfg.Pool)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	fronts := RankOrdinalSort(parents)
-	CrowdingDistanceAll(fronts)
-	rec := GenerationRecord{Gen: 0, Evaluated: parents, Survivors: parents, Failures: parents.Failures()}
-	res.Generations = append(res.Generations, rec)
-	if cfg.Observer != nil {
-		cfg.Observer(0, parents, parents)
-	}
-
-	breeder := cfg.Breeder
-	if breeder == nil {
-		breeder = func(rng *rand.Rand, eaCtx *ea.Context, parents ea.Population, gen int) ea.Stream {
-			return ea.Pipe(
-				ea.RandomSelection(rng, parents),
-				ea.Clone(),
-				ea.MutateGaussian(rng, eaCtx, cfg.Bounds),
-				ea.SetBirth(gen),
-			)
-		}
-	}
-
-	for gen := 1; gen <= cfg.Generations; gen++ {
-		stream := breeder(rng, eaCtx, parents, gen)
-		offspring := ea.EvalPool(ctx, stream, cfg.PopSize, cfg.Evaluator, cfg.Pool)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-
-		combined := append(parents.Clone(), offspring...)
-		parents = Select(combined, cfg.PopSize)
-
-		// Anneal mutation σ after the offspring return from the pipeline,
-		// exactly where the paper multiplies context['std'] by 0.85.
-		eaCtx.AnnealStd(cfg.AnnealFactor)
-		eaCtx.AdvanceGeneration()
-
-		rec := GenerationRecord{Gen: gen, Evaluated: offspring, Survivors: parents, Failures: offspring.Failures()}
-		res.Generations = append(res.Generations, rec)
+		e.tell(batch)
+		if gen > 0 {
+			// Anneal mutation σ after the offspring return from the
+			// pipeline, exactly where the paper multiplies
+			// context['std'] by 0.85.
+			e.eaCtx.AnnealStd(e.cfg.AnnealFactor)
+			e.eaCtx.AdvanceGeneration()
+		}
+		res.Generations = append(res.Generations, GenerationRecord{
+			Gen: gen, Evaluated: batch, Survivors: e.pop, Failures: batch.Failures(),
+		})
 		if cfg.Observer != nil {
-			cfg.Observer(gen, offspring, parents)
+			cfg.Observer(gen, batch, e.pop)
 		}
 	}
-
-	res.Final = parents
+	res.Final = e.pop
 	return res, nil
 }

@@ -2,6 +2,7 @@ package nsga2
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -11,22 +12,11 @@ import (
 	"repro/internal/problems"
 )
 
-func steadyConfig(seed int64) SteadyConfig {
-	p := problems.ZDT1(8)
-	std := make([]float64, 8)
-	for i := range std {
-		std[i] = 0.2
-	}
-	return SteadyConfig{
-		PopSize:      40,
-		Evaluations:  40 * 40,
-		Bounds:       p.Bounds,
-		InitialStd:   std,
-		AnnealFactor: 0.95,
-		Evaluator:    p.Evaluator(),
-		Parallelism:  4,
-		Seed:         seed,
-	}
+// steadyConfig is zdt1Config with a budget of 40 × 40 evaluations.
+func steadyConfig(seed int64) Config {
+	cfg := zdt1Config(seed)
+	cfg.Generations = 39
+	return cfg
 }
 
 func TestSteadyStateConvergesOnZDT1(t *testing.T) {
@@ -38,8 +28,8 @@ func TestSteadyStateConvergesOnZDT1(t *testing.T) {
 	if len(final) != cfg.PopSize {
 		t.Fatalf("final population %d, want %d", len(final), cfg.PopSize)
 	}
-	if len(all) != cfg.Evaluations {
-		t.Fatalf("evaluated %d, want %d", len(all), cfg.Evaluations)
+	if want := cfg.PopSize * (cfg.Generations + 1); len(all) != want {
+		t.Fatalf("evaluated %d, want %d", len(all), want)
 	}
 	p := problems.ZDT1(8)
 	mean := 0.0
@@ -67,11 +57,11 @@ func TestSteadyStateBudgetExactAndSaturated(t *testing.T) {
 		atomic.AddInt64(&inFlight, -1)
 		return ea.Fitness{g[0], 1 - g[0]}, nil
 	})
-	cfg := SteadyConfig{
-		PopSize: 10, Evaluations: 60,
+	cfg := Config{
+		PopSize: 10, Generations: 5,
 		Bounds:     ea.Bounds{{Lo: 0, Hi: 1}},
 		InitialStd: []float64{0.1},
-		Evaluator:  ev, Parallelism: 5, Seed: 2,
+		Evaluator:  ev, Pool: ea.PoolConfig{Parallelism: 5}, Seed: 2,
 	}
 	_, all, err := RunSteadyState(context.Background(), cfg)
 	if err != nil {
@@ -92,15 +82,15 @@ func TestSteadyStateHandlesFailures(t *testing.T) {
 	calls := int64(0)
 	ev := ea.EvaluatorFunc(func(_ context.Context, g ea.Genome) (ea.Fitness, error) {
 		if atomic.AddInt64(&calls, 1)%4 == 0 {
-			return nil, errConfig("crash")
+			return nil, errors.New("crash")
 		}
 		return ea.Fitness{g[0], 1 - g[0]}, nil
 	})
-	cfg := SteadyConfig{
-		PopSize: 8, Evaluations: 80,
+	cfg := Config{
+		PopSize: 8, Generations: 9,
 		Bounds:     ea.Bounds{{Lo: 0, Hi: 1}},
 		InitialStd: []float64{0.1},
-		Evaluator:  ev, Parallelism: 3, Seed: 3,
+		Evaluator:  ev, Pool: ea.PoolConfig{Parallelism: 3}, Seed: 3,
 	}
 	final, all, err := RunSteadyState(context.Background(), cfg)
 	if err != nil {
@@ -124,7 +114,7 @@ func TestSteadyStateHandlesFailures(t *testing.T) {
 
 func TestSteadyStateValidation(t *testing.T) {
 	cfg := steadyConfig(4)
-	cfg.Evaluations = 10 // < PopSize
+	cfg.Generations = -1 // budget below PopSize
 	if _, _, err := RunSteadyState(context.Background(), cfg); err == nil {
 		t.Error("budget below PopSize accepted")
 	}
@@ -134,6 +124,16 @@ func TestSteadyStateValidation(t *testing.T) {
 	if _, _, err := RunSteadyState(context.Background(), cfg); err == nil {
 		t.Error("inverted bounds accepted")
 	}
+	cfg = steadyConfig(4)
+	cfg.InitialStd = cfg.InitialStd[:3]
+	if _, _, err := RunSteadyState(context.Background(), cfg); err == nil {
+		t.Error("InitialStd shorter than Bounds accepted")
+	}
+	cfg = steadyConfig(4)
+	cfg.Evaluator = nil
+	if _, _, err := RunSteadyState(context.Background(), cfg); err == nil {
+		t.Error("nil Evaluator accepted")
+	}
 }
 
 func TestSteadyStateCancellation(t *testing.T) {
@@ -142,11 +142,11 @@ func TestSteadyStateCancellation(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		return ea.Fitness{g[0], 1 - g[0]}, nil
 	})
-	cfg := SteadyConfig{
-		PopSize: 10, Evaluations: 100000,
+	cfg := Config{
+		PopSize: 10, Generations: 9999,
 		Bounds:     ea.Bounds{{Lo: 0, Hi: 1}},
 		InitialStd: []float64{0.1},
-		Evaluator:  ev, Parallelism: 2, Seed: 5,
+		Evaluator:  ev, Pool: ea.PoolConfig{Parallelism: 2}, Seed: 5,
 	}
 	go func() {
 		time.Sleep(20 * time.Millisecond)
