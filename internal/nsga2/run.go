@@ -143,7 +143,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res := &Result{}
 	for gen := 0; gen <= cfg.Generations; gen++ {
 		batch := e.ask(cfg.PopSize, gen)
-		var pending ea.Population
+		pending := make(ea.Population, 0, len(batch))
 		for _, ind := range batch {
 			if !ind.Evaluated {
 				pending = append(pending, ind)

@@ -78,6 +78,38 @@ func TestSteadyStateBudgetExactAndSaturated(t *testing.T) {
 	}
 }
 
+// TestSteadyStateWarmStart checks that members of Initial that already
+// carry a fitness count against the budget without being evaluated again.
+func TestSteadyStateWarmStart(t *testing.T) {
+	var calls atomic.Int64
+	ev := ea.EvaluatorFunc(func(_ context.Context, g ea.Genome) (ea.Fitness, error) {
+		calls.Add(1)
+		return ea.Fitness{g[0], 1 - g[0]}, nil
+	})
+	cfg := Config{
+		PopSize: 6, Generations: 3,
+		Bounds:     ea.Bounds{{Lo: 0, Hi: 1}},
+		InitialStd: []float64{0.1},
+		Evaluator:  ev, Pool: ea.PoolConfig{Parallelism: 2}, Seed: 8,
+	}
+	first, _, err := RunSteadyState(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls.Store(0)
+	cfg.Initial = first
+	final, all, err := RunSteadyState(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 24 || len(final) != 6 {
+		t.Fatalf("warm start: %d completions and %d survivors, want 24 and 6", len(all), len(final))
+	}
+	if n := calls.Load(); n != 18 {
+		t.Errorf("warm start evaluated %d individuals, want 18 (the 6 warm members keep their fitness)", n)
+	}
+}
+
 func TestSteadyStateHandlesFailures(t *testing.T) {
 	calls := int64(0)
 	ev := ea.EvaluatorFunc(func(_ context.Context, g ea.Genome) (ea.Fitness, error) {
