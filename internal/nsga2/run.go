@@ -141,9 +141,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
+	pending := make(ea.Population, 0, cfg.PopSize) // EvalPool keeps no reference to it
 	for gen := 0; gen <= cfg.Generations; gen++ {
 		batch := e.ask(cfg.PopSize, gen)
-		pending := make(ea.Population, 0, len(batch))
+		pending = pending[:0]
 		for _, ind := range batch {
 			if !ind.Evaluated {
 				pending = append(pending, ind)
