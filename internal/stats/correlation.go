@@ -69,6 +69,75 @@ func ranks(xs []float64) []float64 {
 	return out
 }
 
+// MannWhitneyU compares two independent samples by rank.  It returns
+// U, the number of (x, y) pairs with x > y (a tie counts ½), and the
+// one-sided p-value for the alternative that x tends to be larger than
+// y.  The p-value is the normal approximation with the tie-corrected
+// variance and a continuity correction, adequate from about eight
+// observations a side.  Either sample empty gives NaN.
+func MannWhitneyU(x, y []float64) (u, p float64) {
+	m, n := float64(len(x)), float64(len(y))
+	if m == 0 || n == 0 {
+		return math.NaN(), math.NaN()
+	}
+	pooled := append(append(make([]float64, 0, len(x)+len(y)), x...), y...)
+	r := ranks(pooled)
+	for _, v := range r[:len(x)] {
+		u += v
+	}
+	u -= m * (m + 1) / 2
+	// Ties shrink the variance by Σ(t³−t) / (N(N−1)) over tie groups.
+	sorted := append([]float64(nil), pooled...)
+	sort.Float64s(sorted)
+	N, ties := m+n, 0.0
+	for i := 0; i < len(sorted); {
+		j := i
+		//lint:ignore floateq a tie group is exact value identity, as in ranks
+		for j+1 < len(sorted) && sorted[j+1] == sorted[i] {
+			j++
+		}
+		t := float64(j - i + 1)
+		ties += t*t*t - t
+		i = j + 1
+	}
+	sd := math.Sqrt(m * n / 12 * (N + 1 - ties/(N*(N-1))))
+	if sd == 0 {
+		return u, 1
+	}
+	z := (u - m*n/2 - 0.5) / sd
+	return u, 0.5 * math.Erfc(z/math.Sqrt2)
+}
+
+// SignTest is the paired sign test: over the pairs (x[i], y[i]) that
+// differ it counts wins, the pairs with x[i] > y[i], and returns the
+// exact one-sided binomial p-value P(Bin(n, ½) ≥ wins) for the
+// alternative that x tends to be larger than y.  Unequal lengths or no
+// differing pair give NaN.
+func SignTest(x, y []float64) (wins, n int, p float64) {
+	if len(x) != len(y) {
+		return 0, 0, math.NaN()
+	}
+	for i := range x {
+		switch {
+		case x[i] > y[i]:
+			wins++
+			n++
+		case x[i] < y[i]:
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, 0, math.NaN()
+	}
+	lgN, _ := math.Lgamma(float64(n + 1))
+	for k := wins; k <= n; k++ {
+		lgK, _ := math.Lgamma(float64(k + 1))
+		lgNK, _ := math.Lgamma(float64(n - k + 1))
+		p += math.Exp(lgN - lgK - lgNK - float64(n)*math.Ln2)
+	}
+	return wins, n, min(p, 1)
+}
+
 // CorrelationMatrix computes Spearman correlations of every column in
 // data against every target column.  data is column-major: data[c][i] is
 // observation i of column c.

@@ -281,3 +281,75 @@ func TestLevelColorRange(t *testing.T) {
 		t.Error("t=0 not white")
 	}
 }
+
+// TestMannWhitneyUTable checks U and its one-sided p-value against values
+// worked by hand: U by counting pairs, p from z = (U − mn/2 − ½)/σ with
+// σ² = mn/12 · (N+1 − Σ(t³−t)/(N(N−1))) and the normal upper tail.
+func TestMannWhitneyUTable(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		x, y  []float64
+		u, p  float64
+		exact bool // p is exact, not a rounded table value
+	}{
+		// σ² = 9/12 · 7 = 5.25, z = 4/2.2913 = 1.7457, p = 1 − Φ(1.7457).
+		{"x above y", []float64{4, 5, 6}, []float64{1, 2, 3}, 9, 0.04043, false},
+		// z = −5/2.2913 = −2.1822, p = Φ(2.1822).
+		{"x below y", []float64{1, 2, 3}, []float64{4, 5, 6}, 0, 0.98545, false},
+		// Ranks 1, 3, 3 | 3, 5.5, 5.5: U = 7 − 6 = 1.  Ties 3 and 2 give
+		// Σ(t³−t) = 30 = N(N−1), so σ² = 9/12 · 6 = 4.5 and z = −4/2.1213.
+		{"ties", []float64{1, 2, 2}, []float64{2, 3, 3}, 1, 0.97033, false},
+		// Every value tied: σ = 0, nothing to reject.
+		{"all tied", []float64{1, 1}, []float64{1, 1}, 2, 1, true},
+	} {
+		u, p := MannWhitneyU(tc.x, tc.y)
+		tol := 5e-5
+		if tc.exact {
+			tol = 0
+		}
+		if u != tc.u || math.Abs(p-tc.p) > tol {
+			t.Errorf("%s: MannWhitneyU = (%v, %v), want (%v, %v)", tc.name, u, p, tc.u, tc.p)
+		}
+	}
+	if u, p := MannWhitneyU(nil, []float64{1}); !math.IsNaN(u) || !math.IsNaN(p) {
+		t.Errorf("empty sample: got (%v, %v), want NaN", u, p)
+	}
+}
+
+// TestSignTestTable checks the exact binomial tail on hand-counted cases.
+func TestSignTestTable(t *testing.T) {
+	ones := func(n int) []float64 {
+		y := make([]float64, n)
+		for i := range y {
+			y[i] = 1
+		}
+		return y
+	}
+	x28 := ones(30)
+	for i := range x28[:28] {
+		x28[i] = 2
+	}
+	x28[28] = 0
+	x28[29] = 0
+	for _, tc := range []struct {
+		name    string
+		x, y    []float64
+		wins, n int
+		p       float64
+	}{
+		{"5 of 5", []float64{2, 3, 4, 5, 6}, ones(5), 5, 5, 1.0 / 32},
+		{"4 of 5", []float64{2, 3, 4, 5, 0}, ones(5), 4, 5, 6.0 / 32},
+		{"tie dropped", []float64{2, 3, 1}, ones(3), 2, 2, 1.0 / 4},
+		{"0 of 2", []float64{0, 0}, ones(2), 0, 2, 1},
+		// (C(30,28) + C(30,29) + C(30,30)) / 2³⁰ = 466 / 2³⁰.
+		{"28 of 30", x28, ones(30), 28, 30, 466.0 / (1 << 30)},
+	} {
+		wins, n, p := SignTest(tc.x, tc.y)
+		if wins != tc.wins || n != tc.n || math.Abs(p-tc.p) > 1e-12*math.Max(1, tc.p) {
+			t.Errorf("%s: SignTest = (%d, %d, %v), want (%d, %d, %v)", tc.name, wins, n, p, tc.wins, tc.n, tc.p)
+		}
+	}
+	if _, _, p := SignTest([]float64{1}, []float64{1}); !math.IsNaN(p) {
+		t.Errorf("no differing pair: p = %v, want NaN", p)
+	}
+}
