@@ -35,6 +35,7 @@ import (
 	"repro/internal/deepmd"
 	"repro/internal/ea"
 	"repro/internal/hpo"
+	"repro/internal/nsga2"
 	"repro/internal/surrogate"
 )
 
@@ -126,7 +127,7 @@ func main() {
 	res, err := hpo.RunCampaign(context.Background(), hpo.CampaignConfig{
 		Runs: *runs, PopSize: *pop, Generations: *gens,
 		Evaluator: evaluator, Parallelism: *par,
-		EvalTimeout: *timeout, AnnealFactor: 0.85, BaseSeed: *seed,
+		EvalTimeout: *timeout, AnnealFactor: nsga2.PaperAnnealFactor, BaseSeed: *seed,
 		Observer: func(run, gen int, evaluated, survivors ea.Population) {
 			fmt.Fprintf(os.Stderr, "  run %d gen %d: %d evaluated, %d failures\n",
 				run, gen, len(evaluated), evaluated.Failures())

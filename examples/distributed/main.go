@@ -16,6 +16,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/ea"
 	"repro/internal/hpo"
+	"repro/internal/nsga2"
 	"repro/internal/surrogate"
 )
 
@@ -44,7 +45,7 @@ func main() {
 	res, err := hpo.RunCampaign(context.Background(), hpo.CampaignConfig{
 		Runs: 1, PopSize: 30, Generations: 4,
 		Evaluator:   &cluster.Evaluator{Client: lc.Scheduler},
-		Parallelism: 30, AnnealFactor: 0.85, BaseSeed: 11,
+		Parallelism: 30, AnnealFactor: nsga2.PaperAnnealFactor, BaseSeed: 11,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -1,5 +1,5 @@
 // Quickstart: minimize a classic two-objective benchmark (ZDT1) with the
-// library's NSGA-II in ~30 lines, then print the Pareto front.
+// library's NSGA-II in ~40 lines, then print the Pareto front.
 //
 //	go run ./examples/quickstart
 package main
@@ -11,36 +11,41 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/core"
+	"repro/internal/ea"
+	"repro/internal/nsga2"
 )
 
 func main() {
 	// ZDT1: f1 = x0, f2 = g·(1 − sqrt(f1/g)), g = 1 + 9·mean(x1..xn).
 	// True Pareto front: f2 = 1 − sqrt(f1) at x1..xn = 0.
 	const dim = 10
-	zdt1 := core.EvaluatorFunc(func(_ context.Context, x core.Genome) (core.Fitness, error) {
+	zdt1 := ea.EvaluatorFunc(func(_ context.Context, x ea.Genome) (ea.Fitness, error) {
 		f1 := x[0]
 		s := 0.0
 		for _, xi := range x[1:] {
 			s += xi
 		}
 		g := 1 + 9*s/float64(dim-1)
-		return core.Fitness{f1, g * (1 - math.Sqrt(f1/g))}, nil
+		return ea.Fitness{f1, g * (1 - math.Sqrt(f1/g))}, nil
 	})
 
-	bounds := make(core.Bounds, dim)
+	bounds := make(ea.Bounds, dim)
 	std := make([]float64, dim)
 	for i := range bounds {
-		bounds[i] = core.Interval{Lo: 0, Hi: 1}
+		bounds[i] = ea.Interval{Lo: 0, Hi: 1}
 		std[i] = 0.3
 	}
 
-	res, err := core.Minimize(context.Background(), zdt1, bounds, std, 60, 80, 42)
+	// A gentler anneal than the paper's 0.85 keeps a generic problem exploring.
+	res, err := nsga2.Run(context.Background(), nsga2.Config{
+		PopSize: 60, Generations: 80, Bounds: bounds, InitialStd: std, AnnealFactor: 0.95,
+		Evaluator: zdt1, Pool: ea.PoolConfig{Parallelism: 8, Objectives: 2}, Seed: 42,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	front := core.ParetoFront(res.Final)
+	front := nsga2.NonDominated(res.Final)
 	sort.Slice(front, func(i, j int) bool { return front[i].Fitness[0] < front[j].Fitness[0] })
 	fmt.Printf("ZDT1 Pareto front (%d points, true front is f2 = 1 − √f1):\n", len(front))
 	var worst float64

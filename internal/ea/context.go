@@ -30,14 +30,6 @@ func (c *Context) Std() []float64 {
 	return out
 }
 
-// SetStd replaces the mutation standard deviations.
-func (c *Context) SetStd(std []float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.std = make([]float64, len(std))
-	copy(c.std, std)
-}
-
 // AnnealStd multiplies every standard deviation by factor, the per-
 // generation annealing the paper applies with factor 0.85.
 func (c *Context) AnnealStd(factor float64) {

@@ -145,7 +145,7 @@ func TestMutateGaussianSeesAnnealedStd(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	b := Bounds{{-10, 10}}
 	ctx := NewContext([]float64{1})
-	ctx.SetStd([]float64{0})
+	ctx.AnnealStd(0)
 	ind := NewIndividual(Genome{3})
 	out := Take(Pipe(Source(Population{ind}), MutateGaussian(rng, ctx, b)), 1)
 	if out[0].Genome[0] != 3 {

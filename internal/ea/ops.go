@@ -82,27 +82,6 @@ func MutateGaussian(rng *rand.Rand, ctx *Context, bounds Bounds) Operator {
 	}
 }
 
-// MutatePerGene mutates each gene independently with probability p, the
-// non-isotropic alternative kept for ablation studies.
-func MutatePerGene(rng *rand.Rand, ctx *Context, bounds Bounds, p float64) Operator {
-	return func(src Stream) Stream {
-		return func() (*Individual, bool) {
-			ind, ok := src()
-			if !ok {
-				return nil, false
-			}
-			std := ctx.Std()
-			for i := range ind.Genome {
-				if rng.Float64() < p {
-					ind.Genome[i] += rng.NormFloat64() * std[i]
-					ind.Genome[i] = bounds[i].Clamp(ind.Genome[i])
-				}
-			}
-			return ind, true
-		}
-	}
-}
-
 // UniformCrossover pairs consecutive pulls and swaps each gene with
 // probability pSwap, yielding both children.  Not used in the paper's
 // mutation-only pipeline but provided for ablation benchmarks.

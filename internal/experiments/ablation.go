@@ -74,7 +74,7 @@ func PipelineAblation(ctx context.Context, opts Options) (*AblationResult, error
 	}
 
 	// 1. The paper's pipeline.
-	if err := runGenerational("paper (random+gaussian, anneal 0.85)", 0.85, nil); err != nil {
+	if err := runGenerational("paper (random+gaussian, anneal 0.85)", nsga2.PaperAnnealFactor, nil); err != nil {
 		return nil, err
 	}
 	// 2. No annealing.
@@ -93,7 +93,7 @@ func PipelineAblation(ctx context.Context, opts Options) (*AblationResult, error
 			ea.SetBirth(gen),
 		)
 	}
-	if err := runGenerational("canonical (tournament+SBX+polynomial)", 0.85, canonical); err != nil {
+	if err := runGenerational("canonical (tournament+SBX+polynomial)", nsga2.PaperAnnealFactor, canonical); err != nil {
 		return nil, err
 	}
 	// 4. Asynchronous steady-state at the same budget.
@@ -104,7 +104,7 @@ func PipelineAblation(ctx context.Context, opts Options) (*AblationResult, error
 			final, all, err := nsga2.RunSteadyState(ctx, nsga2.Config{
 				PopSize: opts.PopSize, Generations: opts.Generations,
 				Bounds: rep.Bounds, InitialStd: rep.Std,
-				AnnealFactor: 0.85, Evaluator: newEval(),
+				AnnealFactor: nsga2.PaperAnnealFactor, Evaluator: newEval(),
 				Pool: ea.PoolConfig{Parallelism: opts.Parallelism},
 				Seed: opts.Seed + int64(r),
 			})

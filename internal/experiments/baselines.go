@@ -49,7 +49,7 @@ func CompareBaselines(ctx context.Context, opts Options) (*BaselineComparison, e
 	camp, err := hpo.RunCampaign(ctx, hpo.CampaignConfig{
 		Runs: opts.Runs, PopSize: opts.PopSize, Generations: opts.Generations,
 		Evaluator: newEval(), Parallelism: opts.Parallelism,
-		AnnealFactor: 0.85, BaseSeed: opts.Seed,
+		AnnealFactor: nsga2.PaperAnnealFactor, BaseSeed: opts.Seed,
 	})
 	if err != nil {
 		return nil, err

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/ea"
 	"repro/internal/hpo"
+	"repro/internal/nsga2"
 	"repro/internal/stats"
 	"repro/internal/surrogate"
 )
@@ -60,7 +61,7 @@ func RunPaperCampaign(ctx context.Context, opts Options) (*Campaign, error) {
 		// Two (simulated) hours; surrogate evaluations return instantly,
 		// so this never fires — it is configuration fidelity only.
 		EvalTimeout:  2 * time.Hour,
-		AnnealFactor: 0.85,
+		AnnealFactor: nsga2.PaperAnnealFactor,
 		BaseSeed:     opts.Seed,
 	}
 	res, err := hpo.RunCampaign(ctx, cfg)

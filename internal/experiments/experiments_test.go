@@ -36,6 +36,20 @@ func TestCampaignScaleMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestCampaignScalesDown runs the paper campaign at reduced scale, as
+// examples/moltensalt does.
+func TestCampaignScalesDown(t *testing.T) {
+	opts := PaperOptions()
+	opts.Runs, opts.PopSize, opts.Generations = 1, 16, 2
+	c, err := RunPaperCampaign(context.Background(), opts)
+	if err != nil {
+		t.Fatalf("RunPaperCampaign: %v", err)
+	}
+	if got := c.Result.TotalEvaluations(); got != 3*16 {
+		t.Errorf("total evaluations = %d, want 48 (1 run × 3 gens × 16)", got)
+	}
+}
+
 func TestTable1MatchesRepresentation(t *testing.T) {
 	rows := Table1()
 	if len(rows) != 7 {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ea"
 	"repro/internal/hpo"
+	"repro/internal/nsga2"
 	"repro/internal/surrogate"
 )
 
@@ -55,7 +56,7 @@ func ParallelScaling(ctx context.Context, workerCounts []int, popSize, generatio
 		_, err := hpo.RunCampaign(ctx, hpo.CampaignConfig{
 			Runs: 1, PopSize: popSize, Generations: generations,
 			Evaluator: delayed, Parallelism: w,
-			AnnealFactor: 0.85, BaseSeed: seed,
+			AnnealFactor: nsga2.PaperAnnealFactor, BaseSeed: seed,
 		})
 		if err != nil {
 			return nil, err

@@ -31,7 +31,8 @@ type CampaignConfig struct {
 	Parallelism int
 	// EvalTimeout is the per-evaluation wall limit (2 h in the paper).
 	EvalTimeout time.Duration
-	// AnnealFactor multiplies mutation σ per generation (0.85).
+	// AnnealFactor multiplies mutation σ per generation; zero means
+	// nsga2.PaperAnnealFactor (0.85).
 	AnnealFactor float64
 	// BaseSeed seeds run r with BaseSeed + r.
 	BaseSeed int64
@@ -93,16 +94,35 @@ func (c *CampaignResult) LastGenFailures() int {
 }
 
 // RunCampaign executes the configured number of independent NSGA-II runs
-// sequentially and returns their pooled results.  It stays sequential on
-// purpose: Parallelism bounds the evaluations in flight for the whole
-// call, and one-shot callers hand it evaluators that are safe only under
-// that bound (Parallelism 1 means never called concurrently).  A caller
-// whose evaluator is concurrency-safe and who wants the runs to overlap
-// — the campaign service — calls it once per run with Runs 1 and
-// BaseSeed+r, then ResumeRun.
+// and returns their pooled results.  It is ContinueCampaign with no
+// previous campaign.
 func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error) {
+	return ContinueCampaign(ctx, cfg, nil)
+}
+
+// ContinueCampaign carries a campaign on from its log, as the paper's
+// campaigns outlived Summit's 12-hour job cap (§2.2.5): run r is
+// nsga2.Continue from prev.Runs[r]'s generations with seed BaseSeed + r,
+// so it replays what the log holds, evaluates the rest up to Generations,
+// and ends on the bits of a campaign that never stopped.  A log this
+// configuration would not have written is refused, naming the run and
+// generation.  A nil prev, or a run without records, starts fresh; prev
+// may not have more runs than cfg.  Observer sees only the generations
+// this call evaluates.
+//
+// The runs go one after another on purpose: Parallelism bounds the
+// evaluations in flight for the whole call, and one-shot callers hand it
+// evaluators that are safe only under that bound.  The campaign service,
+// whose evaluator is concurrency-safe, runs each run on its own instead.
+func ContinueCampaign(ctx context.Context, cfg CampaignConfig, prev *CampaignResult) (*CampaignResult, error) {
 	if cfg.Runs <= 0 {
 		return nil, fmt.Errorf("hpo: Runs must be positive")
+	}
+	if prev == nil {
+		prev = &CampaignResult{}
+	}
+	if len(prev.Runs) > cfg.Runs {
+		return nil, fmt.Errorf("hpo: the log has %d runs, the campaign %d", len(prev.Runs), cfg.Runs)
 	}
 	rep := cfg.Representation
 	if rep.Bounds == nil {
@@ -117,7 +137,11 @@ func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignResult, erro
 				cfg.Observer(runIdx, gen, evaluated, survivors)
 			}
 		}
-		res, err := nsga2.Run(ctx, nsga2.Config{
+		var logged []nsga2.GenerationRecord
+		if run < len(prev.Runs) {
+			logged = prev.Runs[run].Generations
+		}
+		res, err := nsga2.Continue(ctx, nsga2.Config{
 			PopSize:      cfg.PopSize,
 			Generations:  cfg.Generations,
 			Bounds:       rep.Bounds,
@@ -127,7 +151,7 @@ func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignResult, erro
 			Pool:         poolFromConfig(cfg),
 			Seed:         cfg.BaseSeed + int64(run),
 			Observer:     observer,
-		})
+		}, logged)
 		if err != nil {
 			return out, fmt.Errorf("hpo: run %d: %w", run, err)
 		}

@@ -9,27 +9,6 @@ import (
 	"repro/internal/nsga2"
 )
 
-// ResumeCampaign continues a finished (or walltime-killed) campaign for
-// moreGens additional generations per run: the operational pattern behind
-// the paper's 12-hour Summit batch jobs (§2.2.5), where long campaigns
-// must span multiple submissions.  It is ResumeRun applied to every run
-// in turn; the returned result contains the original generations
-// followed by the new ones with continued indices.
-func ResumeCampaign(ctx context.Context, prev *CampaignResult, cfg CampaignConfig, moreGens int) (*CampaignResult, error) {
-	if prev == nil || len(prev.Runs) == 0 {
-		return nil, fmt.Errorf("hpo: nothing to resume")
-	}
-	out := &CampaignResult{}
-	for runIdx, run := range prev.Runs {
-		res, err := ResumeRun(ctx, run, cfg, runIdx, moreGens)
-		if err != nil {
-			return out, err
-		}
-		out.Runs = append(out.Runs, res)
-	}
-	return out, nil
-}
-
 // ResumeRun continues run runIdx of a campaign for moreGens additional
 // generations.  The run warm-starts from its final surviving population,
 // the mutation σ resumes from its annealed value (σ₀ · anneal^gensDone),
@@ -51,7 +30,7 @@ func ResumeRun(ctx context.Context, run *nsga2.Result, cfg CampaignConfig, runId
 	}
 	anneal := cfg.AnnealFactor
 	if anneal == 0 {
-		anneal = 0.85
+		anneal = nsga2.PaperAnnealFactor
 	}
 	gensDone := len(run.Generations) - 1
 	if gensDone < 0 {

@@ -5,13 +5,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ea"
 	"repro/internal/nsga2"
 )
 
-func TestResumeCampaignContinuesRuns(t *testing.T) {
+func TestContinueCampaignContinuesRuns(t *testing.T) {
 	cfg := CampaignConfig{
 		Runs: 2, PopSize: 15, Generations: 2,
 		Evaluator:   persistEval,
@@ -21,9 +25,17 @@ func TestResumeCampaignContinuesRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := ResumeCampaign(context.Background(), first, cfg, 3)
+	cfg.Generations = 5
+	var observed int
+	cfg.Observer = func(_, gen int, _, _ ea.Population) {
+		if gen < 3 {
+			t.Errorf("observer saw replayed generation %d", gen)
+		}
+		observed++
+	}
+	resumed, err := ContinueCampaign(context.Background(), cfg, first)
 	if err != nil {
-		t.Fatalf("ResumeCampaign: %v", err)
+		t.Fatalf("ContinueCampaign: %v", err)
 	}
 	if len(resumed.Runs) != 2 {
 		t.Fatalf("resumed %d runs", len(resumed.Runs))
@@ -41,10 +53,13 @@ func TestResumeCampaignContinuesRuns(t *testing.T) {
 			t.Errorf("run %d final population %d", r, len(run.Final))
 		}
 	}
-	// Resumption adds evaluations: 2 runs × 3 gens × 15.
+	// Continuing adds evaluations: 2 runs × 3 gens × 15.
 	want := first.TotalEvaluations() + 2*3*15
 	if got := resumed.TotalEvaluations(); got != want {
 		t.Errorf("TotalEvaluations = %d, want %d", got, want)
+	}
+	if observed != 2*3 {
+		t.Errorf("observer saw %d generations, want 6", observed)
 	}
 }
 
@@ -58,7 +73,8 @@ func TestResumeImprovesOrMaintainsFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := ResumeCampaign(context.Background(), first, cfg, 4)
+	cfg.Generations = 6
+	resumed, err := ContinueCampaign(context.Background(), cfg, first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +88,7 @@ func TestResumeImprovesOrMaintainsFrontier(t *testing.T) {
 }
 
 func TestResumeRoundTripThroughPersistence(t *testing.T) {
-	// The real workflow: job 1 runs, saves; job 2 loads, resumes.
+	// The real workflow: job 1 runs, saves; job 2 loads, continues.
 	cfg := CampaignConfig{
 		Runs: 1, PopSize: 10, Generations: 1,
 		Evaluator: persistEval, Parallelism: 2, BaseSeed: 9,
@@ -89,13 +105,28 @@ func TestResumeRoundTripThroughPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := ResumeCampaign(context.Background(), loaded, cfg, 2)
+	cfg.Generations = 3
+	resumed, err := ContinueCampaign(context.Background(), cfg, loaded)
 	if err != nil {
-		t.Fatalf("resume after load: %v", err)
+		t.Fatalf("continue after load: %v", err)
 	}
 	if resumed.TotalEvaluations() != 10*2+10*2 {
 		t.Errorf("evaluations = %d", resumed.TotalEvaluations())
 	}
+}
+
+// resumeEach is the campaign service's reseeded leg: ResumeRun for one
+// more generation on every run in turn.
+func resumeEach(prev *CampaignResult, cfg CampaignConfig) (*CampaignResult, error) {
+	out := &CampaignResult{}
+	for r, run := range prev.Runs {
+		res, err := ResumeRun(context.Background(), run, cfg, r, 1)
+		if err != nil {
+			return nil, err
+		}
+		out.Runs = append(out.Runs, res)
+	}
+	return out, nil
 }
 
 // TestResumeChainedLegsDecorrelated is the regression test for the
@@ -136,15 +167,15 @@ func TestResumeChainedLegsDecorrelated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leg1, err := ResumeCampaign(context.Background(), first, cfg, 1)
+	leg1, err := resumeEach(first, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	leg1b, err := ResumeCampaign(context.Background(), first, cfg, 1)
+	leg1b, err := resumeEach(first, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	leg2, err := ResumeCampaign(context.Background(), leg1, cfg, 1)
+	leg2, err := resumeEach(leg1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,22 +235,137 @@ func TestResumeSeedDistinct(t *testing.T) {
 }
 
 func TestResumeValidation(t *testing.T) {
-	cfg := CampaignConfig{Runs: 1, PopSize: 10, Evaluator: persistEval, BaseSeed: 1}
-	if _, err := ResumeCampaign(context.Background(), nil, cfg, 2); err == nil {
-		t.Error("nil campaign accepted")
-	}
-	first, err := RunCampaign(context.Background(), CampaignConfig{
-		Runs: 1, PopSize: 10, Generations: 1, Evaluator: persistEval, BaseSeed: 1,
-	})
+	ctx := context.Background()
+	cfg := CampaignConfig{Runs: 1, PopSize: 10, Generations: 1, Evaluator: persistEval, BaseSeed: 1}
+	first, err := RunCampaign(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResumeCampaign(context.Background(), first, cfg, 0); err == nil {
-		t.Error("moreGens=0 accepted")
+	fresh, err := ContinueCampaign(ctx, cfg, &CampaignResult{})
+	if err != nil || len(fresh.Runs) != 1 || len(fresh.Runs[0].Generations) != 2 {
+		t.Errorf("an empty log did not start fresh: %v", err)
 	}
-	badCfg := cfg
-	badCfg.PopSize = 99
-	if _, err := ResumeCampaign(context.Background(), first, badCfg, 1); err == nil {
-		t.Error("population size mismatch accepted")
+	short := cfg
+	short.Generations = 0
+	badPop := cfg
+	badPop.PopSize = 9
+	otherSeed := cfg
+	otherSeed.BaseSeed = 2
+	twoRuns := &CampaignResult{Runs: []*nsga2.Result{first.Runs[0], first.Runs[0]}}
+	for _, tc := range []struct {
+		name string
+		cfg  CampaignConfig
+		prev *CampaignResult
+		want string
+	}{
+		{"log longer than the run", short, first, "run 0: nsga2: the log holds 2 generations, the run has 1"},
+		{"more runs than the campaign", cfg, twoRuns, "the log has 2 runs, the campaign 1"},
+		{"population size", badPop, first, "run 0: nsga2: generation 0: the log has 10 individuals, the search asks for 9"},
+		{"another seed", otherSeed, first, "run 0: nsga2: generation 0, position 0:"},
+	} {
+		_, err := ContinueCampaign(ctx, tc.cfg, tc.prev)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// nonFiniteEval is persistEval with a second kind of bad training: some
+// genomes diverge to a non-finite fitness instead of failing.
+var nonFiniteEval = ea.EvaluatorFunc(func(ctx context.Context, g ea.Genome) (ea.Fitness, error) {
+	h, err := Decode(g)
+	if err != nil {
+		return nil, err
+	}
+	switch m := math.Mod(h.StartLR*1e7, 23); {
+	case m < 1:
+		return ea.Fitness{math.Inf(1), math.NaN()}, nil
+	case m < 2:
+		return ea.Fitness{h.StartLR, math.Inf(1)}, nil
+	}
+	return persistEval.Evaluate(ctx, g)
+})
+
+// sameBits reports whether two float vectors are equal bit for bit,
+// every NaN counting as equal to every NaN.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+	})
+}
+
+// TestContinueCampaignEqualsUninterrupted: a campaign stopped after any
+// prefix of its generations — the runs at different prefixes — and
+// continued from its log through SaveCampaign → LoadCampaign evaluates
+// and keeps the same genomes with the same fitnesses, generation by
+// generation, as the campaign that never stopped, and evaluates only the
+// generations the log lacks.
+func TestContinueCampaignEqualsUninterrupted(t *testing.T) {
+	ctx := context.Background()
+	cfg := CampaignConfig{
+		Runs: 2, PopSize: 12, Generations: 4,
+		Evaluator: nonFiniteEval, Parallelism: 3, BaseSeed: 31,
+	}
+	full, err := RunCampaign(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonFinite := 0
+	for _, run := range full.Runs {
+		for _, gen := range run.Generations {
+			for _, ind := range gen.Evaluated {
+				if slices.ContainsFunc(ind.Fitness, func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }) {
+					nonFinite++
+				}
+			}
+		}
+	}
+	if nonFinite == 0 {
+		t.Fatal("the campaign has no non-finite fitness; the test wants one")
+	}
+
+	gens := cfg.Generations + 1
+	for k := 0; k <= gens; k++ {
+		prefix := &CampaignResult{Runs: []*nsga2.Result{
+			{Generations: full.Runs[0].Generations[:k]},
+			{Generations: full.Runs[1].Generations[:gens-k]},
+		}}
+		loaded, err := LoadCampaign(bytes.NewReader(saveBytes(t, prefix)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var calls atomic.Int64
+		counted := cfg
+		counted.Evaluator = ea.EvaluatorFunc(func(ctx context.Context, g ea.Genome) (ea.Fitness, error) {
+			calls.Add(1)
+			return nonFiniteEval.Evaluate(ctx, g)
+		})
+		got, err := ContinueCampaign(ctx, counted, loaded)
+		if err != nil {
+			t.Fatalf("prefix %d: %v", k, err)
+		}
+		if n := calls.Load(); n != int64(gens*cfg.PopSize) {
+			t.Errorf("prefix %d: %d evaluations, want %d (the generations not in the log)", k, n, gens*cfg.PopSize)
+		}
+		for r, run := range got.Runs {
+			want := full.Runs[r]
+			if len(run.Generations) != gens {
+				t.Fatalf("prefix %d run %d: %d generations, want %d", k, r, len(run.Generations), gens)
+			}
+			for g, rec := range run.Generations {
+				w := want.Generations[g]
+				for _, pair := range [][2]ea.Population{{rec.Evaluated, w.Evaluated}, {rec.Survivors, w.Survivors}} {
+					if len(pair[0]) != len(pair[1]) {
+						t.Fatalf("prefix %d run %d gen %d: %d individuals, want %d", k, r, g, len(pair[0]), len(pair[1]))
+					}
+					for i := range pair[0] {
+						a, b := pair[0][i], pair[1][i]
+						if !sameBits(a.Genome, b.Genome) || !sameBits(a.Fitness, b.Fitness) {
+							t.Fatalf("prefix %d run %d gen %d position %d: %v %v, want %v %v", k, r, g, i, a.Genome, a.Fitness, b.Genome, b.Fitness)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -46,7 +46,7 @@ func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 	fixed, err := hpo.RunCampaign(ctx, hpo.CampaignConfig{
 		Runs: cfg.Runs, PopSize: cfg.PopSize, Generations: cfg.Generations,
 		Evaluator:   surrogate.NewEvaluator(surrogate.Config{Seed: cfg.Seed}),
-		Parallelism: cfg.Parallelism, AnnealFactor: 0.85, BaseSeed: cfg.Seed,
+		Parallelism: cfg.Parallelism, AnnealFactor: nsga2.PaperAnnealFactor, BaseSeed: cfg.Seed,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("nas: fixed campaign: %w", err)
@@ -58,7 +58,7 @@ func Compare(ctx context.Context, cfg CompareConfig) (*CompareResult, error) {
 		Runs: cfg.Runs, PopSize: cfg.PopSize, Generations: cfg.Generations,
 		Evaluator:      NewEvaluator(surrogate.Config{Seed: cfg.Seed}),
 		Parallelism:    cfg.Parallelism,
-		AnnealFactor:   0.85,
+		AnnealFactor:   nsga2.PaperAnnealFactor,
 		BaseSeed:       cfg.Seed,
 		Representation: hpo.Representation{Bounds: bounds, Std: std},
 	})

@@ -28,7 +28,7 @@ func newEngine(cfg Config) (*engine, error) {
 		return nil, err
 	}
 	if cfg.AnnealFactor == 0 {
-		cfg.AnnealFactor = 0.85
+		cfg.AnnealFactor = PaperAnnealFactor
 	}
 	if cfg.Pool.Objectives <= 0 {
 		cfg.Pool.Objectives = 2

@@ -63,6 +63,28 @@ func writeRun(b *strings.Builder, name string, res *Result) {
 	writePop(b, name+" final", res.Final)
 }
 
+// goldenRuns returns the three generational runs of TestGoldenLoops, by
+// section name: (a) Run with the paper's pipeline, (b) with the
+// ablation's tournament + SBX + polynomial Breeder, and (c) a warm start
+// from (a)'s final population, which is why it takes (a)'s result.
+func goldenRuns(paper *Result) (names []string, cfgs []Config) {
+	canonical := goldenConfig(12)
+	bounds := canonical.Bounds
+	canonical.Breeder = func(rng *rand.Rand, _ *ea.Context, parents ea.Population, gen int) ea.Stream {
+		return ea.Pipe(
+			TournamentSelection(rng, parents),
+			ea.Clone(),
+			ea.SBX(rng, bounds, 15, 0.9),
+			ea.MutatePolynomial(rng, bounds, 20, 1.0/float64(len(bounds))),
+			ea.SetBirth(gen),
+		)
+	}
+	warm := goldenConfig(13)
+	warm.Generations = 3
+	warm.Initial = paper.Final
+	return []string{"paper", "canonical", "warm"}, []Config{goldenConfig(11), canonical, warm}
+}
+
 // TestGoldenLoops pins the search loops' draw order to the bit: the
 // paper pipeline, a custom Breeder, a warm start through Config.Initial
 // and the steady-state loop on one worker, each on a small seeded ZDT1
@@ -72,44 +94,22 @@ func TestGoldenLoops(t *testing.T) {
 	ctx := context.Background()
 	var b strings.Builder
 
-	// (a) Run with the paper's pipeline.
 	paper, err := Run(ctx, goldenConfig(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeRun(&b, "paper", paper)
-
-	// (b) Run with the ablation's tournament + SBX + polynomial Breeder.
-	cfg := goldenConfig(12)
-	bounds := cfg.Bounds
-	cfg.Breeder = func(rng *rand.Rand, _ *ea.Context, parents ea.Population, gen int) ea.Stream {
-		return ea.Pipe(
-			TournamentSelection(rng, parents),
-			ea.Clone(),
-			ea.SBX(rng, bounds, 15, 0.9),
-			ea.MutatePolynomial(rng, bounds, 20, 1.0/float64(len(bounds))),
-			ea.SetBirth(gen),
-		)
+	names, cfgs := goldenRuns(paper)
+	for i, cfg := range cfgs {
+		res, err := Run(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeRun(&b, names[i], res)
 	}
-	canonical, err := Run(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeRun(&b, "canonical", canonical)
-
-	// (c) A warm start from (a)'s final population.
-	cfg = goldenConfig(13)
-	cfg.Generations = 3
-	cfg.Initial = paper.Final
-	warm, err := Run(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeRun(&b, "warm", warm)
 
 	// (d) The steady-state loop on one worker, so completion order is
 	// dispatch order.
-	cfg = goldenConfig(14)
+	cfg := goldenConfig(14)
 	cfg.Pool.Parallelism = 1
 	final, all, err := RunSteadyState(ctx, cfg)
 	if err != nil {

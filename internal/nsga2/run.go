@@ -4,10 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/ea"
 )
+
+// PaperAnnealFactor is the paper's mutation-σ anneal factor: every σ is
+// multiplied by 0.85 after each offspring generation (§2.2.3, Listing 1's
+// context['std'] *= 0.85).  It is Config.AnnealFactor's default.
+const PaperAnnealFactor = 0.85
 
 // Config parameterizes an NSGA-II run matching the paper's setup (§2.2.3,
 // §2.2.5): population size equal to the number of compute nodes, random
@@ -28,8 +35,8 @@ type Config struct {
 	// InitialStd is the starting Gaussian-mutation σ per gene (Table 1,
 	// column 3).
 	InitialStd []float64
-	// AnnealFactor multiplies every σ after each generation; the paper
-	// uses 0.85.  Use 1 to disable annealing (ablation).
+	// AnnealFactor multiplies every σ after each generation; zero means
+	// PaperAnnealFactor.  Use 1 to disable annealing (ablation).
 	AnnealFactor float64
 	// Evaluator computes the multiobjective fitness.
 	Evaluator ea.Evaluator
@@ -48,11 +55,9 @@ type Config struct {
 	// compare against canonical tournament+SBX+polynomial variation.
 	Breeder func(rng *rand.Rand, eaCtx *ea.Context, parents ea.Population, gen int) ea.Stream
 	// Initial, if non-nil, warm-starts the run from an existing
-	// population instead of a random one — how a campaign continues after
-	// a walltime-limited batch job (the paper's jobs were capped at 12
-	// hours, §2.2.5).  Already-evaluated members keep their fitness;
-	// unevaluated ones are evaluated in generation 0.  Its length must
-	// equal PopSize.
+	// population instead of a random one.  Already-evaluated members keep
+	// their fitness; unevaluated ones are evaluated in generation 0.  Its
+	// length must equal PopSize.
 	Initial ea.Population
 }
 
@@ -102,14 +107,6 @@ type Result struct {
 	Final ea.Population
 }
 
-// LastEvaluated returns the individuals evaluated in the final generation.
-func (r *Result) LastEvaluated() ea.Population {
-	if len(r.Generations) == 0 {
-		return nil
-	}
-	return r.Generations[len(r.Generations)-1].Evaluated
-}
-
 // TotalEvaluations counts every fitness evaluation performed in the run.
 func (r *Result) TotalEvaluations() int {
 	n := 0
@@ -134,35 +131,81 @@ func (r *Result) TotalFailures() int {
 // bounds) → pooled evaluation; the combined parent+offspring population is
 // rank-sorted with crowding distances and truncated back to PopSize.
 // Generation 0 evaluates the random initial population, or the members
-// of Initial that carry no fitness yet.
+// of Initial that carry no fitness yet.  Run is Continue with no log.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
+	return Continue(ctx, cfg, nil)
+}
+
+// Continue is Run carried on from a log of its first generations: how a
+// campaign outlives a walltime-limited batch job (the paper's Summit jobs
+// were capped at 12 hours, §2.2.5).  A logged generation is replayed, not
+// evaluated: the search asks for its batch as Run does, every asked
+// genome must equal the logged one at its position bit for bit, and the
+// logged individuals stand in for the batch; after selection and σ
+// annealing the survivors must be the logged ones, in order.  A log from
+// another configuration or seed, or with an edited genome or fitness, is
+// refused with the first generation and position that disagree.  The
+// generations after the log are evaluated, so a continued run ends on the
+// bits of one that never stopped.  logged holds at most Generations+1
+// records; the result holds them, then the new ones, and the search
+// re-ranks their individuals.  Observer sees only the generations this
+// call evaluates.
+func Continue(ctx context.Context, cfg Config, logged []GenerationRecord) (*Result, error) {
 	e, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if len(logged) > cfg.Generations+1 {
+		return nil, fmt.Errorf("nsga2: the log holds %d generations, the run has %d", len(logged), cfg.Generations+1)
 	}
 	res := &Result{}
 	pending := make(ea.Population, 0, cfg.PopSize) // EvalPool keeps no reference to it
 	for gen := 0; gen <= cfg.Generations; gen++ {
 		batch := e.ask(cfg.PopSize, gen)
-		pending = pending[:0]
-		for _, ind := range batch {
-			if !ind.Evaluated {
-				pending = append(pending, ind)
+		replay := gen < len(logged)
+		if replay {
+			rec := logged[gen]
+			if len(rec.Evaluated) != len(batch) {
+				return nil, fmt.Errorf("nsga2: generation %d: the log has %d individuals, the search asks for %d", gen, len(rec.Evaluated), len(batch))
 			}
-		}
-		if len(pending) > 0 {
-			ea.EvalPool(ctx, ea.Source(pending), len(pending), e.cfg.Evaluator, e.cfg.Pool)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
+			for i, ind := range rec.Evaluated {
+				if !ind.Evaluated || !slices.EqualFunc(ind.Genome, batch[i].Genome, sameBits) {
+					return nil, fmt.Errorf("nsga2: generation %d, position %d: the log's individual is not the evaluated genome the search asks for", gen, i)
+				}
+			}
+			batch = rec.Evaluated
+		} else {
+			pending = pending[:0]
+			for _, ind := range batch {
+				if !ind.Evaluated {
+					pending = append(pending, ind)
+				}
+			}
+			if len(pending) > 0 {
+				ea.EvalPool(ctx, ea.Source(pending), len(pending), e.cfg.Evaluator, e.cfg.Pool)
+			}
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 		}
 		e.tell(batch)
 		if gen > 0 {
 			// Anneal mutation σ after the offspring return from the
 			// pipeline, exactly where the paper multiplies
-			// context['std'] by 0.85.
+			// context['std'] by PaperAnnealFactor.
 			e.eaCtx.AnnealStd(e.cfg.AnnealFactor)
 			e.eaCtx.AdvanceGeneration()
+		}
+		if replay {
+			want, i := logged[gen].Survivors, 0
+			for i < min(len(want), len(e.pop)) && want[i] == e.pop[i] {
+				i++
+			}
+			if i < len(want) || i < len(e.pop) {
+				return nil, fmt.Errorf("nsga2: generation %d, survivor %d: selection disagrees with the log", gen, i)
+			}
+			res.Generations = append(res.Generations, logged[gen])
+			continue
 		}
 		res.Generations = append(res.Generations, GenerationRecord{
 			Gen: gen, Evaluated: batch, Survivors: e.pop, Failures: batch.Failures(),
@@ -174,3 +217,5 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res.Final = e.pop
 	return res, nil
 }
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

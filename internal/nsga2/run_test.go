@@ -106,8 +106,8 @@ func TestRunRecordsHistory(t *testing.T) {
 			}
 		}
 	}
-	if got := res.LastEvaluated(); got == nil || got[0].Birth != cfg.Generations {
-		t.Error("LastEvaluated wrong")
+	if got := res.Generations[len(res.Generations)-1].Evaluated; got == nil || got[0].Birth != cfg.Generations {
+		t.Error("last generation's births wrong")
 	}
 }
 

@@ -136,7 +136,7 @@ func RunGoldenCampaign(ctx context.Context, ev ea.Evaluator, parallelism int) (*
 		Generations:  3,
 		Bounds:       GoldenBounds,
 		InitialStd:   []float64{0.3, 0.1},
-		AnnealFactor: 0.85,
+		AnnealFactor: nsga2.PaperAnnealFactor,
 		Evaluator:    ev,
 		Pool:         ea.PoolConfig{Parallelism: parallelism, Objectives: len(GoldenRef)},
 		Seed:         42,

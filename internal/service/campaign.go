@@ -85,7 +85,7 @@ func (sp *Spec) validate() error {
 		return fmt.Errorf("service: generations must be in [0,10000], got %d", *sp.Generations)
 	}
 	if sp.AnnealFactor == 0 {
-		sp.AnnealFactor = 0.85
+		sp.AnnealFactor = nsga2.PaperAnnealFactor
 	}
 	if sp.AnnealFactor < 0 || sp.AnnealFactor > 2 {
 		return fmt.Errorf("service: anneal_factor must be in (0,2], got %g", sp.AnnealFactor)

@@ -138,7 +138,7 @@ func TestRunsShareTheFleet(t *testing.T) {
 // TestLanesEqualSequentialLegs pins that the lanes change when work
 // happens and nothing else: a Runs-3 service campaign serves the same
 // frontier and lcurve bytes as hpo.RunCampaign for generation 0 followed
-// by hpo.ResumeCampaign one generation at a time, every run in turn.
+// by hpo.ResumeRun one generation at a time, every run in turn.
 func TestLanesEqualSequentialLegs(t *testing.T) {
 	spec := service.Spec{
 		Tenant: "alice", Name: "lanes", Runs: 3, PopSize: 6, Generations: intp(3),
@@ -162,8 +162,10 @@ func TestLanesEqualSequentialLegs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for g := 0; g < *spec.Generations; g++ {
-		if ref, err = hpo.ResumeCampaign(context.Background(), ref, cfg, 1); err != nil {
-			t.Fatal(err)
+		for r := range ref.Runs {
+			if ref.Runs[r], err = hpo.ResumeRun(context.Background(), ref.Runs[r], cfg, r, 1); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	// Serve the reference through the same renderer: a terminal

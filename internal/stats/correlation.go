@@ -80,25 +80,20 @@ func MannWhitneyU(x, y []float64) (u, p float64) {
 	if m == 0 || n == 0 {
 		return math.NaN(), math.NaN()
 	}
-	pooled := append(append(make([]float64, 0, len(x)+len(y)), x...), y...)
-	r := ranks(pooled)
-	for _, v := range r[:len(x)] {
-		u += v
+	r := ranks(append(append(make([]float64, 0, len(x)+len(y)), x...), y...))
+	// Ties shrink the variance by Σ(t³−t) / (N(N−1)) over tie groups, and
+	// the members of a group share one rank.
+	group := map[float64]float64{}
+	for i, v := range r {
+		if i < len(x) {
+			u += v
+		}
+		group[v]++
 	}
 	u -= m * (m + 1) / 2
-	// Ties shrink the variance by Σ(t³−t) / (N(N−1)) over tie groups.
-	sorted := append([]float64(nil), pooled...)
-	sort.Float64s(sorted)
 	N, ties := m+n, 0.0
-	for i := 0; i < len(sorted); {
-		j := i
-		//lint:ignore floateq a tie group is exact value identity, as in ranks
-		for j+1 < len(sorted) && sorted[j+1] == sorted[i] {
-			j++
-		}
-		t := float64(j - i + 1)
-		ties += t*t*t - t
-		i = j + 1
+	for _, t := range group {
+		ties += t*t*t - t // integers: the sum is exact in any order
 	}
 	sd := math.Sqrt(m * n / 12 * (N + 1 - ties/(N*(N-1))))
 	if sd == 0 {
