@@ -252,6 +252,19 @@ func TestResumeValidation(t *testing.T) {
 	otherSeed := cfg
 	otherSeed.BaseSeed = 2
 	twoRuns := &CampaignResult{Runs: []*nsga2.Result{first.Runs[0], first.Runs[0]}}
+	// Through the file, a generation-1 offspring that selection dropped
+	// now dominates everything, so it must survive generation 1.
+	edited, err := LoadCampaign(bytes.NewReader(saveBytes(t, first)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen1 := edited.Runs[0].Generations[1]
+	for _, ind := range gen1.Evaluated {
+		if !slices.Contains(gen1.Survivors, ind) {
+			ind.Fitness = ea.Fitness{-1, -1}
+			break
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		cfg  CampaignConfig
@@ -262,6 +275,7 @@ func TestResumeValidation(t *testing.T) {
 		{"more runs than the campaign", cfg, twoRuns, "the log has 2 runs, the campaign 1"},
 		{"population size", badPop, first, "run 0: nsga2: generation 0: the log has 10 individuals, the search asks for 9"},
 		{"another seed", otherSeed, first, "run 0: nsga2: generation 0, position 0:"},
+		{"edited fitness", cfg, edited, "run 0: nsga2: generation 1, survivor"},
 	} {
 		_, err := ContinueCampaign(ctx, tc.cfg, tc.prev)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
