@@ -102,11 +102,9 @@ func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignResult, erro
 
 // ContinueCampaign carries a campaign on from its log, as the paper's
 // campaigns outlived Summit's 12-hour job cap (§2.2.5): run r is
-// nsga2.Continue from prev.Runs[r]'s generations with seed BaseSeed + r,
-// so it replays what the log holds, evaluates the rest up to Generations,
-// and ends on the bits of a campaign that never stopped.  A log this
-// configuration would not have written is refused, naming the run and
-// generation.  A nil prev, or a run without records, starts fresh; prev
+// ContinueRun from prev.Runs[r], so it replays what the log holds,
+// evaluates the rest up to Generations, and ends on the bits of a
+// campaign that never stopped.  A nil prev starts every run fresh; prev
 // may not have more runs than cfg.  Observer sees only the generations
 // this call evaluates.
 //
@@ -124,40 +122,65 @@ func ContinueCampaign(ctx context.Context, cfg CampaignConfig, prev *CampaignRes
 	if len(prev.Runs) > cfg.Runs {
 		return nil, fmt.Errorf("hpo: the log has %d runs, the campaign %d", len(prev.Runs), cfg.Runs)
 	}
-	rep := cfg.Representation
-	if rep.Bounds == nil {
-		rep = PaperRepresentation()
-	}
 	out := &CampaignResult{}
-	for run := 0; run < cfg.Runs; run++ {
-		runIdx := run
-		var observer func(gen int, evaluated, survivors ea.Population)
-		if cfg.Observer != nil {
-			observer = func(gen int, evaluated, survivors ea.Population) {
-				cfg.Observer(runIdx, gen, evaluated, survivors)
-			}
+	for r := 0; r < cfg.Runs; r++ {
+		var logged *nsga2.Result
+		if r < len(prev.Runs) {
+			logged = prev.Runs[r]
 		}
-		var logged []nsga2.GenerationRecord
-		if run < len(prev.Runs) {
-			logged = prev.Runs[run].Generations
-		}
-		res, err := nsga2.Continue(ctx, nsga2.Config{
-			PopSize:      cfg.PopSize,
-			Generations:  cfg.Generations,
-			Bounds:       rep.Bounds,
-			InitialStd:   rep.Std,
-			AnnealFactor: cfg.AnnealFactor,
-			Evaluator:    cfg.Evaluator,
-			Pool:         poolFromConfig(cfg),
-			Seed:         cfg.BaseSeed + int64(run),
-			Observer:     observer,
-		}, logged)
+		res, err := ContinueRun(ctx, cfg, r, logged)
 		if err != nil {
-			return out, fmt.Errorf("hpo: run %d: %w", run, err)
+			return out, err
 		}
 		out.Runs = append(out.Runs, res)
 	}
 	return out, nil
+}
+
+// ContinueRun carries run r of the campaign cfg describes on from prev,
+// its log: nsga2.Continue with seed BaseSeed + r, which replays prev's
+// generations, evaluates the rest up to Generations and refuses a log
+// this run would not have written, naming the generation and position.
+// A nil prev, or one without records, starts the run fresh.  cfg.Runs is
+// not read, and Observer sees run r's generations this call evaluates.
+func ContinueRun(ctx context.Context, cfg CampaignConfig, r int, prev *nsga2.Result) (*nsga2.Result, error) {
+	rep := cfg.Representation
+	if rep.Bounds == nil {
+		rep = PaperRepresentation()
+	}
+	var observer func(gen int, evaluated, survivors ea.Population)
+	if cfg.Observer != nil {
+		observer = func(gen int, evaluated, survivors ea.Population) {
+			cfg.Observer(r, gen, evaluated, survivors)
+		}
+	}
+	var logged []nsga2.GenerationRecord
+	if prev != nil {
+		logged = prev.Generations
+	}
+	res, err := nsga2.Continue(ctx, nsga2.Config{
+		PopSize:      cfg.PopSize,
+		Generations:  cfg.Generations,
+		Bounds:       rep.Bounds,
+		InitialStd:   rep.Std,
+		AnnealFactor: cfg.AnnealFactor,
+		Evaluator:    cfg.Evaluator,
+		Pool:         poolFromConfig(cfg),
+		Seed:         cfg.BaseSeed + int64(r),
+		Observer:     observer,
+	}, logged)
+	if err != nil {
+		return nil, fmt.Errorf("hpo: run %d: %w", r, err)
+	}
+	return res, nil
+}
+
+func poolFromConfig(cfg CampaignConfig) ea.PoolConfig {
+	return ea.PoolConfig{
+		Parallelism: cfg.Parallelism,
+		Timeout:     cfg.EvalTimeout,
+		Objectives:  2,
+	}
 }
 
 // ChemicallyAccurate reports whether a fitness meets the paper's §3.2

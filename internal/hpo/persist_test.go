@@ -466,9 +466,9 @@ func TestLoadCampaignTornTailAndCorruptLine(t *testing.T) {
 // at different generations.
 func TestCampaignFromRecordsEqualsLoadCampaign(t *testing.T) {
 	orig := smallCampaign(t)
-	ahead, err := ResumeRun(context.Background(), orig.Runs[1], CampaignConfig{
-		PopSize: 15, Evaluator: persistEval, Parallelism: 4, AnnealFactor: 0.85, BaseSeed: 5,
-	}, 1, 2)
+	ahead, err := ContinueRun(context.Background(), CampaignConfig{
+		PopSize: 15, Generations: 5, Evaluator: persistEval, Parallelism: 4, AnnealFactor: 0.85, BaseSeed: 5,
+	}, 1, orig.Runs[1])
 	if err != nil {
 		t.Fatal(err)
 	}

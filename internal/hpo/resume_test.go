@@ -3,8 +3,6 @@ package hpo
 import (
 	"bytes"
 	"context"
-	"errors"
-	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -112,125 +110,6 @@ func TestResumeRoundTripThroughPersistence(t *testing.T) {
 	}
 	if resumed.TotalEvaluations() != 10*2+10*2 {
 		t.Errorf("evaluations = %d", resumed.TotalEvaluations())
-	}
-}
-
-// resumeEach is the campaign service's reseeded leg: ResumeRun for one
-// more generation on every run in turn.
-func resumeEach(prev *CampaignResult, cfg CampaignConfig) (*CampaignResult, error) {
-	out := &CampaignResult{}
-	for r, run := range prev.Runs {
-		res, err := ResumeRun(context.Background(), run, cfg, r, 1)
-		if err != nil {
-			return nil, err
-		}
-		out.Runs = append(out.Runs, res)
-	}
-	return out, nil
-}
-
-// TestResumeChainedLegsDecorrelated is the regression test for the
-// resume-seed bug: the leg seed used to be BaseSeed + runIdx + 7919,
-// identical for every resume leg of the same run, so chaining two
-// resumes replayed the same mutation RNG stream.
-//
-// Construction: PopSize 1 with an evaluator that fails every genome
-// except the initial individuals.  Offspring then always carry MAXINT
-// fitness and lose environmental selection, so each leg mutates exactly
-// the same single parent — if leg 2 drew the same RNG stream as leg 1
-// (AnnealFactor 1 keeps σ constant across legs), its offspring would be
-// bitwise identical to leg 1's.
-func TestResumeChainedLegsDecorrelated(t *testing.T) {
-	allowed := map[string]bool{}
-	eval := ea.EvaluatorFunc(func(_ context.Context, g ea.Genome) (ea.Fitness, error) {
-		if allowed[ea.GenomeKey(g)] {
-			return ea.Fitness{1, 1}, nil
-		}
-		return nil, errors.New("offspring rejected by construction")
-	})
-	cfg := CampaignConfig{
-		Runs: 2, PopSize: 1, Generations: 0,
-		Evaluator: eval, Parallelism: 1, AnnealFactor: 1, BaseSeed: 404,
-	}
-	// Pre-register the initial genomes: generation 0 is drawn from
-	// rand.New(BaseSeed+runIdx) before any evaluation, so replicate that
-	// draw to know which genomes to admit.
-	rep := PaperRepresentation()
-	for run := 0; run < cfg.Runs; run++ {
-		rng := newSeededRand(cfg.BaseSeed + int64(run))
-		pop := ea.RandomPopulation(rng, rep.Bounds, cfg.PopSize, 0)
-		for _, ind := range pop {
-			allowed[ea.GenomeKey(ind.Genome)] = true
-		}
-	}
-	first, err := RunCampaign(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leg1, err := resumeEach(first, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leg1b, err := resumeEach(first, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leg2, err := resumeEach(leg1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for run := 0; run < cfg.Runs; run++ {
-		// Survivor invariant the construction relies on: failures never
-		// displace the evaluated parent.
-		if got := leg2.Runs[run].Final[0].Genome; !sameGenome(got, first.Runs[run].Final[0].Genome) {
-			t.Fatalf("run %d: parent displaced by failed offspring", run)
-		}
-		off1 := leg1.Runs[run].Generations[1].Evaluated[0].Genome
-		off1b := leg1b.Runs[run].Generations[1].Evaluated[0].Genome
-		off2 := leg2.Runs[run].Generations[2].Evaluated[0].Genome
-		// Replaying the same leg must stay deterministic...
-		if !sameGenome(off1, off1b) {
-			t.Errorf("run %d: replayed leg 1 is not deterministic", run)
-		}
-		// ...but the next leg must draw fresh noise.
-		if sameGenome(off1, off2) {
-			t.Errorf("run %d: leg 2 offspring identical to leg 1 — chained resumes replay the same RNG stream", run)
-		}
-	}
-}
-
-func sameGenome(a, b ea.Genome) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		//lint:ignore floateq bit-identity is exactly what this regression test measures
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestResumeSeedDistinct pins the derivation: seeds must differ across
-// legs (gensDone), across runs, and must not collide with any first-leg
-// seed (BaseSeed + runIdx) of a plausible campaign width.
-func TestResumeSeedDistinct(t *testing.T) {
-	const base = 2023
-	seen := map[int64]string{}
-	for run := 0; run < 64; run++ {
-		key := fmt.Sprintf("first-leg run %d", run)
-		seen[base+int64(run)] = key
-	}
-	for run := 0; run < 8; run++ {
-		for gens := 0; gens < 32; gens++ {
-			s := ResumeSeed(base, run, gens)
-			key := fmt.Sprintf("resume run %d gensDone %d", run, gens)
-			if prev, dup := seen[s]; dup {
-				t.Fatalf("seed collision: %q and %q both map to %d", prev, key, s)
-			}
-			seen[s] = key
-		}
 	}
 }
 

@@ -353,15 +353,14 @@ func (c *Campaign) Status() Status {
 	return st
 }
 
-// campaignConfig builds the hpo config for one single-generation leg of
-// one run of c: generation 0 through hpo.RunCampaign (Runs 1, and
-// Generations 0 since its count excludes generation 0), later ones
-// through hpo.ResumeRun.  The evaluator chain is shared-memo behind the
+// campaignConfig is the hpo configuration of c: what hpo.RunCampaign
+// would run for its spec.  The evaluator chain is shared-memo behind the
 // tenant's in-flight gate, which is what bounds the lanes' total.
 func (s *Service) campaignConfig(c *Campaign, t *tenant) hpo.CampaignConfig {
 	return hpo.CampaignConfig{
-		Runs:         1,
+		Runs:         c.Spec.Runs,
 		PopSize:      c.Spec.PopSize,
+		Generations:  c.Spec.gens(),
 		Evaluator:    gatedEvaluator{inner: s.eval, gate: t.gate},
 		Parallelism:  c.Spec.Parallelism,
 		EvalTimeout:  time.Duration(c.Spec.EvalTimeoutMS) * time.Millisecond,
@@ -372,14 +371,8 @@ func (s *Service) campaignConfig(c *Campaign, t *tenant) hpo.CampaignConfig {
 
 // run executes a campaign as one lane per run.  The runs of a campaign
 // never exchange anything, so nothing makes one wait for another: every
-// lane advances its own run through one-generation legs and starts the
-// next the moment the last is published, and one run's stragglers
-// overlap with the other runs' work instead of idling the fleet at a
-// barrier.  Each leg's RNG seed is a pure function of (BaseSeed, run,
-// that run's gensDone) — never of which process executes it, nor of how
-// the lanes interleave.  That invariance is the whole checkpoint/resume
-// story: a bounced service replays the same legs, each lane from its own
-// checkpointed generation, and lands on the same frontier.
+// lane is its run's whole search, and one run's stragglers overlap with
+// the other runs' work instead of idling the fleet at a barrier.
 //
 // The first lane error cancels the sibling lanes; run returns only after
 // every lane has, and classifies the campaign once.
@@ -410,7 +403,7 @@ func (s *Service) run(ctx context.Context, c *Campaign, t *tenant) {
 		}
 	}
 	// Run 0's lane is this goroutine: a one-run campaign is the same
-	// sequence of legs, records and events it always was.
+	// sequence of records and events it always was.
 	for r := 1; r < c.Spec.Runs; r++ {
 		lanes.Add(1)
 		go func(r int) {
@@ -430,37 +423,31 @@ func (s *Service) run(ctx context.Context, c *Campaign, t *tenant) {
 	s.logf("campaign_done", "id", c.ID, "tenant", c.Tenant)
 }
 
-// lane advances run r to the campaign's target one generation per leg,
-// checkpointing and then publishing after each; it is the only writer of
-// its run, in memory and in the checkpoint.  The leg that brings the
-// slowest run level completes a generation of the campaign and reports
-// it.
+// lane runs run r of c to the campaign's target as hpo.ContinueRun from
+// the run's records so far: a restored run replays its checkpoint, one
+// that is complete evaluates nothing, and the result is the run
+// hpo.RunCampaign computes for the same spec.  After each generation it
+// evaluates, the lane checkpoints the record and then publishes it; it
+// is the only writer of its run, in memory and in the checkpoint.  The
+// generation that brings the slowest run level completes a generation
+// of the campaign and reports it.
 func (s *Service) lane(ctx context.Context, c *Campaign, t *tenant, r int) error {
 	cfg := s.campaignConfig(c, t)
 	run := c.runResult(r)
-	for {
-		switch {
-		case run == nil:
-			first := cfg
-			first.BaseSeed += int64(r)
-			res, err := hpo.RunCampaign(ctx, first)
-			if err != nil {
-				return fmt.Errorf("service: lane %d: %w", r, err)
-			}
-			run = res.Runs[0]
-		case len(run.Generations) > c.Spec.gens():
-			return nil
-		default:
-			var err error
-			if run, err = hpo.ResumeRun(ctx, run, cfg, r, 1); err != nil {
-				return err
-			}
+	cfg.Observer = func(_, gen int, evaluated, survivors ea.Population) {
+		rec := nsga2.GenerationRecord{Gen: gen, Evaluated: evaluated, Survivors: survivors, Failures: evaluated.Failures()}
+		var gens []nsga2.GenerationRecord
+		if run != nil {
+			gens = run.Generations[:len(run.Generations):len(run.Generations)]
 		}
-		s.appendRecord(c, r, run.Generations[len(run.Generations)-1])
+		run = &nsga2.Result{Generations: append(gens, rec), Final: survivors}
+		s.appendRecord(c, r, rec)
 		if c.publish(r, run) {
 			s.reportGenerations(c)
 		}
 	}
+	_, err := hpo.ContinueRun(ctx, cfg, r, run)
+	return err
 }
 
 // reportGenerations announces every generation the campaign has

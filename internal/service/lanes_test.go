@@ -4,15 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/ea"
 	"repro/internal/hpo"
 	"repro/internal/service"
@@ -135,55 +140,130 @@ func TestRunsShareTheFleet(t *testing.T) {
 	}
 }
 
-// TestLanesEqualSequentialLegs pins that the lanes change when work
-// happens and nothing else: a Runs-3 service campaign serves the same
-// frontier and lcurve bytes as hpo.RunCampaign for generation 0 followed
-// by hpo.ResumeRun one generation at a time, every run in turn.
-func TestLanesEqualSequentialLegs(t *testing.T) {
-	spec := service.Spec{
-		Tenant: "alice", Name: "lanes", Runs: 3, PopSize: 6, Generations: intp(3),
-		BaseSeed: 41, AnnealFactor: 0.85, Parallelism: 3,
+// sameRuns reports, as an error naming the first difference, whether
+// got holds want's records: per run and generation, the evaluated
+// individuals and the survivors in order, genome and fitness bit for
+// bit.
+func sameRuns(got, want *hpo.CampaignResult) error {
+	if len(got.Runs) != len(want.Runs) {
+		return fmt.Errorf("%d runs, want %d", len(got.Runs), len(want.Runs))
 	}
-	_, srv := newTestServer(t, nil)
+	bits := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	for r, run := range got.Runs {
+		w := want.Runs[r]
+		if len(run.Generations) != len(w.Generations) {
+			return fmt.Errorf("run %d: %d generations, want %d", r, len(run.Generations), len(w.Generations))
+		}
+		for g, rec := range run.Generations {
+			for _, pair := range [][2]ea.Population{{rec.Evaluated, w.Generations[g].Evaluated}, {rec.Survivors, w.Generations[g].Survivors}} {
+				if len(pair[0]) != len(pair[1]) {
+					return fmt.Errorf("run %d gen %d: %d individuals, want %d", r, g, len(pair[0]), len(pair[1]))
+				}
+				for i, ind := range pair[0] {
+					if !bits(ind.Genome, pair[1][i].Genome) || !bits(ind.Fitness, pair[1][i].Fitness) {
+						return fmt.Errorf("run %d gen %d position %d: %v %v, want %v %v",
+							r, g, i, ind.Genome, ind.Fitness, pair[1][i].Genome, pair[1][i].Fitness)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestServedEqualsDirectByteIdentical pins that a served campaign is the
+// campaign hpo.RunCampaign computes for its spec, on a LocalCluster
+// fleet: every run's records, generation by generation and in survivor
+// order, and the /frontier document — once uninterrupted and once
+// drained mid-campaign and restored, so restart invariance comes from
+// replaying the checkpoint.
+func TestServedEqualsDirectByteIdentical(t *testing.T) {
+	spec := service.Spec{
+		Tenant: "alice", Name: "direct", Runs: 3, PopSize: 6, Generations: intp(4),
+		BaseSeed: 41, Parallelism: 3,
+	}
 	body, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := postCampaign(t, srv.URL, string(body))
-	waitStatusHTTP(t, srv.URL, st.ID, service.StateDone)
-
-	cfg := hpo.CampaignConfig{
-		Runs: spec.Runs, PopSize: spec.PopSize, Generations: 0,
-		Evaluator:   surrogate.NewEvaluator(surrogate.Config{Seed: 2023}),
-		Parallelism: spec.Parallelism, AnnealFactor: spec.AnnealFactor, BaseSeed: spec.BaseSeed,
-	}
-	ref, err := hpo.RunCampaign(context.Background(), cfg)
+	sur := surrogate.NewEvaluator(surrogate.Config{Seed: 2023})
+	direct, err := hpo.RunCampaign(context.Background(), hpo.CampaignConfig{
+		Runs: spec.Runs, PopSize: spec.PopSize, Generations: *spec.Generations,
+		Evaluator: sur, Parallelism: spec.Parallelism, BaseSeed: spec.BaseSeed,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for g := 0; g < *spec.Generations; g++ {
-		for r := range ref.Runs {
-			if ref.Runs[r], err = hpo.ResumeRun(context.Background(), ref.Runs[r], cfg, r, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Serve the reference through the same renderer: a terminal
+	// The direct campaign through the same renderer: a terminal
 	// checkpoint is registered read-only by Restore.
-	dir := t.TempDir()
+	refDir := t.TempDir()
 	const refID = "00000000-0000-4000-8000-000000000001"
-	writeCheckpoint(t, dir, refID, spec, service.StateDone, ref)
-	refSvc, refSrv := newTestServer(t, func(cfg *service.Config) { cfg.CheckpointDir = dir })
+	writeCheckpoint(t, refDir, refID, spec, service.StateDone, direct)
+	refSvc, refSrv := newTestServer(t, func(cfg *service.Config) { cfg.CheckpointDir = refDir })
 	if _, err := refSvc.Restore(); err != nil {
 		t.Fatal(err)
 	}
-	for _, doc := range []string{"frontier", "lcurve"} {
-		got := getBytes(t, srv.URL+"/v1/campaigns/"+st.ID+"/"+doc)
-		want := getBytes(t, refSrv.URL+"/v1/campaigns/"+refID+"/"+doc)
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s differs from the sequential legs':\nlanes:      %s\nsequential: %s", doc, got, want)
+	wantFrontier := getBytes(t, refSrv.URL+"/v1/campaigns/"+refID+"/frontier")
+
+	// Slowed enough that the drain lands mid-campaign.
+	slow := ea.EvaluatorFunc(func(ctx context.Context, g ea.Genome) (ea.Fitness, error) {
+		time.Sleep(8 * time.Millisecond)
+		return sur.Evaluate(ctx, g)
+	})
+	lc, err := cluster.NewLocalCluster(3, cluster.EvalHandler(slow), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := lc.Close(); err != nil {
+			t.Logf("fleet close: %v", err)
+		}
+	})
+	newSrv := func(dir string) (*service.Service, *httptest.Server) {
+		return newTestServer(t, func(cfg *service.Config) {
+			cfg.Evaluator = &cluster.Evaluator{Client: lc.Scheduler}
+			cfg.CheckpointDir = dir
+		})
+	}
+	check := func(how, base, id string) {
+		t.Helper()
+		got, err := hpo.LoadCampaign(bytes.NewReader(getBytes(t, base+"/v1/campaigns/"+id+"/result")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameRuns(got, direct); err != nil {
+			t.Errorf("%s: the served records differ from hpo.RunCampaign's: %v", how, err)
+		}
+		if f := getBytes(t, base+"/v1/campaigns/"+id+"/frontier"); !bytes.Equal(f, wantFrontier) {
+			t.Errorf("%s: /frontier differs from the direct ParetoFront():\nserved: %s\ndirect: %s", how, f, wantFrontier)
 		}
 	}
+
+	_, srv := newSrv("")
+	st := postCampaign(t, srv.URL, string(body))
+	waitStatusHTTP(t, srv.URL, st.ID, service.StateDone)
+	check("uninterrupted", srv.URL, st.ID)
+
+	dir := t.TempDir()
+	svc1, srv1 := newSrv(dir)
+	st = postCampaign(t, srv1.URL, string(body))
+	waitGensDone(t, srv1.URL, st.ID, 1)
+	drainCtx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := svc1.Drain(drainCtx); err != nil {
+		t.Fatal(err)
+	}
+	if before := soleCampaign(t, svc1, "alice").Status(); before.State != service.StateSuspended || before.GensDone >= *spec.Generations {
+		t.Fatalf("after drain: %+v, want suspended mid-campaign", before)
+	}
+	svc2, srv2 := newSrv(dir)
+	if n, err := svc2.Restore(); err != nil || n != 1 {
+		t.Fatalf("restore: %d campaigns, err %v", n, err)
+	}
+	waitStatusHTTP(t, srv2.URL, st.ID, service.StateDone)
+	check("bounced", srv2.URL, st.ID)
 }
 
 // heldEvaluator scores with the surrogate, but holds every genome in
@@ -311,54 +391,74 @@ func TestStaggeredLaneBounce(t *testing.T) {
 	}
 }
 
-// TestLaneFailureSingleTerminalEvent fails one lane while its siblings
-// are mid-evaluation: the campaign must fail once, with the failing
-// lane's error, and every lane must be gone when it does.
+// TestLaneFailureSingleTerminalEvent restores a checkpoint whose run 1
+// the replay refuses while its siblings are mid-evaluation: the campaign
+// must fail once, with the failing lane's error naming the run, the
+// generation and the position, and every lane must be gone when it does.
 func TestLaneFailureSingleTerminalEvent(t *testing.T) {
-	spec := service.Spec{
-		Tenant: "alice", Name: "broken", Runs: 3, PopSize: 4, Generations: intp(2), BaseSeed: 5,
-	}
-	cfg := hpo.CampaignConfig{
-		Runs: 3, PopSize: 4, Evaluator: surrogate.NewEvaluator(surrogate.Config{Seed: 2023}), BaseSeed: 5,
-	}
-	res, err := hpo.RunCampaign(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Run 1 comes back with a population the spec cannot resume.
-	cfg.Runs, cfg.PopSize = 1, 5
-	odd, err := hpo.RunCampaign(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Runs[1] = odd.Runs[0]
-	dir := t.TempDir()
-	writeCheckpoint(t, dir, "00000000-0000-4000-8000-000000000002", spec, service.StateSuspended, res)
+	for _, tc := range []struct {
+		name string
+		// logged is how many generations every run's log holds; damage
+		// makes run 1's log one its search would not have written.
+		logged int
+		damage func(t *testing.T, res *hpo.CampaignResult, cfg hpo.CampaignConfig)
+		want   string
+	}{
+		{"population size", 1, func(t *testing.T, res *hpo.CampaignResult, cfg hpo.CampaignConfig) {
+			cfg.Runs, cfg.PopSize = 1, 5
+			odd, err := hpo.RunCampaign(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Runs[1] = odd.Runs[0]
+		}, "run 1: nsga2: generation 0: the log has 5 individuals"},
+		{"flipped genome bit", 2, func(t *testing.T, res *hpo.CampaignResult, _ hpo.CampaignConfig) {
+			g := res.Runs[1].Generations[1].Evaluated[0].Genome
+			g[0] = math.Float64frombits(math.Float64bits(g[0]) ^ 1)
+		}, "run 1: nsga2: generation 1, position 0:"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := service.Spec{
+				Tenant: "alice", Name: "broken", Runs: 3, PopSize: 4, Generations: intp(2), BaseSeed: 5,
+			}
+			cfg := hpo.CampaignConfig{
+				Runs: 3, PopSize: 4, Generations: tc.logged - 1,
+				Evaluator: surrogate.NewEvaluator(surrogate.Config{Seed: 2023}), BaseSeed: 5,
+			}
+			res, err := hpo.RunCampaign(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, res, cfg)
+			dir := t.TempDir()
+			writeCheckpoint(t, dir, "00000000-0000-4000-8000-000000000002", spec, service.StateSuspended, res)
 
-	be := &blockingEvaluator{release: make(chan struct{})}
-	svc := newTestService(t, func(cfg *service.Config) {
-		cfg.Evaluator = be
-		cfg.CheckpointDir = dir
-	})
-	if n, err := svc.Restore(); err != nil || n != 1 {
-		t.Fatalf("restore: %d campaigns, err %v", n, err)
-	}
-	c := soleCampaign(t, svc, "alice")
-	waitState(t, c, service.StateFailed)
-	if got := waitTerminalEvents(t, c); len(got) != 1 || got[0] != "failed" {
-		t.Fatalf("terminal events %v, want exactly one failed", got)
-	}
-	if st := c.Status(); !strings.Contains(st.Error, "run 1") {
-		t.Fatalf("error %q does not name the failing run", st.Error)
-	}
-	// Nothing is left running: the drain has no one to wait for.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := svc.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := terminalEvents(c); len(got) != 1 {
-		t.Fatalf("terminal events after drain %v, want still one", got)
+			be := &blockingEvaluator{release: make(chan struct{})}
+			svc := newTestService(t, func(cfg *service.Config) {
+				cfg.Evaluator = be
+				cfg.CheckpointDir = dir
+			})
+			if n, err := svc.Restore(); err != nil || n != 1 {
+				t.Fatalf("restore: %d campaigns, err %v", n, err)
+			}
+			c := soleCampaign(t, svc, "alice")
+			waitState(t, c, service.StateFailed)
+			if got := waitTerminalEvents(t, c); len(got) != 1 || got[0] != "failed" {
+				t.Fatalf("terminal events %v, want exactly one failed", got)
+			}
+			if st := c.Status(); !strings.Contains(st.Error, tc.want) {
+				t.Fatalf("error %q, want one containing %q", st.Error, tc.want)
+			}
+			// Nothing is left running: the drain has no one to wait for.
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := svc.Drain(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if got := terminalEvents(c); len(got) != 1 {
+				t.Fatalf("terminal events after drain %v, want still one", got)
+			}
+		})
 	}
 }
 
