@@ -62,7 +62,7 @@ func main() {
 	maxActive := flag.Int("max-active-per-tenant", 2, "one tenant's campaigns running at once")
 	maxCampaigns := flag.Int("max-campaigns-per-tenant", 16, "one tenant's queued+running campaigns")
 	maxInflight := flag.Int("max-inflight-per-tenant", 64, "one tenant's concurrent evaluations")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight legs to checkpoint on shutdown")
+	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight generations to checkpoint on shutdown")
 	flag.Parse()
 
 	if err := run(*addr, *workers, *workersListen, *seed, *lease, *noMemo,

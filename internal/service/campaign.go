@@ -105,11 +105,11 @@ type State string
 const (
 	// StateQueued: created, awaiting admission.
 	StateQueued State = "queued"
-	// StateRunning: admitted, legs executing.
+	// StateRunning: admitted, lanes executing.
 	StateRunning State = "running"
 	// StateDone: all generations completed.
 	StateDone State = "done"
-	// StateFailed: a leg failed for a non-cancellation reason.
+	// StateFailed: a lane failed for a non-cancellation reason.
 	StateFailed State = "failed"
 	// StateCancelled: stopped by client request.
 	StateCancelled State = "cancelled"
@@ -414,7 +414,7 @@ func (s *Service) run(ctx context.Context, c *Campaign, t *tenant) {
 	runLane(0)
 	lanes.Wait()
 	if laneErr != nil {
-		s.finishLeg(ctx, c, laneErr)
+		s.finishLane(ctx, c, laneErr)
 		return
 	}
 
@@ -479,11 +479,11 @@ func (s *Service) reportGenerations(c *Campaign) {
 	}
 }
 
-// finishLeg classifies a failed lane: context cancellation is either a
+// finishLane classifies a failed lane: context cancellation is either a
 // client cancel or a drain suspension; anything else fails the campaign.
 // Either way the checkpoint holds every generation any lane completed,
 // so none of it is evaluated again after Restore.
-func (s *Service) finishLeg(ctx context.Context, c *Campaign, legErr error) {
+func (s *Service) finishLane(ctx context.Context, c *Campaign, laneErr error) {
 	c.mu.Lock()
 	cancelled := c.cancelled
 	gd := c.gensDoneLocked()
@@ -494,11 +494,11 @@ func (s *Service) finishLeg(ctx context.Context, c *Campaign, legErr error) {
 	case ctx.Err() != nil:
 		s.settle(c, StateSuspended, "")
 	default:
-		s.settle(c, StateFailed, legErr.Error())
+		s.settle(c, StateFailed, laneErr.Error())
 	}
 	typ := string(c.State())
-	c.emit(Event{Type: typ, Gen: gd, Detail: legErr.Error()})
-	s.logf("campaign_"+typ, "id", c.ID, "tenant", c.Tenant, "gens_done", gd, "err", legErr)
+	c.emit(Event{Type: typ, Gen: gd, Detail: laneErr.Error()})
+	s.logf("campaign_"+typ, "id", c.ID, "tenant", c.Tenant, "gens_done", gd, "err", laneErr)
 }
 
 var _ ea.Evaluator = gatedEvaluator{}

@@ -43,23 +43,22 @@ import (
 //     says so.
 //
 // Restore replays header → records → last state line.  A campaign whose
-// last state is queued or suspended is requeued, and because every run's
-// legs carry restart-invariant seeds (see Service.run), each run resumes
-// from its own last record onto exactly the trajectory an uninterrupted
-// run would have taken: a drain loses at most each run's in-flight
-// generation, never a completed one, and never changes the final
-// frontier.
+// last state is queued or suspended is requeued, and each of its lanes
+// replays its run's records (see Service.lane) before it evaluates the
+// rest, onto exactly the trajectory an uninterrupted run would have
+// taken: a drain loses at most each run's in-flight generation, never a
+// completed one, and never changes the final frontier.
 //
 // Torn tail: an append is a single write, so a process killed inside one
 // leaves at most a final line without its newline.  Restore drops such a
 // line and truncates the file back to the last complete one before
 // anything new is appended — the run re-evaluates that generation, the
-// same loss as a drain mid-leg.  That is done only to a file whose first
-// line parsed as a version-2 header; anything else — a version-1
-// whole-document checkpoint, a foreign file — is refused untouched.  A
-// complete line that does not parse, or a record that is not its run's
-// next generation, is an error naming file and line: it means something
-// other than a crash damaged the file.  hpo.ReadRecords, the reader of
+// same loss as a drain mid-generation.  That is done only to a file
+// whose first line parsed as a version-2 header; anything else — a
+// version-1 whole-document checkpoint, a foreign file — is refused
+// untouched.  A complete line that does not parse, or a record that is
+// not its run's next generation, is an error naming file and line: it
+// means something other than a crash damaged the file.  hpo.ReadRecords, the reader of
 // hpo's campaign log, reads every line after the header.
 
 const (

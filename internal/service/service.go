@@ -12,15 +12,21 @@
 // genome-keyed memo cache — while keeping its own RNG stream, EA context
 // and event ring.
 //
-// Execution is *legged* and *laned*.  Every run of a campaign is a lane:
-// it advances one offspring generation per leg — hpo.RunCampaign with
-// Runs 1 for generation 0, hpo.ResumeRun for every later one — and starts
-// its next leg the moment the last is published.  The runs of a campaign
-// never exchange anything, so no lane waits for another: one run's
-// stragglers overlap with the other runs' evaluations instead of idling
-// the fleet at a barrier five times per generation.  A campaign has up to
-// runs × parallelism evaluations in flight, capped by its tenant's
-// MaxInFlightPerTenant.
+// Execution is *laned*.  Every run of a campaign is a lane, and a lane
+// is one engine run: hpo.ContinueRun with seed BaseSeed + run, whose
+// observer checkpoints and then publishes each generation it evaluates,
+// so a served campaign is the campaign hpo.RunCampaign computes for its
+// spec.  Restart invariance comes by replay: a restored lane hands its
+// run's checkpointed records to hpo.ContinueRun, which asks the search
+// for each of them again and checks genomes and survivors against the
+// log, so RNG position, σ and population come back by construction and
+// a bounce loses at most each run's in-flight generation; a log the
+// replay refuses fails the campaign, naming run, generation and
+// position.  The runs never exchange anything, so no lane waits for
+// another: one run's stragglers overlap with the other runs'
+// evaluations instead of idling the fleet at a barrier five times per
+// generation.  A campaign has up to runs × parallelism evaluations in
+// flight, capped by its tenant's MaxInFlightPerTenant.
 //
 // The campaign is as far as its slowest run: gens_done is the minimum
 // over runs, and each time it advances the service emits one generation
@@ -35,16 +41,9 @@
 // rewritten.  Two rules order it against what clients see — record
 // before publish, state line before state — so a generation event or a
 // terminal state is never ahead of the bytes that back it.  Runs may be
-// ahead of gens_done inside a checkpoint, and Restore resumes each from
-// its own last record; a final line without its newline is a write a
+// ahead of gens_done inside a checkpoint, and each lane replays its own
+// records on Restore; a final line without its newline is a write a
 // crash tore, dropped (and truncated away) on Restore.
-//
-// Because each leg's RNG seed is derived from (BaseSeed, run, that run's
-// gensDone) alone, the result of a campaign is a pure function of its
-// spec — independent of how lanes interleave and of where process
-// restarts fall — so a scheduler bounce or deploy loses at most each
-// run's in-flight generation and the resumed frontier is byte-identical
-// to an uninterrupted run's.
 package service
 
 import (
@@ -410,8 +409,8 @@ func (s *Service) Cancel(id string) error {
 	}
 }
 
-// Drain stops admission, cancels the in-flight legs of every running
-// campaign and waits for the runners to checkpoint and exit.  After
+// Drain stops admission, cancels the in-flight generations of every
+// running campaign and waits for the runners to checkpoint and exit.  After
 // Drain returns, every non-terminal campaign has a checkpoint from which
 // Restore continues it with no completed generation of any run lost.
 func (s *Service) Drain(ctx context.Context) error {
