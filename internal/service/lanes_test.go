@@ -206,6 +206,9 @@ func TestServedEqualsDirectByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantFrontier := getBytes(t, refSrv.URL+"/v1/campaigns/"+refID+"/frontier")
+	if size := fmt.Sprintf(`{"size":%d,`, len(direct.ParetoFront())); !bytes.HasPrefix(wantFrontier, []byte(size)) {
+		t.Fatalf("the rendered direct frontier %s is not ParetoFront()'s %s…", wantFrontier, size)
+	}
 
 	// Slowed enough that the drain lands mid-campaign.
 	slow := ea.EvaluatorFunc(func(ctx context.Context, g ea.Genome) (ea.Fitness, error) {
