@@ -20,7 +20,10 @@ func BenchmarkTaskRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer lc.Close()
-	payload := json.RawMessage(`{"genome":[1,2,3,4,5,6,7]}`)
+	payload, err := appendPayload(nil, genomeKind, []float64{1, 2, 3, 4, 5, 6, 7})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := lc.Scheduler.Submit(context.Background(), payload); err != nil {

@@ -71,10 +71,11 @@ func (lc *LocalCluster) Close() error {
 }
 
 // Evaluator adapts a scheduler into an ea.Evaluator: each genome is
-// submitted as a {"genome":[…]} task and the fitness comes back as
-// {"fitness":[…]} from whichever worker ran it.  Worker-side errors
-// surface as evaluation errors, which the EA converts to MAXINT fitness
-// (§2.2.4).
+// submitted as a task payload and the fitness comes back as a result
+// payload from whichever worker ran it (payload.go has the layout; a
+// worker answers it with EvalHandler).  Worker-side errors, a non-finite
+// gene and a result payload that does not decode surface as evaluation
+// errors, which the EA converts to MAXINT fitness (§2.2.4).
 type Evaluator struct {
 	// Client is the scheduler the genomes are submitted to.
 	Client *Scheduler
@@ -82,7 +83,7 @@ type Evaluator struct {
 
 // Evaluate implements ea.Evaluator.
 func (ce *Evaluator) Evaluate(ctx context.Context, g ea.Genome) (ea.Fitness, error) {
-	payload, err := appendPayload(make([]byte, 0, 16+24*len(g)), genomeKey, g)
+	payload, err := appendPayload(make([]byte, 0, 1+8*len(g)), genomeKind, g)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +91,7 @@ func (ce *Evaluator) Evaluate(ctx context.Context, g ea.Genome) (ea.Fitness, err
 	if err != nil {
 		return nil, err
 	}
-	fit, err := parsePayload(out, fitnessKey)
+	fit, err := parsePayload(out, fitnessKind)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: bad fitness payload: %w", err)
 	}
@@ -98,10 +99,12 @@ func (ce *Evaluator) Evaluate(ctx context.Context, g ea.Genome) (ea.Fitness, err
 }
 
 // EvalHandler wraps an ea.Evaluator as a worker Handler, so the same
-// fitness code runs locally or behind the scheduler.
+// fitness code runs locally or behind the scheduler: it decodes the
+// genome of the task payload Evaluator submits and answers with the
+// fitness as a result payload.  A non-finite objective fails the task.
 func EvalHandler(ev ea.Evaluator) Handler {
 	return func(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
-		g, err := parsePayload(payload, genomeKey)
+		g, err := parsePayload(payload, genomeKind)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: bad genome payload: %w", err)
 		}
@@ -109,6 +112,6 @@ func EvalHandler(ev ea.Evaluator) Handler {
 		if err != nil {
 			return nil, err
 		}
-		return appendPayload(make([]byte, 0, 16+24*len(fit)), fitnessKey, fit)
+		return appendPayload(make([]byte, 0, 1+8*len(fit)), fitnessKind, fit)
 	}
 }

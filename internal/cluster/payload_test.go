@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"strings"
@@ -12,39 +13,9 @@ import (
 	"repro/internal/ea"
 )
 
-// genomeTask and fitnessResult are the encoding/json shapes of the two
-// evaluation payloads: the oracle appendPayload and parsePayload are
-// held to.
-type genomeTask struct {
-	Genome []float64 `json:"genome"`
-}
-
-type fitnessResult struct {
-	Fitness []float64 `json:"fitness"`
-}
-
-// marshalOracle is what encoding/json writes for v under key.
-func marshalOracle(key string, v []float64) ([]byte, error) {
-	if key == genomeKey {
-		return json.Marshal(genomeTask{Genome: v})
-	}
-	return json.Marshal(fitnessResult{Fitness: v})
-}
-
-// unmarshalOracle is what encoding/json reads from data under key.
-func unmarshalOracle(key string, data []byte) ([]float64, error) {
-	if key == genomeKey {
-		var g genomeTask
-		err := json.Unmarshal(data, &g)
-		return g.Genome, err
-	}
-	var f fitnessResult
-	err := json.Unmarshal(data, &f)
-	return f.Fitness, err
-}
-
-func sameFloats(a, b []float64) bool {
-	if (a == nil) != (b == nil) || len(a) != len(b) {
+// sameBits reports whether a and b hold the same values bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
@@ -55,97 +26,83 @@ func sameFloats(a, b []float64) bool {
 	return true
 }
 
-// checkEncode holds appendPayload to json.Marshal for one slice: the
-// same bytes (or the same error), and a bit-exact round trip.
-func checkEncode(t *testing.T, key string, v []float64) {
-	t.Helper()
-	want, wantErr := marshalOracle(key, v)
-	got, err := appendPayload(nil, key, v)
-	if (err != nil) != (wantErr != nil) {
-		t.Fatalf("%s %v: error %v, encoding/json %v", key, v, err, wantErr)
-	}
-	if err != nil {
-		if err.Error() != wantErr.Error() {
-			t.Fatalf("%s %v: error %q, encoding/json %q", key, v, err, wantErr)
-		}
-		return
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s %v:\n got  %s\n json %s", key, v, got, want)
-	}
-	back, err := parsePayload(got, key)
-	if err != nil {
-		t.Fatalf("%s: decoding own encoding %s: %v", key, got, err)
-	}
-	if !sameFloats(back, v) {
-		t.Fatalf("%s: round trip %v -> %s -> %v", key, v, got, back)
-	}
-}
-
-// checkDecode holds parsePayload to json.Unmarshal: whatever it accepts,
-// encoding/json accepts too and decodes to the same bits.
-func checkDecode(t *testing.T, key string, data []byte) {
-	t.Helper()
-	got, err := parsePayload(data, key)
-	if err != nil {
-		return
-	}
-	want, wantErr := unmarshalOracle(key, data)
-	if wantErr != nil {
-		t.Fatalf("%s: accepted %q, which encoding/json rejects: %v", key, data, wantErr)
-	}
-	if !sameFloats(got, want) {
-		t.Fatalf("%s: %q decodes to %v, encoding/json %v", key, data, got, want)
-	}
-}
-
-func TestPayloadCodecMatchesEncodingJSON(t *testing.T) {
-	edges := []float64{
-		0, math.Copysign(0, -1), 1, -1, 0.1, 1.0 / 3, 123456.789,
-		1e-6, math.Nextafter(1e-6, 0), -1e-6, 1e-7, 1.5e-9, 1e-300,
-		1e21, math.Nextafter(1e21, 0), -1e21, 1e22, 1.2345e100,
-		math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64,
-		math.Float64frombits(1), 9007199254740993,
-	}
-	for _, key := range []string{genomeKey, fitnessKey} {
-		checkEncode(t, key, nil)
-		checkEncode(t, key, []float64{})
-		checkEncode(t, key, edges)
-		for _, f := range edges {
-			checkEncode(t, key, []float64{f})
-		}
-		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			checkEncode(t, key, []float64{1, bad})
-		}
-	}
-	for _, in := range []string{
-		`{"genome":[1,2]}`, `{"genome":null}`, `{"genome":[]}`, `{"genome":[-0]}`,
-		`{"genome":[1E5,2e+3,-4.25e-2]}`, `{"genome":[1e400]}`, `{"genome":[1,]}`,
-		`{"genome":[,1]}`, `{"genome":[01]}`, `{"genome":[1.]}`, `{"genome":[.5]}`,
-		`{"genome":[null]}`, `{"genome": [1]}`, `{"Genome":[1]}`, `{"genome":[1]} `,
-		`{"genome":[1],"x":2}`, `{"genome":"1"}`, `{"genome":[1e]}`, `{"genome":[-]}`,
-		`{"fitness":[0.5,1]}`, `{"genome":[NaN]}`, `{"genome":[+1]}`, `{}`, ``,
+// TestPayloadWireBytes pins the payload layout: a kind byte, then each
+// value's IEEE-754 bits little-endian.
+func TestPayloadWireBytes(t *testing.T) {
+	for _, tc := range []struct {
+		kind payloadKind
+		v    []float64
+		want string
+	}{
+		{genomeKind, []float64{0.1, -2, 0.5, 3, 1e-05, 7, 0}, "67" +
+			"9a9999999999b93f" + "00000000000000c0" + "000000000000e03f" + "0000000000000840" +
+			"f168e388b5f8e43e" + "0000000000001c40" + "0000000000000000"},
+		{fitnessKind, []float64{0.0026, 0.069}, "66" + "94f6065f984c653f" + "448b6ce7fba9b13f"},
 	} {
-		checkDecode(t, genomeKey, []byte(in))
-		checkDecode(t, fitnessKey, []byte(in))
+		got, err := appendPayload(nil, tc.kind, tc.v)
+		if err != nil {
+			t.Fatalf("%s %v: %v", tc.kind, tc.v, err)
+		}
+		if hex.EncodeToString(got) != tc.want {
+			t.Errorf("%s %v:\n got  %x\n want %s", tc.kind, tc.v, got, tc.want)
+		}
+		back, err := parsePayload(got, tc.kind)
+		if err != nil || !sameBits(back, tc.v) {
+			t.Errorf("%s: %x decodes to %v, %v", tc.kind, got, back, err)
+		}
 	}
-	if _, err := parsePayload([]byte(`{"genome":[1],"fitness":[2]}`), genomeKey); err == nil {
-		t.Error("a payload with a second key was accepted")
+}
+
+func TestPayloadRefusals(t *testing.T) {
+	nanBits := binary.LittleEndian.AppendUint64([]byte{'f'}, math.Float64bits(math.NaN()))
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		kind payloadKind
+		want string
+	}{
+		{"empty", nil, genomeKind, "not a genome payload"},
+		{"wrong kind", []byte{'f'}, genomeKind, "not a genome payload"},
+		{"short value", []byte{'f', 0, 0, 0}, fitnessKind, "fitness payload: 3 value bytes"},
+		{"NaN bits", nanBits, fitnessKind, "fitness payload: value 0 is NaN"},
+		{"-Inf bits", binary.LittleEndian.AppendUint64([]byte{'g', 0, 0, 0, 0, 0, 0, 0, 0}, math.Float64bits(math.Inf(-1))),
+			genomeKind, "genome payload: value 1 is -Inf"},
+	} {
+		if v, err := parsePayload(tc.in, tc.kind); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, %v; want an error containing %q", tc.name, v, err, tc.want)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := appendPayload(nil, fitnessKind, []float64{1, bad})
+		if want := "cluster: fitness payload: value 1 is "; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("encoding %v: %v, want an error starting %q", bad, err, want)
+		}
+	}
+	if v, err := parsePayload([]byte{'g'}, genomeKind); v != nil || err != nil {
+		t.Errorf("a payload with no values decodes to %#v, %v; want nil", v, err)
 	}
 }
 
 // FuzzPayloadCodec reads its input two ways: as little-endian float64
-// bits for the encoder, which must write json.Marshal's bytes (or fail
-// with its error) and round-trip bit for bit; and as raw bytes for the
-// decoder, which may accept only what json.Unmarshal accepts, with the
-// same bits.
+// bits for the encoder, which must refuse a non-finite vector and
+// round-trip a finite one bit for bit; and as raw bytes for the decoder,
+// which must not panic and must re-encode whatever it accepts to the
+// same bytes.
 func FuzzPayloadCodec(f *testing.F) {
 	for _, s := range []string{
-		`{"genome":[0.5,-1.5]}`, `{"genome":[1]}`, `{"fitness":[0.00105,0.0375]}`,
-		`{"genome":null}`, `{"fitness":[]}`, `{"genome":[1e-7,-0,1e+21]}`,
-		`{"genome":[1.7976931348623157e+308,5e-324]}`,
+		"67" + "9a9999999999b93f" + "00000000000000c0" + "000000000000e03f" + "0000000000000840" +
+			"f168e388b5f8e43e" + "0000000000001c40" + "0000000000000000",
+		"66" + "94f6065f984c653f" + "448b6ce7fba9b13f",
+		"67", "66", "",
+		"66" + "010000000000f87f", // NaN bits
+		"78" + "000000000000f03f", // unknown kind
+		"67" + "000000",           // torn value
 	} {
-		f.Add([]byte(s))
+		b, err := hex.DecodeString(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
 	}
 	var bits []byte
 	for _, v := range []float64{math.Copysign(0, -1), 1e-6, 1e21, math.NaN(), 0.1} {
@@ -155,20 +112,39 @@ func FuzzPayloadCodec(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		v := make([]float64, len(in)/8)
+		finite := true
 		for i := range v {
 			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(in[8*i:]))
+			finite = finite && !math.IsNaN(v[i]) && !math.IsInf(v[i], 0)
 		}
-		for _, key := range []string{genomeKey, fitnessKey} {
-			checkEncode(t, key, v)
-			checkDecode(t, key, in)
+		for _, kind := range []payloadKind{genomeKind, fitnessKind} {
+			enc, err := appendPayload(nil, kind, v)
+			if (err == nil) != finite {
+				t.Fatalf("%s %v: encode error %v", kind, v, err)
+			}
+			if err == nil {
+				back, err := parsePayload(enc, kind)
+				if err != nil || !sameBits(back, v) || (back == nil) != (len(v) == 0) {
+					t.Fatalf("%s: round trip %v -> %x -> %v, %v", kind, v, enc, back, err)
+				}
+			}
+			got, err := parsePayload(in, kind)
+			if err != nil {
+				continue
+			}
+			re, err := appendPayload(nil, kind, got)
+			if err != nil || !bytes.Equal(re, in) {
+				t.Fatalf("%s: %x decodes to %v, which re-encodes to %x, %v", kind, in, got, re, err)
+			}
 		}
 	})
 }
 
 // TestNaNPayloadEndsAsMaxint runs NaN through a cluster campaign's
 // evaluation pool from both ends: a NaN gene cannot be encoded on the
-// client, a NaN objective cannot be encoded on the worker, and either
-// way the individual gets the MAXINT failure fitness (§2.2.4).
+// client, a NaN objective cannot be encoded on the worker, a worker that
+// sends NaN bits anyway is refused by the client, and every way the
+// individual gets the MAXINT failure fitness (§2.2.4).
 func TestNaNPayloadEndsAsMaxint(t *testing.T) {
 	inner := ea.EvaluatorFunc(func(_ context.Context, g ea.Genome) (ea.Fitness, error) {
 		if g[0] > 0.5 {
@@ -199,11 +175,37 @@ func TestNaNPayloadEndsAsMaxint(t *testing.T) {
 		if !out[i].Evaluated || !out[i].Fitness.IsFailure() {
 			t.Errorf("individual %d: fitness %v, want MAXINT", i, out[i].Fitness)
 		}
-		if out[i].Err == nil || !strings.Contains(out[i].Err.Error(), "json: unsupported value") {
-			t.Errorf("individual %d: err %v, want encoding/json's unsupported-value error", i, out[i].Err)
+		if out[i].Err == nil || !strings.Contains(out[i].Err.Error(), "payload: value ") ||
+			!strings.Contains(out[i].Err.Error(), "not finite") {
+			t.Errorf("individual %d: err %v, want the payload codec's non-finite error", i, out[i].Err)
 		}
 	}
 	if st := lc.Scheduler.Stats(); st.Submitted != 2 || st.Failed != 1 {
 		t.Errorf("stats %+v: want the two finite genomes submitted, the NaN fitness failed", st)
 	}
+
+	t.Run("raw handler", func(t *testing.T) {
+		nanBits := binary.LittleEndian.AppendUint64([]byte{byte(fitnessKind)}, math.Float64bits(math.NaN()))
+		raw := func(context.Context, json.RawMessage) (json.RawMessage, error) {
+			return binary.LittleEndian.AppendUint64(nanBits, math.Float64bits(1)), nil
+		}
+		lc, err := NewLocalCluster(1, raw, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lc.Close()
+		settled := watchBooks(t, lc.Scheduler)
+		out := ea.EvalPool(context.Background(), ea.Source(ea.Population{ea.NewIndividual(ea.Genome{0.25, 1})}), 1,
+			&Evaluator{Client: lc.Scheduler}, ea.PoolConfig{Parallelism: 1, Objectives: 2})
+		settled()
+		if !out[0].Evaluated || !out[0].Fitness.IsFailure() {
+			t.Errorf("fitness %v, want MAXINT", out[0].Fitness)
+		}
+		if want := "cluster: bad fitness payload: cluster: fitness payload: value 0 is NaN"; out[0].Err == nil || !strings.Contains(out[0].Err.Error(), want) {
+			t.Errorf("err %v, want %q", out[0].Err, want)
+		}
+		if st := lc.Scheduler.Stats(); st.Submitted != 1 || st.Failed != 0 {
+			t.Errorf("stats %+v: want one task submitted and answered", st)
+		}
+	})
 }

@@ -15,7 +15,9 @@ import (
 // Handler executes one task payload and returns a result payload.  In the
 // paper's deployment this is the multi-step DeePMD training workflow of
 // §2.2.4 (decode genome → write input.json in a UUID directory → train →
-// read lcurve.out).
+// read lcurve.out).  To the scheduler and the worker a payload is opaque
+// bytes: the json.RawMessage type is historical, and EvalHandler and
+// Evaluator define what an evaluation payload holds (payload.go).
 type Handler func(ctx context.Context, payload json.RawMessage) (json.RawMessage, error)
 
 // Worker connects to a scheduler, executes assigned tasks, and returns
