@@ -29,37 +29,64 @@ import (
 // the string sentinels "NaN", "+Inf" and "-Inf" (encoding/json rejects
 // the bare values): a diverged or cancelled training leaves them in its
 // fitness, and they must round-trip.  Finite values use strconv's
-// shortest round-trip formatting, so no precision is lost.  Exported for
-// every API surface that serializes fitness vectors (the service's
-// frontier, for one).
+// shortest round-trip formatting ('g', -1), so no precision is lost, and
+// a nil slice writes [].  appendFloats is the one place that spells the
+// format; the record writer uses it too.  Exported for every API surface
+// that serializes fitness vectors (the service's frontier, for one).
 type JSONFloats []float64
 
 // MarshalJSON implements json.Marshaler with sentinel strings for
 // non-finite values.
 func (f JSONFloats) MarshalJSON() ([]byte, error) {
-	buf := make([]byte, 0, 16*len(f)+2)
-	buf = append(buf, '[')
+	return appendFloats(make([]byte, 0, 16*len(f)+2), f), nil
+}
+
+// appendFloats appends f to dst as JSONFloats' MarshalJSON writes it.
+func appendFloats(dst []byte, f []float64) []byte {
+	dst = append(dst, '[')
 	for i, v := range f {
 		if i > 0 {
-			buf = append(buf, ',')
+			dst = append(dst, ',')
 		}
 		switch {
 		case math.IsNaN(v):
-			buf = append(buf, `"NaN"`...)
+			dst = append(dst, `"NaN"`...)
 		case math.IsInf(v, 1):
-			buf = append(buf, `"+Inf"`...)
+			dst = append(dst, `"+Inf"`...)
 		case math.IsInf(v, -1):
-			buf = append(buf, `"-Inf"`...)
+			dst = append(dst, `"-Inf"`...)
 		default:
-			buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
+			dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
 		}
 	}
-	return append(buf, ']'), nil
+	return append(dst, ']')
 }
 
 // UnmarshalJSON implements json.Unmarshaler, accepting both plain
-// numbers and the sentinel strings.
+// numbers and the sentinel strings.  The common all-numbers array
+// decodes straight into []float64; only an array with a string (or
+// anything else that is not a number) goes through the sentinel
+// decoder, and so does one with a null, which is refused.  Any array
+// decodes to a non-nil slice, and so does a bare null.
 func (f *JSONFloats) UnmarshalJSON(data []byte) error {
+	var v []float64
+	err := json.Unmarshal(data, &v)
+	var typeErr *json.UnmarshalTypeError
+	switch {
+	case errors.As(err, &typeErr) || (err == nil && bytes.Contains(data, []byte("null"))):
+		return f.unmarshalSentinels(data)
+	case err != nil:
+		return err
+	case v == nil:
+		v = []float64{}
+	}
+	*f = v
+	return nil
+}
+
+// unmarshalSentinels decodes an array whose members are numbers or the
+// sentinel strings.
+func (f *JSONFloats) unmarshalSentinels(data []byte) error {
 	var raw []interface{}
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return err
@@ -87,7 +114,8 @@ func (f *JSONFloats) UnmarshalJSON(data []byte) error {
 
 // savedIndividual is the JSON form of one evaluated individual.  Rank and
 // crowding distance are omitted (recomputable; see JSONFloats for why
-// fitness gets the sentinel treatment instead).
+// fitness gets the sentinel treatment instead).  AppendGeneration writes
+// the same bytes without building one.
 type savedIndividual struct {
 	ID        string     `json:"id"`
 	Genome    JSONFloats `json:"genome"`
@@ -108,28 +136,67 @@ type GenerationRecord struct {
 	Failures    int               `json:"failures"`
 }
 
-// MarshalGeneration encodes generation gen of run run as one line of
-// compact JSON (no trailing newline); it decodes with json.Unmarshal
-// into a GenerationRecord.
-func MarshalGeneration(run int, gen nsga2.GenerationRecord) ([]byte, error) {
-	rec := GenerationRecord{Run: run, Gen: gen.Gen, Failures: gen.Failures}
-	for _, ind := range gen.Evaluated {
-		si := savedIndividual{
-			ID:        ind.ID.String(),
-			Genome:    JSONFloats(ind.Genome),
-			Fitness:   JSONFloats(ind.Fitness),
-			RuntimeMS: ind.Runtime.Milliseconds(),
-			Birth:     ind.Birth,
+// AppendGeneration appends generation gen of run run to dst as one line
+// of compact JSON (no trailing newline): exactly the bytes json.Marshal
+// writes for the GenerationRecord it decodes to, null for no evaluated
+// individuals or no survivors included, without reflection.
+func AppendGeneration(dst []byte, run int, gen nsga2.GenerationRecord) []byte {
+	dst = append(dst, `{"run":`...)
+	dst = strconv.AppendInt(dst, int64(run), 10)
+	dst = append(dst, `,"gen":`...)
+	dst = strconv.AppendInt(dst, int64(gen.Gen), 10)
+	dst = append(dst, `,"evaluated":`...)
+	if len(gen.Evaluated) == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		for i, ind := range gen.Evaluated {
+			dst = append(dst, listSep(i))
+			dst = appendIndividual(dst, ind)
 		}
-		if ind.Err != nil {
-			si.Err = ind.Err.Error()
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"survivor_ids":`...)
+	if len(gen.Survivors) == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		for i, ind := range gen.Survivors {
+			dst = append(dst, listSep(i), '"')
+			dst = append(ind.ID.Append(dst), '"')
 		}
-		rec.Evaluated = append(rec.Evaluated, si)
+		dst = append(dst, ']')
 	}
-	for _, ind := range gen.Survivors {
-		rec.SurvivorIDs = append(rec.SurvivorIDs, ind.ID.String())
+	dst = append(dst, `,"failures":`...)
+	dst = strconv.AppendInt(dst, int64(gen.Failures), 10)
+	return append(dst, '}')
+}
+
+// listSep is what precedes member i of a JSON array.
+func listSep(i int) byte {
+	if i == 0 {
+		return '['
 	}
-	return json.Marshal(rec)
+	return ','
+}
+
+// appendIndividual appends ind as its savedIndividual marshals.
+func appendIndividual(dst []byte, ind *ea.Individual) []byte {
+	dst = append(dst, `{"id":"`...)
+	dst = ind.ID.Append(dst)
+	dst = append(dst, `","genome":`...)
+	dst = appendFloats(dst, ind.Genome)
+	dst = append(dst, `,"fitness":`...)
+	dst = appendFloats(dst, ind.Fitness)
+	if ind.Err != nil && ind.Err.Error() != "" {
+		// encoding/json's own string encoding, for its HTML escaping and
+		// invalid-UTF-8 replacement; a string always marshals.
+		q, _ := json.Marshal(ind.Err.Error())
+		dst = append(append(dst, `,"err":`...), q...)
+	}
+	dst = append(dst, `,"runtime_ms":`...)
+	dst = strconv.AppendInt(dst, ind.Runtime.Milliseconds(), 10)
+	dst = append(dst, `,"birth":`...)
+	dst = strconv.AppendInt(dst, int64(ind.Birth), 10)
+	return append(dst, '}')
 }
 
 const (
@@ -152,11 +219,7 @@ func SaveCampaign(w io.Writer, c *CampaignResult) error {
 	}
 	for r, run := range c.Runs {
 		for _, gen := range run.Generations {
-			line, err := MarshalGeneration(r, gen)
-			if err != nil {
-				return err
-			}
-			buf = append(append(buf, '\n'), line...)
+			buf = AppendGeneration(append(buf, '\n'), r, gen)
 		}
 	}
 	_, err = w.Write(append(buf, '\n'))

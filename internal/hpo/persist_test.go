@@ -302,10 +302,7 @@ func TestGenerationRecordRoundTrip(t *testing.T) {
 
 	var lines [][]byte
 	for _, gen := range orig {
-		line, err := MarshalGeneration(3, gen)
-		if err != nil {
-			t.Fatalf("MarshalGeneration: %v", err)
-		}
+		line := AppendGeneration(nil, 3, gen)
 		if bytes.ContainsAny(line, "\n") {
 			t.Fatalf("record is not one line:\n%s", line)
 		}
@@ -379,11 +376,7 @@ func TestLoadCampaignRefusesRepeatedID(t *testing.T) {
 	a.Fitness, b.Fitness = ea.Fitness{1, 2}, ea.Fitness{2, 1}
 	header := []byte(`{"format":"repro-hpo-campaign","version":2,"runs":1}`)
 	line := func(gen int, evaluated, survivors ea.Population) []byte {
-		data, err := MarshalGeneration(0, nsga2.GenerationRecord{Gen: gen, Evaluated: evaluated, Survivors: survivors})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+		return AppendGeneration(nil, 0, nsga2.GenerationRecord{Gen: gen, Evaluated: evaluated, Survivors: survivors})
 	}
 	for name, tc := range map[string]struct {
 		lines [][]byte
@@ -410,12 +403,9 @@ func TestLoadCampaignRefusesRepeatedID(t *testing.T) {
 func TestLoadCampaignRefusesRepeatedSurvivor(t *testing.T) {
 	a, b := ea.NewIndividual(ea.Genome{1}), ea.NewIndividual(ea.Genome{2})
 	a.Fitness, b.Fitness = ea.Fitness{1, 2}, ea.Fitness{2, 1}
-	line, err := MarshalGeneration(0, nsga2.GenerationRecord{Evaluated: ea.Population{a, b}, Survivors: ea.Population{a, a}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	line := AppendGeneration(nil, 0, nsga2.GenerationRecord{Evaluated: ea.Population{a, b}, Survivors: ea.Population{a, a}})
 	header := []byte(`{"format":"repro-hpo-campaign","version":2,"runs":1}`)
-	_, err = LoadCampaign(bytes.NewReader(joinLog(header, line)))
+	_, err := LoadCampaign(bytes.NewReader(joinLog(header, line)))
 	if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "named twice") {
 		t.Fatalf("error %v, want the repeated survivor refused at line 2", err)
 	}
@@ -532,7 +522,8 @@ func TestCampaignFromRecordsEqualsLoadCampaign(t *testing.T) {
 
 // FuzzLoadCampaign: the reader never panics, refuses a header's run
 // count before allocating for it, and whatever it accepts is a fixed
-// point after one SaveCampaign → LoadCampaign round.
+// point after one SaveCampaign → LoadCampaign round, with every record
+// re-encoded by AppendGeneration to the reflection oracle's bytes.
 func FuzzLoadCampaign(f *testing.F) {
 	two := smallCampaign(f)
 	log := saveBytes(f, two)
@@ -557,6 +548,11 @@ func FuzzLoadCampaign(f *testing.F) {
 		c, err := LoadCampaign(bytes.NewReader(in))
 		if err != nil {
 			return
+		}
+		for r, run := range c.Runs {
+			for _, gen := range run.Generations {
+				checkAppendGeneration(t, r, gen)
+			}
 		}
 		once := saveBytes(t, c)
 		again, err := LoadCampaign(bytes.NewReader(once))

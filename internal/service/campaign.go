@@ -434,6 +434,7 @@ func (s *Service) run(ctx context.Context, c *Campaign, t *tenant) {
 func (s *Service) lane(ctx context.Context, c *Campaign, t *tenant, r int) error {
 	cfg := s.campaignConfig(c, t)
 	run := c.runResult(r)
+	var line []byte // the lane's checkpoint line buffer, reused for every record
 	cfg.Observer = func(_, gen int, evaluated, survivors ea.Population) {
 		rec := nsga2.GenerationRecord{Gen: gen, Evaluated: evaluated, Survivors: survivors, Failures: evaluated.Failures()}
 		var gens []nsga2.GenerationRecord
@@ -441,7 +442,7 @@ func (s *Service) lane(ctx context.Context, c *Campaign, t *tenant, r int) error
 			gens = run.Generations[:len(run.Generations):len(run.Generations)]
 		}
 		run = &nsga2.Result{Generations: append(gens, rec), Final: survivors}
-		s.appendRecord(c, r, rec)
+		line = s.appendRecord(line, c, r, rec)
 		if c.publish(r, run) {
 			s.reportGenerations(c)
 		}

@@ -154,18 +154,18 @@ func (s *Service) appendCheckpoint(c *Campaign, line []byte) error {
 }
 
 // appendRecord checkpoints generation gen of run r of c; a no-op without
-// a checkpoint directory.  Lanes call it before publishing the run.
-func (s *Service) appendRecord(c *Campaign, r int, gen nsga2.GenerationRecord) {
+// a checkpoint directory.  Lanes call it before publishing the run.  The
+// line is encoded into buf, the lane's one buffer, and the grown buffer
+// is returned for the lane's next record.
+func (s *Service) appendRecord(buf []byte, c *Campaign, r int, gen nsga2.GenerationRecord) []byte {
 	if s.cfg.CheckpointDir == "" {
-		return
+		return buf
 	}
-	line, err := hpo.MarshalGeneration(r, gen)
-	if err == nil {
-		err = s.appendCheckpoint(c, append(line, '\n'))
-	}
-	if err != nil {
+	buf = append(hpo.AppendGeneration(buf[:0], r, gen), '\n')
+	if err := s.appendCheckpoint(c, buf); err != nil {
 		s.logf("checkpoint_error", "id", c.ID, "run", r, "gen", gen.Gen, "err", err)
 	}
+	return buf
 }
 
 // settle ends c's execution in state st: the state line is appended

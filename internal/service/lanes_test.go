@@ -82,7 +82,7 @@ func writeCheckpoint(t *testing.T, dir, id string, spec service.Spec, state serv
 	}))
 	for r, run := range res.Runs {
 		for _, gen := range run.Generations {
-			line(hpo.MarshalGeneration(r, gen))
+			line(hpo.AppendGeneration(nil, r, gen), nil)
 		}
 	}
 	line(json.Marshal(map[string]interface{}{"state": state}))

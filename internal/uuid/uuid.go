@@ -44,16 +44,20 @@ func NewRandom() (UUID, error) {
 // String renders the UUID in canonical 8-4-4-4-12 lower-case hex form.
 func (u UUID) String() string {
 	var buf [36]byte
-	hex.Encode(buf[0:8], u[0:4])
-	buf[8] = '-'
-	hex.Encode(buf[9:13], u[4:6])
-	buf[13] = '-'
-	hex.Encode(buf[14:18], u[6:8])
-	buf[18] = '-'
-	hex.Encode(buf[19:23], u[8:10])
-	buf[23] = '-'
-	hex.Encode(buf[24:36], u[10:16])
-	return string(buf[:])
+	return string(u.Append(buf[:0]))
+}
+
+// Append appends the String form of u to dst.
+func (u UUID) Append(dst []byte) []byte {
+	dst = hex.AppendEncode(dst, u[0:4])
+	dst = append(dst, '-')
+	dst = hex.AppendEncode(dst, u[4:6])
+	dst = append(dst, '-')
+	dst = hex.AppendEncode(dst, u[6:8])
+	dst = append(dst, '-')
+	dst = hex.AppendEncode(dst, u[8:10])
+	dst = append(dst, '-')
+	return hex.AppendEncode(dst, u[10:16])
 }
 
 // Version reports the UUID version field (4 for values from New).

@@ -97,3 +97,14 @@ func TestQuickParseStringInverse(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestAppendExtendsDst(t *testing.T) {
+	u := UUID{0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff}
+	const want = "00112233-4455-6677-8899-aabbccddeeff"
+	if got := string(u.Append([]byte(`"id":`))); got != `"id":`+want {
+		t.Errorf("Append = %q, want the prefix then %q", got, want)
+	}
+	if got := u.String(); got != want {
+		t.Errorf("String = %q, want %q", got, want)
+	}
+}
