@@ -91,11 +91,7 @@ func (ce *Evaluator) Evaluate(ctx context.Context, g ea.Genome) (ea.Fitness, err
 	if err != nil {
 		return nil, err
 	}
-	fit, err := parsePayload(out, fitnessKind)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: bad fitness payload: %w", err)
-	}
-	return fit, nil
+	return parsePayload(out, fitnessKind)
 }
 
 // EvalHandler wraps an ea.Evaluator as a worker Handler, so the same
@@ -106,7 +102,7 @@ func EvalHandler(ev ea.Evaluator) Handler {
 	return func(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
 		g, err := parsePayload(payload, genomeKind)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: bad genome payload: %w", err)
+			return nil, err
 		}
 		fit, err := ev.Evaluate(ctx, g)
 		if err != nil {

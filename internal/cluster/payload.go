@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -32,8 +33,9 @@ func (k payloadKind) String() string {
 	return "fitness"
 }
 
-func errNonFinite(kind payloadKind, i int, f float64) error {
-	return fmt.Errorf("cluster: %s payload: value %d is %v, not finite", kind, i, f)
+// nonFinite describes value i of a payload, which is NaN or ±Inf.
+func nonFinite(kind payloadKind, i int, f float64) string {
+	return fmt.Sprintf("%s[%d] is %v", kind, i, f)
 }
 
 // appendPayload appends v as a payload of the given kind to dst.
@@ -41,7 +43,7 @@ func appendPayload(dst []byte, kind payloadKind, v []float64) ([]byte, error) {
 	dst = append(dst, byte(kind))
 	for i, f := range v {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return nil, errNonFinite(kind, i, f)
+			return nil, errors.New("cluster: " + nonFinite(kind, i, f))
 		}
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 	}
@@ -56,7 +58,7 @@ func parsePayload(data []byte, kind payloadKind) ([]float64, error) {
 	}
 	body := data[1:]
 	if len(body)%8 != 0 {
-		return nil, fmt.Errorf("cluster: %s payload: %d value bytes, not a multiple of 8", kind, len(body))
+		return nil, fmt.Errorf("cluster: bad %s payload: %d value bytes, not a multiple of 8", kind, len(body))
 	}
 	if len(body) == 0 {
 		return nil, nil
@@ -65,7 +67,7 @@ func parsePayload(data []byte, kind payloadKind) ([]float64, error) {
 	for i := range out {
 		f := math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return nil, errNonFinite(kind, i, f)
+			return nil, fmt.Errorf("cluster: bad %s payload: %s", kind, nonFinite(kind, i, f))
 		}
 		out[i] = f
 	}

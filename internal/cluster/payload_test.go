@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -63,10 +64,10 @@ func TestPayloadRefusals(t *testing.T) {
 	}{
 		{"empty", nil, genomeKind, "not a genome payload"},
 		{"wrong kind", []byte{'f'}, genomeKind, "not a genome payload"},
-		{"short value", []byte{'f', 0, 0, 0}, fitnessKind, "fitness payload: 3 value bytes"},
-		{"NaN bits", nanBits, fitnessKind, "fitness payload: value 0 is NaN"},
+		{"short value", []byte{'f', 0, 0, 0}, fitnessKind, "cluster: bad fitness payload: 3 value bytes"},
+		{"NaN bits", nanBits, fitnessKind, "cluster: bad fitness payload: fitness[0] is NaN"},
 		{"-Inf bits", binary.LittleEndian.AppendUint64([]byte{'g', 0, 0, 0, 0, 0, 0, 0, 0}, math.Float64bits(math.Inf(-1))),
-			genomeKind, "genome payload: value 1 is -Inf"},
+			genomeKind, "cluster: bad genome payload: genome[1] is -Inf"},
 	} {
 		if v, err := parsePayload(tc.in, tc.kind); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: %v, %v; want an error containing %q", tc.name, v, err, tc.want)
@@ -74,8 +75,8 @@ func TestPayloadRefusals(t *testing.T) {
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		_, err := appendPayload(nil, fitnessKind, []float64{1, bad})
-		if want := "cluster: fitness payload: value 1 is "; err == nil || !strings.HasPrefix(err.Error(), want) {
-			t.Errorf("encoding %v: %v, want an error starting %q", bad, err, want)
+		if want := fmt.Sprintf("cluster: fitness[1] is %v", bad); err == nil || err.Error() != want {
+			t.Errorf("encoding %v: %v, want %q", bad, err, want)
 		}
 	}
 	if v, err := parsePayload([]byte{'g'}, genomeKind); v != nil || err != nil {
@@ -171,13 +172,12 @@ func TestNaNPayloadEndsAsMaxint(t *testing.T) {
 	if got := out[0].Fitness; out[0].Err != nil || got[0] != 0.25 || got[1] != 0.75 {
 		t.Errorf("finite individual: fitness %v, err %v", got, out[0].Err)
 	}
-	for _, i := range []int{1, 2, 3} {
+	for i, want := range map[int]string{1: "cluster: genome[0] is NaN", 2: "cluster: fitness[0] is NaN", 3: "cluster: genome[1] is +Inf"} {
 		if !out[i].Evaluated || !out[i].Fitness.IsFailure() {
 			t.Errorf("individual %d: fitness %v, want MAXINT", i, out[i].Fitness)
 		}
-		if out[i].Err == nil || !strings.Contains(out[i].Err.Error(), "payload: value ") ||
-			!strings.Contains(out[i].Err.Error(), "not finite") {
-			t.Errorf("individual %d: err %v, want the payload codec's non-finite error", i, out[i].Err)
+		if out[i].Err == nil || !strings.Contains(out[i].Err.Error(), want) {
+			t.Errorf("individual %d: err %v, want the payload codec's %q", i, out[i].Err, want)
 		}
 	}
 	if st := lc.Scheduler.Stats(); st.Submitted != 2 || st.Failed != 1 {
@@ -201,7 +201,7 @@ func TestNaNPayloadEndsAsMaxint(t *testing.T) {
 		if !out[0].Evaluated || !out[0].Fitness.IsFailure() {
 			t.Errorf("fitness %v, want MAXINT", out[0].Fitness)
 		}
-		if want := "cluster: bad fitness payload: cluster: fitness payload: value 0 is NaN"; out[0].Err == nil || !strings.Contains(out[0].Err.Error(), want) {
+		if want := "cluster: bad fitness payload: fitness[0] is NaN"; out[0].Err == nil || !strings.Contains(out[0].Err.Error(), want) {
 			t.Errorf("err %v, want %q", out[0].Err, want)
 		}
 		if st := lc.Scheduler.Stats(); st.Submitted != 1 || st.Failed != 0 {

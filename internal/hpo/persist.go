@@ -64,10 +64,11 @@ func appendFloats(dst []byte, f []float64) []byte {
 
 // UnmarshalJSON implements json.Unmarshaler, accepting both plain
 // numbers and the sentinel strings.  The common all-numbers array
-// decodes straight into []float64; only an array with a string (or
-// anything else that is not a number) goes through the sentinel
-// decoder, and so does one with a null, which is refused.  Any array
-// decodes to a non-nil slice, and so does a bare null.
+// decodes straight into []float64.  An array with a string (or anything
+// else that is not a number) goes through the sentinel decoder, and so
+// does any null: []float64 would take a null member as 0 and a bare
+// null as nil, where the sentinel decoder refuses the one and makes an
+// empty slice of the other.
 func (f *JSONFloats) UnmarshalJSON(data []byte) error {
 	var v []float64
 	err := json.Unmarshal(data, &v)
@@ -77,8 +78,6 @@ func (f *JSONFloats) UnmarshalJSON(data []byte) error {
 		return f.unmarshalSentinels(data)
 	case err != nil:
 		return err
-	case v == nil:
-		v = []float64{}
 	}
 	*f = v
 	return nil
