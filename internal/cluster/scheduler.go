@@ -612,9 +612,10 @@ func (s *Scheduler) enqueue(ctx context.Context, t *task) error {
 
 // Submit queues one task and blocks until its result arrives, ctx ends,
 // or the scheduler closes; a worker's application error comes back as
-// the error.  The payloads are opaque bytes, passed through unread.  Stats.Submitted counts the task only if it reached the
-// queue: the count goes up before the enqueue, so it never trails the
-// result counters, and comes back down if the enqueue gives up.  A
+// the error.  The payloads are opaque bytes, passed through unread.
+// Stats.Submitted counts the task only if it reached the queue: the
+// count goes up before the enqueue, so it never trails the result
+// counters, and comes back down if the enqueue gives up.  A
 // caller whose ctx ends stops waiting, but its queued task still runs
 // and is counted once; Close claims the task of every caller still
 // waiting as Failed, so the books balance either way.

@@ -16,8 +16,8 @@ import (
 // paper's deployment this is the multi-step DeePMD training workflow of
 // §2.2.4 (decode genome → write input.json in a UUID directory → train →
 // read lcurve.out).  To the scheduler and the worker a payload is opaque
-// bytes: the json.RawMessage type is historical, and EvalHandler and
-// Evaluator define what an evaluation payload holds (payload.go).
+// bytes, JSON or not despite its type; EvalHandler and Evaluator define
+// what an evaluation payload holds (payload.go).
 type Handler func(ctx context.Context, payload json.RawMessage) (json.RawMessage, error)
 
 // Worker connects to a scheduler, executes assigned tasks, and returns
