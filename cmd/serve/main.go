@@ -75,7 +75,6 @@ func run(addr string, workers int, workersListen string, seed int64,
 	lease time.Duration, noMemo bool, checkpointDir string,
 	maxConcurrent, maxActive, maxCampaigns, maxInflight int, drainTimeout time.Duration) error {
 
-	var events cluster.EventCounters
 	cfg := service.Config{
 		DisableMemo:           noMemo,
 		CheckpointDir:         checkpointDir,
@@ -84,7 +83,6 @@ func run(addr string, workers int, workersListen string, seed int64,
 		MaxCampaignsPerTenant: maxCampaigns,
 		MaxInFlightPerTenant:  maxInflight,
 		Logf:                  log.Printf,
-		SchedulerEvents:       &events,
 	}
 
 	lc, err := cluster.ListenLocalCluster(workersListen, workers, cluster.EvalHandler(surrogate.NewEvaluator(surrogate.Config{Seed: seed})), lease)
@@ -96,12 +94,9 @@ func run(addr string, workers int, workersListen string, seed int64,
 			log.Printf("fleet_close err=%v", err)
 		}
 	}()
-	lc.Scheduler.OnEvent = events.Record
+	// Campaigns submit to the scheduler, and /metrics reads its counters.
 	cfg.Evaluator = &cluster.Evaluator{Client: lc.Scheduler}
-	cfg.SchedulerStats = func() (cluster.Stats, []cluster.WorkerStats) {
-		return lc.Scheduler.Stats(), lc.Scheduler.WorkerStats()
-	}
-	cfg.SchedulerWire = lc.Scheduler.Wire
+	cfg.Scheduler = lc.Scheduler
 
 	svc, err := service.New(cfg)
 	if err != nil {

@@ -200,7 +200,7 @@ func TestLeaseExpiryKeepsSlowWorkerAlive(t *testing.T) {
 	defer sched.Close()
 
 	var slowCalls, slowServed atomic.Int64
-	slowHandler := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+	slowHandler := func(_ context.Context, payload []byte) ([]byte, error) {
 		if slowCalls.Add(1) == 1 {
 			time.Sleep(300 * time.Millisecond) // ignores ctx: the classic slow training
 		}
@@ -306,6 +306,9 @@ func TestDuplicateResultDoesNotInflateStats(t *testing.T) {
 			if err != nil {
 				return
 			}
+			if m.Type != wire.TypeAssign {
+				continue // the register ack
+			}
 			res := &message{Type: wire.TypeResult, TaskID: m.TaskID, Payload: m.Payload}
 			_ = cd.write(res)
 			_ = cd.write(res) // the duplicate
@@ -349,7 +352,7 @@ func TestDuplicateResultDoesNotInflateStats(t *testing.T) {
 func TestHungHandlerTimesOutWorkerStaysLive(t *testing.T) {
 	var calls atomic.Int64
 	unblock := make(chan struct{})
-	handler := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+	handler := func(_ context.Context, payload []byte) ([]byte, error) {
 		if calls.Add(1) == 1 {
 			<-unblock // ignores ctx entirely
 		}
@@ -418,7 +421,7 @@ func TestAbandonedHandlerGetsFreshExecutor(t *testing.T) {
 
 	stuck := make(chan struct{})
 	var calls atomic.Int64
-	handler := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+	handler := func(_ context.Context, payload []byte) ([]byte, error) {
 		if calls.Add(1) == 1 {
 			<-stuck // ignores ctx entirely
 		}
@@ -481,7 +484,7 @@ func TestVanishedClientDoesNotBlockWorkerReader(t *testing.T) {
 	defer sched.Close()
 
 	gate := make(chan struct{})
-	handler := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+	handler := func(_ context.Context, payload []byte) ([]byte, error) {
 		if strings.Contains(string(payload), "held") {
 			<-gate
 		}
@@ -550,7 +553,7 @@ func TestWorkerCancellationIsNotATimeout(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 
-	blocker := func(ctx context.Context, _ json.RawMessage) (json.RawMessage, error) {
+	blocker := func(ctx context.Context, _ []byte) ([]byte, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
@@ -722,7 +725,7 @@ func TestChaosTruncatedResultFrame(t *testing.T) {
 	proxy := newChaosProxy(t, sched.Addr())
 
 	var calls atomic.Int64
-	handler := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+	handler := func(_ context.Context, payload []byte) ([]byte, error) {
 		calls.Add(1)
 		return payload, nil
 	}
@@ -795,7 +798,7 @@ func TestChaosCorruptedFrameDropsConnNotCampaign(t *testing.T) {
 			proxy := newChaosProxy(t, sched.Addr())
 
 			var calls atomic.Int64
-			handler := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+			handler := func(_ context.Context, payload []byte) ([]byte, error) {
 				calls.Add(1)
 				return payload, nil
 			}
@@ -995,7 +998,7 @@ func TestWorkerLinksCutMidCampaign(t *testing.T) {
 // starts after the sweep must notice the shutdown itself, and a worker
 // proxy that dies before its reader starts must not wait for it.
 func TestSchedulerCloseRacesNewConnections(t *testing.T) {
-	register, err := wire.AppendFrame(nil, &wire.Message{Type: wire.TypeRegister, Name: []byte("late"), Flags: wire.FlagWantSnapshot})
+	register, err := wire.AppendFrame(nil, &wire.Message{Type: wire.TypeRegister, Name: []byte("late")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1041,7 +1044,7 @@ func TestSchedulerCloseRacesNewConnections(t *testing.T) {
 func TestCancelledSubmitNoSpuriousFailure(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
-	handler := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+	handler := func(_ context.Context, payload []byte) ([]byte, error) {
 		<-block
 		return payload, nil
 	}
@@ -1079,66 +1082,6 @@ func TestCancelledSubmitNoSpuriousFailure(t *testing.T) {
 	}
 }
 
-// TestEventHookAndWorkerStats sanity-checks the observability surface:
-// connect/assign/result events fire and per-worker counters accumulate.
-func TestEventHookAndWorkerStats(t *testing.T) {
-	sched, err := NewScheduler("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	watchBooks(t, sched)
-	var mu sync.Mutex
-	seen := map[EventType]int{}
-	sched.OnEvent = func(e Event) {
-		mu.Lock()
-		seen[e.Type]++
-		mu.Unlock()
-		if e.String() == "" {
-			t.Error("empty event string")
-		}
-	}
-	defer sched.Close()
-
-	w, err := NewWorker(sched.Addr(), "observed", echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	go func() { _ = w.Run(context.Background()) }()
-
-	for i := 0; i < 5; i++ {
-		if _, err := sched.Submit(context.Background(), json.RawMessage(`{}`)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// The assign event fires after the task is written to the worker, on
-	// the dispatching goroutine, and the result event (after the worker's
-	// counters) once the result is handed to the submitter: the fifth
-	// result can be back with the submitter before either event is out.
-	for i := 0; i < 2000; i++ {
-		mu.Lock()
-		n := min(seen[EventAssign], seen[EventResult])
-		mu.Unlock()
-		if n >= 5 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if seen[EventWorkerConnect] == 0 || seen[EventAssign] < 5 || seen[EventResult] < 5 {
-		t.Errorf("events missing: %+v", seen)
-	}
-	ws := sched.WorkerStats()
-	if len(ws) != 1 || ws[0].Name != "observed" || ws[0].Completed != 5 {
-		t.Errorf("WorkerStats = %+v", ws)
-	}
-	if !strings.Contains(ws[0].String(), "completed=5") {
-		t.Errorf("WorkerStats.String() = %q", ws[0].String())
-	}
-}
-
 // TestHeartbeatRenewsLease runs a task longer than the scheduler lease on
 // a worker that heartbeats: the lease must be renewed, the task must NOT
 // be reassigned, and the books must balance with zero expiries.
@@ -1154,7 +1097,7 @@ func TestHeartbeatRenewsLease(t *testing.T) {
 	sched.TaskTimeout = 150 * time.Millisecond
 	defer sched.Close()
 
-	handler := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+	handler := func(_ context.Context, payload []byte) ([]byte, error) {
 		time.Sleep(450 * time.Millisecond) // 3x the lease
 		return payload, nil
 	}

@@ -16,7 +16,7 @@ import (
 	"repro/internal/ea"
 )
 
-func echoHandler(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+func echoHandler(_ context.Context, payload []byte) ([]byte, error) {
 	return payload, nil
 }
 
@@ -42,7 +42,7 @@ func TestLocalClusterEcho(t *testing.T) {
 		t.Errorf("stats = %+v, want 10 submitted/completed", st)
 	}
 	// Submits never touch the wire: each task costs one assign out and
-	// one result in, on top of each worker's register and snapshot.  The
+	// one result in, on top of each worker's register and its ack.  The
 	// assign is counted after its write returns, so the last count can
 	// trail the last result.
 	waitFor(t, "the last assign to be counted", func() bool { return lc.Scheduler.Wire().FramesOut == 3+10 })
@@ -89,7 +89,7 @@ func TestConcurrentSubmissions(t *testing.T) {
 }
 
 func TestWorkerErrorPropagates(t *testing.T) {
-	handler := func(_ context.Context, _ json.RawMessage) (json.RawMessage, error) {
+	handler := func(_ context.Context, _ []byte) ([]byte, error) {
 		return nil, errors.New("training crashed: bad hyperparameters")
 	}
 	lc, err := NewLocalCluster(1, handler, 0)
@@ -108,7 +108,7 @@ func TestWorkerErrorPropagates(t *testing.T) {
 }
 
 func TestWorkerPanicContained(t *testing.T) {
-	handler := func(_ context.Context, _ json.RawMessage) (json.RawMessage, error) {
+	handler := func(_ context.Context, _ []byte) ([]byte, error) {
 		panic("segfault in custom kernel")
 	}
 	lc, err := NewLocalCluster(1, handler, 0)
@@ -129,7 +129,7 @@ func TestWorkerPanicContained(t *testing.T) {
 }
 
 func TestTaskTimeout(t *testing.T) {
-	handler := func(ctx context.Context, _ json.RawMessage) (json.RawMessage, error) {
+	handler := func(ctx context.Context, _ []byte) ([]byte, error) {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -163,7 +163,7 @@ func TestWorkerDeathReassignsTask(t *testing.T) {
 
 	var killable *Worker
 	hit := make(chan struct{})
-	killingHandler := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+	killingHandler := func(_ context.Context, payload []byte) ([]byte, error) {
 		close(hit)       // a second call would panic: a closed worker is never assigned to
 		killable.Close() // simulate node failure mid-task
 		time.Sleep(50 * time.Millisecond)
@@ -221,7 +221,7 @@ func TestAllWorkersDeadAbandonsTask(t *testing.T) {
 	var workers []*Worker
 	for i := 0; i < 2; i++ {
 		var w *Worker
-		w, err = NewWorker(sched.Addr(), fmt.Sprintf("suicidal-%d", i), func(_ context.Context, _ json.RawMessage) (json.RawMessage, error) {
+		w, err = NewWorker(sched.Addr(), fmt.Sprintf("suicidal-%d", i), func(_ context.Context, _ []byte) ([]byte, error) {
 			panic("unused")
 		})
 		if err != nil {
@@ -340,7 +340,7 @@ func TestSubmitCancelledContext(t *testing.T) {
 	defer sched.Close()
 
 	gate := make(chan struct{})
-	held := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+	held := func(_ context.Context, payload []byte) ([]byte, error) {
 		<-gate
 		return payload, nil
 	}
@@ -412,7 +412,7 @@ func TestCloseReleasesWaitingSubmitters(t *testing.T) {
 
 	gate := make(chan struct{})
 	defer close(gate)
-	held := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+	held := func(_ context.Context, payload []byte) ([]byte, error) {
 		<-gate
 		return payload, nil
 	}
@@ -538,7 +538,7 @@ func submitBatch(ctx context.Context, s *Scheduler, payloads []json.RawMessage) 
 }
 
 func TestSubmitBatchOrderAndErrors(t *testing.T) {
-	handler := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+	handler := func(_ context.Context, payload []byte) ([]byte, error) {
 		if strings.Contains(string(payload), "fail") {
 			return nil, errors.New("requested failure")
 		}
@@ -651,7 +651,7 @@ func TestPendingQueueBackpressureFIFO(t *testing.T) {
 
 	var mu sync.Mutex
 	var ran []string
-	record := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+	record := func(_ context.Context, payload []byte) ([]byte, error) {
 		mu.Lock()
 		ran = append(ran, string(payload))
 		mu.Unlock()
@@ -662,9 +662,6 @@ func TestPendingQueueBackpressureFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if snap, ok := w.Snapshot(); !ok || snap.Pending != queueDepth {
-		t.Errorf("join snapshot = %+v, %v; want Pending %d", snap, ok, queueDepth)
-	}
 	go func() { _ = w.Run(context.Background()) }()
 
 	for i := 0; i < n; i++ {

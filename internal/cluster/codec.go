@@ -107,15 +107,6 @@ func toWire(m *message, wm *wire.Message) {
 	wm.Name = append(wm.Name[:0], m.Name...)
 	wm.Err = append(wm.Err[:0], m.Err...)
 	wm.Payload = append(wm.Payload[:0], m.Payload...)
-	wm.Epoch, wm.Pending = 0, 0
-	wm.Leases = wm.Leases[:0]
-	if m.Snap != nil {
-		wm.Epoch = m.Snap.Epoch
-		wm.Pending = uint64(m.Snap.Pending)
-		for _, id := range m.Snap.Leases {
-			wm.Leases = append(wm.Leases, []byte(id))
-		}
-	}
 }
 
 // fromWire converts a decoded frame into a fresh message, copying every
@@ -130,13 +121,6 @@ func fromWire(wm *wire.Message) *message {
 	}
 	if len(wm.Payload) > 0 {
 		m.Payload = append([]byte(nil), wm.Payload...)
-	}
-	if wm.Type == wire.TypeSnapshot {
-		snap := &Snapshot{Epoch: wm.Epoch, Pending: int(wm.Pending)}
-		for _, id := range wm.Leases {
-			snap.Leases = append(snap.Leases, string(id))
-		}
-		m.Snap = snap
 	}
 	return m
 }

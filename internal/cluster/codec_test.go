@@ -16,11 +16,11 @@ import (
 	"repro/internal/cluster/wire"
 )
 
-// TestSnapshotCatchUpMidCampaign is the late-joiner acceptance test: a
-// worker registering mid-campaign receives one compact snapshot frame —
-// campaign epoch, queue depth, outstanding leases — instead of any
-// history replay, and immediately serves the backlog.
-func TestSnapshotCatchUpMidCampaign(t *testing.T) {
+// TestLateJoinerDrainsQueue is the late-joiner acceptance test: a worker
+// registering mid-campaign is counted by the time NewWorker returns,
+// receives the register ack and then one assign per queued task — no
+// history replay — and serves the backlog.
+func TestLateJoinerDrainsQueue(t *testing.T) {
 	sched, err := NewScheduler("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestSnapshotCatchUpMidCampaign(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
 	var first sync.Once
-	holdFirst := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+	holdFirst := func(_ context.Context, payload []byte) ([]byte, error) {
 		held := false
 		first.Do(func() { held = true })
 		if held {
@@ -48,12 +48,6 @@ func TestSnapshotCatchUpMidCampaign(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	go func() { _ = holder.Run(ctx) }()
-
-	// A worker joining an idle scheduler still gets a snapshot — an empty
-	// one.
-	if snap, ok := holder.Snapshot(); !ok || snap.Epoch != 0 || len(snap.Leases) != 0 {
-		t.Errorf("idle-join snapshot = %+v, %v; want empty snapshot", snap, ok)
-	}
 
 	results := make(chan error, 3)
 	for i := 0; i < 3; i++ {
@@ -86,21 +80,9 @@ func TestSnapshotCatchUpMidCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer late.Close()
-
-	snap, ok := late.Snapshot()
-	if !ok {
-		t.Fatal("late joiner received no snapshot")
+	if st := sched.Stats(); st.Workers != 2 {
+		t.Errorf("at the late join: %+v, want both workers counted", st)
 	}
-	if snap.Epoch != 3 {
-		t.Errorf("snapshot epoch = %d, want 3 (tasks submitted before join)", snap.Epoch)
-	}
-	if snap.Pending != 2 {
-		t.Errorf("snapshot pending = %d, want 2 (queued tasks at join)", snap.Pending)
-	}
-	if len(snap.Leases) != 1 {
-		t.Errorf("snapshot leases = %v, want exactly the holder's one", snap.Leases)
-	}
-
 	go func() { _ = late.Run(ctx) }()
 
 	// The late joiner drains the two queued tasks; releasing the holder
@@ -110,10 +92,10 @@ func TestSnapshotCatchUpMidCampaign(t *testing.T) {
 			t.Fatalf("task %d failed after late join: %v", i, err)
 		}
 	}
-	// Catch-up cost is O(1) frames, not O(history): the late worker has
-	// received exactly its snapshot plus one assign per task it served.
-	if lw := late.Wire(); lw.FramesIn > 3 {
-		t.Errorf("late joiner received %d frames for 2 tasks; want <= 3 (snapshot + assigns, no replay)", lw.FramesIn)
+	// The late worker has received exactly its ack plus one assign per
+	// task it served.
+	if lw := late.Wire(); lw.FramesIn != 3 {
+		t.Errorf("late joiner received %d frames for 2 tasks; want 3 (ack + assigns, no replay)", lw.FramesIn)
 	}
 	block <- struct{}{}
 	if err := <-results; err != nil {
@@ -123,17 +105,21 @@ func TestSnapshotCatchUpMidCampaign(t *testing.T) {
 
 // TestUnknownRegisterFlagsRefused: a peer whose first frame the
 // scheduler cannot serve is refused, not served as a phantom worker that
-// would lose the task it is handed.  Two inputs: a register frame
-// carrying any flag bit besides wire.FlagWantSnapshot (bit 1 was the
-// retired multiplexing hello), and a register in the retired
-// length-prefixed JSON framing, which is not a wire frame at all and
-// fails to decode.  Either way the scheduler closes the connection
-// without registering it or assigning it anything, and a normal worker
-// then serves the queued task with balanced books.
+// would lose the task it is handed.  Three inputs: register frames
+// carrying a flag bit — none is defined; bit 0 was the retired
+// want-snapshot request and bit 1 the retired multiplexing hello — and a
+// register in the retired length-prefixed JSON framing, which is not a
+// wire frame at all and fails to decode.  Either way the scheduler
+// closes the connection without registering it or assigning it
+// anything, and a normal worker then serves the queued task with
+// balanced books.
 func TestUnknownRegisterFlagsRefused(t *testing.T) {
-	binaryFrame, err := wire.AppendFrame(nil, &wire.Message{Type: wire.TypeRegister, Flags: 1 << 1, Name: []byte("stale-peer")})
-	if err != nil {
-		t.Fatal(err)
+	flagged := func(flags byte) []byte {
+		frame, err := wire.AppendFrame(nil, &wire.Message{Type: wire.TypeRegister, Flags: flags, Name: []byte("stale-peer")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
 	}
 	jsonBody := `{"type":"register","name":"legacy","flags":1}`
 	jsonFrame := binary.BigEndian.AppendUint32(nil, uint32(len(jsonBody)))
@@ -144,22 +130,14 @@ func TestUnknownRegisterFlagsRefused(t *testing.T) {
 		first        []byte
 		decodeErrors int64
 	}{
-		{"unknown_flags", binaryFrame, 0},
+		{"retired_want_snapshot", flagged(1 << 0), 0},
+		{"unknown_flags", flagged(1 << 1), 0},
 		{"json_framed", jsonFrame, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sched, err := NewScheduler("127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
-			}
-			var mu sync.Mutex
-			var assigned []string
-			sched.OnEvent = func(e Event) {
-				if e.Type == EventAssign {
-					mu.Lock()
-					assigned = append(assigned, e.Worker)
-					mu.Unlock()
-				}
 			}
 			settled := watchBooks(t, sched)
 			defer sched.Close()
@@ -205,19 +183,41 @@ func TestUnknownRegisterFlagsRefused(t *testing.T) {
 				t.Fatalf("queued task after the refused peer: %v", err)
 			}
 			settled()
-			// The assign event fires after the frame is written, so it can
+			// Assigned is counted after the frame is written, so it can
 			// trail the result.
-			waitFor(t, "the assign event", func() bool {
-				mu.Lock()
-				defer mu.Unlock()
-				return len(assigned) > 0
-			})
-			mu.Lock()
-			defer mu.Unlock()
-			if len(assigned) != 1 || assigned[0] != "normal" {
-				t.Errorf("assignments went to %q, want only the normal worker", assigned)
+			waitFor(t, "the assignment to be counted", func() bool { return sched.Stats().Assigned > 0 })
+			if st := sched.Stats(); st.Registered != 1 || st.Assigned != 1 {
+				t.Errorf("after the refused peer: %+v, want only the normal worker registered and assigned to", st)
 			}
 		})
+	}
+}
+
+// TestWorkerRefusesRetiredSnapshotReply: a scheduler of the retired
+// format answers a register with a snapshot — type byte 6 with a body —
+// instead of the bodiless ack.  The worker must refuse it as a malformed
+// frame rather than register with a scheduler it cannot serve.
+func TestWorkerRefusesRetiredSnapshotReply(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := newCodec(conn, &wireCounters{}).read(); err != nil {
+			return
+		}
+		// Epoch 0, pending 0, no leases: the retired snapshot body.
+		_, _ = conn.Write([]byte{byte(wire.Magic >> 8), byte(wire.Magic & 0xFF), wire.Version, 6, 0, 0, 0, 0, 0, 3, 0, 0, 0})
+		_, _ = conn.Read(make([]byte, 1))
+	}()
+	if _, err := NewWorker(ln.Addr().String(), "new", echoHandler); !errors.Is(err, wire.ErrMalformed) {
+		t.Fatalf("NewWorker against a snapshot-sending scheduler: %v, want %v", err, wire.ErrMalformed)
 	}
 }
 
@@ -237,7 +237,7 @@ func TestRetiredSubmitFrameRefused(t *testing.T) {
 	defer lc.Close()
 
 	gate := make(chan struct{})
-	held := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+	held := func(_ context.Context, payload []byte) ([]byte, error) {
 		<-gate
 		return payload, nil
 	}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -99,7 +98,7 @@ func (ce *Evaluator) Evaluate(ctx context.Context, g ea.Genome) (ea.Fitness, err
 // genome of the task payload Evaluator submits and answers with the
 // fitness as a result payload.  A non-finite objective fails the task.
 func EvalHandler(ev ea.Evaluator) Handler {
-	return func(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
+	return func(ctx context.Context, payload []byte) ([]byte, error) {
 		g, err := parsePayload(payload, genomeKind)
 		if err != nil {
 			return nil, err

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -186,7 +185,7 @@ func TestNaNPayloadEndsAsMaxint(t *testing.T) {
 
 	t.Run("raw handler", func(t *testing.T) {
 		nanBits := binary.LittleEndian.AppendUint64([]byte{byte(fitnessKind)}, math.Float64bits(math.NaN()))
-		raw := func(context.Context, json.RawMessage) (json.RawMessage, error) {
+		raw := func(context.Context, []byte) ([]byte, error) {
 			return binary.LittleEndian.AppendUint64(nanBits, math.Float64bits(1)), nil
 		}
 		lc, err := NewLocalCluster(1, raw, 0)

@@ -9,11 +9,7 @@
 // the scheduler reassigns its in-flight tasks to surviving workers.
 package cluster
 
-import (
-	"encoding/json"
-
-	"repro/internal/cluster/wire"
-)
+import "repro/internal/cluster/wire"
 
 // message is one protocol message as the cluster holds it in memory.
 // Type and Flags are the wire frame's own; the byte fields are strings
@@ -21,13 +17,12 @@ import (
 // buffer the frame arrived in — fromWire is the one place they are
 // copied out of it.  Which fields a type carries is the wire package's
 // frame layout: Register a Name, Assign a Payload, Result an
-// Err and a Payload, Snapshot a Snap.
+// Err and a Payload.
 type message struct {
 	Type    wire.Type
-	Flags   byte // register: wire.FlagWantSnapshot
+	Flags   byte // none defined: the scheduler refuses a register carrying any
 	TaskID  string
 	Name    string // worker name on register
-	Payload json.RawMessage
+	Payload []byte
 	Err     string
-	Snap    *Snapshot
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -18,7 +17,7 @@ import (
 // task is one unit of work tracked by the scheduler.
 type task struct {
 	id       string
-	payload  json.RawMessage
+	payload  []byte
 	attempts int
 	res      chan *message // one slot: the result, sent exactly once
 	mu       sync.Mutex
@@ -50,20 +49,28 @@ func (t *task) isDone() bool {
 	return t.done
 }
 
-// Stats reports scheduler activity counters.  The books balance:
-// every submitted task is eventually counted exactly once as Completed or
-// Failed, regardless of how many times it was reassigned or how many
-// duplicate results arrived.
+// Stats reports scheduler activity counters, the one record of the
+// scheduler's lifecycle: each occurrence is counted once, where it
+// happens.  The books balance: every submitted task is eventually counted
+// exactly once as Completed or Failed, regardless of how many times it
+// was reassigned or how many duplicate results arrived.  Assigned,
+// Delivered and Abandoned are counted just after the write or hand-off
+// they record, so they can trail a result its submitter already holds.
 type Stats struct {
-	Submitted  int64 // tasks Submit queued, one still waiting for a slot included
-	Completed  int64 // tasks finished successfully
-	Failed     int64 // tasks finished with an application error (or abandoned)
-	Reassigned int64 // tasks requeued after a worker death or lease expiry
-	Expired    int64 // leases that ran out (subset of Reassigned causes)
-	Stale      int64 // late/duplicate results discarded
-	Workers    int64 // workers currently connected
-	QueueWaits int64 // enqueues that blocked on a full pending queue (backpressure)
-	Pending    int64 // tasks waiting in the pending queue (a gauge)
+	Submitted    int64 // tasks Submit queued, one still waiting for a slot included
+	Completed    int64 // tasks finished successfully
+	Failed       int64 // tasks finished with an application error (or abandoned)
+	Reassigned   int64 // tasks requeued after a worker death or lease expiry
+	Expired      int64 // leases that ran out (subset of Reassigned causes)
+	Stale        int64 // late/duplicate results discarded
+	Abandoned    int64 // tasks failed after MaxAttempts leases were lost (subset of Failed)
+	Assigned     int64 // assignments written to workers, reassignments included
+	Delivered    int64 // worker results handed to their submitters
+	Registered   int64 // worker registrations accepted
+	Disconnected int64 // registered workers whose connection was torn down
+	Workers      int64 // workers currently connected: Registered − Disconnected
+	QueueWaits   int64 // enqueues that blocked on a full pending queue (backpressure)
+	Pending      int64 // tasks waiting in the pending queue (a gauge)
 }
 
 // queueDepth bounds the scheduler's pending queue.  A submitter that
@@ -100,10 +107,6 @@ type Scheduler struct {
 	TaskTimeout time.Duration
 	// Logf, if non-nil, receives diagnostic output.
 	Logf func(format string, args ...interface{})
-	// OnEvent, if non-nil, receives scheduler lifecycle events
-	// synchronously.  Handlers must be fast and must not call back into
-	// the scheduler.  Set it before the first connection arrives.
-	OnEvent func(Event)
 
 	ln  net.Listener
 	seq atomic.Uint64 // last task id handed out
@@ -152,20 +155,29 @@ func (s *Scheduler) Addr() string { return s.ln.Addr().String() }
 // Submitted in every snapshot, and Completed + Failed == Submitted at
 // every instant a submitter can observe once it holds the results of all
 // its tasks: a task is counted before its result is published, and
-// Submitted is loaded after the two counters it bounds.
+// Submitted is loaded after the two counters it bounds.  Likewise
+// Disconnected is loaded before the Registered it bounds, so Workers is
+// never negative.
 func (s *Scheduler) Stats() Stats {
 	completed := atomic.LoadInt64(&s.stats.Completed)
 	failed := atomic.LoadInt64(&s.stats.Failed)
+	disconnected := atomic.LoadInt64(&s.stats.Disconnected)
+	registered := atomic.LoadInt64(&s.stats.Registered)
 	return Stats{
-		Submitted:  atomic.LoadInt64(&s.stats.Submitted),
-		Completed:  completed,
-		Failed:     failed,
-		Reassigned: atomic.LoadInt64(&s.stats.Reassigned),
-		Expired:    atomic.LoadInt64(&s.stats.Expired),
-		Stale:      atomic.LoadInt64(&s.stats.Stale),
-		Workers:    atomic.LoadInt64(&s.stats.Workers),
-		QueueWaits: atomic.LoadInt64(&s.stats.QueueWaits),
-		Pending:    int64(len(s.pending)),
+		Submitted:    atomic.LoadInt64(&s.stats.Submitted),
+		Completed:    completed,
+		Failed:       failed,
+		Reassigned:   atomic.LoadInt64(&s.stats.Reassigned),
+		Expired:      atomic.LoadInt64(&s.stats.Expired),
+		Stale:        atomic.LoadInt64(&s.stats.Stale),
+		Abandoned:    atomic.LoadInt64(&s.stats.Abandoned),
+		Assigned:     atomic.LoadInt64(&s.stats.Assigned),
+		Delivered:    atomic.LoadInt64(&s.stats.Delivered),
+		Registered:   registered,
+		Disconnected: disconnected,
+		Workers:      registered - disconnected,
+		QueueWaits:   atomic.LoadInt64(&s.stats.QueueWaits),
+		Pending:      int64(len(s.pending)),
 	}
 }
 
@@ -211,13 +223,6 @@ func (s *Scheduler) logf(format string, args ...interface{}) {
 	if s.Logf != nil {
 		s.Logf(format, args...)
 	}
-}
-
-func (s *Scheduler) event(typ EventType, worker, taskID, detail string) {
-	if s.OnEvent == nil {
-		return
-	}
-	s.OnEvent(Event{Time: time.Now(), Type: typ, Worker: worker, TaskID: taskID, Detail: detail})
 }
 
 func (s *Scheduler) acceptLoop() {
@@ -272,36 +277,38 @@ func (s *Scheduler) handleConn(conn net.Conn) {
 		s.logf("cluster: unexpected first message %q", first.Type)
 		return
 	}
-	// A register flag this scheduler does not know (a retired peer's
-	// multiplexing hello among them) would register a phantom worker
-	// whose first task is lost to a decode error: refuse it instead.
-	if first.Flags&^wire.FlagWantSnapshot != 0 {
+	// No register flag is defined.  A peer that sets one (a retired
+	// worker's want-snapshot request or multiplexing hello) expects a
+	// protocol this scheduler does not speak: refuse it rather than serve
+	// a phantom worker whose first task is lost to a decode error.
+	if first.Flags != 0 {
 		s.logf("cluster: refusing register from %q with unknown flags %#x", first.Name, first.Flags)
 		return
 	}
 	s.runWorkerProxy(conn, cd, first)
 }
 
-// snapshot captures the compact catch-up state sent to a late-joining
-// worker that asked for it: the campaign epoch (tasks submitted so
-// far), the queue depth, and the sorted ids of every outstanding lease.
-// Its cost is O(in-flight tasks) — there is no history to replay.
-func (s *Scheduler) snapshot() *Snapshot {
-	snap := &Snapshot{
-		Epoch:   uint64(atomic.LoadInt64(&s.stats.Submitted)),
-		Pending: len(s.pending),
+// WorkerStats is a snapshot of one connected worker's activity, the
+// per-node view behind the aggregate Stats counters.
+type WorkerStats struct {
+	Name      string
+	Completed int64         // results delivered from this worker
+	Failed    int64         // application-error results from this worker
+	Stale     int64         // late/duplicate results discarded
+	Expired   int64         // leases that ran out on this worker
+	InFlight  int           // tasks currently leased to this worker
+	Latency   time.Duration // cumulative round-trip time of delivered results
+	LastSeen  time.Time     // last frame read from this worker
+}
+
+// String renders a one-line summary suitable for a periodic stats dump.
+func (ws WorkerStats) String() string {
+	avg := time.Duration(0)
+	if n := ws.Completed + ws.Failed; n > 0 {
+		avg = ws.Latency / time.Duration(n)
 	}
-	s.workersMu.Lock()
-	for w := range s.workers {
-		w.mu.Lock()
-		for id := range w.inflight {
-			snap.Leases = append(snap.Leases, id)
-		}
-		w.mu.Unlock()
-	}
-	s.workersMu.Unlock()
-	sort.Strings(snap.Leases)
-	return snap
+	return fmt.Sprintf("worker %q: completed=%d failed=%d stale=%d expired=%d inflight=%d avg_latency=%v",
+		ws.Name, ws.Completed, ws.Failed, ws.Stale, ws.Expired, ws.InFlight, avg.Round(time.Millisecond))
 }
 
 // workerProxy is the scheduler-side state of one worker connection: the
@@ -346,7 +353,7 @@ func (s *Scheduler) runWorkerProxy(conn net.Conn, cd *codec, first *message) {
 		inflight: make(map[string]*lease),
 		dead:     make(chan struct{}),
 	}
-	atomic.AddInt64(&s.stats.Workers, 1)
+	atomic.AddInt64(&s.stats.Registered, 1)
 	s.workersMu.Lock()
 	s.workers[w] = struct{}{}
 	s.workersMu.Unlock()
@@ -354,26 +361,21 @@ func (s *Scheduler) runWorkerProxy(conn net.Conn, cd *codec, first *message) {
 		s.workersMu.Lock()
 		delete(s.workers, w)
 		s.workersMu.Unlock()
-		atomic.AddInt64(&s.stats.Workers, -1)
+		atomic.AddInt64(&s.stats.Disconnected, 1)
 		conn.Close()
 		<-w.dead // reader has stopped touching shared state
-		s.event(EventWorkerDisconnect, name, "", "")
 		s.logf("cluster: worker %q disconnected", name)
 	}()
 	s.logf("cluster: worker %q connected", name)
-	s.event(EventWorkerConnect, name, "", "")
 
 	// Started before anything below can return: the deferred cleanup
 	// waits for the reader to close w.dead.
 	go w.readLoop()
 
-	// A worker that set wire.FlagWantSnapshot (our Worker always does)
-	// gets the compact catch-up state before its first assignment.  Raw
-	// registrants without the flag see the exact pre-snapshot protocol.
-	if first.Flags&wire.FlagWantSnapshot != 0 {
-		if err := cd.write(&message{Type: wire.TypeSnapshot, Snap: s.snapshot()}); err != nil {
-			return
-		}
+	// The ack goes out before the first assignment, and after the
+	// registration is counted: a worker that holds it is in Stats.Workers.
+	if err := cd.write(&message{Type: wire.TypeRegistered}); err != nil {
+		return
 	}
 
 	for {
@@ -410,10 +412,10 @@ func (w *workerProxy) dispatch(t *task) bool {
 
 	if err := w.cd.write(&message{Type: wire.TypeAssign, TaskID: t.id, Payload: t.payload}); err != nil {
 		w.take(t.id)
-		s.requeue(t, w.name, fmt.Sprintf("assign write failed: %v", err))
+		s.requeue(t)
 		return false
 	}
-	s.event(EventAssign, w.name, t.id, "")
+	atomic.AddInt64(&s.stats.Assigned, 1)
 
 	for {
 		var expiry <-chan time.Time
@@ -447,10 +449,7 @@ func (w *workerProxy) dispatch(t *task) bool {
 				continue // the reader resolved it concurrently; resolved fires next
 			}
 			atomic.AddInt64(&s.stats.Expired, 1)
-			if s.OnEvent != nil {
-				s.event(EventLeaseExpired, w.name, t.id, fmt.Sprintf("after %v", s.TaskTimeout))
-			}
-			s.requeue(t, w.name, "lease expired")
+			s.requeue(t)
 			// The worker stays connected: a late result will be discarded
 			// as stale by the reader, and the next pending task can still
 			// be leased here.
@@ -460,7 +459,7 @@ func (w *workerProxy) dispatch(t *task) bool {
 				timer.Stop()
 			}
 			if _, held := w.take(t.id); held {
-				s.requeue(t, w.name, "worker connection lost")
+				s.requeue(t)
 			}
 			return false
 		case <-s.closed:
@@ -488,9 +487,9 @@ func (w *workerProxy) take(id string) (*lease, bool) {
 
 // readLoop owns reads on the worker connection: results and heartbeats.
 // Results for unknown tasks — completed elsewhere, reassigned after a
-// lease expiry, or duplicated — are discarded with a stale-result event
-// rather than treated as protocol violations, so a worker that answers
-// late is never punished for it.
+// lease expiry, or duplicated — are discarded and counted Stale rather
+// than treated as protocol violations, so a worker that answers late is
+// never punished for it.
 func (w *workerProxy) readLoop() {
 	defer w.deadOnce.Do(func() { close(w.dead) })
 	s := w.s
@@ -518,7 +517,6 @@ func (w *workerProxy) readLoop() {
 				w.mu.Lock()
 				w.ws.Stale++
 				w.mu.Unlock()
-				s.event(EventStaleResult, w.name, m.TaskID, "discarded")
 				continue
 			}
 			w.deliver(l, m)
@@ -543,7 +541,6 @@ func (w *workerProxy) deliver(l *lease, m *message) {
 		w.mu.Lock()
 		w.ws.Stale++
 		w.mu.Unlock()
-		s.event(EventStaleResult, w.name, m.TaskID, "task already completed")
 		return
 	}
 	elapsed := time.Since(l.started)
@@ -555,26 +552,23 @@ func (w *workerProxy) deliver(l *lease, m *message) {
 	}
 	w.ws.Latency += elapsed
 	w.mu.Unlock()
-	if s.OnEvent != nil {
-		s.event(EventResult, w.name, m.TaskID, fmt.Sprintf("after %v err=%q", elapsed.Round(time.Millisecond), m.Err))
-	}
+	atomic.AddInt64(&s.stats.Delivered, 1)
 }
 
 // requeue puts a task back on the queue after a worker failure or lease
 // expiry, or fails it permanently once attempts are exhausted.
-func (s *Scheduler) requeue(t *task, worker, why string) {
+func (s *Scheduler) requeue(t *task) {
 	if t.isDone() {
 		return
 	}
 	t.attempts++
 	if t.attempts >= s.MaxAttempts {
-		if t.complete(&message{Type: wire.TypeResult, TaskID: t.id, Err: "cluster: task abandoned after repeated worker failures"}, &s.stats.Failed) && s.OnEvent != nil {
-			s.event(EventTaskAbandoned, worker, t.id, fmt.Sprintf("after %d attempts (%s)", t.attempts, why))
+		if t.complete(&message{Type: wire.TypeResult, TaskID: t.id, Err: "cluster: task abandoned after repeated worker failures"}, &s.stats.Failed) {
+			atomic.AddInt64(&s.stats.Abandoned, 1)
 		}
 		return
 	}
 	atomic.AddInt64(&s.stats.Reassigned, 1)
-	s.event(EventRequeue, worker, t.id, why)
 	// An enqueue that fails means the scheduler closed; dropping the task
 	// is deliberate — its Submit returns on the same close.
 	//lint:ignore errdiscard the only failure is Close, which Submit reports to the task's caller
@@ -619,7 +613,7 @@ func (s *Scheduler) enqueue(ctx context.Context, t *task) error {
 // caller whose ctx ends stops waiting, but its queued task still runs
 // and is counted once; Close claims the task of every caller still
 // waiting as Failed, so the books balance either way.
-func (s *Scheduler) Submit(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
+func (s *Scheduler) Submit(ctx context.Context, payload []byte) ([]byte, error) {
 	t := &task{id: strconv.FormatUint(s.seq.Add(1), 10), payload: payload, res: make(chan *message, 1)}
 	atomic.AddInt64(&s.stats.Submitted, 1)
 	if err := s.enqueue(ctx, t); err != nil {

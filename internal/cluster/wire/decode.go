@@ -20,10 +20,9 @@ const frameChunk = 64 << 10
 // boundary).  In steady state Decode allocates nothing.  Decoder is not
 // safe for concurrent use.
 type Decoder struct {
-	r      io.Reader
-	hdr    [HeaderSize]byte
-	buf    []byte
-	leases [][]byte
+	r   io.Reader
+	hdr [HeaderSize]byte
+	buf []byte
 }
 
 // NewDecoder returns a Decoder reading frames from r.
@@ -80,39 +79,10 @@ func (d *Decoder) Decode(m *Message) error {
 			return err
 		}
 		m.Payload = body
-	case TypeHeartbeat:
+	case TypeHeartbeat, TypeRegistered:
 		if len(body) != 0 {
-			return fmt.Errorf("%w: %d trailing bytes after heartbeat", ErrMalformed, len(body))
+			return fmt.Errorf("%w: %d trailing bytes after %s", ErrMalformed, len(body), typ)
 		}
-	case TypeSnapshot:
-		if m.Epoch, body, err = cutUvarint(body); err != nil {
-			return err
-		}
-		if m.Pending, body, err = cutUvarint(body); err != nil {
-			return err
-		}
-		var n uint64
-		if n, body, err = cutUvarint(body); err != nil {
-			return err
-		}
-		// Each encoded lease costs at least one byte, so n is implicitly
-		// bounded by the body length — no preallocation from the claim.
-		if n > uint64(len(body))+1 {
-			return fmt.Errorf("%w: %d leases claimed in %d body bytes", ErrMalformed, n, len(body))
-		}
-		leases := d.leases[:0]
-		for i := uint64(0); i < n; i++ {
-			var id []byte
-			if id, body, err = cutBytes(body); err != nil {
-				return err
-			}
-			leases = append(leases, id)
-		}
-		if len(body) != 0 {
-			return fmt.Errorf("%w: %d trailing bytes after snapshot", ErrMalformed, len(body))
-		}
-		d.leases = leases
-		m.Leases = leases
 	}
 	return nil
 }

@@ -66,16 +66,6 @@ func AppendFrame(dst []byte, m *Message) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, uint64(len(m.Err)))
 		dst = append(dst, m.Err...)
 		dst = append(dst, m.Payload...)
-	case TypeHeartbeat:
-		// no body
-	case TypeSnapshot:
-		dst = binary.AppendUvarint(dst, m.Epoch)
-		dst = binary.AppendUvarint(dst, m.Pending)
-		dst = binary.AppendUvarint(dst, uint64(len(m.Leases)))
-		for _, id := range m.Leases {
-			dst = binary.AppendUvarint(dst, uint64(len(id)))
-			dst = append(dst, id...)
-		}
 	}
 	bodyLen := len(dst) - bodyStart
 	if bodyLen > MaxFrame {

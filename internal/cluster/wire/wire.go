@@ -1,6 +1,6 @@
 // Package wire is the framing of the cluster plane, and its only one: a
 // hand-rolled length-prefixed codec that carries every protocol message
-// (register, assign → result, heartbeat, snapshot) with
+// (register, assign → result, heartbeat, registered) with
 // fixed-width headers and varint-delimited fields.  The paper's
 // deployment moved hundreds of fitness tasks per generation between the
 // Dask scheduler and its workers (§2.2.5); at that rate the envelope
@@ -21,8 +21,9 @@
 //	offset size field
 //	0      2    magic     0xD5A7
 //	2      1    version   format version (currently 1)
-//	3      1    type      message type (Register, Assign … Snapshot)
-//	4      1    flags     per-type bits (e.g. FlagWantSnapshot)
+//	3      1    type      message type (Register, Assign … Registered)
+//	4      1    flags     per-type bits (none defined; a register
+//	                      frame carrying any is refused by the scheduler)
 //	5      1    id len    task-id length in bytes (0–255)
 //	6      4    body len  length of the body after the task id
 //	10     …    task id   raw task-id bytes
@@ -30,11 +31,11 @@
 //
 // Body encodings, all uvarint-delimited:
 //
-//	Register:  len(name) name
-//	Assign:    payload (the remaining body bytes, verbatim)
-//	Result:    len(err) err payload
-//	Heartbeat: (empty)
-//	Snapshot:  epoch pending nleases { len(id) id }*
+//	Register:   len(name) name
+//	Assign:     payload (the remaining body bytes, verbatim)
+//	Result:     len(err) err payload
+//	Heartbeat:  (empty)
+//	Registered: (empty)
 //
 // Every connection speaks this framing from its first byte; there is no
 // negotiation.  A peer that sends anything else — another framing, or a
@@ -80,20 +81,19 @@ const (
 	TypeResult Type = 4
 	// TypeHeartbeat is worker → scheduler: renew the task's lease.
 	TypeHeartbeat Type = 5
-	// TypeSnapshot is scheduler → worker: compact catch-up state sent at
-	// register time (campaign epoch, queue depth, outstanding leases) so
-	// a late-joining worker learns where the campaign stands without any
-	// history replay.
-	TypeSnapshot Type = 6
+	// TypeRegistered is scheduler → worker: the register acknowledgement,
+	// sent before the first assignment.  A worker that does not get it
+	// is not talking to a scheduler of this format.
+	TypeRegistered Type = 6
 
-	typeMax = TypeSnapshot
+	typeMax = TypeRegistered
 )
 
 // known reports whether t is a type this format carries.
 func (t Type) known() bool { return t == TypeRegister || (t >= TypeAssign && t <= typeMax) }
 
 var typeNames = [...]string{TypeRegister: "register", TypeAssign: "assign", TypeResult: "result",
-	TypeHeartbeat: "heartbeat", TypeSnapshot: "snapshot"}
+	TypeHeartbeat: "heartbeat", TypeRegistered: "registered"}
 
 // String names the type for diagnostics.
 func (t Type) String() string {
@@ -102,10 +102,6 @@ func (t Type) String() string {
 	}
 	return fmt.Sprintf("type(%d)", byte(t))
 }
-
-// FlagWantSnapshot, set on a Register frame, asks the scheduler for a
-// Snapshot reply before the first assignment.
-const FlagWantSnapshot byte = 1 << 0
 
 // Message is one protocol message.  Byte fields produced by Decode
 // alias the Decoder's internal buffer and are valid only until the next
@@ -121,12 +117,6 @@ type Message struct {
 	Err []byte
 	// Payload is the opaque task/result body (Assign/Result).
 	Payload []byte
-	// Epoch, Pending and Leases are the Snapshot fields: the scheduler's
-	// campaign epoch (tasks submitted so far), the queued-task count, and
-	// the ids of every lease outstanding at snapshot time.
-	Epoch   uint64
-	Pending uint64
-	Leases  [][]byte
 }
 
 // Decode-failure sentinels.  Every malformed-frame error returned by

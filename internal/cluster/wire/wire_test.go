@@ -14,18 +14,19 @@ import (
 // shapes, including empty edge cases.
 func sampleMessages() []Message {
 	return []Message{
-		{Type: TypeRegister, Name: []byte("worker-0"), Flags: FlagWantSnapshot},
+		{Type: TypeRegister, Name: []byte("worker-0")},
 		{Type: TypeRegister, Name: nil},
-		// Bit 1 was the retired multiplexing hello: still a well-formed
-		// frame (flags are opaque here), refused by the scheduler.
+		// Bit 0 was the retired want-snapshot request and bit 1 the retired
+		// multiplexing hello: still well-formed frames (flags are opaque
+		// here), refused by the scheduler.
+		{Type: TypeRegister, Name: []byte("old-worker"), Flags: 1 << 0},
 		{Type: TypeRegister, Name: []byte("stale-peer"), Flags: 1 << 1},
 		{Type: TypeAssign, TaskID: []byte("task-2"), Payload: []byte(`{"genome":[1,2,3]}`)},
 		{Type: TypeAssign, TaskID: []byte("t"), Payload: nil},
 		{Type: TypeResult, TaskID: []byte("task-3"), Payload: []byte(`{"fitness":[0.5]}`)},
 		{Type: TypeResult, TaskID: []byte("task-4"), Err: []byte("cluster: task timed out")},
 		{Type: TypeHeartbeat, TaskID: []byte("task-5")},
-		{Type: TypeSnapshot, Epoch: 12345, Pending: 7, Leases: [][]byte{[]byte("a"), []byte("lease-b")}},
-		{Type: TypeSnapshot},
+		{Type: TypeRegistered},
 	}
 }
 
@@ -41,23 +42,9 @@ func retiredFrame(typ byte) []byte {
 }
 
 func equalMessages(a, b *Message) bool {
-	if a.Type != b.Type || a.Flags != b.Flags || a.Epoch != b.Epoch ||
-		a.Pending != b.Pending {
-		return false
-	}
-	if !bytes.Equal(a.TaskID, b.TaskID) || !bytes.Equal(a.Name, b.Name) ||
-		!bytes.Equal(a.Err, b.Err) || !bytes.Equal(a.Payload, b.Payload) {
-		return false
-	}
-	if len(a.Leases) != len(b.Leases) {
-		return false
-	}
-	for i := range a.Leases {
-		if !bytes.Equal(a.Leases[i], b.Leases[i]) {
-			return false
-		}
-	}
-	return true
+	return a.Type == b.Type && a.Flags == b.Flags &&
+		bytes.Equal(a.TaskID, b.TaskID) && bytes.Equal(a.Name, b.Name) &&
+		bytes.Equal(a.Err, b.Err) && bytes.Equal(a.Payload, b.Payload)
 }
 
 // writeCounter is a bytes.Buffer that counts Write calls.
@@ -203,15 +190,18 @@ func TestDecodeRejections(t *testing.T) {
 		})
 	}
 
-	// Trailing bytes after a fully-parsed body (heartbeats have none, so
-	// any body byte is trailing; a Result would have absorbed extras into
-	// its payload).
-	hb := frameFor(t, &Message{Type: TypeHeartbeat, TaskID: []byte("task")})
-	hb = append(hb, 0xFF)
-	binary.BigEndian.PutUint32(hb[6:10], 1)
+	// Trailing bytes after a fully-parsed body (heartbeats and register
+	// acks have none, so any body byte is trailing — the retired snapshot
+	// body among them; a Result would have absorbed extras into its
+	// payload).
 	var m Message
-	if err := NewDecoder(bytes.NewReader(hb)).Decode(&m); !errors.Is(err, ErrMalformed) {
-		t.Errorf("trailing bytes: %v, want ErrMalformed", err)
+	for _, typ := range []Type{TypeHeartbeat, TypeRegistered} {
+		f := frameFor(t, &Message{Type: typ, TaskID: []byte("task")})
+		f = append(f, 0xFF)
+		binary.BigEndian.PutUint32(f[6:10], 1)
+		if err := NewDecoder(bytes.NewReader(f)).Decode(&m); !errors.Is(err, ErrMalformed) {
+			t.Errorf("trailing bytes after %v: %v, want ErrMalformed", typ, err)
+		}
 	}
 
 	// Truncated register body: the name length claims more bytes than the
@@ -220,13 +210,6 @@ func TestDecodeRejections(t *testing.T) {
 	reg[HeaderSize] = 200 // name-length uvarint now overruns the body
 	if err := NewDecoder(bytes.NewReader(reg)).Decode(&m); !errors.Is(err, ErrMalformed) {
 		t.Errorf("overrunning name field: %v, want ErrMalformed", err)
-	}
-
-	// Snapshot claiming more leases than the body could hold.
-	snap := frameFor(t, &Message{Type: TypeSnapshot, Epoch: 1, Pending: 1})
-	snap[len(snap)-1] = 250 // lease count with an empty remainder
-	if err := NewDecoder(bytes.NewReader(snap)).Decode(&m); !errors.Is(err, ErrMalformed) {
-		t.Errorf("lease-count overclaim: %v, want ErrMalformed", err)
 	}
 }
 

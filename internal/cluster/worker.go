@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -16,9 +15,9 @@ import (
 // paper's deployment this is the multi-step DeePMD training workflow of
 // §2.2.4 (decode genome → write input.json in a UUID directory → train →
 // read lcurve.out).  To the scheduler and the worker a payload is opaque
-// bytes, JSON or not despite its type; EvalHandler and Evaluator define
-// what an evaluation payload holds (payload.go).
-type Handler func(ctx context.Context, payload json.RawMessage) (json.RawMessage, error)
+// bytes; EvalHandler and Evaluator define what an evaluation payload
+// holds (payload.go).
+type Handler func(ctx context.Context, payload []byte) ([]byte, error)
 
 // Worker connects to a scheduler, executes assigned tasks, and returns
 // results.  There is intentionally no supervision/restart of the process
@@ -60,10 +59,9 @@ type Worker struct {
 	addr string
 	wire wireCounters
 
-	mu     sync.Mutex // guards conn, cd, snap, closed
+	mu     sync.Mutex // guards conn, cd, closed
 	conn   net.Conn
 	cd     *codec
-	snap   *Snapshot
 	closed bool
 
 	// exec runs handlers; only the goroutine in Run touches it, and that
@@ -77,65 +75,40 @@ func NewWorker(addr, name string, handler Handler) (*Worker, error) {
 		return nil, fmt.Errorf("cluster: worker needs a handler")
 	}
 	w := &Worker{Name: name, Handler: handler, addr: addr}
-	conn, cd, snap, err := w.dialAndRegister()
+	conn, cd, err := w.dialAndRegister()
 	if err != nil {
 		return nil, err
 	}
-	w.conn, w.cd, w.snap = conn, cd, snap
+	w.conn, w.cd = conn, cd
 	return w, nil
 }
 
-// dialAndRegister dials, registers with wire.FlagWantSnapshot, and waits
-// for the scheduler's snapshot reply.  Registering mid-campaign therefore
-// costs one compact frame — where the campaign stands and which leases
-// are outstanding — never a replay of history.
-func (w *Worker) dialAndRegister() (net.Conn, *codec, *Snapshot, error) {
+// dialAndRegister dials, registers, and waits for the scheduler's
+// acknowledgement, so a worker pointed at anything but a scheduler of
+// this format fails here rather than on its first task.
+func (w *Worker) dialAndRegister() (net.Conn, *codec, error) {
 	conn, err := net.Dial("tcp", w.addr)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	cd := newCodec(conn, &w.wire)
-	if err := cd.write(&message{Type: wire.TypeRegister, Name: w.Name, Flags: wire.FlagWantSnapshot}); err != nil {
+	if err := cd.write(&message{Type: wire.TypeRegister, Name: w.Name}); err != nil {
 		//lint:ignore errdiscard best-effort close of a half-registered conn; the register error is returned
 		conn.Close()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	first, err := cd.read()
 	if err != nil {
 		//lint:ignore errdiscard best-effort close of a half-registered conn; the read error is returned
 		conn.Close()
-		return nil, nil, nil, fmt.Errorf("cluster: reading register snapshot: %w", err)
+		return nil, nil, fmt.Errorf("cluster: reading register ack: %w", err)
 	}
-	if first.Type != wire.TypeSnapshot {
+	if first.Type != wire.TypeRegistered {
 		//lint:ignore errdiscard best-effort close of a conn that broke protocol; the type error is returned
 		conn.Close()
-		return nil, nil, nil, fmt.Errorf("cluster: expected snapshot after register, got %q", first.Type)
+		return nil, nil, fmt.Errorf("cluster: expected register ack, got %q", first.Type)
 	}
-	return conn, cd, first.Snap, nil
-}
-
-// Snapshot is the compact catch-up state the scheduler sends a worker
-// that registers, instead of any history replay: the campaign epoch
-// (tasks submitted before it joined), the queue depth at join time, and
-// the leases that were outstanding.  Its size is O(in-flight tasks),
-// independent of how long the campaign has been running.
-type Snapshot struct {
-	Epoch   uint64
-	Pending int
-	Leases  []string
-}
-
-// Snapshot returns the catch-up state from the most recent successful
-// registration, and whether one has been received.
-func (w *Worker) Snapshot() (Snapshot, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.snap == nil {
-		return Snapshot{}, false
-	}
-	snap := *w.snap
-	snap.Leases = append([]string(nil), snap.Leases...)
-	return snap, true
+	return conn, cd, nil
 }
 
 // Wire returns a snapshot of the worker's transport counters across all
@@ -206,7 +179,7 @@ func (w *Worker) reconnect(ctx context.Context, bo *backoff) (net.Conn, *codec, 
 		if ctx.Err() != nil || w.isClosed() {
 			return nil, nil, nil
 		}
-		conn, cd, snap, err := w.dialAndRegister()
+		conn, cd, err := w.dialAndRegister()
 		if err == nil {
 			w.mu.Lock()
 			if w.closed {
@@ -215,7 +188,7 @@ func (w *Worker) reconnect(ctx context.Context, bo *backoff) (net.Conn, *codec, 
 				conn.Close()
 				return nil, nil, nil
 			}
-			w.conn, w.cd, w.snap = conn, cd, snap
+			w.conn, w.cd = conn, cd
 			w.mu.Unlock()
 			if ctx.Err() != nil {
 				// The cancellation watcher may have fired before w.conn was
@@ -224,7 +197,7 @@ func (w *Worker) reconnect(ctx context.Context, bo *backoff) (net.Conn, *codec, 
 				return nil, nil, nil
 			}
 			bo.reset()
-			w.logf("cluster: worker %q reconnected to %s (epoch %d, %d leases outstanding)", w.Name, w.addr, snap.Epoch, len(snap.Leases))
+			w.logf("cluster: worker %q reconnected to %s", w.Name, w.addr)
 			return conn, cd, nil
 		}
 		attempts++
@@ -247,12 +220,6 @@ func (w *Worker) serve(ctx context.Context, cd *codec) error {
 		m, err := cd.read()
 		if err != nil {
 			return err
-		}
-		if m.Type == wire.TypeSnapshot {
-			w.mu.Lock()
-			w.snap = m.Snap
-			w.mu.Unlock()
-			continue
 		}
 		if m.Type != wire.TypeAssign {
 			w.logf("cluster: worker %q got unexpected message %q; ignoring", w.Name, m.Type)
@@ -281,7 +248,7 @@ type executor struct {
 }
 
 type handlerOut struct {
-	payload json.RawMessage
+	payload []byte
 	err     error
 }
 
@@ -383,7 +350,7 @@ func taskResult(ctx, taskCtx context.Context, id string, out handlerOut) *messag
 	return res
 }
 
-func safeHandle(ctx context.Context, h Handler, payload json.RawMessage) (out json.RawMessage, err error) {
+func safeHandle(ctx context.Context, h Handler, payload []byte) (out []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = nil

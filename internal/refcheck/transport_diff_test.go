@@ -59,7 +59,7 @@ func TestGoldenLCurveTransportInvariance(t *testing.T) {
 		t.Skip("short mode")
 	}
 	train, val := goldenDataset(t)
-	handler := func(ctx context.Context, _ json.RawMessage) (json.RawMessage, error) {
+	handler := func(ctx context.Context, _ []byte) ([]byte, error) {
 		ev := &GoldenEvaluator{Train: train, Val: val, Threads: 1}
 		cfg := ev.GoldenTrainConfig(GoldenReferenceGenome)
 		rng := rand.New(rand.NewSource(genomeSeed(GoldenReferenceGenome)))

@@ -3,6 +3,7 @@ package service_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -77,14 +78,15 @@ func waitStatusHTTP(t *testing.T, base, id string, want service.State) service.S
 }
 
 func TestHTTPCampaignLifecycle(t *testing.T) {
-	_, srv := newTestServer(t, func(cfg *service.Config) {
-		cfg.SchedulerWire = func() cluster.WireStats {
-			return cluster.WireStats{FramesIn: 7, FramesOut: 9, BytesIn: 512, BytesOut: 1024, Conns: 3}
-		}
-		cfg.SchedulerStats = func() (cluster.Stats, []cluster.WorkerStats) {
-			return cluster.Stats{Submitted: 12, QueueWaits: 1, Pending: 5}, nil
-		}
-	})
+	// The campaign runs on the surrogate; /metrics renders an idle
+	// scheduler with one registered worker.
+	echo := func(_ context.Context, p []byte) ([]byte, error) { return p, nil }
+	fleet, err := cluster.NewLocalCluster(1, echo, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fleet.Close() })
+	_, srv := newTestServer(t, func(cfg *service.Config) { cfg.Scheduler = fleet.Scheduler })
 	base := srv.URL
 
 	// Malformed bodies are 400s.
@@ -210,10 +212,16 @@ func TestHTTPCampaignLifecycle(t *testing.T) {
 		`repro_service_campaigns{state="done"} 1`,
 		"repro_service_evaluations_total",
 		"repro_service_memo_misses_total",
-		"repro_cluster_wire_frames_in_total 7",
-		"repro_cluster_wire_conns_total 3\n",
-		"repro_cluster_queue_waits_total 1\n",
-		"repro_cluster_queue_depth 5\n",
+		"repro_cluster_tasks_submitted_total 0\n",
+		"repro_cluster_workers 1\n",
+		`repro_cluster_worker_inflight{worker="worker-0"} 0`,
+		"repro_cluster_wire_frames_in_total 1\n", // the register
+		"repro_cluster_wire_conns_total 1\n",
+		"repro_cluster_queue_waits_total 0\n",
+		"repro_cluster_queue_depth 0\n",
+		`repro_cluster_events_total{type="worker_connect"} 1`,
+		`repro_cluster_events_total{type="assign"} 0`,
+		`repro_cluster_events_total{type="worker_disconnect"} 0`,
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
@@ -363,5 +371,75 @@ func TestHTTPSSEStream(t *testing.T) {
 	}
 	if strings.Contains(string(tail), fmt.Sprintf("id: %d\n", mid)) {
 		t.Fatal("resumed stream replayed already-delivered events")
+	}
+}
+
+// TestSchedulerLifecycleMetrics drives a real scheduler through each
+// lifecycle occurrence — a delivered result, a task whose lease expires
+// twice into an abandon, the two late results that arrive stale, a
+// worker that leaves — and holds /metrics to the scheduler's own
+// counters: each repro_cluster_events_total line is the Stats field it
+// labels, and registrations − disconnects is the connected fleet.
+func TestSchedulerLifecycleMetrics(t *testing.T) {
+	release := make(chan struct{})
+	handler := func(_ context.Context, p []byte) ([]byte, error) {
+		if string(p) == "slow" {
+			<-release // ignores its context, like a hung training
+		}
+		return p, nil
+	}
+	lc, err := cluster.NewLocalCluster(2, handler, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lc.Close() })
+	sched := lc.Scheduler
+	sched.TaskTimeout, sched.MaxAttempts = 250*time.Millisecond, 2
+	if _, err := sched.Submit(context.Background(), []byte("fast")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sched.Submit(context.Background(), []byte("slow")); err == nil || !strings.Contains(err.Error(), "abandoned") {
+		t.Fatalf("slow task: %v, want it abandoned after two lease expiries", err)
+	}
+	waitFor := func(what string, cond func(cluster.Stats) bool) {
+		t.Helper()
+		for i := 0; i < 5000 && !cond(sched.Stats()); i++ {
+			time.Sleep(time.Millisecond)
+		}
+		if st := sched.Stats(); !cond(st) {
+			t.Fatalf("timed out waiting for %s: %+v", what, st)
+		}
+	}
+	svc := newTestService(t, func(cfg *service.Config) { cfg.Scheduler = sched })
+	// checkEvents holds each events line of /metrics to the Stats field
+	// it labels.
+	checkEvents := func() cluster.Stats {
+		t.Helper()
+		st, rec := sched.Stats(), httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		for typ, n := range map[string]int64{"assign": st.Assigned, "lease_expired": st.Expired,
+			"requeue": st.Reassigned, "result": st.Delivered, "stale_result": st.Stale,
+			"task_abandoned": st.Abandoned, "worker_connect": st.Registered, "worker_disconnect": st.Disconnected} {
+			if want := fmt.Sprintf("repro_cluster_events_total{type=%q} %d\n", typ, n); !strings.Contains(rec.Body.String(), want) {
+				t.Errorf("metrics missing %q:\n%s", want, rec.Body)
+			}
+		}
+		return st
+	}
+
+	// The late results are still held back, so no two counters are equal
+	// that the events lines could swap unseen.
+	waitFor("the abandon", func(st cluster.Stats) bool { return st.Abandoned == 1 })
+	if st := checkEvents(); st.Expired != 2 || st.Reassigned != 1 || st.Stale != 0 || st.Delivered != 1 || st.Assigned != 3 || st.Registered != 2 {
+		t.Errorf("stats %+v, want 2 expiries, 1 requeue, 1 abandon, 1 delivered result, 3 assignments, 2 registrations", st)
+	}
+	close(release)
+	waitFor("the two late results", func(st cluster.Stats) bool { return st.Stale == 2 })
+	if err := lc.Workers[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("the disconnect", func(st cluster.Stats) bool { return st.Disconnected == 1 })
+	if st := checkEvents(); st.Registered-st.Disconnected != st.Workers || st.Workers != 1 || len(sched.WorkerStats()) != 1 {
+		t.Errorf("stats %+v with %d workers listed: registrations − disconnects is not the fleet", st, len(sched.WorkerStats()))
 	}
 }

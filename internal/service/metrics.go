@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync/atomic"
 )
 
 // Metrics are rendered in the Prometheus text exposition format with
 // only stdlib machinery.  Everything is emitted in a fixed order —
-// states from a constant list, workers and event types pre-sorted — so
+// states and event types from constant lists, workers pre-sorted — so
 // consecutive scrapes of an idle service are byte-stable.
 
 // metricStates fixes the emission order of the per-state campaign gauge.
@@ -56,8 +55,8 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&buf, "# TYPE repro_service_memo_misses_total counter\nrepro_service_memo_misses_total %d\n", ms.Misses)
 	fmt.Fprintf(&buf, "# TYPE repro_service_memo_entries gauge\nrepro_service_memo_entries %d\n", ms.Entries)
 
-	if s.cfg.SchedulerStats != nil {
-		st, workers := s.cfg.SchedulerStats()
+	if sched := s.cfg.Scheduler; sched != nil {
+		st, workers := sched.Stats(), sched.WorkerStats()
 		fmt.Fprintf(&buf, "# HELP repro_cluster_tasks Lease-scheduler task counters.\n")
 		fmt.Fprintf(&buf, "# TYPE repro_cluster_tasks_submitted_total counter\nrepro_cluster_tasks_submitted_total %d\n", st.Submitted)
 		fmt.Fprintf(&buf, "# TYPE repro_cluster_tasks_completed_total counter\nrepro_cluster_tasks_completed_total %d\n", st.Completed)
@@ -78,9 +77,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for _, ws := range workers {
 			fmt.Fprintf(&buf, "repro_cluster_worker_completed_total{worker=%q} %d\n", ws.Name, ws.Completed)
 		}
-	}
-	if s.cfg.SchedulerWire != nil {
-		ws := s.cfg.SchedulerWire()
+		ws := sched.Wire()
 		fmt.Fprintf(&buf, "# HELP repro_cluster_wire Transport-level frame and byte counters.\n")
 		fmt.Fprintf(&buf, "# TYPE repro_cluster_wire_frames_in_total counter\nrepro_cluster_wire_frames_in_total %d\n", ws.FramesIn)
 		fmt.Fprintf(&buf, "# TYPE repro_cluster_wire_frames_out_total counter\nrepro_cluster_wire_frames_out_total %d\n", ws.FramesOut)
@@ -88,13 +85,24 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&buf, "# TYPE repro_cluster_wire_bytes_out_total counter\nrepro_cluster_wire_bytes_out_total %d\n", ws.BytesOut)
 		fmt.Fprintf(&buf, "# TYPE repro_cluster_wire_decode_errors_total counter\nrepro_cluster_wire_decode_errors_total %d\n", ws.DecodeErrors)
 		fmt.Fprintf(&buf, "# TYPE repro_cluster_wire_conns_total counter\nrepro_cluster_wire_conns_total %d\n", ws.Conns)
-	}
-	if s.cfg.SchedulerEvents != nil {
-		types, counts := s.cfg.SchedulerEvents.Counts()
+		// Each lifecycle counter of cluster.Stats, labelled by the event it
+		// counts: every type on every scrape.
 		fmt.Fprintf(&buf, "# HELP repro_cluster_events_total Scheduler lifecycle events by type.\n")
 		fmt.Fprintf(&buf, "# TYPE repro_cluster_events_total counter\n")
-		for i, t := range types {
-			fmt.Fprintf(&buf, "repro_cluster_events_total{type=%q} %d\n", string(t), counts[i])
+		for _, e := range []struct {
+			typ string
+			n   int64
+		}{
+			{"assign", st.Assigned},
+			{"lease_expired", st.Expired},
+			{"requeue", st.Reassigned},
+			{"result", st.Delivered},
+			{"stale_result", st.Stale},
+			{"task_abandoned", st.Abandoned},
+			{"worker_connect", st.Registered},
+			{"worker_disconnect", st.Disconnected},
+		} {
+			fmt.Fprintf(&buf, "repro_cluster_events_total{type=%q} %d\n", e.typ, e.n)
 		}
 	}
 
@@ -102,14 +110,4 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if _, err := w.Write(buf.Bytes()); err != nil {
 		s.logf("metrics_write_error", "err", err)
 	}
-}
-
-// sortedTenantNames is a metrics/debug helper returning tenant names in
-// deterministic order.
-func (s *Service) sortedTenantNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := append([]string(nil), s.tenantOrder...)
-	sort.Strings(out)
-	return out
 }

@@ -95,15 +95,9 @@ type Config struct {
 	EventBuffer int
 	// Logf, if non-nil, receives structured key=value log lines.
 	Logf func(format string, args ...interface{})
-	// SchedulerStats, if non-nil, feeds lease-scheduler counters into
-	// /metrics (wire it to Scheduler.Stats + Scheduler.WorkerStats).
-	SchedulerStats func() (cluster.Stats, []cluster.WorkerStats)
-	// SchedulerEvents, if non-nil, feeds scheduler lifecycle-event
-	// counts into /metrics (wire it to Scheduler.OnEvent).
-	SchedulerEvents *cluster.EventCounters
-	// SchedulerWire, if non-nil, feeds transport-level frame/byte/error
-	// counters into /metrics (wire it to Scheduler.Wire).
-	SchedulerWire func() cluster.WireStats
+	// Scheduler, if non-nil, is the lease scheduler behind Evaluator;
+	// /metrics reads its task, worker, wire and lifecycle counters.
+	Scheduler *cluster.Scheduler
 }
 
 func (cfg Config) withDefaults() Config {

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -25,7 +26,18 @@ import (
 	"repro/internal/npy"
 )
 
+// cleared records the corpus directories this run has emptied: each is
+// emptied before its first seed is written, so a seed dropped from this
+// file disappears from the tree too.
+var cleared = map[string]bool{}
+
 func writeCorpus(dir, name string, entry string) {
+	if !cleared[dir] {
+		if err := os.RemoveAll(dir); err != nil {
+			log.Fatal(err)
+		}
+		cleared[dir] = true
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +50,6 @@ func writeCorpus(dir, name string, entry string) {
 func bytesEntry(b []byte) string  { return "[]byte(" + strconv.Quote(string(b)) + ")" }
 func stringEntry(s string) string { return "string(" + strconv.Quote(s) + ")" }
 func byteEntry(b byte) string     { return fmt.Sprintf("byte('\\x%02x')", b) }
-func uint64Entry(v uint64) string { return fmt.Sprintf("uint64(%d)", v) }
 
 // multiEntry joins the per-argument lines of a multi-parameter fuzz
 // target's corpus file.
@@ -52,6 +63,17 @@ func wireFrame(m *wire.Message) []byte {
 		log.Fatal(err)
 	}
 	return frame
+}
+
+// evalPayload lays v out as internal/cluster's evaluation payloads do:
+// the kind byte ('g' genome, 'f' fitness), then each value's IEEE-754
+// bits little-endian.
+func evalPayload(kind byte, v ...float64) []byte {
+	out := []byte{kind}
+	for _, f := range v {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(f))
+	}
+	return out
 }
 
 func npyBytes(shape []int, data []float64) []byte {
@@ -104,22 +126,21 @@ func main() {
 
 	wireDir := filepath.Join("internal", "cluster", "wire", "testdata", "fuzz", "FuzzWireDecode")
 	writeCorpus(wireDir, "register",
-		bytesEntry(wireFrame(&wire.Message{Type: wire.TypeRegister, Name: []byte("worker-0"), Flags: wire.FlagWantSnapshot})))
+		bytesEntry(wireFrame(&wire.Message{Type: wire.TypeRegister, Name: []byte("worker-0")})))
 	writeCorpus(wireDir, "assign",
-		bytesEntry(wireFrame(&wire.Message{Type: wire.TypeAssign, TaskID: []byte("task-2"), Payload: []byte(`{"genome":[1]}`)})))
+		bytesEntry(wireFrame(&wire.Message{Type: wire.TypeAssign, TaskID: []byte("task-2"), Payload: evalPayload('g', 1)})))
 	writeCorpus(wireDir, "result_ok",
-		bytesEntry(wireFrame(&wire.Message{Type: wire.TypeResult, TaskID: []byte("task-3"), Payload: []byte(`{"fitness":[2.5]}`)})))
+		bytesEntry(wireFrame(&wire.Message{Type: wire.TypeResult, TaskID: []byte("task-3"), Payload: evalPayload('f', 2.5)})))
 	writeCorpus(wireDir, "result_err",
 		bytesEntry(wireFrame(&wire.Message{Type: wire.TypeResult, TaskID: []byte("task-4"), Err: []byte("diverged")})))
 	writeCorpus(wireDir, "heartbeat",
 		bytesEntry(wireFrame(&wire.Message{Type: wire.TypeHeartbeat, TaskID: []byte("task-5")})))
-	writeCorpus(wireDir, "snapshot",
-		bytesEntry(wireFrame(&wire.Message{Type: wire.TypeSnapshot, Epoch: 981, Pending: 12,
-			Leases: [][]byte{[]byte("lease-a"), []byte("lease-b")}})))
+	writeCorpus(wireDir, "registered",
+		bytesEntry(wireFrame(&wire.Message{Type: wire.TypeRegistered})))
 	badMagic := wireFrame(&wire.Message{Type: wire.TypeHeartbeat, TaskID: []byte("t")})
 	badMagic[0] = 0x00
 	writeCorpus(wireDir, "bad_magic", bytesEntry(badMagic))
-	truncated := wireFrame(&wire.Message{Type: wire.TypeAssign, TaskID: []byte("t"), Payload: []byte(`{"genome":[1,2,3]}`)})
+	truncated := wireFrame(&wire.Message{Type: wire.TypeAssign, TaskID: []byte("t"), Payload: evalPayload('g', 1, 2, 3)})
 	writeCorpus(wireDir, "truncated_frame", bytesEntry(truncated[:len(truncated)-4]))
 	hostileWire := make([]byte, wire.HeaderSize)
 	binary.BigEndian.PutUint16(hostileWire[0:2], wire.Magic)
@@ -129,19 +150,18 @@ func main() {
 	writeCorpus(wireDir, "hostile_length_no_body", bytesEntry(hostileWire))
 
 	msgDir := filepath.Join("internal", "cluster", "testdata", "fuzz", "FuzzMessageRoundTrip")
-	msg := func(typ, flags byte, taskID, name, errStr string, payload []byte, epoch, pending uint64, lease string) string {
+	msg := func(typ, flags byte, taskID, name, errStr string, payload []byte) string {
 		return multiEntry(byteEntry(typ), byteEntry(flags),
-			stringEntry(taskID), stringEntry(name), stringEntry(errStr),
-			bytesEntry(payload), uint64Entry(epoch), uint64Entry(pending), stringEntry(lease))
+			stringEntry(taskID), stringEntry(name), stringEntry(errStr), bytesEntry(payload))
 	}
-	writeCorpus(msgDir, "register", msg(0, 1, "", "worker-0", "", nil, 0, 0, ""))
+	writeCorpus(msgDir, "register", msg(0, 0, "", "worker-0", "", nil))
 	// Type byte 2 is the retired client submit: the codec must refuse it.
-	writeCorpus(msgDir, "submit", msg(1, 0, "task-1", "", "", []byte(`{"genome":[0.5,-1.5]}`), 0, 0, ""))
-	writeCorpus(msgDir, "assign", msg(2, 0, "task-2", "", "", []byte(`{"genome":[1]}`), 0, 0, ""))
-	writeCorpus(msgDir, "result_err", msg(3, 0, "task-3", "", "diverged", []byte(`{"fitness":[2.5]}`), 0, 0, ""))
-	writeCorpus(msgDir, "heartbeat", msg(4, 0, "task-4", "", "", nil, 0, 0, ""))
-	writeCorpus(msgDir, "snapshot", msg(5, 0, "", "", "", nil, 981, 12, "lease-a"))
-	writeCorpus(msgDir, "non_utf8_id", msg(1, 0, "id-\xff\xfe", "", "", []byte{0x80, 0x81}, 0, 0, ""))
+	writeCorpus(msgDir, "submit", msg(1, 0, "task-1", "", "", evalPayload('g', 0.5, -1.5)))
+	writeCorpus(msgDir, "assign", msg(2, 0, "task-2", "", "", evalPayload('g', 1)))
+	writeCorpus(msgDir, "result_err", msg(3, 0, "task-3", "", "diverged", evalPayload('f', 2.5)))
+	writeCorpus(msgDir, "heartbeat", msg(4, 0, "task-4", "", "", nil))
+	writeCorpus(msgDir, "registered", msg(5, 0, "", "", "", nil))
+	writeCorpus(msgDir, "non_utf8_id", msg(1, 0, "id-\xff\xfe", "", "", []byte{0x80, 0x81}))
 
 	streamDir := filepath.Join("internal", "dataset", "stream", "testdata", "fuzz", "FuzzShardIndex")
 	shardOK := npyBytes([]int{2, 6}, []float64{0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5, 8.5, 9.5, 10.5, 11.5})
