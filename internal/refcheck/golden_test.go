@@ -193,6 +193,58 @@ func TestGoldenLCurveWorkers6(t *testing.T) {
 	}
 }
 
+// box12Dataset is the golden set's composition at its density in a
+// 12 Å cell: five formula units, 30 atoms, four training and two
+// validation frames.
+func box12Dataset() (train, val *dataset.Dataset) {
+	rng := rand.New(rand.NewSource(12))
+	unit := []md.Species{md.Al, md.Cl, md.Cl, md.Cl, md.K, md.Cl}
+	var species []md.Species
+	for range 5 {
+		species = append(species, unit...)
+	}
+	d := dataset.Generate(rng, species, 12.0, 498, md.NewPaperBMH(4.0), 0.5, 60, 5, 6)
+	return &dataset.Dataset{Types: d.Types, Frames: d.Frames[:4]},
+		&dataset.Dataset{Types: d.Types, Frames: d.Frames[4:]}
+}
+
+// TestGoldenLCurveBox12 pins the reference genome's learning curve, on
+// the golden schedule and model, in the regime where the minimum image
+// is exact: rcut 4 Å plus the trainer's skin stays below half of a
+// 12 Å box, so no atom sees two images of another.  Teaching the
+// neighbour search about periodic images beyond the minimum one must not
+// move these bytes.  The last line is the SHA-256 of every final
+// parameter's IEEE-754 bits, which lcurve.out's five digits do not show.
+// Threads 0 follows GOMAXPROCS and must match Threads 1.
+func TestGoldenLCurveBox12(t *testing.T) {
+	train, val := box12Dataset()
+	curves := make([][]byte, 0, 2)
+	for _, threads := range []int{1, 0} {
+		m, err := deepmd.NewModel(rand.New(rand.NewSource(genomeSeed(GoldenReferenceGenome))), goldenModelConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		cfg := (&GoldenEvaluator{Threads: threads}).GoldenTrainConfig(GoldenReferenceGenome)
+		if _, err := deepmd.Train(context.Background(), m, train, val, cfg, &buf); err != nil {
+			t.Fatalf("train reference genome: %v", err)
+		}
+		h := sha256.New()
+		var word [8]byte
+		param, _ := m.Arenas()
+		for _, v := range param {
+			binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+			h.Write(word[:])
+		}
+		fmt.Fprintf(&buf, "# params sha256 %x\n", h.Sum(nil))
+		curves = append(curves, buf.Bytes())
+	}
+	if !bytes.Equal(curves[0], curves[1]) {
+		t.Fatalf("lcurve bytes differ between Threads=1 and Threads=GOMAXPROCS:\n%s\nvs\n%s", curves[0], curves[1])
+	}
+	checkGolden(t, "lcurve_box12.out", curves[0])
+}
+
 // paperNetDataset is a 20-atom AlCl3 + 3 KCl cell at the paper's density
 // (two formula units, the benchmark's real-trainer system), 12 training
 // and 4 validation frames.
