@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	neigh "repro/internal/neighbor"
+	"repro/internal/neighbor"
 	"repro/internal/nn"
 )
 
@@ -107,7 +107,7 @@ func BenchmarkForwardEnvReuse(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	coord, types := benchConfiguration(rng, 160, 17.84)
 	d := paperScaleDescriptor(b, 6.0)
-	var nl neigh.List
+	var nl neighbor.List
 	nl.Build(coord, 17.84, 6.0, 0)
 	var env *Env
 	dOut := make([]float64, d.Cfg.OutDim())

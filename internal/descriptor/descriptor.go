@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/neighbor"
 	"repro/internal/nn"
 )
 
@@ -130,8 +131,8 @@ func New(cfg Config, layers []*nn.Dense) *Descriptor {
 	}
 }
 
-// neighbor is one entry of an atom's environment.
-type neighbor struct {
+// nbrSlot is one entry of an atom's environment.
+type nbrSlot struct {
 	j        int        // neighbour atom index
 	embedIdx int        // embedding-network index for this pair
 	bIdx     int        // index of the neighbour's netBatch in Env.batches
@@ -165,7 +166,7 @@ type netBatch struct {
 // backprop scratch), making steady-state evaluation allocation-free.
 type Env struct {
 	center int
-	nbrs   []neighbor // slot pool; the first n entries are active
+	nbrs   []nbrSlot // slot pool; the first n entries are active
 	n      int
 	t1     []float64 // 4×M1 row-major: T1[a][m] = Σ_j R̃_j[a]·G_j[m] / norm
 	out    []float64 // flattened descriptor, M1×M2
@@ -276,18 +277,14 @@ func (d *Descriptor) ScanEnv(env *Env, coord []float64, types []int, box float64
 		var dd [3]float64
 		r2 := 0.0
 		for k := 0; k < 3; k++ {
-			dk := coord[3*j+k] - coord[3*i+k]
-			if box > 0 {
-				dk -= box * math.Round(dk/box)
-			}
-			dd[k] = dk
-			r2 += dk * dk
+			dd[k] = neighbor.MinImage(coord[3*j+k]-coord[3*i+k], box)
+			r2 += dd[k] * dd[k]
 		}
 		if r2 >= rc2 || r2 == 0 {
 			return
 		}
 		if env.n == len(env.nbrs) {
-			env.nbrs = append(env.nbrs, neighbor{})
+			env.nbrs = append(env.nbrs, nbrSlot{})
 		}
 		nb := &env.nbrs[env.n]
 		env.n++

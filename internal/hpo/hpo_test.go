@@ -2,12 +2,14 @@ package hpo
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -469,7 +471,13 @@ func TestEstimateNeighborsWrapsAnyCoordinate(t *testing.T) {
 				Frames: []dataset.Frame{{Coord: tc.coord, Box: box}},
 			}
 			done := make(chan float64, 1)
-			go func() { done <- estimateNeighbors(src, rcut) }()
+			go func() {
+				got, err := estimateNeighbors(src, rcut)
+				if err != nil {
+					t.Error(err)
+				}
+				done <- got
+			}()
 			select {
 			case got := <-done:
 				if got != tc.want {
@@ -479,5 +487,118 @@ func TestEstimateNeighborsWrapsAnyCoordinate(t *testing.T) {
 				t.Fatal("estimateNeighbors did not return within 5 s")
 			}
 		})
+	}
+}
+
+// allPairsNeighbors is the all-pairs scan estimateNeighbors ran before it
+// read its count off a neighbor.List, kept here as the oracle.
+func allPairsNeighbors(f *dataset.Frame, n int, rcut float64) float64 {
+	count := 0
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			r2 := 0.0
+			for k := 0; k < 3; k++ {
+				dk := f.Coord[3*j+k] - f.Coord[3*i+k]
+				if f.Box > 0 {
+					dk -= f.Box * math.Round(dk/f.Box)
+				}
+				r2 += dk * dk
+			}
+			if r2 < rcut*rcut {
+				count++
+			}
+		}
+	}
+	avg := float64(count) / float64(n)
+	if avg < 1 {
+		avg = 1
+	}
+	return avg
+}
+
+// TestEstimateNeighborsMatchesAllPairs holds the list-based count to the
+// all-pairs oracle bit for bit on the list's three build paths: a small
+// periodic frame (the quadratic scan below 32 atoms), a paper-size cell
+// at least three cutoffs wide (the cell grid), and open boundaries.
+// Periodic coordinates range over three boxes so the wrap is exercised.
+func TestEstimateNeighborsMatchesAllPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	frame := func(n int, box, ext float64) dataset.Frame {
+		coord := make([]float64, 3*n)
+		for k := range coord {
+			coord[k] = ext * rng.Float64()
+			if box > 0 {
+				coord[k] -= box
+			}
+		}
+		return dataset.Frame{Coord: coord, Box: box}
+	}
+	for _, tc := range []struct {
+		name  string
+		n     int
+		box   float64
+		ext   float64
+		rcuts []float64
+	}{
+		{"brute path", 20, 7, 21, []float64{1.5, 2.5, 3.5}},
+		{"cell grid", 160, 17.84, 3 * 17.84, []float64{4, 5, 5.9}},
+		{"open boundaries", 60, 0, 15, []float64{3, 4, 8}},
+	} {
+		f := frame(tc.n, tc.box, tc.ext)
+		src := &dataset.Dataset{Types: make([]int, tc.n), Frames: []dataset.Frame{f}}
+		for _, rcut := range tc.rcuts {
+			got, err := estimateNeighbors(src, rcut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := allPairsNeighbors(&f, tc.n, rcut); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s, rcut %v: estimateNeighbors = %v, all pairs %v", tc.name, rcut, got, want)
+			}
+		}
+	}
+}
+
+// firstReadFails is a training set whose first read of frame 0 fails.
+// Every later read succeeds, so only a caller that checks that first read
+// sees the failure.
+type firstReadFails struct {
+	*dataset.Dataset
+	failed atomic.Bool
+}
+
+var errFirstRead = errors.New("firstReadFails: injected read failure")
+
+func (f *firstReadFails) Frame(i int) (*dataset.Frame, error) {
+	if i == 0 && f.failed.CompareAndSwap(false, true) {
+		return nil, errFirstRead
+	}
+	return f.Dataset.Frame(i)
+}
+
+// TestRealTrainerReturnsFrameReadError: when the read of frame 0 that
+// sets the neighbour normalization fails, the training fails with it and
+// the workflow's caller sees the read error (the EA assigns MAXINT),
+// instead of a run that trains with a default normalization.
+func TestRealTrainerReturnsFrameReadError(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	species := []md.Species{md.Al, md.Cl, md.Cl, md.Cl, md.K, md.Cl}
+	data := dataset.Generate(rng, species, 7.0, 498, md.NewPaperBMH(4.0), 0.5, 20, 5, 4)
+	train, val := data.Split(0.25)
+	rt := &RealTrainer{Train: &firstReadFails{Dataset: train}, Val: val, Workers: 1, StepsOverride: 2, ValFrames: 1}
+	w := &WorkflowEvaluator{
+		WorkDir: t.TempDir(),
+		Template: strings.Replace(strings.Replace(DefaultInputTemplate,
+			"[25, 50, 100]", "[4, 8]", 1),
+			"[240, 240, 240]", "[8]", 1),
+		Steps: 2, DispFreq: 1, Seed: 5,
+		TrainDir: "unused", ValDir: "unused",
+		Trainer: TrainerFunc(rt.TrainRun),
+	}
+	g, _ := Encode(HParams{0.005, 1e-4, 3.5, 2.0, "none", "tanh", "tanh"})
+	if _, err := w.Evaluate(context.Background(), g); !errors.Is(err, errFirstRead) {
+		t.Fatalf("Evaluate error = %v, want the frame read error", err)
 	}
 }

@@ -3,12 +3,12 @@ package hpo
 import (
 	"context"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 
 	"repro/internal/deepmd"
 	"repro/internal/ea"
+	"repro/internal/neighbor"
 	"repro/internal/uuid"
 )
 
@@ -119,7 +119,9 @@ func (rt *RealTrainer) TrainRun(ctx context.Context, inputPath, runDir string) e
 	}
 	// Keep the descriptor's neighbour normalization consistent with the
 	// dataset's typical coordination at this cutoff.
-	mc.Descriptor.NeighborNorm = estimateNeighbors(rt.Train, mc.Descriptor.RCut)
+	if mc.Descriptor.NeighborNorm, err = estimateNeighbors(rt.Train, mc.Descriptor.RCut); err != nil {
+		return err
+	}
 
 	workers := rt.Workers
 	if workers <= 0 {
@@ -147,37 +149,20 @@ func (rt *RealTrainer) TrainRun(ctx context.Context, inputPath, runDir string) e
 
 // estimateNeighbors returns the average neighbour count within rcut for
 // the first frame of the source, used as the descriptor normalization.
-func estimateNeighbors(src deepmd.FrameSource, rcut float64) float64 {
+// A skinless list's candidates are exactly the pairs closer than rcut.
+func estimateNeighbors(src deepmd.FrameSource, rcut float64) (float64, error) {
 	if src == nil || src.Len() == 0 {
-		return 16
+		return 16, nil
 	}
 	f, err := src.Frame(0)
 	if err != nil {
-		return 16
+		return 0, fmt.Errorf("hpo: neighbour count: %w", err)
 	}
-	n := len(src.AtomTypes())
+	var nl neighbor.List
+	nl.Build(f.Coord, f.Box, rcut, 0)
 	count := 0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			r2 := 0.0
-			for k := 0; k < 3; k++ {
-				dk := f.Coord[3*j+k] - f.Coord[3*i+k]
-				if f.Box > 0 {
-					dk -= f.Box * math.Round(dk/f.Box)
-				}
-				r2 += dk * dk
-			}
-			if r2 < rcut*rcut {
-				count++
-			}
-		}
+	for i := 0; i < nl.N(); i++ {
+		count += len(nl.Candidates(i))
 	}
-	avg := float64(count) / float64(n)
-	if avg < 1 {
-		avg = 1
-	}
-	return avg
+	return max(float64(count)/float64(nl.N()), 1), nil
 }

@@ -3,6 +3,8 @@ package md
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/neighbor"
 )
 
 // Potential evaluates the potential energy and forces of a system.
@@ -191,7 +193,7 @@ func forEachPairCellList(sys *System, rcut float64, visit func(i, j int)) {
 	for i := range sys.Pos {
 		p := sys.Pos[i]
 		for k := 0; k < 3; k++ {
-			p[k] -= sys.Box * math.Floor(p[k]/sys.Box)
+			p[k] = neighbor.IntoBox(p[k], sys.Box)
 		}
 		c := cellOf(p)
 		next[i] = heads[c]

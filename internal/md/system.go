@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"repro/internal/neighbor"
 )
 
 // Physical constants in the Å/eV/amu/fs unit system.
@@ -206,7 +208,7 @@ func (s *System) Temperature() float64 {
 // Wrap applies the minimum-image convention to displacement d.
 func (s *System) Wrap(d Vec3) Vec3 {
 	for k := 0; k < 3; k++ {
-		d[k] -= s.Box * math.Round(d[k]/s.Box)
+		d[k] = neighbor.MinImage(d[k], s.Box)
 	}
 	return d
 }
@@ -215,7 +217,7 @@ func (s *System) Wrap(d Vec3) Vec3 {
 func (s *System) WrapIntoBox() {
 	for i := range s.Pos {
 		for k := 0; k < 3; k++ {
-			s.Pos[i][k] -= s.Box * math.Floor(s.Pos[i][k]/s.Box)
+			s.Pos[i][k] = neighbor.IntoBox(s.Pos[i][k], s.Box)
 		}
 	}
 }

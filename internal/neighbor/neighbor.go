@@ -1,10 +1,16 @@
-// Package neighbor builds linked-cell neighbor candidate lists for the
-// descriptor and model hot paths.  A List is constructed once per
-// configuration in O(n) (cell binning) instead of the O(n²) per-center
-// scan the descriptor used to do, and a skin radius lets one list serve
-// several slightly displaced evaluations of the same configuration —
-// exactly the pattern of the training loop, where each frame is evaluated
-// at x and at x ± h·v̂ for the force-loss directional derivative.
+// Package neighbor owns the periodic convention of the cubic cell and
+// builds linked-cell neighbor candidate lists for the descriptor and
+// model hot paths.  MinImage and IntoBox are the one place the
+// minimum-image displacement and the wrap into the box are written: the
+// list, the descriptor, hpo and md all use them.  One image per pair is
+// taken, which is exact while the cutoff is at most half the box.
+//
+// A List is constructed once per configuration in O(n) (cell binning)
+// instead of the O(n²) per-center scan the descriptor used to do, and a
+// skin radius lets one list serve several slightly displaced evaluations
+// of the same configuration — exactly the pattern of the training loop,
+// where each frame is evaluated at x and at x ± h·v̂ for the force-loss
+// directional derivative.
 //
 // Candidates are a superset of the true neighbors: every pair whose
 // minimum-image distance is below RCut+Skin at build time.  Consumers
@@ -19,6 +25,22 @@ import (
 	"math"
 	"slices"
 )
+
+// MinImage returns the minimum image d − box·round(d/box) of displacement
+// d along one axis; box <= 0 means open boundaries and returns d as is.
+func MinImage(d, box float64) float64 {
+	if box > 0 {
+		d -= box * math.Round(d/box)
+	}
+	return d
+}
+
+// IntoBox wraps coordinate x into [0, box) as x − box·floor(x/box), for
+// box > 0.  Roundoff can return box for an x just below zero, and an x so
+// small that x/box underflows comes back as it is; binning must clamp.
+func IntoBox(x, box float64) float64 {
+	return x - box*math.Floor(x/box)
+}
 
 // List is a reusable neighbor candidate list in CSR layout: atom i's
 // candidates are Idx[Offsets[i]:Offsets[i+1]].  Build may be called
@@ -55,37 +77,32 @@ const bruteThreshold = 32
 // box > 0 selects a cubic periodic cell with minimum-image distances (the
 // same convention the descriptor applies); box <= 0 is open boundaries.
 func (l *List) Build(coord []float64, box float64, rcut, skin float64) {
-	if skin < 0 {
-		skin = 0
-	}
-	l.RCut, l.Skin = rcut, skin
-	l.n = len(coord) / 3
-	l.offsets = growInts(l.offsets, l.n+1)
-	l.idx = l.idx[:0]
-
-	reach := rcut + skin
-	if l.n < bruteThreshold {
+	reach := l.reset(coord, rcut, skin)
+	nc := int(box / reach) // periodic cells per side
+	switch {
+	case l.n < bruteThreshold:
 		l.buildBruteInto(coord, box, reach)
-		return
-	}
-	if box > 0 {
-		nc := int(box / reach)
-		if nc < 3 {
-			// Cells would wrap onto themselves; the quadratic scan is
-			// exact and the box is small anyway.
-			l.buildBruteInto(coord, box, reach)
-			return
-		}
+	case box <= 0:
+		l.buildOpen(coord, reach)
+	case nc < 3:
+		// Cells would wrap onto themselves; the quadratic scan is
+		// exact and the box is small anyway.
+		l.buildBruteInto(coord, box, reach)
+	default:
 		l.buildPeriodic(coord, box, reach, nc)
-		return
 	}
-	l.buildOpen(coord, reach)
 }
 
 // BuildBrute constructs the same candidate list with the O(n²) scan,
 // bypassing the cell grid.  It exists so tests and verification can
 // compare the two strategies on identical inputs.
 func (l *List) BuildBrute(coord []float64, box float64, rcut, skin float64) {
+	l.buildBruteInto(coord, box, l.reset(coord, rcut, skin))
+}
+
+// reset sizes the list for coord and returns the candidate reach
+// rcut + skin, a negative skin counting as zero.
+func (l *List) reset(coord []float64, rcut, skin float64) float64 {
 	if skin < 0 {
 		skin = 0
 	}
@@ -93,7 +110,7 @@ func (l *List) BuildBrute(coord []float64, box float64, rcut, skin float64) {
 	l.n = len(coord) / 3
 	l.offsets = growInts(l.offsets, l.n+1)
 	l.idx = l.idx[:0]
-	l.buildBruteInto(coord, box, rcut+skin)
+	return rcut + skin
 }
 
 func (l *List) buildBruteInto(coord []float64, box float64, reach float64) {
@@ -127,9 +144,8 @@ func (l *List) buildPeriodic(coord []float64, box, reach float64, nc int) {
 	for i := l.n - 1; i >= 0; i-- {
 		var c [3]int
 		for k := 0; k < 3; k++ {
-			w := coord[3*i+k] - box*math.Floor(coord[3*i+k]/box)
-			ck := int(w / cs)
-			if ck >= nc { // w == box after floating-point roundoff
+			ck := int(IntoBox(coord[3*i+k], box) / cs)
+			if ck >= nc { // IntoBox returned box after roundoff
 				ck = nc - 1
 			}
 			c[k] = ck
@@ -244,15 +260,12 @@ func (l *List) buildOpen(coord []float64, reach float64) {
 }
 
 // minImageDist2 returns the squared minimum-image distance between atoms
-// i and j, using the identical rounding convention as the descriptor so
-// candidate membership is consistent with what consumers re-measure.
+// i and j, through the MinImage consumers re-measure with, so candidate
+// membership agrees with what they see.
 func minImageDist2(coord []float64, box float64, i, j int) float64 {
 	r2 := 0.0
 	for k := 0; k < 3; k++ {
-		dk := coord[3*j+k] - coord[3*i+k]
-		if box > 0 {
-			dk -= box * math.Round(dk/box)
-		}
+		dk := MinImage(coord[3*j+k]-coord[3*i+k], box)
 		r2 += dk * dk
 	}
 	return r2

@@ -160,3 +160,71 @@ func TestBuildReuse(t *testing.T) {
 		equalCSR(t, &reused, &fresh, "reused vs fresh")
 	}
 }
+
+// TestPeriodicPrimitivesMatchInlineExpressions holds MinImage and IntoBox
+// bit for bit to the expressions they replaced at every call site: the
+// guarded minimum image of the list, the descriptor scan and hpo's
+// neighbour count, md's unguarded one for a positive box, and the
+// floor-wrap of the list's and md's cell binning.  The inputs are the
+// edges: signed zeros, exactly half a box either way, multiples of the
+// box, displacements far beyond it, subnormals, non-finite values and
+// boxes that are zero or negative.
+func TestPeriodicPrimitivesMatchInlineExpressions(t *testing.T) {
+	guarded := func(d, box float64) float64 {
+		if box > 0 {
+			d -= box * math.Round(d/box)
+		}
+		return d
+	}
+	unguarded := func(d, box float64) float64 {
+		d -= box * math.Round(d/box)
+		return d
+	}
+	floorWrap := func(x, box float64) float64 { return x - box*math.Floor(x/box) }
+
+	negZero := math.Copysign(0, -1)
+	tiny := math.SmallestNonzeroFloat64
+	for _, box := range []float64{7, 12, 17.84, 0.3, 1e-310, 0, negZero, -12, math.Inf(1)} {
+		inputs := []float64{
+			0, negZero, box / 2, -box / 2, math.Nextafter(box/2, 0), math.Nextafter(-box/2, 0),
+			box, -box, 3 * box, -7 * box, 1e11*box + 0.25, -1e300, 1e300,
+			tiny, -tiny, 0x1p-1030, -0x1p-1040, 5.5, -5.5,
+			math.Inf(1), math.Inf(-1), math.NaN(),
+		}
+		for _, x := range inputs {
+			if got, want := MinImage(x, box), guarded(x, box); !sameBits(got, want) {
+				t.Errorf("MinImage(%v, %v) = %v, inline %v", x, box, got, want)
+			}
+			if box > 0 {
+				if got, want := MinImage(x, box), unguarded(x, box); !sameBits(got, want) {
+					t.Errorf("MinImage(%v, %v) = %v, md's inline %v", x, box, got, want)
+				}
+			}
+			if got, want := IntoBox(x, box), floorWrap(x, box); !sameBits(got, want) {
+				t.Errorf("IntoBox(%v, %v) = %v, inline %v", x, box, got, want)
+			}
+		}
+	}
+
+	// What the convention is, spelled out.
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"MinImage rounds half a box away from zero", MinImage(6, 12), -6},
+		{"MinImage rounds minus half a box away from zero", MinImage(-6, 12), 6},
+		{"MinImage leaves open boundaries alone", MinImage(1e3, 0), 1e3},
+		{"MinImage folds a far image", MinImage(1e3*12+1, 12), 1},
+		{"IntoBox wraps from below", IntoBox(-1, 12), 11},
+		{"IntoBox maps a multiple of the box to 0", IntoBox(36, 12), 0},
+		{"IntoBox returns the box for a small negative x", IntoBox(-1e-300, 12), 12},
+		{"IntoBox keeps a negative x whose quotient underflows", IntoBox(-tiny, 12), -tiny},
+	} {
+		if !sameBits(c.got, c.want) {
+			t.Errorf("%s: got %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}
+
+// sameBits reports whether a and b are the same float64 bit for bit.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -24,20 +24,44 @@ func implName() string {
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax uint32)
 
+// hasAVX2 reads the CPUID leaves and XCR0 that avx2Usable decides on.
+// XGETBV faults unless the OS has set OSXSAVE, and leaf 7 is read only
+// where the CPU has it.
 func hasAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
+	_, _, ecx1, _ := cpuid(1, 0)
+	var xcr0, ebx7 uint32
+	if ecx1&osxsave != 0 {
+		xcr0 = xgetbv0()
+	}
+	if maxLeaf >= 7 {
+		_, ebx7, _, _ = cpuid(7, 0)
+	}
+	return avx2Usable(maxLeaf, ecx1, xcr0, ebx7)
+}
+
+// The CPUID and XCR0 bits avx2Usable tests.
+const (
+	osxsave  = 1 << 27 // leaf 1 ECX: the OS has enabled XSAVE and XGETBV
+	avx      = 1 << 28 // leaf 1 ECX
+	xmmYMM   = 6       // XCR0: the OS saves XMM and YMM state
+	avx2Leaf = 1 << 5  // leaf 7 EBX
+)
+
+// avx2Usable decides from the highest basic CPUID leaf, leaf 1's ECX,
+// XCR0 and leaf 7's EBX whether the AVX2 kernels can run: the CPU has AVX
+// and AVX2 and the OS saves the YMM registers.
+func avx2Usable(maxLeaf, ecx1, xcr0, ebx7 uint32) bool {
 	if maxLeaf < 7 {
 		return false
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 || c&avx == 0 {
+	if ecx1&osxsave == 0 || ecx1&avx == 0 {
 		return false
 	}
-	if xgetbv0()&6 != 6 { // XCR0: the OS saves XMM and YMM state
+	if xcr0&xmmYMM != xmmYMM {
 		return false
 	}
-	_, b, _, _ := cpuid(7, 0)
-	return b&(1<<5) != 0 // AVX2
+	return ebx7&avx2Leaf != 0
 }
 
 // The tiles of gemm_amd64.s: c[j][i] += Σ_t a[j·ars + t·ard]·b[t·ldb + i]

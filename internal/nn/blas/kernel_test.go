@@ -8,11 +8,12 @@ import (
 	"testing"
 )
 
-// The tests here compare the path the build dispatches to (the AVX2
-// micro-kernel on an amd64 host that has it, outside -race) against the
-// pure-Go kernels, bit for bit.  Where the build dispatches to the Go
-// kernels anyway they compare the code with itself and still check the
-// entry points' operand validation and guard words.
+// The tests here run the entry points on every path the build can
+// dispatch to (forEachDispatch: the pure-Go kernels, and the AVX2
+// micro-kernel on an amd64 host that has it, outside -race) and compare
+// each against the pure-Go kernels, bit for bit.  On the Go path they
+// compare the code with itself and still check the entry points' operand
+// validation and guard words.
 
 // measuredShapes is the call-shape set a paper-network evaluation feeds
 // the kernels (EXPERIMENTS.md "SIMD GEMM micro-kernel"): the embedding
@@ -86,15 +87,21 @@ func randOperands(rng *rand.Rand, n, in, out int) operands {
 	}
 }
 
-// checkAgainstGeneric runs the three dispatched entry points and the
-// three Go kernels on the same operands, placed at offsets off..off+2 of
-// guarded backings, and requires identical bits everywhere.
+// checkAgainstGeneric runs the three entry points, on each path the
+// build can dispatch to, and the three Go kernels on the same operands,
+// placed at offsets off..off+2 of guarded backings, and requires
+// identical bits everywhere.
 func checkAgainstGeneric(t *testing.T, op operands, off int) {
+	t.Helper()
+	forEachDispatch(func() { checkDispatch(t, op, off) })
+}
+
+func checkDispatch(t *testing.T, op operands, off int) {
 	t.Helper()
 	n, in, out := op.n, op.in, op.out
 	x, w := guarded(op.x, off).s, guarded(op.w, off+1).s
 	bias, g := guarded(op.bias, off+2).s, guarded(op.g, off+1).s
-	what := fmt.Sprintf("n=%d in=%d out=%d off=%d", n, in, out, off)
+	what := fmt.Sprintf("%s: n=%d in=%d out=%d off=%d", Impl(), n, in, out, off)
 
 	gotP, gotY := guarded(make([]float64, n*out), off+1), guarded(make([]float64, n*out), off+2)
 	wantP, wantY := make([]float64, n*out), make([]float64, n*out)
