@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/md"
+	"repro/internal/neighbor"
 )
 
 func TestModelSaveLoadRoundTrip(t *testing.T) {
@@ -176,6 +177,31 @@ func TestMDPotentialMatchesEnergyForces(t *testing.T) {
 				t.Fatalf("force mismatch at %d,%d", i, k)
 			}
 		}
+	}
+}
+
+// TestMDPotentialStepAllocs holds an MD step's force call at Threads 1
+// to the allocations of the EnergyForcesNL it wraps: Compute keeps its
+// neighbour list and force buffer across steps.
+func TestMDPotentialStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop items; pooled paths allocate by design")
+	}
+	rng := rand.New(rand.NewSource(7))
+	m, _ := NewModel(rng, tinyModelConfig())
+	m.SetThreads(1)
+	species := []md.Species{md.Al, md.Cl, md.Cl, md.Cl, md.K, md.Cl}
+	sys := md.NewSystem(rng, species, 7.0, 498)
+	pot := NewMDPotential(m)
+	pot.Compute(sys)
+	got := testing.AllocsPerRun(20, func() { pot.Compute(sys) })
+
+	coord, forces := append([]float64(nil), pot.coord...), make([]float64, 3*sys.N())
+	var nl neighbor.List
+	nl.Build(coord, sys.Box, pot.Cutoff(), 0)
+	want := testing.AllocsPerRun(20, func() { m.EnergyForcesNL(&nl, coord, pot.types, sys.Box, forces) })
+	if got != want {
+		t.Errorf("Compute: %v allocs/step, EnergyForcesNL alone %v", got, want)
 	}
 }
 

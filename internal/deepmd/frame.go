@@ -11,34 +11,60 @@ import (
 	"repro/internal/nn"
 )
 
-// batchScratch is the reusable workspace of the whole-frame training
-// path: per-slot descriptor environments (slot = frame·N + atom),
-// per-species fitting batches spanning every frame of a worker batch,
-// and the per-frame force-loss state.  Each data-parallel replica owns
-// one for a whole training run, so the hot loop allocates nothing in
-// steady state.
-type batchScratch struct {
-	// threads bounds forwardSlots' worker pool (wall time only).
-	threads int
-
-	nls  []neighbor.List   // per frame
-	envs []*descriptor.Env // per slot
-	// energies[slot] is the atomic energy from the base fitting forward.
+// sweep is the workspace of one pass of a list of atom slots through the
+// networks: their descriptor environments, one fused embedding batch
+// (EnvBatch) and one fitting batch per species.  Training sweeps a slot
+// per atom of every frame of a worker batch (slot = frame·N + atom);
+// inference sweeps one atom tile (slot = atom − tile start).
+type sweep struct {
+	slots []int             // active slots, in row order
+	envs  []*descriptor.Env // per slot
+	// energies[slot] is the atomic energy from the fitting forward.
 	energies []float64
 	// dEdD[slot] views the fitting net's input gradient for the slot's
 	// row; valid until the next batched fitting pass reuses the buffers.
 	dEdD [][]float64
 
-	slots  []int // active-slot worklist for the forward pass
-	rows   [][]int
-	ftIn   [][]float64
-	ftDy   [][]float64
-	ftTape []*nn.BatchTape
-
 	// eb and envList drive the fused embedding path: one embedding
 	// forward/backward per network spanning every active slot.
 	eb      descriptor.EnvBatch
 	envList []*descriptor.Env
+
+	fit []fitBatch // per species
+}
+
+// fitBatch is one species' fitting-net batch of a sweep.
+type fitBatch struct {
+	rows []int     // slots, in row order
+	in   []float64 // rows×OutDim descriptor inputs
+	dy   []float64 // rows×1 upstream gradients
+	tape *nn.BatchTape
+}
+
+// ensure sizes the sweep for nSlots slots over nSpecies fitting nets.
+func (sw *sweep) ensure(nSpecies, nSlots int) {
+	if len(sw.envs) < nSlots {
+		sw.envs = append(sw.envs, make([]*descriptor.Env, nSlots-len(sw.envs))...)
+	}
+	sw.energies = ensureLen(sw.energies, nSlots)
+	if len(sw.dEdD) < nSlots {
+		sw.dEdD = append(sw.dEdD, make([][]float64, nSlots-len(sw.dEdD))...)
+	}
+	if len(sw.fit) < nSpecies {
+		sw.fit = append(sw.fit, make([]fitBatch, nSpecies-len(sw.fit))...)
+	}
+}
+
+// batchScratch is the reusable workspace of the whole-frame training
+// path: the sweep over every slot of a worker batch and the per-frame
+// force-loss state.  Each data-parallel replica owns one for a whole
+// training run, so the hot loop allocates nothing in steady state.
+type batchScratch struct {
+	sweep
+	// threads bounds forwardSlots' worker pool (wall time only).
+	threads int
+
+	nls []neighbor.List // per frame
 
 	// Per-frame force-loss state.
 	ePred, dE, vnorm, scaleF []float64
@@ -58,24 +84,10 @@ func (ws *batchScratch) ensure(m *Model, types []int, nFrames int) {
 	n := len(types)
 	n3 := 3 * n
 	nVirtual := 2 * nFrames
-	slots := nVirtual * n
 	if len(ws.nls) < nVirtual {
 		ws.nls = append(ws.nls, make([]neighbor.List, nVirtual-len(ws.nls))...)
 	}
-	if len(ws.envs) < slots {
-		ws.envs = append(ws.envs, make([]*descriptor.Env, slots-len(ws.envs))...)
-	}
-	ws.energies = ensureLen(ws.energies, slots)
-	if len(ws.dEdD) < slots {
-		ws.dEdD = append(ws.dEdD, make([][]float64, slots-len(ws.dEdD))...)
-	}
-	nS := m.Cfg.NumSpecies
-	if len(ws.rows) < nS {
-		ws.rows = append(ws.rows, make([][]int, nS-len(ws.rows))...)
-		ws.ftIn = append(ws.ftIn, make([][]float64, nS-len(ws.ftIn))...)
-		ws.ftDy = append(ws.ftDy, make([][]float64, nS-len(ws.ftDy))...)
-		ws.ftTape = append(ws.ftTape, make([]*nn.BatchTape, nS-len(ws.ftTape))...)
-	}
+	ws.sweep.ensure(m.Cfg.NumSpecies, nVirtual*n)
 	ws.ePred = ensureLen(ws.ePred, nVirtual)
 	ws.dE = ensureLen(ws.dE, nVirtual)
 	ws.vnorm = ensureLen(ws.vnorm, nVirtual)
@@ -139,8 +151,8 @@ func (m *Model) accumulateBatchGrad(ws *batchScratch, types []int, frames []*dat
 	// Base sweep: descriptor environments for every slot, then one
 	// fitting-net forward batch per species.
 	m.forwardSlots(ws, types, frames, false)
-	ws.buildRows(types, B)
-	m.fitForward(ws, true)
+	ws.buildRows(types)
+	m.fitForward(&ws.sweep, true)
 
 	for f, fr := range frames {
 		e := 0.0
@@ -156,7 +168,7 @@ func (m *Model) accumulateBatchGrad(ws *batchScratch, types []int, frames []*dat
 
 	// Forces: batched fitting input gradients, then the fused geometry
 	// backward adding each slot's ∂E/∂x into its frame's buffer.
-	m.fitInputGrad(ws)
+	m.fitInputGrad(&ws.sweep)
 	for f := range frames {
 		forces := ws.forces[f]
 		for k := range forces {
@@ -181,8 +193,8 @@ func (m *Model) accumulateBatchGrad(ws *batchScratch, types []int, frames []*dat
 
 	// Base parameter pass, reusing the environments and tapes of the base
 	// sweep: dy row = 2·p_e·ΔE/N² of the row's frame.
-	m.fitBackward(ws, n, func(f int) float64 { return 2 * pe * ws.dE[f] / float64(n*n) })
-	m.embedBackward(ws)
+	m.fitBackward(&ws.sweep, n, func(f int) float64 { return 2 * pe * ws.dE[f] / float64(n*n) })
+	m.embedBackward(&ws.sweep)
 
 	// ±h·v̂ sweeps over frames with a nonzero force residual.  A frame
 	// whose forces are already exact contributes no force gradient.
@@ -218,15 +230,15 @@ func (m *Model) accumulateBatchGrad(ws *batchScratch, types []int, frames []*dat
 		}
 	}
 	m.forwardSlots(ws, types, ws.vframes, true)
-	ws.buildRows(types, 2*B)
-	m.fitForward(ws, false)
-	m.fitBackward(ws, n, func(f int) float64 {
+	ws.buildRows(types)
+	m.fitForward(&ws.sweep, false)
+	m.fitBackward(&ws.sweep, n, func(f int) float64 {
 		if f < B {
 			return ws.scaleF[f]
 		}
 		return -ws.scaleF[f-B]
 	})
-	m.embedBackward(ws)
+	m.embedBackward(&ws.sweep)
 	return nil
 }
 
@@ -251,10 +263,10 @@ func (m *Model) AccumulateEnergyGradNL(nl *neighbor.List, coord []float64, types
 	ws.ensure(m, types, 1)
 	ws.nls[0], ws.active[0] = *nl, true
 	m.forwardSlots(ws, types, []*dataset.Frame{{Coord: coord, Box: box}}, false)
-	ws.buildRows(types, 1)
-	m.fitForward(ws, true)
-	m.fitBackward(ws, n, func(int) float64 { return scale })
-	m.embedBackward(ws)
+	ws.buildRows(types)
+	m.fitForward(&ws.sweep, true)
+	m.fitBackward(&ws.sweep, n, func(int) float64 { return scale })
+	m.embedBackward(&ws.sweep)
 	energy := 0.0
 	for _, e := range ws.energies[:n] {
 		energy += e
@@ -304,11 +316,17 @@ func (m *Model) forwardSlots(ws *batchScratch, types []int, frames []*dataset.Fr
 		}
 		wg.Wait()
 	}
-	ws.envList = ws.envList[:0]
-	for _, slot := range ws.slots {
-		ws.envList = append(ws.envList, ws.envs[slot])
+	m.embedForward(&ws.sweep)
+}
+
+// embedForward runs the scanned environments of the sweep's slots
+// through the embedding networks: one ForwardEnvBatch.
+func (m *Model) embedForward(sw *sweep) {
+	sw.envList = sw.envList[:0]
+	for _, slot := range sw.slots {
+		sw.envList = append(sw.envList, sw.envs[slot])
 	}
-	m.Desc.ForwardEnvBatch(&ws.eb, ws.envList)
+	m.Desc.ForwardEnvBatch(&sw.eb, sw.envList)
 }
 
 // scanSlot runs the neighbourhood scan of one slot.  A method, not a
@@ -324,96 +342,94 @@ func (m *Model) scanSlot(ws *batchScratch, types []int, frames []*dataset.Frame,
 	ws.envs[slot] = m.Desc.ScanEnv(ws.envs[slot], coord, types, frames[f].Box, i, ws.nls[f].Candidates(i))
 }
 
-// buildRows groups the active slots by species in slot (frame-major,
-// atom-ascending) order — the row layout of every batched fitting pass.
-func (ws *batchScratch) buildRows(types []int, B int) {
-	n := len(types)
-	for t := range ws.rows {
-		ws.rows[t] = ws.rows[t][:0]
+// buildRows groups the active slots by species in slot order — the row
+// layout of every batched fitting pass.  Slot s holds atom
+// s mod len(types).
+func (sw *sweep) buildRows(types []int) {
+	for t := range sw.fit {
+		sw.fit[t].rows = sw.fit[t].rows[:0]
 	}
-	for f := 0; f < B; f++ {
-		if !ws.active[f] {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			t := types[i]
-			ws.rows[t] = append(ws.rows[t], f*n+i)
-		}
+	for _, slot := range sw.slots {
+		fb := &sw.fit[types[slot%len(types)]]
+		fb.rows = append(fb.rows, slot)
 	}
 }
 
 // fitForward runs one batched fitting forward per species over the
 // current rows, recording tapes for the backward passes.  withEnergy
-// additionally writes biased atomic energies into ws.energies.
-func (m *Model) fitForward(ws *batchScratch, withEnergy bool) {
+// additionally writes biased atomic energies into sw.energies.
+func (m *Model) fitForward(sw *sweep, withEnergy bool) {
 	outDim := m.Cfg.Descriptor.OutDim()
-	for t, rows := range ws.rows {
+	for t := range sw.fit {
+		fb := &sw.fit[t]
+		rows := fb.rows
 		if len(rows) == 0 {
 			continue
 		}
-		if ws.ftTape[t] == nil {
-			ws.ftTape[t] = &nn.BatchTape{}
+		if fb.tape == nil {
+			fb.tape = &nn.BatchTape{}
 		}
-		ws.ftIn[t] = ensureLen(ws.ftIn[t], len(rows)*outDim)
-		in := ws.ftIn[t]
+		fb.in = ensureLen(fb.in, len(rows)*outDim)
 		for r, slot := range rows {
-			copy(in[r*outDim:(r+1)*outDim], ws.envs[slot].Out())
+			copy(fb.in[r*outDim:(r+1)*outDim], sw.envs[slot].Out())
 		}
-		out := m.Fit[t].ForwardBatch(ws.ftTape[t], in, len(rows))
+		out := m.Fit[t].ForwardBatch(fb.tape, fb.in, len(rows))
 		if withEnergy {
 			for r, slot := range rows {
-				ws.energies[slot] = out[r] + m.Bias[t]
+				sw.energies[slot] = out[r] + m.Bias[t]
 			}
 		}
 	}
 }
 
 // fitInputGrad computes dE/dD for every row (dy = 1) without touching
-// parameter accumulators, leaving per-slot views in ws.dEdD.  The views
+// parameter accumulators, leaving per-slot views in sw.dEdD.  The views
 // alias tape buffers: consume them before the next batched fitting pass.
-func (m *Model) fitInputGrad(ws *batchScratch) {
+func (m *Model) fitInputGrad(sw *sweep) {
 	outDim := m.Cfg.Descriptor.OutDim()
-	for t, rows := range ws.rows {
+	for t := range sw.fit {
+		fb := &sw.fit[t]
+		rows := fb.rows
 		if len(rows) == 0 {
 			continue
 		}
-		ws.ftDy[t] = ensureLen(ws.ftDy[t], len(rows))
-		dy := ws.ftDy[t]
-		for r := range dy {
-			dy[r] = 1
+		fb.dy = ensureLen(fb.dy, len(rows))
+		for r := range fb.dy {
+			fb.dy[r] = 1
 		}
-		dx := m.Fit[t].InputGradBatch(ws.ftTape[t], dy, len(rows))
+		dx := m.Fit[t].InputGradBatch(fb.tape, fb.dy, len(rows))
 		for r, slot := range rows {
-			ws.dEdD[slot] = dx[r*outDim : (r+1)*outDim]
+			sw.dEdD[slot] = dx[r*outDim : (r+1)*outDim]
 		}
 	}
 }
 
 // fitBackward runs one batched fitting backward per species with
 // dy row = scaleOf(row's frame), accumulating parameter gradients
-// directly into m.Fit and leaving scaled dL/dD views in ws.dEdD.
-func (m *Model) fitBackward(ws *batchScratch, n int, scaleOf func(f int) float64) {
+// directly into m.Fit and leaving scaled dL/dD views in sw.dEdD.
+func (m *Model) fitBackward(sw *sweep, n int, scaleOf func(f int) float64) {
 	outDim := m.Cfg.Descriptor.OutDim()
-	for t, rows := range ws.rows {
+	for t := range sw.fit {
+		fb := &sw.fit[t]
+		rows := fb.rows
 		if len(rows) == 0 {
 			continue
 		}
-		ws.ftDy[t] = ensureLen(ws.ftDy[t], len(rows))
-		dy := ws.ftDy[t]
+		fb.dy = ensureLen(fb.dy, len(rows))
 		for r, slot := range rows {
-			dy[r] = scaleOf(slot / n)
+			fb.dy[r] = scaleOf(slot / n)
 		}
-		dx := m.Fit[t].BackwardBatch(ws.ftTape[t], dy, len(rows))
+		dx := m.Fit[t].BackwardBatch(fb.tape, fb.dy, len(rows))
 		for r, slot := range rows {
-			ws.dEdD[slot] = dx[r*outDim : (r+1)*outDim]
+			sw.dEdD[slot] = dx[r*outDim : (r+1)*outDim]
 		}
 	}
 }
 
 // embedBackward propagates the slots' dL/dD into the embedding-network
 // parameter accumulators: one fused backward per embedding network
-// spanning every active slot of the sweep forwardSlots last ran.
-func (m *Model) embedBackward(ws *batchScratch) {
-	m.Desc.BackwardEnvBatchParams(&ws.eb, ws.envList,
-		func(vi int) []float64 { return ws.dEdD[ws.slots[vi]] })
+// spanning every active slot of the sweep embedForward last ran.
+func (m *Model) embedBackward(sw *sweep) {
+	m.Desc.BackwardEnvBatchParams(&sw.eb, sw.envList,
+		func(vi int) []float64 { return sw.dEdD[sw.slots[vi]] })
 }

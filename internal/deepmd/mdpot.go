@@ -2,6 +2,7 @@ package deepmd
 
 import (
 	"repro/internal/md"
+	"repro/internal/neighbor"
 )
 
 // MDPotential deploys a trained deep potential inside the MD engine —
@@ -14,7 +15,8 @@ type MDPotential struct {
 	// types caches the per-atom species indices for the current system.
 	types []int
 	// scratch buffers to avoid per-step allocation.
-	coord []float64
+	coord, forces []float64
+	nl            neighbor.List
 }
 
 // NewMDPotential wraps a trained model for MD deployment.
@@ -33,17 +35,18 @@ func (p *MDPotential) Compute(sys *md.System) {
 			p.types[i] = int(s)
 		}
 		p.coord = make([]float64, 3*n)
+		p.forces = make([]float64, 3*n)
 	}
 	for i := 0; i < n; i++ {
 		for k := 0; k < 3; k++ {
 			p.coord[3*i+k] = sys.Pos[i][k]
 		}
 	}
-	energy, forces := p.Model.EnergyForces(p.coord, p.types, sys.Box)
-	sys.PotEng = energy
+	p.nl.Build(p.coord, sys.Box, p.Cutoff(), 0)
+	sys.PotEng = p.Model.EnergyForcesNL(&p.nl, p.coord, p.types, sys.Box, p.forces)
 	for i := 0; i < n; i++ {
 		for k := 0; k < 3; k++ {
-			sys.Frc[i][k] = forces[3*i+k]
+			sys.Frc[i][k] = p.forces[3*i+k]
 		}
 	}
 }

@@ -157,32 +157,22 @@ func (m *Model) Threads() int { return m.threads }
 // overwritten on use or zeroed after merging, so pooled reuse never
 // affects results.
 type evalScratch struct {
-	// Tiled-evaluation state (computeTile): per-slot environments,
-	// energies, and coordinate-gradient buffers, plus fitting-net batch
-	// scratch.  Invariant outside a compute/merge pair: every slot's
-	// dcoord buffer is all zeros.
-	envs   []*descriptor.Env
-	tileE  []float64
+	// Tiled-evaluation state (computeTile): the sweep over one tile's
+	// atoms and each slot's private coordinate-gradient buffer.
+	// Invariant outside a compute/merge pair: every slot's dcoord buffer
+	// is all zeros.
+	sweep
 	tileDc [][]float64
-	ftTape *nn.BatchTape
-	ftIn   []float64
-	ftDy   []float64
-	ftRows []int
 
 	// Frame-level scratch for EvalErrors / public wrappers.
 	nl     neighbor.List
 	forces []float64
 }
 
-// ensureTile sizes the tiled-evaluation buffers for n atom slots in a
-// configuration of n3 coordinates.
-func (s *evalScratch) ensureTile(n, n3 int) {
-	if len(s.envs) < n {
-		s.envs = append(s.envs, make([]*descriptor.Env, n-len(s.envs))...)
-	}
-	if len(s.tileE) < n {
-		s.tileE = append(s.tileE, make([]float64, n-len(s.tileE))...)
-	}
+// ensureTile sizes the tiled-evaluation buffers for n atom slots over
+// nSpecies fitting nets in a configuration of n3 coordinates.
+func (s *evalScratch) ensureTile(nSpecies, n, n3 int) {
+	s.sweep.ensure(nSpecies, n)
 	if len(s.tileDc) < n {
 		s.tileDc = append(s.tileDc, make([][]float64, n-len(s.tileDc))...)
 	}
@@ -231,53 +221,31 @@ func tileBounds(u, nAtoms int) (lo, hi int) {
 }
 
 // computeTile evaluates atoms [u·fitTile, …) into the scratch's tile
-// slots: per-atom descriptor forwards, then one batched fitting-net
-// forward (and, for modeForces, one batched input-gradient pass) per
-// species present in the tile.  Every per-atom value is bit-identical to
-// a one-atom evaluation: batch rows reduce in the scalar order, and each
-// slot's coordinate gradients accumulate into a private buffer.
+// slots (slot k = atom lo+k) with the stages of a training sweep: the
+// neighbourhood scans, one fused embedding forward, one batched
+// fitting-net forward per species and, for modeForces, one batched
+// input-gradient pass per species and one fused geometry backward.
+// Every per-atom value is bit-identical to a one-atom evaluation: batch
+// rows reduce in the one-row order, and each slot's coordinate gradients
+// accumulate into a private buffer.
 //
 //lint:hot
 func (m *Model) computeTile(s *evalScratch, mode evalMode, coord []float64, types []int, box float64, u int, nl *neighbor.List) {
 	lo, hi := tileBounds(u, len(types))
-	n := hi - lo
-	s.ensureTile(n, len(coord))
-	outDim := m.Cfg.Descriptor.OutDim()
-	for k := 0; k < n; k++ {
-		s.envs[k] = m.Desc.ForwardEnv(s.envs[k], coord, types, box, lo+k, nl.Candidates(lo+k))
+	s.ensureTile(m.Cfg.NumSpecies, hi-lo, len(coord))
+	s.slots = s.slots[:0]
+	for k := 0; k < hi-lo; k++ {
+		s.envs[k] = m.Desc.ScanEnv(s.envs[k], coord, types, box, lo+k, nl.Candidates(lo+k))
+		s.slots = append(s.slots, k)
 	}
-	if s.ftTape == nil {
-		s.ftTape = &nn.BatchTape{}
-	}
-	for t := 0; t < m.Cfg.NumSpecies; t++ {
-		rows := s.ftRows[:0]
-		for k := 0; k < n; k++ {
-			if types[lo+k] == t {
-				rows = append(rows, k)
-			}
-		}
-		s.ftRows = rows
-		if len(rows) == 0 {
-			continue
-		}
-		s.ftIn = ensureLen(s.ftIn, len(rows)*outDim)
-		for r, k := range rows {
-			copy(s.ftIn[r*outDim:(r+1)*outDim], s.envs[k].Out())
-		}
-		out := m.Fit[t].ForwardBatch(s.ftTape, s.ftIn, len(rows))
-		for r, k := range rows {
-			s.tileE[k] = out[r] + m.Bias[t]
-		}
-		if mode == modeForces {
-			s.ftDy = ensureLen(s.ftDy, len(rows))
-			for r := range s.ftDy {
-				s.ftDy[r] = 1
-			}
-			dEdD := m.Fit[t].InputGradBatch(s.ftTape, s.ftDy, len(rows))
-			for r, k := range rows {
-				m.Desc.Backward(s.envs[k], dEdD[r*outDim:(r+1)*outDim], s.tileDc[k])
-			}
-		}
+	m.embedForward(&s.sweep)
+	s.buildRows(types[lo:hi])
+	m.fitForward(&s.sweep, true)
+	if mode == modeForces {
+		m.fitInputGrad(&s.sweep)
+		m.Desc.BackwardEnvBatchGeometry(&s.eb, s.envList,
+			func(k int) []float64 { return s.dEdD[k] },
+			func(k int) []float64 { return s.tileDc[k] })
 	}
 }
 
@@ -288,7 +256,7 @@ func (m *Model) computeTile(s *evalScratch, mode evalMode, coord []float64, type
 func (m *Model) mergeTile(s *evalScratch, mode evalMode, types []int, u int, energy *float64, dcoord []float64) {
 	lo, hi := tileBounds(u, len(types))
 	for k := 0; k < hi-lo; k++ {
-		*energy += s.tileE[k]
+		*energy += s.energies[k]
 		if mode == modeEnergy {
 			continue
 		}

@@ -32,6 +32,39 @@ func saltCell(atoms int, box float64) *dataset.Dataset {
 	return dataset.Generate(rng, species, box, 498, md.NewPaperBMH(0.49*box), 0.5, 60, 5, 2)
 }
 
+// inferenceCells are the cells TestGoldenInferenceTiles pins and
+// BenchmarkInference times.
+var inferenceCells = []struct {
+	atoms     int
+	box, rcut float64
+}{
+	{20, 8.9, 4.0},
+	{160, 17.8, 5.5},
+}
+
+// paperModel builds an untrained model at the paper's layer shapes with
+// act in both networks.
+func paperModel(tb testing.TB, rcut float64, act nn.Activation) *Model {
+	tb.Helper()
+	m, err := NewModel(rand.New(rand.NewSource(5)), ModelConfig{
+		Descriptor: descriptor.Config{
+			RCut: rcut, RCutSmth: 1.0,
+			EmbeddingSizes: []int{25, 50, 100},
+			AxisNeurons:    4,
+			Activation:     act,
+			NumSpecies:     3,
+			NeighborNorm:   24,
+		},
+		FittingSizes:      []int{240, 240, 240},
+		FittingActivation: act,
+		NumSpecies:        3,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
 // TestGoldenInferenceTiles pins inference — EnergyForces and EvalErrors,
 // the path that turns a trained model into the two fitness objectives —
 // at the paper's layer shapes (embedding {25, 50, 100}, fitting
@@ -48,19 +81,12 @@ func saltCell(atoms int, box float64) *dataset.Dataset {
 // embedding path that preceded the fused one; -update-golden rewrites
 // it, so never pass it to prove a refactor.
 func TestGoldenInferenceTiles(t *testing.T) {
-	cells := []struct {
-		atoms     int
-		box, rcut float64
-	}{
-		{20, 8.9, 4.0},
-		{160, 17.8, 5.5},
-	}
 	want, err := os.ReadFile(inferenceTilesPath)
 	if err != nil && !*updateGolden {
 		t.Fatalf("missing fixture (run `go test ./internal/deepmd -run InferenceTiles -update-golden`): %v", err)
 	}
 	var got bytes.Buffer
-	for _, c := range cells {
+	for _, c := range inferenceCells {
 		d := saltCell(c.atoms, c.box)
 		for _, act := range []nn.Activation{nn.Tanh, nn.Softplus} {
 			label := fmt.Sprintf("atoms=%d rcut=%v act=%s", c.atoms, c.rcut, act.Name())
@@ -72,22 +98,7 @@ func TestGoldenInferenceTiles(t *testing.T) {
 				}
 				continue
 			}
-			m, err := NewModel(rand.New(rand.NewSource(5)), ModelConfig{
-				Descriptor: descriptor.Config{
-					RCut: c.rcut, RCutSmth: 1.0,
-					EmbeddingSizes: []int{25, 50, 100},
-					AxisNeurons:    4,
-					Activation:     act,
-					NumSpecies:     3,
-					NeighborNorm:   24,
-				},
-				FittingSizes:      []int{240, 240, 240},
-				FittingActivation: act,
-				NumSpecies:        3,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := paperModel(t, c.rcut, act)
 			var lines []string
 			for _, threads := range []int{1, 4} {
 				m.SetThreads(threads)
@@ -148,6 +159,31 @@ func TestTileSteadyStateAllocs(t *testing.T) {
 		sweep()
 		if got := testing.AllocsPerRun(10, sweep); got != 0 {
 			t.Errorf("mode %d: computeTile+mergeTile: %v allocs/sweep in steady state, want 0", mode, got)
+		}
+	}
+}
+
+// BenchmarkInference times EnergyForces on one frame and EvalErrors over
+// two at the paper's layer shapes, on TestGoldenInferenceTiles' two
+// cells, at Threads 1 and 2.
+func BenchmarkInference(b *testing.B) {
+	for _, c := range inferenceCells {
+		d := saltCell(c.atoms, c.box)
+		m := paperModel(b, c.rcut, nn.Tanh)
+		fr := &d.Frames[0]
+		for _, threads := range []int{1, 2} {
+			m.SetThreads(threads)
+			name := fmt.Sprintf("atoms=%d/threads=%d", c.atoms, threads)
+			b.Run(name+"/EnergyForces", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					m.EnergyForces(fr.Coord, d.Types, fr.Box)
+				}
+			})
+			b.Run(name+"/EvalErrors", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					EvalErrors(m, d, 0)
+				}
+			})
 		}
 	}
 }

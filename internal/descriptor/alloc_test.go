@@ -7,11 +7,12 @@ import (
 	"repro/internal/nn"
 )
 
-// TestSteadyStateAllocs pins the pooled Forward/Backward/Release cycle —
-// and the fused training sweep over a whole configuration — at zero
-// allocations per call once the env pool and internal buffers are warm.
-// A regression here means the convenience API started leaking Envs
-// (Release lost) or an internal scratch stopped being recycled.
+// TestSteadyStateAllocs pins the pooled Forward/Release cycle, a fused
+// forward and geometry backward of one environment, and the fused
+// training sweep over a whole configuration at zero allocations per call
+// once the env pool and internal buffers are warm.  A regression here
+// means the convenience API started leaking Envs (Release lost) or an
+// internal scratch stopped being recycled.
 func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; pooled paths allocate by design")
@@ -34,6 +35,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	dcoord := make([]float64, 3*n)
 
+	var solo soloBatch
 	var eb EnvBatch
 	envs := make([]*Env, n)
 	upstream := func(int) []float64 { return dOut }
@@ -51,9 +53,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 	// atoms cover the largest neighbourhood and every embedding batch.
 	for sweep := 0; sweep < 2; sweep++ {
 		for i := 0; i < n; i++ {
-			env := d.Forward(coord, types, box, i)
-			d.Backward(env, dOut, dcoord)
-			d.Release(env)
+			d.Release(d.Forward(coord, types, box, i))
+			soloGeometry(d, &solo, coord, types, box, i, nil, dOut, dcoord)
 		}
 		fusedSweep()
 	}
@@ -68,10 +69,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 			d.Release(env)
 			atom++
 		}},
-		{"Forward+Backward+Release", func() {
-			env := d.Forward(coord, types, box, atom%n)
-			d.Backward(env, dOut, dcoord)
-			d.Release(env)
+		{"ScanEnv+ForwardEnvBatch+BackwardEnvBatchGeometry of one Env", func() {
+			soloGeometry(d, &solo, coord, types, box, atom%n, nil, dOut, dcoord)
 			atom++
 		}},
 		{"ScanEnv+ForwardEnvBatch+BackwardEnvBatch{Geometry,Params}", fusedSweep},
@@ -83,12 +82,12 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBackwardEnvBatchGeometryMatchesBackward ties the training sweep's
-// coordinate gradients to the inference path: one fused geometry backward
-// over every atom must add, bit for bit, what per-atom ForwardEnv +
-// Backward calls add in the same atom order, and touch no parameter
-// accumulator.
-func TestBackwardEnvBatchGeometryMatchesBackward(t *testing.T) {
+// TestBackwardEnvBatchGeometryMatchesPerAtom ties a batch's coordinate
+// gradients to its rows' own: one fused geometry backward over every
+// atom must add, bit for bit, what one-environment sweeps add in the
+// same atom order, and touch no parameter accumulator.  Training sweeps
+// whole frames and inference one atom tile, so both rest on this.
+func TestBackwardEnvBatchGeometryMatchesPerAtom(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	cfg := Config{
 		RCut: 4.0, RCutSmth: 1.0,
@@ -111,10 +110,9 @@ func TestBackwardEnvBatchGeometryMatchesBackward(t *testing.T) {
 	}
 
 	want := make([]float64, 3*n)
+	var solo soloBatch
 	for i := 0; i < n; i++ {
-		env := d.Forward(coord, types, box, i)
-		d.Backward(env, dOut[i], want)
-		d.Release(env)
+		soloGeometry(d, &solo, coord, types, box, i, nil, dOut[i], want)
 	}
 
 	var eb EnvBatch
@@ -129,7 +127,7 @@ func TestBackwardEnvBatchGeometryMatchesBackward(t *testing.T) {
 		func(int) []float64 { return got })
 	for k := range want {
 		if want[k] != got[k] {
-			t.Fatalf("dcoord[%d] = %v (fused) vs %v (per-atom Backward)", k, got[k], want[k])
+			t.Fatalf("dcoord[%d] = %v (fused) vs %v (one env at a time)", k, got[k], want[k])
 		}
 	}
 	for _, g := range grad {

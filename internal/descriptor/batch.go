@@ -3,12 +3,14 @@ package descriptor
 import "repro/internal/nn"
 
 // EnvBatch fuses the embedding-network compute of many environments —
-// typically every atom of a whole worker batch of frames — into one
-// forward and one backward per network, replacing hundreds of tiny
-// per-atom GEMMs with a handful of tall ones.  Rows gather in
-// environment order (each environment's rows contiguous, in its own
-// neighbour scan order), so results are deterministic for any thread
-// count; parameter gradients accumulate per fused batch, rows ascending.
+// every atom of a whole worker batch of frames in training, one atom
+// tile in inference, a single environment in Forward — into one forward
+// and one backward per network, replacing many tiny per-atom GEMMs with
+// a handful of tall ones.  It is the only way rows reach the embedding
+// networks.  Rows gather in environment order (each environment's rows
+// contiguous, in its own neighbour scan order), so results are
+// deterministic for any thread count; parameter gradients accumulate
+// per fused batch, rows ascending.
 //
 // Lifecycle per sweep: ScanEnv every environment, ForwardEnvBatch once,
 // then any of BackwardEnvBatchGeometry / BackwardEnvBatchParams.  The
@@ -17,66 +19,58 @@ import "repro/internal/nn"
 // EnvBatch.  Not safe for concurrent use; all buffers are recycled
 // across sweeps, so steady-state use allocates nothing.
 type EnvBatch struct {
-	rows  []int       // per net: fused row count
-	in    [][]float64 // per net: rows×1 embedding inputs
-	dy    [][]float64 // per net: rows×M1 upstream gradients
-	out   [][]float64 // per net: tape-owned outputs
-	ds    [][]float64 // per net: tape-owned input gradients
-	tapes []*nn.BatchTape
-	offs  [][]int // offs[vi][bi]: row offset of envs[vi].batches[bi]
+	nets []fusedNet // per embedding net
 }
 
-func (eb *EnvBatch) ensure(nNets, nEnvs int) {
-	if grow := nNets - len(eb.rows); grow > 0 {
-		eb.rows = append(eb.rows, make([]int, grow)...)
-		eb.in = append(eb.in, make([][]float64, grow)...)
-		eb.dy = append(eb.dy, make([][]float64, grow)...)
-		eb.out = append(eb.out, make([][]float64, grow)...)
-		eb.ds = append(eb.ds, make([][]float64, grow)...)
-		eb.tapes = append(eb.tapes, make([]*nn.BatchTape, grow)...)
-	}
-	if grow := nEnvs - len(eb.offs); grow > 0 {
-		eb.offs = append(eb.offs, make([][]int, grow)...)
-	}
+// fusedNet is one embedding network's fused batch.
+type fusedNet struct {
+	rows int           // fused row count
+	in   []float64     // rows×1 embedding inputs
+	dy   []float64     // rows×M1 upstream gradients
+	out  []float64     // tape-owned outputs
+	ds   []float64     // tape-owned input gradients
+	tape *nn.BatchTape // reused across sweeps
 }
 
 // ForwardEnvBatch finishes a set of scanned environments (ScanEnv) with
 // one fused embedding forward per touched network, then computes each
 // environment's descriptor tail.  Environments keep views into the
-// fused outputs; they support the fused backwards below but NOT the
-// per-env Backward (their per-env tapes are never populated on this
-// path).
+// fused outputs, which the backwards below consume.  Row r of a fused
+// batch is bit-identical to a one-row pass of its neighbour, so an
+// environment's results do not depend on which others share its batch.
 func (d *Descriptor) ForwardEnvBatch(eb *EnvBatch, envs []*Env) {
 	m1 := d.Cfg.M1()
-	eb.ensure(len(d.Embed), len(envs))
-	for e := range d.Embed {
-		eb.rows[e] = 0
-		eb.in[e] = eb.in[e][:0]
+	if len(eb.nets) < len(d.Embed) {
+		eb.nets = append(eb.nets, make([]fusedNet, len(d.Embed)-len(eb.nets))...)
 	}
-	for vi, env := range envs {
-		offs := eb.offs[vi][:0]
+	for e := range d.Embed {
+		fn := &eb.nets[e]
+		fn.rows = 0
+		fn.in = fn.in[:0]
+	}
+	for _, env := range envs {
 		for bi := 0; bi < env.nBatches; bi++ {
 			b := &env.batches[bi]
-			offs = append(offs, eb.rows[b.net])
-			eb.in[b.net] = append(eb.in[b.net], b.in[:b.n]...)
-			eb.rows[b.net] += b.n
+			fn := &eb.nets[b.net]
+			b.off = fn.rows
+			fn.in = append(fn.in, b.in[:b.n]...)
+			fn.rows += b.n
 		}
-		eb.offs[vi] = offs
 	}
 	for e := range d.Embed {
-		if eb.rows[e] == 0 {
+		fn := &eb.nets[e]
+		if fn.rows == 0 {
 			continue
 		}
-		if eb.tapes[e] == nil {
-			eb.tapes[e] = &nn.BatchTape{}
+		if fn.tape == nil {
+			fn.tape = &nn.BatchTape{}
 		}
-		eb.out[e] = d.Embed[e].ForwardBatch(eb.tapes[e], eb.in[e], eb.rows[e])
+		fn.out = d.Embed[e].ForwardBatch(fn.tape, fn.in, fn.rows)
 	}
-	for vi, env := range envs {
+	for _, env := range envs {
 		for bi := 0; bi < env.nBatches; bi++ {
 			b := &env.batches[bi]
-			off := eb.offs[vi][bi]
-			b.out = eb.out[b.net][off*m1 : (off+b.n)*m1]
+			b.out = eb.nets[b.net].out[b.off*m1 : (b.off+b.n)*m1]
 		}
 		d.finishEnv(env)
 	}
@@ -88,15 +82,15 @@ func (d *Descriptor) ForwardEnvBatch(eb *EnvBatch, envs []*Env) {
 func (d *Descriptor) stageDy(eb *EnvBatch, envs []*Env) {
 	m1 := d.Cfg.M1()
 	for e := range d.Embed {
-		if eb.rows[e] > 0 {
-			eb.dy[e] = ensureZeroed(eb.dy[e], eb.rows[e]*m1)
+		fn := &eb.nets[e]
+		if fn.rows > 0 {
+			fn.dy = ensureZeroed(fn.dy, fn.rows*m1)
 		}
 	}
-	for vi, env := range envs {
+	for _, env := range envs {
 		for bi := 0; bi < env.nBatches; bi++ {
 			b := &env.batches[bi]
-			off := eb.offs[vi][bi]
-			b.dy = eb.dy[b.net][off*m1 : (off+b.n)*m1]
+			b.dy = eb.nets[b.net].dy[b.off*m1 : (b.off+b.n)*m1]
 		}
 	}
 }
@@ -114,16 +108,16 @@ func (d *Descriptor) BackwardEnvBatchGeometry(eb *EnvBatch, envs []*Env, dOut fu
 		d.scatterUpstream(env, true)
 	}
 	for e := range d.Embed {
-		if eb.rows[e] == 0 {
+		fn := &eb.nets[e]
+		if fn.rows == 0 {
 			continue
 		}
-		eb.ds[e] = d.Embed[e].InputGradBatch(eb.tapes[e], eb.dy[e], eb.rows[e])
+		fn.ds = d.Embed[e].InputGradBatch(fn.tape, fn.dy, fn.rows)
 	}
 	for vi, env := range envs {
 		for bi := 0; bi < env.nBatches; bi++ {
 			b := &env.batches[bi]
-			off := eb.offs[vi][bi]
-			b.ds = eb.ds[b.net][off : off+b.n]
+			b.ds = eb.nets[b.net].ds[b.off : b.off+b.n]
 		}
 		d.geometryChain(env, dcoord(vi))
 	}
@@ -139,9 +133,10 @@ func (d *Descriptor) BackwardEnvBatchParams(eb *EnvBatch, envs []*Env, dOut func
 		d.scatterUpstream(env, false)
 	}
 	for e := range d.Embed {
-		if eb.rows[e] == 0 {
+		fn := &eb.nets[e]
+		if fn.rows == 0 {
 			continue
 		}
-		d.Embed[e].BackwardBatch(eb.tapes[e], eb.dy[e], eb.rows[e])
+		d.Embed[e].BackwardBatch(fn.tape, fn.dy, fn.rows)
 	}
 }

@@ -54,6 +54,8 @@ func BenchmarkForwardByRCut(b *testing.B) {
 	}
 }
 
+// BenchmarkForwardBackward is one atom's fused forward and geometry
+// backward, an environment at a time.
 func BenchmarkForwardBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	coord, types := benchConfiguration(rng, 160, 17.84)
@@ -63,12 +65,11 @@ func BenchmarkForwardBackward(b *testing.B) {
 		dOut[i] = 1
 	}
 	dcoord := make([]float64, len(coord))
+	var solo soloBatch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env := d.Forward(coord, types, 17.84, i%160)
-		d.Backward(env, dOut, dcoord)
-		d.Release(env)
+		soloGeometry(d, &solo, coord, types, 17.84, i%160, nil, dOut, dcoord)
 	}
 }
 
@@ -99,17 +100,18 @@ func BenchmarkEnvBatchSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkForwardEnvReuse is the allocation-regression benchmark for the
-// descriptor hot path as the model drives it: one reusable Env, candidate
-// lists from a cell list built once per configuration.  allocs/op should
-// be zero in steady state.
-func BenchmarkForwardEnvReuse(b *testing.B) {
+// BenchmarkEnvReuse is the allocation-regression benchmark for one
+// environment's forward and geometry backward with the model's
+// neighbour source: one reusable Env, candidate lists from a cell list
+// built once per configuration.  allocs/op should be zero in steady
+// state.
+func BenchmarkEnvReuse(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	coord, types := benchConfiguration(rng, 160, 17.84)
 	d := paperScaleDescriptor(b, 6.0)
 	var nl neighbor.List
 	nl.Build(coord, 17.84, 6.0, 0)
-	var env *Env
+	var solo soloBatch
 	dOut := make([]float64, d.Cfg.OutDim())
 	for i := range dOut {
 		dOut[i] = 1
@@ -119,8 +121,7 @@ func BenchmarkForwardEnvReuse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := i % 160
-		env = d.ForwardEnv(env, coord, types, 17.84, c, nl.Candidates(c))
-		d.Backward(env, dOut, dcoord)
+		soloGeometry(d, &solo, coord, types, 17.84, c, nl.Candidates(c), dOut, dcoord)
 	}
 }
 

@@ -104,8 +104,7 @@ type Descriptor struct {
 	Embed []*nn.MLP
 
 	// envPool recycles Envs between Forward and Release so the
-	// convenience API is allocation-free in steady state, like the
-	// explicit ForwardEnv reuse path.
+	// convenience API is allocation-free in steady state.
 	envPool sync.Pool
 }
 
@@ -146,24 +145,24 @@ type nbrSlot struct {
 	dr       [4]float64 // backward scratch: dL/dR̃ rows
 }
 
-// netBatch gathers every neighbour sharing one embedding network so the
-// whole group runs through the net as a single ForwardBatch/BackwardBatch.
+// netBatch gathers every neighbour of one environment sharing one
+// embedding network: its rows of that net's fused batch (EnvBatch).
 // Rows keep the neighbours' ascending scan order, so per-net gradient
 // accumulation follows the neighbours in scan order.
 type netBatch struct {
-	net  int           // embedding-network index
-	n    int           // active rows
-	in   []float64     // n×1 inputs s(r)
-	out  []float64     // n×M1 outputs (tape-owned view)
-	dy   []float64     // n×M1 upstream gradients (backward scratch)
-	ds   []float64     // n×1 input gradients (tape-owned view)
-	tape *nn.BatchTape // reused across Forwards; all nets share one shape
+	net int       // embedding-network index
+	n   int       // active rows
+	off int       // row offset in the net's fused batch
+	in  []float64 // n×1 inputs s(r)
+	out []float64 // n×M1 outputs (view into the fused batch)
+	dy  []float64 // n×M1 upstream gradients (view into the fused batch)
+	ds  []float64 // n×1 input gradients (view into the fused batch)
 }
 
 // Env is the evaluated environment of one atom, retained for backprop.
-// An Env is reusable: passing it back to ForwardEnv recycles every
-// internal buffer (neighbor slots, embedding tapes, descriptor and
-// backprop scratch), making steady-state evaluation allocation-free.
+// An Env is reusable: passing it back to ScanEnv recycles every internal
+// buffer (neighbor slots, descriptor and backprop scratch), making
+// steady-state evaluation allocation-free.
 type Env struct {
 	center int
 	nbrs   []nbrSlot // slot pool; the first n entries are active
@@ -186,12 +185,22 @@ type Env struct {
 	embedTouched []bool
 	embedNets    []int
 	nbrAtoms     []int
+
+	// solo is the one-environment fused batch Forward runs the Env
+	// through, pooled with it.
+	solo *soloBatch
+}
+
+// soloBatch is an EnvBatch of one Env.
+type soloBatch struct {
+	eb   EnvBatch
+	envs [1]*Env
 }
 
 // Out returns the descriptor vector (owned by the Env; do not mutate).
 func (e *Env) Out() []float64 { return e.out }
 
-// Center returns the center atom index of the last ForwardEnv call.
+// Center returns the center atom index of the last ScanEnv call.
 func (e *Env) Center() int { return e.center }
 
 // NeighborAtoms returns the indices of the atoms in the environment, in
@@ -200,15 +209,20 @@ func (e *Env) NeighborAtoms() []int { return e.nbrAtoms }
 
 // Forward evaluates the descriptor of atom i in a configuration given by
 // flat coordinates (atom-major xyz), per-atom types, and cubic box length
-// (0 disables periodicity).  The returned Env supports Backward.  The Env
-// comes from an internal pool; hand it back with Release once its
-// outputs are no longer needed, after which repeated Forward/Release
-// pairs allocate nothing.
+// (0 disables periodicity): ScanEnv, then ForwardEnvBatch over a batch of
+// this one environment.  The Env comes from an internal pool; hand it
+// back with Release once its outputs are no longer needed, after which
+// repeated Forward/Release pairs allocate nothing.
 //
 //lint:hot
 func (d *Descriptor) Forward(coord []float64, types []int, box float64, i int) *Env {
 	env, _ := d.envPool.Get().(*Env)
-	return d.ForwardEnv(env, coord, types, box, i, nil)
+	env = d.ScanEnv(env, coord, types, box, i, nil)
+	if env.solo == nil {
+		env.solo = &soloBatch{envs: [1]*Env{env}}
+	}
+	d.ForwardEnvBatch(&env.solo.eb, env.solo.envs[:])
+	return env
 }
 
 // Release returns an Env obtained from Forward to the descriptor's pool.
@@ -221,37 +235,16 @@ func (d *Descriptor) Release(env *Env) {
 	}
 }
 
-// ForwardEnv is Forward with explicit scratch reuse and an optional
-// candidate list.  env may be nil (a fresh one is allocated) or a
-// previously returned Env whose buffers are recycled.  cand, when
-// non-nil, restricts the neighbour scan to the given ascending candidate
-// indices (typically from a neighbor.List built with a skin); distances
-// are still measured against coord, so any candidate superset of the
-// true neighbourhood yields results bit-identical to the full scan.
-func (d *Descriptor) ForwardEnv(env *Env, coord []float64, types []int, box float64, i int, cand []int) *Env {
-	env = d.ScanEnv(env, coord, types, box, i, cand)
-
-	// Batched embedding: every neighbour sharing a net runs through it as
-	// one ForwardBatch.  Row r of each batch is bit-identical to a one-row
-	// pass of that neighbour, so everything downstream sees the same bits
-	// in the same order.
-	for bi := 0; bi < env.nBatches; bi++ {
-		b := &env.batches[bi]
-		if b.tape == nil {
-			b.tape = &nn.BatchTape{}
-		}
-		b.out = d.Embed[b.net].ForwardBatch(b.tape, b.in, b.n)
-	}
-	d.finishEnv(env)
-	return env
-}
-
-// ScanEnv runs only the neighbourhood scan of ForwardEnv: it fills the
-// Env's neighbour slots and per-net input batches but does not evaluate
-// the embedding networks or the descriptor tail.  The fused training
-// path (ForwardEnvBatch) uses it to gather many environments into one
-// embedding forward per network; after ScanEnv the Env is incomplete
-// until that fused pass (or ForwardEnv) finishes it.
+// ScanEnv runs the neighbourhood scan of atom i: it fills the Env's
+// neighbour slots and per-net input batches but does not evaluate the
+// embedding networks or the descriptor tail; the Env is incomplete until
+// ForwardEnvBatch finishes it.  env may be nil (a fresh one is
+// allocated) or a previously returned Env whose buffers are recycled.
+// cand, when non-nil, restricts the scan to the given ascending
+// candidate indices (typically from a neighbor.List built with a skin);
+// distances are still measured against coord, so any candidate superset
+// of the true neighbourhood yields results bit-identical to the full
+// scan.
 func (d *Descriptor) ScanEnv(env *Env, coord []float64, types []int, box float64, i int, cand []int) *Env {
 	if env == nil {
 		env = &Env{}
@@ -327,9 +320,8 @@ func (d *Descriptor) ScanEnv(env *Env, coord []float64, types []int, box float64
 }
 
 // finishEnv computes the descriptor tail — per-neighbour G views, the T1
-// contraction and the output matrix — once the embedding outputs are in
-// place (per-env tapes from ForwardEnv or fused views from
-// ForwardEnvBatch).
+// contraction and the output matrix — once ForwardEnvBatch has put the
+// embedding outputs in place.
 func (d *Descriptor) finishEnv(env *Env) {
 	m1 := d.Cfg.M1()
 	for ni := 0; ni < env.n; ni++ {
@@ -381,36 +373,6 @@ func ensureZeroed(buf []float64, n int) []float64 {
 		buf[i] = 0
 	}
 	return buf
-}
-
-// Backward propagates dL/dD (flattened M1×M2) through the descriptor of
-// an Env evaluated by ForwardEnv, adding coordinate gradients into dcoord
-// (flat, same layout as coord).  It is the inference backward (forces):
-// parameter accumulators are untouched; training accumulates them with
-// BackwardEnvBatchParams.
-//
-//lint:hot
-func (d *Descriptor) Backward(env *Env, dOut []float64, dcoord []float64) {
-	d.computeDT1(env, dOut)
-
-	// Phase 1: per-neighbour upstream gradients, in neighbour scan order.
-	// Each neighbour's dL/dG row lands in its net batch's dy matrix; the
-	// R̃-row gradients are stashed on the neighbour for phase 3.
-	m1 := d.Cfg.M1()
-	for bi := 0; bi < env.nBatches; bi++ {
-		b := &env.batches[bi]
-		b.dy = ensureZeroed(b.dy, b.n*m1)
-	}
-	d.scatterUpstream(env, true)
-
-	// Phase 2: through the embedding networks to their scalar inputs, one
-	// batched input-gradient pass per net.
-	for bi := 0; bi < env.nBatches; bi++ {
-		b := &env.batches[bi]
-		b.ds = d.Embed[b.net].InputGradBatch(b.tape, b.dy, b.n)
-	}
-
-	d.geometryChain(env, dcoord)
 }
 
 // computeDT1 fills env.dT1 with dL/dT1[a][m] from D = T1ᵀ·T1[:, :M2] —

@@ -241,9 +241,8 @@ func TestDescriptorCoordinateGradients(t *testing.T) {
 		return s
 	}
 
-	env := d.Forward(coord, types, box, 0)
 	dcoord := make([]float64, len(coord))
-	d.Backward(env, w, dcoord)
+	soloGeometry(d, &soloBatch{}, coord, types, box, 0, nil, w, dcoord)
 
 	const h = 1e-6
 	for idx := 0; idx < len(coord); idx++ {
@@ -307,20 +306,22 @@ func TestDescriptorParameterGradients(t *testing.T) {
 	}
 }
 
+// TestBackwardInferenceDoesNotTouchParams checks that the inference
+// backward (forces), BackwardEnvBatchGeometry, leaves the parameter
+// accumulators alone.
 func TestBackwardInferenceDoesNotTouchParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	d, _, grad := newDescriptor(t, rng, testConfig())
 	coord, types, box := testConfiguration()
-	env := d.Forward(coord, types, box, 0)
 	dOut := make([]float64, d.Cfg.OutDim())
 	for i := range dOut {
 		dOut[i] = 1
 	}
 	dcoord := make([]float64, len(coord))
-	d.Backward(env, dOut, dcoord)
+	soloGeometry(d, &soloBatch{}, coord, types, box, 0, nil, dOut, dcoord)
 	for _, g := range grad {
 		if g != 0 {
-			t.Fatal("inference Backward accumulated parameter gradients")
+			t.Fatal("BackwardEnvBatchGeometry accumulated parameter gradients")
 		}
 	}
 }
@@ -368,9 +369,8 @@ func TestPairTypeEmbeddingGradients(t *testing.T) {
 		}
 		return s
 	}
-	env := d.Forward(coord, types, box, 0)
 	dcoord := make([]float64, len(coord))
-	d.Backward(env, w, dcoord)
+	soloGeometry(d, &soloBatch{}, coord, types, box, 0, nil, w, dcoord)
 	const h = 1e-6
 	for idx := 0; idx < len(coord); idx += 2 {
 		orig := coord[idx]
@@ -421,6 +421,18 @@ func TestPairTypeEmbeddingDiffersByCenter(t *testing.T) {
 	if same {
 		t.Error("pair embedding gave identical descriptors for different center types")
 	}
+}
+
+// soloGeometry runs atom i alone through ScanEnv, ForwardEnvBatch and
+// BackwardEnvBatchGeometry — a fused batch of one environment, the
+// per-atom reference — adding dL/dcoord for upstream dOut into dcoord.
+// cand is ScanEnv's candidate list; b's Env is recycled.
+func soloGeometry(d *Descriptor, b *soloBatch, coord []float64, types []int, box float64, i int, cand []int, dOut, dcoord []float64) {
+	b.envs[0] = d.ScanEnv(b.envs[0], coord, types, box, i, cand)
+	d.ForwardEnvBatch(&b.eb, b.envs[:])
+	d.BackwardEnvBatchGeometry(&b.eb, b.envs[:],
+		func(int) []float64 { return dOut },
+		func(int) []float64 { return dcoord })
 }
 
 // newDescriptor builds a descriptor the way a model's layer table builds
