@@ -14,11 +14,11 @@
 //
 //	hpo [-backend surrogate|real] [-runs 5] [-pop 100] [-gens 6] [-seed 2023]
 //	    [-data data/] [-steps 200] [-workers 6] [-out results.csv]
-//	    [-data-dir dir] [-cache-bytes N] [-prefetch N]
+//	    [-cache-bytes N] [-prefetch N]
 //
-// With -data-dir the real backend streams the train/ and val/ system
-// directories out-of-core through a byte-budgeted LRU frame cache
-// (bit-identical to -data's in-memory loading).
+// The real backend streams the train/ and val/ system directories under
+// -data through stream.Open: frames come off their shards on demand,
+// behind a byte-budgeted LRU frame cache shared by every evaluation.
 package main
 
 import (
@@ -30,9 +30,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/dataset/stream"
-	"repro/internal/deepmd"
 	"repro/internal/ea"
 	"repro/internal/hpo"
 	"repro/internal/nsga2"
@@ -47,8 +45,7 @@ func main() {
 	gens := flag.Int("gens", 6, "offspring generations")
 	seed := flag.Int64("seed", 2023, "base seed")
 	par := flag.Int("par", 8, "parallel evaluations")
-	dataDir := flag.String("data", "data", "dataset directory (real backend; expects train/ and val/)")
-	streamDir := flag.String("data-dir", "", "stream datasets out-of-core from this directory (real backend; expects train/ and val/; overrides -data)")
+	dataDir := flag.String("data", "data", "dataset directory, streamed (real backend; expects train/ and val/)")
 	cacheBytes := flag.Int64("cache-bytes", stream.DefaultCacheBytes, "LRU frame-cache budget per streamed system, in bytes")
 	prefetch := flag.Int("prefetch", 64, "prefetch queue depth for streamed systems (0 = synchronous shard reads)")
 	steps := flag.Int("steps", 200, "training steps per evaluation (real backend)")
@@ -64,35 +61,18 @@ func main() {
 	case "surrogate":
 		evaluator = surrogate.NewEvaluator(surrogate.Config{Seed: *seed})
 	case "real":
-		trainPath, valPath := *dataDir+"/train", *dataDir+"/val"
-		var trainSrc, valSrc deepmd.FrameSource
-		if *streamDir != "" {
-			// Out-of-core: stream shards through the byte-budgeted LRU cache
-			// instead of materializing the systems; training is bit-identical.
-			trainPath, valPath = filepath.Join(*streamDir, "train"), filepath.Join(*streamDir, "val")
-			opts := stream.Options{CacheBytes: *cacheBytes, Prefetch: *prefetch}
-			ts, err := stream.Open(trainPath, opts)
-			if err != nil {
-				log.Fatalf("opening %s: %v (run mdgen first)", trainPath, err)
-			}
-			defer ts.Close()
-			vs, err := stream.Open(valPath, opts)
-			if err != nil {
-				log.Fatalf("opening %s: %v", valPath, err)
-			}
-			defer vs.Close()
-			trainSrc, valSrc = ts, vs
-		} else {
-			trainSet, err := dataset.Load(trainPath)
-			if err != nil {
-				log.Fatalf("loading %s: %v (run mdgen first)", trainPath, err)
-			}
-			valSet, err := dataset.Load(valPath)
-			if err != nil {
-				log.Fatalf("loading %s: %v", valPath, err)
-			}
-			trainSrc, valSrc = trainSet, valSet
+		trainPath, valPath := filepath.Join(*dataDir, "train"), filepath.Join(*dataDir, "val")
+		opts := stream.Options{CacheBytes: *cacheBytes, Prefetch: *prefetch}
+		trainSrc, err := stream.Open(trainPath, opts)
+		if err != nil {
+			log.Fatalf("opening %s: %v (run mdgen first)", trainPath, err)
 		}
+		defer trainSrc.Close()
+		valSrc, err := stream.Open(valPath, opts)
+		if err != nil {
+			log.Fatalf("opening %s: %v", valPath, err)
+		}
+		defer valSrc.Close()
 		workDir, err := os.MkdirTemp("", "hpo-runs-*")
 		if err != nil {
 			log.Fatal(err)

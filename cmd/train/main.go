@@ -1,19 +1,20 @@
 // Command train is the `dp train` substitute: it reads a DeePMD-style
-// input.json, loads the referenced datasets, trains a deep-potential
-// model in-process and writes lcurve.out next to the input — the exact
-// artifact the paper's fitness extraction reads (§2.2.4).
+// input.json, streams the training and validation systems it names,
+// trains a deep-potential model in-process and writes lcurve.out next to
+// the input — the exact artifact the paper's fitness extraction reads
+// (§2.2.4).
 //
 // Usage:
 //
 //	train -input run/input.json [-workers 6] [-steps 0] [-valframes 8]
-//	      [-data-dir dir] [-cache-bytes N] [-prefetch N]
+//	      [-cache-bytes N] [-prefetch N]
 //
 // -steps, if positive, truncates numb_steps for reduced-scale runs.
 //
-// With -data-dir the train/ and val/ system directories under it are
-// streamed out-of-core through a byte-budgeted LRU frame cache instead
-// of being materialized in memory; training output is bit-identical to
-// the in-memory path.
+// The systems (paths relative to input.json's directory) are read
+// through stream.Open: frames come off their shards on demand, behind a
+// byte-budgeted LRU frame cache, so a set larger than memory trains with
+// the same lcurve.out bytes as one the cache holds whole.
 package main
 
 import (
@@ -23,7 +24,6 @@ import (
 	"log"
 	"path/filepath"
 
-	"repro/internal/dataset"
 	"repro/internal/dataset/stream"
 	"repro/internal/deepmd"
 	"repro/internal/hpo"
@@ -36,7 +36,6 @@ func main() {
 	workers := flag.Int("workers", 6, "simulated data-parallel workers (paper: 6 GPUs)")
 	steps := flag.Int("steps", 0, "override numb_steps (0 = use input.json)")
 	valFrames := flag.Int("valframes", 8, "validation frames per lcurve evaluation")
-	dataDir := flag.String("data-dir", "", "stream train/ and val/ system dirs under this path out-of-core (instead of loading the input.json systems in memory)")
 	cacheBytes := flag.Int64("cache-bytes", stream.DefaultCacheBytes, "LRU frame-cache budget per streamed system, in bytes")
 	prefetch := flag.Int("prefetch", 64, "prefetch queue depth for streamed systems (0 = synchronous shard reads)")
 	flag.Parse()
@@ -50,53 +49,34 @@ func main() {
 	}
 	runDir := filepath.Dir(*input)
 
-	var trainSrc, valSrc deepmd.FrameSource
-	var trainStore *stream.Store
-	if *dataDir != "" {
-		opts := stream.Options{CacheBytes: *cacheBytes, Prefetch: *prefetch}
-		trainStore, err = stream.Open(filepath.Join(*dataDir, "train"), opts)
-		if err != nil {
-			log.Fatalf("opening streamed training data: %v", err)
-		}
-		defer trainStore.Close()
-		valStore, err := stream.Open(filepath.Join(*dataDir, "val"), opts)
-		if err != nil {
-			log.Fatalf("opening streamed validation data: %v", err)
-		}
-		defer valStore.Close()
-		fmt.Printf("streaming %d training and %d validation frames (%d atoms); cache budget %d B, dataset %d B\n",
-			trainStore.Len(), valStore.Len(), len(trainStore.AtomTypes()),
-			*cacheBytes, trainStore.FrameBytes())
-		trainSrc, valSrc = trainStore, valStore
-	} else {
-		if len(in.Training.Systems) == 0 || len(in.Training.ValidationData.Systems) == 0 {
-			log.Fatal("input.json must reference training and validation systems")
-		}
-		trainSet, err := dataset.Load(resolve(runDir, in.Training.Systems[0]))
-		if err != nil {
-			log.Fatalf("loading training data: %v", err)
-		}
-		valSet, err := dataset.Load(resolve(runDir, in.Training.ValidationData.Systems[0]))
-		if err != nil {
-			log.Fatalf("loading validation data: %v", err)
-		}
-		fmt.Printf("loaded %d training and %d validation frames (%d atoms)\n",
-			trainSet.Len(), valSet.Len(), trainSet.NAtoms())
-		trainSrc, valSrc = trainSet, valSet
+	if len(in.Training.Systems) == 0 || len(in.Training.ValidationData.Systems) == 0 {
+		log.Fatal("input.json must reference training and validation systems")
 	}
+	opts := stream.Options{CacheBytes: *cacheBytes, Prefetch: *prefetch}
+	trainStore, err := stream.Open(resolve(runDir, in.Training.Systems[0]), opts)
+	if err != nil {
+		log.Fatalf("opening training data: %v", err)
+	}
+	defer trainStore.Close()
+	valStore, err := stream.Open(resolve(runDir, in.Training.ValidationData.Systems[0]), opts)
+	if err != nil {
+		log.Fatalf("opening validation data: %v", err)
+	}
+	defer valStore.Close()
+	fmt.Printf("streaming %d training and %d validation frames (%d atoms); cache budget %d B, dataset %d B\n",
+		trainStore.Len(), valStore.Len(), len(trainStore.AtomTypes()),
+		*cacheBytes, trainStore.FrameBytes())
 
 	rt := &hpo.RealTrainer{
-		Train: trainSrc, Val: valSrc,
+		Train: trainStore, Val: valStore,
 		Workers: *workers, StepsOverride: *steps, ValFrames: *valFrames,
 	}
 	if err := rt.TrainRun(context.Background(), *input, runDir); err != nil {
 		log.Fatalf("training: %v", err)
 	}
-	if trainStore != nil {
-		st := trainStore.Stats()
-		fmt.Printf("stream: %d hits, %d misses, %d evictions, %d prefetched (%d B cached)\n",
-			st.Hits, st.Misses, st.Evictions, st.Prefetched, st.CachedBytes)
-	}
+	st := trainStore.Stats()
+	fmt.Printf("stream: %d hits, %d misses, %d evictions, %d prefetched (%d B cached)\n",
+		st.Hits, st.Misses, st.Evictions, st.Prefetched, st.CachedBytes)
 	rmseE, rmseF, err := deepmd.FinalLosses(filepath.Join(runDir, "lcurve.out"))
 	if err != nil {
 		log.Fatalf("reading lcurve.out: %v", err)

@@ -1,19 +1,19 @@
 // Package dataset converts MD trajectories into DeePMD-style training
-// datasets and back.  The paper converted CP2K FPMD output to "energy,
-// force, box values in Numpy arrays using in-house scripts", shuffled the
-// frames, and withheld 25 % for validation (§2.1.3); this package is the
-// Go version of those in-house scripts, writing the exact DeePMD on-disk
-// layout: a system directory with `type.raw` plus `set.NNN` subdirectories
-// containing coord.npy, energy.npy, force.npy and box.npy.
+// datasets.  The paper converted CP2K FPMD output to "energy, force, box
+// values in Numpy arrays using in-house scripts", shuffled the frames,
+// and withheld 25 % for validation (§2.1.3); this package is the Go
+// version of those in-house scripts, writing the exact DeePMD on-disk
+// layout: a system directory with `type.raw` plus `set.NNN`
+// subdirectories containing coord.npy, energy.npy, force.npy and
+// box.npy.  Package dataset/stream is the one reader of that layout.
 package dataset
 
 import (
-	"bufio"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"repro/internal/md"
@@ -116,7 +116,8 @@ func (d *Dataset) Split(valFraction float64) (train, val *Dataset) {
 	return train, val
 }
 
-// Validate checks internal consistency.
+// Validate checks internal consistency.  Its box check is the one
+// stream.Open applies, so a dataset Save accepts is one Open serves.
 func (d *Dataset) Validate() error {
 	n := d.NAtoms()
 	if n == 0 {
@@ -129,8 +130,8 @@ func (d *Dataset) Validate() error {
 		if len(f.Force) != 3*n {
 			return fmt.Errorf("dataset: frame %d has %d forces, want %d", i, len(f.Force), 3*n)
 		}
-		if f.Box <= 0 {
-			return fmt.Errorf("dataset: frame %d has non-positive box %v", i, f.Box)
+		if !(f.Box > 0) || math.IsInf(f.Box, 1) {
+			return fmt.Errorf("dataset: frame %d has box %v, want a positive finite side", i, f.Box)
 		}
 	}
 	return nil
@@ -203,96 +204,6 @@ func (d *Dataset) saveSet(dir string, frames []Frame) error {
 		if err := npy.WriteFile(filepath.Join(dir, name), arr); err != nil {
 			return fmt.Errorf("dataset: writing %s: %w", name, err)
 		}
-	}
-	return nil
-}
-
-// Load reads a DeePMD system directory written by Save (or by DeePMD's own
-// tooling, for the supported dtypes).
-func Load(dir string) (*Dataset, error) {
-	types, err := loadTypes(filepath.Join(dir, "type.raw"))
-	if err != nil {
-		return nil, err
-	}
-	d := &Dataset{Types: types}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range entries {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "set.") {
-			continue
-		}
-		if err := d.loadSet(filepath.Join(dir, e.Name())); err != nil {
-			return nil, err
-		}
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// ReadTypes reads a type.raw file — the per-atom species indices of a
-// system directory.  Shared by Load and the out-of-core stream reader so
-// both agree on what a valid typing is.
-func ReadTypes(path string) ([]int, error) { return loadTypes(path) }
-
-func loadTypes(path string) ([]int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var types []int
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		t, err := strconv.Atoi(line)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: bad type.raw line %q: %w", line, err)
-		}
-		types = append(types, t)
-	}
-	return types, sc.Err()
-}
-
-func (d *Dataset) loadSet(dir string) error {
-	coord, err := npy.ReadFile(filepath.Join(dir, "coord.npy"))
-	if err != nil {
-		return err
-	}
-	force, err := npy.ReadFile(filepath.Join(dir, "force.npy"))
-	if err != nil {
-		return err
-	}
-	energy, err := npy.ReadFile(filepath.Join(dir, "energy.npy"))
-	if err != nil {
-		return err
-	}
-	box, err := npy.ReadFile(filepath.Join(dir, "box.npy"))
-	if err != nil {
-		return err
-	}
-	if len(coord.Shape) != 2 || len(force.Shape) != 2 {
-		return fmt.Errorf("dataset: coord/force must be 2-D in %s", dir)
-	}
-	nf := coord.Shape[0]
-	width := coord.Shape[1]
-	if force.Shape[0] != nf || force.Shape[1] != width || energy.Shape[0] != nf || box.Shape[0] != nf {
-		return fmt.Errorf("dataset: inconsistent set shapes in %s", dir)
-	}
-	for i := 0; i < nf; i++ {
-		f := Frame{
-			Coord:  append([]float64(nil), coord.Data[i*width:(i+1)*width]...),
-			Force:  append([]float64(nil), force.Data[i*width:(i+1)*width]...),
-			Energy: energy.Data[i],
-			Box:    box.Data[i*9],
-		}
-		d.Frames = append(d.Frames, f)
 	}
 	return nil
 }

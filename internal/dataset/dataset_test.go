@@ -1,4 +1,4 @@
-package dataset
+package dataset_test
 
 import (
 	"math"
@@ -7,15 +7,17 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/dataset"
+	"repro/internal/dataset/stream"
 	"repro/internal/md"
 )
 
-func tinyDataset(t *testing.T, nFrames int) *Dataset {
+func tinyDataset(t *testing.T, nFrames int) *dataset.Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	species := []md.Species{md.Al, md.Cl, md.Cl, md.Cl, md.K, md.Cl}
 	pot := md.NewPaperBMH(4.0)
-	return Generate(rng, species, 8.0, 498, pot, 0.5, 50, 5, nFrames)
+	return dataset.Generate(rng, species, 8.0, 498, pot, 0.5, 50, 5, nFrames)
 }
 
 func TestGenerateShapes(t *testing.T) {
@@ -78,35 +80,62 @@ func TestSplitFractions(t *testing.T) {
 	}
 }
 
+// sameAsSaved requires the store opened on a saved directory to serve
+// the saved dataset bit for bit: typing, frame count, mean energy and
+// every frame in order.
+func sameAsSaved(t *testing.T, s *stream.Store, d *dataset.Dataset) {
+	t.Helper()
+	if s.Len() != d.Len() || len(s.AtomTypes()) != d.NAtoms() {
+		t.Fatalf("round trip sizes: %d/%d frames, %d/%d atoms", s.Len(), d.Len(), len(s.AtomTypes()), d.NAtoms())
+	}
+	for i, want := range d.AtomTypes() {
+		if got := s.AtomTypes()[i]; got != want {
+			t.Errorf("AtomTypes[%d] = %d, want %d", i, got, want)
+		}
+	}
+	if math.Float64bits(s.MeanEnergy()) != math.Float64bits(d.MeanEnergy()) {
+		t.Errorf("MeanEnergy = %v, want %v", s.MeanEnergy(), d.MeanEnergy())
+	}
+	for i := 0; i < d.Len(); i++ {
+		g, err := s.Frame(i)
+		if err != nil {
+			t.Fatalf("Frame(%d): %v", i, err)
+		}
+		f, _ := d.Frame(i)
+		if math.Float64bits(g.Energy) != math.Float64bits(f.Energy) || math.Float64bits(g.Box) != math.Float64bits(f.Box) {
+			t.Errorf("frame %d scalar mismatch", i)
+		}
+		for k := range f.Coord {
+			if math.Float64bits(g.Coord[k]) != math.Float64bits(f.Coord[k]) || math.Float64bits(g.Force[k]) != math.Float64bits(f.Force[k]) {
+				t.Fatalf("frame %d array mismatch at %d", i, k)
+			}
+		}
+	}
+}
+
+// openSaved reads a saved directory back through stream.Open, the one
+// reader of the layout.
+func openSaved(t *testing.T, dir string) *stream.Store {
+	t.Helper()
+	s, err := stream.Open(dir, stream.Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return s
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	d := tinyDataset(t, 6)
 	dir := filepath.Join(t.TempDir(), "alkcl")
 	if err := d.Save(dir, 0); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	got, err := Load(dir)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if got.Len() != d.Len() || got.NAtoms() != d.NAtoms() {
-		t.Fatalf("round trip sizes: %d/%d atoms %d/%d", got.Len(), d.Len(), got.NAtoms(), d.NAtoms())
-	}
-	for i := range d.Types {
-		if got.Types[i] != d.Types[i] {
-			t.Errorf("Types[%d] = %d, want %d", i, got.Types[i], d.Types[i])
-		}
-	}
-	for i, f := range d.Frames {
-		g := got.Frames[i]
-		if g.Energy != f.Energy || g.Box != f.Box {
-			t.Errorf("frame %d scalar mismatch", i)
-		}
-		for k := range f.Coord {
-			if g.Coord[k] != f.Coord[k] || g.Force[k] != f.Force[k] {
-				t.Fatalf("frame %d array mismatch at %d", i, k)
-			}
-		}
-	}
+	sameAsSaved(t, openSaved(t, dir), d)
 }
 
 func TestSaveMultipleSets(t *testing.T) {
@@ -120,18 +149,16 @@ func TestSaveMultipleSets(t *testing.T) {
 			t.Errorf("missing %s: %v", set, err)
 		}
 	}
-	got, err := Load(dir)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
+	s := openSaved(t, dir)
+	if st := s.Stats(); st.Sets != 3 {
+		t.Errorf("read %d sets, want 3", st.Sets)
 	}
-	if got.Len() != 10 {
-		t.Errorf("loaded %d frames, want 10", got.Len())
-	}
+	sameAsSaved(t, s, d)
 }
 
 func TestLoadMissingDir(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Error("Load of missing dir succeeded")
+	if _, err := stream.Open(filepath.Join(t.TempDir(), "nope"), stream.Options{}); err == nil {
+		t.Error("Open of missing dir succeeded")
 	}
 }
 
@@ -142,11 +169,13 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Error("Validate accepted truncated coords")
 	}
 	d = tinyDataset(t, 2)
-	d.Frames[0].Box = -1
-	if err := d.Validate(); err == nil {
-		t.Error("Validate accepted negative box")
+	for _, b := range []float64{-1, math.NaN(), math.Inf(1)} {
+		d.Frames[0].Box = b
+		if err := d.Validate(); err == nil {
+			t.Errorf("Validate accepted box %v", b)
+		}
 	}
-	empty := &Dataset{}
+	empty := &dataset.Dataset{}
 	if err := empty.Validate(); err == nil {
 		t.Error("Validate accepted empty types")
 	}
@@ -157,7 +186,7 @@ func TestFrameFromSystemConsistent(t *testing.T) {
 	sys := md.NewSystem(rng, []md.Species{md.K, md.Cl}, 6.0, 300)
 	pot := md.NewPaperBMH(3.0)
 	pot.Compute(sys)
-	f := FrameFromSystem(sys)
+	f := dataset.FrameFromSystem(sys)
 	if math.Abs(f.Energy-sys.PotEng) > 1e-15 {
 		t.Error("energy not copied")
 	}

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,7 +14,7 @@ import (
 // three arrays equally hostile, once alongside a well-formed 2-frame
 // shard so a valid fuzzed coord reaches the positioned frame reads.
 // Open must reject or serve, never panic, and anything it accepts must
-// produce frames of the advertised width.
+// produce frames of the advertised width with a positive box.
 func FuzzShardIndex(f *testing.F) {
 	valid := func(shape []int, fill float64) []byte {
 		a := npy.NewArray(shape...)
@@ -34,18 +33,8 @@ func FuzzShardIndex(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x93, 'N', 'U', 'M', 'P', 'Y', 1, 0})
 	// Header whose shape claims more rows than the payload holds.
-	hostile := func(header string) []byte {
-		var buf bytes.Buffer
-		buf.Write([]byte{0x93, 'N', 'U', 'M', 'P', 'Y', 1, 0})
-		h := header + "\n"
-		var hlen [2]byte
-		binary.LittleEndian.PutUint16(hlen[:], uint16(len(h)))
-		buf.Write(hlen[:])
-		buf.WriteString(h)
-		return buf.Bytes()
-	}
-	f.Add(hostile("{'descr': '<f8', 'fortran_order': False, 'shape': (1000000, 6), }"))
-	f.Add(hostile("{'descr': '<f8', 'fortran_order': False, 'shape': (2, 6), }"))
+	f.Add(rawNpy("{'descr': '<f8', 'fortran_order': False, 'shape': (1000000, 6), }", 0))
+	f.Add(rawNpy("{'descr': '<f8', 'fortran_order': False, 'shape': (2, 6), }", 0))
 
 	forceOK := valid([]int{2, 6}, -3)
 	energyOK := valid([]int{2}, -100)
@@ -87,6 +76,9 @@ func FuzzShardIndex(f *testing.F) {
 				if len(fr.Coord) != 6 || len(fr.Force) != 6 {
 					t.Fatalf("%s: accepted frame %d with %d coords / %d forces, want 6",
 						scenario.name, i, len(fr.Coord), len(fr.Force))
+				}
+				if !(fr.Box > 0) {
+					t.Fatalf("%s: served frame %d with box %v", scenario.name, i, fr.Box)
 				}
 			}
 			if err := s.Close(); err != nil {

@@ -3,9 +3,12 @@
 // through positioned npy row reads, held in a byte-budgeted LRU cache,
 // and optionally prefetched by a background worker that overlaps shard
 // I/O with training compute.  A Store implements the deepmd training
-// FrameSource, and its frame ordering matches dataset.Load exactly —
-// sets in sorted name order, rows in file order — so a streamed training
-// run is bit-identical to an in-memory one on the same directory.
+// FrameSource.  It is the one reader of the layout dataset.Save writes:
+// frames come in the saved order (sets in sorted name order, rows in
+// file order), so training on a saved directory is bit-identical to
+// training on the in-memory Dataset that was saved.  Open checks every
+// shard's shapes, dtypes and cells, so a set it accepts serves every
+// frame unless the disk itself fails.
 package stream
 
 import (
@@ -54,6 +57,7 @@ type Store struct {
 	width  int
 
 	energies   []float64 // all frame energies, global order
+	boxes      []float64 // all frame box sides, global order
 	meanEnergy float64
 
 	mu       sync.Mutex
@@ -78,10 +82,10 @@ type inflightLoad struct {
 }
 
 // Open opens a system directory for streaming.  The frame index (set
-// layout, npy headers) and the per-frame energies are loaded eagerly;
-// coordinates and forces stay on disk until requested.
+// layout, npy headers) and the per-frame energies and boxes are loaded
+// eagerly; coordinates and forces stay on disk until requested.
 func Open(dir string, opts Options) (*Store, error) {
-	types, err := dataset.ReadTypes(filepath.Join(dir, "type.raw"))
+	types, err := readTypes(filepath.Join(dir, "type.raw"))
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +106,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		inflight: make(map[int]*inflightLoad),
 	}
 	for _, sd := range setDirs {
-		sh, err := openShard(sd, s.width)
+		sh, err := s.openShard(sd)
 		if err != nil {
 			if cerr := s.closeShards(); cerr != nil && err == nil {
 				err = cerr
@@ -112,11 +116,10 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.starts = append(s.starts, s.frames)
 		s.shards = append(s.shards, sh)
 		s.frames += sh.frames
-		s.energies = append(s.energies, sh.energies...)
 	}
-	// Mean in global frame order — the same accumulation order the
-	// in-memory Dataset.MeanEnergy uses, so the training bias (and with
-	// it every downstream byte) agrees between the two sources.
+	// Mean in global frame order, the accumulation order of the
+	// in-memory Dataset.MeanEnergy, so the training bias (and with it
+	// every downstream byte) agrees between the two sources.
 	if s.frames > 0 {
 		mean := 0.0
 		for _, e := range s.energies {
@@ -151,8 +154,8 @@ func (s *Store) AtomTypes() []int { return s.types }
 // MeanEnergy returns the mean frame energy (accumulated in frame order).
 func (s *Store) MeanEnergy() float64 { return s.meanEnergy }
 
-// FrameBytes returns the in-memory size of the full frame set — what an
-// equivalent dataset.Load would hold resident.  Comparing it against the
+// FrameBytes returns the in-memory size of the full frame set: what the
+// cache would hold with every frame resident.  Comparing it against the
 // cache budget shows whether a run is out-of-core.
 func (s *Store) FrameBytes() int64 {
 	return int64(s.frames) * frameBytes(s.width)
@@ -228,17 +231,13 @@ func (s *Store) load(i int) (*dataset.Frame, error) {
 		Coord:  make([]float64, s.width),
 		Force:  make([]float64, s.width),
 		Energy: s.energies[i],
+		Box:    s.boxes[i],
 	}
 	bufp := s.bufs.Get().(*[]byte)
 	buf := *bufp
 	var err error
 	if buf, err = npy.ReadRowsAt(sh.coordF, sh.coordH, row, 1, fr.Coord, buf); err == nil {
-		if buf, err = npy.ReadRowsAt(sh.forceF, sh.forceH, row, 1, fr.Force, buf); err == nil {
-			var box [9]float64
-			if buf, err = npy.ReadRowsAt(sh.boxF, sh.boxH, row, 1, box[:], buf); err == nil {
-				fr.Box = box[0]
-			}
-		}
+		buf, err = npy.ReadRowsAt(sh.forceF, sh.forceH, row, 1, fr.Force, buf)
 	}
 	*bufp = buf
 	s.bufs.Put(bufp)

@@ -1,10 +1,13 @@
 package stream
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -66,25 +69,21 @@ func sameFrame(t *testing.T, i int, got, want *dataset.Frame) {
 	}
 }
 
-// TestStreamMatchesLoad proves the streamed view of a multi-set system
-// directory is bit-identical to dataset.Load's materialized view: same
+// TestStreamMatchesSaved proves the streamed view of a multi-set system
+// directory is bit-identical to the Dataset that was saved there: same
 // frame order across set boundaries, same values, same mean energy.
-func TestStreamMatchesLoad(t *testing.T) {
-	dir, _ := saveSynth(t, 5, 11, 3) // 4 sets: 3+3+3+2 frames
-	loaded, err := dataset.Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestStreamMatchesSaved(t *testing.T) {
+	dir, saved := saveSynth(t, 5, 11, 3) // 4 sets: 3+3+3+2 frames
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	if s.Len() != loaded.Len() {
-		t.Fatalf("Len = %d, want %d", s.Len(), loaded.Len())
+	if s.Len() != saved.Len() {
+		t.Fatalf("Len = %d, want %d", s.Len(), saved.Len())
 	}
-	if got, want := s.AtomTypes(), loaded.AtomTypes(); len(got) != len(want) {
+	if got, want := s.AtomTypes(), saved.AtomTypes(); len(got) != len(want) {
 		t.Fatalf("AtomTypes len = %d, want %d", len(got), len(want))
 	} else {
 		for i := range want {
@@ -93,8 +92,8 @@ func TestStreamMatchesLoad(t *testing.T) {
 			}
 		}
 	}
-	if math.Float64bits(s.MeanEnergy()) != math.Float64bits(loaded.MeanEnergy()) {
-		t.Fatalf("MeanEnergy = %v, want %v", s.MeanEnergy(), loaded.MeanEnergy())
+	if math.Float64bits(s.MeanEnergy()) != math.Float64bits(saved.MeanEnergy()) {
+		t.Fatalf("MeanEnergy = %v, want %v", s.MeanEnergy(), saved.MeanEnergy())
 	}
 	if st := s.Stats(); st.Sets != 4 {
 		t.Fatalf("Sets = %d, want 4", st.Sets)
@@ -104,8 +103,7 @@ func TestStreamMatchesLoad(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Frame(%d): %v", i, err)
 		}
-		want, _ := loaded.Frame(i)
-		sameFrame(t, i, got, want)
+		sameFrame(t, i, got, &saved.Frames[i])
 	}
 }
 
@@ -419,6 +417,69 @@ func TestOpenErrors(t *testing.T) {
 	}
 	if _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("Open with a missing coord.npy succeeded")
+	}
+}
+
+// TestOpenRefusesBadBox: a cell that is not a positive finite length
+// trains with no periodic images, so Open refuses the set that holds
+// one, naming it, instead of serving the frame.
+func TestOpenRefusesBadBox(t *testing.T) {
+	for _, b := range []float64{-10, 0, math.NaN(), math.Inf(1)} {
+		dir, _ := saveSynth(t, 4, 6, 3)
+		box := npy.NewArray(3, 9)
+		for i := 0; i < 3; i++ {
+			box.Data[9*i], box.Data[9*i+4], box.Data[9*i+8] = 10, 10, 10
+		}
+		box.Data[9] = b // frame 1 of set.001
+		if err := npy.WriteFile(filepath.Join(dir, "set.001", "box.npy"), box); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, Options{})
+		if err == nil {
+			s.Close()
+			t.Fatalf("box %v: Open succeeded", b)
+		}
+		if !strings.Contains(err.Error(), "set.001") || !strings.Contains(err.Error(), "box") {
+			t.Errorf("box %v: error %q does not name the set and the box", b, err)
+		}
+	}
+}
+
+// rawNpy builds an .npy file from a literal header dict and a zero
+// payload of the given size: dtypes and layouts npy.Write never emits.
+func rawNpy(header string, payload int) []byte {
+	var buf bytes.Buffer
+	buf.Write([]byte{0x93, 'N', 'U', 'M', 'P', 'Y', 1, 0})
+	h := header + "\n"
+	var hlen [2]byte
+	binary.LittleEndian.PutUint16(hlen[:], uint16(len(h)))
+	buf.Write(hlen[:])
+	buf.WriteString(h)
+	buf.Write(make([]byte, payload))
+	return buf.Bytes()
+}
+
+// TestOpenRefusesUndecodableShards: a coord, force or box array that no
+// frame read can decode (unsupported dtype, Fortran order) is refused at
+// Open, not at the first Frame.
+func TestOpenRefusesUndecodableShards(t *testing.T) {
+	for _, tc := range []struct{ file, header string }{
+		{"coord.npy", "{'descr': '<c8', 'fortran_order': False, 'shape': (6, 12), }"},
+		{"coord.npy", "{'descr': '<f8', 'fortran_order': True, 'shape': (6, 12), }"},
+		{"force.npy", "{'descr': '<c8', 'fortran_order': False, 'shape': (6, 12), }"},
+		{"force.npy", "{'descr': '<f8', 'fortran_order': True, 'shape': (6, 12), }"},
+		{"box.npy", "{'descr': '<c8', 'fortran_order': False, 'shape': (6, 9), }"},
+		{"box.npy", "{'descr': '<f8', 'fortran_order': True, 'shape': (6, 9), }"},
+	} {
+		dir, _ := saveSynth(t, 4, 6, 0)
+		if err := os.WriteFile(filepath.Join(dir, "set.000", tc.file), rawNpy(tc.header, 6*12*8), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, Options{})
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s %s: Open succeeded", tc.file, tc.header)
+		}
 	}
 }
 

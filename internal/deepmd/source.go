@@ -4,17 +4,19 @@ import "repro/internal/dataset"
 
 // FrameSource is the sampling interface behind Train: anything that can
 // hand out labeled frames by index over a fixed atom typing.  The two
-// implementations are *dataset.Dataset (in-memory, never fails) and
-// stream.Store (out-of-core shard reads).  Frames returned by a source
+// implementations are *dataset.Dataset (in-memory, never fails: what
+// generators and tests hand the trainer directly) and stream.Store
+// (shard reads: how every on-disk system directory is read).  Frames returned by a source
 // are treated as immutable and may be shared; Train never writes to
 // them.  Frame must be safe for concurrent calls: the data-parallel
 // replicas of a training step and the frame pool of EvalErrorsSource
 // read from several goroutines at once.
 //
-// Keeping sampling behind this interface is what lets the streamed and
-// in-memory paths produce bit-identical training: Train consumes the
-// same frame indices in the same order either way, and a conforming
-// source returns value-identical frames for equal indices.
+// Keeping sampling behind this interface is what makes training on a
+// saved directory bit-identical to training on the Dataset that was
+// saved: Train consumes the same frame indices in the same order either
+// way, and a conforming source returns value-identical frames for equal
+// indices.
 type FrameSource interface {
 	// Len returns the number of frames.
 	Len() int

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/ea"
+	"repro/internal/hpo"
 	"repro/internal/nsga2"
 )
 
@@ -55,7 +56,7 @@ func Convergence(c *Campaign) []ConvergenceRow {
 					row.MinEnergy = ind.Fitness[0]
 				}
 				forces = append(forces, ind.Fitness[1])
-				if ind.Fitness[0] < 0.004 && ind.Fitness[1] < 0.04 {
+				if hpo.ChemicallyAccurate(ind.Fitness) {
 					row.Accurate++
 				}
 			}

@@ -90,8 +90,9 @@ func (w *WorkflowEvaluator) Evaluate(ctx context.Context, g ea.Genome) (ea.Fitne
 
 // RealTrainer trains an actual deepmd model in-process: the substitution
 // for invoking the `dp` executable.  Frame sources are opened once and
-// shared across evaluations; they may be in-memory datasets or
-// out-of-core stream stores — training is bit-identical either way.
+// shared across evaluations: cmd/train and cmd/hpo hand it stream stores
+// of the systems on disk, tests and examples in-memory datasets;
+// training is bit-identical either way.
 type RealTrainer struct {
 	Train deepmd.FrameSource
 	Val   deepmd.FrameSource

@@ -58,8 +58,8 @@ func (h *Header) elems() (int, error) {
 
 // ReadHeader parses the magic, version and dict header of a .npy stream
 // positioned at its start, consuming exactly the bytes before the
-// payload (PayloadOffset of them).  The dtype is not validated here —
-// callers that decode data get the error from dtypeInfo.
+// payload (PayloadOffset of them).  The dtype is not validated here:
+// Check does that.
 func ReadHeader(r io.Reader) (*Header, error) {
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(r, head); err != nil {
@@ -93,20 +93,37 @@ func ReadHeader(r io.Reader) (*Header, error) {
 	}, nil
 }
 
+// Check reports whether ReadRowsAt can decode rows of the array h
+// describes: C order, a supported dtype and an element count that fits
+// in int.  A reader that opens a file once and reads its rows later calls
+// it at open, so an unreadable array is refused before any row is asked
+// for.
+func (h *Header) Check() error {
+	_, _, err := h.decoder()
+	return err
+}
+
+func (h *Header) decoder() (elemSize int, conv func([]byte) float64, err error) {
+	if h.Fortran {
+		return 0, nil, errors.New("npy: fortran_order arrays are not supported")
+	}
+	if elemSize, conv, err = dtypeInfo(h.Descr); err != nil {
+		return 0, nil, err
+	}
+	if _, err := h.elems(); err != nil {
+		return 0, nil, err
+	}
+	return elemSize, conv, nil
+}
+
 // ReadRowsAt decodes rows [row, row+nrows) of the array described by h
 // into dst (which must hold nrows·RowLen elements) using positioned
 // reads, so concurrent callers can share one ReaderAt.  buf is optional
 // reusable byte scratch; the (possibly grown) scratch is returned for
 // the next call, making steady-state row reads allocation-free.
 func ReadRowsAt(ra io.ReaderAt, h *Header, row, nrows int, dst []float64, buf []byte) ([]byte, error) {
-	if h.Fortran {
-		return buf, errors.New("npy: fortran_order arrays are not supported")
-	}
-	elemSize, conv, err := dtypeInfo(h.Descr)
+	elemSize, conv, err := h.decoder()
 	if err != nil {
-		return buf, err
-	}
-	if _, err := h.elems(); err != nil {
 		return buf, err
 	}
 	rowLen := h.RowLen()

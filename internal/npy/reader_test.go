@@ -180,4 +180,17 @@ func TestReadRowsAtErrors(t *testing.T) {
 	th := *h
 	th.Shape = []int{4, 3} // claims more rows than the payload holds
 	check("truncated payload", &th, 3, 1, dst, "reading rows")
+
+	// Check refuses exactly the headers no row read can decode: a short
+	// payload is only found by reading it.
+	for _, ok := range []*Header{h, &th} {
+		if err := ok.Check(); err != nil {
+			t.Errorf("Check(%v) = %v, want nil", ok.Shape, err)
+		}
+	}
+	for _, bad := range []*Header{&fh, &bh, &oh} {
+		if bad.Check() == nil {
+			t.Errorf("Check accepted %+v", *bad)
+		}
+	}
 }

@@ -4,9 +4,12 @@
 # Generates a 16-frame dataset with `cmd/mdgen`, trains a tiny network
 # for 5 steps with `cmd/train` on one core and on four, and requires the
 # two lcurve.out files to be the same bytes (Threads defaults to
-# GOMAXPROCS, so the pair covers one replica and several).  Also requires
-# `train -fast` and `hpo -fast` to be rejected by the flag package: the
-# flag is gone, and a script that still passes it must fail loudly.
+# GOMAXPROCS, so the pair covers one replica and several).  Then runs
+# one two-individual real-backend campaign through `cmd/hpo`, which
+# streams the same dataset, and requires two CSV rows and no failed
+# evaluation.  Also requires `-fast` and `-data-dir` to be rejected by
+# the flag package in both binaries: those flags are gone, and a script
+# that still passes one must fail loudly.
 #
 # Usage:
 #   scripts/train_smoke.sh          # CI entry point
@@ -61,12 +64,21 @@ done
 cmp "$WORK/lcurve1.out" "$WORK/lcurve4.out" ||
     fail "lcurve.out differs between GOMAXPROCS=1 and GOMAXPROCS=4" "$WORK/lcurve1.out" "$WORK/lcurve4.out"
 
+"$WORK/bin/hpo" -backend real -data "$WORK/data" -runs 1 -pop 2 -gens 0 -steps 1 -workers 1 -par 2 \
+    >"$WORK/hpo.csv" 2>"$WORK/hpo.log" || fail "hpo -backend real failed" "$WORK/hpo.log"
+[[ "$(tail -n +2 "$WORK/hpo.csv" | grep -c .)" -eq 2 ]] ||
+    fail "hpo did not print one CSV row per individual" "$WORK/hpo.csv" "$WORK/hpo.log"
+grep -q '^hpo: done in .*, 0 failures$' "$WORK/hpo.log" ||
+    fail "hpo campaign had failed evaluations" "$WORK/hpo.log"
+
 for bin in train hpo; do
-    if "$WORK/bin/$bin" -fast >"$WORK/$bin.fast.log" 2>&1; then
-        fail "$bin -fast was accepted" "$WORK/$bin.fast.log"
-    fi
-    grep -q 'flag provided but not defined: -fast' "$WORK/$bin.fast.log" ||
-        fail "$bin -fast failed for another reason" "$WORK/$bin.fast.log"
+    for flag in fast data-dir; do
+        if "$WORK/bin/$bin" "-$flag" x >"$WORK/$bin.$flag.log" 2>&1; then
+            fail "$bin -$flag was accepted" "$WORK/$bin.$flag.log"
+        fi
+        grep -q "flag provided but not defined: -$flag" "$WORK/$bin.$flag.log" ||
+            fail "$bin -$flag failed for another reason" "$WORK/$bin.$flag.log"
+    done
 done
 
-echo "train_smoke: ok (5 steps, 6 workers; lcurve.out identical on 1 and 4 cores)"
+echo "train_smoke: ok (5 steps, 6 workers; lcurve.out identical on 1 and 4 cores; real hpo campaign streamed)"
