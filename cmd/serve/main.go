@@ -20,8 +20,9 @@
 // 4096 tasks that blocks submitters when it fills.  It starts -workers
 // in-process surrogate workers (0 is allowed) and accepts more on
 // -workers-listen, where `cluster -addr ADDR` workers from other
-// processes or hosts join the same fleet.  Every worker holds one TCP
-// connection to the scheduler.
+// processes or hosts join the same fleet.  Every worker holds one
+// connection to the scheduler: in-memory for an in-process worker, TCP
+// for one that joined on -workers-listen.
 //
 // On SIGTERM or SIGINT the service drains: admission stops, every
 // running campaign's in-flight generation is cancelled, and every

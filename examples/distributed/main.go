@@ -1,8 +1,9 @@
 // Distributed: run the hyperparameter search through the Dask-style
-// scheduler/worker cluster over local TCP, including a mid-campaign
-// worker failure — demonstrating the paper's operational choice of
-// disabling worker "nannies" and letting the scheduler reassign tasks
-// from dead workers (§2.2.5).
+// scheduler/worker cluster — seven in-process workers on in-memory
+// connections, one on loopback TCP — killing one of each mid-campaign,
+// demonstrating the paper's operational choice of disabling worker
+// "nannies" and letting the scheduler reassign tasks from dead workers
+// (§2.2.5).
 //
 //	go run ./examples/distributed
 package main
@@ -26,20 +27,26 @@ func main() {
 	inner := surrogate.NewEvaluator(surrogate.Config{Seed: 7})
 	handler := cluster.EvalHandler(evalWithDelay{inner})
 
-	lc, err := cluster.NewLocalCluster(8, handler, 2*time.Hour)
+	lc, err := cluster.NewLocalCluster(7, handler, 2*time.Hour)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer lc.Close()
-	fmt.Printf("scheduler on %s with %d workers\n", lc.Scheduler.Addr(), len(lc.Workers))
+	remote, err := cluster.NewWorker(lc.Scheduler.Addr(), "tcp-worker", handler)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer remote.Close()
+	go func() { _ = remote.Run(context.Background()) }()
+	fmt.Printf("scheduler on %s with %d in-process workers and 1 TCP worker\n", lc.Scheduler.Addr(), len(lc.Workers))
 
-	// Kill two workers mid-campaign: their in-flight evaluations must be
-	// reassigned, not lost.
+	// Kill two workers mid-campaign, one per kind of connection: their
+	// in-flight evaluations must be reassigned, not lost.
 	go func() {
 		time.Sleep(150 * time.Millisecond)
 		lc.Workers[0].Close()
-		lc.Workers[1].Close()
-		fmt.Println("!! killed workers 0 and 1 (no nannies: they stay dead)")
+		remote.Close()
+		fmt.Println("!! killed in-process worker 0 and the TCP worker (no nannies: they stay dead)")
 	}()
 
 	res, err := hpo.RunCampaign(context.Background(), hpo.CampaignConfig{

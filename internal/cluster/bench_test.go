@@ -12,21 +12,43 @@ import (
 	"repro/internal/cluster/wire"
 )
 
-// BenchmarkTaskRoundTrip measures one submit→assign→result cycle: an
-// in-process submit, and the assign and result frames over loopback TCP.
+// BenchmarkTaskRoundTrip measures one submit→assign→result cycle with
+// an in-process worker: an in-process submit, and the assign and result
+// frames over the in-memory connection NewLocalCluster gives its workers.
 func BenchmarkTaskRoundTrip(b *testing.B) {
 	lc, err := NewLocalCluster(1, echoHandler, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer lc.Close()
+	benchRoundTrip(b, lc.Scheduler)
+}
+
+// BenchmarkTaskRoundTripTCP is BenchmarkTaskRoundTrip with the worker on
+// a loopback TCP connection, as a worker in another process holds one.
+func BenchmarkTaskRoundTripTCP(b *testing.B) {
+	sched, err := NewScheduler("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sched.Close()
+	w, err := NewWorker(sched.Addr(), "worker-0", echoHandler)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	go func() { _ = w.Run(context.Background()) }()
+	benchRoundTrip(b, sched)
+}
+
+func benchRoundTrip(b *testing.B, s *Scheduler) {
 	payload, err := appendPayload(nil, genomeKind, []float64{1, 2, 3, 4, 5, 6, 7})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lc.Scheduler.Submit(context.Background(), payload); err != nil {
+		if _, err := s.Submit(context.Background(), payload); err != nil {
 			b.Fatal(err)
 		}
 	}

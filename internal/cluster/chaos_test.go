@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -185,11 +186,34 @@ func (cp *chaosProxy) Close() {
 
 // --- failure-path tests -------------------------------------------------
 
-// TestLeaseExpiryKeepsSlowWorkerAlive is the headline bugfix test: a task
-// that exceeds the scheduler lease is reassigned to another worker, the
-// slow worker's late result is discarded as stale, and the slow worker
-// keeps serving subsequent tasks instead of being written off.
+// connKinds are the two connections a worker can hold to its scheduler:
+// TCP to the scheduler's listener, and the in-memory one LocalCluster
+// gives in-process workers.
+var connKinds = []struct {
+	name string
+	join func(s *Scheduler, name string, h Handler) (*Worker, error)
+}{
+	{"tcp", func(s *Scheduler, name string, h Handler) (*Worker, error) { return NewWorker(s.Addr(), name, h) }},
+	{"mem", func(s *Scheduler, name string, h Handler) (*Worker, error) { return newWorker(name, h, s.dial) }},
+}
+
+// TestLeaseExpiryKeepsSlowWorkerAlive is the headline bugfix test, over
+// either connection: a task that exceeds the scheduler lease is
+// reassigned to another worker, the slow worker's late result is
+// discarded as stale, and the slow worker keeps serving subsequent tasks
+// instead of being written off.  And once the lease has expired, the next
+// task assigned to the still-busy worker is rescued too: the assignment
+// must not wait for the busy worker to read it, or its lease never starts.
 func TestLeaseExpiryKeepsSlowWorkerAlive(t *testing.T) {
+	for _, kind := range connKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			t.Run("slow_worker_kept", func(t *testing.T) { testSlowWorkerKept(t, kind.join) })
+			t.Run("busy_worker_reassigned", func(t *testing.T) { testBusyWorkerReassigned(t, kind.join) })
+		})
+	}
+}
+
+func testSlowWorkerKept(t *testing.T, join func(*Scheduler, string, Handler) (*Worker, error)) {
 	sched, err := NewScheduler("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +231,7 @@ func TestLeaseExpiryKeepsSlowWorkerAlive(t *testing.T) {
 		slowServed.Add(1)
 		return payload, nil
 	}
-	slow, err := NewWorker(sched.Addr(), "slow", slowHandler)
+	slow, err := join(sched, "slow", slowHandler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +247,7 @@ func TestLeaseExpiryKeepsSlowWorkerAlive(t *testing.T) {
 	}()
 	time.Sleep(30 * time.Millisecond) // let the slow worker take the task
 
-	rescue, err := NewWorker(sched.Addr(), "rescue", echoHandler)
+	rescue, err := join(sched, "rescue", echoHandler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,6 +300,84 @@ func TestLeaseExpiryKeepsSlowWorkerAlive(t *testing.T) {
 	}
 	if !found {
 		t.Error("slow worker missing from WorkerStats — it was dropped")
+	}
+}
+
+// testBusyWorkerReassigned: task 1 is stuck on the only worker until
+// its lease runs out and is requeued behind task 2, so the worker's proxy
+// assigns task 2 to the same still-busy worker.  A second worker that
+// joins then rescues both within a few leases, while the first handler is
+// still stuck — which holds only if the assignment's write returned
+// without the busy worker reading it (net.Pipe's would not).
+func testBusyWorkerReassigned(t *testing.T, join func(*Scheduler, string, Handler) (*Worker, error)) {
+	sched, err := NewScheduler("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled := watchBooks(t, sched)
+	const lease = 100 * time.Millisecond
+	sched.TaskTimeout = lease
+	sched.MaxAttempts = 10
+	defer sched.Close()
+
+	stuck, started := make(chan struct{}), make(chan struct{})
+	defer close(stuck)
+	var calls atomic.Int64
+	busy, err := join(sched, "busy", func(_ context.Context, payload []byte) ([]byte, error) {
+		if calls.Add(1) == 1 {
+			close(started)
+			<-stuck // ignores ctx until the test ends
+		}
+		return payload, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	go func() { _ = busy.Run(context.Background()) }()
+
+	results := make(chan error, 2)
+	submit := func(payload string) {
+		go func() {
+			_, err := sched.Submit(context.Background(), json.RawMessage(payload))
+			results <- err
+		}()
+	}
+	submit(`{"task":1}`)
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the busy worker never started task 1")
+	}
+	submit(`{"task":2}`)
+	waitFor(t, "task 2 to be assigned to the busy worker after task 1's lease expired", func() bool {
+		st, ws := sched.Stats(), sched.WorkerStats()
+		return st.Expired >= 1 && st.Pending == 1 && len(ws) == 1 && ws[0].InFlight == 1
+	})
+
+	rescue, err := join(sched, "rescue", echoHandler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rescue.Close()
+	go func() { _ = rescue.Run(context.Background()) }()
+
+	deadline := time.After(5 * lease)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-results:
+			if err != nil {
+				t.Fatalf("task not rescued: %v", err)
+			}
+		case <-deadline:
+			t.Fatalf("a task assigned to the busy worker after its lease expired was not rescued within %v: %+v", 5*lease, sched.Stats())
+		}
+	}
+	settled()
+	for _, ws := range sched.WorkerStats() {
+		if ws.Name == "rescue" && ws.Completed != 2 {
+			t.Errorf("rescue worker completed %d tasks, want both: %+v", ws.Completed, ws)
+		}
 	}
 }
 
@@ -396,11 +498,28 @@ func goroutineID() string {
 // executorsOf counts the live executor goroutines started by goroutine
 // id (a worker's Run goroutine).
 func executorsOf(id string) int {
+	return strings.Count(allStacks(), "created by repro/internal/cluster.newExecutor in goroutine "+id+"\n")
+}
+
+// goroutinesIn counts the live goroutines with a frame in fn, a prefix
+// of a function's full name.
+func goroutinesIn(fn string) int {
+	n := 0
+	for _, g := range strings.Split(allStacks(), "\n\n") {
+		if strings.Contains(g, "\n"+fn) {
+			n++
+		}
+	}
+	return n
+}
+
+// allStacks is every goroutine's stack trace.
+func allStacks() string {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			return strings.Count(string(buf[:n]), "created by repro/internal/cluster.newExecutor in goroutine "+id+"\n")
+			return string(buf[:n])
 		}
 		buf = make([]byte, 2*len(buf))
 	}
@@ -992,49 +1111,92 @@ func TestWorkerLinksCutMidCampaign(t *testing.T) {
 }
 
 // TestSchedulerCloseRacesNewConnections closes schedulers while peers are
-// still arriving — a connection accepted as the listener closes, and a
-// worker whose registration is read just as its connection is
-// force-closed — and requires every Close to return: a handler that
-// starts after the sweep must notice the shutdown itself, and a worker
-// proxy that dies before its reader starts must not wait for it.
+// still arriving — over TCP and over the in-memory dial — as a connection
+// accepted as the listener closes, and a worker whose registration is
+// read just as its connection is force-closed.  Every Close must return:
+// a handler that starts after the sweep must notice the shutdown itself,
+// and a worker proxy that dies before its reader starts must not wait for
+// it.  Once Close returns, a dial is refused, and no connection or
+// goroutine of the scheduler's is left.
 func TestSchedulerCloseRacesNewConnections(t *testing.T) {
 	register, err := wire.AppendFrame(nil, &wire.Message{Type: wire.TypeRegister, Name: []byte("late")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
-		sched, err := NewScheduler("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := sched.Addr()
-		peers := make(chan net.Conn, 2)
-		go func() { // silent peer: dials, never writes
-			c, _ := net.Dial("tcp", addr)
-			peers <- c
-		}()
-		go func() { // worker that registers as the scheduler goes down
-			c, err := net.Dial("tcp", addr)
-			if err == nil {
-				_, _ = c.Write(register)
+	// endsEveryPeer: the peer's end of every connection dialed ends with
+	// Close.  Not over TCP, where a handshake the kernel completed for a
+	// listener that closed before accepting it leaves a silent peer
+	// holding a half-open connection the scheduler never saw.
+	dials := []struct {
+		name          string
+		dial          func(s *Scheduler) (io.ReadWriteCloser, error)
+		endsEveryPeer bool
+	}{
+		{"tcp", func(s *Scheduler) (io.ReadWriteCloser, error) { return net.Dial("tcp", s.Addr()) }, false},
+		{"mem", (*Scheduler).dial, true},
+	}
+	for _, kind := range dials {
+		t.Run(kind.name, func(t *testing.T) {
+			for i := 0; i < 200; i++ {
+				sched, err := NewScheduler("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				peers := make(chan io.ReadWriteCloser, 2)
+				go func() { // silent peer: dials, never writes
+					c, _ := kind.dial(sched)
+					peers <- c
+				}()
+				go func() { // worker that registers as the scheduler goes down
+					c, err := kind.dial(sched)
+					if err == nil {
+						_, _ = c.Write(register)
+					}
+					peers <- c
+				}()
+				if i%2 == 1 {
+					time.Sleep(time.Duration(i%7) * 50 * time.Microsecond)
+				}
+				closed := make(chan struct{})
+				go func() { sched.Close(); close(closed) }()
+				select {
+				case <-closed:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("iteration %d: Scheduler.Close did not return", i)
+				}
+				if c, err := kind.dial(sched); err == nil {
+					c.Close()
+					t.Fatalf("iteration %d: a dial after Close succeeded", i)
+				}
+				sched.connsMu.Lock()
+				open := len(sched.conns)
+				sched.connsMu.Unlock()
+				if open != 0 {
+					t.Fatalf("iteration %d: %d connections outlived Close", i, open)
+				}
+				for k := 0; k < 2; k++ {
+					c := <-peers
+					if c == nil {
+						continue
+					}
+					if !kind.endsEveryPeer {
+						c.Close()
+						continue
+					}
+					drained := make(chan struct{})
+					go func() { _, _ = io.Copy(io.Discard, c); close(drained) }()
+					select {
+					case <-drained:
+					case <-time.After(5 * time.Second):
+						t.Fatalf("iteration %d: a peer's connection outlived Close", i)
+					}
+					c.Close()
+				}
+				waitFor(t, "the scheduler's goroutines to exit", func() bool {
+					return goroutinesIn("repro/internal/cluster.(*Scheduler)") == 0
+				})
 			}
-			peers <- c
-		}()
-		if i%2 == 1 {
-			time.Sleep(time.Duration(i%7) * 50 * time.Microsecond)
-		}
-		closed := make(chan struct{})
-		go func() { sched.Close(); close(closed) }()
-		select {
-		case <-closed:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("iteration %d: Scheduler.Close did not return", i)
-		}
-		for k := 0; k < 2; k++ {
-			if c := <-peers; c != nil {
-				c.Close()
-			}
-		}
+		})
 	}
 }
 

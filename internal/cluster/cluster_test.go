@@ -56,6 +56,62 @@ func TestLocalClusterEcho(t *testing.T) {
 	}
 }
 
+// TestLocalWorkersSpeakTheWire: in-process workers reach the scheduler
+// over an in-memory connection, but the frames on it are the bytes a TCP
+// worker exchanges — the same tasks cost the same frames and bytes over
+// either connection, counted once the scheduler has closed.
+func TestLocalWorkersSpeakTheWire(t *testing.T) {
+	const workers, tasks = 3, 10
+	submitAll := func(t *testing.T, s *Scheduler) {
+		for i := 0; i < tasks; i++ {
+			if _, err := s.Submit(context.Background(), json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
+				t.Fatalf("Submit %d: %v", i, err)
+			}
+		}
+	}
+
+	lc, err := NewLocalCluster(workers, echoHandler, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitAll(t, lc.Scheduler)
+	if err := lc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mem := lc.Scheduler.Wire()
+
+	sched, err := NewScheduler("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sched.Close()
+	var tcpWorkers []*Worker
+	for i := 0; i < workers; i++ {
+		w, err := NewWorker(sched.Addr(), fmt.Sprintf("worker-%d", i), echoHandler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		tcpWorkers = append(tcpWorkers, w)
+		go func() { _ = w.Run(context.Background()) }()
+	}
+	submitAll(t, sched)
+	for _, w := range tcpWorkers {
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sched.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if tcp := sched.Wire(); mem != tcp {
+		t.Errorf("in-memory workers' wire = %v\nTCP workers' wire       = %v", mem, tcp)
+	}
+	if mem.FramesIn != workers+tasks || mem.FramesOut != workers+tasks || mem.Conns != workers {
+		t.Errorf("wire = %v, want %d frames each way over %d connections", mem, workers+tasks, workers)
+	}
+}
+
 func TestConcurrentSubmissions(t *testing.T) {
 	lc, err := NewLocalCluster(4, echoHandler, 0)
 	if err != nil {

@@ -53,8 +53,8 @@ func (c *wireCounters) snapshot() WireStats {
 // wire protocol (internal/cluster/wire).  Read and write state are
 // independent, so one goroutine may read while another writes (a worker
 // proxy's reader and its dispatcher); two concurrent writers or readers
-// must be serialized by the caller, which matches the discipline
-// net.Conn already demands.  The scratch wire.Messages are reused
+// must be serialized by the caller, as each side's scratch is shared by
+// every frame it handles.  The scratch wire.Messages are reused
 // frame after frame; retained fields are copied out of the decoder's
 // buffer in fromWire, which is where the per-message allocation cost of
 // the cluster plane lives (the wire codec beneath it is allocation-free).

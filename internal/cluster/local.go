@@ -9,12 +9,13 @@ import (
 	"repro/internal/ea"
 )
 
-// LocalCluster bundles a scheduler and n workers on the loopback
-// interface — the single-machine analogue of the paper's batch script
-// that launches the Dask scheduler and workers on the Summit batch node,
-// next to the process that submits the campaign (§2.2.5).  The caller
-// submits to Scheduler in process; only the workers speak the wire
-// protocol.
+// LocalCluster bundles a scheduler and n workers in one process — the
+// single-machine analogue of the paper's batch script that launches the
+// Dask scheduler and workers on the Summit batch node, next to the
+// process that submits the campaign (§2.2.5).  The caller submits to
+// Scheduler in process; only the workers speak the wire protocol, each
+// over an in-memory connection, as Dask's LocalCluster connects its
+// workers over its inproc transport rather than a socket.
 type LocalCluster struct {
 	Scheduler *Scheduler
 	// Client is the same pointer as Scheduler.  It exists only for the
@@ -24,17 +25,16 @@ type LocalCluster struct {
 	cancel  context.CancelFunc
 }
 
-// NewLocalCluster starts a scheduler on a free loopback port and
-// nWorkers workers with the given handler and task timeout (0 = none).
+// NewLocalCluster starts a scheduler listening on a free loopback port
+// and nWorkers in-process workers with the given handler and task
+// timeout (0 = none).
 func NewLocalCluster(nWorkers int, handler Handler, taskTimeout time.Duration) (*LocalCluster, error) {
 	return ListenLocalCluster("127.0.0.1:0", nWorkers, handler, taskTimeout)
 }
 
 // ListenLocalCluster is NewLocalCluster with the scheduler listening on
 // addr, so workers in other processes can join the in-process ones (of
-// which there may be none).  The in-process workers are wired with a fast
-// reconnect schedule, so a locally bounced scheduler is reacquired in
-// tens of milliseconds rather than the production default's seconds.
+// which there may be none) over TCP.
 func ListenLocalCluster(addr string, nWorkers int, handler Handler, taskTimeout time.Duration) (*LocalCluster, error) {
 	sched, err := NewScheduler(addr)
 	if err != nil {
@@ -43,13 +43,11 @@ func ListenLocalCluster(addr string, nWorkers int, handler Handler, taskTimeout 
 	ctx, cancel := context.WithCancel(context.Background())
 	lc := &LocalCluster{Scheduler: sched, Client: sched, cancel: cancel}
 	for i := 0; i < nWorkers; i++ {
-		w, err := NewWorker(sched.Addr(), fmt.Sprintf("worker-%d", i), handler)
+		w, err := newWorker(fmt.Sprintf("worker-%d", i), handler, sched.dial)
 		if err != nil {
 			return nil, errors.Join(err, lc.Close())
 		}
 		w.TaskTimeout = taskTimeout
-		w.ReconnectInitial = 10 * time.Millisecond
-		w.ReconnectMax = 250 * time.Millisecond
 		lc.Workers = append(lc.Workers, w)
 		go func() { _ = w.Run(ctx) }()
 	}

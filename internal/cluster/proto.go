@@ -2,11 +2,13 @@
 // Dask scheduler/worker deployment the paper used on Summit (§2.2.5).
 // The campaign process owns the scheduler, as the paper's Dask client
 // shared the batch node with its scheduler: it submits fitness-evaluation
-// tasks in process (Scheduler.Submit), and the scheduler leases them over
-// TCP to workers (one per compute node in the paper), whose results flow
-// back to the waiting submitter.  Matching the paper's operational
-// choices, there are no "nannies" — a worker that dies stays dead, and
-// the scheduler reassigns its in-flight tasks to surviving workers.
+// tasks in process (Scheduler.Submit), and the scheduler leases them to
+// workers (one per compute node in the paper), whose results flow back
+// to the waiting submitter over one connection per worker: TCP, or
+// in-memory for a worker in the scheduler's process, with the same frames.
+// Matching the paper's operational choices, there are no "nannies" — a
+// worker that dies stays dead, and the scheduler reassigns its in-flight
+// tasks to surviving workers.
 package cluster
 
 import "repro/internal/cluster/wire"

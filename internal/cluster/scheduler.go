@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"strconv"
@@ -126,7 +127,7 @@ type Scheduler struct {
 	workers   map[*workerProxy]struct{}
 
 	connsMu sync.Mutex
-	conns   map[net.Conn]struct{}
+	conns   map[io.ReadWriteCloser]struct{}
 }
 
 // NewScheduler creates a scheduler listening on addr (e.g. "127.0.0.1:0").
@@ -141,7 +142,7 @@ func NewScheduler(addr string) (*Scheduler, error) {
 		pending:     make(chan *task, queueDepth),
 		closed:      make(chan struct{}),
 		workers:     make(map[*workerProxy]struct{}),
-		conns:       make(map[net.Conn]struct{}),
+		conns:       make(map[io.ReadWriteCloser]struct{}),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -204,7 +205,8 @@ func (s *Scheduler) WorkerStats() []WorkerStats {
 
 // Close shuts the scheduler down and waits for connection handlers.
 // Every Submit still waiting returns an error, and worker connections are
-// force-closed; their workers re-dial until a new scheduler comes up.
+// force-closed; TCP workers re-dial until a new scheduler comes up on
+// the address, while an in-process worker's dial is refused from now on.
 // The scheduler holds no durable state: a campaign's is its submitter's.
 func (s *Scheduler) Close() error {
 	s.once.Do(func() { close(s.closed) })
@@ -243,13 +245,31 @@ func (s *Scheduler) acceptLoop() {
 	}
 }
 
+// dial connects an in-process worker over an in-memory connection whose
+// far end goes to handleConn, as acceptLoop's do.  Close marks s.closed
+// before it takes connsMu, so a dial that finds it unmarked under connsMu
+// adds to wg before Close reaches its Wait, and later dials are refused.
+func (s *Scheduler) dial() (io.ReadWriteCloser, error) {
+	near, far := memConnPair()
+	s.connsMu.Lock()
+	defer s.connsMu.Unlock()
+	select {
+	case <-s.closed:
+		return nil, errClosed
+	default:
+	}
+	s.wg.Add(1)
+	go s.handleConn(far)
+	return near, nil
+}
+
 // handleConn reads the peer's register frame and runs its worker proxy.
 // A frame that fails to decode — here or in the proxy, and including a
 // foreign peer whose first bytes are not wire.Magic or a frame of a
 // retired type — costs only this connection: the codec counts the error,
 // the handler returns, and the campaign carries on over the surviving
 // connections.
-func (s *Scheduler) handleConn(conn net.Conn) {
+func (s *Scheduler) handleConn(conn io.ReadWriteCloser) {
 	defer s.wg.Done()
 	defer conn.Close()
 	s.connsMu.Lock()
@@ -316,7 +336,7 @@ func (ws WorkerStats) String() string {
 // activity counters.
 type workerProxy struct {
 	s    *Scheduler
-	conn net.Conn
+	conn io.ReadWriteCloser
 	cd   *codec
 	name string
 
@@ -343,7 +363,7 @@ func (w *workerProxy) snapshot() WorkerStats {
 // failure, with nannies disabled (§2.2.5).  A worker that is merely slow
 // loses the lease but keeps the connection, so one slow task cannot
 // permanently remove a healthy node from the pool.
-func (s *Scheduler) runWorkerProxy(conn net.Conn, cd *codec, first *message) {
+func (s *Scheduler) runWorkerProxy(conn io.ReadWriteCloser, cd *codec, first *message) {
 	name := first.Name
 	w := &workerProxy{
 		s:        s,

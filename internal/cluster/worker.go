@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -56,11 +57,11 @@ type Worker struct {
 	// Logf, if non-nil, receives diagnostic output.
 	Logf func(format string, args ...interface{})
 
-	addr string
+	dial func() (io.ReadWriteCloser, error)
 	wire wireCounters
 
 	mu     sync.Mutex // guards conn, cd, closed
-	conn   net.Conn
+	conn   io.ReadWriteCloser
 	cd     *codec
 	closed bool
 
@@ -69,12 +70,18 @@ type Worker struct {
 	exec *executor
 }
 
-// NewWorker dials the scheduler and registers.
+// NewWorker dials the scheduler at addr over TCP and registers.
 func NewWorker(addr, name string, handler Handler) (*Worker, error) {
+	return newWorker(name, handler, func() (io.ReadWriteCloser, error) { return net.Dial("tcp", addr) })
+}
+
+// newWorker registers a worker over the connection dial opens, and
+// re-dials through it after a connection loss.
+func newWorker(name string, handler Handler, dial func() (io.ReadWriteCloser, error)) (*Worker, error) {
 	if handler == nil {
 		return nil, fmt.Errorf("cluster: worker needs a handler")
 	}
-	w := &Worker{Name: name, Handler: handler, addr: addr}
+	w := &Worker{Name: name, Handler: handler, dial: dial}
 	conn, cd, err := w.dialAndRegister()
 	if err != nil {
 		return nil, err
@@ -86,8 +93,8 @@ func NewWorker(addr, name string, handler Handler) (*Worker, error) {
 // dialAndRegister dials, registers, and waits for the scheduler's
 // acknowledgement, so a worker pointed at anything but a scheduler of
 // this format fails here rather than on its first task.
-func (w *Worker) dialAndRegister() (net.Conn, *codec, error) {
-	conn, err := net.Dial("tcp", w.addr)
+func (w *Worker) dialAndRegister() (io.ReadWriteCloser, *codec, error) {
+	conn, err := w.dial()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -121,7 +128,7 @@ func (w *Worker) logf(format string, args ...interface{}) {
 	}
 }
 
-func (w *Worker) current() (net.Conn, *codec) {
+func (w *Worker) current() (io.ReadWriteCloser, *codec) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.conn, w.cd
@@ -173,7 +180,7 @@ func (w *Worker) Run(ctx context.Context) error {
 // reconnect re-dials the scheduler with backoff until it succeeds, the
 // context is cancelled, Close is called, or MaxReconnects consecutive
 // attempts fail.
-func (w *Worker) reconnect(ctx context.Context, bo *backoff) (net.Conn, *codec, error) {
+func (w *Worker) reconnect(ctx context.Context, bo *backoff) (io.ReadWriteCloser, *codec, error) {
 	attempts := 0
 	for {
 		if ctx.Err() != nil || w.isClosed() {
@@ -192,12 +199,12 @@ func (w *Worker) reconnect(ctx context.Context, bo *backoff) (net.Conn, *codec, 
 			w.mu.Unlock()
 			if ctx.Err() != nil {
 				// The cancellation watcher may have fired before w.conn was
-				// set; make sure a late dial never leaves a live socket.
+				// set; make sure a late dial never leaves a live connection.
 				w.closeConn()
 				return nil, nil, nil
 			}
 			bo.reset()
-			w.logf("cluster: worker %q reconnected to %s", w.Name, w.addr)
+			w.logf("cluster: worker %q reconnected", w.Name)
 			return conn, cd, nil
 		}
 		attempts++
