@@ -696,6 +696,178 @@ func TestWorkerCancellationIsNotATimeout(t *testing.T) {
 	}
 }
 
+// TestRunReturnsWhileHandlerIgnoresCancellation: cancelling Run's
+// context while a handler that ignores it is still running returns Run
+// within a second, with and without a task timeout, and the handler's
+// later return writes no frame.
+func TestRunReturnsWhileHandlerIgnoresCancellation(t *testing.T) {
+	for _, timeout := range []time.Duration{0, time.Hour} {
+		t.Run(fmt.Sprintf("timeout=%v", timeout), func(t *testing.T) {
+			sched, err := NewScheduler("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sched.Close()
+
+			running, release := make(chan struct{}), make(chan struct{})
+			var returned atomic.Bool
+			handler := func(_ context.Context, payload []byte) ([]byte, error) {
+				close(running)
+				<-release // ignores ctx entirely
+				returned.Store(true)
+				return payload, nil
+			}
+			w, err := newWorker("ignorer", handler, sched.dial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.TaskTimeout = timeout
+			defer w.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			runDone := make(chan error, 1)
+			go func() { runDone <- w.Run(ctx) }()
+
+			submitCtx, cancelSubmit := context.WithCancel(context.Background())
+			defer cancelSubmit()
+			go func() { _, _ = sched.Submit(submitCtx, json.RawMessage(`{"held":true}`)) }()
+			<-running
+
+			cancel()
+			start := time.Now()
+			select {
+			case err := <-runDone:
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+			case <-time.After(time.Second):
+				close(release)
+				t.Fatal("Run did not return within 1s of its context's cancellation")
+			}
+			t.Logf("Run returned %v after cancellation", time.Since(start))
+
+			workerOut, schedIn := w.Wire(), sched.Wire()
+			close(release)
+			waitFor(t, "the ignored handler to return", returned.Load)
+			// Give the worker's goroutine time to act on the handler's
+			// return before looking for the frame it must not write.
+			time.Sleep(20 * time.Millisecond)
+			if got := w.Wire(); got.FramesOut != workerOut.FramesOut || got.BytesOut != workerOut.BytesOut {
+				t.Errorf("worker wrote after shutdown: %v, was %v", got, workerOut)
+			}
+			if got := sched.Wire(); got.FramesIn != schedIn.FramesIn {
+				t.Errorf("scheduler read a frame after the worker shut down: %v, was %v", got, schedIn)
+			}
+		})
+	}
+}
+
+// TestNoHeartbeatAfterResult: a worker with Heartbeat set beats for a
+// task only while the task is its to answer — no heartbeat frame for a
+// task follows that task's result frame, whether the handler answered or
+// the task timed out and was abandoned.  The test is the scheduler: it
+// assigns one task at a time over an in-memory connection and reads
+// every frame the worker writes until the worker closes.
+func TestNoHeartbeatAfterResult(t *testing.T) {
+	near, far := memConnPair()
+	dialed := false
+	dial := func() (io.ReadWriteCloser, error) {
+		if dialed {
+			return nil, errors.New("one connection only")
+		}
+		dialed = true
+		return near, nil
+	}
+	peer := newCodec(far, &wireCounters{})
+	if err := peer.write(&message{Type: wire.TypeRegistered}); err != nil {
+		t.Fatal(err)
+	}
+
+	stuck := make(chan struct{})
+	defer close(stuck)
+	handler := func(_ context.Context, payload []byte) ([]byte, error) {
+		if string(payload) == "stuck" {
+			<-stuck // ignores ctx: abandoned at TaskTimeout
+		} else {
+			time.Sleep(time.Duration(payload[0]%4) * time.Millisecond)
+		}
+		return payload, nil
+	}
+	w, err := newWorker("beater", handler, dial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Heartbeat = time.Millisecond
+	w.TaskTimeout = 30 * time.Millisecond
+	w.MaxReconnects = 1
+	if m, err := peer.read(); err != nil || m.Type != wire.TypeRegister {
+		t.Fatalf("register frame: %+v, %v", m, err)
+	}
+	runDone := make(chan error, 1)
+	go func() { runDone <- w.Run(context.Background()) }()
+
+	answered := map[string]bool{}
+	beats := 0
+	// check reads one frame, failing on a heartbeat for an answered task.
+	check := func(m *message) {
+		switch m.Type {
+		case wire.TypeHeartbeat:
+			beats++
+			if answered[m.TaskID] {
+				t.Errorf("heartbeat for task %s after its result", m.TaskID)
+			}
+		case wire.TypeResult:
+			answered[m.TaskID] = true
+		}
+	}
+	payloads := make([][]byte, 0, 41)
+	for i := 0; i < 20; i++ {
+		payloads = append(payloads, []byte{byte(i)})
+	}
+	payloads = append(payloads, []byte("stuck"))
+	for i := 20; i < 40; i++ {
+		payloads = append(payloads, []byte{byte(i)})
+	}
+	for i, p := range payloads {
+		id := fmt.Sprintf("t%d", i)
+		if err := peer.write(&message{Type: wire.TypeAssign, TaskID: id, Payload: p}); err != nil {
+			t.Fatal(err)
+		}
+		for !answered[id] {
+			m, err := peer.read()
+			if err != nil {
+				t.Fatalf("reading task %s's frames: %v", id, err)
+			}
+			check(m)
+			if m.Type == wire.TypeResult && m.TaskID == id && string(p) == "stuck" && !strings.Contains(m.Err, "timed out") {
+				t.Errorf("stuck task answered %+v, want a timeout", m)
+			}
+		}
+	}
+	// Ten more heartbeat periods, then every frame written before Close.
+	time.Sleep(10 * time.Millisecond)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		m, err := peer.read()
+		if err != nil {
+			break
+		}
+		check(m)
+	}
+	if beats == 0 {
+		t.Error("no heartbeat frames at all: the check saw nothing")
+	}
+	select {
+	case err := <-runDone:
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after Close")
+	}
+}
+
 // watchBooks polls sched.Stats() from its own goroutine until the test
 // ends and fails it on the first snapshot that counts more finished tasks
 // than submitted ones.  The returned settled stops the poller and
