@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,6 +53,43 @@ func benchRoundTrip(b *testing.B, s *Scheduler) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkConcurrentSubmit is the dispatch shape of the bench
+// workload paper_surrogate_serve without its service and EA: two
+// in-process workers on in-memory connections, 128 submitters each
+// sending a seven-gene genome payload and waiting for its echo.  ns/op
+// is one task's share of the wall clock at that concurrency; a CPU
+// profile of it splits the dispatch cost between the scheduler, the
+// in-memory connection and the worker (EXPERIMENTS.md, "Executor
+// handoff retired").
+func BenchmarkConcurrentSubmit(b *testing.B) {
+	lc, err := NewLocalCluster(2, echoHandler, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer lc.Close()
+	payload, err := appendPayload(nil, genomeKind, []float64{1, 2, 3, 4, 5, 6, 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var left atomic.Int64
+	left.Store(int64(b.N))
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for i := 0; i < 128; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for left.Add(-1) >= 0 {
+				if _, err := lc.Scheduler.Submit(context.Background(), payload); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // BenchmarkThroughputByWorkers measures the sustained task rate as the

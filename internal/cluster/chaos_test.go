@@ -374,11 +374,16 @@ func testBusyWorkerReassigned(t *testing.T, join func(*Scheduler, string, Handle
 		}
 	}
 	settled()
-	for _, ws := range sched.WorkerStats() {
-		if ws.Name == "rescue" && ws.Completed != 2 {
-			t.Errorf("rescue worker completed %d tasks, want both: %+v", ws.Completed, ws)
+	// WorkerStats.Completed is bumped after the result is published, so
+	// the second result can reach its submitter before the count: wait.
+	waitFor(t, "the rescue worker to have completed both tasks", func() bool {
+		for _, ws := range sched.WorkerStats() {
+			if ws.Name == "rescue" {
+				return ws.Completed == 2
+			}
 		}
-	}
+		return false
+	})
 }
 
 // TestDuplicateResultDoesNotInflateStats drives the scheduler with a raw
@@ -487,20 +492,6 @@ func TestHungHandlerTimesOutWorkerStaysLive(t *testing.T) {
 	}
 }
 
-// goroutineID is the calling goroutine's id, read off its stack header.
-func goroutineID() string {
-	buf := make([]byte, 64)
-	buf = buf[:runtime.Stack(buf, false)]
-	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf), "goroutine "), " ")
-	return id
-}
-
-// executorsOf counts the live executor goroutines started by goroutine
-// id (a worker's Run goroutine).
-func executorsOf(id string) int {
-	return strings.Count(allStacks(), "created by repro/internal/cluster.newExecutor in goroutine "+id+"\n")
-}
-
 // goroutinesIn counts the live goroutines with a frame in fn, a prefix
 // of a function's full name.
 func goroutinesIn(fn string) int {
@@ -526,11 +517,15 @@ func allStacks() string {
 }
 
 // TestAbandonedHandlerGetsFreshExecutor: a handler that ignores its
-// context keeps its executor when the task times out; the next task runs
-// at once on a fresh executor while the first is still stuck, and once
-// the worker is closed and the stuck handler returns, no goroutine the
-// worker started is left.
+// context keeps the goroutine it runs on when the task times out; the
+// next task runs at once on a fresh serving goroutine while the first is
+// still stuck, and once the worker is closed and the stuck handler
+// returns, no goroutine the worker started is left.
 func TestAbandonedHandlerGetsFreshExecutor(t *testing.T) {
+	const serving, worker = "repro/internal/cluster.(*Worker).serve", "repro/internal/cluster.(*Worker)."
+	// The counts below are of every worker in the process: let an earlier
+	// test's closed workers finish exiting first.
+	waitFor(t, "earlier tests' worker goroutines to exit", func() bool { return goroutinesIn(worker) == 0 })
 	sched, err := NewScheduler("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -551,12 +546,8 @@ func TestAbandonedHandlerGetsFreshExecutor(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.TaskTimeout = 30 * time.Millisecond
-	runID, runDone := make(chan string, 1), make(chan error, 1)
-	go func() {
-		runID <- goroutineID()
-		runDone <- w.Run(context.Background())
-	}()
-	id := <-runID
+	runDone := make(chan error, 1)
+	go func() { runDone <- w.Run(context.Background()) }()
 
 	if _, err := sched.Submit(context.Background(), json.RawMessage(`{"n":1}`)); err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("stuck handler: err %v, want a timeout", err)
@@ -566,8 +557,8 @@ func TestAbandonedHandlerGetsFreshExecutor(t *testing.T) {
 		t.Fatalf("task after the abandoned one: %s, %v", out, err)
 	}
 	settled()
-	if n := executorsOf(id); n != 2 {
-		t.Errorf("%d executors while the first handler is stuck, want 2 (the abandoned one and its replacement)", n)
+	if n := goroutinesIn(serving); n != 2 {
+		t.Errorf("%d serving goroutines while the first handler is stuck, want 2 (the abandoned one and its replacement)", n)
 	}
 
 	if err := w.Close(); err != nil {
@@ -582,9 +573,9 @@ func TestAbandonedHandlerGetsFreshExecutor(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not return after Close")
 	}
-	for deadline := time.Now().Add(5 * time.Second); executorsOf(id) > 0; time.Sleep(5 * time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); goroutinesIn(worker) > 0; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d executor goroutines outlived the worker", executorsOf(id))
+			t.Fatalf("%d worker goroutines outlived the worker", goroutinesIn(worker))
 		}
 	}
 }
@@ -668,31 +659,40 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // while a per-task deadline with a live parent must produce a timeout
 // failure result.
 func TestWorkerCancellationIsNotATimeout(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-
 	blocker := func(ctx context.Context, _ []byte) ([]byte, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
+	// session is a worker session over an in-memory connection whose far
+	// end the returned codec reads.
+	session := func(w *Worker) (*session, *codec) {
+		near, far := memConnPair()
+		t.Cleanup(func() { near.Close() })
+		return &session{cd: newCodec(near, &w.wire), done: make(chan struct{})}, newCodec(far, &wireCounters{})
+	}
 
 	// Case 1: parent cancelled mid-task → nil (propagate shutdown).
 	w := &Worker{Name: "t", Handler: blocker, TaskTimeout: time.Hour}
+	s, _ := session(w)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	if res := w.execute(ctx, newCodec(a, &w.wire), &message{Type: wire.TypeAssign, TaskID: "x"}); res != nil {
-		t.Errorf("cancelled task produced result %+v, want nil (propagated shutdown)", res)
+	if w.execute(ctx, s, &message{Type: wire.TypeAssign, TaskID: "x"}) {
+		t.Error("the worker serves on after its context was cancelled")
+	}
+	if ws := w.Wire(); ws.FramesOut != 0 {
+		t.Errorf("cancelled task produced a result frame: %v, want none (propagated shutdown)", ws)
 	}
 
 	// Case 2: per-task deadline with live parent → timeout failure result.
 	w2 := &Worker{Name: "t2", Handler: blocker, TaskTimeout: 20 * time.Millisecond}
-	res := w2.execute(context.Background(), newCodec(a, &w2.wire), &message{Type: wire.TypeAssign, TaskID: "y"})
-	if res == nil || !strings.Contains(res.Err, "timed out") {
-		t.Errorf("timed-out task result = %+v, want timeout error", res)
+	s2, peer := session(w2)
+	w2.execute(context.Background(), s2, &message{Type: wire.TypeAssign, TaskID: "y"})
+	res, err := peer.read()
+	if err != nil || res.Type != wire.TypeResult || !strings.Contains(res.Err, "timed out") {
+		t.Errorf("timed-out task result = %+v, %v, want timeout error", res, err)
 	}
 }
 

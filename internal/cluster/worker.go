@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -33,16 +32,17 @@ type Worker struct {
 	Name string
 	// TaskTimeout, if positive, bounds each task's execution — the
 	// analogue of the paper's two-hour training limit.  The limit is
-	// enforced asynchronously: a handler that ignores its context is
-	// abandoned together with the executor goroutine running it (which
-	// exits once the handler returns on its own), a timeout failure
-	// result is sent, and the next task starts a fresh executor, so a
-	// wedged handler cannot wedge the worker.
+	// enforced asynchronously: at the deadline a watcher sends the
+	// timeout failure and serves the connection on from its own
+	// goroutine, while a handler that ignores its context keeps the
+	// goroutine it runs on, which exits once the handler returns without
+	// writing, so a wedged handler cannot wedge the worker.
 	TaskTimeout time.Duration
 	// Heartbeat, if positive, is the interval at which the worker pings
-	// the scheduler while executing a task, renewing the task's lease.
-	// Set it well below the scheduler's TaskTimeout so a slow-but-alive
-	// training is not reassigned.
+	// the scheduler while executing a task, renewing the task's lease
+	// (one ticker goroutine per connection).  Set it well below the
+	// scheduler's TaskTimeout so a slow-but-alive training is not
+	// reassigned.
 	Heartbeat time.Duration
 	// ReconnectInitial and ReconnectMax shape the re-dial backoff after a
 	// scheduler connection loss (defaults 50ms and 5s).
@@ -65,9 +65,9 @@ type Worker struct {
 	cd     *codec
 	closed bool
 
-	// exec runs handlers; only the goroutine in Run touches it, and that
-	// goroutine is also the connection's only writer.
-	exec *executor
+	// wmu serializes session writes (results, timeout answers and
+	// heartbeats come from different goroutines) and guards session.running.
+	wmu sync.Mutex
 }
 
 // NewWorker dials the scheduler at addr over TCP and registers.
@@ -143,18 +143,12 @@ func (w *Worker) isClosed() bool {
 // Run processes tasks until the context is cancelled or Close is called.
 // A scheduler connection loss is not fatal: Run re-dials with exponential
 // backoff + jitter and resumes pulling tasks (the in-flight task, if any,
-// is the scheduler's to reassign).  It returns nil on clean shutdown, or
-// the terminating error once MaxReconnects consecutive re-dials fail.
+// is the scheduler's to reassign).  It returns nil on clean shutdown,
+// even while a handler ignores the cancellation, or the terminating error
+// once MaxReconnects consecutive re-dials fail.
 func (w *Worker) Run(ctx context.Context) error {
 	unwatch := context.AfterFunc(ctx, func() { w.closeConn() })
 	defer unwatch()
-	defer func() {
-		if ex := w.exec; ex != nil {
-			w.exec = nil
-			ex.stop()
-			<-ex.exited // idle between tasks, so it exits at once
-		}
-	}()
 
 	bo := newBackoff(w.ReconnectInitial, w.ReconnectMax)
 	for {
@@ -168,11 +162,20 @@ func (w *Worker) Run(ctx context.Context) error {
 				return nil
 			}
 		}
-		err := w.serve(ctx, cd)
+		s := &session{cd: cd, done: make(chan struct{})}
+		go w.serve(ctx, s)
+		if w.Heartbeat > 0 {
+			go w.heartbeat(ctx, s)
+		}
+		select {
+		case <-s.done:
+		case <-ctx.Done():
+			return nil // a handler still running writes nothing when it returns
+		}
 		if ctx.Err() != nil || w.isClosed() {
 			return nil
 		}
-		w.logf("cluster: worker %q lost scheduler connection: %v; reconnecting", w.Name, err)
+		w.logf("cluster: worker %q lost scheduler connection: %v; reconnecting", w.Name, s.err)
 		w.closeConn()
 	}
 }
@@ -221,140 +224,123 @@ func (w *Worker) reconnect(ctx context.Context, bo *backoff) (io.ReadWriteCloser
 	}
 }
 
-// serve pulls assignments from one connection until it fails.
-func (w *Worker) serve(ctx context.Context, cd *codec) error {
+// session is one connection's task loop.  One goroutine at a time
+// serves it, running each task it reads on itself; the serving goroutine
+// whose read or write fails records why and closes done.
+type session struct {
+	cd      *codec
+	running string // the task to heartbeat, "" once answered; guarded by Worker.wmu
+	err     error  // why the session ended; set before done is closed
+	done    chan struct{}
+}
+
+func (s *session) end(err error) {
+	s.err = err
+	close(s.done)
+}
+
+// serve reads assignments off s and runs each on this goroutine, until
+// the connection fails, the worker shuts down, or a TaskTimeout watcher
+// takes the session over.
+func (w *Worker) serve(ctx context.Context, s *session) {
 	for {
-		m, err := cd.read()
+		m, err := s.cd.read()
 		if err != nil {
-			return err
+			s.end(err)
+			return
 		}
 		if m.Type != wire.TypeAssign {
 			w.logf("cluster: worker %q got unexpected message %q; ignoring", w.Name, m.Type)
 			continue
 		}
-		result := w.execute(ctx, cd, m)
-		if result == nil {
-			// Parent context cancelled mid-task: propagate the shutdown
-			// instead of fabricating a failure result.
-			return context.Canceled
-		}
-		if err := cd.write(result); err != nil {
-			return err
+		if !w.execute(ctx, s, m) {
+			return
 		}
 	}
 }
 
-// executor is the worker's long-lived handler goroutine.  A task reaches
-// it as a closure on jobs, and the closure leaves its outcome in done,
-// whose one slot is always free: the worker reads each outcome before it
-// sends the next job, or abandons the executor.
-type executor struct {
-	jobs   chan func()
-	done   chan handlerOut
-	exited chan struct{}
-}
-
-type handlerOut struct {
-	payload []byte
-	err     error
-}
-
-func newExecutor() *executor {
-	ex := &executor{jobs: make(chan func()), done: make(chan handlerOut, 1), exited: make(chan struct{})}
-	go ex.run()
-	return ex
-}
-
-func (ex *executor) run() {
-	defer close(ex.exited)
-	for job := range ex.jobs {
-		job()
-	}
-}
-
-// stop lets the executor exit once its current handler, if any, returns.
-func (ex *executor) stop() { close(ex.jobs) }
-
-// execute runs one task on the executor with timeout enforcement,
-// heartbeats and panic containment, waiting in one select for the
-// outcome, the next heartbeat and the task's context.  It returns nil
-// when the parent context was cancelled (worker shutting down), so that
-// Ctrl-C is never misreported as a task timeout.
-func (w *Worker) execute(ctx context.Context, cd *codec, m *message) *message {
-	taskCtx := ctx
+// execute runs one task on the calling goroutine with timeout
+// enforcement and panic containment, and answers it.  It reports whether
+// the caller still serves s: not once a write fails, the worker shuts
+// down, or the TaskTimeout watcher answered in the handler's place.
+func (w *Worker) execute(ctx context.Context, s *session, m *message) bool {
+	w.wmu.Lock()
+	s.running = m.TaskID
+	w.wmu.Unlock()
+	taskCtx, stop := ctx, func() bool { return true }
 	if w.TaskTimeout > 0 {
 		var cancel context.CancelFunc
 		taskCtx, cancel = context.WithTimeout(ctx, w.TaskTimeout)
 		defer cancel()
+		// The watcher answers a task still running at its deadline and
+		// serves s on from its own goroutine, leaving the handler the one
+		// it holds, which returns once the handler does without touching
+		// s.  What stop reports is the one flag that decides who answers.
+		stop = context.AfterFunc(taskCtx, func() {
+			if w.answer(s, w.taskResult(ctx, taskCtx, m.TaskID, nil, nil)) {
+				w.logf("cluster: worker %q abandoned task %s after %v", w.Name, m.TaskID, w.TaskTimeout)
+				w.serve(ctx, s)
+			}
+		})
 	}
-	if w.exec == nil {
-		w.exec = newExecutor()
-	}
-	ex := w.exec
-	job := func() {
-		p, err := safeHandle(taskCtx, w.Handler, m.Payload)
-		ex.done <- handlerOut{p, err}
-	}
-	select {
-	case ex.jobs <- job:
-	case <-ctx.Done():
-		return nil
-	}
+	out, err := safeHandle(taskCtx, w.Handler, m.Payload)
+	return stop() && w.answer(s, w.taskResult(ctx, taskCtx, m.TaskID, out, err))
+}
 
-	var beats <-chan time.Time // nil, and never ready, without a Heartbeat
-	if w.Heartbeat > 0 {
-		ticker := time.NewTicker(w.Heartbeat)
-		defer ticker.Stop()
-		beats = ticker.C
+// answer writes res, unless it is nil (the worker is shutting down), and
+// ends the task's heartbeats in the same step, so none can follow it.  It
+// reports whether s is still served.
+func (w *Worker) answer(s *session, res *message) bool {
+	if res == nil {
+		return false
 	}
+	w.wmu.Lock()
+	s.running = ""
+	err := s.cd.write(res)
+	w.wmu.Unlock()
+	if err != nil {
+		s.end(err)
+	}
+	return err == nil
+}
+
+// heartbeat renews the running task's lease every Heartbeat until the
+// session ends or the worker shuts down: one goroutine per connection,
+// none per task.
+func (w *Worker) heartbeat(ctx context.Context, s *session) {
+	ticker := time.NewTicker(w.Heartbeat)
+	defer ticker.Stop()
 	for {
 		select {
-		case out := <-ex.done:
-			return taskResult(ctx, taskCtx, m.TaskID, out)
-		case <-beats:
-			// A failed heartbeat is not fatal here; the serve loop will
-			// see the connection error on its next read or write.
-			_ = cd.write(&message{Type: wire.TypeHeartbeat, TaskID: m.TaskID})
-		case <-taskCtx.Done():
-			// The handler is still running: leave it its executor and
-			// start a fresh one for the next task.
-			ex.stop()
-			w.exec = nil
-			if ctx.Err() != nil {
-				return nil // shutdown, not a task failure
+		case <-ticker.C:
+			w.wmu.Lock()
+			if s.running != "" {
+				// A failed write surfaces on the serving goroutine's next read.
+				_ = s.cd.write(&message{Type: wire.TypeHeartbeat, TaskID: s.running})
 			}
-			// The handler ignored its context; report the timeout so the
-			// worker stays live for the next task — a hung handler must
-			// not wedge the worker.
-			w.logf("cluster: worker %q abandoning task %s after %v (handler ignored context)", w.Name, m.TaskID, w.TaskTimeout)
-			return &message{Type: wire.TypeResult, TaskID: m.TaskID,
-				Err: fmt.Sprintf("cluster: task timed out after %v", w.TaskTimeout)}
+			w.wmu.Unlock()
+		case <-s.done:
+			return
+		case <-ctx.Done():
+			return
 		}
 	}
 }
 
-// taskResult turns a handler's outcome into the result message, or nil
-// when the outcome is the worker's own shutdown.
-func taskResult(ctx, taskCtx context.Context, id string, out handlerOut) *message {
-	if out.err == nil && taskCtx.Err() != nil {
-		// The handler returned success but its deadline had passed;
-		// classify by cause rather than blaming every cancellation on
-		// the timeout (the old bug recorded Ctrl-C as "task timed out").
-		if ctx.Err() != nil {
-			return nil
-		}
-		out.err = fmt.Errorf("cluster: task timed out: %v", taskCtx.Err())
-	}
-	if out.err != nil && errors.Is(out.err, context.Canceled) && ctx.Err() != nil {
+// taskResult turns a handler's outcome into the task's result message,
+// or nil when the worker is shutting down, so Ctrl-C is never reported
+// as a task failure.  A task past its deadline reads as the timeout
+// whatever its handler returned, the answer the watcher gives too.
+func (w *Worker) taskResult(ctx, taskCtx context.Context, id string, out []byte, err error) *message {
+	switch {
+	case ctx.Err() != nil:
 		return nil
+	case taskCtx.Err() != nil:
+		return &message{Type: wire.TypeResult, TaskID: id, Err: fmt.Sprintf("cluster: task timed out after %v", w.TaskTimeout)}
+	case err != nil:
+		return &message{Type: wire.TypeResult, TaskID: id, Err: err.Error()}
 	}
-	res := &message{Type: wire.TypeResult, TaskID: id}
-	if out.err != nil {
-		res.Err = out.err.Error()
-	} else {
-		res.Payload = out.payload
-	}
-	return res
+	return &message{Type: wire.TypeResult, TaskID: id, Payload: out}
 }
 
 func safeHandle(ctx context.Context, h Handler, payload []byte) (out []byte, err error) {
