@@ -663,9 +663,9 @@ func TestWorkerCancellationIsNotATimeout(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	// session is a worker session over an in-memory connection whose far
-	// end the returned codec reads.
-	session := func(w *Worker) (*session, *codec) {
+	// newSession is a worker session over an in-memory connection whose
+	// far end the returned codec reads.
+	newSession := func(w *Worker) (*session, *codec) {
 		near, far := memConnPair()
 		t.Cleanup(func() { near.Close() })
 		return &session{cd: newCodec(near, &w.wire), done: make(chan struct{})}, newCodec(far, &wireCounters{})
@@ -673,7 +673,7 @@ func TestWorkerCancellationIsNotATimeout(t *testing.T) {
 
 	// Case 1: parent cancelled mid-task → nil (propagate shutdown).
 	w := &Worker{Name: "t", Handler: blocker, TaskTimeout: time.Hour}
-	s, _ := session(w)
+	s, _ := newSession(w)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(10 * time.Millisecond)
@@ -688,7 +688,7 @@ func TestWorkerCancellationIsNotATimeout(t *testing.T) {
 
 	// Case 2: per-task deadline with live parent → timeout failure result.
 	w2 := &Worker{Name: "t2", Handler: blocker, TaskTimeout: 20 * time.Millisecond}
-	s2, peer := session(w2)
+	s2, peer := newSession(w2)
 	w2.execute(context.Background(), s2, &message{Type: wire.TypeAssign, TaskID: "y"})
 	res, err := peer.read()
 	if err != nil || res.Type != wire.TypeResult || !strings.Contains(res.Err, "timed out") {
