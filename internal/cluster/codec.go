@@ -51,10 +51,10 @@ func (c *wireCounters) snapshot() WireStats {
 
 // codec frames protocol messages over one connection with the binary
 // wire protocol (internal/cluster/wire).  Read and write state are
-// independent, so one goroutine may read while another writes (a worker
-// proxy's reader and its dispatcher); two concurrent writers or readers
-// must be serialized by the caller, as each side's scratch is shared by
-// every frame it handles.  The scratch wire.Messages are reused
+// independent, so one goroutine may read while another writes (a
+// connection's read loop and a submitter that leases its worker a task);
+// two concurrent writers or readers must be serialized by the caller, as
+// each side's scratch is shared by every frame it handles.  The scratch wire.Messages are reused
 // frame after frame; retained fields are copied out of the decoder's
 // buffer in fromWire, which is where the per-message allocation cost of
 // the cluster plane lives (the wire codec beneath it is allocation-free).

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -180,5 +181,107 @@ func TestIdleWorkerStress(t *testing.T) {
 	settled()
 	if st := sched.Stats(); st.Submitted != int64(total) || st.Completed != int64(total) || st.Pending != 0 {
 		t.Errorf("after %d tasks: %+v, want every one completed and the queue empty", total, st)
+	}
+}
+
+// TestOneSchedulerGoroutinePerWorker: the scheduler runs one goroutine
+// per worker connection, its read loop in (*Scheduler).handleConn, plus
+// its accept loop, whether the workers idle or hold tasks, with or
+// without leases that time out; nothing else of the scheduler's runs,
+// and a lease has an expiry timer only when leases time out.
+func TestOneSchedulerGoroutinePerWorker(t *testing.T) {
+	const (
+		pkg        = "repro/internal/cluster."
+		handleConn = pkg + "(*Scheduler).handleConn"
+		submit     = pkg + "(*Scheduler).Submit"
+	)
+	// scheduler counts the goroutines running scheduler code, submitters
+	// waiting on their tasks aside (no other goroutine of the test calls
+	// the scheduler).
+	scheduler := func() int {
+		n := 0
+		for _, g := range strings.Split(allStacks(), "\n\n") {
+			if (strings.Contains(g, "\n"+pkg+"(*Scheduler).") || strings.Contains(g, "\n"+pkg+"(*workerProxy).")) && !strings.Contains(g, "\n"+submit) {
+				n++
+			}
+		}
+		return n
+	}
+	waitFor(t, "earlier tests' schedulers to exit", func() bool { return scheduler() == 0 })
+	for _, timeout := range []time.Duration{0, time.Hour} {
+		t.Run(fmt.Sprintf("lease=%v", timeout), func(t *testing.T) {
+			sched, err := NewScheduler("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched.TaskTimeout = timeout
+			defer func() {
+				sched.Close()
+				waitFor(t, "the scheduler's goroutines to exit", func() bool { return scheduler() == 0 })
+			}()
+
+			gate := make(chan struct{})
+			held := func(_ context.Context, payload []byte) ([]byte, error) {
+				<-gate
+				return payload, nil
+			}
+			const workers = 4
+			for i := 0; i < workers; i++ {
+				kind := connKinds[i%len(connKinds)]
+				w, err := kind.join(sched, fmt.Sprintf("%s-%d", kind.name, i), held)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer w.Close()
+				go func() { _ = w.Run(context.Background()) }()
+			}
+			check := func(when string) {
+				t.Helper()
+				if n := goroutinesIn(handleConn); n != workers {
+					t.Errorf("%s: %d (*Scheduler).handleConn goroutines, want one per worker (%d)\n%s", when, n, workers, allStacks())
+				}
+				if n := scheduler(); n != workers+1 {
+					t.Errorf("%s: %d scheduler goroutines, want %d: one per worker and the accept loop\n%s", when, n, workers+1, allStacks())
+				}
+			}
+			check("idle workers")
+
+			results := make(chan error, workers)
+			for i := 0; i < workers; i++ {
+				go func() {
+					_, err := sched.Submit(context.Background(), []byte{byte(i)})
+					results <- err
+				}()
+			}
+			waitFor(t, "every worker to hold a task", func() bool {
+				for _, ws := range sched.WorkerStats() {
+					if ws.InFlight != 1 {
+						return false
+					}
+				}
+				return true
+			})
+			check("every worker holding a task")
+			sched.workersMu.Lock()
+			for w := range sched.workers {
+				w.mu.Lock()
+				if armed := w.l.timer != nil; armed != (timeout > 0) {
+					t.Errorf("worker %q: lease timer armed %v with TaskTimeout %v", w.name, armed, timeout)
+				}
+				w.mu.Unlock()
+			}
+			sched.workersMu.Unlock()
+
+			close(gate)
+			for i := 0; i < workers; i++ {
+				if err := <-results; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := sched.Stats(); st.Completed != workers || st.Submitted != workers {
+				t.Errorf("books: %+v, want %d tasks submitted and completed", st, workers)
+			}
+			check("workers idle again")
+		})
 	}
 }

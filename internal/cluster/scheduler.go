@@ -87,9 +87,9 @@ const queueDepth = 4096
 // healthy node (the bug this type exists to fix).
 type lease struct {
 	t        *task
-	deadline time.Time
 	started  time.Time
-	resolved chan struct{} // closed when the reader delivers the result
+	deadline time.Time   // guarded by workerProxy.mu
+	timer    *time.Timer // runs expire at the deadline; nil unless TaskTimeout > 0
 }
 
 // Scheduler queues the tasks its own process submits and leases them to
@@ -111,12 +111,14 @@ type Scheduler struct {
 
 	ln  net.Listener
 	seq atomic.Uint64 // last task id handed out
-	// pending is the dispatch queue: one bounded FIFO channel.  A send
-	// that finds worker proxies parked on it hands the task straight to
-	// the one that has waited longest (Go serves blocked receivers in
-	// order), so load spreads round-robin and a worker that just bounced
-	// a task cannot win it straight back from a parked healthy one.
+	// pending is the dispatch queue: one bounded FIFO channel.  Workers
+	// with no task wait in idle, longest-idle first, so load spreads
+	// round-robin and a worker that just bounced a task rejoins behind
+	// every idle one.  kick pairs the two under idleMu.
 	pending chan *task
+	idleMu  sync.Mutex
+	idle    []*workerProxy // guarded by idleMu
+	nIdle   atomic.Int64   // len(idle), which enqueue reads without idleMu
 	stats   Stats
 	wire    wireCounters
 	wg      sync.WaitGroup
@@ -263,10 +265,15 @@ func (s *Scheduler) dial() (io.ReadWriteCloser, error) {
 	return near, nil
 }
 
-// handleConn reads the peer's register frame and runs its worker proxy.
-// A frame that fails to decode — here or in the proxy, and including a
+// handleConn is a connection's only goroutine.  It reads the peer's
+// register frame and then, for the life of the connection, its results
+// and heartbeats, so an idle worker's disconnect is seen as soon as a
+// busy one's; after each result it leases the worker its next task.  A
+// worker that dies mid-task gets its lease requeued — the scheduler
+// "reassigning tasks to other workers" after a node failure, with
+// nannies disabled (§2.2.5).  A frame that fails to decode, including a
 // foreign peer whose first bytes are not wire.Magic or a frame of a
-// retired type — costs only this connection: the codec counts the error,
+// retired type, costs only this connection: the codec counts the error,
 // the handler returns, and the campaign carries on over the surviving
 // connections.
 func (s *Scheduler) handleConn(conn io.ReadWriteCloser) {
@@ -305,7 +312,36 @@ func (s *Scheduler) handleConn(conn io.ReadWriteCloser) {
 		s.logf("cluster: refusing register from %q with unknown flags %#x", first.Name, first.Flags)
 		return
 	}
-	s.runWorkerProxy(conn, cd, first)
+	w := &workerProxy{s: s, conn: conn, cd: cd, name: first.Name}
+	atomic.AddInt64(&s.stats.Registered, 1)
+	s.workersMu.Lock()
+	s.workers[w] = struct{}{}
+	s.workersMu.Unlock()
+	s.logf("cluster: worker %q connected", w.name)
+	defer func() {
+		conn.Close() // before retire: no assign written from now on reaches the worker
+		w.retire()
+		s.workersMu.Lock()
+		delete(s.workers, w)
+		s.workersMu.Unlock()
+		atomic.AddInt64(&s.stats.Disconnected, 1)
+		s.logf("cluster: worker %q disconnected", w.name)
+	}()
+	// The ack goes out before the first assignment, and after the
+	// registration is counted: a worker that holds it is in Stats.Workers.
+	if err := cd.write(&message{Type: wire.TypeRegistered}); err != nil {
+		return
+	}
+	s.kick(w)
+	for {
+		m, err := cd.read()
+		if err != nil {
+			return
+		}
+		if w.handle(m) {
+			s.kick(w)
+		}
+	}
 }
 
 // WorkerStats is a snapshot of one connected worker's activity, the
@@ -332,7 +368,7 @@ func (ws WorkerStats) String() string {
 }
 
 // workerProxy is the scheduler-side state of one worker connection: the
-// connection itself, the leases currently held by the worker, and its
+// connection itself, the lease the worker holds, if any, and its
 // activity counters.
 type workerProxy struct {
 	s    *Scheduler
@@ -340,12 +376,13 @@ type workerProxy struct {
 	cd   *codec
 	name string
 
-	mu       sync.Mutex
-	inflight map[string]*lease
-	ws       WorkerStats
+	wmu sync.Mutex // serializes assign writes, which come from whoever leased the task
 
-	dead     chan struct{} // closed when the read loop exits
-	deadOnce sync.Once
+	mu sync.Mutex
+	l  *lease // nil while the worker idles
+	ws WorkerStats
+
+	gone bool // the read loop ended: never idle again; guarded by Scheduler.idleMu
 }
 
 func (w *workerProxy) snapshot() WorkerStats {
@@ -353,226 +390,183 @@ func (w *workerProxy) snapshot() WorkerStats {
 	defer w.mu.Unlock()
 	ws := w.ws
 	ws.Name = w.name
-	ws.InFlight = len(w.inflight)
+	if w.l != nil {
+		ws.InFlight = 1
+	}
 	return ws
 }
 
-// runWorkerProxy pulls pending tasks and leases them to one worker
-// connection.  A worker that dies mid-task gets its leases requeued —
-// the scheduler "reassigning tasks to other workers" after a node
-// failure, with nannies disabled (§2.2.5).  A worker that is merely slow
-// loses the lease but keeps the connection, so one slow task cannot
-// permanently remove a healthy node from the pool.
-func (s *Scheduler) runWorkerProxy(conn io.ReadWriteCloser, cd *codec, first *message) {
-	name := first.Name
-	w := &workerProxy{
-		s:        s,
-		conn:     conn,
-		cd:       cd,
-		name:     name,
-		inflight: make(map[string]*lease),
-		dead:     make(chan struct{}),
+// handle applies one frame from the worker and reports whether it freed
+// the worker for its next task: a result for the lease it holds, which
+// is delivered unless Close already claimed the task.  A result for a
+// task the worker no longer holds — completed elsewhere, reassigned
+// after its lease ran out, or duplicated — is counted Stale, so a worker
+// that answers late is never punished for it.
+func (w *workerProxy) handle(m *message) bool {
+	s := w.s
+	if m.Type != wire.TypeResult && m.Type != wire.TypeHeartbeat {
+		s.logf("cluster: worker %q sent unexpected %q; ignoring", w.name, m.Type)
 	}
-	atomic.AddInt64(&s.stats.Registered, 1)
-	s.workersMu.Lock()
-	s.workers[w] = struct{}{}
-	s.workersMu.Unlock()
-	defer func() {
-		s.workersMu.Lock()
-		delete(s.workers, w)
-		s.workersMu.Unlock()
-		atomic.AddInt64(&s.stats.Disconnected, 1)
-		conn.Close()
-		<-w.dead // reader has stopped touching shared state
-		s.logf("cluster: worker %q disconnected", name)
-	}()
-	s.logf("cluster: worker %q connected", name)
-
-	// Started before anything below can return: the deferred cleanup
-	// waits for the reader to close w.dead.
-	go w.readLoop()
-
-	// The ack goes out before the first assignment, and after the
-	// registration is counted: a worker that holds it is in Stats.Workers.
-	if err := cd.write(&message{Type: wire.TypeRegistered}); err != nil {
-		return
+	now := time.Now()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.ws.LastSeen = now
+	l := w.l
+	held := l != nil && l.t.id == m.TaskID
+	if m.Type != wire.TypeResult {
+		if held && l.timer != nil && m.Type == wire.TypeHeartbeat {
+			l.deadline = now.Add(s.TaskTimeout)
+		}
+		return false
 	}
+	if held {
+		w.l = nil
+		l.stop()
+		counter, n := &s.stats.Completed, &w.ws.Completed
+		if m.Err != "" {
+			counter, n = &s.stats.Failed, &w.ws.Failed
+		}
+		if l.t.complete(m, counter) {
+			*n++
+			w.ws.Latency += now.Sub(l.started)
+			atomic.AddInt64(&s.stats.Delivered, 1)
+			return true
+		}
+	}
+	atomic.AddInt64(&s.stats.Stale, 1)
+	w.ws.Stale++
+	return held
+}
 
-	for {
+// kick pairs idle workers with queued tasks, longest-idle worker with
+// oldest task, until one side runs out.  A non-nil w (just registered,
+// just answered, or past an expired lease) first joins the back of the
+// idle list, unless its connection is gone.  Each side re-checks the
+// other after its own change: a worker polls the queue after joining
+// idle, and enqueue kicks after queuing whenever nIdle is non-zero, so no
+// task waits while a worker idles.  Whoever makes a pair writes its
+// assign frame, with idleMu dropped.
+func (s *Scheduler) kick(w *workerProxy) {
+	s.idleMu.Lock()
+	if w != nil && !w.gone {
+		s.idle = append(s.idle, w)
+		s.nIdle.Add(1)
+	}
+	for len(s.idle) > 0 {
 		var t *task
 		select {
 		case t = <-s.pending:
-		case <-w.dead:
-			return
-		case <-s.closed:
-			return
-		}
-		if t.isDone() {
-			continue
-		}
-		if !w.dispatch(t) {
-			return
-		}
-	}
-}
-
-// dispatch leases one task to the worker and blocks until the task is
-// resolved (result delivered, lease expired, worker dead, or scheduler
-// closed).  It reports whether the worker is still usable.
-func (w *workerProxy) dispatch(t *task) bool {
-	s := w.s
-	now := time.Now()
-	l := &lease{t: t, started: now, resolved: make(chan struct{})}
-	if s.TaskTimeout > 0 {
-		l.deadline = now.Add(s.TaskTimeout)
-	}
-	w.mu.Lock()
-	w.inflight[t.id] = l
-	w.mu.Unlock()
-
-	if err := w.cd.write(&message{Type: wire.TypeAssign, TaskID: t.id, Payload: t.payload}); err != nil {
-		w.take(t.id)
-		s.requeue(t)
-		return false
-	}
-	atomic.AddInt64(&s.stats.Assigned, 1)
-
-	for {
-		var expiry <-chan time.Time
-		var timer *time.Timer
-		if s.TaskTimeout > 0 {
-			w.mu.Lock()
-			deadline := l.deadline
-			w.mu.Unlock()
-			timer = time.NewTimer(time.Until(deadline))
-			expiry = timer.C
-		}
-		select {
-		case <-l.resolved:
-			if timer != nil {
-				timer.Stop()
-			}
-			return true
-		case <-expiry:
-			w.mu.Lock()
-			cur, held := w.inflight[t.id]
-			renewed := held && time.Now().Before(cur.deadline)
-			if held && !renewed {
-				delete(w.inflight, t.id)
-				w.ws.Expired++
-			}
-			w.mu.Unlock()
-			if renewed {
-				continue // a heartbeat extended the lease; re-arm
-			}
-			if !held {
-				continue // the reader resolved it concurrently; resolved fires next
-			}
-			atomic.AddInt64(&s.stats.Expired, 1)
-			s.requeue(t)
-			// The worker stays connected: a late result will be discarded
-			// as stale by the reader, and the next pending task can still
-			// be leased here.
-			return true
-		case <-w.dead:
-			if timer != nil {
-				timer.Stop()
-			}
-			if _, held := w.take(t.id); held {
-				s.requeue(t)
-			}
-			return false
-		case <-s.closed:
-			if timer != nil {
-				timer.Stop()
-			}
-			// Leave the task unresolved: its Submit returns on the same
-			// close.
-			w.take(t.id)
-			return false
-		}
-	}
-}
-
-// take removes and returns the lease for id, if the proxy still holds it.
-func (w *workerProxy) take(id string) (*lease, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	l, ok := w.inflight[id]
-	if ok {
-		delete(w.inflight, id)
-	}
-	return l, ok
-}
-
-// readLoop owns reads on the worker connection: results and heartbeats.
-// Results for unknown tasks — completed elsewhere, reassigned after a
-// lease expiry, or duplicated — are discarded and counted Stale rather
-// than treated as protocol violations, so a worker that answers late is
-// never punished for it.
-func (w *workerProxy) readLoop() {
-	defer w.deadOnce.Do(func() { close(w.dead) })
-	s := w.s
-	for {
-		m, err := w.cd.read()
-		if err != nil {
-			return
-		}
-		w.mu.Lock()
-		w.ws.LastSeen = time.Now()
-		w.mu.Unlock()
-		switch m.Type {
-		case wire.TypeHeartbeat:
-			if s.TaskTimeout > 0 {
-				w.mu.Lock()
-				if l, ok := w.inflight[m.TaskID]; ok {
-					l.deadline = time.Now().Add(s.TaskTimeout)
-				}
-				w.mu.Unlock()
-			}
-		case wire.TypeResult:
-			l, held := w.take(m.TaskID)
-			if !held {
-				atomic.AddInt64(&s.stats.Stale, 1)
-				w.mu.Lock()
-				w.ws.Stale++
-				w.mu.Unlock()
-				continue
-			}
-			w.deliver(l, m)
-			close(l.resolved)
 		default:
-			s.logf("cluster: worker %q sent unexpected %q; ignoring", w.name, m.Type)
 		}
+		if t == nil {
+			break
+		}
+		head := s.idle[0]
+		s.unidle(0)
+		l := head.lease(t)
+		s.idleMu.Unlock()
+		head.assign(l)
+		s.idleMu.Lock()
+	}
+	s.idleMu.Unlock()
+}
+
+// unidle removes the i'th idle worker; the caller holds idleMu.
+func (s *Scheduler) unidle(i int) {
+	n := i + copy(s.idle[i:], s.idle[i+1:])
+	s.idle[n] = nil
+	s.idle = s.idle[:n]
+	s.nIdle.Add(-1)
+}
+
+// lease starts the worker's lease on t.  Only when leases time out does
+// it arm an expiry timer, outside w.mu (expire takes it) but before the
+// assign frame goes out, so before any heartbeat can move the deadline.
+func (w *workerProxy) lease(t *task) *lease {
+	l := &lease{t: t, started: time.Now()}
+	w.mu.Lock()
+	w.l = l
+	w.mu.Unlock()
+	if d := w.s.TaskTimeout; d > 0 {
+		timer := time.AfterFunc(d, func() { w.expire(l) })
+		w.mu.Lock()
+		l.deadline, l.timer = l.started.Add(d), timer
+		w.mu.Unlock()
+	}
+	return l
+}
+
+func (l *lease) stop() {
+	if l.timer != nil {
+		l.timer.Stop()
 	}
 }
 
-// deliver hands a result to the task, counting Completed/Failed only if
-// this worker's result was the one actually delivered — a duplicate from
-// a previously-expired lease must not inflate the books.
-func (w *workerProxy) deliver(l *lease, m *message) {
-	s := w.s
-	counter := &s.stats.Completed
-	if m.Err != "" {
-		counter = &s.stats.Failed
+// assign writes l's assign frame.  A write that fails closes the
+// connection, so the read loop ends and its retire requeues the task.
+func (w *workerProxy) assign(l *lease) {
+	w.wmu.Lock()
+	err := w.cd.write(&message{Type: wire.TypeAssign, TaskID: l.t.id, Payload: l.t.payload})
+	w.wmu.Unlock()
+	if err != nil {
+		w.s.logf("cluster: assigning task %s to worker %q: %v", l.t.id, w.name, errors.Join(err, w.conn.Close()))
+		return
 	}
-	if !l.t.complete(m, counter) {
-		atomic.AddInt64(&s.stats.Stale, 1)
-		w.mu.Lock()
-		w.ws.Stale++
+	atomic.AddInt64(&w.s.stats.Assigned, 1)
+}
+
+// expire runs at l's deadline.  If a heartbeat moved the deadline it
+// re-arms; otherwise the lease ends with the connection still up.  The
+// task is requeued first and only then does the worker rejoin the back
+// of the idle list, so an idle worker wins the task ahead of the one it
+// bounced off, and a late result from that one is counted stale.
+func (w *workerProxy) expire(l *lease) {
+	w.mu.Lock()
+	if w.l != l {
+		w.mu.Unlock()
+		return // answered, or the connection is gone
+	}
+	if d := time.Until(l.deadline); d > 0 {
+		l.timer.Reset(d)
 		w.mu.Unlock()
 		return
 	}
-	elapsed := time.Since(l.started)
-	w.mu.Lock()
-	if m.Err != "" {
-		w.ws.Failed++
-	} else {
-		w.ws.Completed++
-	}
-	w.ws.Latency += elapsed
+	w.l = nil
+	w.ws.Expired++
 	w.mu.Unlock()
-	atomic.AddInt64(&s.stats.Delivered, 1)
+	atomic.AddInt64(&w.s.stats.Expired, 1)
+	w.s.requeue(l.t)
+	w.s.kick(w)
+}
+
+// retire runs once the worker's read loop has ended: the worker leaves
+// the idle list for good, so no lease starts on it again, and the task
+// it held, if any, is requeued — unless the scheduler is closing, in
+// which case the task's Submit returns on the same close.
+func (w *workerProxy) retire() {
+	s := w.s
+	s.idleMu.Lock()
+	w.gone = true
+	for i, v := range s.idle {
+		if v == w {
+			s.unidle(i)
+			break
+		}
+	}
+	s.idleMu.Unlock()
+	w.mu.Lock()
+	l := w.l
+	w.l = nil
+	w.mu.Unlock()
+	if l == nil {
+		return
+	}
+	l.stop()
+	select {
+	case <-s.closed:
+	default:
+		s.requeue(l.t)
+	}
 }
 
 // requeue puts a task back on the queue after a worker failure or lease
@@ -600,6 +594,7 @@ var errClosed = errors.New("cluster: scheduler closed")
 // enqueue puts t on the pending queue, blocking while the queue is full;
 // a submission that has to wait is counted once in Stats.QueueWaits.  It
 // fails if the scheduler closed, or ctx ended, before a slot freed.
+// Once t is queued it kicks any idle worker.
 func (s *Scheduler) enqueue(ctx context.Context, t *task) error {
 	select {
 	case <-s.closed:
@@ -610,18 +605,20 @@ func (s *Scheduler) enqueue(ctx context.Context, t *task) error {
 	}
 	select {
 	case s.pending <- t:
-		return nil
 	default:
+		atomic.AddInt64(&s.stats.QueueWaits, 1)
+		select {
+		case s.pending <- t:
+		case <-s.closed:
+			return errClosed
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
-	atomic.AddInt64(&s.stats.QueueWaits, 1)
-	select {
-	case s.pending <- t:
-		return nil
-	case <-s.closed:
-		return errClosed
-	case <-ctx.Done():
-		return ctx.Err()
+	if s.nIdle.Load() > 0 {
+		s.kick(nil)
 	}
+	return nil
 }
 
 // Submit queues one task and blocks until its result arrives, ctx ends,
