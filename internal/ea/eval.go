@@ -27,6 +27,11 @@ func (f EvaluatorFunc) Evaluate(ctx context.Context, g Genome) (Fitness, error) 
 // limit, the analogue of the paper's two-hour subprocess TimeoutError.
 var ErrEvalTimeout = errors.New("ea: evaluation timed out")
 
+// PaperEvalTimeout is the paper's per-evaluation wall limit: a training
+// still running after two hours is killed and its individual gets MAXINT
+// (§2.2.4).  Every shipped binary that caps an evaluation reads it.
+const PaperEvalTimeout = 2 * time.Hour
+
 // clock is the package's single sanctioned wall-clock source, feeding
 // only the Runtime telemetry field — which is display/persist metadata
 // and never flows into fitness, selection or any campaign artifact.
