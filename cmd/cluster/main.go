@@ -6,13 +6,15 @@
 //
 // Usage:
 //
-//	cluster [-addr 127.0.0.1:7077] [-name w0] [-seed 2023] [-task-timeout 2h] [-heartbeat 15s] [-max-reconnects 0]
+//	cluster [-addr 127.0.0.1:7077] [-name w0] [-seed 2023] [-max-reconnects 0]
 //
 // The worker holds exactly one TCP connection to the scheduler, as each
 // Dask worker did, framed with the length-prefixed binary wire protocol
 // (internal/cluster/wire) from its first byte.  It re-dials a lost
-// scheduler with exponential backoff and renews its task's lease with
-// heartbeats while a training runs.
+// scheduler with exponential backoff.  Its time limits are the ones
+// serve's scheduler is armed with: it caps each task at the paper's two
+// hours (ea.PaperEvalTimeout) and, while a task runs, renews the task's
+// lease every cluster.HeartbeatInterval.
 package main
 
 import (
@@ -22,9 +24,9 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/ea"
 	"repro/internal/surrogate"
 )
 
@@ -33,8 +35,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7077", "scheduler address (serve's -workers-listen)")
 	name := flag.String("name", "worker", "worker name")
 	seed := flag.Int64("seed", 2023, "surrogate seed")
-	taskTimeout := flag.Duration("task-timeout", 2*time.Hour, "per-task execution cap (the paper's two-hour limit)")
-	heartbeat := flag.Duration("heartbeat", 15*time.Second, "lease-renewal interval while executing; 0 disables")
 	maxReconnects := flag.Int("max-reconnects", 0, "consecutive failed re-dials before giving up; 0 retries forever")
 	flag.Parse()
 
@@ -46,8 +46,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("worker: %v", err)
 	}
-	w.TaskTimeout = *taskTimeout
-	w.Heartbeat = *heartbeat
+	w.TaskTimeout = ea.PaperEvalTimeout
+	w.Heartbeat = cluster.HeartbeatInterval
 	w.MaxReconnects = *maxReconnects
 	w.Logf = log.Printf
 	fmt.Printf("worker %q connected to %s\n", *name, *addr)

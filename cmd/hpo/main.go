@@ -8,7 +8,8 @@
 //     network).
 //
 // Results are printed as CSV (one row per final solution) plus a frontier
-// summary.
+// summary.  Every evaluation is capped at the paper's two hours
+// (ea.PaperEvalTimeout); one that runs past it gets MAXINT fitness.
 //
 // Usage:
 //
@@ -52,7 +53,6 @@ func main() {
 	workers := flag.Int("workers", 6, "simulated data-parallel workers (real backend)")
 	out := flag.String("out", "", "CSV output path (default stdout)")
 	savePath := flag.String("save", "", "also save the full campaign (every generation) to this file as a campaign log")
-	timeout := flag.Duration("timeout", 2*time.Hour, "per-evaluation limit (paper: 2h)")
 	noMemo := flag.Bool("no-memo", false, "disable genome-keyed fitness memoization")
 	flag.Parse()
 
@@ -107,7 +107,7 @@ func main() {
 	res, err := hpo.RunCampaign(context.Background(), hpo.CampaignConfig{
 		Runs: *runs, PopSize: *pop, Generations: *gens,
 		Evaluator: evaluator, Parallelism: *par,
-		EvalTimeout: *timeout, AnnealFactor: nsga2.PaperAnnealFactor, BaseSeed: *seed,
+		EvalTimeout: ea.PaperEvalTimeout, AnnealFactor: nsga2.PaperAnnealFactor, BaseSeed: *seed,
 		Observer: func(run, gen int, evaluated, survivors ea.Population) {
 			fmt.Fprintf(os.Stderr, "  run %d gen %d: %d evaluated, %d failures\n",
 				run, gen, len(evaluated), evaluated.Failures())

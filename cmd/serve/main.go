@@ -9,7 +9,7 @@
 //
 //	serve [-addr 127.0.0.1:8080] [-checkpoint-dir DIR]
 //	      [-workers 4] [-workers-listen 127.0.0.1:0]
-//	      [-seed 2023] [-lease 10m] [-no-memo]
+//	      [-seed 2023] [-no-memo]
 //	      [-max-concurrent 4] [-max-active-per-tenant 2]
 //	      [-max-campaigns-per-tenant 16] [-max-inflight-per-tenant 64]
 //	      [-drain-timeout 30s]
@@ -23,6 +23,11 @@
 // processes or hosts join the same fleet.  Every worker holds one
 // connection to the scheduler: in-memory for an in-process worker, TCP
 // for one that joined on -workers-listen.
+//
+// The fleet's time limits are the declared ones, not flags: a worker of
+// either kind that holds a task for cluster.LeaseTimeout without a
+// heartbeat or a result loses it to another worker (§2.2.4), and the
+// in-process workers heartbeat and cap each task at ea.PaperEvalTimeout.
 //
 // On SIGTERM or SIGINT the service drains: admission stops, every
 // running campaign's in-flight generation is cancelled, and every
@@ -56,7 +61,6 @@ func main() {
 	workers := flag.Int("workers", 4, "in-process surrogate workers; 0 leaves the fleet to workers that dial -workers-listen")
 	workersListen := flag.String("workers-listen", "127.0.0.1:0", "address the scheduler accepts workers on")
 	seed := flag.Int64("seed", 2023, "surrogate model seed of the in-process workers")
-	lease := flag.Duration("lease", 10*time.Minute, "in-process workers' per-task execution cap; 0 disables")
 	noMemo := flag.Bool("no-memo", false, "disable the shared genome-keyed memo cache")
 	checkpointDir := flag.String("checkpoint-dir", "", "directory for campaign checkpoints; empty disables persistence")
 	maxConcurrent := flag.Int("max-concurrent", 4, "campaigns running at once, all tenants combined")
@@ -66,14 +70,14 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight generations to checkpoint on shutdown")
 	flag.Parse()
 
-	if err := run(*addr, *workers, *workersListen, *seed, *lease, *noMemo,
+	if err := run(*addr, *workers, *workersListen, *seed, *noMemo,
 		*checkpointDir, *maxConcurrent, *maxActive, *maxCampaigns, *maxInflight, *drainTimeout); err != nil {
 		log.Fatalf("serve: %v", err)
 	}
 }
 
 func run(addr string, workers int, workersListen string, seed int64,
-	lease time.Duration, noMemo bool, checkpointDir string,
+	noMemo bool, checkpointDir string,
 	maxConcurrent, maxActive, maxCampaigns, maxInflight int, drainTimeout time.Duration) error {
 
 	cfg := service.Config{
@@ -86,7 +90,7 @@ func run(addr string, workers int, workersListen string, seed int64,
 		Logf:                  log.Printf,
 	}
 
-	lc, err := cluster.ListenLocalCluster(workersListen, workers, cluster.EvalHandler(surrogate.NewEvaluator(surrogate.Config{Seed: seed})), lease)
+	lc, err := cluster.ListenLocalCluster(workersListen, workers, cluster.EvalHandler(surrogate.NewEvaluator(surrogate.Config{Seed: seed})))
 	if err != nil {
 		return fmt.Errorf("fleet: %w", err)
 	}

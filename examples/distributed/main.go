@@ -27,7 +27,7 @@ func main() {
 	inner := surrogate.NewEvaluator(surrogate.Config{Seed: 7})
 	handler := cluster.EvalHandler(evalWithDelay{inner})
 
-	lc, err := cluster.NewLocalCluster(7, handler, 2*time.Hour)
+	lc, err := cluster.NewLocalCluster(7, handler, ea.PaperEvalTimeout)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -69,6 +69,24 @@ func BenchmarkConcurrentSubmit(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer lc.Close()
+	benchConcurrentSubmit(b, lc.Scheduler)
+}
+
+// BenchmarkConcurrentSubmitServed is BenchmarkConcurrentSubmit on the
+// fleet cmd/serve builds (ListenLocalCluster): each lease arms a timer,
+// each task runs under the workers' execution cap, and the workers
+// heartbeat.  Its ns/op less BenchmarkConcurrentSubmit's is what serve's
+// time limits cost per task.
+func BenchmarkConcurrentSubmitServed(b *testing.B) {
+	lc, err := ListenLocalCluster("127.0.0.1:0", 2, echoHandler)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer lc.Close()
+	benchConcurrentSubmit(b, lc.Scheduler)
+}
+
+func benchConcurrentSubmit(b *testing.B, s *Scheduler) {
 	payload, err := appendPayload(nil, genomeKind, []float64{1, 2, 3, 4, 5, 6, 7})
 	if err != nil {
 		b.Fatal(err)
@@ -82,7 +100,7 @@ func BenchmarkConcurrentSubmit(b *testing.B) {
 		go func() {
 			defer wg.Done()
 			for left.Add(-1) >= 0 {
-				if _, err := lc.Scheduler.Submit(context.Background(), payload); err != nil {
+				if _, err := s.Submit(context.Background(), payload); err != nil {
 					b.Error(err)
 					return
 				}

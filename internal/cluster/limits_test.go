@@ -31,7 +31,7 @@ func shrinkServed(t *testing.T) limits {
 // free loopback port, with n in-process workers running h.
 func serveFleet(t *testing.T, n int, h Handler) *LocalCluster {
 	t.Helper()
-	lc, err := ListenLocalCluster("127.0.0.1:0", n, h, served.evalCap)
+	lc, err := ListenLocalCluster("127.0.0.1:0", n, h)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,19 +27,27 @@ type LocalCluster struct {
 
 // NewLocalCluster starts a scheduler listening on a free loopback port
 // and nWorkers in-process workers with the given handler and task
-// timeout (0 = none).
+// timeout (0 = none).  No lease is armed and no worker heartbeats.
 func NewLocalCluster(nWorkers int, handler Handler, taskTimeout time.Duration) (*LocalCluster, error) {
-	return ListenLocalCluster("127.0.0.1:0", nWorkers, handler, taskTimeout)
+	return startLocalCluster("127.0.0.1:0", nWorkers, handler, limits{evalCap: taskTimeout})
 }
 
-// ListenLocalCluster is NewLocalCluster with the scheduler listening on
-// addr, so workers in other processes can join the in-process ones (of
-// which there may be none) over TCP.
-func ListenLocalCluster(addr string, nWorkers int, handler Handler, taskTimeout time.Duration) (*LocalCluster, error) {
+// ListenLocalCluster starts the fleet cmd/serve runs: a scheduler
+// listening on addr, so workers in other processes can join the
+// in-process ones (of which there may be none) over TCP, armed with the
+// paper's limits.  Its leases run out after LeaseTimeout, its in-process
+// workers heartbeat every HeartbeatInterval, and their execution cap is
+// ea.PaperEvalTimeout.
+func ListenLocalCluster(addr string, nWorkers int, handler Handler) (*LocalCluster, error) {
+	return startLocalCluster(addr, nWorkers, handler, served)
+}
+
+func startLocalCluster(addr string, nWorkers int, handler Handler, lim limits) (*LocalCluster, error) {
 	sched, err := NewScheduler(addr)
 	if err != nil {
 		return nil, err
 	}
+	sched.TaskTimeout = lim.lease
 	ctx, cancel := context.WithCancel(context.Background())
 	lc := &LocalCluster{Scheduler: sched, Client: sched, cancel: cancel}
 	for i := 0; i < nWorkers; i++ {
@@ -47,7 +55,7 @@ func ListenLocalCluster(addr string, nWorkers int, handler Handler, taskTimeout 
 		if err != nil {
 			return nil, errors.Join(err, lc.Close())
 		}
-		w.TaskTimeout = taskTimeout
+		w.TaskTimeout, w.Heartbeat = lim.evalCap, lim.heartbeat
 		lc.Workers = append(lc.Workers, w)
 		go func() { _ = w.Run(ctx) }()
 	}

@@ -102,9 +102,10 @@ type Scheduler struct {
 	// how long a worker may hold a task without completing it or
 	// heartbeating before the scheduler hands the task to someone else.
 	// It guards against nodes that hang without dropping their connection
-	// — a hardware failure mode the paper's §2.2.4 lists.  Workers
-	// normally enforce their own (shorter) execution limit; the lease is
-	// the liveness backstop, not the execution cap.
+	// — a hardware failure mode the paper's §2.2.4 lists.  The lease is
+	// the shorter limit, a liveness check that a working node's
+	// heartbeats keep renewing; the execution cap is the worker's own
+	// (Worker.TaskTimeout).  ListenLocalCluster arms LeaseTimeout.
 	TaskTimeout time.Duration
 	// Logf, if non-nil, receives diagnostic output.
 	Logf func(format string, args ...interface{})

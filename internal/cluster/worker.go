@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cluster/wire"
+	"repro/internal/ea"
 )
 
 // Handler executes one task payload and returns a result payload.  In the
@@ -30,8 +31,8 @@ type Handler func(ctx context.Context, payload []byte) ([]byte, error)
 type Worker struct {
 	// Name identifies the worker in scheduler logs.
 	Name string
-	// TaskTimeout, if positive, bounds each task's execution — the
-	// analogue of the paper's two-hour training limit.  The limit is
+	// TaskTimeout, if positive, bounds each task's execution, as
+	// ea.PaperEvalTimeout bounds a training in the paper.  The limit is
 	// enforced asynchronously: at the deadline a watcher sends the
 	// timeout failure and serves the connection on from its own
 	// goroutine, while a handler that ignores its context keeps the
@@ -40,9 +41,11 @@ type Worker struct {
 	TaskTimeout time.Duration
 	// Heartbeat, if positive, is the interval at which the worker pings
 	// the scheduler while executing a task, renewing the task's lease
-	// (one ticker goroutine per connection).  Set it well below the
-	// scheduler's TaskTimeout so a slow-but-alive training is not
-	// reassigned.
+	// (one ticker goroutine per connection).  A leasing scheduler gives a
+	// task whose lease (Scheduler.TaskTimeout) went without a heartbeat to
+	// another worker, so a worker whose tasks outlast the lease must
+	// heartbeat: HeartbeatInterval fits LeaseHeartbeats times into
+	// LeaseTimeout.
 	Heartbeat time.Duration
 	// ReconnectInitial and ReconnectMax shape the re-dial backoff after a
 	// scheduler connection loss (defaults 50ms and 5s).
@@ -336,7 +339,7 @@ func (w *Worker) taskResult(ctx, taskCtx context.Context, id string, out []byte,
 	case ctx.Err() != nil:
 		return nil
 	case taskCtx.Err() != nil:
-		return &message{Type: wire.TypeResult, TaskID: id, Err: fmt.Sprintf("cluster: task timed out after %v", w.TaskTimeout)}
+		return &message{Type: wire.TypeResult, TaskID: id, Err: fmt.Sprintf("%v after %v", ea.ErrEvalTimeout, w.TaskTimeout)}
 	case err != nil:
 		return &message{Type: wire.TypeResult, TaskID: id, Err: err.Error()}
 	}

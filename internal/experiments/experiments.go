@@ -58,9 +58,9 @@ func RunPaperCampaign(ctx context.Context, opts Options) (*Campaign, error) {
 		Generations: opts.Generations,
 		Evaluator:   ev,
 		Parallelism: opts.Parallelism,
-		// Two (simulated) hours; surrogate evaluations return instantly,
-		// so this never fires — it is configuration fidelity only.
-		EvalTimeout:  2 * time.Hour,
+		// The paper's cap; surrogate evaluations return instantly, so it
+		// never fires — it is configuration fidelity only.
+		EvalTimeout:  ea.PaperEvalTimeout,
 		AnnealFactor: nsga2.PaperAnnealFactor,
 		BaseSeed:     opts.Seed,
 	}

@@ -9,7 +9,10 @@
 # campaign log included — to have survived the bounce byte-for-byte.  A second leg starts serve
 # with no in-process workers and one `cluster` worker process dialing
 # its -workers-listen address, and requires that worker to run the whole
-# tiny campaign.
+# tiny campaign.  Also requires `serve -lease` and `cluster -task-timeout`
+# and `-heartbeat` to be rejected by the flag package: the fleet's time
+# limits are declared once in the code, and a script that still passes
+# one of those flags must fail loudly.
 #
 # Usage:
 #   scripts/serve_smoke.sh          # CI entry point
@@ -53,6 +56,17 @@ wait_line() {
 
 go build -o "$WORK/serve" ./cmd/serve
 go build -o "$WORK/cluster" ./cmd/cluster
+
+# A binary that accepted one of these would start serving; `timeout`
+# turns that into a failure instead of a hang.
+for gone in serve:lease cluster:task-timeout cluster:heartbeat; do
+    bin="${gone%%:*}" flag="${gone#*:}"
+    if timeout 10 "$WORK/$bin" "-$flag" 1s >"$WORK/$bin.$flag.log" 2>&1; then
+        fail "$bin -$flag was accepted" "$WORK/$bin.$flag.log"
+    fi
+    grep -q "flag provided but not defined: -$flag" "$WORK/$bin.$flag.log" ||
+        fail "$bin -$flag failed for another reason" "$WORK/$bin.$flag.log"
+done
 
 # create_and_wait TAG — creates the tiny campaign and prints its id once
 # the SSE stream (saved to $WORK/events-TAG.sse) reports it done.

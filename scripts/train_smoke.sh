@@ -8,8 +8,9 @@
 # one two-individual real-backend campaign through `cmd/hpo`, which
 # streams the same dataset, and requires two CSV rows and no failed
 # evaluation.  Also requires `-fast` and `-data-dir` to be rejected by
-# the flag package in both binaries: those flags are gone, and a script
-# that still passes one must fail loudly.
+# the flag package in both binaries, and `hpo -timeout` (the evaluation
+# cap is ea.PaperEvalTimeout, declared once): those flags are gone, and a
+# script that still passes one must fail loudly.
 #
 # Usage:
 #   scripts/train_smoke.sh          # CI entry point
@@ -71,14 +72,13 @@ cmp "$WORK/lcurve1.out" "$WORK/lcurve4.out" ||
 grep -q '^hpo: done in .*, 0 failures$' "$WORK/hpo.log" ||
     fail "hpo campaign had failed evaluations" "$WORK/hpo.log"
 
-for bin in train hpo; do
-    for flag in fast data-dir; do
-        if "$WORK/bin/$bin" "-$flag" x >"$WORK/$bin.$flag.log" 2>&1; then
-            fail "$bin -$flag was accepted" "$WORK/$bin.$flag.log"
-        fi
-        grep -q "flag provided but not defined: -$flag" "$WORK/$bin.$flag.log" ||
-            fail "$bin -$flag failed for another reason" "$WORK/$bin.$flag.log"
-    done
+for gone in train:fast train:data-dir hpo:fast hpo:data-dir hpo:timeout; do
+    bin="${gone%%:*}" flag="${gone#*:}"
+    if "$WORK/bin/$bin" "-$flag" x >"$WORK/$bin.$flag.log" 2>&1; then
+        fail "$bin -$flag was accepted" "$WORK/$bin.$flag.log"
+    fi
+    grep -q "flag provided but not defined: -$flag" "$WORK/$bin.$flag.log" ||
+        fail "$bin -$flag failed for another reason" "$WORK/$bin.$flag.log"
 done
 
 echo "train_smoke: ok (5 steps, 6 workers; lcurve.out identical on 1 and 4 cores; real hpo campaign streamed)"
