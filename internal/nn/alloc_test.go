@@ -6,13 +6,25 @@ import (
 )
 
 // TestSteadyStateAllocs pins the batched hot paths to zero allocations
-// per call once their reusable traces are warm.  A regression here
-// usually means a buffer stopped being recycled (e.g. an ensureLen path
-// lost) or an interface method value started escaping in the blas
-// epilogue.
+// per call once their reusable traces are warm, for each of the paper's
+// five activations and Identity.  The kernels reach the activation by
+// dynamic dispatch (d.Act.Apply, Deriv or DerivFromOutput), so each one
+// needs its own row.  A regression here usually means a buffer stopped
+// being recycled (e.g. an ensureLen path lost), an interface method value
+// started escaping in the blas epilogue, or an activation allocates.
 func TestSteadyStateAllocs(t *testing.T) {
+	for _, name := range append(append([]string(nil), ActivationNames...), "identity") {
+		act, err := ActivationByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) { checkSteadyStateAllocs(t, act) })
+	}
+}
+
+func checkSteadyStateAllocs(t *testing.T, act Activation) {
 	rng := rand.New(rand.NewSource(7))
-	m, _, _ := newMLP(rng, 40, []int{24, 24}, 1, Tanh)
+	m, _, _ := newMLP(rng, 40, []int{24, 24}, 1, act)
 	const n = 8
 	xb := make([]float64, n*40)
 	for i := range xb {

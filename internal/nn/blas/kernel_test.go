@@ -273,23 +273,27 @@ func FuzzGemmDifferential(f *testing.F) {
 }
 
 // TestKernelsSteadyStateAllocs pins the three entry points at 0 allocs/op
-// on the path the build selects, at the fitting net's 12×240×240: the
-// assembly path's packed-xᵀ workspace must come back from its pool.
+// on every path this build can take (forEachDispatch), at the fitting
+// net's 12×240×240: the assembly path's packed-xᵀ workspace must come
+// back from its pool, and the Go kernels, which an AVX2 host otherwise
+// runs only under -race or for the thinnest layers, allocate nothing.
 func TestKernelsSteadyStateAllocs(t *testing.T) {
 	const n, in, out = 12, 240, 240
 	rng := rand.New(rand.NewSource(21))
 	x, w, bias, g := randSlice(rng, n*in), randSlice(rng, out*in), randSlice(rng, out), randSlice(rng, n*out)
 	preact, y, dx := make([]float64, n*out), make([]float64, n*out), make([]float64, n*in)
 	gradW, gradB := make([]float64, out*in), make([]float64, out)
-	for name, fn := range map[string]func(){
-		"GemmBiasAct": func() { GemmBiasAct(preact, y, x, w, bias, n, in, out, math.Tanh) },
-		"GemmNN":      func() { GemmNN(dx, g, w, n, in, out) },
-		"AccumGrad":   func() { AccumGrad(gradW, gradB, g, x, n, in, out) },
-	} {
-		if got := testing.AllocsPerRun(20, fn); got != 0 {
-			t.Errorf("%s (%s): %v allocs/op in steady state, want 0", name, Impl(), got)
+	forEachDispatch(func() {
+		for name, fn := range map[string]func(){
+			"GemmBiasAct": func() { GemmBiasAct(preact, y, x, w, bias, n, in, out, math.Tanh) },
+			"GemmNN":      func() { GemmNN(dx, g, w, n, in, out) },
+			"AccumGrad":   func() { AccumGrad(gradW, gradB, g, x, n, in, out) },
+		} {
+			if got := testing.AllocsPerRun(20, fn); got != 0 {
+				t.Errorf("%s (%s): %v allocs/op in steady state, want 0", name, Impl(), got)
+			}
 		}
-	}
+	})
 }
 
 // BenchmarkKernels reports GFLOP/s (two flops per multiply-add) of each
