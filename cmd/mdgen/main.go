@@ -1,12 +1,13 @@
 // Command mdgen generates a molten AlCl₃/KCl training dataset with the
 // classical MD engine — the substitute for the paper's CP2K FPMD data
 // generation (§2.1.3).  Output is a DeePMD-style system directory (plus a
-// sibling validation split): type.raw and set.NNN/{coord,energy,force,box}.npy.
+// sibling validation split of dataset.PaperValFraction, the paper's 25 %):
+// type.raw and set.NNN/{coord,energy,force,box}.npy.
 //
 // Usage:
 //
 //	mdgen -out data/ [-frames 2000] [-box 17.84] [-temp 498] [-seed 1]
-//	      [-equil 2000] [-every 10] [-val 0.25] [-rcut 5.0]
+//	      [-equil 2000] [-every 10] [-rcut 5.0]
 package main
 
 import (
@@ -29,7 +30,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "RNG seed")
 	equil := flag.Int("equil", 2000, "equilibration steps before sampling")
 	every := flag.Int("every", 10, "steps between samples")
-	val := flag.Float64("val", 0.25, "validation fraction (paper: 0.25)")
 	rcut := flag.Float64("rcut", 5.0, "MD interaction cutoff, Å")
 	setSize := flag.Int("setsize", 1000, "frames per set.NNN directory")
 	flag.Parse()
@@ -40,9 +40,9 @@ func main() {
 		len(md.PaperComposition()), *temp, *box)
 	d := dataset.Generate(rng, md.PaperComposition(), *box, *temp, pot, 0.5, *equil, *every, *frames)
 	fmt.Printf("sampled %d frames; shuffling and splitting %.0f%% for validation\n",
-		d.Len(), *val*100)
+		d.Len(), dataset.PaperValFraction*100)
 	d.Shuffle(rng)
-	train, valSet := d.Split(*val)
+	train, valSet := d.Split(dataset.PaperValFraction)
 
 	trainDir := filepath.Join(*out, "train")
 	valDir := filepath.Join(*out, "val")

@@ -35,7 +35,7 @@ func main() {
 	fmt.Println("1. generating reference trajectory (classical BMH+Coulomb)…")
 	data := dataset.Generate(rng, species, 8.5, 498, refPot, 0.5, 400, 10, 60)
 	data.Shuffle(rng)
-	train, val := data.Split(0.25)
+	train, val := data.Split(dataset.PaperValFraction)
 
 	// 2. Train a small DeepPot-SE model.
 	fmt.Println("2. training a DeepPot-SE potential on the reference data…")

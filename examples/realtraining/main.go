@@ -39,7 +39,7 @@ func main() {
 	fmt.Println("generating reference trajectory with the classical MD engine…")
 	data := dataset.Generate(rng, species, 9.0, 498, pot, 0.5, 300, 10, 40)
 	data.Shuffle(rng)
-	train, val := data.Split(0.25) // paper: 25% withheld for validation
+	train, val := data.Split(dataset.PaperValFraction)
 	fmt.Printf("dataset: %d training / %d validation frames, %d atoms\n",
 		train.Len(), val.Len(), train.NAtoms())
 

@@ -99,8 +99,14 @@ func (d *Dataset) Shuffle(rng *rand.Rand) {
 	})
 }
 
+// PaperValFraction is the paper's validation split: a quarter of the
+// shuffled frames is withheld for validation (§2.1).  Every shipped binary
+// and example that splits a dataset reads it.
+const PaperValFraction = 0.25
+
 // Split divides the dataset into training and validation subsets, with
-// valFraction (0.25 in the paper) of the frames withheld for validation.
+// valFraction (PaperValFraction in the paper) of the frames withheld for
+// validation.
 // The receiver is unchanged; subsets share frame storage.
 func (d *Dataset) Split(valFraction float64) (train, val *Dataset) {
 	nVal := int(float64(len(d.Frames)) * valFraction)
