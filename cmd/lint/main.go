@@ -1,9 +1,9 @@
 // Command lint runs the project-native static-analysis suite
 // (internal/lint) over the module and gates the result against the
-// committed baseline.  All nine analyzers run once each over one
+// committed baseline.  All eight analyzers run once each over one
 // Program: the five package-local rules (determinism, floateq,
-// ctxhygiene, lockdiscipline, errdiscard) and the four built on the
-// call-graph engine (goroutineleak, lockorder, detflow, hotalloc).
+// ctxhygiene, lockdiscipline, errdiscard) and the three built on the
+// call-graph engine (goroutineleak, lockorder, detflow).
 //
 // Usage:
 //

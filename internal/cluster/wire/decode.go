@@ -33,9 +33,8 @@ func NewDecoder(r io.Reader) *Decoder {
 // Decode reads and parses one frame into m.  A clean end of stream at a
 // frame boundary returns io.EOF; a stream that dies mid-frame returns
 // io.ErrUnexpectedEOF; malformed frames return errors wrapping the
-// package sentinels (see IsDecodeError).
-//
-//lint:hot
+// package sentinels (see IsDecodeError).  TestWireSteadyStateAllocs holds
+// it at 0 allocs/op for every message type once the buffer is warm.
 func (d *Decoder) Decode(m *Message) error {
 	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
 		// io.EOF here means zero header bytes arrived: the peer closed

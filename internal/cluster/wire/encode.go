@@ -23,9 +23,8 @@ func NewEncoder(w io.Writer) *Encoder {
 
 // Encode validates, frames and writes one message.  It reports the
 // number of bytes written so transports can keep byte counters without
-// wrapping the writer.
-//
-//lint:hot
+// wrapping the writer.  TestWireSteadyStateAllocs holds it at 0 allocs/op
+// for every message type once the buffer is warm.
 func (e *Encoder) Encode(m *Message) (int, error) {
 	frame, err := AppendFrame(e.buf[:0], m)
 	if err != nil {

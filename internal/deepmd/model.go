@@ -227,9 +227,8 @@ func tileBounds(u, nAtoms int) (lo, hi int) {
 // input-gradient pass per species and one fused geometry backward.
 // Every per-atom value is bit-identical to a one-atom evaluation: batch
 // rows reduce in the one-row order, and each slot's coordinate gradients
-// accumulate into a private buffer.
-//
-//lint:hot
+// accumulate into a private buffer.  TestTileSteadyStateAllocs holds a
+// compute/merge sweep at 0 allocs/op on a warm scratch.
 func (m *Model) computeTile(s *evalScratch, mode evalMode, coord []float64, types []int, box float64, u int, nl *neighbor.List) {
 	lo, hi := tileBounds(u, len(types))
 	s.ensureTile(m.Cfg.NumSpecies, hi-lo, len(coord))
@@ -251,8 +250,8 @@ func (m *Model) computeTile(s *evalScratch, mode evalMode, coord []float64, type
 
 // mergeTile folds a computed tile into the global accumulators in strict
 // atom order, restoring each slot's zeroed-dcoord invariant.
-//
-//lint:hot
+// TestTileSteadyStateAllocs holds a compute/merge sweep at 0 allocs/op on
+// a warm scratch.
 func (m *Model) mergeTile(s *evalScratch, mode evalMode, types []int, u int, energy *float64, dcoord []float64) {
 	lo, hi := tileBounds(u, len(types))
 	for k := 0; k < hi-lo; k++ {

@@ -138,7 +138,8 @@ func TestGoldenInferenceTiles(t *testing.T) {
 
 // TestTileSteadyStateAllocs holds one inference sweep — computeTile and
 // mergeTile over every tile of a 20-atom frame, energy only and with
-// forces — at zero allocations on a warm scratch.  Both are //lint:hot.
+// forces — at zero allocations on a warm scratch.  Both functions' doc
+// comments name this test as their allocation contract.
 func TestTileSteadyStateAllocs(t *testing.T) {
 	m := newTestModel(t, 24)
 	d := saltCell(20, 8.9)

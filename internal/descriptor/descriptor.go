@@ -212,9 +212,8 @@ func (e *Env) NeighborAtoms() []int { return e.nbrAtoms }
 // (0 disables periodicity): ScanEnv, then ForwardEnvBatch over a batch of
 // this one environment.  The Env comes from an internal pool; hand it
 // back with Release once its outputs are no longer needed, after which
-// repeated Forward/Release pairs allocate nothing.
-//
-//lint:hot
+// repeated Forward/Release pairs allocate nothing (TestSteadyStateAllocs
+// holds the pair at 0 allocs/op).
 func (d *Descriptor) Forward(coord []float64, types []int, box float64, i int) *Env {
 	env, _ := d.envPool.Get().(*Env)
 	env = d.ScanEnv(env, coord, types, box, i, nil)
@@ -227,8 +226,7 @@ func (d *Descriptor) Forward(coord []float64, types []int, box float64, i int) *
 
 // Release returns an Env obtained from Forward to the descriptor's pool.
 // The Env (including its Out slice) must not be used afterwards.
-//
-//lint:hot
+// TestSteadyStateAllocs holds a Forward/Release pair at 0 allocs/op.
 func (d *Descriptor) Release(env *Env) {
 	if env != nil {
 		d.envPool.Put(env)

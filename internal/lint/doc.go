@@ -5,9 +5,10 @@
 // packages, no exact float comparisons outside a small allowlist,
 // context hygiene in the distributed plane, lock discipline, no
 // silently dropped I/O errors on the persistence paths — and, across
-// the call graph, goroutine teardown, cross-package lock
-// ordering, interprocedural determinism taint and the 0-allocs/op
-// hot-path contract.
+// the call graph, goroutine teardown, cross-package lock ordering and
+// interprocedural determinism taint.  The 0-allocs/op contract of the
+// steady-state paths is not a rule here: testing.AllocsPerRun tests
+// hold it, each named in the doc comment of the function it pins.
 //
 // # One layer
 //
@@ -50,15 +51,6 @@
 // so a typo'd suppression can never silently protect nothing.
 // Interprocedural analyzers honor suppressions at the source: a
 // suppressed nondeterminism site does not taint its callers.
-//
-// Hot paths opt into the allocation contract with
-//
-//	//lint:hot
-//
-// in (or directly above) a function's doc comment: the function and
-// everything it calls transitively must be allocation-free in steady
-// state (see HotAlloc).  A //lint:hot that attaches to no function
-// declaration is reported.
 //
 // Remaining findings are gated against a committed baseline
 // (scripts/lint_baseline.txt) that may only shrink.

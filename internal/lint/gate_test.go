@@ -36,8 +36,8 @@ func TestBaselineMatchesFreshRun(t *testing.T) {
 		}
 	}
 	// Program.Run executes the full suite — package-local and
-	// interprocedural — so goroutineleak/lockorder/detflow/hotalloc
-	// findings gate here too, not just in the dedicated lint job.
+	// interprocedural — so goroutineleak/lockorder/detflow findings
+	// gate here too, not just in the dedicated lint job.
 	diags := NewProgram(pkgs).Run(All())
 	base, err := ReadBaseline(filepath.Join(root, "scripts", "lint_baseline.txt"))
 	if err != nil {
@@ -68,7 +68,6 @@ func TestAllStableOrder(t *testing.T) {
 		"goroutineleak",
 		"lockorder",
 		"detflow",
-		"hotalloc",
 	}
 	all := All()
 	if len(all) != len(want) {

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"strings"
 )
@@ -42,7 +41,7 @@ type Analyzer struct {
 }
 
 // All returns every analyzer in the suite, in stable order: the five
-// package-local rules, then the four built on the call graph.
+// package-local rules, then the three built on the call graph.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
@@ -53,7 +52,6 @@ func All() []*Analyzer {
 		GoroutineLeak,
 		LockOrder,
 		DetFlow,
-		HotAlloc,
 	}
 }
 
@@ -131,21 +129,4 @@ func parseIgnores(pkg *Package) (dirs []ignoreDirective, bad []Diagnostic) {
 		}
 	}
 	return dirs, bad
-}
-
-// pathEnclosing returns the AST node stack from file root down to the
-// innermost node covering pos (a lightweight astutil.PathEnclosingInterval).
-func pathEnclosing(file *ast.File, pos token.Pos) []ast.Node {
-	var stack []ast.Node
-	ast.Inspect(file, func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		if n.Pos() <= pos && pos < n.End() {
-			stack = append(stack, n)
-			return true
-		}
-		return false
-	})
-	return stack
 }

@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -31,21 +30,11 @@ type Program struct {
 	// receiver) method in the module, for interface-dispatch resolution.
 	methodIndex map[string][]*FuncNode
 
-	// hotOrphans records //lint:hot directives that are not attached to
-	// a function declaration; hotalloc reports them so a misplaced
-	// annotation cannot silently protect nothing.
-	hotOrphans []orphanDirective
-
 	ignores  map[string][]ignoreDirective // file -> parsed //lint:ignore directives
 	ignBad   []Diagnostic                 // malformed/unknown-rule directive findings
 	timings  []Timing
 	chanOnce bool
 	chans    *chanFacts
-}
-
-type orphanDirective struct {
-	pkg *Package
-	pos token.Pos
 }
 
 // Timing is one analyzer's wall-clock cost in the last Program.Run.
@@ -64,9 +53,6 @@ type FuncNode struct {
 	Pkg  *Package
 	Decl *ast.FuncDecl
 	Obj  *types.Func
-	// Hot marks functions annotated //lint:hot: the 0-allocs/op contract
-	// applies to them and everything they call.
-	Hot bool
 	// Out lists resolved outgoing call edges, in source order.
 	Out []CallEdge
 
@@ -139,7 +125,6 @@ func NewProgram(pkgs []*Package) *Program {
 	for _, n := range prog.nodes {
 		prog.buildEdges(n)
 	}
-	prog.markHot()
 	prog.parseAllIgnores()
 	return prog
 }
@@ -368,61 +353,6 @@ func (prog *Program) unreachableIn(n *FuncNode, pos token.Pos) bool {
 		}
 	}
 	return false
-}
-
-const hotPrefix = "lint:hot"
-
-// markHot attaches //lint:hot directives to their function
-// declarations and records orphans.
-func (prog *Program) markHot() {
-	for _, pkg := range prog.Pkgs {
-		for _, f := range pkg.Files {
-			decls := f.Decls
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-					if text != hotPrefix && !strings.HasPrefix(text, hotPrefix+" ") {
-						continue
-					}
-					line := pkg.Fset.Position(c.Pos()).Line
-					attached := false
-					for _, decl := range decls {
-						fd, ok := decl.(*ast.FuncDecl)
-						if !ok {
-							continue
-						}
-						declLine := pkg.Fset.Position(fd.Pos()).Line
-						docStart := declLine
-						if fd.Doc != nil {
-							docStart = pkg.Fset.Position(fd.Doc.Pos()).Line
-						}
-						if line == declLine-1 || (line >= docStart && line < declLine) {
-							if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-								if n := prog.Funcs[funcKeyOf(pkg, fd, obj)]; n != nil {
-									n.Hot = true
-									attached = true
-								}
-							}
-						}
-					}
-					if !attached {
-						prog.hotOrphans = append(prog.hotOrphans, orphanDirective{pkg: pkg, pos: c.Pos()})
-					}
-				}
-			}
-		}
-	}
-}
-
-// HotRoots returns the //lint:hot-annotated functions in key order.
-func (prog *Program) HotRoots() []*FuncNode {
-	var roots []*FuncNode
-	for _, n := range prog.nodes {
-		if n.Hot {
-			roots = append(roots, n)
-		}
-	}
-	return roots
 }
 
 // parseAllIgnores parses every package's //lint:ignore directives once,

@@ -153,21 +153,6 @@ func TestEngineUnreachableCall(t *testing.T) {
 	}
 }
 
-func TestEngineHotRoots(t *testing.T) {
-	prog := loadEngineProgram(t)
-	roots := prog.HotRoots()
-	if len(roots) != 1 || roots[0].Key != "alpha.Hot" {
-		var keys []string
-		for _, r := range roots {
-			keys = append(keys, r.Key)
-		}
-		t.Fatalf("HotRoots = %v, want [alpha.Hot]", keys)
-	}
-	if len(prog.hotOrphans) != 0 {
-		t.Errorf("engine fixture has %d orphan //lint:hot directives, want 0", len(prog.hotOrphans))
-	}
-}
-
 // TestEngineSuppressedAt: the program indexes every package's ignore
 // directives so interprocedural analyzers can keep suppressed sources
 // out of their summaries.

@@ -1,7 +1,7 @@
 // Package alpha is the engine-test fixture: it exercises every call
 // edge kind the call graph resolves (static, recursive, dynamic
 // dispatch, method-value references, go/defer flags) plus the
-// //lint:hot and //lint:ignore directive machinery.
+// //lint:ignore directive machinery.
 package alpha
 
 // Runner is the dispatch interface.
@@ -58,5 +58,5 @@ func Sorted(m map[string]int) []string {
 	return out
 }
 
-//lint:hot
+// Hot calls Helper statically.
 func Hot() int { return Helper(3) }

@@ -122,9 +122,9 @@ func (m *MLP) ParamCount() int {
 // windows of grad; a nil arena leaves that side as it is.  Every view is
 // capacity-clipped, so an append to one reallocates instead of
 // overwriting its neighbour.  Bind allocates nothing: a data-parallel
-// replica rebinds its gradients onto each worker's buffer it computes.
-//
-//lint:hot
+// replica rebinds its gradients onto each worker's buffer it computes,
+// and deepmd's TestBatchGradSteadyStateAllocs holds that step at 0
+// allocs/op.
 func Bind(layers []*Dense, param, grad []float64) {
 	off := 0
 	for _, l := range layers {

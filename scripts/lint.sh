@@ -2,12 +2,12 @@
 # Project-native static analysis gate.
 #
 # Runs the internal/lint suite over the whole module and fails on any
-# finding not covered by scripts/lint_baseline.txt.  Nine analyzers,
+# finding not covered by scripts/lint_baseline.txt.  Eight analyzers,
 # each run once over the whole program: five package-local
 # (determinism, floateq, ctxhygiene, lockdiscipline, errdiscard) and
-# four over the cross-package call graph (goroutineleak, lockorder,
-# detflow, hotalloc).  The baseline is
-# a ratchet: it may only shrink, and stale entries fail the gate too.
+# three over the cross-package call graph (goroutineleak, lockorder,
+# detflow).  The baseline is a ratchet: it may only shrink, and stale
+# entries fail the gate too.
 #
 # The expensive `go list -export` load is memoized in .lintcache/
 # (content-hashed over the toolchain, go.mod/go.sum and every tracked
