@@ -314,3 +314,93 @@ func TestInFlightQuotaBoundsConcurrency(t *testing.T) {
 		t.Fatalf("peak in-flight %d exceeds tenant quota 2", p)
 	}
 }
+
+// TestInFlightQuotaSpansCampaigns holds MaxInFlightPerTenant to its
+// meaning across campaigns: two running campaigns of one tenant share
+// one quota, and another tenant's campaign finishes while that quota is
+// held.  The evaluator holds every call until released; once alice has
+// her two evaluations in flight, any further call can only be bob's, so
+// those return at once.
+func TestInFlightQuotaSpansCampaigns(t *testing.T) {
+	var (
+		inflight, peak int64
+		fast           atomic.Bool
+		release        = make(chan struct{})
+	)
+	ev := ea.EvaluatorFunc(func(ctx context.Context, g ea.Genome) (ea.Fitness, error) {
+		if fast.Load() {
+			return ea.Fitness{g[0], -g[0]}, nil
+		}
+		cur := atomic.AddInt64(&inflight, 1)
+		defer atomic.AddInt64(&inflight, -1)
+		for {
+			old := atomic.LoadInt64(&peak)
+			if cur <= old || atomic.CompareAndSwapInt64(&peak, old, cur) {
+				break
+			}
+		}
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return ea.Fitness{g[0], -g[0]}, nil
+	})
+	svc := newTestService(t, func(cfg *service.Config) {
+		cfg.Evaluator = ev
+		cfg.MaxInFlightPerTenant = 2
+		cfg.MaxActivePerTenant = 2
+		cfg.DisableMemo = true
+	})
+	spec := func(tenant string, seed int64) service.Spec {
+		return service.Spec{Tenant: tenant, Runs: 2, PopSize: 4, Generations: intp(1), Parallelism: 4, BaseSeed: seed}
+	}
+	var alice []*service.Campaign
+	for _, seed := range []int64{1, 17} {
+		c, err := svc.Create(spec("alice", seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		alice = append(alice, c)
+	}
+	for _, c := range alice {
+		waitState(t, c, service.StateRunning)
+	}
+	for i := 0; atomic.LoadInt64(&inflight) < 2; i++ {
+		if i == 4000 {
+			t.Fatalf("alice never reached 2 evaluations in flight (at %d)", atomic.LoadInt64(&inflight))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Four lanes want 16 evaluations in flight; give any that escape the
+	// quota time to show.
+	time.Sleep(50 * time.Millisecond)
+	if p := atomic.LoadInt64(&peak); p > 2 {
+		t.Fatalf("peak in-flight %d across alice's two campaigns exceeds her quota 2", p)
+	}
+
+	fast.Store(true)
+	bob, err := svc.Create(spec("bob", 33))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, bob, service.StateDone)
+	if n := atomic.LoadInt64(&inflight); n != 2 {
+		t.Fatalf("alice has %d evaluations in flight while bob ran, want her 2 held", n)
+	}
+	for _, c := range alice {
+		if st := c.State(); st != service.StateRunning {
+			t.Fatalf("alice's campaign %s is %s before her evaluations were released", c.ID, st)
+		}
+	}
+	close(release)
+	for _, c := range alice {
+		waitState(t, c, service.StateDone)
+		if st := c.Status(); st.Evaluations != 2*4*2 || st.Failures != 0 {
+			t.Fatalf("alice's campaign status = %+v", st)
+		}
+	}
+	if p := atomic.LoadInt64(&peak); p > 2 {
+		t.Fatalf("peak in-flight %d across alice's two campaigns exceeds her quota 2", p)
+	}
+}
