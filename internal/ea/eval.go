@@ -51,14 +51,68 @@ type PoolConfig struct {
 	// Objectives is the fitness dimension, needed to build MAXINT failure
 	// fitnesses (2 in the paper: energy and force loss).
 	Objectives int
+	// Workers, if non-nil, runs the evaluations, perhaps shared with other
+	// calls; if nil, a call starts a Workers of Parallelism of its own.
+	Workers *Workers
 }
 
-// EvalPool pulls n individuals from the stream and evaluates them
-// concurrently, the analogue of LEAP's eval_pool(client=…, size=…).
-// Failed or timed-out individuals receive MaxFitness on every objective
-// rather than an error fitness, per §2.2.4, so that downstream
-// non-dominated sorting remains total.  The returned slice preserves pull
-// order.
+// Workers is a bounded set of evaluation goroutines, the fixed Dask
+// workers behind LEAP's eval_pool (§2.2.3–2.2.5): at most n start, on
+// demand, and each runs function after function until Close.  Callers
+// blocked in Go are served in arrival order.  Go must not race Close.
+type Workers struct {
+	work  chan func()   // unbuffered: a send lands on an idle goroutine
+	slots chan struct{} // one token per goroutine started
+	wg    sync.WaitGroup
+}
+
+// NewWorkers returns a Workers of at most n goroutines (at least one).
+func NewWorkers(n int) *Workers {
+	return &Workers{work: make(chan func()), slots: make(chan struct{}, max(n, 1))}
+}
+
+// Go runs f on an idle goroutine, a new one if fewer than n run, or the
+// first to come free; it returns false, and f does not run, if ctx ends.
+func (w *Workers) Go(ctx context.Context, f func()) bool {
+	if ctx.Err() != nil {
+		return false
+	}
+	select {
+	case w.work <- f:
+		return true
+	default:
+	}
+	select {
+	case w.work <- f:
+	case w.slots <- struct{}{}:
+		w.wg.Add(1)
+		go w.serve(f)
+	case <-ctx.Done():
+		return false
+	}
+	return true
+}
+
+func (w *Workers) serve(f func()) {
+	defer w.wg.Done()
+	for ok := true; ok; f, ok = <-w.work {
+		f()
+	}
+}
+
+// Close returns once every goroutine has finished its function and exited.
+func (w *Workers) Close() {
+	close(w.work)
+	w.wg.Wait()
+}
+
+// EvalPool pulls n individuals from the stream and evaluates them on
+// cfg.Workers, at most Parallelism at once, the analogue of LEAP's
+// eval_pool(client=…, size=…); timeout and Runtime start when a worker
+// takes the individual.  Failed or timed-out individuals receive
+// MaxFitness on every objective rather than an error fitness, per §2.2.4,
+// so that downstream non-dominated sorting remains total.  The returned
+// slice preserves pull order.
 //
 // Cancelling ctx aborts the campaign, not the individuals: evaluations
 // not yet launched stay unevaluated (Evaluated == false, Err records the
@@ -66,36 +120,34 @@ type PoolConfig struct {
 // evaluations are started once ctx is done.  Callers observe the abort
 // via ctx.Err(), mirroring how nsga2.Run discards the partial generation.
 func EvalPool(ctx context.Context, src Stream, n int, ev Evaluator, cfg PoolConfig) Population {
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = 1
-	}
+	par := max(cfg.Parallelism, 1)
 	if cfg.Objectives <= 0 {
 		cfg.Objectives = 2
 	}
-	inds := Take(src, n)
-
-	sem := make(chan struct{}, cfg.Parallelism)
-	var wg sync.WaitGroup
-	for _, ind := range inds {
-		if ctx.Err() != nil {
-			// Campaign aborted: stop launching, leave the rest unevaluated.
-			ind.Err = ctx.Err()
-			continue
-		}
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			ind.Err = ctx.Err()
-			continue
-		}
-		wg.Add(1)
-		go func(ind *Individual) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			EvaluateIndividual(ctx, ind, ev, cfg.Timeout, cfg.Objectives)
-		}(ind)
+	if cfg.Workers == nil {
+		cfg.Workers = NewWorkers(par)
+		defer cfg.Workers.Close()
 	}
-	wg.Wait()
+	inds := Take(src, n)
+	done := make(chan struct{}, par) // one token per finished evaluation
+	running := 0
+	for _, ind := range inds {
+		if running == par {
+			<-done
+			running--
+		}
+		if cfg.Workers.Go(ctx, func() {
+			EvaluateIndividual(ctx, ind, ev, cfg.Timeout, cfg.Objectives)
+			done <- struct{}{}
+		}) {
+			running++
+		} else {
+			ind.Err = ctx.Err() // aborted: left unevaluated
+		}
+	}
+	for ; running > 0; running-- {
+		<-done
+	}
 	return inds
 }
 

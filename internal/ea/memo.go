@@ -32,7 +32,7 @@ type MemoStats struct {
 }
 
 // memoEntry is one in-flight or completed evaluation.  done is closed
-// when fit/ok are final.
+// when fit/ok are final; the leader writes them before, unlocked.
 type memoEntry struct {
 	done chan struct{}
 	fit  Fitness
@@ -106,42 +106,25 @@ func (m *MemoEvaluator) Evaluate(ctx context.Context, g Genome) (Fitness, error)
 	}
 }
 
-// lead runs the inner evaluator as the singleflight leader for key,
-// publishes the result (or unpublishes the entry on failure) and
-// releases the waiters.  The deferred cleanup guards the gap between
-// publishing the in-flight entry and closing done: if the inner
-// evaluator panics, the entry is unpublished and done is closed anyway,
-// so waiters re-compete for leadership instead of blocking forever on a
-// channel nobody will ever close.  The panic itself propagates — the
-// evaluation pool's safeEvaluate converts it to a MAXINT failure — so
-// the caller's failure semantics are unchanged.
-func (m *MemoEvaluator) lead(ctx context.Context, key string, e *memoEntry, g Genome) (fit Fitness, err error) {
-	settled := false
+// lead runs the inner evaluator as the singleflight leader for key and
+// releases the waiters.  On failure, a panic included, the entry is
+// unpublished before done closes, so waiters re-compete for leadership
+// instead of inheriting the failure; the panic itself propagates, and the
+// evaluation pool's safeEvaluate turns it into a MAXINT failure.
+func (m *MemoEvaluator) lead(ctx context.Context, key string, e *memoEntry, g Genome) (Fitness, error) {
 	defer func() {
-		if settled {
-			return
+		if !e.ok {
+			m.mu.Lock()
+			delete(m.entries, key)
+			m.mu.Unlock()
 		}
-		m.mu.Lock()
-		delete(m.entries, key)
-		m.mu.Unlock()
 		close(e.done)
 	}()
-
-	fit, err = m.Inner.Evaluate(ctx, g)
-	m.mu.Lock()
-	if err != nil {
-		// Don't cache failures: remove the entry before releasing the
-		// waiters so a later occurrence retries.
-		delete(m.entries, key)
-	} else {
-		e.fit, e.ok = fit.Clone(), true
-	}
-	m.mu.Unlock()
-	settled = true
-	close(e.done)
+	fit, err := m.Inner.Evaluate(ctx, g)
 	if err != nil {
 		return nil, err
 	}
+	e.fit, e.ok = fit.Clone(), true // read only after done closes
 	return fit, nil
 }
 

@@ -29,6 +29,9 @@ type CampaignConfig struct {
 	Evaluator ea.Evaluator
 	// Parallelism is concurrent evaluations per run (the worker count).
 	Parallelism int
+	// Workers, if non-nil, runs every run's evaluations (ea.PoolConfig's
+	// Workers); each run otherwise starts its own.
+	Workers *ea.Workers
 	// EvalTimeout is the per-evaluation wall limit (2 h in the paper).
 	EvalTimeout time.Duration
 	// AnnealFactor multiplies mutation σ per generation; zero means
@@ -180,6 +183,7 @@ func poolFromConfig(cfg CampaignConfig) ea.PoolConfig {
 		Parallelism: cfg.Parallelism,
 		Timeout:     cfg.EvalTimeout,
 		Objectives:  2,
+		Workers:     cfg.Workers,
 	}
 }
 

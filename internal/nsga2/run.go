@@ -149,7 +149,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 // bits of one that never stopped.  logged holds at most Generations+1
 // records; the result holds them, then the new ones, and the search
 // re-ranks their individuals.  Observer sees only the generations this
-// call evaluates.
+// call evaluates.  Pool.Workers defaults to one Workers for the run.
 func Continue(ctx context.Context, cfg Config, logged []GenerationRecord) (*Result, error) {
 	e, err := newEngine(cfg)
 	if err != nil {
@@ -157,6 +157,10 @@ func Continue(ctx context.Context, cfg Config, logged []GenerationRecord) (*Resu
 	}
 	if len(logged) > cfg.Generations+1 {
 		return nil, fmt.Errorf("nsga2: the log holds %d generations, the run has %d", len(logged), cfg.Generations+1)
+	}
+	if e.cfg.Pool.Workers == nil {
+		e.cfg.Pool.Workers = ea.NewWorkers(e.cfg.Pool.Parallelism)
+		defer e.cfg.Pool.Workers.Close()
 	}
 	res := &Result{}
 	pending := make(ea.Population, 0, cfg.PopSize) // EvalPool keeps no reference to it

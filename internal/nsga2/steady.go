@@ -2,7 +2,6 @@ package nsga2
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/ea"
 )
@@ -31,67 +30,44 @@ func RunSteadyState(ctx context.Context, cfg Config) (final, all ea.Population, 
 	budget := cfg.PopSize * (cfg.Generations + 1)
 	par := max(cfg.Pool.Parallelism, 1)
 
-	// The policy runs in this goroutine (owning the engine); workers
-	// evaluate concurrently.
-	jobs := make(chan *ea.Individual, par)
+	workers := cfg.Pool.Workers
+	if workers == nil {
+		workers = ea.NewWorkers(par)
+		defer workers.Close()
+	}
+	// The policy runs in this goroutine (owning the engine) and keeps at
+	// most par evaluations in flight, so the sends on done never block.
+	// Once ctx ends it launches nothing and waits for those in flight.
 	done := make(chan *ea.Individual, par)
-
-	var wg sync.WaitGroup
-	workerCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ind := range jobs {
-				if !ind.Evaluated { // a warm-start member keeps its fitness
-					ea.EvaluateIndividual(workerCtx, ind, cfg.Evaluator, cfg.Pool.Timeout, cfg.Pool.Objectives)
-				}
-				select {
-				case done <- ind:
-				case <-workerCtx.Done():
-					return
-				}
-			}
-		}()
-	}
-	stop := func() {
-		close(jobs)
-		cancel()
-		wg.Wait()
-	}
-
-	// Prime every worker, then replace each completion with one dispatch:
-	// at most par jobs are ever in flight, so the buffered sends below
-	// never block.
-	dispatched, completed := 0, 0
-	for ; dispatched < min(par, budget); dispatched++ {
-		jobs <- e.ask(1, 1+completed/cfg.PopSize)[0]
-	}
+	dispatched, completed, running := 0, 0, 0
 	for completed < budget {
-		select {
-		case ind := <-done:
-			if !ind.Evaluated {
-				// Cancellation propagated from EvaluateIndividual: the
-				// individual carries no fitness, so it must not enter the
-				// sorted population; the ctx.Done branch ends the run.
-				continue
+		for ; dispatched < budget && running < par; dispatched++ {
+			ind := e.ask(1, 1+completed/cfg.PopSize)[0]
+			if !workers.Go(ctx, func() {
+				if !ind.Evaluated { // a warm-start member keeps its fitness
+					ea.EvaluateIndividual(ctx, ind, cfg.Evaluator, cfg.Pool.Timeout, cfg.Pool.Objectives)
+				}
+				done <- ind
+			}) {
+				break
 			}
-			completed++
-			all = append(all, ind)
-			e.tell(ea.Population{ind})
-			if completed%cfg.PopSize == 0 {
-				e.eaCtx.AnnealStd(cfg.AnnealFactor)
-			}
-			if dispatched < budget {
-				jobs <- e.ask(1, 1+completed/cfg.PopSize)[0]
-				dispatched++
-			}
-		case <-ctx.Done():
-			stop()
+			running++
+		}
+		if running == 0 {
 			return nil, nil, ctx.Err()
 		}
+		ind := <-done
+		running--
+		if !ind.Evaluated {
+			// Cancelled: no fitness, so it must not enter the population.
+			continue
+		}
+		completed++
+		all = append(all, ind)
+		e.tell(ea.Population{ind})
+		if completed%cfg.PopSize == 0 {
+			e.eaCtx.AnnealStd(cfg.AnnealFactor)
+		}
 	}
-	stop()
 	return e.pop, all, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -75,6 +76,50 @@ func TestSteadyStateBudgetExactAndSaturated(t *testing.T) {
 	}
 	if p := atomic.LoadInt64(&peak); p > 5 {
 		t.Errorf("peak concurrency %d exceeds Parallelism 5", p)
+	}
+}
+
+// TestSteadyStateSharesWorkers runs two steady-state searches on one
+// Workers larger than either's Parallelism: each keeps its exact budget
+// and never has more than Parallelism evaluations in flight.
+func TestSteadyStateSharesWorkers(t *testing.T) {
+	workers := ea.NewWorkers(8)
+	defer workers.Close()
+	peaks := make([]int64, 2)
+	var wg sync.WaitGroup
+	for i := range peaks {
+		var inFlight int64
+		ev := ea.EvaluatorFunc(func(_ context.Context, g ea.Genome) (ea.Fitness, error) {
+			cur := atomic.AddInt64(&inFlight, 1)
+			for {
+				old := atomic.LoadInt64(&peaks[i])
+				if cur <= old || atomic.CompareAndSwapInt64(&peaks[i], old, cur) {
+					break
+				}
+			}
+			time.Sleep(time.Millisecond)
+			atomic.AddInt64(&inFlight, -1)
+			return ea.Fitness{g[0], 1 - g[0]}, nil
+		})
+		cfg := Config{
+			PopSize: 10, Generations: 5,
+			Bounds:     ea.Bounds{{Lo: 0, Hi: 1}},
+			InitialStd: []float64{0.1},
+			Evaluator:  ev, Pool: ea.PoolConfig{Parallelism: 3, Workers: workers}, Seed: int64(2 + i),
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, all, err := RunSteadyState(context.Background(), cfg); err != nil || len(all) != 60 {
+				t.Errorf("search %d: %d evaluated, err %v; want exactly 60", i, len(all), err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, p := range peaks {
+		if p > 3 {
+			t.Errorf("search %d: peak concurrency %d exceeds Parallelism 3", i, p)
+		}
 	}
 }
 

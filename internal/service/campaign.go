@@ -354,15 +354,16 @@ func (c *Campaign) Status() Status {
 }
 
 // campaignConfig is the hpo configuration of c: what hpo.RunCampaign
-// would run for its spec.  The evaluator chain is shared-memo behind the
-// tenant's in-flight gate, which is what bounds the lanes' total.
-func (s *Service) campaignConfig(c *Campaign, t *tenant) hpo.CampaignConfig {
+// would run for its spec, evaluated through the shared memo on the
+// tenant's workers, which is what bounds the lanes' total.
+func (s *Service) campaignConfig(c *Campaign, w *ea.Workers) hpo.CampaignConfig {
 	return hpo.CampaignConfig{
 		Runs:         c.Spec.Runs,
 		PopSize:      c.Spec.PopSize,
 		Generations:  c.Spec.gens(),
-		Evaluator:    gatedEvaluator{inner: s.eval, gate: t.gate},
+		Evaluator:    s.eval,
 		Parallelism:  c.Spec.Parallelism,
+		Workers:      w,
 		EvalTimeout:  time.Duration(c.Spec.EvalTimeoutMS) * time.Millisecond,
 		AnnealFactor: c.Spec.AnnealFactor,
 		BaseSeed:     c.Spec.BaseSeed,
@@ -376,7 +377,7 @@ func (s *Service) campaignConfig(c *Campaign, t *tenant) hpo.CampaignConfig {
 //
 // The first lane error cancels the sibling lanes; run returns only after
 // every lane has, and classifies the campaign once.
-func (s *Service) run(ctx context.Context, c *Campaign, t *tenant) {
+func (s *Service) run(ctx context.Context, c *Campaign, t *tenant, w *ea.Workers) {
 	defer s.wg.Done()
 	defer s.release(c, t)
 
@@ -395,7 +396,7 @@ func (s *Service) run(ctx context.Context, c *Campaign, t *tenant) {
 		laneErr error
 	)
 	runLane := func(r int) {
-		if err := s.lane(laneCtx, c, t, r); err != nil {
+		if err := s.lane(laneCtx, c, w, r); err != nil {
 			failed.Do(func() {
 				laneErr = err
 				stop()
@@ -431,8 +432,8 @@ func (s *Service) run(ctx context.Context, c *Campaign, t *tenant) {
 // is the only writer of its run, in memory and in the checkpoint.  The
 // generation that brings the slowest run level completes a generation
 // of the campaign and reports it.
-func (s *Service) lane(ctx context.Context, c *Campaign, t *tenant, r int) error {
-	cfg := s.campaignConfig(c, t)
+func (s *Service) lane(ctx context.Context, c *Campaign, w *ea.Workers, r int) error {
+	cfg := s.campaignConfig(c, w)
 	run := c.runResult(r)
 	var line []byte // the lane's checkpoint line buffer, reused for every record
 	cfg.Observer = func(_, gen int, evaluated, survivors ea.Population) {
@@ -501,5 +502,3 @@ func (s *Service) finishLane(ctx context.Context, c *Campaign, laneErr error) {
 	c.emit(Event{Type: typ, Gen: gd, Detail: laneErr.Error()})
 	s.logf("campaign_"+typ, "id", c.ID, "tenant", c.Tenant, "gens_done", gd, "err", laneErr)
 }
-
-var _ ea.Evaluator = gatedEvaluator{}

@@ -26,7 +26,9 @@
 // another: one run's stragglers overlap with the other runs'
 // evaluations instead of idling the fleet at a barrier five times per
 // generation.  A campaign has up to runs × parallelism evaluations in
-// flight, capped by its tenant's MaxInFlightPerTenant.
+// flight, on its tenant's MaxInFlightPerTenant evaluation goroutines,
+// which the tenant's lanes take in turn, and which it holds only while
+// it has a campaign running.
 //
 // The campaign is as far as its slowest run: gens_done is the minimum
 // over runs, and each time it advances the service emits one generation
@@ -50,6 +52,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -86,10 +89,10 @@ type Config struct {
 	// MaxCampaignsPerTenant caps one tenant's queued+running campaigns;
 	// creation beyond it is rejected with 429 (default 16).
 	MaxCampaignsPerTenant int
-	// MaxInFlightPerTenant caps one tenant's concurrent evaluation
-	// requests against the shared fleet (default 64).  It is what bounds
-	// a campaign's lanes: runs × parallelism evaluations want to be in
-	// flight, and this many are.
+	// MaxInFlightPerTenant caps one tenant's concurrent evaluations against
+	// the shared fleet (default 64): its running campaigns share this many
+	// evaluation goroutines.  It is what bounds a campaign's lanes: runs ×
+	// parallelism evaluations want to be in flight, and this many are.
 	MaxInFlightPerTenant int
 	// EventBuffer is the per-campaign event-ring capacity (default 256).
 	EventBuffer int
@@ -122,11 +125,11 @@ func (cfg Config) withDefaults() Config {
 // tenant is one client namespace sharing the fleet.
 type tenant struct {
 	name      string
-	queue     []*Campaign   // admission FIFO
-	active    int           // campaigns currently running
-	total     int           // queued + running (quota basis)
-	lastAdmit int64         // admitSeq of this tenant's latest admission
-	gate      chan struct{} // in-flight evaluation semaphore
+	queue     []*Campaign // admission FIFO
+	active    int         // campaigns currently running
+	total     int         // queued + running (quota basis)
+	lastAdmit int64       // admitSeq of this tenant's latest admission
+	workers   *ea.Workers // the in-flight quota; nil while active == 0
 }
 
 // Service owns the campaign registry, the admission loop and the shared
@@ -136,7 +139,7 @@ type Service struct {
 	cfg        Config
 	memo       *ea.MemoEvaluator
 	eval       ea.Evaluator // shared chain: memo? → counting → backend
-	evalsTotal int64        // atomic: evaluations dispatched to the backend
+	evalsTotal atomic.Int64 // evaluations dispatched to the backend
 
 	ckptAppends int64 // atomic: checkpoint writes (a header or one appended line)
 	ckptBytes   int64 // atomic: bytes those writes put on disk
@@ -168,41 +171,15 @@ func New(cfg Config) (*Service, error) {
 		campaigns: make(map[string]*Campaign),
 		tenants:   make(map[string]*tenant),
 	}
-	s.eval = countingEvaluator{inner: cfg.Evaluator, n: &s.evalsTotal}
+	s.eval = ea.EvaluatorFunc(func(ctx context.Context, g ea.Genome) (ea.Fitness, error) {
+		s.evalsTotal.Add(1) // memo hits never get here
+		return cfg.Evaluator.Evaluate(ctx, g)
+	})
 	if !cfg.DisableMemo {
 		s.memo = ea.NewMemoEvaluator(s.eval)
 		s.eval = s.memo
 	}
 	return s, nil
-}
-
-// countingEvaluator counts evaluations that actually reach the backend
-// (memo hits never get here): the /metrics eval-throughput counter.
-type countingEvaluator struct {
-	inner ea.Evaluator
-	n     *int64
-}
-
-func (c countingEvaluator) Evaluate(ctx context.Context, g ea.Genome) (ea.Fitness, error) {
-	atomic.AddInt64(c.n, 1)
-	return c.inner.Evaluate(ctx, g)
-}
-
-// gatedEvaluator enforces a tenant's in-flight evaluation quota in front
-// of the shared chain.
-type gatedEvaluator struct {
-	inner ea.Evaluator
-	gate  chan struct{}
-}
-
-func (g gatedEvaluator) Evaluate(ctx context.Context, genome ea.Genome) (ea.Fitness, error) {
-	select {
-	case g.gate <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer func() { <-g.gate }()
-	return g.inner.Evaluate(ctx, genome)
 }
 
 // tenantLocked returns (creating if needed) the tenant record.  Caller
@@ -211,12 +188,9 @@ func (s *Service) tenantLocked(name string) *tenant {
 	if t, ok := s.tenants[name]; ok {
 		return t
 	}
-	t := &tenant{name: name, gate: make(chan struct{}, s.cfg.MaxInFlightPerTenant)}
+	t := &tenant{name: name}
 	s.tenants[name] = t
-	i := sort.SearchStrings(s.tenantOrder, name)
-	s.tenantOrder = append(s.tenantOrder, "")
-	copy(s.tenantOrder[i+1:], s.tenantOrder[i:])
-	s.tenantOrder[i] = name
+	s.tenantOrder = slices.Insert(s.tenantOrder, sort.SearchStrings(s.tenantOrder, name), name)
 	return t
 }
 
@@ -301,6 +275,9 @@ func (s *Service) dispatchLocked() {
 		}
 		c := best.queue[0]
 		best.queue = best.queue[1:]
+		if best.workers == nil {
+			best.workers = ea.NewWorkers(s.cfg.MaxInFlightPerTenant)
+		}
 		best.active++
 		s.active++
 		s.admitSeq++
@@ -312,20 +289,29 @@ func (s *Service) dispatchLocked() {
 		c.admitSeq = s.admitSeq
 		c.mu.Unlock()
 		s.wg.Add(1)
-		go s.run(ctx, c, best)
+		go s.run(ctx, c, best, best.workers)
 	}
 }
 
-// release returns a finished campaign's capacity and re-dispatches.
+// release returns a finished campaign's capacity and re-dispatches.  A
+// tenant left with no running campaign closes its workers, which Drain
+// waits for: run leaves s.wg after release returns.
 func (s *Service) release(c *Campaign, t *tenant) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.active--
 	t.active--
 	if c.State().Terminal() {
 		t.total--
 	}
 	s.dispatchLocked()
+	var idle *ea.Workers
+	if t.active == 0 {
+		idle, t.workers = t.workers, nil
+	}
+	s.mu.Unlock()
+	if idle != nil {
+		idle.Close()
+	}
 }
 
 // Campaign looks a campaign up by ID.
@@ -444,7 +430,7 @@ func (s *Service) Drain(ctx context.Context) error {
 }
 
 // EvaluationsTotal reports evaluations dispatched to the backend.
-func (s *Service) EvaluationsTotal() int64 { return atomic.LoadInt64(&s.evalsTotal) }
+func (s *Service) EvaluationsTotal() int64 { return s.evalsTotal.Load() }
 
 // MemoStats returns the shared memo-cache counters (zero when disabled).
 func (s *Service) MemoStats() ea.MemoStats {

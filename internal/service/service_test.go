@@ -3,6 +3,7 @@ package service_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -403,4 +404,54 @@ func TestInFlightQuotaSpansCampaigns(t *testing.T) {
 	if p := atomic.LoadInt64(&peak); p > 2 {
 		t.Fatalf("peak in-flight %d across alice's two campaigns exceeds her quota 2", p)
 	}
+}
+
+// TestQuotaWaitIsNotEvaluationTime holds the paper's time limit to the
+// evaluation itself (§2.2.4): an individual waiting for its tenant's
+// in-flight quota is not yet being evaluated, so neither its timeout nor
+// its runtime runs.  Four 40 ms evaluations through a quota of one take
+// 160 ms end to end; none may time out against a 100 ms limit.  Once the
+// campaign is done, its tenant holds no evaluation goroutine.
+func TestQuotaWaitIsNotEvaluationTime(t *testing.T) {
+	slow := ea.EvaluatorFunc(func(ctx context.Context, g ea.Genome) (ea.Fitness, error) {
+		select {
+		case <-time.After(40 * time.Millisecond):
+			return ea.Fitness{g[0], -g[0]}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	})
+	svc := newTestService(t, func(cfg *service.Config) {
+		cfg.Evaluator = slow
+		cfg.MaxInFlightPerTenant = 1
+		cfg.DisableMemo = true
+	})
+	c, err := svc.Create(service.Spec{
+		Tenant: "alice", Runs: 1, PopSize: 4, Generations: intp(0), Parallelism: 4, EvalTimeoutMS: 100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, c, service.StateDone)
+	if st := c.Status(); st.Evaluations != 4 || st.Failures != 0 {
+		t.Fatalf("status = %+v, want 4 evaluations and no failures", st)
+	}
+	for _, ind := range c.Result().Runs[0].Generations[0].Evaluated {
+		if ms := ind.Runtime.Milliseconds(); ms >= 100 || ind.Err != nil {
+			t.Fatalf("individual %s: runtime_ms %d, err %v; want under 100 and no error", ind.ID, ms, ind.Err)
+		}
+	}
+	// The state settles before the campaign's capacity is released.
+	for i := 0; workerGoroutines() > 0; i++ {
+		if i == 400 {
+			t.Fatalf("%d evaluation goroutines left after the tenant's only campaign finished", workerGoroutines())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// workerGoroutines counts the goroutines serving an ea.Workers.
+func workerGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "ea.(*Workers).serve")
 }
