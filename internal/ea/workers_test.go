@@ -128,9 +128,7 @@ func TestWorkersParallelismBoundsEachCall(t *testing.T) {
 // one reused goroutine; Close waits for a running function, and returns
 // only once every goroutine it started has exited.
 func TestWorkersStartOnDemandAndCloseWaits(t *testing.T) {
-	if n, _ := workerGoroutines(); n != 0 {
-		t.Fatalf("%d worker goroutines before the test", n)
-	}
+	noWorkers(t, "before the test")
 	w := NewWorkers(4)
 	for i := 0; i < 5; i++ {
 		if !w.Go(context.Background(), func() {}) {
@@ -175,7 +173,90 @@ func TestWorkersStartOnDemandAndCloseWaits(t *testing.T) {
 	}
 	close(release)
 	<-closed
-	if n, _ := workerGoroutines(); n != 0 {
-		t.Errorf("%d worker goroutines after Close returned, want 0", n)
+	noWorkers(t, "after Close returned")
+}
+
+// noWorkers fails unless no worker goroutine is left.  A goroutine has
+// signalled Close from its last deferred call, so it may still be on
+// its way out: give it a moment, not a function's worth of work.
+func noWorkers(t *testing.T, when string) {
+	t.Helper()
+	for i := 0; ; i++ {
+		n, _ := workerGoroutines()
+		if n == 0 {
+			return
+		}
+		if i == 100 {
+			t.Fatalf("%d worker goroutines %s, want 0", n, when)
+		}
+		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestWorkersServeWaitersInArrivalOrder: callers blocked in Go on a full
+// Workers get its goroutine first come, first served, which is what
+// makes a tenant's lanes take the quota round-robin.
+func TestWorkersServeWaitersInArrivalOrder(t *testing.T) {
+	w := NewWorkers(1)
+	defer w.Close()
+	release := make(chan struct{})
+	busy := make(chan struct{})
+	w.Go(context.Background(), func() { close(busy); <-release })
+	<-busy
+
+	const waiters = 5
+	var (
+		mu    sync.Mutex
+		order []int
+		wg    sync.WaitGroup
+	)
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.Go(context.Background(), func() {
+				mu.Lock()
+				order = append(order, i)
+				mu.Unlock()
+			})
+		}()
+		// Caller i must be parked in Go before caller i+1 arrives.
+		for j := 0; blockedInGo() < i+1; j++ {
+			if j == 2000 {
+				t.Fatalf("caller %d never blocked in Go", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	close(release)
+	wg.Wait()
+	for n := 0; ; n++ { // the last function may still be running
+		mu.Lock()
+		got := append([]int(nil), order...)
+		mu.Unlock()
+		if len(got) == waiters {
+			for i, v := range got {
+				if v != i {
+					t.Fatalf("waiters ran in order %v, want arrival order", got)
+				}
+			}
+			return
+		}
+		if n == 2000 {
+			t.Fatalf("only %d of %d functions ran", len(got), waiters)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// blockedInGo counts goroutines parked in Workers.Go's select.
+func blockedInGo() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "[select") && strings.Contains(g, "ea.(*Workers).Go(") {
+			n++
+		}
+	}
+	return n
 }
