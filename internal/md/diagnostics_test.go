@@ -6,38 +6,6 @@ import (
 	"testing"
 )
 
-func TestMSDGrowsInLiquid(t *testing.T) {
-	skipTrajectoryUnderRace(t)
-	rng := rand.New(rand.NewSource(1))
-	sys := NewSystem(rng, PaperComposition(), 17.84, 900) // hot melt diffuses fast
-	pot := NewPaperBMH(5.0)
-	it := NewIntegrator(pot, Langevin{T: 900, Gamma: 0.01, Rng: rng}, 0.5)
-	it.Run(sys, 500, 0, nil) // equilibrate
-
-	msd := NewMSD(-1)
-	msd.Start(sys)
-	step := 0
-	it.Run(sys, 1000, 50, func(s int) {
-		step = s
-		msd.Sample(sys, float64(s)*0.5)
-	})
-	_ = step
-	times, values := msd.Series()
-	if len(times) != 20 {
-		t.Fatalf("got %d samples, want 20", len(times))
-	}
-	if values[len(values)-1] <= values[0] {
-		t.Errorf("MSD did not grow: %v -> %v", values[0], values[len(values)-1])
-	}
-	d, err := msd.DiffusionCoefficient()
-	if err != nil {
-		t.Fatalf("DiffusionCoefficient: %v", err)
-	}
-	if d <= 0 {
-		t.Errorf("diffusion coefficient %v, want positive (liquid)", d)
-	}
-}
-
 func TestMSDZeroWithoutMotion(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	sys := NewSystem(rng, []Species{K, Cl}, 8, 300)

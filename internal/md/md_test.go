@@ -242,32 +242,75 @@ func TestPositionsStayWrapped(t *testing.T) {
 	}
 }
 
+// generatorFrames integrates the paper cell the way dataset.Generate does
+// (498 K, Langevin γ = 0.02 /fs, dt = 0.5 fs, cutoff 5 Å): equil steps are
+// discarded, then a copy of the wrapped positions is taken every `every`
+// steps, n times.
+func generatorFrames(seed int64, equil, every, n int) (*System, [][]Vec3) {
+	rng := rand.New(rand.NewSource(seed))
+	sys := NewSystem(rng, PaperComposition(), 17.84, 498)
+	it := NewIntegrator(NewPaperBMH(5.0), Langevin{T: 498, Gamma: 0.02, Rng: rng}, 0.5)
+	it.Run(sys, equil, 0, nil)
+	frames := [][]Vec3{append([]Vec3(nil), sys.Pos...)}
+	it.Run(sys, every*n, every, func(int) {
+		frames = append(frames, append([]Vec3(nil), sys.Pos...))
+	})
+	return sys, frames
+}
+
+// TestMSDGrowsInLiquid checks that the generator's 498 K melt diffuses:
+// the mean-square displacement of the unwrapped positions keeps growing
+// through the second half of a 300 fs window.  A 300 fs window cannot
+// tell a melt from a slowly relaxing glass; it catches atoms that stop
+// moving and unwrapping that loses track of boundary crossings.
+func TestMSDGrowsInLiquid(t *testing.T) {
+	skipTrajectoryUnderRace(t)
+	sys, frames := generatorFrames(1, 300, 20, 30)
+	unwrap := append([]Vec3(nil), frames[0]...)
+	msd := make([]float64, len(frames))
+	for f := 1; f < len(frames); f++ {
+		sum := 0.0
+		for i, p := range frames[f] {
+			// Minimum-image continuity: atoms move far less than half a
+			// box in 10 fs.
+			unwrap[i] = unwrap[i].Add(sys.Wrap(p.Sub(frames[f-1][i])))
+			d := unwrap[i].Sub(frames[0][i])
+			sum += d.Dot(d)
+		}
+		msd[f] = sum / float64(sys.N())
+	}
+	mid, last := msd[len(msd)/2], msd[len(msd)-1]
+	if mid <= 0 || last < 1.2*mid {
+		t.Errorf("MSD %v Å² at 150 fs -> %v Å² at 300 fs, want growth of at least 20%% (liquid)", mid, last)
+	}
+}
+
+// TestRDFHasExcludedCore checks the generator's Al–Cl structure: g(r) is
+// zero inside the 1.2 Å hard core, and the first coordination shell
+// (< 3 Å) is populated.
 func TestRDFHasExcludedCore(t *testing.T) {
 	skipTrajectoryUnderRace(t)
-	rng := rand.New(rand.NewSource(11))
-	sys := NewSystem(rng, PaperComposition(), 17.84, 498)
-	pot := NewPaperBMH(5.0)
-	it := NewIntegrator(pot, Berendsen{T: 498, Tau: 25}, 0.5)
-	it.Run(sys, 300, 0, nil)
-
-	rdf := NewRDF(Al, Cl, 6.0, 60)
-	it.Run(sys, 200, 20, func(step int) { rdf.Accumulate(sys) })
-	centers, g := rdf.Result(sys)
-	// No Al-Cl pairs inside the hard core (< 1.2 Å).
-	for k, c := range centers {
-		if c < 1.2 && g[k] > 0 {
-			t.Errorf("g(%v Å) = %v inside excluded core", c, g[k])
+	sys, frames := generatorFrames(11, 300, 20, 10)
+	shell := 0
+	for _, pos := range frames[1:] {
+		sys.Pos = pos
+		for i, si := range sys.Species {
+			for j, sj := range sys.Species {
+				if si != Al || sj != Cl {
+					continue
+				}
+				r := sys.Displacement(i, j).Norm()
+				if r < 1.2 {
+					t.Fatalf("Al %d – Cl %d at %v Å, inside the excluded core", i, j, r)
+				}
+				if r < 3 {
+					shell++
+				}
+			}
 		}
 	}
-	// Some structure must exist beyond the core.
-	var peak float64
-	for _, v := range g {
-		if v > peak {
-			peak = v
-		}
-	}
-	if peak < 0.5 {
-		t.Errorf("RDF peak %v, want > 0.5 (liquid structure)", peak)
+	if shell == 0 {
+		t.Error("no Al–Cl pair within 3 Å: first coordination shell empty")
 	}
 }
 
