@@ -69,20 +69,6 @@ func reduceChunk(dst []float64, buffers [][]float64, k int) {
 	}
 }
 
-// ShardIndices partitions frame indices [0, total) round-robin across
-// nWorkers, returning worker w's shard.  Round-robin keeps shards balanced
-// for any total.
-func ShardIndices(total, nWorkers, w int) []int {
-	if nWorkers <= 0 || w < 0 || w >= nWorkers {
-		return nil
-	}
-	var out []int
-	for i := w; i < total; i += nWorkers {
-		out = append(out, i)
-	}
-	return out
-}
-
 // Group runs the data-parallel step "workers compute → reduce to the
 // mean": NWorkers gradient computations per step, at most Replicas of
 // them at once.  This mirrors the paper's 6-GPU-per-node Horovod layout,

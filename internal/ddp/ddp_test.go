@@ -182,50 +182,6 @@ func TestAllReduceEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestShardIndicesPartition(t *testing.T) {
-	total, workers := 17, 6
-	seen := map[int]int{}
-	for w := 0; w < workers; w++ {
-		for _, i := range ShardIndices(total, workers, w) {
-			seen[i]++
-		}
-	}
-	if len(seen) != total {
-		t.Errorf("shards cover %d of %d indices", len(seen), total)
-	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Errorf("index %d covered %d times", i, c)
-		}
-	}
-	// Balance: shard sizes differ by at most 1.
-	min, max := total, 0
-	for w := 0; w < workers; w++ {
-		n := len(ShardIndices(total, workers, w))
-		if n < min {
-			min = n
-		}
-		if n > max {
-			max = n
-		}
-	}
-	if max-min > 1 {
-		t.Errorf("shard imbalance: %d vs %d", min, max)
-	}
-}
-
-func TestShardIndicesEdgeCases(t *testing.T) {
-	if ShardIndices(10, 0, 0) != nil {
-		t.Error("0 workers should return nil")
-	}
-	if ShardIndices(10, 4, 4) != nil {
-		t.Error("out-of-range worker should return nil")
-	}
-	if got := ShardIndices(2, 6, 5); got != nil {
-		t.Errorf("worker beyond data should get empty shard, got %v", got)
-	}
-}
-
 func TestGroupStepAverages(t *testing.T) {
 	for _, replicas := range []int{1, 2, 4, 9} {
 		g := NewGroup(4, replicas, 2)

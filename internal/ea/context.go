@@ -2,23 +2,20 @@ package ea
 
 import "sync"
 
-// Context is run-time state shared by pipeline operators across
-// generations, the analogue of LEAP's global context dictionary.  The
-// paper stores the vector of Gaussian-mutation standard deviations in
-// context['std'] and multiplies it by the annealing factor after each
-// generation (§2.2.3).
+// Context is the run-time state pipeline operators share across
+// generations: the vector of Gaussian-mutation standard deviations, which
+// the paper keeps in LEAP's context['std'] and multiplies by the
+// annealing factor after each generation (§2.2.3).
 type Context struct {
-	mu         sync.Mutex
-	std        []float64
-	generation int
-	values     map[string]interface{}
+	mu  sync.Mutex
+	std []float64
 }
 
 // NewContext creates a context with an initial mutation-σ vector.
 func NewContext(std []float64) *Context {
 	s := make([]float64, len(std))
 	copy(s, std)
-	return &Context{std: s, values: make(map[string]interface{})}
+	return &Context{std: s}
 }
 
 // Std returns a copy of the current mutation standard deviations.
@@ -38,35 +35,4 @@ func (c *Context) AnnealStd(factor float64) {
 	for i := range c.std {
 		c.std[i] *= factor
 	}
-}
-
-// Generation returns the current generation counter.
-func (c *Context) Generation() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.generation
-}
-
-// AdvanceGeneration increments the generation counter and returns the new
-// value.
-func (c *Context) AdvanceGeneration() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.generation++
-	return c.generation
-}
-
-// Set stores an arbitrary named value, like LEAP's context dict entries.
-func (c *Context) Set(key string, v interface{}) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.values[key] = v
-}
-
-// Get retrieves a named value and whether it was present.
-func (c *Context) Get(key string) (interface{}, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.values[key]
-	return v, ok
 }

@@ -162,28 +162,6 @@ func TestContextAnneal(t *testing.T) {
 	}
 }
 
-func TestContextGenerationCounter(t *testing.T) {
-	ctx := NewContext(nil)
-	if ctx.Generation() != 0 {
-		t.Errorf("initial generation = %d", ctx.Generation())
-	}
-	if g := ctx.AdvanceGeneration(); g != 1 {
-		t.Errorf("AdvanceGeneration = %d, want 1", g)
-	}
-}
-
-func TestContextValues(t *testing.T) {
-	ctx := NewContext(nil)
-	ctx.Set("runs", 5)
-	v, ok := ctx.Get("runs")
-	if !ok || v.(int) != 5 {
-		t.Errorf("Get(runs) = %v, %v", v, ok)
-	}
-	if _, ok := ctx.Get("missing"); ok {
-		t.Error("Get(missing) reported present")
-	}
-}
-
 func TestTakePanicsOnShortStream(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -191,19 +169,6 @@ func TestTakePanicsOnShortStream(t *testing.T) {
 		}
 	}()
 	Take(Source(Population{}), 1)
-}
-
-func TestUniformCrossoverPreservesMultiset(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := NewIndividual(Genome{1, 1, 1, 1})
-	b := NewIndividual(Genome{2, 2, 2, 2})
-	out := Take(Pipe(Source(Population{a, b}), UniformCrossover(rng, 0.5)), 2)
-	for i := 0; i < 4; i++ {
-		sum := out[0].Genome[i] + out[1].Genome[i]
-		if sum != 3 {
-			t.Errorf("gene %d sum = %v, want 3 (values swapped, not lost)", i, sum)
-		}
-	}
 }
 
 func TestEvalPoolEvaluatesAll(t *testing.T) {
@@ -412,50 +377,5 @@ func TestSetBirthStampsGeneration(t *testing.T) {
 	out := Take(Pipe(Source(pop), SetBirth(3)), 1)
 	if out[0].Birth != 3 {
 		t.Errorf("Birth = %d, want 3", out[0].Birth)
-	}
-}
-
-func TestLatinHypercubeStratification(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	b := Bounds{{Lo: 0, Hi: 10}, {Lo: -1, Hi: 1}}
-	const n = 20
-	genomes := LatinHypercube(rng, b, n)
-	if len(genomes) != n {
-		t.Fatalf("got %d genomes", len(genomes))
-	}
-	// Every stratum of every gene must be hit exactly once.
-	for g, iv := range b {
-		seen := make([]bool, n)
-		for _, genome := range genomes {
-			u := (genome[g] - iv.Lo) / iv.Width()
-			s := int(u * n)
-			if s == n {
-				s = n - 1
-			}
-			if s < 0 || s >= n {
-				t.Fatalf("gene %d value %v outside bounds", g, genome[g])
-			}
-			if seen[s] {
-				t.Errorf("gene %d stratum %d hit twice", g, s)
-			}
-			seen[s] = true
-		}
-	}
-}
-
-func TestLatinHypercubePopulation(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	b := Bounds{{Lo: 0, Hi: 1}}
-	pop := LatinHypercubePopulation(rng, b, 5, 3)
-	if len(pop) != 5 {
-		t.Fatalf("got %d individuals", len(pop))
-	}
-	for _, ind := range pop {
-		if ind.Birth != 3 || ind.Evaluated {
-			t.Error("individual metadata wrong")
-		}
-	}
-	if LatinHypercube(rng, b, 0) != nil {
-		t.Error("n=0 should return nil")
 	}
 }

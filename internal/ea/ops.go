@@ -82,37 +82,6 @@ func MutateGaussian(rng *rand.Rand, ctx *Context, bounds Bounds) Operator {
 	}
 }
 
-// UniformCrossover pairs consecutive pulls and swaps each gene with
-// probability pSwap, yielding both children.  Not used in the paper's
-// mutation-only pipeline but provided for ablation benchmarks.
-func UniformCrossover(rng *rand.Rand, pSwap float64) Operator {
-	return func(src Stream) Stream {
-		var pending *Individual
-		return func() (*Individual, bool) {
-			if pending != nil {
-				out := pending
-				pending = nil
-				return out, true
-			}
-			a, ok := src()
-			if !ok {
-				return nil, false
-			}
-			b, ok := src()
-			if !ok {
-				return a, true // odd trailing individual passes through
-			}
-			for i := range a.Genome {
-				if i < len(b.Genome) && rng.Float64() < pSwap {
-					a.Genome[i], b.Genome[i] = b.Genome[i], a.Genome[i]
-				}
-			}
-			pending = b
-			return a, true
-		}
-	}
-}
-
 // Take pulls exactly n individuals from the stream.  It panics if the
 // stream ends early, which indicates a misconfigured pipeline.
 func Take(src Stream, n int) Population {

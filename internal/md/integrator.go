@@ -109,85 +109,3 @@ func (it *Integrator) Run(sys *System, nSteps, observeEvery int, observe func(st
 // TotalEnergy returns kinetic + potential energy (forces/energy must be
 // current).
 func TotalEnergy(sys *System) float64 { return sys.KineticEnergy() + sys.PotEng }
-
-// RDF accumulates the radial distribution function g(r) between two
-// species over observed frames; a standard structural diagnostic for
-// melts, used by the data-generation example to sanity-check the liquid.
-type RDF struct {
-	SpA, SpB Species
-	RMax     float64
-	Bins     []float64
-	frames   int
-	nA, nB   int
-}
-
-// NewRDF creates an RDF accumulator with the given bin count.
-func NewRDF(a, b Species, rmax float64, bins int) *RDF {
-	return &RDF{SpA: a, SpB: b, RMax: rmax, Bins: make([]float64, bins)}
-}
-
-// Accumulate adds one frame's pair histogram.
-func (r *RDF) Accumulate(sys *System) {
-	dr := r.RMax / float64(len(r.Bins))
-	r.nA, r.nB = 0, 0
-	for i := range sys.Species {
-		if sys.Species[i] == r.SpA {
-			r.nA++
-		}
-		if sys.Species[i] == r.SpB {
-			r.nB++
-		}
-	}
-	for i := 0; i < sys.N(); i++ {
-		if sys.Species[i] != r.SpA {
-			continue
-		}
-		for j := 0; j < sys.N(); j++ {
-			if i == j || sys.Species[j] != r.SpB {
-				continue
-			}
-			d := sys.Displacement(i, j)
-			dist := d.Norm()
-			if dist < r.RMax {
-				r.Bins[int(dist/dr)]++
-			}
-		}
-	}
-	r.frames++
-}
-
-// Result returns bin centers and normalized g(r).
-func (r *RDF) Result(sys *System) (centers, g []float64) {
-	dr := r.RMax / float64(len(r.Bins))
-	vol := sys.Box * sys.Box * sys.Box
-	rhoB := float64(r.nB) / vol
-	centers = make([]float64, len(r.Bins))
-	g = make([]float64, len(r.Bins))
-	for k := range r.Bins {
-		rin := float64(k) * dr
-		rout := rin + dr
-		shell := 4.0 / 3.0 * math.Pi * (rout*rout*rout - rin*rin*rin)
-		centers[k] = rin + dr/2
-		if r.frames > 0 && r.nA > 0 && rhoB > 0 {
-			g[k] = r.Bins[k] / (float64(r.frames) * float64(r.nA) * shell * rhoB)
-		}
-	}
-	return centers, g
-}
-
-// Pressure returns the instantaneous pressure in eV/Å³ from the virial
-// theorem: P = (2·KE + W) / (3V), with W the scalar pair virial.  The
-// forces/virial must be current.
-func Pressure(sys *System) float64 {
-	vol := sys.Box * sys.Box * sys.Box
-	if vol <= 0 {
-		return 0
-	}
-	return (2*sys.KineticEnergy() + sys.Virial) / (3 * vol)
-}
-
-// PressureGPa converts Pressure's eV/Å³ to gigapascals.
-func PressureGPa(sys *System) float64 {
-	const eVA3ToGPa = 160.21766 // 1 eV/Å³ in GPa
-	return Pressure(sys) * eVA3ToGPa
-}

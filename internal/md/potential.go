@@ -98,7 +98,6 @@ func (b *BMH) Compute(sys *System) {
 		sys.Frc[i] = Vec3{}
 	}
 	sys.PotEng = 0
-	sys.Virial = 0
 
 	visit := func(i, j int) {
 		d := sys.Displacement(i, j)
@@ -109,7 +108,6 @@ func (b *BMH) Compute(sys *System) {
 		r := math.Sqrt(r2)
 		u, dudr := b.PairEnergyForce(sys.Species[i], sys.Species[j], r)
 		sys.PotEng += u
-		sys.Virial += -dudr * r
 		// F_i = -dU/dr · d(r)/d(pos_i); d points from i to j, so the force
 		// on i along -d̂ for repulsive (positive dudr means U increasing
 		// with r → attraction pulling i toward j).

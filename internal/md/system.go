@@ -108,9 +108,6 @@ type System struct {
 	Vel     []Vec3 // velocities, Å/fs
 	Frc     []Vec3 // forces, eV/Å (filled by Potential.Compute)
 	PotEng  float64
-	// Virial is the scalar pair virial Σ_pairs (−dU/dr)·r in eV, filled
-	// by pair potentials during Compute; the NN potential leaves it 0.
-	Virial float64
 }
 
 // N returns the atom count.

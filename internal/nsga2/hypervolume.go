@@ -1,7 +1,6 @@
 package nsga2
 
 import (
-	"math/rand"
 	"sort"
 
 	"repro/internal/ea"
@@ -61,70 +60,4 @@ func Hypervolume2D(pop ea.Population, ref ea.Fitness) float64 {
 		hv += (next - p[0]) * (ref[1] - p[1])
 	}
 	return hv
-}
-
-// HypervolumeMC estimates the hypervolume of an m-objective population by
-// Monte Carlo sampling of the box [ideal, ref], where ideal is the
-// componentwise minimum of the population.  Deterministic for a given
-// seed.  Use Hypervolume2D for the exact bi-objective value.
-func HypervolumeMC(pop ea.Population, ref ea.Fitness, samples int, seed int64) float64 {
-	m := len(ref)
-	ideal := make(ea.Fitness, m)
-	copy(ideal, ref)
-	var front ea.Population
-	for _, ind := range pop {
-		f := ind.Fitness
-		// Skip failures and non-finite fitnesses: a NaN objective passes
-		// every >= test below and would count as dominating all samples.
-		if len(f) != m || f.IsFailure() || nonFinite(f) {
-			continue
-		}
-		inside := true
-		for k := range f {
-			if f[k] >= ref[k] {
-				inside = false
-				break
-			}
-		}
-		if !inside {
-			continue
-		}
-		front = append(front, ind)
-		for k := range f {
-			if f[k] < ideal[k] {
-				ideal[k] = f[k]
-			}
-		}
-	}
-	if len(front) == 0 || samples <= 0 {
-		return 0
-	}
-	front = NonDominated(front)
-
-	rng := rand.New(rand.NewSource(seed))
-	hit := 0
-	point := make(ea.Fitness, m)
-	for s := 0; s < samples; s++ {
-		for k := 0; k < m; k++ {
-			point[k] = ideal[k] + rng.Float64()*(ref[k]-ideal[k])
-		}
-		for _, ind := range front {
-			dominates := true
-			for k := 0; k < m; k++ {
-				if ind.Fitness[k] > point[k] {
-					dominates = false
-					break
-				}
-			}
-			if dominates {
-				hit++
-				break
-			}
-		}
-	}
-	vol := 1.0
-	for k := 0; k < m; k++ {
-		vol *= ref[k] - ideal[k]
-	}
-	return vol * float64(hit) / float64(samples)
 }

@@ -72,36 +72,3 @@ func TestHypervolume2DDuplicateF0(t *testing.T) {
 		t.Errorf("HV = %v, want 4", got)
 	}
 }
-
-func TestHypervolumeMCMatchesExact2D(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	pop := make(ea.Population, 30)
-	for i := range pop {
-		pop[i] = &ea.Individual{Fitness: ea.Fitness{rng.Float64(), rng.Float64()}}
-	}
-	ref := ea.Fitness{1, 1}
-	exact := Hypervolume2D(pop, ref)
-	mc := HypervolumeMC(pop, ref, 200000, 3)
-	if math.Abs(mc-exact) > 0.02*(exact+0.01) {
-		t.Errorf("MC HV %v, exact %v", mc, exact)
-	}
-}
-
-func TestHypervolumeMCDeterministic(t *testing.T) {
-	pop := popFrom(ea.Fitness{0.2, 0.3, 0.4}, ea.Fitness{0.5, 0.1, 0.2})
-	ref := ea.Fitness{1, 1, 1}
-	a := HypervolumeMC(pop, ref, 10000, 7)
-	b := HypervolumeMC(pop, ref, 10000, 7)
-	if a != b {
-		t.Errorf("same seed gave %v and %v", a, b)
-	}
-	if a <= 0 {
-		t.Errorf("3-objective HV = %v, want positive", a)
-	}
-}
-
-func TestHypervolumeMCEmpty(t *testing.T) {
-	if got := HypervolumeMC(nil, ea.Fitness{1, 1}, 100, 1); got != 0 {
-		t.Errorf("HV(empty) = %v", got)
-	}
-}

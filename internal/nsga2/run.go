@@ -198,7 +198,6 @@ func Continue(ctx context.Context, cfg Config, logged []GenerationRecord) (*Resu
 			// pipeline, exactly where the paper multiplies
 			// context['std'] by PaperAnnealFactor.
 			e.eaCtx.AnnealStd(e.cfg.AnnealFactor)
-			e.eaCtx.AdvanceGeneration()
 		}
 		if replay {
 			want, i := logged[gen].Survivors, 0

@@ -48,23 +48,3 @@ func TestHypervolumeMatchesSweepOracle(t *testing.T) {
 		}
 	}
 }
-
-// TestHypervolumeMCAgreesWithOracle sanity-checks the Monte Carlo
-// estimator against the exact oracle on a few instances — loose
-// tolerance, but an independent path through the same geometry.
-func TestHypervolumeMCAgreesWithOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(402))
-	for trial := 0; trial < 10; trial++ {
-		n := 5 + rng.Intn(25)
-		fits := make([]ea.Fitness, n)
-		for i := range fits {
-			fits[i] = ea.Fitness{rng.Float64(), rng.Float64()}
-		}
-		ref := ea.Fitness{1, 1}
-		exact := Hypervolume2D(fits, ref)
-		mc := nsga2.HypervolumeMC(popOf(fits), ref, 200000, int64(trial))
-		if math.Abs(mc-exact) > 0.03*(exact+0.01) {
-			t.Fatalf("trial %d: MC %v vs oracle %v", trial, mc, exact)
-		}
-	}
-}

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"repro/internal/ea"
@@ -204,19 +203,6 @@ func fromUnit(unit []float64, bounds ea.Bounds) ea.Genome {
 		g[i] = bounds[i].Lo + u*bounds[i].Width()
 	}
 	return g
-}
-
-// RankByMuStar returns gene indices sorted by descending μ* on objective
-// k — the screening order that justified the paper's parameter choice.
-func RankByMuStar(results []MorrisResult, k int) []int {
-	order := make([]int, len(results))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return results[order[a]].MuStar[k] > results[order[b]].MuStar[k]
-	})
-	return order
 }
 
 // RenderMorris formats the screening table, objectives side by side.

@@ -175,33 +175,6 @@ func (p *ParallelCoordinates) AddRow(values []float64, tagged bool) {
 	p.Tag = append(p.Tag, tagged)
 }
 
-// AxisRange returns the min and max of axis j over all rows.
-func (p *ParallelCoordinates) AxisRange(j int) (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, row := range p.Rows {
-		if row[j] < lo {
-			lo = row[j]
-		}
-		if row[j] > hi {
-			hi = row[j]
-		}
-	}
-	return lo, hi
-}
-
-// TaggedStats returns summaries of axis j split by tag.
-func (p *ParallelCoordinates) TaggedStats(j int) (tagged, untagged Summary) {
-	var a, b []float64
-	for i, row := range p.Rows {
-		if p.Tag[i] {
-			a = append(a, row[j])
-		} else {
-			b = append(b, row[j])
-		}
-	}
-	return Summarize(a), Summarize(b)
-}
-
 // RenderTable renders the parallel-coordinates data as a text table with
 // one row per solution, sorted tagged-first.
 func (p *ParallelCoordinates) RenderTable(maxRows int) string {

@@ -63,9 +63,6 @@ func (u UUID) Append(dst []byte) []byte {
 // Version reports the UUID version field (4 for values from New).
 func (u UUID) Version() int { return int(u[6] >> 4) }
 
-// IsNil reports whether u is the zero UUID.
-func (u UUID) IsNil() bool { return u == Nil }
-
 // ErrInvalidFormat is returned by Parse for malformed input.
 var ErrInvalidFormat = errors.New("uuid: invalid format")
 

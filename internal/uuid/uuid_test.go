@@ -78,15 +78,6 @@ func TestUniqueness(t *testing.T) {
 	}
 }
 
-func TestNilIsNil(t *testing.T) {
-	if !Nil.IsNil() {
-		t.Error("Nil.IsNil() = false")
-	}
-	if New().IsNil() {
-		t.Error("New().IsNil() = true")
-	}
-}
-
 func TestQuickParseStringInverse(t *testing.T) {
 	f := func(raw [16]byte) bool {
 		var u UUID = raw
