@@ -3,11 +3,15 @@
 //
 // Usage:
 //
-//	experiments [-exp all|table1|fig1|fig2|table2|fig3|table3|failures]
+//	experiments [-exp all|table1|fig1|fig2|table2|fig3|table3|failures|
+//	                 convergence|correlations|ablation|baselines|scaling|sensitivity]
 //	            [-runs 5] [-pop 100] [-gens 6] [-seed 2023]
 //
 // With defaults it reproduces the full paper scale: 5 independent NSGA-II
 // runs × 100 individuals × 7 evaluation rounds = 3500 simulated trainings.
+// table1, sensitivity, ablation, baselines and scaling do not read that
+// campaign and skip it (and with it -png); an unknown -exp exits 2 before
+// any work.
 package main
 
 import (
@@ -16,6 +20,8 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/experiments"
@@ -23,6 +29,13 @@ import (
 	"repro/internal/sensitivity"
 	"repro/internal/surrogate"
 )
+
+// campaignExps are the -exp values experiments.Render draws from the
+// paper campaign, in its print order; "all" prints every one.
+var campaignExps = []string{"all", "table1", "fig1", "fig2", "table2", "fig3", "table3", "failures", "convergence", "correlations"}
+
+// standaloneExps are the -exp values that never read the paper campaign.
+var standaloneExps = []string{"ablation", "baselines", "scaling", "sensitivity"}
 
 func main() {
 	log.SetFlags(0)
@@ -35,6 +48,11 @@ func main() {
 	pngDir := flag.String("png", "", "also write Fig. 1/2 level plots as PNGs into this directory")
 	flag.Parse()
 
+	if !slices.Contains(campaignExps, *exp) && !slices.Contains(standaloneExps, *exp) {
+		fmt.Fprintf(os.Stderr, "experiments: unknown -exp %q; valid: %s, %s\n",
+			*exp, strings.Join(campaignExps, ", "), strings.Join(standaloneExps, ", "))
+		os.Exit(2)
+	}
 	if *exp == "table1" {
 		fmt.Print(experiments.RenderTable1())
 		return
@@ -67,15 +85,39 @@ func main() {
 	opts := experiments.Options{
 		Runs: *runs, PopSize: *pop, Generations: *gens, Seed: *seed, Parallelism: *par,
 	}
+	show := func(name, text string) {
+		fmt.Printf("==== %s ====\n%s\n", name, text)
+	}
+	switch *exp {
+	case "ablation":
+		abl, err := experiments.PipelineAblation(context.Background(), opts)
+		if err != nil {
+			log.Fatalf("ablation: %v", err)
+		}
+		show("Ablation", abl.Render())
+		return
+	case "baselines":
+		cmp, err := experiments.CompareBaselines(context.Background(), opts)
+		if err != nil {
+			log.Fatalf("baselines: %v", err)
+		}
+		show("Baselines", cmp.Render())
+		return
+	case "scaling":
+		sc, err := experiments.ParallelScaling(context.Background(),
+			[]int{1, 2, 4, 8, 16}, *pop, 2, 10*time.Millisecond, *seed)
+		if err != nil {
+			log.Fatalf("scaling: %v", err)
+		}
+		show("Parallel scaling", sc.Render())
+		return
+	}
+
 	fmt.Fprintf(os.Stderr, "running campaign: %d runs × %d individuals × %d generations…\n",
 		opts.Runs, opts.PopSize, opts.Generations+1)
 	c, err := experiments.RunPaperCampaign(context.Background(), opts)
 	if err != nil {
 		log.Fatalf("campaign failed: %v", err)
-	}
-
-	show := func(name, text string) {
-		fmt.Printf("==== %s ====\n%s\n", name, text)
 	}
 	if *pngDir != "" {
 		if err := os.MkdirAll(*pngDir, 0o755); err != nil {
@@ -97,26 +139,4 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Print(text)
-	if *exp == "ablation" { // expensive: only on explicit request
-		abl, err := experiments.PipelineAblation(context.Background(), opts)
-		if err != nil {
-			log.Fatalf("ablation: %v", err)
-		}
-		show("Ablation", abl.Render())
-	}
-	if *exp == "scaling" {
-		sc, err := experiments.ParallelScaling(context.Background(),
-			[]int{1, 2, 4, 8, 16}, *pop, 2, 10*time.Millisecond, *seed)
-		if err != nil {
-			log.Fatalf("scaling: %v", err)
-		}
-		show("Parallel scaling", sc.Render())
-	}
-	if *exp == "baselines" { // expensive: only on explicit request
-		cmp, err := experiments.CompareBaselines(context.Background(), opts)
-		if err != nil {
-			log.Fatalf("baselines: %v", err)
-		}
-		show("Baselines", cmp.Render())
-	}
 }
