@@ -53,7 +53,6 @@ func main() {
 	workers := flag.Int("workers", 6, "simulated data-parallel workers (real backend)")
 	out := flag.String("out", "", "CSV output path (default stdout)")
 	savePath := flag.String("save", "", "also save the full campaign (every generation) to this file as a campaign log")
-	noMemo := flag.Bool("no-memo", false, "disable genome-keyed fitness memoization")
 	flag.Parse()
 
 	var evaluator ea.Evaluator
@@ -93,20 +92,15 @@ func main() {
 	}
 
 	// Exact-duplicate genomes (unmutated clones, converged populations)
-	// re-train nothing new; serve them from the memo cache unless opted
-	// out.
-	var memo *ea.MemoEvaluator
-	if !*noMemo {
-		memo = ea.NewMemoEvaluator(evaluator)
-		evaluator = memo
-	}
+	// re-train nothing new: the memo cache serves them.
+	memo := ea.NewMemoEvaluator(evaluator)
 
 	fmt.Fprintf(os.Stderr, "hpo: backend=%s runs=%d pop=%d gens=%d (%d evaluations)\n",
 		*backend, *runs, *pop, *gens, *runs**pop*(*gens+1))
 	start := time.Now()
 	res, err := hpo.RunCampaign(context.Background(), hpo.CampaignConfig{
 		Runs: *runs, PopSize: *pop, Generations: *gens,
-		Evaluator: evaluator, Parallelism: *par,
+		Evaluator: memo, Parallelism: *par,
 		EvalTimeout: ea.PaperEvalTimeout, AnnealFactor: nsga2.PaperAnnealFactor, BaseSeed: *seed,
 		Observer: func(run, gen int, evaluated, survivors ea.Population) {
 			fmt.Fprintf(os.Stderr, "  run %d gen %d: %d evaluated, %d failures\n",
@@ -118,11 +112,9 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "hpo: done in %v; %d evaluations, %d failures\n",
 		time.Since(start).Round(time.Millisecond), res.TotalEvaluations(), res.TotalFailures())
-	if memo != nil {
-		st := memo.Stats()
-		fmt.Fprintf(os.Stderr, "hpo: memo cache: %d hits, %d misses, %d entries\n",
-			st.Hits, st.Misses, st.Entries)
-	}
+	st := memo.Stats()
+	fmt.Fprintf(os.Stderr, "hpo: memo cache: %d hits, %d misses, %d entries\n",
+		st.Hits, st.Misses, st.Entries)
 
 	if *savePath != "" {
 		if err := hpo.SaveCampaignFile(*savePath, res); err != nil {

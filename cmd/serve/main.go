@@ -9,7 +9,7 @@
 //
 //	serve [-addr 127.0.0.1:8080] [-checkpoint-dir DIR]
 //	      [-workers 4] [-workers-listen 127.0.0.1:0]
-//	      [-seed 2023] [-no-memo]
+//	      [-seed 2023]
 //	      [-max-concurrent 4] [-max-active-per-tenant 2]
 //	      [-max-campaigns-per-tenant 16] [-max-inflight-per-tenant 64]
 //	      [-drain-timeout 30s]
@@ -61,7 +61,6 @@ func main() {
 	workers := flag.Int("workers", 4, "in-process surrogate workers; 0 leaves the fleet to workers that dial -workers-listen")
 	workersListen := flag.String("workers-listen", "127.0.0.1:0", "address the scheduler accepts workers on")
 	seed := flag.Int64("seed", 2023, "surrogate model seed of the in-process workers")
-	noMemo := flag.Bool("no-memo", false, "disable the shared genome-keyed memo cache")
 	checkpointDir := flag.String("checkpoint-dir", "", "directory for campaign checkpoints; empty disables persistence")
 	maxConcurrent := flag.Int("max-concurrent", 4, "campaigns running at once, all tenants combined")
 	maxActive := flag.Int("max-active-per-tenant", 2, "one tenant's campaigns running at once")
@@ -70,18 +69,16 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight generations to checkpoint on shutdown")
 	flag.Parse()
 
-	if err := run(*addr, *workers, *workersListen, *seed, *noMemo,
-		*checkpointDir, *maxConcurrent, *maxActive, *maxCampaigns, *maxInflight, *drainTimeout); err != nil {
+	if err := run(*addr, *workers, *workersListen, *seed, *checkpointDir,
+		*maxConcurrent, *maxActive, *maxCampaigns, *maxInflight, *drainTimeout); err != nil {
 		log.Fatalf("serve: %v", err)
 	}
 }
 
-func run(addr string, workers int, workersListen string, seed int64,
-	noMemo bool, checkpointDir string,
+func run(addr string, workers int, workersListen string, seed int64, checkpointDir string,
 	maxConcurrent, maxActive, maxCampaigns, maxInflight int, drainTimeout time.Duration) error {
 
 	cfg := service.Config{
-		DisableMemo:           noMemo,
 		CheckpointDir:         checkpointDir,
 		MaxConcurrent:         maxConcurrent,
 		MaxActivePerTenant:    maxActive,

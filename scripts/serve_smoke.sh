@@ -12,7 +12,8 @@
 # tiny campaign.  Also requires `serve -lease` and `cluster -task-timeout`
 # and `-heartbeat` to be rejected by the flag package: the fleet's time
 # limits are declared once in the code, and a script that still passes
-# one of those flags must fail loudly.
+# one of those flags must fail loudly.  `serve -no-memo` is gone too: the
+# shared memo cache is always on.
 #
 # Usage:
 #   scripts/serve_smoke.sh          # CI entry point
@@ -59,7 +60,7 @@ go build -o "$WORK/cluster" ./cmd/cluster
 
 # A binary that accepted one of these would start serving; `timeout`
 # turns that into a failure instead of a hang.
-for gone in serve:lease cluster:task-timeout cluster:heartbeat; do
+for gone in serve:lease serve:no-memo cluster:task-timeout cluster:heartbeat; do
     bin="${gone%%:*}" flag="${gone#*:}"
     if timeout 10 "$WORK/$bin" "-$flag" 1s >"$WORK/$bin.$flag.log" 2>&1; then
         fail "$bin -$flag was accepted" "$WORK/$bin.$flag.log"

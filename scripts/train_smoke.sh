@@ -9,9 +9,10 @@
 # streams the same dataset, and requires two CSV rows and no failed
 # evaluation.  Also requires `-fast` and `-data-dir` to be rejected by
 # the flag package in both binaries, `hpo -timeout` (the evaluation cap
-# is ea.PaperEvalTimeout, declared once) and `mdgen -val` (the split is
-# dataset.PaperValFraction): those flags are gone, and a script that
-# still passes one must fail loudly.
+# is ea.PaperEvalTimeout, declared once), `hpo -no-memo` (the memo cache
+# is always on) and `mdgen -val` (the split is dataset.PaperValFraction):
+# those flags are gone, and a script that still passes one must fail
+# loudly.
 #
 # Usage:
 #   scripts/train_smoke.sh          # CI entry point
@@ -73,7 +74,7 @@ cmp "$WORK/lcurve1.out" "$WORK/lcurve4.out" ||
 grep -q '^hpo: done in .*, 0 failures$' "$WORK/hpo.log" ||
     fail "hpo campaign had failed evaluations" "$WORK/hpo.log"
 
-for gone in train:fast train:data-dir hpo:fast hpo:data-dir hpo:timeout mdgen:val; do
+for gone in train:fast train:data-dir hpo:fast hpo:data-dir hpo:timeout hpo:no-memo mdgen:val; do
     bin="${gone%%:*}" flag="${gone#*:}"
     if "$WORK/bin/$bin" "-$flag" x >"$WORK/$bin.$flag.log" 2>&1; then
         fail "$bin -$flag was accepted" "$WORK/$bin.$flag.log"
