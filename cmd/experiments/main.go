@@ -30,8 +30,9 @@ import (
 	"repro/internal/surrogate"
 )
 
-// campaignExps are the -exp values experiments.Render draws from the
-// paper campaign, in its print order; "all" prints every one.
+// campaignExps are the -exp values experiments.Render prints, in its
+// print order ("all" prints every one); all but table1 need the paper
+// campaign.
 var campaignExps = []string{"all", "table1", "fig1", "fig2", "table2", "fig3", "table3", "failures", "convergence", "correlations"}
 
 // standaloneExps are the -exp values that never read the paper campaign.
