@@ -45,18 +45,13 @@ func (l *refDense) forward(x []float64) []float64 {
 	return l.y
 }
 
-// backward returns dL/dx for the recorded row, walking outputs outermost;
-// with accumulate it also adds the row's parameter gradients.
+// backward returns dL/dx for the recorded row, walking outputs outermost
+// with the textbook derivative Deriv at the recorded pre-activation; with
+// accumulate it also adds the row's parameter gradients.
 func (l *refDense) backward(dy []float64, accumulate bool) []float64 {
 	dx := make([]float64, l.in)
-	od, hasOD := l.act.(nn.OutputDeriver)
 	for o := 0; o < l.out; o++ {
-		var g float64
-		if hasOD {
-			g = dy[o] * od.DerivFromOutput(l.y[o])
-		} else {
-			g = dy[o] * l.act.Deriv(l.pre[o])
-		}
+		g := dy[o] * l.act.Deriv(l.pre[o])
 		if accumulate {
 			l.gradB[o] += g
 		}
@@ -104,6 +99,7 @@ func TestBatchedMLPMatchesScalarBitwise(t *testing.T) {
 		{1, 1, nil, 1, nn.Tanh},
 		{1, 5, []int{7, 3}, 2, nn.Sigmoid},
 		{3, 8, []int{9}, 4, nn.ReLU6},
+		{6, 9, []int{10}, 3, nn.ReLU},
 		{4, 6, []int{5, 5}, 1, nn.Softplus},
 		{5, 3, []int{4}, 3, nn.Tanh},   // ragged: one full tile + 1
 		{7, 10, []int{12}, 6, nn.Tanh}, // ragged: one full tile + 3
