@@ -44,3 +44,28 @@ func TestExpListsMatchRender(t *testing.T) {
 		}
 	}
 }
+
+// TestRenderKeepsArtifactsPastAFailure runs the campaign of CI's
+// "Experiments smoke" step (-exp all -runs 1 -pop 8 -gens 1), too small
+// for Table 3 to find a chemically accurate solution.  Table 3's error is
+// printed in its place, every other artifact still prints, and Render
+// reports the failure so the command exits non-zero.
+func TestRenderKeepsArtifactsPastAFailure(t *testing.T) {
+	c, err := experiments.RunPaperCampaign(context.Background(),
+		experiments.Options{Runs: 1, PopSize: 8, Generations: 1, Seed: 2023, Parallelism: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := experiments.Render(c, "all")
+	if err == nil || !strings.Contains(err.Error(), "table3") {
+		t.Fatalf("Render error = %v, want Table 3's failure", err)
+	}
+	for _, heading := range []string{"Table 1", "Fig. 1", "Fig. 2", "Table 2", "Fig. 3", "Table 3", "Failures", "Convergence", "Correlations"} {
+		if !strings.Contains(text, "==== "+heading) {
+			t.Errorf("no %q section in:\n%s", heading, text)
+		}
+	}
+	if !strings.Contains(text, "no chemically accurate solutions") {
+		t.Errorf("Table 3's error is not printed in its place:\n%s", text)
+	}
+}
