@@ -136,8 +136,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote level-plot PNGs to %s\n", *pngDir)
 	}
 	text, err := experiments.Render(c, *exp)
+	fmt.Print(text)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(text)
 }

@@ -10,6 +10,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -489,18 +490,23 @@ func RenderAll(c *Campaign) (string, error) { return Render(c, "all") }
 
 // Render is RenderAll restricted to the artifact named exp (an -exp value
 // such as "fig2"); "all" selects every one, and a name outside the list
-// renders nothing.
+// renders nothing.  Each artifact renders on its own: one that fails has
+// its error printed under its heading, the others still print, and the
+// returned error joins every failure.
 func Render(c *Campaign, exp string) (string, error) {
 	var b strings.Builder
+	var errs []error
 	for _, a := range artifacts {
 		if exp != "all" && exp != a.name {
 			continue
 		}
 		text, err := a.render(c)
 		if err != nil {
-			return "", fmt.Errorf("%s: %w", a.name, err)
+			err = fmt.Errorf("%s: %w", a.name, err)
+			errs = append(errs, err)
+			text = err.Error() + "\n"
 		}
 		fmt.Fprintf(&b, "==== %s ====\n%s\n", a.title, text)
 	}
-	return b.String(), nil
+	return b.String(), errors.Join(errs...)
 }
