@@ -14,6 +14,9 @@ import (
 )
 
 // Activation is a differentiable scalar nonlinearity applied elementwise.
+// The batch methods let a dense layer make one interface call per layer
+// call rather than one per element; each gives, element by element, the
+// bits of its scalar counterpart.
 type Activation interface {
 	// Name returns the DeePMD configuration name ("tanh", "relu", …).
 	Name() string
@@ -21,18 +24,18 @@ type Activation interface {
 	Apply(x float64) float64
 	// Deriv evaluates the derivative at x (pre-activation value).
 	Deriv(x float64) float64
-}
-
-// OutputDeriver is implemented by activations whose derivative can be
-// recovered from the activation output y = Apply(x) alone, with bits
-// identical to Deriv(x): tanh' = 1−y², sigmoid' = y(1−y), and the
-// piecewise-linear ramps, whose output determines the active piece.
-// Backward passes use it to skip re-evaluating the transcendental the
-// forward pass already computed.  Softplus does not implement it — its
-// derivative sigmoid(x) is not recoverable from log1p(exp(x)) without a
-// rounding difference.
-type OutputDeriver interface {
-	DerivFromOutput(y float64) float64
+	// ApplyBatch sets y[i] = Apply(x[i]) for every i of x.
+	ApplyBatch(y, x []float64)
+	// ScaleDeriv sets dg[i] = dy[i]·Deriv(pre[i]) for every i of dy,
+	// where out[i] = Apply(pre[i]).  Tanh, sigmoid and the ramps read
+	// the derivative off the output — tanh' = 1−y², sigmoid' = y(1−y),
+	// and the ramps' output fixes the active piece — with the bits
+	// Deriv gives, so the transcendental is not evaluated again;
+	// softplus reads the pre-activation, since sigmoid(x) cannot be
+	// recovered from log1p(exp(x)) without a rounding difference.  The
+	// product is always taken, also where the derivative is 0 or 1: it
+	// decides the sign of a zero and carries NaN and ±Inf.
+	ScaleDeriv(dg, dy, pre, out []float64)
 }
 
 // The five activation choices the paper explores for the descriptor and
@@ -79,18 +82,25 @@ func (relu) Apply(x float64) float64 {
 	}
 	return 0
 }
-func (relu) Deriv(x float64) float64 {
-	if x > 0 {
-		return 1
-	}
-	return 0
-}
-func (relu) DerivFromOutput(y float64) float64 {
-	// y = x when x > 0, else 0, so y > 0 iff x > 0.
+
+// reluDeriv is relu's derivative from its output: y > 0 iff x > 0.
+func reluDeriv(y float64) float64 {
 	if y > 0 {
 		return 1
 	}
 	return 0
+}
+func (a relu) Deriv(x float64) float64 { return reluDeriv(a.Apply(x)) }
+func (a relu) ApplyBatch(y, x []float64) {
+	for i, v := range x {
+		y[i] = a.Apply(v)
+	}
+}
+func (relu) ScaleDeriv(dg, dy, _, out []float64) {
+	out = out[:len(dy)]
+	for i, v := range dy {
+		dg[i] = v * reluDeriv(out[i])
+	}
 }
 
 type relu6 struct{}
@@ -105,18 +115,26 @@ func (relu6) Apply(x float64) float64 {
 	}
 	return x
 }
-func (relu6) Deriv(x float64) float64 {
-	if x > 0 && x < 6 {
-		return 1
-	}
-	return 0
-}
-func (relu6) DerivFromOutput(y float64) float64 {
-	// y = x on the linear piece, saturating to 0 and 6 exactly.
+
+// relu6Deriv is relu6's derivative from its output: y = x on the linear
+// piece, saturating to 0 and 6 exactly.
+func relu6Deriv(y float64) float64 {
 	if y > 0 && y < 6 {
 		return 1
 	}
 	return 0
+}
+func (a relu6) Deriv(x float64) float64 { return relu6Deriv(a.Apply(x)) }
+func (a relu6) ApplyBatch(y, x []float64) {
+	for i, v := range x {
+		y[i] = a.Apply(v)
+	}
+}
+func (relu6) ScaleDeriv(dg, dy, _, out []float64) {
+	out = out[:len(dy)]
+	for i, v := range dy {
+		dg[i] = v * relu6Deriv(out[i])
+	}
 }
 
 type softplus struct{}
@@ -133,16 +151,37 @@ func (softplus) Apply(x float64) float64 {
 	return math.Log1p(math.Exp(x))
 }
 func (softplus) Deriv(x float64) float64 { return sigmoidFn(x) }
+func (a softplus) ApplyBatch(y, x []float64) {
+	for i, v := range x {
+		y[i] = a.Apply(v)
+	}
+}
+func (softplus) ScaleDeriv(dg, dy, pre, _ []float64) {
+	pre = pre[:len(dy)]
+	for i, v := range dy {
+		dg[i] = v * sigmoidFn(pre[i])
+	}
+}
 
 type sigmoid struct{}
 
+// sigmoidDeriv is the sigmoid's derivative from its output.
+func sigmoidDeriv(y float64) float64 { return y * (1 - y) }
+
 func (sigmoid) Name() string            { return "sigmoid" }
 func (sigmoid) Apply(x float64) float64 { return sigmoidFn(x) }
-func (sigmoid) Deriv(x float64) float64 {
-	s := sigmoidFn(x)
-	return s * (1 - s)
+func (sigmoid) Deriv(x float64) float64 { return sigmoidDeriv(sigmoidFn(x)) }
+func (sigmoid) ApplyBatch(y, x []float64) {
+	for i, v := range x {
+		y[i] = sigmoidFn(v)
+	}
 }
-func (sigmoid) DerivFromOutput(y float64) float64 { return y * (1 - y) }
+func (sigmoid) ScaleDeriv(dg, dy, _, out []float64) {
+	out = out[:len(dy)]
+	for i, v := range dy {
+		dg[i] = v * sigmoidDeriv(out[i])
+	}
+}
 
 func sigmoidFn(x float64) float64 {
 	if x >= 0 {
@@ -154,17 +193,34 @@ func sigmoidFn(x float64) float64 {
 
 type tanhAct struct{}
 
+// tanhDeriv is tanh's derivative from its output.
+func tanhDeriv(y float64) float64 { return 1 - y*y }
+
 func (tanhAct) Name() string            { return "tanh" }
 func (tanhAct) Apply(x float64) float64 { return math.Tanh(x) }
-func (tanhAct) Deriv(x float64) float64 {
-	t := math.Tanh(x)
-	return 1 - t*t
+func (tanhAct) Deriv(x float64) float64 { return tanhDeriv(math.Tanh(x)) }
+func (tanhAct) ApplyBatch(y, x []float64) {
+	for i, v := range x {
+		y[i] = math.Tanh(v)
+	}
 }
-func (tanhAct) DerivFromOutput(y float64) float64 { return 1 - y*y }
+func (tanhAct) ScaleDeriv(dg, dy, _, out []float64) {
+	out = out[:len(dy)]
+	for i, v := range dy {
+		dg[i] = v * tanhDeriv(out[i])
+	}
+}
 
 type identity struct{}
 
-func (identity) Name() string                    { return "identity" }
-func (identity) Apply(x float64) float64         { return x }
-func (identity) Deriv(float64) float64           { return 1 }
-func (identity) DerivFromOutput(float64) float64 { return 1 }
+func (identity) Name() string            { return "identity" }
+func (identity) Apply(x float64) float64 { return x }
+func (identity) Deriv(float64) float64   { return 1 }
+func (identity) ApplyBatch(y, x []float64) {
+	copy(y, x)
+}
+func (identity) ScaleDeriv(dg, dy, _, _ []float64) {
+	for i, v := range dy {
+		dg[i] = v * 1
+	}
+}

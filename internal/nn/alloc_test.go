@@ -7,11 +7,12 @@ import (
 
 // TestSteadyStateAllocs pins the batched hot paths to zero allocations
 // per call once their reusable traces are warm, for each of the paper's
-// five activations and Identity.  The kernels reach the activation by
-// dynamic dispatch (d.Act.Apply, Deriv or DerivFromOutput), so each one
-// needs its own row.  A regression here usually means a buffer stopped
-// being recycled (e.g. an ensureLen path lost), an interface method value
-// started escaping in the blas epilogue, or an activation allocates.
+// five activations and Identity.  A layer reaches its activation by
+// dynamic dispatch (d.Act.ApplyBatch and ScaleDeriv, one call each per
+// layer call), so each one needs its own row, and the two batch methods
+// are also called on their own.  A regression here usually means a buffer
+// stopped being recycled (e.g. an ensureLen path lost), a slice started
+// escaping through the interface call, or an activation allocates.
 func TestSteadyStateAllocs(t *testing.T) {
 	for _, name := range append(append([]string(nil), ActivationNames...), "identity") {
 		act, err := ActivationByName(name)
@@ -43,10 +44,14 @@ func checkSteadyStateAllocs(t *testing.T, act Activation) {
 	m.BackwardBatch(btape, dyb, n)
 	d.ForwardBatch(bt, xb, n)
 
+	pre, y, dg := make([]float64, n*24), make([]float64, n*24), make([]float64, n*24)
+	copy(pre, xb)
 	cases := []struct {
 		name string
 		fn   func()
 	}{
+		{"Activation.ApplyBatch", func() { act.ApplyBatch(y, pre) }},
+		{"Activation.ScaleDeriv", func() { act.ScaleDeriv(dg, pre, pre, y) }},
 		{"Dense.ForwardBatch", func() { d.ForwardBatch(bt, xb, n) }},
 		{"MLP.ForwardBatch", func() { m.ForwardBatch(btape, xb, n) }},
 		{"MLP.BackwardBatch", func() { m.ForwardBatch(btape, xb, n); m.BackwardBatch(btape, dyb, n) }},

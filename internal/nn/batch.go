@@ -23,7 +23,8 @@ type BatchTrace struct {
 // (owned by the trace).  Each row is arithmetically identical — bit for
 // bit — to the textbook one-row loop (refcheck keeps it as the oracle):
 // the kernel blocks over rows and output columns only, never over the k
-// reduction (see package blas).  TestSteadyStateAllocs holds it at 0
+// reduction (see package blas) — and the activation is then applied
+// over the whole batch in one call.  TestSteadyStateAllocs holds it at 0
 // allocs/op on a warm trace, for every activation.
 func (d *Dense) ForwardBatch(bt *BatchTrace, x []float64, n int) []float64 {
 	if len(x) != n*d.In {
@@ -34,7 +35,8 @@ func (d *Dense) ForwardBatch(bt *BatchTrace, x []float64, n int) []float64 {
 	copy(bt.input, x)
 	bt.preact = ensureLen(bt.preact, n*d.Out)
 	bt.out = ensureLen(bt.out, n*d.Out)
-	blas.GemmBiasAct(bt.preact, bt.out, bt.input, d.W, d.B, n, d.In, d.Out, d.Act.Apply)
+	blas.GemmBias(bt.preact, bt.input, d.W, d.B, n, d.In, d.Out)
+	d.Act.ApplyBatch(bt.out, bt.preact)
 	return bt.out
 }
 
@@ -73,23 +75,10 @@ func (bt *BatchTrace) checkBatch(d *Dense, dy []float64, n int) {
 }
 
 // scaleDeriv fills bt.dg with dy scaled elementwise by the activation
-// derivative at the recorded pre-activations.  Activations implementing
-// OutputDeriver evaluate the derivative from the recorded outputs instead
-// — same bits, no transcendental recompute.
+// derivative at the recorded pre-activations (Activation.ScaleDeriv).
 func (d *Dense) scaleDeriv(bt *BatchTrace, dy []float64, n int) {
 	bt.dg = ensureLen(bt.dg, n*d.Out)
-	dg := bt.dg
-	if od, ok := d.Act.(OutputDeriver); ok {
-		out := bt.out[:n*d.Out]
-		for i, v := range dy {
-			dg[i] = v * od.DerivFromOutput(out[i])
-		}
-		return
-	}
-	preact := bt.preact[:n*d.Out]
-	for i, v := range dy {
-		dg[i] = v * d.Act.Deriv(preact[i])
-	}
+	d.Act.ScaleDeriv(bt.dg, dy, bt.preact[:n*d.Out], bt.out[:n*d.Out])
 }
 
 // BatchTape records the batch traces of one ForwardBatch pass through an

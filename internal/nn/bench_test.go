@@ -61,8 +61,15 @@ func BenchmarkFittingNetBackwardBatch(b *testing.B) {
 func benchName(n int) string { return fmt.Sprintf("n=%d", n) }
 
 // BenchmarkActivations compares the five tunable activations — the cost
-// differences feed the surrogate's runtime model.
+// differences feed the surrogate's runtime model — one element at a time
+// and, as a dense layer calls them, over a 16×240 batch (forward, then
+// the scaled derivative).
 func BenchmarkActivations(b *testing.B) {
+	x := make([]float64, 16*240)
+	for i := range x {
+		x[i] = float64(i%200)/20 - 5
+	}
+	y, dg := make([]float64, len(x)), make([]float64, len(x))
 	for _, act := range []Activation{ReLU, ReLU6, Softplus, Sigmoid, Tanh} {
 		b.Run(act.Name(), func(b *testing.B) {
 			sink := 0.0
@@ -71,6 +78,12 @@ func BenchmarkActivations(b *testing.B) {
 				sink += act.Apply(x) + act.Deriv(x)
 			}
 			_ = sink
+		})
+		b.Run(act.Name()+"/batch", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				act.ApplyBatch(y, x)
+				act.ScaleDeriv(dg, x, x, y)
+			}
 		})
 	}
 }

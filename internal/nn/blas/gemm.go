@@ -28,7 +28,7 @@
 //
 //	GemmNN       lanes across input columns i, reduction over o
 //	AccumGrad    lanes across input columns i, reduction over r
-//	GemmBiasAct  lanes across batch rows r (x is packed transposed per
+//	GemmBias     lanes across batch rows r (x is packed transposed per
 //	             call), reduction over k
 //
 // A lane is one output element's accumulator: VMULPD and VADDPD round
@@ -51,20 +51,36 @@ import "fmt"
 // produce the same bits; only speed differs.
 func Impl() string { return implName() }
 
-// GemmBiasAct computes the fused dense forward pass over a batch:
+// GemmBias computes the dense forward product over a batch:
 //
 //	preact[r][o] = bias[o] + Σ_k x[r][k]·w[o][k]   (k ascending)
-//	out[r][o]    = act(preact[r][o])
 //
-// preact and out are n×out and fully overwritten.
+// preact is n×out and fully overwritten.  The activation is not applied
+// here: nn applies it over the whole batch in one call.
+func GemmBias(preact, x, w, bias []float64, n, in, outDim int) {
+	checkForward("GemmBias", preact, x, w, bias, n, in, outDim)
+	gemmBias(preact, x, w, bias, n, in, outDim)
+}
+
+// GemmBiasAct is GemmBias followed by out[r][o] = act(preact[r][o]) in
+// one loop; out is n×out and fully overwritten.  The trainer does not use
+// it (nn applies its activations per batch); it stays for the layer
+// benchmark, which times the forward product with a tanh epilogue.
 func GemmBiasAct(preact, out, x, w, bias []float64, n, in, outDim int, act func(float64) float64) {
-	checkDims("GemmBiasAct", n, in, outDim)
-	checkLen("GemmBiasAct", "preact", len(preact), "n×out", n*outDim)
+	checkForward("GemmBiasAct", preact, x, w, bias, n, in, outDim)
 	checkLen("GemmBiasAct", "out", len(out), "n×out", n*outDim)
-	checkLen("GemmBiasAct", "x", len(x), "n×in", n*in)
-	checkLen("GemmBiasAct", "w", len(w), "out×in", outDim*in)
-	checkLen("GemmBiasAct", "bias", len(bias), "out", outDim)
-	gemmBiasAct(preact, out, x, w, bias, n, in, outDim, act)
+	gemmBias(preact, x, w, bias, n, in, outDim)
+	for i, v := range preact[:n*outDim] {
+		out[i] = act(v)
+	}
+}
+
+func checkForward(fn string, preact, x, w, bias []float64, n, in, outDim int) {
+	checkDims(fn, n, in, outDim)
+	checkLen(fn, "preact", len(preact), "n×out", n*outDim)
+	checkLen(fn, "x", len(x), "n×in", n*in)
+	checkLen(fn, "w", len(w), "out×in", outDim*in)
+	checkLen(fn, "bias", len(bias), "out", outDim)
 }
 
 // GemmNN computes the transpose-aware input-gradient product dX = G·W:

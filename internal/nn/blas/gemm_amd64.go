@@ -125,13 +125,13 @@ func accTiles(c []float64, ldc int, a []float64, ars, ard int, b []float64, ldb,
 	}
 }
 
-// fwdPool holds gemmBiasAct's per-call workspace — x packed transposed,
+// fwdPool holds gemmBias's per-call workspace — x packed transposed,
 // then the transposed pre-activations, in one buffer.  It is pooled, not
 // cached on anything a caller owns, so concurrent replicas never share one
 // and nothing derived from the weights outlives a call.
 var fwdPool = sync.Pool{New: func() any { return new([]float64) }}
 
-// minFwdDim is the smallest layer side gemmBiasAct packs for.  A layer
+// minFwdDim is the smallest layer side gemmBias packs for.  A layer
 // with fewer inputs or outputs — the embedding nets' 1→25, the fitting
 // net's 240→1 — goes to the Go kernel: the two transposing passes move
 // n·in + n·out elements and the product has only n·in·out terms to repay
@@ -141,16 +141,16 @@ var fwdPool = sync.Pool{New: func() any { return new([]float64) }}
 // only.
 const minFwdDim = 8
 
-// gemmBiasAct puts the SIMD lanes along the batch rows: the reduction
-// index k is contiguous in both x and w, so neither can supply a lane
-// dimension as stored.  x is packed as xᵀ (in × npad, rows padded with
-// zeros to a multiple of four — n·in moves against n·in·out products),
-// preactᵀ (out × npad) starts from the bias and takes the product through
-// accTiles, and one pass un-transposes it and applies act.  The padding
-// lanes compute on zeros and are never read back.
-func gemmBiasAct(preact, out, x, w, bias []float64, n, in, outDim int, act func(float64) float64) {
+// gemmBias puts the SIMD lanes along the batch rows: the reduction index
+// k is contiguous in both x and w, so neither can supply a lane dimension
+// as stored.  x is packed as xᵀ (in × npad, rows padded with zeros to a
+// multiple of four — n·in moves against n·in·out products), preactᵀ
+// (out × npad) starts from the bias and takes the product through
+// accTiles, and one pass un-transposes it.  The padding lanes compute on
+// zeros and are never read back.
+func gemmBias(preact, x, w, bias []float64, n, in, outDim int) {
 	if !useAVX2 || in < minFwdDim || outDim < minFwdDim {
-		gemmBiasActGeneric(preact, out, x, w, bias, n, in, outDim, act)
+		gemmBiasGeneric(preact, x, w, bias, n, in, outDim)
 		return
 	}
 	npad := (n + 3) &^ 3
@@ -179,11 +179,8 @@ func gemmBiasAct(preact, out, x, w, bias []float64, n, in, outDim int, act func(
 	accTiles(ct, npad, w, in, 1, xt, npad, outDim, npad, in)
 	for r := 0; r < n; r++ {
 		pr := preact[r*outDim : (r+1)*outDim]
-		yr := out[r*outDim : (r+1)*outDim]
 		for o := range pr {
-			v := ct[o*npad+r]
-			pr[o] = v
-			yr[o] = act(v)
+			pr[o] = ct[o*npad+r]
 		}
 	}
 	fwdPool.Put(buf)

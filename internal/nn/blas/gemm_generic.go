@@ -4,11 +4,11 @@ package blas
 // without AVX2 and under the race detector, and the reference the
 // assembly path is compared against bit for bit (kernel_test.go).
 
-// gemmBiasActGeneric is GemmBiasAct in Go.  Rows are processed in blocks
-// of eight (then four) so each weight row is loaded once per block; the k
+// gemmBiasGeneric is GemmBias in Go.  Rows are processed in blocks of
+// eight (then four) so each weight row is loaded once per block; the k
 // loop is unrolled with sequential adds into each row's accumulator,
 // preserving the scalar summation order bit-for-bit.
-func gemmBiasActGeneric(preact, out, x, w, bias []float64, n, in, outDim int, act func(float64) float64) {
+func gemmBiasGeneric(preact, x, w, bias []float64, n, in, outDim int) {
 	r := 0
 	for ; r+8 <= n; r += 8 {
 		x0 := x[r*in : r*in+in]
@@ -55,14 +55,14 @@ func gemmBiasActGeneric(preact, out, x, w, bias []float64, n, in, outDim int, ac
 				s6 += wk * x6[k]
 				s7 += wk * x7[k]
 			}
-			preact[r*outDim+o], out[r*outDim+o] = s0, act(s0)
-			preact[(r+1)*outDim+o], out[(r+1)*outDim+o] = s1, act(s1)
-			preact[(r+2)*outDim+o], out[(r+2)*outDim+o] = s2, act(s2)
-			preact[(r+3)*outDim+o], out[(r+3)*outDim+o] = s3, act(s3)
-			preact[(r+4)*outDim+o], out[(r+4)*outDim+o] = s4, act(s4)
-			preact[(r+5)*outDim+o], out[(r+5)*outDim+o] = s5, act(s5)
-			preact[(r+6)*outDim+o], out[(r+6)*outDim+o] = s6, act(s6)
-			preact[(r+7)*outDim+o], out[(r+7)*outDim+o] = s7, act(s7)
+			preact[r*outDim+o] = s0
+			preact[(r+1)*outDim+o] = s1
+			preact[(r+2)*outDim+o] = s2
+			preact[(r+3)*outDim+o] = s3
+			preact[(r+4)*outDim+o] = s4
+			preact[(r+5)*outDim+o] = s5
+			preact[(r+6)*outDim+o] = s6
+			preact[(r+7)*outDim+o] = s7
 		}
 	}
 	for ; r+4 <= n; r += 4 {
@@ -74,10 +74,6 @@ func gemmBiasActGeneric(preact, out, x, w, bias []float64, n, in, outDim int, ac
 		p1 := preact[(r+1)*outDim : (r+1)*outDim+outDim]
 		p2 := preact[(r+2)*outDim : (r+2)*outDim+outDim]
 		p3 := preact[(r+3)*outDim : (r+3)*outDim+outDim]
-		y0 := out[r*outDim : r*outDim+outDim]
-		y1 := out[(r+1)*outDim : (r+1)*outDim+outDim]
-		y2 := out[(r+2)*outDim : (r+2)*outDim+outDim]
-		y3 := out[(r+3)*outDim : (r+3)*outDim+outDim]
 		for o := 0; o < outDim; o++ {
 			wrow := w[o*in : o*in+in]
 			b := bias[o]
@@ -110,13 +106,11 @@ func gemmBiasActGeneric(preact, out, x, w, bias []float64, n, in, outDim int, ac
 				s3 += wk * x3[k]
 			}
 			p0[o], p1[o], p2[o], p3[o] = s0, s1, s2, s3
-			y0[o], y1[o], y2[o], y3[o] = act(s0), act(s1), act(s2), act(s3)
 		}
 	}
 	for ; r < n; r++ { // ragged tail, one row at a time
 		xr := x[r*in : r*in+in]
 		pr := preact[r*outDim : r*outDim+outDim]
-		yr := out[r*outDim : r*outDim+outDim]
 		for o := 0; o < outDim; o++ {
 			wrow := w[o*in : o*in+in]
 			s := bias[o]
@@ -131,7 +125,6 @@ func gemmBiasActGeneric(preact, out, x, w, bias []float64, n, in, outDim int, ac
 				s += wrow[k] * xr[k]
 			}
 			pr[o] = s
-			yr[o] = act(s)
 		}
 	}
 }

@@ -4,8 +4,8 @@ package blas
 
 func implName() string { return "generic" }
 
-func gemmBiasAct(preact, out, x, w, bias []float64, n, in, outDim int, act func(float64) float64) {
-	gemmBiasActGeneric(preact, out, x, w, bias, n, in, outDim, act)
+func gemmBias(preact, x, w, bias []float64, n, in, outDim int) {
+	gemmBiasGeneric(preact, x, w, bias, n, in, outDim)
 }
 
 func gemmNN(dx, g, w []float64, n, in, outDim int) {

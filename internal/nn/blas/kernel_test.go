@@ -87,7 +87,7 @@ func randOperands(rng *rand.Rand, n, in, out int) operands {
 	}
 }
 
-// checkAgainstGeneric runs the three entry points, on each path the
+// checkAgainstGeneric runs the four entry points, on each path the
 // build can dispatch to, and the three Go kernels on the same operands,
 // placed at offsets off..off+2 of guarded backings, and requires
 // identical bits everywhere.
@@ -103,17 +103,26 @@ func checkDispatch(t *testing.T, op operands, off int) {
 	bias, g := guarded(op.bias, off+2).s, guarded(op.g, off+1).s
 	what := fmt.Sprintf("%s: n=%d in=%d out=%d off=%d", Impl(), n, in, out, off)
 
-	gotP, gotY := guarded(make([]float64, n*out), off+1), guarded(make([]float64, n*out), off+2)
-	wantP, wantY := make([]float64, n*out), make([]float64, n*out)
+	gotP := guarded(make([]float64, n*out), off+1)
+	wantP := make([]float64, n*out)
+	GemmBias(gotP.s, x, w, bias, n, in, out)
+	gemmBiasGeneric(wantP, op.x, op.w, op.bias, n, in, out)
+	if i := diffBits(gotP.s, wantP); i >= 0 {
+		t.Fatalf("%s: GemmBias preact[%d] = %v, generic %v", what, i, gotP.s[i], wantP[i])
+	}
+	gotP.check(t, what+" preact")
+
+	gotP, gotY := guarded(make([]float64, n*out), off+2), guarded(make([]float64, n*out), off)
 	GemmBiasAct(gotP.s, gotY.s, x, w, bias, n, in, out, math.Tanh)
-	gemmBiasActGeneric(wantP, wantY, op.x, op.w, op.bias, n, in, out, math.Tanh)
 	if i := diffBits(gotP.s, wantP); i >= 0 {
 		t.Fatalf("%s: GemmBiasAct preact[%d] = %v, generic %v", what, i, gotP.s[i], wantP[i])
 	}
-	if i := diffBits(gotY.s, wantY); i >= 0 {
-		t.Fatalf("%s: GemmBiasAct out[%d] = %v, generic %v", what, i, gotY.s[i], wantY[i])
+	for i, v := range wantP {
+		if want := math.Tanh(v); diffBits(gotY.s[i:i+1], []float64{want}) >= 0 {
+			t.Fatalf("%s: GemmBiasAct out[%d] = %v, want tanh(preact) %v", what, i, gotY.s[i], want)
+		}
 	}
-	gotP.check(t, what+" preact")
+	gotP.check(t, what+" GemmBiasAct preact")
 	gotY.check(t, what+" out")
 
 	gotDx := guarded(op.dxFill, off+2)
@@ -160,12 +169,13 @@ func TestDegenerateDims(t *testing.T) {
 		checkAgainstGeneric(t, randOperands(rng, sh.n, sh.in, sh.out), 1)
 	}
 	// Nil operands are as good as empty ones.
+	GemmBias(nil, nil, nil, nil, 0, 4, 0)
 	GemmBiasAct(nil, nil, nil, nil, nil, 0, 4, 0, math.Tanh)
 	GemmNN(nil, nil, nil, 0, 4, 0)
 	AccumGrad(nil, nil, nil, nil, 0, 4, 0)
 }
 
-// TestShortOperandPanicsBeforeAnyWrite shortens each of the twelve
+// TestShortOperandPanicsBeforeAnyWrite shortens each of the sixteen
 // operands by one element in turn: the entry point must panic naming the
 // operand, with every operand's contents — destinations included —
 // exactly as they were.
@@ -187,6 +197,9 @@ func TestShortOperandPanicsBeforeAnyWrite(t *testing.T) {
 		names []string
 		call  func(o [][]float64)
 	}{
+		{"GemmBias", []string{"preact", "x", "w", "bias"}, func(o [][]float64) {
+			GemmBias(o[0], o[1], o[2], o[3], n, in, out)
+		}},
 		{"GemmBiasAct", []string{"preact", "out", "x", "w", "bias"}, func(o [][]float64) {
 			GemmBiasAct(o[0], o[1], o[2], o[3], o[4], n, in, out, math.Tanh)
 		}},
@@ -272,7 +285,7 @@ func FuzzGemmDifferential(f *testing.F) {
 	})
 }
 
-// TestKernelsSteadyStateAllocs pins the three entry points at 0 allocs/op
+// TestKernelsSteadyStateAllocs pins the four entry points at 0 allocs/op
 // on every path this build can take (forEachDispatch), at the fitting
 // net's 12×240×240: the assembly path's packed-xᵀ workspace must come
 // back from its pool, and the Go kernels, which an AVX2 host otherwise
@@ -285,6 +298,7 @@ func TestKernelsSteadyStateAllocs(t *testing.T) {
 	gradW, gradB := make([]float64, out*in), make([]float64, out)
 	forEachDispatch(func() {
 		for name, fn := range map[string]func(){
+			"GemmBias":    func() { GemmBias(preact, x, w, bias, n, in, out) },
 			"GemmBiasAct": func() { GemmBiasAct(preact, y, x, w, bias, n, in, out, math.Tanh) },
 			"GemmNN":      func() { GemmNN(dx, g, w, n, in, out) },
 			"AccumGrad":   func() { AccumGrad(gradW, gradB, g, x, n, in, out) },
@@ -307,15 +321,13 @@ func BenchmarkKernels(b *testing.B) {
 		x, w, bias, g := randSlice(rng, n*in), randSlice(rng, out*in), randSlice(rng, out), randSlice(rng, n*out)
 		preact, y, dx := make([]float64, n*out), make([]float64, n*out), make([]float64, n*in)
 		gradW, gradB := make([]float64, out*in), make([]float64, out)
-		ident := func(v float64) float64 { return v }
 		for _, k := range []struct {
 			name string
 			fn   func()
 		}{
-			{"GemmBiasAct/" + Impl(), func() { GemmBiasAct(preact, y, x, w, bias, n, in, out, ident) }},
-			{"GemmBiasAct/go", func() { gemmBiasActGeneric(preact, y, x, w, bias, n, in, out, ident) }},
+			{"GemmBias/" + Impl(), func() { GemmBias(preact, x, w, bias, n, in, out) }},
+			{"GemmBias/go", func() { gemmBiasGeneric(preact, x, w, bias, n, in, out) }},
 			{"GemmBiasAct+tanh/" + Impl(), func() { GemmBiasAct(preact, y, x, w, bias, n, in, out, math.Tanh) }},
-			{"GemmBiasAct+tanh/go", func() { gemmBiasActGeneric(preact, y, x, w, bias, n, in, out, math.Tanh) }},
 			{"GemmNN/" + Impl(), func() { GemmNN(dx, g, w, n, in, out) }},
 			{"GemmNN/go", func() { gemmNNGeneric(dx, g, w, n, in, out) }},
 			{"AccumGrad/" + Impl(), func() { AccumGrad(gradW, gradB, g, x, n, in, out) }},
