@@ -10,7 +10,9 @@
 // simulated workers here run on in-process replicas that share one
 // parameter copy, so the mean is reduced once, into one destination (the
 // model's gradient), and the single optimizer step taken on it is seen by
-// every replica.
+// every replica.  That step runs inside the reduce: each chunk of the
+// parameters is updated by the goroutine that wrote the chunk's mean, as
+// soon as it has.
 package ddp
 
 import (
@@ -28,6 +30,24 @@ import (
 // 1/len(buffers) — a fixed per-element order, so the mean is the same
 // bits however the chunks are scheduled.
 func ReduceMean(dst []float64, buffers [][]float64) error {
+	return reduce(dst, buffers, nil)
+}
+
+// Update is an optimizer step that Group.Step applies to the mean
+// gradient as it is reduced.  An element's update must read and write
+// only what belongs to that element, since chunks update concurrently.
+type Update interface {
+	// Begin runs once per step, on the goroutine that called Step, after
+	// every worker has succeeded and before any of the mean is written.
+	Begin()
+	// Apply updates elements [lo, hi), whose mean has just been written,
+	// on the goroutine that wrote it.
+	Apply(lo, hi int)
+}
+
+// reduce is ReduceMean, with up (when non-nil) begun once and applied to
+// each chunk right after that chunk's mean is written.
+func reduce(dst []float64, buffers [][]float64, up Update) error {
 	if len(buffers) == 0 {
 		return errors.New("ddp: no buffers to reduce")
 	}
@@ -36,21 +56,25 @@ func ReduceMean(dst []float64, buffers [][]float64) error {
 			return fmt.Errorf("ddp: buffer %d length %d != %d", i, len(b), len(dst))
 		}
 	}
+	if up != nil {
+		up.Begin()
+	}
 	var wg sync.WaitGroup
 	for k := 1; k < len(buffers); k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reduceChunk(dst, buffers, k)
+			reduceChunk(dst, buffers, k, up)
 		}()
 	}
-	reduceChunk(dst, buffers, 0)
+	reduceChunk(dst, buffers, 0, up)
 	wg.Wait()
 	return nil
 }
 
-// reduceChunk writes chunk k of the mean (see ReduceMean) into dst.
-func reduceChunk(dst []float64, buffers [][]float64, k int) {
+// reduceChunk writes chunk k of the mean (see ReduceMean) into dst, then
+// applies up to it.
+func reduceChunk(dst []float64, buffers [][]float64, k int, up Update) {
 	n, w := len(dst), len(buffers)
 	lo, hi := k*n/w, (k+1)*n/w
 	d := dst[lo:hi]
@@ -66,6 +90,9 @@ func reduceChunk(dst []float64, buffers [][]float64, k int) {
 	inv := 1 / float64(w)
 	for i := range d {
 		d[i] *= inv
+	}
+	if up != nil {
+		up.Apply(lo, hi)
 	}
 }
 
@@ -97,7 +124,8 @@ func NewGroup(nWorkers, replicas, nParams int) *Group {
 
 // Step runs compute(r, w, grad) once per worker w — on replica r, which
 // must leave worker w's gradient in grad, whatever grad held before — and
-// writes the workers' mean gradient into dst (ReduceMean).  Replicas
+// writes the workers' mean gradient into dst (ReduceMean), applying
+// update (when non-nil) to each chunk of it as it is written.  Replicas
 // claim worker indices in ascending order from a shared counter; replica
 // 0 is the calling goroutine, so a single replica is a plain loop, and
 // every goroutine Step starts has returned before Step does.
@@ -106,9 +134,9 @@ func NewGroup(nWorkers, replicas, nParams int) *Group {
 // Step then returns ctx.Err() if the context ended, otherwise the error
 // of the lowest-numbered failing worker: every worker below it was
 // claimed earlier and runs to completion, so which error is returned
-// does not depend on the replica count or on timing.  dst is written
-// only when every worker succeeded.
-func (g *Group) Step(ctx context.Context, compute func(r, w int, grad []float64) error, dst []float64) error {
+// does not depend on the replica count or on timing.  dst is written,
+// and update begun and applied, only when every worker succeeded.
+func (g *Group) Step(ctx context.Context, compute func(r, w int, grad []float64) error, dst []float64, update Update) error {
 	clear(g.errs)
 	var next atomic.Int64
 	var failed atomic.Bool
@@ -141,5 +169,5 @@ func (g *Group) Step(ctx context.Context, compute func(r, w int, grad []float64)
 			return err
 		}
 	}
-	return ReduceMean(dst, g.flat)
+	return reduce(dst, g.flat, update)
 }

@@ -191,7 +191,7 @@ func TestGroupStepAverages(t *testing.T) {
 				grad[0], grad[1] = float64(w), 10*float64(w)
 				return nil
 			},
-			mean,
+			mean, nil,
 		)
 		if err != nil {
 			t.Fatalf("Step: %v", err)
@@ -235,7 +235,7 @@ func TestGroupStepBoundsConcurrency(t *testing.T) {
 			inFlight.Add(-1)
 			busy[r].Store(false)
 			return nil
-		}, make([]float64, 1))
+		}, make([]float64, 1), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func TestGroupStepReturnsLowestFailingWorker(t *testing.T) {
 					return err4
 				}
 				return nil
-			}, dst)
+			}, dst, nil)
 			if err != err2 {
 				t.Fatalf("replicas=%d: Step = %v, want worker 2's error", replicas, err)
 			}
@@ -296,7 +296,7 @@ func TestGroupStepStopsOnCancel(t *testing.T) {
 				return errors.New("a later worker's failure")
 			}
 			return nil
-		}, dst)
+		}, dst, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("replicas=%d: Step = %v, want context.Canceled", replicas, err)
 		}

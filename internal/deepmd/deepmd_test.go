@@ -172,25 +172,36 @@ func TestBatchGradMatchesLossFiniteDifference(t *testing.T) {
 // binding the replica's gradient views to the worker's buffer, clearing
 // it and the fused training sweep — at zero allocations from the second
 // call on: the first sizes the workspace, every later one only reuses it.
+// Every layer reaches its activation through the batch entry points
+// (ApplyBatch, ScaleDeriv), so each activation, descriptor and fitting
+// net alike, gets its own row.
 func TestBatchGradSteadyStateAllocs(t *testing.T) {
 	d := tinyData(t, 2)
-	m, _ := NewModel(rand.New(rand.NewSource(3)), tinyModelConfig())
 	frames := []*dataset.Frame{&d.Frames[0], &d.Frames[1]}
-	rep := m.newReplica(1, len(frames))
-	bufs := [][]float64{make([]float64, m.ParamCount()), make([]float64, m.ParamCount())}
-	step := 0
-	sweep := func() {
-		grad := bufs[step%2]
-		step++
-		nn.Bind(rep.m.layers, nil, grad)
-		clear(grad)
-		if err := rep.m.accumulateBatchGrad(&rep.ws, d.Types, frames, 0.7, 1.3, 1e-4); err != nil {
+	for _, name := range nn.ActivationNames {
+		act, err := nn.ActivationByName(name)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	sweep()
-	if got := testing.AllocsPerRun(10, sweep); got != 0 {
-		t.Errorf("accumulateBatchGrad: %v allocs/op in steady state, want 0", got)
+		cfg := tinyModelConfig()
+		cfg.Descriptor.Activation, cfg.FittingActivation = act, act
+		m, _ := NewModel(rand.New(rand.NewSource(3)), cfg)
+		rep := m.newReplica(1, len(frames))
+		bufs := [][]float64{make([]float64, m.ParamCount()), make([]float64, m.ParamCount())}
+		step := 0
+		sweep := func() {
+			grad := bufs[step%2]
+			step++
+			nn.Bind(rep.m.layers, nil, grad)
+			clear(grad)
+			if err := rep.m.accumulateBatchGrad(&rep.ws, d.Types, frames, 0.7, 1.3, 1e-4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sweep()
+		if got := testing.AllocsPerRun(10, sweep); got != 0 {
+			t.Errorf("%s: accumulateBatchGrad: %v allocs/op in steady state, want 0", name, got)
+		}
 	}
 }
 

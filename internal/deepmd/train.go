@@ -139,7 +139,7 @@ func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg Trai
 	types := train.AtomTypes()
 
 	sched := nn.ExpDecaySchedule{Start: cfg.StartLR, Stop: cfg.StopLR, TotalSteps: cfg.Steps}
-	opt := nn.NewAdam()
+	opt := &adamUpdate{opt: nn.NewAdam(), param: m.param, grad: m.grad}
 
 	// The step's Workers gradients are computed on min(Threads, Workers)
 	// replicas, as the paper's node computes them on its six GPUs.
@@ -192,9 +192,11 @@ func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg Trai
 
 		// Each simulated worker computes the gradient of its own random
 		// batch on whichever replica is free, straight into its buffer in
-		// the group; the mean lands in the model's gradient arena.  The
-		// replicas share the parameters and nothing else, so the gradient
-		// of worker w is the same bits on any of them.
+		// the group; the mean lands in the model's gradient arena, and
+		// Adam updates each chunk of the parameters as its mean is
+		// written.  The replicas share the parameters and nothing else,
+		// so the gradient of worker w is the same bits on any of them.
+		opt.lr = lr
 		err := group.Step(ctx, func(r, w int, grad []float64) error {
 			rep := reps[r]
 			nn.Bind(rep.m.layers, nil, grad)
@@ -216,11 +218,10 @@ func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg Trai
 				}
 			}
 			return nil
-		}, m.grad)
+		}, m.grad, opt)
 		if err != nil {
 			return res, err
 		}
-		opt.Step(m.param, m.grad, lr)
 		idx, nextIdx = nextIdx, idx
 		res.StepsRun = step + 1
 
@@ -266,6 +267,18 @@ func (m *Model) newReplica(threads, batchSize int) *replica {
 	s.Bias = m.Bias
 	return &replica{m: s, ws: batchScratch{threads: threads}, batch: make([]*dataset.Frame, batchSize)}
 }
+
+// adamUpdate is the Adam step ddp.Group.Step applies to the model's
+// arenas chunk by chunk, as the mean gradient is reduced; lr is the
+// current step's learning rate.
+type adamUpdate struct {
+	opt         *nn.Adam
+	param, grad []float64
+	lr          float64
+}
+
+func (u *adamUpdate) Begin()           { u.opt.Begin(len(u.param), u.lr) }
+func (u *adamUpdate) Apply(lo, hi int) { u.opt.Update(u.param, u.grad, lo, hi) }
 
 // initBias sets the per-species energy bias so the untrained network
 // predicts the training-set mean energy, the same trick DeePMD uses to

@@ -63,3 +63,26 @@ func checkSteadyStateAllocs(t *testing.T, act Activation) {
 		}
 	}
 }
+
+// TestAdamSteadyStateAllocs pins the optimizer step, whole (Step) and as
+// the data-parallel reduce runs it (Begin, then Update per chunk), at zero
+// allocations once the moments exist.
+func TestAdamSteadyStateAllocs(t *testing.T) {
+	param, grad := make([]float64, 101), make([]float64, 101)
+	for i := range grad {
+		grad[i] = float64(i%7) - 3
+	}
+	opt := NewAdam()
+	opt.Step(param, grad, 1e-3)
+	if got := testing.AllocsPerRun(20, func() { opt.Step(param, grad, 1e-3) }); got != 0 {
+		t.Errorf("Adam.Step: %v allocs/op in steady state, want 0", got)
+	}
+	chunked := func() {
+		opt.Begin(len(param), 1e-3)
+		opt.Update(param, grad, 0, 50)
+		opt.Update(param, grad, 50, len(param))
+	}
+	if got := testing.AllocsPerRun(20, chunked); got != 0 {
+		t.Errorf("Adam.Begin+Update: %v allocs/op in steady state, want 0", got)
+	}
+}

@@ -3,11 +3,13 @@ package nn
 import "math"
 
 // Adam is the Adam optimizer (Kingma & Ba, 2015), the default DeePMD-kit
-// trainer.
+// trainer.  A step is Begin, then Update over element ranges that cover
+// the parameters once; Step does both over the whole slice.
 type Adam struct {
 	Beta1, Beta2, Eps float64
 	t                 int
 	m, v              []float64
+	lr, c1, c2        float64 // the step Begin started
 }
 
 // NewAdam creates an Adam optimizer with the standard hyperparameters.
@@ -17,14 +19,31 @@ func NewAdam() *Adam { return &Adam{Beta1: 0.9, Beta2: 0.999, Eps: 1e-8} }
 // gradient grad — a model's two arenas (see NewArena).  Every call must pass
 // slices of the length the first one did.
 func (a *Adam) Step(param, grad []float64, lr float64) {
+	a.Begin(len(param), lr)
+	a.Update(param, grad, 0, len(param))
+}
+
+// Begin starts the next step over n parameters with learning rate lr: it
+// advances the step count and computes the bias corrections, once.  Every
+// call must pass the n the first one did.
+func (a *Adam) Begin(n int, lr float64) {
 	if a.m == nil {
-		a.m = make([]float64, len(param))
-		a.v = make([]float64, len(param))
+		a.m = make([]float64, n)
+		a.v = make([]float64, n)
 	}
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	m, v, grad := a.m[:len(param)], a.v[:len(param)], grad[:len(param)]
+	a.lr = lr
+	a.c1 = 1 - math.Pow(a.Beta1, float64(a.t))
+	a.c2 = 1 - math.Pow(a.Beta2, float64(a.t))
+}
+
+// Update applies the step Begin started to param[lo:hi] from grad[lo:hi].
+// Element j reads and writes only param[j] and its own moments, so calls
+// on disjoint ranges may run concurrently.
+func (a *Adam) Update(param, grad []float64, lo, hi int) {
+	c1, c2, lr := a.c1, a.c2, a.lr
+	grad = grad[lo:hi]
+	param, m, v := param[lo:hi][:len(grad)], a.m[lo:hi][:len(grad)], a.v[lo:hi][:len(grad)]
 	for j, g := range grad {
 		m[j] = a.Beta1*m[j] + (1-a.Beta1)*g
 		v[j] = a.Beta2*v[j] + (1-a.Beta2)*g*g
