@@ -76,8 +76,8 @@ func kern1x4(c *float64, ldc int, a *float64, ars, ard int, b *float64, ldb, t i
 //	c[j·ldc + i] += Σ_t a[j·ars + t·ard] · b[t·ldb + i]    (t = 0 … nt-1 ascending)
 //
 // with one accumulator per element.  Columns are cut into 8-wide, then one
-// 4-wide, register tiles and a scalar loop for the last < 4; rows into
-// blocks of four, then single rows.  Column tiles are the outer loop so the
+// 4-wide, register tiles and a Go loop for the last < 4 (accColumn); rows
+// into blocks of four, then single rows.  Column tiles are the outer loop so the
 // 8-column strip of b — the operand every row block re-reads — stays in L1.
 // The extents are checked here, once; the tiles check nothing.
 func accTiles(c []float64, ldc int, a []float64, ars, ard int, b []float64, ldb, rows, cols, nt int) {
@@ -114,14 +114,35 @@ func accTiles(c []float64, ldc int, a []float64, ars, ard int, b []float64, ldb,
 		i += 4
 	}
 	for ; i < cols; i++ {
-		for j := 0; j < rows; j++ {
-			s := c[j*ldc+i]
-			aj := a[j*ars:]
-			for t := 0; t < nt; t++ {
-				s += aj[t*ard] * b[t*ldb+i]
-			}
-			c[j*ldc+i] = s
+		accColumn(c[i:], ldc, a, ars, ard, b[i:], ldb, rows, nt)
+	}
+}
+
+// accColumn is accTiles for one column (c[j·ldc] += Σ_t a[j·ars + t·ard] ·
+// b[t·ldb]), four rows at a time: four independent accumulators, each
+// still summing its t terms in ascending order, so the adds overlap
+// instead of waiting on one another.
+func accColumn(c []float64, ldc int, a []float64, ars, ard int, b []float64, ldb, rows, nt int) {
+	j := 0
+	for ; j+4 <= rows; j += 4 {
+		s0, s1, s2, s3 := c[j*ldc], c[(j+1)*ldc], c[(j+2)*ldc], c[(j+3)*ldc]
+		a0, a1, a2, a3 := a[j*ars:], a[(j+1)*ars:], a[(j+2)*ars:], a[(j+3)*ars:]
+		for t := 0; t < nt; t++ {
+			bt, at := b[t*ldb], t*ard
+			s0 += a0[at] * bt
+			s1 += a1[at] * bt
+			s2 += a2[at] * bt
+			s3 += a3[at] * bt
 		}
+		c[j*ldc], c[(j+1)*ldc], c[(j+2)*ldc], c[(j+3)*ldc] = s0, s1, s2, s3
+	}
+	for ; j < rows; j++ {
+		s := c[j*ldc]
+		aj := a[j*ars:]
+		for t := 0; t < nt; t++ {
+			s += aj[t*ard] * b[t*ldb]
+		}
+		c[j*ldc] = s
 	}
 }
 

@@ -149,12 +149,26 @@ func checkDispatch(t *testing.T, op operands, off int) {
 	gotB.check(t, what+" gradB")
 }
 
+// tailShapes reach accTiles' last < 4 columns (accColumn) with row
+// blocks of four and a ragged rest: the embedding layers' in = 1, 25 and
+// 50 are those columns in GemmNN (rows n) and AccumGrad (rows out), and
+// no row count here is a multiple of four.
+func tailShapes() []struct{ n, in, out int } {
+	var s []struct{ n, in, out int }
+	for _, in := range []int{1, 25, 50} {
+		for _, rows := range []int{1, 3, 5, 7, 9, 13, 301} {
+			s = append(s, struct{ n, in, out int }{rows, in, 7}, struct{ n, in, out int }{3, in, rows})
+		}
+	}
+	return s
+}
+
 // TestKernelsMatchGenericBitwise runs both paths over the measured shape
-// set and the ragged table, with gradW/gradB seeded non-zero and dx
-// pre-filled with garbage.
+// set, the ragged table and the tail-column shapes, with gradW/gradB
+// seeded non-zero and dx pre-filled with garbage.
 func TestKernelsMatchGenericBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	all := append(measuredShapes(), shapes...)
+	all := append(append(measuredShapes(), shapes...), tailShapes()...)
 	for k, sh := range all {
 		checkAgainstGeneric(t, randOperands(rng, sh.n, sh.in, sh.out), 1+k%3)
 	}
