@@ -92,12 +92,13 @@ func reluDeriv(y float64) float64 {
 }
 func (a relu) Deriv(x float64) float64 { return reluDeriv(a.Apply(x)) }
 func (a relu) ApplyBatch(y, x []float64) {
+	y = y[:len(x)]
 	for i, v := range x {
 		y[i] = a.Apply(v)
 	}
 }
 func (relu) ScaleDeriv(dg, dy, _, out []float64) {
-	out = out[:len(dy)]
+	dg, out = dg[:len(dy)], out[:len(dy)]
 	for i, v := range dy {
 		dg[i] = v * reluDeriv(out[i])
 	}
@@ -126,12 +127,13 @@ func relu6Deriv(y float64) float64 {
 }
 func (a relu6) Deriv(x float64) float64 { return relu6Deriv(a.Apply(x)) }
 func (a relu6) ApplyBatch(y, x []float64) {
+	y = y[:len(x)]
 	for i, v := range x {
 		y[i] = a.Apply(v)
 	}
 }
 func (relu6) ScaleDeriv(dg, dy, _, out []float64) {
-	out = out[:len(dy)]
+	dg, out = dg[:len(dy)], out[:len(dy)]
 	for i, v := range dy {
 		dg[i] = v * relu6Deriv(out[i])
 	}
@@ -152,12 +154,13 @@ func (softplus) Apply(x float64) float64 {
 }
 func (softplus) Deriv(x float64) float64 { return sigmoidFn(x) }
 func (a softplus) ApplyBatch(y, x []float64) {
+	y = y[:len(x)]
 	for i, v := range x {
 		y[i] = a.Apply(v)
 	}
 }
 func (softplus) ScaleDeriv(dg, dy, pre, _ []float64) {
-	pre = pre[:len(dy)]
+	dg, pre = dg[:len(dy)], pre[:len(dy)]
 	for i, v := range dy {
 		dg[i] = v * sigmoidFn(pre[i])
 	}
@@ -172,12 +175,13 @@ func (sigmoid) Name() string            { return "sigmoid" }
 func (sigmoid) Apply(x float64) float64 { return sigmoidFn(x) }
 func (sigmoid) Deriv(x float64) float64 { return sigmoidDeriv(sigmoidFn(x)) }
 func (sigmoid) ApplyBatch(y, x []float64) {
+	y = y[:len(x)]
 	for i, v := range x {
 		y[i] = sigmoidFn(v)
 	}
 }
 func (sigmoid) ScaleDeriv(dg, dy, _, out []float64) {
-	out = out[:len(dy)]
+	dg, out = dg[:len(dy)], out[:len(dy)]
 	for i, v := range dy {
 		dg[i] = v * sigmoidDeriv(out[i])
 	}
@@ -200,12 +204,13 @@ func (tanhAct) Name() string            { return "tanh" }
 func (tanhAct) Apply(x float64) float64 { return math.Tanh(x) }
 func (tanhAct) Deriv(x float64) float64 { return tanhDeriv(math.Tanh(x)) }
 func (tanhAct) ApplyBatch(y, x []float64) {
+	y = y[:len(x)]
 	for i, v := range x {
 		y[i] = math.Tanh(v)
 	}
 }
 func (tanhAct) ScaleDeriv(dg, dy, _, out []float64) {
-	out = out[:len(dy)]
+	dg, out = dg[:len(dy)], out[:len(dy)]
 	for i, v := range dy {
 		dg[i] = v * tanhDeriv(out[i])
 	}
@@ -220,6 +225,7 @@ func (identity) ApplyBatch(y, x []float64) {
 	copy(y, x)
 }
 func (identity) ScaleDeriv(dg, dy, _, _ []float64) {
+	dg = dg[:len(dy)]
 	for i, v := range dy {
 		dg[i] = v * 1
 	}
