@@ -19,7 +19,8 @@
 // counterpart for any batch size, which is what keeps lcurve.out and the
 // golden campaign byte-stable.
 //
-// Two implementations sit under the three entry points.  The pure-Go
+// Two implementations sit under the three kernel entry points (GemmBias,
+// GemmNN, AccumGrad; GemmBiasAct is GemmBias plus a loop).  The pure-Go
 // kernels (gemm_generic.go) block over rows and columns.  On amd64 one
 // AVX2 micro-kernel (gemm_amd64.s, driven by accTiles) computes
 // c[j][i] += Σ_t a[j][t]·b[t][i] on a 4×8 register tile whose four-wide
