@@ -44,6 +44,37 @@ func sameBits(a, b []float64) int {
 	return -1
 }
 
+// fenceCompute is a Group.Step compute that leaves fenceGrad(s, w, ·) in
+// worker w's buffer, and fails worker failW (−1: none).
+func fenceCompute(s, failW int, boom error) func(r, w int, grad []float64) error {
+	return func(r, w int, grad []float64) error {
+		for i := range grad {
+			grad[i] = fenceGrad(s, w, i)
+		}
+		if w == failW {
+			return boom
+		}
+		return nil
+	}
+}
+
+// wholeArenaStep is the reference for step s: ReduceMean over the
+// workers' gradients into mean, then one whole-arena Adam step on param.
+func wholeArenaStep(t *testing.T, opt *nn.Adam, param, mean []float64, s, workers int, lr float64) {
+	t.Helper()
+	buffers := make([][]float64, workers)
+	for w := range buffers {
+		buffers[w] = make([]float64, len(mean))
+		for i := range buffers[w] {
+			buffers[w][i] = fenceGrad(s, w, i)
+		}
+	}
+	if err := ReduceMean(mean, buffers); err != nil {
+		t.Fatal(err)
+	}
+	opt.Step(param, mean, lr)
+}
+
 // TestStepFusedAdamMatchesWholeArena: three consecutive Group.Steps that
 // update each chunk as its mean is written leave the mean and the
 // parameters bit-identical to ReduceMean followed by one whole-arena Adam
@@ -56,31 +87,13 @@ func TestStepFusedAdamMatchesWholeArena(t *testing.T) {
 				g := NewGroup(workers, replicas, n)
 				mean := make([]float64, n)
 				up := &adamUpdate{opt: nn.NewAdam(), param: fenceParams(n), grad: mean}
-
-				wantParam, wantMean := fenceParams(n), make([]float64, n)
-				oracle := nn.NewAdam()
-				buffers := make([][]float64, workers)
+				oracle, wantParam, wantMean := nn.NewAdam(), fenceParams(n), make([]float64, n)
 				for s, lr := range lrs {
 					up.lr = lr
-					err := g.Step(context.Background(), func(r, w int, grad []float64) error {
-						for i := range grad {
-							grad[i] = fenceGrad(s, w, i)
-						}
-						return nil
-					}, mean, up)
-					if err != nil {
+					if err := g.Step(context.Background(), fenceCompute(s, -1, nil), mean, up); err != nil {
 						t.Fatal(err)
 					}
-					for w := range buffers {
-						buffers[w] = make([]float64, n)
-						for i := range buffers[w] {
-							buffers[w][i] = fenceGrad(s, w, i)
-						}
-					}
-					if err := ReduceMean(wantMean, buffers); err != nil {
-						t.Fatal(err)
-					}
-					oracle.Step(wantParam, wantMean, lr)
+					wholeArenaStep(t, oracle, wantParam, wantMean, s, workers, lr)
 					if i := sameBits(mean, wantMean); i >= 0 {
 						t.Fatalf("workers=%d n=%d replicas=%d step %d: mean[%d] = %v, want %v", workers, n, replicas, s, i, mean[i], wantMean[i])
 					}
@@ -102,53 +115,28 @@ func TestStepFusedAdamMatchesWholeArena(t *testing.T) {
 // on the bits of a run that never saw the failed one — Adam's moments and
 // step count did not move either.
 func TestStepFailureLeavesOptimizerUntouched(t *testing.T) {
-	const workers, n = 3, 29
+	const workers, n, lr = 3, 29, 0.01
 	boom := errors.New("worker failed")
 	for _, mode := range []string{"worker error", "cancelled"} {
 		for _, replicas := range []int{1, workers} {
 			g := NewGroup(workers, replicas, n)
 			mean := make([]float64, n)
-			up := &adamUpdate{opt: nn.NewAdam(), param: fenceParams(n), grad: mean, lr: 0.01}
-			wantParam, wantMean := fenceParams(n), make([]float64, n)
-			oracle := nn.NewAdam()
-			step := func(ctx context.Context, s int, fail bool) error {
-				return g.Step(ctx, func(r, w int, grad []float64) error {
-					for i := range grad {
-						grad[i] = fenceGrad(s, w, i)
-					}
-					if fail && w == 1 {
-						return boom
-					}
-					return nil
-				}, mean, up)
-			}
-			oracleStep := func(s int) {
-				buffers := make([][]float64, workers)
-				for w := range buffers {
-					buffers[w] = make([]float64, n)
-					for i := range buffers[w] {
-						buffers[w][i] = fenceGrad(s, w, i)
-					}
-				}
-				if err := ReduceMean(wantMean, buffers); err != nil {
-					t.Fatal(err)
-				}
-				oracle.Step(wantParam, wantMean, up.lr)
-			}
+			up := &adamUpdate{opt: nn.NewAdam(), param: fenceParams(n), grad: mean, lr: lr}
+			oracle, wantParam, wantMean := nn.NewAdam(), fenceParams(n), make([]float64, n)
 
-			if err := step(context.Background(), 0, false); err != nil {
+			if err := g.Step(context.Background(), fenceCompute(0, -1, nil), mean, up); err != nil {
 				t.Fatal(err)
 			}
-			oracleStep(0)
+			wholeArenaStep(t, oracle, wantParam, wantMean, 0, workers, lr)
 			before := append([]float64(nil), up.param...)
-			var err error
+			ctx, cancel := context.WithCancel(context.Background())
+			failW := 1
 			if mode == "cancelled" {
-				ctx, cancel := context.WithCancel(context.Background())
 				cancel()
-				err = step(ctx, 1, false)
-			} else {
-				err = step(context.Background(), 1, true)
+				failW = -1
 			}
+			err := g.Step(ctx, fenceCompute(1, failW, boom), mean, up)
+			cancel()
 			if err == nil {
 				t.Fatalf("%s, replicas=%d: the step succeeded", mode, replicas)
 			}
@@ -158,10 +146,10 @@ func TestStepFailureLeavesOptimizerUntouched(t *testing.T) {
 			if up.begun != 1 {
 				t.Fatalf("%s, replicas=%d: the failed step began the update", mode, replicas)
 			}
-			if err := step(context.Background(), 2, false); err != nil {
+			if err := g.Step(context.Background(), fenceCompute(2, -1, nil), mean, up); err != nil {
 				t.Fatal(err)
 			}
-			oracleStep(2)
+			wholeArenaStep(t, oracle, wantParam, wantMean, 2, workers, lr)
 			if i := sameBits(up.param, wantParam); i >= 0 {
 				t.Fatalf("%s, replicas=%d: after the failed step, param[%d] = %v, want %v", mode, replicas, i, up.param[i], wantParam[i])
 			}
