@@ -7,17 +7,23 @@ import (
 	"testing"
 )
 
-// forEachDispatch runs fn once per kernel path this build can take: the
-// Go kernels, then the AVX2 assembly when the host has it.  The process's
-// own choice is restored afterwards.
-func forEachDispatch(fn func()) {
+// forEachDispatch runs fn as one subtest per kernel path this build can
+// take, named as Impl names it: the Go kernels, then the AVX2 assembly.
+// A path the host cannot run is a visible skip.  The process's own choice
+// is restored afterwards.
+func forEachDispatch(t *testing.T, fn func(t *testing.T)) {
 	defer func(saved bool) { useAVX2 = saved }(useAVX2)
-	for _, on := range []bool{false, true} {
-		if on && !hasAVX2() {
-			continue
-		}
-		useAVX2 = on
-		fn()
+	for _, d := range []struct {
+		name string
+		avx2 bool
+	}{{"generic", false}, {"avx2", true}} {
+		t.Run(d.name, func(t *testing.T) {
+			if d.avx2 && !hasAVX2() {
+				t.Skip("host lacks AVX2, or the OS does not save the YMM state")
+			}
+			useAVX2 = d.avx2
+			fn(t)
+		})
 	}
 }
 

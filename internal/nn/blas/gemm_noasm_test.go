@@ -2,6 +2,8 @@
 
 package blas
 
-// forEachDispatch runs fn on the one kernel path this build has: the Go
-// kernels.
-func forEachDispatch(fn func()) { fn() }
+import "testing"
+
+// forEachDispatch runs fn as a subtest on the one kernel path this build
+// has: the Go kernels.
+func forEachDispatch(t *testing.T, fn func(t *testing.T)) { t.Run(Impl(), fn) }

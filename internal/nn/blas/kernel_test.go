@@ -9,9 +9,10 @@ import (
 )
 
 // The tests here run the entry points on every path the build can
-// dispatch to (forEachDispatch: the pure-Go kernels, and the AVX2
-// micro-kernel on an amd64 host that has it, outside -race) and compare
-// each against the pure-Go kernels, bit for bit.  On the Go path they
+// dispatch to (forEachDispatch: one subtest per path, the pure-Go kernels
+// and, on an amd64 host that has it, outside -race, the AVX2
+// micro-kernel) and compare each against the pure-Go kernels, bit for
+// bit.  On the Go path they
 // compare the code with itself and still check the entry points' operand
 // validation and guard words.
 
@@ -87,15 +88,9 @@ func randOperands(rng *rand.Rand, n, in, out int) operands {
 	}
 }
 
-// checkAgainstGeneric runs the four entry points, on each path the
-// build can dispatch to, and the three Go kernels on the same operands,
-// placed at offsets off..off+2 of guarded backings, and requires
-// identical bits everywhere.
-func checkAgainstGeneric(t *testing.T, op operands, off int) {
-	t.Helper()
-	forEachDispatch(func() { checkDispatch(t, op, off) })
-}
-
+// checkDispatch runs the four entry points, on the path dispatched to
+// now, and the three Go kernels on the same operands, placed at offsets
+// off..off+2 of guarded backings, and requires identical bits everywhere.
 func checkDispatch(t *testing.T, op operands, off int) {
 	t.Helper()
 	n, in, out := op.n, op.in, op.out
@@ -165,25 +160,45 @@ func tailShapes() []struct{ n, in, out int } {
 	return s
 }
 
-// TestKernelsMatchGenericBitwise runs both paths over the measured shape
-// set, the ragged table and the tail-column shapes, with gradW/gradB
-// seeded non-zero and dx pre-filled with garbage.
-func TestKernelsMatchGenericBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	all := append(append(measuredShapes(), shapes...), tailShapes()...)
-	for k, sh := range all {
-		checkAgainstGeneric(t, randOperands(rng, sh.n, sh.in, sh.out), 1+k%3)
+// cutShapes cross each of accTiles' column cuts (16-, 8- and 4-wide
+// tiles, then accColumn) and every boundary between them: GemmNN and
+// AccumGrad lay columns along in, with n and out rows that are not a
+// multiple of four, and GemmBias along n padded to four, so its batches
+// of 13 to 33 rows pad to 16, 20, 32 and 36 columns.
+func cutShapes() []struct{ n, in, out int } {
+	var s []struct{ n, in, out int }
+	for _, in := range []int{15, 16, 17, 24, 25, 31, 33, 400} {
+		s = append(s, struct{ n, in, out int }{5, in, 7}, struct{ n, in, out int }{3, in, 13})
 	}
+	for _, n := range []int{13, 16, 17, 29, 33} {
+		s = append(s, struct{ n, in, out int }{n, 9, 11})
+	}
+	return s
+}
+
+// TestKernelsMatchGenericBitwise runs every path over the measured shape
+// set, the ragged table, the tail-column shapes and the column cuts, with
+// gradW/gradB seeded non-zero and dx pre-filled with garbage.
+func TestKernelsMatchGenericBitwise(t *testing.T) {
+	all := append(append(append(measuredShapes(), shapes...), tailShapes()...), cutShapes()...)
+	forEachDispatch(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(18))
+		for k, sh := range all {
+			checkDispatch(t, randOperands(rng, sh.n, sh.in, sh.out), 1+k%3)
+		}
+	})
 }
 
 // TestDegenerateDims: a zero in any dimension reads and writes nothing
 // outside the (possibly empty) operands and matches the Go kernels —
 // n = 0 and out = 0 leave nothing to compute, in = 0 leaves the bias.
 func TestDegenerateDims(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for _, sh := range []struct{ n, in, out int }{{0, 3, 2}, {3, 0, 2}, {3, 2, 0}, {0, 0, 5}, {0, 0, 0}} {
-		checkAgainstGeneric(t, randOperands(rng, sh.n, sh.in, sh.out), 1)
-	}
+	forEachDispatch(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(19))
+		for _, sh := range []struct{ n, in, out int }{{0, 3, 2}, {3, 0, 2}, {3, 2, 0}, {0, 0, 5}, {0, 0, 0}} {
+			checkDispatch(t, randOperands(rng, sh.n, sh.in, sh.out), 1)
+		}
+	})
 	// Nil operands are as good as empty ones.
 	GemmBias(nil, nil, nil, nil, 0, 4, 0)
 	GemmBiasAct(nil, nil, nil, nil, nil, 0, 4, 0, math.Tanh)
@@ -278,6 +293,8 @@ func FuzzGemmDifferential(f *testing.F) {
 	f.Add([]byte{12, 24, 25, 2, 0, 1, 2, 3, 4, 9, 9, 9, 10, 10, 2})
 	f.Add([]byte{4, 8, 8, 0, 2, 4, 4, 2, 9, 3, 10})
 	f.Add([]byte{1, 1, 1, 3, 4})
+	f.Add([]byte{17, 33, 9, 1, 2, 11, 12, 3, 13, 14, 9, 15})
+	f.Add([]byte{29, 16, 24, 3, 17, 0, 1, 16, 5, 12})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			return
@@ -293,11 +310,12 @@ func FuzzGemmDifferential(f *testing.F) {
 			}
 			return s
 		}
-		checkAgainstGeneric(t, operands{
+		op := operands{
 			n: n, in: in, out: out,
 			x: draw(n * in), w: draw(out * in), bias: draw(out), g: draw(n * out),
 			dxFill: draw(n * in), seedW: draw(out * in), seedB: draw(out),
-		}, off)
+		}
+		forEachDispatch(t, func(t *testing.T) { checkDispatch(t, op, off) })
 	})
 }
 
@@ -312,7 +330,7 @@ func TestKernelsSteadyStateAllocs(t *testing.T) {
 	x, w, bias, g := randSlice(rng, n*in), randSlice(rng, out*in), randSlice(rng, out), randSlice(rng, n*out)
 	preact, y, dx := make([]float64, n*out), make([]float64, n*out), make([]float64, n*in)
 	gradW, gradB := make([]float64, out*in), make([]float64, out)
-	forEachDispatch(func() {
+	forEachDispatch(t, func(t *testing.T) {
 		for name, fn := range map[string]func(){
 			"GemmBias":    func() { GemmBias(preact, x, w, bias, n, in, out) },
 			"GemmBiasAct": func() { GemmBiasAct(preact, y, x, w, bias, n, in, out, math.Tanh) },
@@ -332,6 +350,10 @@ func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(22))
 	for _, sh := range []struct{ n, in, out int }{
 		{6, 1, 25}, {6, 25, 50}, {6, 50, 100}, {12, 400, 240}, {12, 240, 240}, {24, 240, 240}, {12, 240, 1},
+		// Shapes the trainer and bench run: fitting-net rows per species
+		// of the 20-atom AlCl3/KCl set (Al 2, K 6, Cl over two frames
+		// 24), and bench's 16-atom fitting-layer pass.
+		{2, 400, 240}, {6, 400, 240}, {24, 400, 240}, {16, 240, 240},
 	} {
 		n, in, out := sh.n, sh.in, sh.out
 		x, w, bias, g := randSlice(rng, n*in), randSlice(rng, out*in), randSlice(rng, out), randSlice(rng, n*out)
