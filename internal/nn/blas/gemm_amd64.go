@@ -7,27 +7,31 @@ import (
 	"sync"
 )
 
-// useAVX2 is settled once, before main: the host has AVX2 and the OS saves
-// the YMM registers.  Without it the Go kernels run, as on any other
-// architecture.
-var useAVX2 = hasAVX2()
+// isa is a kernel path, each adding to the one before it.
+type isa int
 
-func implName() string {
-	if useAVX2 {
-		return "avx2"
-	}
-	return "generic"
-}
+const (
+	isaGeneric isa = iota // the Go kernels, as on any other architecture
+	isaAVX2               // accTiles with 8- and 4-wide YMM tiles
+	isaAVX512             // accTiles cutting 16-wide ZMM tiles first
+)
+
+var isaNames = [...]string{isaGeneric: "generic", isaAVX2: "avx2", isaAVX512: "avx512"}
+
+// kernels is settled once, before main, from what CPUID and XCR0 show.
+var kernels = hostISA()
+
+func implName() string { return isaNames[kernels] }
 
 // cpuid and xgetbv0 (XGETBV with ECX = 0, low word) are in gemm_amd64.s:
 // internal/cpu cannot be imported from here and x/sys is not vendored.
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax uint32)
 
-// hasAVX2 reads the CPUID leaves and XCR0 that avx2Usable decides on.
-// XGETBV faults unless the OS has set OSXSAVE, and leaf 7 is read only
-// where the CPU has it.
-func hasAVX2() bool {
+// hostISA reads the CPUID leaves and XCR0 that avx2Usable and
+// avx512Usable decide on.  XGETBV faults unless the OS has set OSXSAVE,
+// and leaf 7 is read only where the CPU has it.
+func hostISA() isa {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	_, _, ecx1, _ := cpuid(1, 0)
 	var xcr0, ebx7 uint32
@@ -37,15 +41,23 @@ func hasAVX2() bool {
 	if maxLeaf >= 7 {
 		_, ebx7, _, _ = cpuid(7, 0)
 	}
-	return avx2Usable(maxLeaf, ecx1, xcr0, ebx7)
+	switch {
+	case avx512Usable(maxLeaf, ecx1, xcr0, ebx7):
+		return isaAVX512
+	case avx2Usable(maxLeaf, ecx1, xcr0, ebx7):
+		return isaAVX2
+	}
+	return isaGeneric
 }
 
-// The CPUID and XCR0 bits avx2Usable tests.
+// The CPUID and XCR0 bits avx2Usable and avx512Usable test.
 const (
-	osxsave  = 1 << 27 // leaf 1 ECX: the OS has enabled XSAVE and XGETBV
-	avx      = 1 << 28 // leaf 1 ECX
-	xmmYMM   = 6       // XCR0: the OS saves XMM and YMM state
-	avx2Leaf = 1 << 5  // leaf 7 EBX
+	osxsave     = 1 << 27 // leaf 1 ECX: the OS has enabled XSAVE and XGETBV
+	avx         = 1 << 28 // leaf 1 ECX
+	xmmYMM      = 6       // XCR0: the OS saves XMM and YMM state
+	xmmYMMZMM   = 0xe6    // XCR0: … and the opmask, ZMM0–15 upper halves and ZMM16–31
+	avx2Leaf    = 1 << 5  // leaf 7 EBX
+	avx512fLeaf = 1 << 16 // leaf 7 EBX
 )
 
 // avx2Usable decides from the highest basic CPUID leaf, leaf 1's ECX,
@@ -64,8 +76,17 @@ func avx2Usable(maxLeaf, ecx1, xcr0, ebx7 uint32) bool {
 	return ebx7&avx2Leaf != 0
 }
 
+// avx512Usable decides, on the same words, whether accTiles may cut
+// 16-wide ZMM tiles: the AVX2 kernels can run, the CPU has AVX512F and
+// the OS saves the opmask and ZMM state too.
+func avx512Usable(maxLeaf, ecx1, xcr0, ebx7 uint32) bool {
+	return avx2Usable(maxLeaf, ecx1, xcr0, ebx7) && xcr0&xmmYMMZMM == xmmYMMZMM && ebx7&avx512fLeaf != 0
+}
+
 // The tiles of gemm_amd64.s: c[j][i] += Σ_t a[j·ars + t·ard]·b[t·ldb + i]
 // for rows×cols elements starting at *c, t ascending.
+func kern4x16(c *float64, ldc int, a *float64, ars, ard int, b *float64, ldb, t int)
+func kern1x16(c *float64, ldc int, a *float64, ars, ard int, b *float64, ldb, t int)
 func kern4x8(c *float64, ldc int, a *float64, ars, ard int, b *float64, ldb, t int)
 func kern4x4(c *float64, ldc int, a *float64, ars, ard int, b *float64, ldb, t int)
 func kern1x8(c *float64, ldc int, a *float64, ars, ard int, b *float64, ldb, t int)
@@ -75,11 +96,12 @@ func kern1x4(c *float64, ldc int, a *float64, ars, ard int, b *float64, ldb, t i
 //
 //	c[j·ldc + i] += Σ_t a[j·ars + t·ard] · b[t·ldb + i]    (t = 0 … nt-1 ascending)
 //
-// with one accumulator per element.  Columns are cut into 8-wide, then one
-// 4-wide, register tiles and a Go loop for the last < 4 (accColumn); rows
-// into blocks of four, then single rows.  Column tiles are the outer loop so the
-// 8-column strip of b — the operand every row block re-reads — stays in L1.
-// The extents are checked here, once; the tiles check nothing.
+// with one accumulator per element.  Columns are cut into 16-wide tiles
+// where kernels is isaAVX512, then 8-wide, then one 4-wide, and a Go loop
+// for the last < 4 (accColumn); rows into blocks of four, then single
+// rows.  Column tiles are the outer loop so the strip of b — the operand
+// every row block re-reads — stays in L1.  The extents are checked here,
+// once; the tiles check nothing.
 func accTiles(c []float64, ldc int, a []float64, ars, ard int, b []float64, ldb, rows, cols, nt int) {
 	if rows <= 0 || cols <= 0 || nt <= 0 {
 		return
@@ -94,6 +116,17 @@ func accTiles(c []float64, ldc int, a []float64, ars, ard int, b []float64, ldb,
 		panic(fmt.Sprintf("blas: accTiles: b has %d elements, tile block ends at %d", len(b), last))
 	}
 	i := 0
+	if kernels == isaAVX512 {
+		for ; i+16 <= cols; i += 16 {
+			j := 0
+			for ; j+4 <= rows; j += 4 {
+				kern4x16(&c[j*ldc+i], ldc, &a[j*ars], ars, ard, &b[i], ldb, nt)
+			}
+			for ; j < rows; j++ {
+				kern1x16(&c[j*ldc+i], ldc, &a[j*ars], ars, ard, &b[i], ldb, nt)
+			}
+		}
+	}
 	for ; i+8 <= cols; i += 8 {
 		j := 0
 		for ; j+4 <= rows; j += 4 {
@@ -170,7 +203,7 @@ const minFwdDim = 8
 // accTiles, and one pass un-transposes it.  The padding lanes compute on
 // zeros and are never read back.
 func gemmBias(preact, x, w, bias []float64, n, in, outDim int) {
-	if !useAVX2 || in < minFwdDim || outDim < minFwdDim {
+	if kernels == isaGeneric || in < minFwdDim || outDim < minFwdDim {
 		gemmBiasGeneric(preact, x, w, bias, n, in, outDim)
 		return
 	}
@@ -208,7 +241,7 @@ func gemmBias(preact, x, w, bias []float64, n, in, outDim int) {
 }
 
 func gemmNN(dx, g, w []float64, n, in, outDim int) {
-	if !useAVX2 {
+	if kernels == isaGeneric {
 		gemmNNGeneric(dx, g, w, n, in, outDim)
 		return
 	}
@@ -220,7 +253,7 @@ func gemmNN(dx, g, w []float64, n, in, outDim int) {
 }
 
 func accumGrad(gradW, gradB, g, x []float64, n, in, outDim int) {
-	if !useAVX2 {
+	if kernels == isaGeneric {
 		accumGradGeneric(gradW, gradB, g, x, n, in, outDim)
 		return
 	}

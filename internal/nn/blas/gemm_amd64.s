@@ -46,19 +46,90 @@
 	SHLQ $3, R9; \
 	SHLQ $3, R10
 
-// ROW8 adds a[row]·(Y8 | Y9) into the row's two accumulators.
-#define ROW8(aaddr, acc0, acc1) \
-	VBROADCASTSD aaddr, Y10; \
-	VMULPD Y8, Y10, Y11; \
-	VADDPD Y11, acc0, acc0; \
-	VMULPD Y9, Y10, Y12; \
-	VADDPD Y12, acc1, acc1
+// MULADD adds one rounded product into an accumulator: p = bc·bv, then
+// acc += p, each rounded on its own.
+#define MULADD(bc, bv, p, acc) \
+	VMULPD bv, bc, p; \
+	VADDPD p, acc, acc
 
-// ROW4 adds a[row]·Y8 into the row's accumulator.
-#define ROW4(aaddr, acc0) \
+// ROW2 adds a[row]·(b0 | b1) into the row's two accumulators, the
+// broadcast going through bc and the products through p0 and p1.  YROW2
+// and ZROW2 name the registers of the 8- and 16-wide tiles: b in 8 and 9,
+// the broadcast in 10, the products in 11 and 12.
+#define ROW2(aaddr, acc0, acc1, bc, b0, b1, p0, p1) \
+	VBROADCASTSD aaddr, bc; \
+	MULADD(bc, b0, p0, acc0); \
+	MULADD(bc, b1, p1, acc1)
+#define YROW2(aaddr, acc0, acc1) ROW2(aaddr, acc0, acc1, Y10, Y8, Y9, Y11, Y12)
+#define ZROW2(aaddr, acc0, acc1) ROW2(aaddr, acc0, acc1, Z10, Z8, Z9, Z11, Z12)
+
+// YROW1 adds a[row]·Y8 into the row's one accumulator (the 4-wide tiles).
+#define YROW1(aaddr, acc0) \
 	VBROADCASTSD aaddr, Y10; \
-	VMULPD Y8, Y10, Y11; \
-	VADDPD Y11, acc0, acc0
+	MULADD(Y10, Y8, Y11, acc0)
+
+// func kern4x16(c *float64, ldc int, a *float64, ars, ard int, b *float64, ldb, t int)
+TEXT ·kern4x16(SB), NOSPLIT, $0-64
+	LOADARGS
+	LEAQ (R8)(R8*2), R11 // 3·ars·8
+	LEAQ (DI)(SI*2), DX  // row 2 of the tile
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD (DI)(SI*1), Z2
+	VMOVUPD 64(DI)(SI*1), Z3
+	VMOVUPD (DX), Z4
+	VMOVUPD 64(DX), Z5
+	VMOVUPD (DX)(SI*1), Z6
+	VMOVUPD 64(DX)(SI*1), Z7
+	TESTQ CX, CX
+	JLE store416
+
+loop416:
+	VMOVUPD (BX), Z8
+	VMOVUPD 64(BX), Z9
+	ZROW2((AX), Z0, Z1)
+	ZROW2((AX)(R8*1), Z2, Z3)
+	ZROW2((AX)(R8*2), Z4, Z5)
+	ZROW2((AX)(R11*1), Z6, Z7)
+	ADDQ R9, AX
+	ADDQ R10, BX
+	DECQ CX
+	JNZ  loop416
+
+store416:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, (DI)(SI*1)
+	VMOVUPD Z3, 64(DI)(SI*1)
+	VMOVUPD Z4, (DX)
+	VMOVUPD Z5, 64(DX)
+	VMOVUPD Z6, (DX)(SI*1)
+	VMOVUPD Z7, 64(DX)(SI*1)
+	VZEROUPPER
+	RET
+
+// func kern1x16(c *float64, ldc int, a *float64, ars, ard int, b *float64, ldb, t int)
+TEXT ·kern1x16(SB), NOSPLIT, $0-64
+	LOADARGS
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	TESTQ CX, CX
+	JLE store116
+
+loop116:
+	VMOVUPD (BX), Z8
+	VMOVUPD 64(BX), Z9
+	ZROW2((AX), Z0, Z1)
+	ADDQ R9, AX
+	ADDQ R10, BX
+	DECQ CX
+	JNZ  loop116
+
+store116:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VZEROUPPER
+	RET
 
 // func kern4x8(c *float64, ldc int, a *float64, ars, ard int, b *float64, ldb, t int)
 TEXT ·kern4x8(SB), NOSPLIT, $0-64
@@ -79,10 +150,10 @@ TEXT ·kern4x8(SB), NOSPLIT, $0-64
 loop48:
 	VMOVUPD (BX), Y8
 	VMOVUPD 32(BX), Y9
-	ROW8((AX), Y0, Y1)
-	ROW8((AX)(R8*1), Y2, Y3)
-	ROW8((AX)(R8*2), Y4, Y5)
-	ROW8((AX)(R11*1), Y6, Y7)
+	YROW2((AX), Y0, Y1)
+	YROW2((AX)(R8*1), Y2, Y3)
+	YROW2((AX)(R8*2), Y4, Y5)
+	YROW2((AX)(R11*1), Y6, Y7)
 	ADDQ R9, AX
 	ADDQ R10, BX
 	DECQ CX
@@ -114,10 +185,10 @@ TEXT ·kern4x4(SB), NOSPLIT, $0-64
 
 loop44:
 	VMOVUPD (BX), Y8
-	ROW4((AX), Y0)
-	ROW4((AX)(R8*1), Y2)
-	ROW4((AX)(R8*2), Y4)
-	ROW4((AX)(R11*1), Y6)
+	YROW1((AX), Y0)
+	YROW1((AX)(R8*1), Y2)
+	YROW1((AX)(R8*2), Y4)
+	YROW1((AX)(R11*1), Y6)
 	ADDQ R9, AX
 	ADDQ R10, BX
 	DECQ CX
@@ -142,7 +213,7 @@ TEXT ·kern1x8(SB), NOSPLIT, $0-64
 loop18:
 	VMOVUPD (BX), Y8
 	VMOVUPD 32(BX), Y9
-	ROW8((AX), Y0, Y1)
+	YROW2((AX), Y0, Y1)
 	ADDQ R9, AX
 	ADDQ R10, BX
 	DECQ CX
@@ -163,7 +234,7 @@ TEXT ·kern1x4(SB), NOSPLIT, $0-64
 
 loop14:
 	VMOVUPD (BX), Y8
-	ROW4((AX), Y0)
+	YROW1((AX), Y0)
 	ADDQ R9, AX
 	ADDQ R10, BX
 	DECQ CX

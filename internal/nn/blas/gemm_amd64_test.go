@@ -8,20 +8,18 @@ import (
 )
 
 // forEachDispatch runs fn as one subtest per kernel path this build can
-// take, named as Impl names it: the Go kernels, then the AVX2 assembly.
-// A path the host cannot run is a visible skip.  The process's own choice
-// is restored afterwards.
+// take, named as Impl names it: the Go kernels, the AVX2 tiles with the
+// 16-wide cut off, and the AVX-512 cascade.  A path the host cannot run is
+// a visible skip.  The process's own choice is restored afterwards.
 func forEachDispatch(t *testing.T, fn func(t *testing.T)) {
-	defer func(saved bool) { useAVX2 = saved }(useAVX2)
-	for _, d := range []struct {
-		name string
-		avx2 bool
-	}{{"generic", false}, {"avx2", true}} {
-		t.Run(d.name, func(t *testing.T) {
-			if d.avx2 && !hasAVX2() {
-				t.Skip("host lacks AVX2, or the OS does not save the YMM state")
+	defer func(saved isa) { kernels = saved }(kernels)
+	host := hostISA()
+	for d := isaGeneric; d <= isaAVX512; d++ {
+		t.Run(isaNames[d], func(t *testing.T) {
+			if d > host {
+				t.Skipf("host kernels are %s", isaNames[host])
 			}
-			useAVX2 = d.avx2
+			kernels = d
 			fn(t)
 		})
 	}
@@ -47,6 +45,31 @@ func TestAVX2Usable(t *testing.T) {
 	} {
 		if got := avx2Usable(c.maxLeaf, c.ecx1, c.xcr0, c.ebx7); got != c.want {
 			t.Errorf("%s: avx2Usable(%#x, %#x, %#x, %#x) = %v, want %v", c.name, c.maxLeaf, c.ecx1, c.xcr0, c.ebx7, got, c.want)
+		}
+	}
+}
+
+// TestAVX512Usable walks avx512Usable through each reason to keep the
+// 16-wide cut off and the one way to take it.  The cut is reachable only
+// where the AVX2 path is.
+func TestAVX512Usable(t *testing.T) {
+	const ecx1, xcr0, ebx7 = osxsave | avx, 0xe7, avx2Leaf | avx512fLeaf
+	for _, c := range []struct {
+		name                      string
+		maxLeaf, ecx1, xcr0, ebx7 uint32
+		want                      bool
+	}{
+		{"no leaf 7", 6, ecx1, xcr0, ebx7, false},
+		{"no AVX512F", 0xd, ecx1, xcr0, avx2Leaf, false},
+		{"no AVX2", 0xd, ecx1, xcr0, avx512fLeaf, false},
+		{"OS saves YMM only", 0xd, ecx1, 0x07, ebx7, false},
+		{"OS saves opmask, not ZMM", 0xd, ecx1, 0x27, ebx7, false},
+		{"OS saves ZMM0-15, not ZMM16-31", 0xd, ecx1, 0x67, ebx7, false},
+		{"AVX512F with ZMM saved", 0xd, ecx1, xcr0, ebx7, true},
+		{"AVX512F at exactly leaf 7 and XCR0 0xe6", 7, ecx1, xmmYMMZMM, ebx7, true},
+	} {
+		if got := avx512Usable(c.maxLeaf, c.ecx1, c.xcr0, c.ebx7); got != c.want {
+			t.Errorf("%s: avx512Usable(%#x, %#x, %#x, %#x) = %v, want %v", c.name, c.maxLeaf, c.ecx1, c.xcr0, c.ebx7, got, c.want)
 		}
 	}
 }
