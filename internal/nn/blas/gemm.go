@@ -19,13 +19,18 @@
 // counterpart for any batch size, which is what keeps lcurve.out and the
 // golden campaign byte-stable.
 //
-// Two implementations sit under the three kernel entry points (GemmBias,
-// GemmNN, AccumGrad; GemmBiasAct is GemmBias plus a loop).  The pure-Go
-// kernels (gemm_generic.go) block over rows and columns.  On amd64 one
-// AVX2 micro-kernel (gemm_amd64.s, driven by accTiles) computes
-// c[j][i] += Σ_t a[j][t]·b[t][i] on a 4×8 register tile whose four-wide
-// lanes lie along i, and the entry points differ only in the strides they
-// hand it:
+// Under the three kernel entry points (GemmBias, GemmNN, AccumGrad;
+// GemmBiasAct is GemmBias plus a loop) sit the pure-Go kernels
+// (gemm_generic.go), which block over rows and columns, and on amd64 one
+// family of assembly tiles (gemm_amd64.s, driven by accTiles) computing
+// c[j][i] += Σ_t a[j][t]·b[t][i] with lanes along i.  accTiles cuts the
+// columns into a cascade — 16-wide ZMM tiles where the host has AVX-512,
+// then 8-wide and one 4-wide YMM tile, then a Go loop for the last < 4 —
+// and the rows into blocks of four, then single rows.  The tiles write
+// only Z0–Z12 (Y0–Y12 in the YMM tiles), and each ends with VZEROUPPER,
+// which clears the upper halves of ZMM0–15, so the SSE code the Go
+// compiler emits pays no transition penalty afterwards.  The entry points
+// differ only in the strides they hand it:
 //
 //	GemmNN       lanes across input columns i, reduction over o
 //	AccumGrad    lanes across input columns i, reduction over r
@@ -33,23 +38,26 @@
 //	             call), reduction over k
 //
 // A lane is one output element's accumulator: VMULPD and VADDPD round
-// each lane exactly as MULSD and ADDSD round a scalar, so the lanes change
-// no bit.  Fused multiply-add (VFMADD*) skips the product's rounding and
-// a lane laid along a reduction index sums in a different order; either
-// would change every golden, and neither is used.
+// each lane exactly as MULSD and ADDSD round a scalar, at any vector
+// width, so the lanes change no bit and AVX-512 and AVX2 hosts give the
+// same results.  Fused multiply-add (VFMADD*) skips the product's rounding
+// and a lane laid along a reduction index sums in a different order;
+// either would change every golden, and neither is used.
 //
 // The path is chosen from what the build and the host show, never from an
-// option: the assembly is built for amd64 only, is used when CPUID reports
-// AVX2 with the YMM state enabled by the OS, and is left out under the
-// race detector, which cannot see loads and stores made in assembly — the
-// Go kernels keep every GEMM access visible to it, and the race run keeps
-// the Go kernels pinned to the same goldens.  Impl reports the choice.
+// option: the assembly is built for amd64 only, its YMM tiles are used when
+// CPUID reports AVX2 with the YMM state enabled by the OS, the 16-wide cut
+// is added when it also reports AVX512F with the opmask and ZMM state
+// enabled, and the assembly is left out under the race detector, which
+// cannot see loads and stores made in assembly — the Go kernels keep every
+// GEMM access visible to it, and the race run keeps the Go kernels pinned
+// to the same goldens.  Impl reports the choice.
 package blas
 
 import "fmt"
 
-// Impl names the kernels this process runs: "avx2" or "generic".  Both
-// produce the same bits; only speed differs.
+// Impl names the kernels this process runs: "avx512", "avx2" or
+// "generic".  All three produce the same bits; only speed differs.
 func Impl() string { return implName() }
 
 // GemmBias computes the dense forward product over a batch:

@@ -41,13 +41,14 @@ func hostISA() isa {
 	if maxLeaf >= 7 {
 		_, ebx7, _, _ = cpuid(7, 0)
 	}
-	switch {
-	case avx512Usable(maxLeaf, ecx1, xcr0, ebx7):
-		return isaAVX512
-	case avx2Usable(maxLeaf, ecx1, xcr0, ebx7):
-		return isaAVX2
+	k := isaGeneric
+	if avx2Usable(maxLeaf, ecx1, xcr0, ebx7) {
+		k = isaAVX2
 	}
-	return isaGeneric
+	if avx512Usable(maxLeaf, ecx1, xcr0, ebx7) {
+		k = isaAVX512
+	}
+	return k
 }
 
 // The CPUID and XCR0 bits avx2Usable and avx512Usable test.

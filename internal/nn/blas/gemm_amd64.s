@@ -1,24 +1,33 @@
 //go:build amd64 && !race
 
-// The AVX2 micro-kernel family under accTiles (gemm_amd64.go):
+// The SIMD micro-kernel family under accTiles (gemm_amd64.go):
 //
 //	c[j][i] += Σ_t a[j·ars + t·ard] · b[t·ldb + i]     t = 0 … T-1, ascending
 //
-// for a tile of 4 or 1 rows j by 8 or 4 columns i.  The tile is loaded
-// from c into YMM registers, every t adds one rounded product per element
-// (VMULPD, then VADDPD into the element's own lane — never VFMADD*, which
-// would skip the product's rounding, and no lane ever holds a partial sum
-// over t), and the tile is stored back after the last t.  One lane is one
-// output element, so each result is bit-identical to the scalar loop
-// c[j][i] += a·b run over the same t.
+// for a tile of 4 or 1 rows j by 16, 8 or 4 columns i.  accTiles cuts a
+// block's columns into a cascade: 16-wide ZMM tiles (kern4x16, kern1x16)
+// where the host has AVX-512, then 8-wide and one 4-wide YMM tile, then
+// a Go loop for the last < 4.  The tile is loaded from c into vector
+// registers, every t adds one rounded product per element (VMULPD, then
+// VADDPD into the element's own lane — never VFMADD*, which would skip
+// the product's rounding, and no lane ever holds a partial sum over t),
+// and the tile is stored back after the last t.  One lane is one output
+// element, so each result is bit-identical to the scalar loop
+// c[j][i] += a·b run over the same t, at either width.
 //
 // Rules every routine here keeps (go vet's asmdecl checks only the frame
 // and argument offsets):
 //   - NOSPLIT with a zero-size frame: leaf code, no stack use, no calls.
-//   - VZEROUPPER before every RET, so the SSE code the Go compiler emits
-//     pays no AVX→SSE transition penalty afterwards.
-//   - Only AX BX CX DX SI DI R8–R11 and Y0–Y12 are written.  R14 (g) and
-//     X15 (zero) of the Go internal ABI are neither read nor written.
+//   - VZEROUPPER before every tile's RET: it clears the upper halves of
+//     ZMM0–15 (bits 128 and up), so the SSE code the Go compiler emits
+//     pays no AVX→SSE transition penalty afterwards.  cpuid and xgetbv0
+//     touch no vector register and run before AVX is known to exist, so
+//     they have none.
+//   - Only AX BX CX DX SI DI R8–R11 and Y0–Y12 / Z0–Z12 are written:
+//     accumulators in 0–7, b in 8–9, the broadcast in 10, products in
+//     11–12.  ZMM16–31 and the opmask registers are never touched.  R14
+//     (g) and X15 (zero) of the Go internal ABI are neither read nor
+//     written.
 //   - Every vector load and store is unaligned (VMOVUPD): callers pass
 //     arbitrary slice offsets.
 //   - The caller (accTiles) has checked that every address formed below
