@@ -1,19 +1,22 @@
 package cluster
 
 // Fences for the time limits a served fleet is built with: the scheduler
-// takes a hung worker's task back once its lease runs out, and the
-// in-process workers heartbeat, so a task that runs longer than the
-// lease is never taken from them.  Each case builds its fleet as
+// drops a hung worker and takes its task back once its lease runs out,
+// and the in-process workers heartbeat, so a task that runs longer than
+// the lease is never taken from them.  Each case builds its fleet as
 // cmd/serve does, through ListenLocalCluster, with the table shrunk by
 // one factor (ratios kept) so that it runs in well under two seconds.
 
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cluster/wire"
 	"repro/internal/ea"
 )
 
@@ -136,5 +139,105 @@ func TestServedFleetHeartbeatsLongTask(t *testing.T) {
 	}
 	if st := sched.Stats(); st.Expired != 0 || st.Reassigned != 0 || st.Completed != 1 {
 		t.Errorf("a heartbeating in-process worker lost its lease: %+v", st)
+	}
+}
+
+// hungPeer registers with the scheduler at addr over TCP and then hangs
+// with its connection up: it reads every frame it is sent and never
+// answers, heartbeats or closes, until the scheduler drops it.
+func hungPeer(t *testing.T, addr, name string) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	cd := newCodec(conn, &wireCounters{})
+	if err := cd.write(&message{Type: wire.TypeRegister, Name: name}); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for {
+			if _, err := cd.read(); err != nil {
+				return
+			}
+		}
+	}()
+}
+
+// TestServedFleetDropsHungWorker: two hung TCP peers idle ahead of one
+// healthy worker, so the first task meets each of them in turn.  A lease
+// that runs out drops its worker, as a disconnect does, so each hung
+// peer costs one lease in all, not one per task: every task submitted
+// once both are dropped completes within one heartbeat interval.  With
+// MaxAttempts 2 the first task, which met both, is the only one
+// abandoned.
+func TestServedFleetDropsHungWorker(t *testing.T) {
+	const hung = 2
+	for _, tc := range []struct {
+		name        string
+		lease       time.Duration // 0 keeps the shrunk table's
+		maxAttempts int           // 0 keeps the scheduler's default
+		submits     int
+		abandoned   int64 // at most
+	}{
+		{"served", 0, 0, 8, 0},
+		{"max_attempts_2", 100 * time.Millisecond, 2, 6, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lim := shrinkServed(t)
+			lc := serveFleet(t, 0, echoHandler)
+			sched := lc.Scheduler
+			if tc.lease > 0 {
+				sched.TaskTimeout = tc.lease
+			}
+			if tc.maxAttempts > 0 {
+				sched.MaxAttempts = tc.maxAttempts
+			}
+			settled := watchBooks(t, sched)
+			for i := 0; i < hung; i++ {
+				hungPeer(t, sched.Addr(), fmt.Sprintf("hung-%d", i))
+				waitFor(t, "the hung peer to idle", func() bool { return sched.nIdle.Load() == int64(i+1) })
+			}
+			healthy, err := NewWorker(sched.Addr(), "healthy", echoHandler)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer healthy.Close()
+			go func() { _ = healthy.Run(context.Background()) }()
+
+			var failed int64
+			for i := 0; i < tc.submits; i++ {
+				dropped := sched.Stats().Disconnected == hung
+				start := time.Now()
+				_, err := sched.Submit(context.Background(), json.RawMessage(fmt.Sprintf(`{"i":%d}`, i)))
+				took := time.Since(start)
+				t.Logf("submit %d: %v (err %v)", i, took.Round(10*time.Microsecond), err)
+				if err != nil {
+					failed++
+				}
+				if dropped && took > lim.heartbeat {
+					t.Errorf("submit %d took %v with both hung peers dropped, want within one heartbeat interval (%v)", i, took, lim.heartbeat)
+				}
+			}
+			settled()
+			// An expiry is counted before its task is requeued, so the
+			// count is whole once every submit has returned.
+			if st := sched.Stats(); st.Expired > hung {
+				t.Errorf("%d leases expired over %d submits, want at most one per hung peer (%d): %+v", st.Expired, tc.submits, hung, st)
+			}
+			if failed > tc.abandoned {
+				t.Errorf("%d of %d submits failed, want at most %d abandoned: %+v", failed, tc.submits, tc.abandoned, sched.Stats())
+			}
+			// A drop is counted after its retire, an abandon after its
+			// submitter has the error: either can trail the last submit.
+			waitFor(t, "both hung peers to be dropped and every failed submit counted as abandoned", func() bool {
+				st := sched.Stats()
+				return st.Disconnected == hung && st.Abandoned == failed
+			})
+			if st := sched.Stats(); st.Workers != 1 {
+				t.Errorf("want only the healthy worker left: %+v", st)
+			}
+		})
 	}
 }
