@@ -14,7 +14,11 @@
 // scheduler with exponential backoff.  Its time limits are the ones
 // serve's scheduler is armed with: it caps each task at the paper's two
 // hours (ea.PaperEvalTimeout) and, while a task runs, renews the task's
-// lease every cluster.HeartbeatInterval.
+// lease every cluster.HeartbeatInterval.  A worker silent for a whole
+// lease (a process stopped and later resumed, say) is taken for hung:
+// the scheduler drops its connection and gives its task to another
+// worker, and once the worker resumes it re-dials through the same
+// backoff and registers afresh.
 package main
 
 import (

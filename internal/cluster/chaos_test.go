@@ -197,13 +197,11 @@ var connKinds = []struct {
 	{"mem", func(s *Scheduler, name string, h Handler) (*Worker, error) { return newWorker(name, h, s.dial) }},
 }
 
-// TestLeaseExpiryKeepsSlowWorkerAlive is the headline bugfix test, over
-// either connection: a task that exceeds the scheduler lease is
-// reassigned to another worker, the slow worker's late result is
-// discarded as stale, and the slow worker keeps serving subsequent tasks
-// instead of being written off.  And once the lease has expired, the next
-// task assigned to the still-busy worker is rescued too: the assignment
-// must not wait for the busy worker to read it, or its lease never starts.
+// TestLeaseExpiryKeepsSlowWorkerAlive, over either connection: a task
+// that outlasts the scheduler lease without a heartbeat is reassigned to
+// another worker, and the silent worker is dropped, as a hung one is —
+// the two cannot be told apart.  A slow worker that finishes re-dials
+// and serves the next tasks; one still busy is never leased another.
 func TestLeaseExpiryKeepsSlowWorkerAlive(t *testing.T) {
 	for _, kind := range connKinds {
 		t.Run(kind.name, func(t *testing.T) {
@@ -262,12 +260,12 @@ func testSlowWorkerKept(t *testing.T, join func(*Scheduler, string, Handler) (*W
 		t.Fatal("task never completed")
 	}
 
-	// Let the slow worker finish its abandoned task and send the stale
-	// result.
+	// Let the slow worker finish its reassigned task: its result dies
+	// with the connection the lease closed, and it re-dials.
 	time.Sleep(350 * time.Millisecond)
 
 	// Kill the rescuer so subsequent tasks can only be served by the slow
-	// worker — proving it was never dropped from the pool.
+	// worker — proving it came back into the pool.
 	rescue.Close()
 	time.Sleep(20 * time.Millisecond)
 	for i := 0; i < 3; i++ {
@@ -277,11 +275,14 @@ func testSlowWorkerKept(t *testing.T, join func(*Scheduler, string, Handler) (*W
 	}
 
 	st := sched.Stats()
-	if st.Expired == 0 {
-		t.Errorf("no lease expiry recorded: %+v", st)
+	if st.Expired != 1 || st.Reassigned != 1 {
+		t.Errorf("want one lease expiry and one reassignment: %+v", st)
 	}
-	if st.Stale == 0 {
-		t.Errorf("stale result not recorded: %+v", st)
+	if st.Stale != 0 {
+		t.Errorf("a result over the connection the lease closed was read: %+v", st)
+	}
+	if st.Registered != 3 {
+		t.Errorf("want the slow worker to register twice and the rescuer once: %+v", st)
 	}
 	if st.Completed+st.Failed != st.Submitted {
 		t.Errorf("books don't balance: %+v", st)
@@ -291,24 +292,18 @@ func testSlowWorkerKept(t *testing.T, join func(*Scheduler, string, Handler) (*W
 	}
 	found := false
 	for _, ws := range sched.WorkerStats() {
-		if ws.Name == "slow" {
-			found = true
-			if ws.Expired == 0 {
-				t.Errorf("per-worker expiry not recorded: %+v", ws)
-			}
-		}
+		found = found || ws.Name == "slow"
 	}
 	if !found {
-		t.Error("slow worker missing from WorkerStats — it was dropped")
+		t.Error("slow worker missing from WorkerStats — it never re-registered")
 	}
 }
 
-// testBusyWorkerReassigned: task 1 is stuck on the only worker until
-// its lease runs out and is requeued behind task 2, so the worker's proxy
-// assigns task 2 to the same still-busy worker.  A second worker that
-// joins then rescues both within a few leases, while the first handler is
-// still stuck — which holds only if the assignment's write returned
-// without the busy worker reading it (net.Pipe's would not).
+// testBusyWorkerReassigned: task 1 is stuck on the only worker, and task
+// 2 waits behind it, until task 1's lease runs out.  That drops the busy
+// worker, so task 2 is never leased to it, and both tasks wait in the
+// queue.  A second worker that joins then rescues both, while the first
+// handler is still stuck.
 func testBusyWorkerReassigned(t *testing.T, join func(*Scheduler, string, Handler) (*Worker, error)) {
 	sched, err := NewScheduler("127.0.0.1:0")
 	if err != nil {
@@ -350,9 +345,9 @@ func testBusyWorkerReassigned(t *testing.T, join func(*Scheduler, string, Handle
 		t.Fatal("the busy worker never started task 1")
 	}
 	submit(`{"task":2}`)
-	waitFor(t, "task 2 to be assigned to the busy worker after task 1's lease expired", func() bool {
-		st, ws := sched.Stats(), sched.WorkerStats()
-		return st.Expired >= 1 && st.Pending == 1 && len(ws) == 1 && ws[0].InFlight == 1
+	waitFor(t, "the busy worker to be dropped once task 1's lease expired, both tasks queued", func() bool {
+		st := sched.Stats()
+		return st.Expired == 1 && st.Disconnected == 1 && st.Pending == 2 && len(sched.WorkerStats()) == 0
 	})
 
 	rescue, err := join(sched, "rescue", echoHandler)
@@ -370,20 +365,25 @@ func testBusyWorkerReassigned(t *testing.T, join func(*Scheduler, string, Handle
 				t.Fatalf("task not rescued: %v", err)
 			}
 		case <-deadline:
-			t.Fatalf("a task assigned to the busy worker after its lease expired was not rescued within %v: %+v", 5*lease, sched.Stats())
+			t.Fatalf("the tasks queued when the busy worker was dropped were not rescued within %v: %+v", 5*lease, sched.Stats())
 		}
 	}
 	settled()
-	// WorkerStats.Completed is bumped after the result is published, so
-	// the second result can reach its submitter before the count: wait.
-	waitFor(t, "the rescue worker to have completed both tasks", func() bool {
+	// WorkerStats.Completed is bumped after the result is published, and
+	// Assigned after the assign frame is written, so either can trail the
+	// second result: wait.  Three assignments mean task 2 went to the
+	// rescuer alone.
+	waitFor(t, "the rescue worker to have completed both tasks, each assigned once to it", func() bool {
 		for _, ws := range sched.WorkerStats() {
 			if ws.Name == "rescue" {
-				return ws.Completed == 2
+				return ws.Completed == 2 && sched.Stats().Assigned == 3
 			}
 		}
 		return false
 	})
+	if st := sched.Stats(); st.Assigned != 3 || st.Disconnected != 1 || st.Reassigned != 1 {
+		t.Errorf("want task 1 leased to the busy worker and then the rescuer, task 2 to the rescuer only, and one disconnect: %+v", st)
+	}
 }
 
 // TestDuplicateResultDoesNotInflateStats drives the scheduler with a raw

@@ -9,8 +9,8 @@ import (
 // The fleet's liveness limits, the paper's answer to a node that hangs
 // without dropping its connection (§2.2.4–2.2.5): a worker running a
 // task heartbeats every HeartbeatInterval, and a lease that goes
-// LeaseHeartbeats intervals without one runs out and its task goes to
-// another worker.  The execution cap beside them is ea.PaperEvalTimeout.
+// LeaseHeartbeats intervals without one runs out: the worker is dropped
+// and its task goes to another.  The execution cap is ea.PaperEvalTimeout.
 const (
 	HeartbeatInterval = 15 * time.Second
 	LeaseHeartbeats   = 4

@@ -8,8 +8,9 @@ import (
 
 // memConn is one end of the in-memory connection an in-process worker
 // holds in place of a loopback socket.  Unlike net.Pipe's, its Write
-// never waits for the reader: an assignment to a worker busy past an
-// expired lease must not block the proxy, or its lease never starts.
+// never waits for the reader, so no frame costs a hand-off between the
+// two ends' goroutines: net.Pipe in its place slows the served surrogate
+// workloads' gen_wall_ms by 13–22 % on two cores (EXPERIMENTS.md).
 type memConn struct{ in, out *memPipe }
 
 // memPipe is one direction: the bytes written and not yet read, and the

@@ -25,8 +25,8 @@ type task struct {
 	done     bool
 }
 
-// complete delivers a result exactly once; late duplicates (e.g. from a
-// worker that answered after its lease was given away) are dropped.  The
+// complete delivers a result exactly once; late duplicates (a repeated
+// result frame, or one for a task Close already failed) are dropped.  The
 // call that claims the task adds one to counter — Stats.Completed or
 // Stats.Failed — and only then publishes the result, so a submitter that
 // has its result also finds it counted.  Publishing never blocks, whether
@@ -55,14 +55,15 @@ func (t *task) isDone() bool {
 // happens.  The books balance: every submitted task is eventually counted
 // exactly once as Completed or Failed, regardless of how many times it
 // was reassigned or how many duplicate results arrived.  Assigned,
-// Delivered and Abandoned are counted just after the write or hand-off
-// they record, so they can trail a result its submitter already holds.
+// Delivered, Abandoned and Disconnected are counted just after the
+// write, hand-off or requeue they record, so they can trail a result its
+// submitter already holds.
 type Stats struct {
 	Submitted    int64 // tasks Submit queued, one still waiting for a slot included
 	Completed    int64 // tasks finished successfully
 	Failed       int64 // tasks finished with an application error (or abandoned)
-	Reassigned   int64 // tasks requeued after a worker death or lease expiry
-	Expired      int64 // leases that ran out (subset of Reassigned causes)
+	Reassigned   int64 // tasks requeued after their worker was lost
+	Expired      int64 // leases that ran out, each dropping its worker (a subset of Disconnected)
 	Stale        int64 // late/duplicate results discarded
 	Abandoned    int64 // tasks failed after MaxAttempts leases were lost (subset of Failed)
 	Assigned     int64 // assignments written to workers, reassignments included
@@ -82,9 +83,8 @@ const queueDepth = 4096
 
 // lease tracks one in-flight assignment: which task a worker is holding
 // and until when the scheduler believes it.  Heartbeats renew the
-// deadline; a lease that runs out hands the task back to the queue while
-// the worker connection stays up — one slow round-trip no longer costs a
-// healthy node (the bug this type exists to fix).
+// deadline; a lease that runs out drops the worker, whose connection
+// stays up only while it hangs, and its task goes back to the queue.
 type lease struct {
 	t        *task
 	started  time.Time
@@ -95,16 +95,17 @@ type lease struct {
 // Scheduler queues the tasks its own process submits and leases them to
 // the workers that connect to it.
 type Scheduler struct {
-	// MaxAttempts bounds how many times a task is reassigned after worker
-	// deaths or lease expiries before being failed outright (default 3).
+	// MaxAttempts bounds how many of a task's workers may be lost, by a
+	// disconnect or a lease that ran out, before it fails (default 3).
 	MaxAttempts int
 	// TaskTimeout, if positive, is the lease duration for one assignment:
 	// how long a worker may hold a task without completing it or
-	// heartbeating before the scheduler hands the task to someone else.
-	// It guards against nodes that hang without dropping their connection
-	// — a hardware failure mode the paper's §2.2.4 lists.  The lease is
-	// the shorter limit, a liveness check that a working node's
-	// heartbeats keep renewing; the execution cap is the worker's own
+	// heartbeating before the scheduler drops the worker and hands the
+	// task to someone else.  It guards against nodes that hang without
+	// dropping their connection — a hardware failure mode the paper's
+	// §2.2.4 lists.  The lease is the shorter limit, a liveness check
+	// that a working node's heartbeats keep renewing, as Dask's
+	// worker-ttl is; the execution cap is the worker's own
 	// (Worker.TaskTimeout).  ListenLocalCluster arms LeaseTimeout.
 	TaskTimeout time.Duration
 	// Logf, if non-nil, receives diagnostic output.
@@ -114,8 +115,8 @@ type Scheduler struct {
 	seq atomic.Uint64 // last task id handed out
 	// pending is the dispatch queue: one bounded FIFO channel.  Workers
 	// with no task wait in idle, longest-idle first, so load spreads
-	// round-robin and a worker that just bounced a task rejoins behind
-	// every idle one.  kick pairs the two under idleMu.
+	// round-robin and a worker that just answered rejoins behind every
+	// idle one.  kick pairs the two under idleMu.
 	pending chan *task
 	idleMu  sync.Mutex
 	idle    []*workerProxy // guarded by idleMu
@@ -270,13 +271,13 @@ func (s *Scheduler) dial() (io.ReadWriteCloser, error) {
 // register frame and then, for the life of the connection, its results
 // and heartbeats, so an idle worker's disconnect is seen as soon as a
 // busy one's; after each result it leases the worker its next task.  A
-// worker that dies mid-task gets its lease requeued — the scheduler
-// "reassigning tasks to other workers" after a node failure, with
-// nannies disabled (§2.2.5).  A frame that fails to decode, including a
-// foreign peer whose first bytes are not wire.Magic or a frame of a
-// retired type, costs only this connection: the codec counts the error,
-// the handler returns, and the campaign carries on over the surviving
-// connections.
+// worker that dies mid-task, or whose lease runs out, gets its lease
+// requeued — the scheduler "reassigning tasks to other workers" after a
+// node failure, with nannies disabled (§2.2.5).  A frame that fails to
+// decode, including a foreign peer whose first bytes are not wire.Magic
+// or a frame of a retired type, costs only this connection: the codec
+// counts the error, the handler returns, and the campaign carries on
+// over the surviving connections.
 func (s *Scheduler) handleConn(conn io.ReadWriteCloser) {
 	defer s.wg.Done()
 	defer conn.Close()
@@ -352,7 +353,6 @@ type WorkerStats struct {
 	Completed int64         // results delivered from this worker
 	Failed    int64         // application-error results from this worker
 	Stale     int64         // late/duplicate results discarded
-	Expired   int64         // leases that ran out on this worker
 	InFlight  int           // tasks currently leased to this worker
 	Latency   time.Duration // cumulative round-trip time of delivered results
 	LastSeen  time.Time     // last frame read from this worker
@@ -364,8 +364,8 @@ func (ws WorkerStats) String() string {
 	if n := ws.Completed + ws.Failed; n > 0 {
 		avg = ws.Latency / time.Duration(n)
 	}
-	return fmt.Sprintf("worker %q: completed=%d failed=%d stale=%d expired=%d inflight=%d avg_latency=%v",
-		ws.Name, ws.Completed, ws.Failed, ws.Stale, ws.Expired, ws.InFlight, avg.Round(time.Millisecond))
+	return fmt.Sprintf("worker %q: completed=%d failed=%d stale=%d inflight=%d avg_latency=%v",
+		ws.Name, ws.Completed, ws.Failed, ws.Stale, ws.InFlight, avg.Round(time.Millisecond))
 }
 
 // workerProxy is the scheduler-side state of one worker connection: the
@@ -382,8 +382,6 @@ type workerProxy struct {
 	mu sync.Mutex
 	l  *lease // nil while the worker idles
 	ws WorkerStats
-
-	gone bool // the read loop ended: never idle again; guarded by Scheduler.idleMu
 }
 
 func (w *workerProxy) snapshot() WorkerStats {
@@ -400,9 +398,9 @@ func (w *workerProxy) snapshot() WorkerStats {
 // handle applies one frame from the worker and reports whether it freed
 // the worker for its next task: a result for the lease it holds, which
 // is delivered unless Close already claimed the task.  A result for a
-// task the worker no longer holds — completed elsewhere, reassigned
-// after its lease ran out, or duplicated — is counted Stale, so a worker
-// that answers late is never punished for it.
+// task the worker does not hold, a duplicate, is counted Stale; a
+// result sent after the worker's lease ran out never arrives, as the
+// connection it would come over is closed.
 func (w *workerProxy) handle(m *message) bool {
 	s := w.s
 	if m.Type != wire.TypeResult && m.Type != wire.TypeHeartbeat {
@@ -440,16 +438,16 @@ func (w *workerProxy) handle(m *message) bool {
 }
 
 // kick pairs idle workers with queued tasks, longest-idle worker with
-// oldest task, until one side runs out.  A non-nil w (just registered,
-// just answered, or past an expired lease) first joins the back of the
-// idle list, unless its connection is gone.  Each side re-checks the
-// other after its own change: a worker polls the queue after joining
-// idle, and enqueue kicks after queuing whenever nIdle is non-zero, so no
-// task waits while a worker idles.  Whoever makes a pair writes its
-// assign frame, with idleMu dropped.
+// oldest task, until one side runs out.  A non-nil w, just registered or
+// just answered, first joins the back of the idle list; only its read
+// loop passes it, so never after retire.  Each side re-checks the other
+// after its own change: a worker polls the queue after joining idle, and
+// enqueue kicks after queuing whenever nIdle is non-zero, so no task
+// waits while a worker idles.  Whoever makes a pair writes its assign
+// frame, with idleMu dropped.
 func (s *Scheduler) kick(w *workerProxy) {
 	s.idleMu.Lock()
-	if w != nil && !w.gone {
+	if w != nil {
 		s.idle = append(s.idle, w)
 		s.nIdle.Add(1)
 	}
@@ -517,10 +515,10 @@ func (w *workerProxy) assign(l *lease) {
 }
 
 // expire runs at l's deadline.  If a heartbeat moved the deadline it
-// re-arms; otherwise the lease ends with the connection still up.  The
-// task is requeued first and only then does the worker rejoin the back
-// of the idle list, so an idle worker wins the task ahead of the one it
-// bounced off, and a late result from that one is counted stale.
+// re-arms.  Otherwise the worker has sent nothing for a whole lease and
+// cannot be told from a hung one, so expire closes its connection, as
+// Dask removes a worker past its worker-ttl: the read loop ends, and its
+// retire requeues the task and drops the worker for good.
 func (w *workerProxy) expire(l *lease) {
 	w.mu.Lock()
 	if w.l != l {
@@ -532,22 +530,21 @@ func (w *workerProxy) expire(l *lease) {
 		w.mu.Unlock()
 		return
 	}
-	w.l = nil
-	w.ws.Expired++
 	w.mu.Unlock()
 	atomic.AddInt64(&w.s.stats.Expired, 1)
-	w.s.requeue(l.t)
-	w.s.kick(w)
+	w.s.logf("cluster: worker %q silent for a whole lease on task %s; dropping it", w.name, l.t.id)
+	//lint:ignore errdiscard the drop is the read loop's retire; a close error changes nothing it does
+	w.conn.Close()
 }
 
-// retire runs once the worker's read loop has ended: the worker leaves
-// the idle list for good, so no lease starts on it again, and the task
-// it held, if any, is requeued — unless the scheduler is closing, in
-// which case the task's Submit returns on the same close.
+// retire runs once the worker's read loop has ended, whether the peer
+// went away or expire closed the connection: the worker leaves the idle
+// list for good, so no lease starts on it again, and the task it held,
+// if any, is requeued — unless the scheduler is closing, in which case
+// the task's Submit returns on the same close.
 func (w *workerProxy) retire() {
 	s := w.s
 	s.idleMu.Lock()
-	w.gone = true
 	for i, v := range s.idle {
 		if v == w {
 			s.unidle(i)
@@ -570,8 +567,8 @@ func (w *workerProxy) retire() {
 	}
 }
 
-// requeue puts a task back on the queue after a worker failure or lease
-// expiry, or fails it permanently once attempts are exhausted.
+// requeue puts a task back on the queue after its worker was lost, or
+// fails it permanently once attempts are exhausted.
 func (s *Scheduler) requeue(t *task) {
 	if t.isDone() {
 		return

@@ -41,11 +41,11 @@ type Worker struct {
 	TaskTimeout time.Duration
 	// Heartbeat, if positive, is the interval at which the worker pings
 	// the scheduler while executing a task, renewing the task's lease
-	// (one ticker goroutine per connection).  A leasing scheduler gives a
-	// task whose lease (Scheduler.TaskTimeout) went without a heartbeat to
-	// another worker, so a worker whose tasks outlast the lease must
-	// heartbeat: HeartbeatInterval fits LeaseHeartbeats times into
-	// LeaseTimeout.
+	// (one ticker goroutine per connection).  A leasing scheduler drops a
+	// worker whose lease (Scheduler.TaskTimeout) went without a heartbeat
+	// and gives its task to another, so a worker whose tasks outlast the
+	// lease must heartbeat: HeartbeatInterval fits LeaseHeartbeats times
+	// into LeaseTimeout.
 	Heartbeat time.Duration
 	// ReconnectInitial and ReconnectMax shape the re-dial backoff after a
 	// scheduler connection loss (defaults 50ms and 5s).

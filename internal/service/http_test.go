@@ -376,7 +376,8 @@ func TestHTTPSSEStream(t *testing.T) {
 
 // TestSchedulerLifecycleMetrics drives a real scheduler through each
 // lifecycle occurrence — a delivered result, a task whose lease expires
-// twice into an abandon, the two late results that arrive stale, a
+// twice into an abandon, each expiry dropping its worker, both workers
+// re-registering once their late results die with those connections, a
 // worker that leaves — and holds /metrics to the scheduler's own
 // counters: each repro_cluster_events_total line is the Stats field it
 // labels, and registrations − disconnects is the connected fleet.
@@ -427,19 +428,19 @@ func TestSchedulerLifecycleMetrics(t *testing.T) {
 		return st
 	}
 
-	// The late results are still held back, so no two counters are equal
-	// that the events lines could swap unseen.
-	waitFor("the abandon", func(st cluster.Stats) bool { return st.Abandoned == 1 })
-	if st := checkEvents(); st.Expired != 2 || st.Reassigned != 1 || st.Stale != 0 || st.Delivered != 1 || st.Assigned != 3 || st.Registered != 2 {
-		t.Errorf("stats %+v, want 2 expiries, 1 requeue, 1 abandon, 1 delivered result, 3 assignments, 2 registrations", st)
+	// Each expiry dropped the worker that held the task, and both
+	// handlers are still held back, so neither has re-registered yet.
+	waitFor("the abandon and both drops", func(st cluster.Stats) bool { return st.Abandoned == 1 && st.Disconnected == 2 })
+	if st := checkEvents(); st.Expired != 2 || st.Reassigned != 1 || st.Stale != 0 || st.Delivered != 1 || st.Assigned != 3 || st.Registered != 2 || st.Workers != 0 {
+		t.Errorf("stats %+v, want 2 expiries, 1 requeue, 1 abandon, 1 delivered result, 3 assignments, 2 registrations, both dropped", st)
 	}
 	close(release)
-	waitFor("the two late results", func(st cluster.Stats) bool { return st.Stale == 2 })
+	waitFor("both workers to re-register", func(st cluster.Stats) bool { return st.Registered == 4 })
 	if err := lc.Workers[0].Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor("the disconnect", func(st cluster.Stats) bool { return st.Disconnected == 1 })
-	if st := checkEvents(); st.Registered-st.Disconnected != st.Workers || st.Workers != 1 || len(sched.WorkerStats()) != 1 {
-		t.Errorf("stats %+v with %d workers listed: registrations − disconnects is not the fleet", st, len(sched.WorkerStats()))
+	waitFor("the disconnect", func(st cluster.Stats) bool { return st.Disconnected == 3 })
+	if st := checkEvents(); st.Registered-st.Disconnected != st.Workers || st.Workers != 1 || st.Stale != 0 || len(sched.WorkerStats()) != 1 {
+		t.Errorf("stats %+v with %d workers listed: registrations − disconnects is not the fleet, or a late result was read", st, len(sched.WorkerStats()))
 	}
 }
