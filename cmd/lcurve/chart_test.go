@@ -28,6 +28,8 @@ func TestChart(t *testing.T) {
 		{name: "descending", vals: []float64{1, 0.5, 0.1, 0.05, 0.01}, plotted: []int{0, 1, 2, 3, 4}},
 		{name: "rising", vals: []float64{0.01, 1}, plotted: []int{0, 1}},
 		{name: "zero negative and NaN skipped", vals: []float64{1, 0, 0.1, -2, nan, 0.01}, plotted: []int{0, 2, 5}},
+		{name: "+Inf skipped", vals: []float64{1, 0.5, 0.1, math.Inf(1)}, plotted: []int{0, 1, 2}},
+		{name: "-Inf skipped", vals: []float64{1, math.Inf(-1), 0.1}, plotted: []int{0, 2}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -51,7 +51,7 @@ func chart(recs []deepmd.LCurveRecord, get func(deepmd.LCurveRecord) float64, wi
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, r := range recs {
 		v := get(r)
-		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		if !plottable(v) {
 			continue
 		}
 		lo = math.Min(lo, v)
@@ -68,7 +68,7 @@ func chart(recs []deepmd.LCurveRecord, get func(deepmd.LCurveRecord) float64, wi
 	}
 	for i, r := range recs {
 		v := get(r)
-		if v <= 0 || math.IsNaN(v) {
+		if !plottable(v) {
 			continue
 		}
 		x := i * (width - 1) / max(len(recs)-1, 1)
@@ -94,4 +94,11 @@ func chart(recs []deepmd.LCurveRecord, get func(deepmd.LCurveRecord) float64, wi
 	}
 	fmt.Fprintf(&b, "%10s  %-*d%*d\n", "step", width-8, recs[0].Step, 8, recs[len(recs)-1].Step)
 	return b.String()
+}
+
+// plottable reports whether v has a place on a log axis: positive and
+// finite (NaN compares false).  Finding the range and plotting both ask
+// it, so a diverged +Inf loss is left out instead of clamped to a row.
+func plottable(v float64) bool {
+	return v > 0 && !math.IsInf(v, 1)
 }
