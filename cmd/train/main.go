@@ -2,7 +2,9 @@
 // input.json, streams the training and validation systems it names,
 // trains a deep-potential model in-process and writes lcurve.out next to
 // the input — the exact artifact the paper's fitness extraction reads
-// (§2.2.4).
+// (§2.2.4 item 4c).  It then reads lcurve.out back and prints its
+// summary and two log-scale charts of the validation losses over the
+// training steps.
 //
 // Usage:
 //
@@ -22,7 +24,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/dataset/stream"
 	"repro/internal/deepmd"
@@ -77,14 +81,26 @@ func main() {
 	st := trainStore.Stats()
 	fmt.Printf("stream: %d hits, %d misses, %d evictions, %d prefetched (%d B cached)\n",
 		st.Hits, st.Misses, st.Evictions, st.Prefetched, st.CachedBytes)
-	rmseE, rmseF, err := deepmd.FinalLosses(filepath.Join(runDir, "lcurve.out"))
-	if err != nil {
-		log.Fatalf("reading lcurve.out: %v", err)
-	}
-	fmt.Printf("final rmse_e_val = %.6g eV/atom, rmse_f_val = %.6g eV/Å\n", rmseE, rmseF)
 	// Which GEMM kernels ran: the learning curve is the same bits either
 	// way, a timing is not comparable without it.
 	fmt.Printf("gemm kernels: %s\n", blas.Impl())
+
+	recs, err := deepmd.ReadLCurveFile(filepath.Join(runDir, "lcurve.out"))
+	if err != nil {
+		log.Fatalf("reading lcurve.out: %v", err)
+	}
+	if len(recs) == 0 {
+		log.Fatal("lcurve.out has no data rows")
+	}
+	last := recs[len(recs)-1]
+	fmt.Printf("%d records, steps %d..%d\n", len(recs), recs[0].Step, last.Step)
+	fmt.Printf("final: rmse_e_val=%.6g eV/atom  rmse_f_val=%.6g eV/Å  lr=%.3g\n",
+		last.RmseEVal, last.RmseFVal, last.LR)
+	const width, height = 70, 16
+	fmt.Println("\nrmse_f_val over training (log scale):")
+	fmt.Print(chart(recs, func(r deepmd.LCurveRecord) float64 { return r.RmseFVal }, width, height))
+	fmt.Println("\nrmse_e_val over training (log scale):")
+	fmt.Print(chart(recs, func(r deepmd.LCurveRecord) float64 { return r.RmseEVal }, width, height))
 }
 
 // resolve joins relative dataset paths against the run directory.
@@ -93,4 +109,61 @@ func resolve(runDir, p string) string {
 		return p
 	}
 	return filepath.Join(runDir, p)
+}
+
+// chart renders one series as ASCII, y on a log axis.
+func chart(recs []deepmd.LCurveRecord, get func(deepmd.LCurveRecord) float64, width, height int) string {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, r := range recs {
+		v := get(r)
+		if !plottable(v) {
+			continue
+		}
+		lo = math.Min(lo, v)
+		hi = math.Max(hi, v)
+	}
+	//lint:ignore floateq degenerate-range guard: a constant series has lo bitwise equal to hi by construction
+	if !(hi > 0) || lo == hi {
+		return "(series constant or empty)\n"
+	}
+	llo, lhi := math.Log10(lo), math.Log10(hi)
+	grid := make([][]byte, height)
+	for i := range grid {
+		grid[i] = []byte(strings.Repeat(" ", width))
+	}
+	for i, r := range recs {
+		v := get(r)
+		if !plottable(v) {
+			continue
+		}
+		x := i * (width - 1) / max(len(recs)-1, 1)
+		y := int((math.Log10(v) - llo) / (lhi - llo) * float64(height-1))
+		if y < 0 {
+			y = 0
+		}
+		if y >= height {
+			y = height - 1
+		}
+		grid[height-1-y][x] = '*'
+	}
+	var b strings.Builder
+	for i, row := range grid {
+		label := ""
+		switch i {
+		case 0:
+			label = fmt.Sprintf("%.2e", hi)
+		case height - 1:
+			label = fmt.Sprintf("%.2e", lo)
+		}
+		fmt.Fprintf(&b, "%10s |%s|\n", label, row)
+	}
+	fmt.Fprintf(&b, "%10s  %-*d%*d\n", "step", width-8, recs[0].Step, 8, recs[len(recs)-1].Step)
+	return b.String()
+}
+
+// plottable reports whether v has a place on a log axis: positive and
+// finite (NaN compares false).  Finding the range and plotting both ask
+// it, so a diverged +Inf loss is left out instead of clamped to a row.
+func plottable(v float64) bool {
+	return v > 0 && !math.IsInf(v, 1)
 }

@@ -39,8 +39,6 @@ type CampaignConfig struct {
 	AnnealFactor float64
 	// BaseSeed seeds run r with BaseSeed + r.
 	BaseSeed int64
-	// Representation defaults to PaperRepresentation when zero.
-	Representation Representation
 	// Observer, if non-nil, receives per-run, per-generation progress.
 	Observer func(run, gen int, evaluated, survivors ea.Population)
 }
@@ -141,16 +139,14 @@ func ContinueCampaign(ctx context.Context, cfg CampaignConfig, prev *CampaignRes
 }
 
 // ContinueRun carries run r of the campaign cfg describes on from prev,
-// its log: nsga2.Continue with seed BaseSeed + r, which replays prev's
+// its log: nsga2.Continue on the Table 1 genome with seed BaseSeed + r,
+// which replays prev's
 // generations, evaluates the rest up to Generations and refuses a log
 // this run would not have written, naming the generation and position.
 // A nil prev, or one without records, starts the run fresh.  cfg.Runs is
 // not read, and Observer sees run r's generations this call evaluates.
 func ContinueRun(ctx context.Context, cfg CampaignConfig, r int, prev *nsga2.Result) (*nsga2.Result, error) {
-	rep := cfg.Representation
-	if rep.Bounds == nil {
-		rep = PaperRepresentation()
-	}
+	rep := PaperRepresentation()
 	var observer func(gen int, evaluated, survivors ea.Population)
 	if cfg.Observer != nil {
 		observer = func(gen int, evaluated, survivors ea.Population) {
