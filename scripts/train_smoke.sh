@@ -4,9 +4,11 @@
 # Generates a 16-frame dataset with `cmd/mdgen`, trains a tiny network
 # for 5 steps with `cmd/train` on one core and on four, and requires the
 # two lcurve.out files to be the same bytes (Threads defaults to
-# GOMAXPROCS, so the pair covers one replica and several).  Then runs
-# one two-individual real-backend campaign through `cmd/hpo`, which
-# streams the same dataset, and requires two CSV rows and no failed
+# GOMAXPROCS, so the pair covers one replica and several) and each log
+# to carry train's lcurve summary (`5 records`) and both of its charts.
+# Then runs one two-individual real-backend campaign through `cmd/hpo`,
+# which streams the same dataset, and requires two CSV rows, at least
+# one of them on the frontier (`on_frontier` is 1), and no failed
 # evaluation.  Also requires `-fast` and `-data-dir` to be rejected by
 # the flag package in both binaries, `hpo -timeout` (the evaluation cap
 # is ea.PaperEvalTimeout, declared once), `hpo -no-memo` (the memo cache
@@ -60,6 +62,10 @@ EOF
 for procs in 1 4; do
     GOMAXPROCS=$procs "$WORK/bin/train" -input "$WORK/run/input.json" -steps 5 -workers 6 -valframes 2 \
         >"$WORK/train$procs.log" 2>&1 || fail "train failed at GOMAXPROCS=$procs" "$WORK/train$procs.log"
+    for want in '^5 records, steps ' '^rmse_f_val over training' '^rmse_e_val over training'; do
+        grep -q "$want" "$WORK/train$procs.log" ||
+            fail "train at GOMAXPROCS=$procs printed no line matching '$want'" "$WORK/train$procs.log"
+    done
     mv "$WORK/run/lcurve.out" "$WORK/lcurve$procs.out"
 done
 [[ "$(grep -vc '^#' "$WORK/lcurve1.out")" -eq 5 ]] ||
@@ -71,6 +77,8 @@ cmp "$WORK/lcurve1.out" "$WORK/lcurve4.out" ||
     >"$WORK/hpo.csv" 2>"$WORK/hpo.log" || fail "hpo -backend real failed" "$WORK/hpo.log"
 [[ "$(tail -n +2 "$WORK/hpo.csv" | grep -c .)" -eq 2 ]] ||
     fail "hpo did not print one CSV row per individual" "$WORK/hpo.csv" "$WORK/hpo.log"
+[[ "$(awk -F, 'NR > 1 && $NF == 1' "$WORK/hpo.csv" | grep -c .)" -ge 1 ]] ||
+    fail "hpo marked no row on_frontier" "$WORK/hpo.csv"
 grep -q '^hpo: done in .*, 0 failures$' "$WORK/hpo.log" ||
     fail "hpo campaign had failed evaluations" "$WORK/hpo.log"
 
@@ -83,4 +91,4 @@ for gone in train:fast train:data-dir hpo:fast hpo:data-dir hpo:timeout hpo:no-m
         fail "$bin -$flag failed for another reason" "$WORK/$bin.$flag.log"
 done
 
-echo "train_smoke: ok (5 steps, 6 workers; lcurve.out identical on 1 and 4 cores; real hpo campaign streamed)"
+echo "train_smoke: ok (5 steps, 6 workers; lcurve.out identical on 1 and 4 cores and charted; real hpo campaign streamed, frontier marked)"
