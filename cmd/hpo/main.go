@@ -9,7 +9,8 @@
 //
 // Results are printed as CSV (one row per final solution) plus a frontier
 // summary.  The on_frontier column is 1 on the rows of the Pareto front:
-// nsga2.NonDominated over the last generations of every run, pooled.  Every evaluation is capped at the paper's two hours
+// nsga2.NonDominated over the last generations of every run, pooled.
+// Every evaluation is capped at the paper's two hours
 // (ea.PaperEvalTimeout); one that runs past it gets MAXINT fitness.
 //
 // Usage:

@@ -140,9 +140,9 @@ func ContinueCampaign(ctx context.Context, cfg CampaignConfig, prev *CampaignRes
 
 // ContinueRun carries run r of the campaign cfg describes on from prev,
 // its log: nsga2.Continue on the Table 1 genome with seed BaseSeed + r,
-// which replays prev's
-// generations, evaluates the rest up to Generations and refuses a log
-// this run would not have written, naming the generation and position.
+// which replays prev's generations, evaluates the rest up to Generations
+// and refuses a log this run would not have written, naming the
+// generation and position.
 // A nil prev, or one without records, starts the run fresh.  cfg.Runs is
 // not read, and Observer sees run r's generations this call evaluates.
 func ContinueRun(ctx context.Context, cfg CampaignConfig, r int, prev *nsga2.Result) (*nsga2.Result, error) {
