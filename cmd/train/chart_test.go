@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -20,16 +19,26 @@ func TestChart(t *testing.T) {
 		// plotted lists the records that carry a '*'; nil wants the
 		// degenerate-range message instead of a chart.
 		plotted []int
+		// top and bottom are the y labels of the first and last rows.
+		top, bottom string
 	}{
 		{name: "empty", vals: nil},
 		{name: "constant", vals: []float64{0.5, 0.5, 0.5}},
 		{name: "one record", vals: []float64{0.3}},
 		{name: "nothing positive", vals: []float64{0, -1, nan}},
-		{name: "descending", vals: []float64{1, 0.5, 0.1, 0.05, 0.01}, plotted: []int{0, 1, 2, 3, 4}},
-		{name: "rising", vals: []float64{0.01, 1}, plotted: []int{0, 1}},
-		{name: "zero negative and NaN skipped", vals: []float64{1, 0, 0.1, -2, nan, 0.01}, plotted: []int{0, 2, 5}},
-		{name: "+Inf skipped", vals: []float64{1, 0.5, 0.1, math.Inf(1)}, plotted: []int{0, 1, 2}},
-		{name: "-Inf skipped", vals: []float64{1, math.Inf(-1), 0.1}, plotted: []int{0, 2}},
+		{name: "descending", vals: []float64{1, 0.5, 0.1, 0.05, 0.01}, plotted: []int{0, 1, 2, 3, 4},
+			top: "1.00e+00", bottom: "1.00e-02"},
+		{name: "rising", vals: []float64{0.01, 1}, plotted: []int{0, 1}, top: "1.00e+00", bottom: "1.00e-02"},
+		{name: "zero negative and NaN skipped", vals: []float64{1, 0, 0.1, -2, nan, 0.01}, plotted: []int{0, 2, 5},
+			top: "1.00e+00", bottom: "1.00e-02"},
+		{name: "+Inf skipped", vals: []float64{1, 0.5, 0.1, math.Inf(1)}, plotted: []int{0, 1, 2},
+			top: "1.00e+00", bottom: "1.00e-01"},
+		{name: "-Inf skipped", vals: []float64{1, math.Inf(-1), 0.1}, plotted: []int{0, 2}, top: "1.00e+00", bottom: "1.00e-01"},
+		// Labels take the digits that tell the extremes apart, up to
+		// what fits in 10 columns; past that the series draws as constant.
+		{name: "near-constant", vals: []float64{1.5601, 1.56, 1.5604}, plotted: []int{0, 1, 2},
+			top: "1.5604e+00", bottom: "1.5600e+00"},
+		{name: "constant to the label's digits", vals: []float64{1.56, 1.560001}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -57,11 +66,11 @@ func TestChart(t *testing.T) {
 			for _, i := range c.plotted {
 				lo, hi = math.Min(lo, c.vals[i]), math.Max(hi, c.vals[i])
 			}
-			if got, want := strings.TrimSpace(lines[0][:10]), fmt.Sprintf("%.2e", hi); got != want {
-				t.Errorf("top label %q, want the maximum %q", got, want)
+			if got := strings.TrimSpace(lines[0][:10]); got != c.top {
+				t.Errorf("top label %q, want %q", got, c.top)
 			}
-			if got, want := strings.TrimSpace(lines[height-1][:10]), fmt.Sprintf("%.2e", lo); got != want {
-				t.Errorf("bottom label %q, want the minimum %q", got, want)
+			if got := strings.TrimSpace(lines[height-1][:10]); got != c.bottom {
+				t.Errorf("bottom label %q, want %q", got, c.bottom)
 			}
 			// Record i sits in column i*(width-1)/(n-1): the first in
 			// column 0, the last in column width-1.  The maximum is on

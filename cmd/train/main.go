@@ -122,8 +122,11 @@ func chart(recs []deepmd.LCurveRecord, get func(deepmd.LCurveRecord) float64, wi
 		lo = math.Min(lo, v)
 		hi = math.Max(hi, v)
 	}
-	//lint:ignore floateq degenerate-range guard: a constant series has lo bitwise equal to hi by construction
-	if !(hi > 0) || lo == hi {
+	if !(hi > 0) {
+		return "(series constant or empty)\n"
+	}
+	top, bottom := axisLabels(hi, lo)
+	if top == bottom {
 		return "(series constant or empty)\n"
 	}
 	llo, lhi := math.Log10(lo), math.Log10(hi)
@@ -151,14 +154,26 @@ func chart(recs []deepmd.LCurveRecord, get func(deepmd.LCurveRecord) float64, wi
 		label := ""
 		switch i {
 		case 0:
-			label = fmt.Sprintf("%.2e", hi)
+			label = top
 		case height - 1:
-			label = fmt.Sprintf("%.2e", lo)
+			label = bottom
 		}
 		fmt.Fprintf(&b, "%10s |%s|\n", label, row)
 	}
 	fmt.Fprintf(&b, "%10s  %-*d%*d\n", "step", width-8, recs[0].Step, 8, recs[len(recs)-1].Step)
 	return b.String()
+}
+
+// axisLabels formats the top and bottom y labels with the fewest digits,
+// three significant at least, that tell hi from lo and still fit the
+// 10-column label.  They print the same if no such precision does.
+func axisLabels(hi, lo float64) (top, bottom string) {
+	for prec := 2; ; prec++ {
+		top, bottom = fmt.Sprintf("%.*e", prec, hi), fmt.Sprintf("%.*e", prec, lo)
+		if top != bottom || max(len(top), len(bottom)) >= 10 {
+			return top, bottom
+		}
+	}
 }
 
 // plottable reports whether v has a place on a log axis: positive and

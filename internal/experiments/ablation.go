@@ -33,7 +33,6 @@ type AblationResult struct {
 //
 //   - "paper": random parent selection + clone + annealed isotropic
 //     Gaussian mutation, σ×0.85 per generation (§2.2.3, Listing 1).
-//   - "no-annealing": the same pipeline with fixed σ.
 //   - "canonical": binary crowded-tournament selection + SBX crossover +
 //     polynomial mutation — the textbook NSGA-II variation the paper
 //     replaced.
@@ -51,14 +50,14 @@ func PipelineAblation(ctx context.Context, opts Options) (*AblationResult, error
 		return surrogate.NewEvaluator(surrogate.Config{Seed: opts.Seed})
 	}
 
-	runGenerational := func(name string, anneal float64, breeder func(*rand.Rand, *ea.Context, ea.Population, int) ea.Stream) error {
+	runGenerational := func(name string, breeder func(*rand.Rand, *ea.Context, ea.Population, int) ea.Stream) error {
 		var pool ea.Population
 		failures := 0
 		for r := 0; r < opts.Runs; r++ {
 			res, err := nsga2.Run(ctx, nsga2.Config{
 				PopSize: opts.PopSize, Generations: opts.Generations,
 				Bounds: rep.Bounds, InitialStd: rep.Std,
-				AnnealFactor: anneal, Evaluator: newEval(),
+				AnnealFactor: nsga2.PaperAnnealFactor, Evaluator: newEval(),
 				Pool:    ea.PoolConfig{Parallelism: opts.Parallelism, Objectives: 2},
 				Seed:    opts.Seed + int64(r),
 				Breeder: breeder,
@@ -74,14 +73,10 @@ func PipelineAblation(ctx context.Context, opts Options) (*AblationResult, error
 	}
 
 	// 1. The paper's pipeline.
-	if err := runGenerational("paper (random+gaussian, anneal 0.85)", nsga2.PaperAnnealFactor, nil); err != nil {
+	if err := runGenerational("paper (random+gaussian, anneal 0.85)", nil); err != nil {
 		return nil, err
 	}
-	// 2. No annealing.
-	if err := runGenerational("no-annealing (random+gaussian, fixed sigma)", 1.0, nil); err != nil {
-		return nil, err
-	}
-	// 3. Canonical NSGA-II variation.
+	// 2. Canonical NSGA-II variation.
 	bounds := rep.Bounds
 	canonical := func(rng *rand.Rand, _ *ea.Context, parents ea.Population, gen int) ea.Stream {
 		pm := 1.0 / float64(len(bounds))
@@ -93,10 +88,10 @@ func PipelineAblation(ctx context.Context, opts Options) (*AblationResult, error
 			ea.SetBirth(gen),
 		)
 	}
-	if err := runGenerational("canonical (tournament+SBX+polynomial)", nsga2.PaperAnnealFactor, canonical); err != nil {
+	if err := runGenerational("canonical (tournament+SBX+polynomial)", canonical); err != nil {
 		return nil, err
 	}
-	// 4. Asynchronous steady-state at the same budget.
+	// 3. Asynchronous steady-state at the same budget.
 	{
 		var pool ea.Population
 		failures := 0

@@ -13,8 +13,8 @@ func TestPipelineAblation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PipelineAblation: %v", err)
 	}
-	if len(res.Variants) != 4 {
-		t.Fatalf("got %d variants, want 4", len(res.Variants))
+	if len(res.Variants) != 3 {
+		t.Fatalf("got %d variants, want 3", len(res.Variants))
 	}
 	byName := map[string]AblationVariant{}
 	for _, v := range res.Variants {
@@ -35,7 +35,7 @@ func TestPipelineAblation(t *testing.T) {
 		}
 	}
 	text := res.Render()
-	for _, want := range []string{"paper", "canonical", "steady-state", "no-annealing", "hypervolume"} {
+	for _, want := range []string{"paper", "canonical", "steady-state", "hypervolume"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("render missing %q", want)
 		}

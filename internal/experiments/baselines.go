@@ -3,9 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 
-	"repro/internal/baselines"
 	"repro/internal/ea"
 	"repro/internal/hpo"
 	"repro/internal/nsga2"
@@ -21,7 +21,6 @@ type BaselineEntry struct {
 	BestForce   float64
 	BestEnergy  float64
 	Accurate    int
-	Failures    int
 }
 
 // BaselineComparison holds the strategy table.
@@ -63,11 +62,11 @@ func CompareBaselines(ctx context.Context, opts Options) (*BaselineComparison, e
 	out.Entries = append(out.Entries, scoreBaseline("NSGA-II (paper)", budget, allEA))
 
 	// Random search with the identical budget.
-	rs, err := baselines.RandomSearch(ctx, newEval(), rep.Bounds, budget, opts.Parallelism, opts.Seed)
+	rs, err := randomSearch(ctx, newEval(), rep.Bounds, budget, opts.Parallelism, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	out.Entries = append(out.Entries, scoreBaseline(rs.Name, budget, rs.Evaluated))
+	out.Entries = append(out.Entries, scoreBaseline("random search", budget, rs))
 
 	// The largest uniform grid fitting the budget: points^7 ≤ budget.
 	points := 1
@@ -76,13 +75,55 @@ func CompareBaselines(ctx context.Context, opts Options) (*BaselineComparison, e
 			points = p
 		}
 	}
-	spec := baselines.UniformGrid(hpo.NumGenes, points)
-	gs, err := baselines.GridSearch(ctx, newEval(), rep.Bounds, spec, opts.Parallelism)
+	gs, err := gridSearch(ctx, newEval(), rep.Bounds, points, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
-	out.Entries = append(out.Entries, scoreBaseline(gs.Name, spec.Size(), gs.Evaluated))
+	out.Entries = append(out.Entries, scoreBaseline(fmt.Sprintf("grid search (%d points)", len(gs)), len(gs), gs))
 	return out, nil
+}
+
+// randomSearch evaluates budget uniform samples of the bounds: random
+// search (Bergstra & Bengio 2012, the paper's [2]), the strongest simple
+// baseline for HPO.
+func randomSearch(ctx context.Context, ev ea.Evaluator, bounds ea.Bounds, budget, parallelism int,
+	seed int64) (ea.Population, error) {
+	if budget <= 0 {
+		return nil, fmt.Errorf("experiments: random search budget must be positive")
+	}
+	rng := rand.New(rand.NewSource(seed))
+	pop := ea.RandomPopulation(rng, bounds, budget, 0)
+	return evalBaseline(ctx, ev, pop, parallelism)
+}
+
+// gridSearch evaluates the full factorial grid of points cell centres per
+// gene: brute-force grid search, which §1 notes "has been shown to be
+// prone to missing optimal values unless a very fine grid is used".  Cell
+// centres cover the range without doubling endpoints and land
+// categorical genes mid-bin.  Gene 0 varies fastest.
+func gridSearch(ctx context.Context, ev ea.Evaluator, bounds ea.Bounds, points, parallelism int) (ea.Population, error) {
+	n := pow(points, len(bounds))
+	pop := make(ea.Population, n)
+	for k := range pop {
+		genome := make(ea.Genome, len(bounds))
+		rest := k
+		for g := range bounds {
+			genome[g] = bounds[g].Lo + bounds[g].Width()*(float64(rest%points)+0.5)/float64(points)
+			rest /= points
+		}
+		pop[k] = ea.NewIndividual(genome)
+	}
+	return evalBaseline(ctx, ev, pop, parallelism)
+}
+
+func evalBaseline(ctx context.Context, ev ea.Evaluator, pop ea.Population, parallelism int) (ea.Population, error) {
+	pop = ea.EvalPool(ctx, ea.Source(pop), len(pop), ev, ea.PoolConfig{
+		Parallelism: parallelism, Objectives: 2,
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return pop, nil
 }
 
 func pow(b, e int) int {
@@ -95,14 +136,8 @@ func pow(b, e int) int {
 
 func scoreBaseline(name string, budget int, pop ea.Population) BaselineEntry {
 	e := BaselineEntry{Name: name, Budget: budget, BestForce: 1e9, BestEnergy: 1e9}
-	for _, ind := range pop {
-		if !ind.Evaluated {
-			continue
-		}
-		if ind.Fitness.IsFailure() {
-			e.Failures++
-			continue
-		}
+	ok := dropFailures(pop)
+	for _, ind := range ok {
 		if ind.Fitness[1] < e.BestForce {
 			e.BestForce = ind.Fitness[1]
 		}
@@ -114,7 +149,7 @@ func scoreBaseline(name string, budget int, pop ea.Population) BaselineEntry {
 		}
 	}
 	e.Hypervolume = nsga2.Hypervolume2D(pop, RefPoint)
-	e.FrontSize = len(nsga2.NonDominated(dropFailures(pop)))
+	e.FrontSize = len(nsga2.NonDominated(ok))
 	return e
 }
 

@@ -36,8 +36,7 @@ func TestCampaignScaleMatchesPaper(t *testing.T) {
 	}
 }
 
-// TestCampaignScalesDown runs the paper campaign at reduced scale, as
-// examples/moltensalt does.
+// TestCampaignScalesDown runs the paper campaign at reduced scale.
 func TestCampaignScalesDown(t *testing.T) {
 	opts := PaperOptions()
 	opts.Runs, opts.PopSize, opts.Generations = 1, 16, 2

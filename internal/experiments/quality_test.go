@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/baselines"
 	"repro/internal/ea"
 	"repro/internal/hpo"
 	"repro/internal/nsga2"
@@ -77,12 +76,12 @@ func qualityPair(seed int64) (ga, random float64, err error) {
 			all = append(all, gen.Evaluated...)
 		}
 	}
-	rs, err := baselines.RandomSearch(ctx, surrogate.NewEvaluator(surrogate.Config{Seed: seed}),
+	rs, err := randomSearch(ctx, surrogate.NewEvaluator(surrogate.Config{Seed: seed}),
 		hpo.PaperRepresentation().Bounds, c.Result.TotalEvaluations(), 1, seed)
 	if err != nil {
 		return 0, 0, err
 	}
-	return nsga2.Hypervolume2D(all, qualityRef), nsga2.Hypervolume2D(rs.Evaluated, qualityRef), nil
+	return nsga2.Hypervolume2D(all, qualityRef), nsga2.Hypervolume2D(rs, qualityRef), nil
 }
 
 // formatQuality writes one line per seed: the seed, then NSGA-II's and
@@ -132,9 +131,10 @@ func parseQuality(data string) ([]float64, error) {
 // is about 2 %, and it leads random search by about 5 % in the median.
 // The two distribution tests catch "the search is broken" — a loss of
 // that 5 % lead — but not a 1 % operator drift (annealing switched off
-// moves the median by about −1.2 %).  The bytes guard the rest, and a
-// declared break that rewrites them (-update-golden) must still pass the
-// distribution tests against the fixture it replaces.
+// moves the median by about −0.8 %, Mann–Whitney p = 0.015).  The bytes
+// guard the rest, and a declared break that rewrites them
+// (-update-golden) must still pass the distribution tests against the
+// fixture it replaces.
 func TestGoldenSearchQuality(t *testing.T) {
 	if raceEnabled {
 		t.Skip("statistics fence: 210 000 surrogate evaluations; run without -race")

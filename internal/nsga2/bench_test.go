@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/ea"
-	"repro/internal/problems"
 )
 
 func randomPop(rng *rand.Rand, n, m int) ea.Population {
@@ -88,36 +87,10 @@ func BenchmarkNonDominated(b *testing.B) {
 	}
 }
 
-// BenchmarkAnnealingAblation compares convergence cost with the paper's
-// σ-annealing (×0.85 per generation) against no annealing, measuring a
-// whole small run per iteration.
-func BenchmarkAnnealingAblation(b *testing.B) {
-	p := problems.ZDT1(8)
-	std := make([]float64, 8)
-	for i := range std {
-		std[i] = 0.2
-	}
-	for _, anneal := range []float64{0.85, 1.0} {
-		b.Run(fmt.Sprintf("anneal=%v", anneal), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := Run(context.Background(), Config{
-					PopSize: 30, Generations: 20, Bounds: p.Bounds,
-					InitialStd: std, AnnealFactor: anneal,
-					Evaluator: p.Evaluator(), Seed: int64(i),
-					Pool: ea.PoolConfig{Parallelism: 1, Objectives: 2},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkPopulationSizeSweep measures run cost across population sizes
 // (the paper pinned population = node count; this shows the scaling).
 func BenchmarkPopulationSizeSweep(b *testing.B) {
-	p := problems.ZDT1(8)
+	p := zdt1(8)
 	std := make([]float64, 8)
 	for i := range std {
 		std[i] = 0.2

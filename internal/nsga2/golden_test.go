@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/ea"
-	"repro/internal/problems"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden fixtures from the current implementation")
@@ -20,7 +19,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden fi
 // goldenConfig is the small ZDT1 run every loop in TestGoldenLoops starts
 // from.
 func goldenConfig(seed int64) Config {
-	p := problems.ZDT1(8)
+	p := zdt1(8)
 	std := make([]float64, len(p.Bounds))
 	for i := range std {
 		std[i] = 0.2

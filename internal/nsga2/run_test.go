@@ -7,11 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/ea"
-	"repro/internal/problems"
 )
 
 func zdt1Config(seed int64) Config {
-	p := problems.ZDT1(8)
+	p := zdt1(8)
 	std := make([]float64, len(p.Bounds))
 	for i := range std {
 		std[i] = 0.2
@@ -39,7 +38,7 @@ func TestRunConvergesOnZDT1(t *testing.T) {
 	}
 	// Mean distance of the final front to the true ZDT1 front must be far
 	// smaller than for the random initial population.
-	p := problems.ZDT1(8)
+	p := zdt1(8)
 	dist := func(pop ea.Population) float64 {
 		total := 0.0
 		for _, ind := range pop {
@@ -132,7 +131,7 @@ func TestRunObserverCalled(t *testing.T) {
 func TestRunWithFailures(t *testing.T) {
 	// An evaluator failing 30% of the time: the run must complete and the
 	// failure counts must be recorded; survivors should prefer successes.
-	p := problems.ZDT1(4)
+	p := zdt1(4)
 	calls := 0
 	ev := ea.EvaluatorFunc(func(_ context.Context, g ea.Genome) (ea.Fitness, error) {
 		calls++
@@ -164,7 +163,7 @@ func TestRunWithFailures(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	p := problems.ZDT1(4)
+	p := zdt1(4)
 	base := func() Config {
 		return Config{
 			PopSize: 10, Generations: 1, Bounds: p.Bounds,

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/ea"
-	"repro/internal/problems"
 )
 
 // steadyConfig is zdt1Config with a budget of 40 × 40 evaluations.
@@ -32,7 +31,7 @@ func TestSteadyStateConvergesOnZDT1(t *testing.T) {
 	if want := cfg.PopSize * (cfg.Generations + 1); len(all) != want {
 		t.Fatalf("evaluated %d, want %d", len(all), want)
 	}
-	p := problems.ZDT1(8)
+	p := zdt1(8)
 	mean := 0.0
 	for _, ind := range final {
 		f1 := math.Min(math.Max(ind.Fitness[0], 0), 1)
@@ -239,7 +238,7 @@ func TestSteadyStateCancellation(t *testing.T) {
 // the same evaluation budget, steady-state reaches a front quality in the
 // same ballpark as the generational scheme.
 func TestSteadyStateComparableToGenerational(t *testing.T) {
-	p := problems.ZDT1(8)
+	p := zdt1(8)
 	std := make([]float64, 8)
 	for i := range std {
 		std[i] = 0.2

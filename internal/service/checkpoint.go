@@ -291,7 +291,7 @@ func (s *Service) Restore() (int, error) {
 			Tenant:  lc.head.Tenant,
 			Spec:    lc.head.Spec,
 			Created: lc.head.Created,
-			ring:    NewRing(s.cfg.EventBuffer),
+			ring:    NewRing(eventBuffer),
 			result:  lc.result,
 			errMsg:  lc.state.Error,
 		}

@@ -70,6 +70,9 @@ import (
 //lint:ignore determinism event/log timestamps are ops telemetry only; campaign results never read the clock
 var now = time.Now
 
+// eventBuffer is every campaign's event-ring capacity.
+const eventBuffer = 256
+
 // Config parameterizes a Service.
 type Config struct {
 	// Evaluator is the shared backend that scores genomes — a
@@ -94,8 +97,6 @@ type Config struct {
 	// evaluation goroutines.  It is what bounds a campaign's lanes: runs ×
 	// parallelism evaluations want to be in flight, and this many are.
 	MaxInFlightPerTenant int
-	// EventBuffer is the per-campaign event-ring capacity (default 256).
-	EventBuffer int
 	// Logf, if non-nil, receives structured key=value log lines.
 	Logf func(format string, args ...interface{})
 	// Scheduler, if non-nil, is the lease scheduler behind Evaluator;
@@ -115,9 +116,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.MaxInFlightPerTenant <= 0 {
 		cfg.MaxInFlightPerTenant = 64
-	}
-	if cfg.EventBuffer <= 0 {
-		cfg.EventBuffer = 256
 	}
 	return cfg
 }
@@ -208,7 +206,7 @@ func (s *Service) Create(spec Spec) (*Campaign, error) {
 		Tenant:  spec.Tenant,
 		Spec:    spec,
 		Created: now(),
-		ring:    NewRing(s.cfg.EventBuffer),
+		ring:    NewRing(eventBuffer),
 		state:   StateQueued,
 	}
 	if c.Spec.Name == "" {
