@@ -4,14 +4,14 @@
 // Usage:
 //
 //	experiments [-exp all|table1|fig1|fig2|table2|fig3|table3|failures|
-//	                 convergence|correlations|ablation|baselines|scaling|sensitivity]
+//	                 convergence|correlations|ablation|baselines|scaling]
 //	            [-runs 5] [-pop 100] [-gens 6] [-seed 2023]
 //
 // With defaults it reproduces the full paper scale: 5 independent NSGA-II
 // runs × 100 individuals × 7 evaluation rounds = 3500 simulated trainings.
-// table1, sensitivity, ablation, baselines and scaling do not read that
-// campaign and skip it (and with it -png); an unknown -exp exits 2 before
-// any work.
+// table1, ablation, baselines and scaling do not read that campaign and
+// skip it (and with it -png).  An unknown -exp, -runs or -pop below 1, or
+// -gens below 0 exits 2 before any work.
 package main
 
 import (
@@ -25,9 +25,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/hpo"
-	"repro/internal/sensitivity"
-	"repro/internal/surrogate"
 )
 
 // campaignExps are the -exp values experiments.Render prints, in its
@@ -36,11 +33,30 @@ import (
 var campaignExps = []string{"all", "table1", "fig1", "fig2", "table2", "fig3", "table3", "failures", "convergence", "correlations"}
 
 // standaloneExps are the -exp values that never read the paper campaign.
-var standaloneExps = []string{"ablation", "baselines", "scaling", "sensitivity"}
+var standaloneExps = []string{"ablation", "baselines", "scaling"}
+
+// expNames lists every -exp value, campaign ones first.
+var expNames = strings.Join(slices.Concat(campaignExps, standaloneExps), ", ")
+
+// checkFlags rejects an -exp value or a campaign size that no experiment
+// can run.
+func checkFlags(exp string, runs, pop, gens int) error {
+	switch {
+	case !slices.Contains(campaignExps, exp) && !slices.Contains(standaloneExps, exp):
+		return fmt.Errorf("unknown -exp %q; valid: %s", exp, expNames)
+	case runs < 1:
+		return fmt.Errorf("-runs %d: need at least 1", runs)
+	case pop < 1:
+		return fmt.Errorf("-pop %d: need at least 1", pop)
+	case gens < 0:
+		return fmt.Errorf("-gens %d: need at least 0", gens)
+	}
+	return nil
+}
 
 func main() {
 	log.SetFlags(0)
-	exp := flag.String("exp", "all", "experiment to regenerate: all, table1, fig1, fig2, table2, fig3, table3, failures, convergence, correlations, ablation, baselines, scaling, sensitivity")
+	exp := flag.String("exp", "all", "experiment to regenerate: "+expNames)
 	runs := flag.Int("runs", 5, "independent EA runs (paper: 5)")
 	pop := flag.Int("pop", 100, "population size (paper: 100)")
 	gens := flag.Int("gens", 6, "offspring generations (paper: 6)")
@@ -49,40 +65,14 @@ func main() {
 	pngDir := flag.String("png", "", "also write Fig. 1/2 level plots as PNGs into this directory")
 	flag.Parse()
 
-	if !slices.Contains(campaignExps, *exp) && !slices.Contains(standaloneExps, *exp) {
-		fmt.Fprintf(os.Stderr, "experiments: unknown -exp %q; valid: %s, %s\n",
-			*exp, strings.Join(campaignExps, ", "), strings.Join(standaloneExps, ", "))
+	if err := checkFlags(*exp, *runs, *pop, *gens); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
 	if *exp == "table1" {
 		fmt.Print(experiments.RenderTable1())
 		return
 	}
-	if *exp == "sensitivity" {
-		// The §2.2.1 pre-campaign screening: no EA needed.
-		ev := surrogate.NewEvaluator(surrogate.Config{Seed: *seed, NoiseScale: -1, DisableFailures: true})
-		rep := hpo.PaperRepresentation()
-		mor, err := sensitivity.Morris(context.Background(), ev, rep.Bounds, hpo.GeneNames[:], 40, 8, 2, *seed)
-		if err != nil {
-			log.Fatalf("morris: %v", err)
-		}
-		fmt.Print(sensitivity.RenderMorris(mor, []string{"energy", "force"}))
-		baseline, err := hpo.Encode(hpo.HParams{
-			StartLR: 0.004, StopLR: 5e-5, RCut: 9, RCutSmth: 3,
-			ScaleByWorker: "none", DescActiv: "tanh", FittingActiv: "tanh",
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		oat, err := sensitivity.OAT(context.Background(), ev, rep.Bounds, hpo.GeneNames[:], baseline, 13, 2)
-		if err != nil {
-			log.Fatalf("oat: %v", err)
-		}
-		fmt.Println()
-		fmt.Print(sensitivity.RenderOAT(oat, []string{"energy", "force"}))
-		return
-	}
-
 	opts := experiments.Options{
 		Runs: *runs, PopSize: *pop, Generations: *gens, Seed: *seed, Parallelism: *par,
 	}

@@ -69,3 +69,29 @@ func TestRenderKeepsArtifactsPastAFailure(t *testing.T) {
 		t.Errorf("Table 3's error is not printed in its place:\n%s", text)
 	}
 }
+
+// TestCheckFlags holds the values main exits 2 on, before any campaign.
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		exp              string
+		runs, pop, gens  int
+		wantErrSubstring string
+	}{
+		{"paper defaults", "all", 5, 100, 6, ""},
+		{"no offspring generations", "fig2", 1, 8, 0, ""},
+		{"unknown -exp", "bogus", 5, 100, 6, `unknown -exp "bogus"; valid: all, table1,`},
+		{"retired -exp", "sensitivity", 5, 100, 6, `unknown -exp "sensitivity"`},
+		{"no runs", "all", 0, 100, 6, "-runs 0"},
+		{"no population", "ablation", 5, 0, 6, "-pop 0"},
+		{"negative generations", "baselines", 5, 100, -1, "-gens -1"},
+	} {
+		err := checkFlags(tc.exp, tc.runs, tc.pop, tc.gens)
+		switch {
+		case tc.wantErrSubstring == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErrSubstring != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErrSubstring)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErrSubstring)
+		}
+	}
+}

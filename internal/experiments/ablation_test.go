@@ -6,17 +6,18 @@ import (
 	"testing"
 )
 
+// TestPipelineAblation runs the ablation twice at Parallelism 8: the
+// generational rows repeat, and only the steady-state row, which
+// completion order decides, is marked as not repeating.
 func TestPipelineAblation(t *testing.T) {
-	res, err := PipelineAblation(context.Background(), Options{
-		Runs: 2, PopSize: 40, Generations: 4, Seed: 13, Parallelism: 8,
-	})
+	opts := Options{Runs: 2, PopSize: 40, Generations: 4, Seed: 13, Parallelism: 8}
+	res, err := PipelineAblation(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("PipelineAblation: %v", err)
 	}
 	if len(res.Variants) != 3 {
 		t.Fatalf("got %d variants, want 3", len(res.Variants))
 	}
-	byName := map[string]AblationVariant{}
 	for _, v := range res.Variants {
 		if v.Hypervolume <= 0 {
 			t.Errorf("variant %q has non-positive hypervolume", v.Name)
@@ -24,7 +25,18 @@ func TestPipelineAblation(t *testing.T) {
 		if v.FrontSize == 0 {
 			t.Errorf("variant %q has empty front", v.Name)
 		}
-		byName[v.Name] = v
+	}
+	again, err := PipelineAblation(context.Background(), opts)
+	if err != nil {
+		t.Fatalf("PipelineAblation again: %v", err)
+	}
+	for i, v := range res.Variants {
+		if v.orderDependent != (i == 2) {
+			t.Errorf("variant %q: order-dependent %v", v.Name, v.orderDependent)
+		}
+		if !v.orderDependent && v != again.Variants[i] {
+			t.Errorf("variant %q does not repeat:\n%+v\n%+v", v.Name, v, again.Variants[i])
+		}
 	}
 	// Every variant optimizes the same landscape with the same budget;
 	// all should land within a reasonable band of the paper pipeline.
@@ -35,7 +47,7 @@ func TestPipelineAblation(t *testing.T) {
 		}
 	}
 	text := res.Render()
-	for _, want := range []string{"paper", "canonical", "steady-state", "hypervolume"} {
+	for _, want := range []string{"paper", "canonical", "steady-state (async, anneal 0.85) †", "hypervolume", "† depends on evaluation completion order"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("render missing %q", want)
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"testing"
 
 	"repro/internal/hpo"
@@ -54,4 +55,33 @@ func BenchmarkReplayPaperCampaign(b *testing.B) {
 			}
 		}
 	})
+}
+
+func BenchmarkHist2DAdd(b *testing.B) {
+	h := newHist2D(0, 1, 60, 0, 1, 20)
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]float64, 1024)
+	ys := make([]float64, 1024)
+	for i := range xs {
+		xs[i] = rng.Float64()
+		ys[i] = rng.Float64()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Add(xs[i%1024], ys[i%1024])
+	}
+}
+
+func BenchmarkSpearman(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	x := make([]float64, 500)
+	y := make([]float64, 500)
+	for i := range x {
+		x[i] = rng.Float64()
+		y[i] = rng.Float64()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Spearman(x, y)
+	}
 }

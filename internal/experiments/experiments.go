@@ -5,7 +5,10 @@
 // (selected chemically accurate solutions), plus the §3.2 failure
 // accounting.  Each experiment returns structured data and a text
 // rendering, so the same code backs the CLI, the benchmarks and
-// EXPERIMENTS.md.
+// EXPERIMENTS.md.  The package owns its analysis primitives: the 2-D
+// histograms behind the level plots (ASCII and PNG), the parallel-
+// coordinates table, Spearman correlations, and the rank tests
+// (SignTest, MannWhitneyU) the search-quality fence applies.
 package experiments
 
 import (
@@ -19,7 +22,6 @@ import (
 	"repro/internal/ea"
 	"repro/internal/hpo"
 	"repro/internal/nsga2"
-	"repro/internal/stats"
 	"repro/internal/surrogate"
 )
 
@@ -49,9 +51,6 @@ func PaperOptions() Options {
 // RunPaperCampaign executes the paper's experiment against the Summit
 // surrogate.
 func RunPaperCampaign(ctx context.Context, opts Options) (*Campaign, error) {
-	if opts.Runs <= 0 {
-		opts = PaperOptions()
-	}
 	ev := surrogate.NewEvaluator(surrogate.Config{Seed: opts.Seed})
 	cfg := hpo.CampaignConfig{
 		Runs:        opts.Runs,
@@ -122,7 +121,7 @@ func RenderTable1() string {
 
 // Fig1Result holds one histogram per generation.
 type Fig1Result struct {
-	Hists []*stats.Hist2D // index = generation
+	Hists []*Hist2D // index = generation
 }
 
 // Fig1 pools each generation's evaluated individuals across runs and bins
@@ -132,7 +131,7 @@ func Fig1(c *Campaign) *Fig1Result {
 	gens := c.Config.Generations + 1
 	out := &Fig1Result{}
 	for g := 0; g < gens; g++ {
-		h := stats.NewHist2D(0, 0.6, 60, 0, 0.03, 20)
+		h := newHist2D(0, 0.6, 60, 0, 0.03, 20)
 		for _, run := range c.Result.Runs {
 			if g >= len(run.Generations) {
 				continue
@@ -198,8 +197,8 @@ func Fig2(c *Campaign) []FrontierPoint {
 
 // Fig2Hist bins the pooled last generations into the Fig. 2 window
 // (force 0.03–0.08 eV/Å, energy 0–0.005 eV/atom).
-func Fig2Hist(c *Campaign) *stats.Hist2D {
-	h := stats.NewHist2D(0.03, 0.08, 50, 0, 0.005, 20)
+func Fig2Hist(c *Campaign) *Hist2D {
+	h := newHist2D(0.03, 0.08, 50, 0, 0.005, 20)
 	for _, ind := range c.Result.LastGenerations() {
 		if !ind.Fitness.IsFailure() {
 			h.Add(ind.Fitness[1], ind.Fitness[0])
@@ -252,13 +251,13 @@ var Fig3Axes = []string{
 
 // Fig3 builds the parallel-coordinates dataset from the pooled last
 // generations; rows are tagged when chemically accurate (the blue lines).
-func Fig3(c *Campaign) *stats.ParallelCoordinates {
+func Fig3(c *Campaign) *ParallelCoordinates {
 	pool := c.Result.LastGenerations()
 	frontSet := map[*ea.Individual]bool{}
 	for _, ind := range c.Result.ParetoFront() {
 		frontSet[ind] = true
 	}
-	p := &stats.ParallelCoordinates{Axes: Fig3Axes}
+	p := &ParallelCoordinates{Axes: Fig3Axes}
 	for _, ind := range pool {
 		if ind.Fitness.IsFailure() {
 			continue

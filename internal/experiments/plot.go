@@ -1,77 +1,16 @@
-// Package stats provides the analysis primitives behind the paper's
-// figures: 2-D histogram binning for the energy-vs-force level plots
-// (Fig. 1), parallel-coordinates tables (Fig. 3), and summary statistics.
-package stats
+package experiments
 
 import (
 	"fmt"
+	"image"
+	"image/color"
+	"image/png"
+	"io"
 	"math"
+	"os"
 	"sort"
 	"strings"
 )
-
-// Summary holds basic descriptive statistics of a sample.
-type Summary struct {
-	N                int
-	Min, Max         float64
-	Mean, Std        float64
-	Median, P25, P75 float64
-}
-
-// Summarize computes descriptive statistics; NaNs are excluded.
-func Summarize(xs []float64) Summary {
-	var clean []float64
-	for _, x := range xs {
-		if !math.IsNaN(x) {
-			clean = append(clean, x)
-		}
-	}
-	s := Summary{N: len(clean)}
-	if s.N == 0 {
-		return s
-	}
-	sorted := append([]float64(nil), clean...)
-	sort.Float64s(sorted)
-	s.Min, s.Max = sorted[0], sorted[len(sorted)-1]
-	s.Median = Quantile(sorted, 0.5)
-	s.P25 = Quantile(sorted, 0.25)
-	s.P75 = Quantile(sorted, 0.75)
-	for _, x := range clean {
-		s.Mean += x
-	}
-	s.Mean /= float64(s.N)
-	for _, x := range clean {
-		d := x - s.Mean
-		s.Std += d * d
-	}
-	if s.N > 1 {
-		s.Std = math.Sqrt(s.Std / float64(s.N-1))
-	} else {
-		s.Std = 0
-	}
-	return s
-}
-
-// Quantile returns the q-quantile of an ascending-sorted sample using
-// linear interpolation.
-func Quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
 
 // Hist2D is a fixed-grid two-dimensional histogram, the data structure
 // behind a level (density) plot.
@@ -84,8 +23,8 @@ type Hist2D struct {
 	Total      int
 }
 
-// NewHist2D creates an empty histogram over the given window.
-func NewHist2D(xmin, xmax float64, nx int, ymin, ymax float64, ny int) *Hist2D {
+// newHist2D creates an empty histogram over the given window.
+func newHist2D(xmin, xmax float64, nx int, ymin, ymax float64, ny int) *Hist2D {
 	h := &Hist2D{XMin: xmin, XMax: xmax, YMin: ymin, YMax: ymax, NX: nx, NY: ny}
 	h.Counts = make([][]int, ny)
 	for i := range h.Counts {
@@ -157,6 +96,85 @@ func (h *Hist2D) Render() string {
 	return b.String()
 }
 
+// WritePNG renders the 2-D histogram as a level-plot PNG with a
+// white-to-dark sequential colormap, cellSize pixels per bin and a thin
+// frame — a publication-style rendition of the paper's Fig. 1/2 panels
+// without any plotting dependency.
+func (h *Hist2D) WritePNG(w io.Writer, cellSize int) error {
+	if cellSize < 1 {
+		cellSize = 4
+	}
+	const margin = 2
+	width := h.NX*cellSize + 2*margin
+	height := h.NY*cellSize + 2*margin
+	img := image.NewRGBA(image.Rect(0, 0, width, height))
+
+	// Background and frame.
+	for y := 0; y < height; y++ {
+		for x := 0; x < width; x++ {
+			c := color.RGBA{255, 255, 255, 255}
+			if x < margin || x >= width-margin || y < margin || y >= height-margin {
+				c = color.RGBA{60, 60, 60, 255}
+			}
+			img.SetRGBA(x, y, c)
+		}
+	}
+
+	maxC := h.MaxCount()
+	for iy := 0; iy < h.NY; iy++ {
+		for ix := 0; ix < h.NX; ix++ {
+			n := h.Counts[iy][ix]
+			if n == 0 {
+				continue
+			}
+			// Log-scaled intensity so sparse and dense bins both read.
+			t := math.Log1p(float64(n)) / math.Log1p(float64(maxC))
+			c := levelColor(t)
+			// y axis increases upward: bin iy=0 is the bottom row.
+			py0 := margin + (h.NY-1-iy)*cellSize
+			px0 := margin + ix*cellSize
+			for dy := 0; dy < cellSize; dy++ {
+				for dx := 0; dx < cellSize; dx++ {
+					img.SetRGBA(px0+dx, py0+dy, c)
+				}
+			}
+		}
+	}
+	return png.Encode(w, img)
+}
+
+// levelColor maps t∈[0,1] onto a white→blue→dark sequential ramp.
+func levelColor(t float64) color.RGBA {
+	if t < 0 {
+		t = 0
+	}
+	if t > 1 {
+		t = 1
+	}
+	// Interpolate white (255,255,255) → mid blue (66,106,235) → dark navy
+	// (18,26,84).
+	lerp := func(a, b float64, u float64) uint8 { return uint8(a + (b-a)*u + 0.5) }
+	if t < 0.5 {
+		u := t * 2
+		return color.RGBA{lerp(255, 66, u), lerp(255, 106, u), lerp(255, 235, u), 255}
+	}
+	u := (t - 0.5) * 2
+	return color.RGBA{lerp(66, 18, u), lerp(106, 26, u), lerp(235, 84, u), 255}
+}
+
+// WritePNGFile writes the level plot to path.
+func (h *Hist2D) WritePNGFile(path string, cellSize int) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := h.WritePNG(f, cellSize); err != nil {
+		f.Close()
+		return fmt.Errorf("experiments: encoding %s: %w", path, err)
+	}
+	return f.Close()
+}
+
 // ParallelCoordinates holds one axis-normalized dataset for a parallel-
 // coordinates plot: each row is one solution, each column one dimension.
 type ParallelCoordinates struct {
@@ -169,7 +187,7 @@ type ParallelCoordinates struct {
 // AddRow appends a solution.
 func (p *ParallelCoordinates) AddRow(values []float64, tagged bool) {
 	if len(values) != len(p.Axes) {
-		panic(fmt.Sprintf("stats: row has %d values for %d axes", len(values), len(p.Axes)))
+		panic(fmt.Sprintf("experiments: row has %d values for %d axes", len(values), len(p.Axes)))
 	}
 	p.Rows = append(p.Rows, append([]float64(nil), values...))
 	p.Tag = append(p.Tag, tagged)

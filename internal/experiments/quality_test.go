@@ -14,7 +14,6 @@ import (
 	"repro/internal/ea"
 	"repro/internal/hpo"
 	"repro/internal/nsga2"
-	"repro/internal/stats"
 	"repro/internal/surrogate"
 )
 
@@ -25,15 +24,11 @@ const (
 	qualityAlpha = 0.01
 )
 
-// qualityRef is the hypervolume reference point: the paper's chemical-
-// accuracy limits (0.004 eV/atom, 0.04 eV/Å), which hpo.ChemicallyAccurate
-// holds.  A point scores only if it is chemically accurate in both.
-var qualityRef = ea.Fitness{0.004, 0.04}
-
 // qualityScores runs, for every seed s in 1…qualitySeeds, one paper-shape
 // surrogate campaign (5 × 100 × 7, BaseSeed = surrogate seed = s) and one
 // random search of the same 3 500 evaluations on seed s, and scores every
-// point each evaluated by its hypervolume at qualityRef.
+// point each evaluated by its hypervolume at hpo.ChemicalAccuracy, where a
+// point scores only if it is chemically accurate.
 func qualityScores(t *testing.T) (ga, random []float64) {
 	t.Helper()
 	ga, random = make([]float64, qualitySeeds), make([]float64, qualitySeeds)
@@ -81,7 +76,7 @@ func qualityPair(seed int64) (ga, random float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	return nsga2.Hypervolume2D(all, qualityRef), nsga2.Hypervolume2D(rs, qualityRef), nil
+	return nsga2.Hypervolume2D(all, hpo.ChemicalAccuracy), nsga2.Hypervolume2D(rs, hpo.ChemicalAccuracy), nil
 }
 
 // formatQuality writes one line per seed: the seed, then NSGA-II's and
@@ -141,7 +136,7 @@ func TestGoldenSearchQuality(t *testing.T) {
 	}
 	ga, random := qualityScores(t)
 
-	wins, n, p := stats.SignTest(ga, random)
+	wins, n, p := SignTest(ga, random)
 	t.Logf("NSGA-II beats random search on %d of %d seeds: sign test p = %.3g", wins, n, p)
 	if !(p < qualityAlpha) {
 		t.Errorf("NSGA-II beats random search on %d of %d seeds: sign test p = %.3g, want < %g", wins, n, p, qualityAlpha)
@@ -157,7 +152,7 @@ func TestGoldenSearchQuality(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		u, p := stats.MannWhitneyU(committed, ga)
+		u, p := MannWhitneyU(committed, ga)
 		t.Logf("committed against this run: Mann–Whitney U = %v, p = %.3g", u, p)
 		if p < qualityAlpha {
 			t.Errorf("NSGA-II hypervolumes worse than the committed ones: Mann–Whitney U = %v, p = %.3g < %g", u, p, qualityAlpha)

@@ -1,15 +1,13 @@
-package stats
+package experiments
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
-// Pearson returns the Pearson linear correlation coefficient of two equal-
+// pearson returns the Pearson linear correlation coefficient of two equal-
 // length samples, or NaN for degenerate input.
-func Pearson(x, y []float64) float64 {
+func pearson(x, y []float64) float64 {
 	n := len(x)
 	if n != len(y) || n < 2 {
 		return math.NaN()
@@ -42,7 +40,7 @@ func Spearman(x, y []float64) float64 {
 	if len(x) != len(y) || len(x) < 2 {
 		return math.NaN()
 	}
-	return Pearson(ranks(x), ranks(y))
+	return pearson(ranks(x), ranks(y))
 }
 
 // ranks converts values to fractional ranks (ties averaged).
@@ -131,48 +129,4 @@ func SignTest(x, y []float64) (wins, n int, p float64) {
 		p += math.Exp(lgN - lgK - lgNK - float64(n)*math.Ln2)
 	}
 	return wins, n, min(p, 1)
-}
-
-// CorrelationMatrix computes Spearman correlations of every column in
-// data against every target column.  data is column-major: data[c][i] is
-// observation i of column c.
-type CorrelationMatrix struct {
-	ColumnNames []string
-	TargetNames []string
-	// Rho[c][t] is Spearman(data column c, target t).
-	Rho [][]float64
-}
-
-// NewCorrelationMatrix builds the matrix.
-func NewCorrelationMatrix(colNames []string, cols [][]float64, targetNames []string, targets [][]float64) (*CorrelationMatrix, error) {
-	if len(colNames) != len(cols) || len(targetNames) != len(targets) {
-		return nil, fmt.Errorf("stats: name/data arity mismatch")
-	}
-	m := &CorrelationMatrix{ColumnNames: colNames, TargetNames: targetNames}
-	for c := range cols {
-		row := make([]float64, len(targets))
-		for t := range targets {
-			row[t] = Spearman(cols[c], targets[t])
-		}
-		m.Rho = append(m.Rho, row)
-	}
-	return m, nil
-}
-
-// Render formats the matrix as a table.
-func (m *CorrelationMatrix) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-20s", "")
-	for _, t := range m.TargetNames {
-		fmt.Fprintf(&b, " %12s", t)
-	}
-	b.WriteByte('\n')
-	for c, name := range m.ColumnNames {
-		fmt.Fprintf(&b, "%-20s", name)
-		for t := range m.TargetNames {
-			fmt.Fprintf(&b, " %12.3f", m.Rho[c][t])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

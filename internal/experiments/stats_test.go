@@ -1,4 +1,4 @@
-package stats
+package experiments
 
 import (
 	"bytes"
@@ -9,82 +9,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
-func TestSummarizeKnown(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 {
-		t.Errorf("N/Min/Max = %d/%v/%v", s.N, s.Min, s.Max)
-	}
-	if s.Mean != 3 || s.Median != 3 {
-		t.Errorf("Mean/Median = %v/%v", s.Mean, s.Median)
-	}
-	if math.Abs(s.Std-math.Sqrt(2.5)) > 1e-12 {
-		t.Errorf("Std = %v, want %v", s.Std, math.Sqrt(2.5))
-	}
-	if s.P25 != 2 || s.P75 != 4 {
-		t.Errorf("quartiles = %v, %v", s.P25, s.P75)
-	}
-}
-
-func TestSummarizeEdgeCases(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 {
-		t.Error("empty sample")
-	}
-	s := Summarize([]float64{7})
-	if s.N != 1 || s.Mean != 7 || s.Std != 0 {
-		t.Errorf("singleton: %+v", s)
-	}
-	s = Summarize([]float64{1, math.NaN(), 3})
-	if s.N != 2 || s.Mean != 2 {
-		t.Errorf("NaN filtering: %+v", s)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	sorted := []float64{0, 10, 20, 30}
-	cases := []struct{ q, want float64 }{
-		{0, 0}, {1, 30}, {0.5, 15}, {1.0 / 3.0, 10}, {-0.5, 0}, {2, 30},
-	}
-	for _, c := range cases {
-		if got := Quantile(sorted, c.q); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile(empty) not NaN")
-	}
-}
-
-func TestQuickQuantileWithinRange(t *testing.T) {
-	f := func(raw []float64, q float64) bool {
-		var clean []float64
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				clean = append(clean, v)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		q = math.Abs(math.Mod(q, 1))
-		sorted := append([]float64(nil), clean...)
-		for i := 1; i < len(sorted); i++ {
-			for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-			}
-		}
-		v := Quantile(sorted, q)
-		return v >= sorted[0] && v <= sorted[len(sorted)-1]
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestHist2DBinning(t *testing.T) {
-	h := NewHist2D(0, 10, 10, 0, 1, 10)
+	h := newHist2D(0, 10, 10, 0, 1, 10)
 	h.Add(0.5, 0.05)  // bin (0,0)
 	h.Add(9.99, 0.99) // bin (9,9)
 	h.Add(5, 0.5)     // bin (5,5)
@@ -102,7 +30,7 @@ func TestHist2DBinning(t *testing.T) {
 }
 
 func TestHist2DBoundaryPointsNotLost(t *testing.T) {
-	h := NewHist2D(0, 1, 4, 0, 1, 4)
+	h := newHist2D(0, 1, 4, 0, 1, 4)
 	h.Add(0, 0)
 	if h.Counts[0][0] != 1 {
 		t.Error("lower-left corner lost")
@@ -114,7 +42,7 @@ func TestHist2DBoundaryPointsNotLost(t *testing.T) {
 }
 
 func TestHist2DRender(t *testing.T) {
-	h := NewHist2D(0, 1, 20, 0, 1, 5)
+	h := newHist2D(0, 1, 20, 0, 1, 5)
 	for i := 0; i < 50; i++ {
 		h.Add(0.5, 0.5)
 	}
@@ -165,16 +93,16 @@ func TestParallelCoordinatesPanicsOnBadRow(t *testing.T) {
 }
 
 func TestPearsonKnown(t *testing.T) {
-	if r := Pearson([]float64{1, 2, 3}, []float64{2, 4, 6}); math.Abs(r-1) > 1e-12 {
+	if r := pearson([]float64{1, 2, 3}, []float64{2, 4, 6}); math.Abs(r-1) > 1e-12 {
 		t.Errorf("perfect positive r = %v", r)
 	}
-	if r := Pearson([]float64{1, 2, 3}, []float64{6, 4, 2}); math.Abs(r+1) > 1e-12 {
+	if r := pearson([]float64{1, 2, 3}, []float64{6, 4, 2}); math.Abs(r+1) > 1e-12 {
 		t.Errorf("perfect negative r = %v", r)
 	}
-	if !math.IsNaN(Pearson([]float64{1, 1, 1}, []float64{1, 2, 3})) {
+	if !math.IsNaN(pearson([]float64{1, 1, 1}, []float64{1, 2, 3})) {
 		t.Error("degenerate column should give NaN")
 	}
-	if !math.IsNaN(Pearson([]float64{1}, []float64{1})) {
+	if !math.IsNaN(pearson([]float64{1}, []float64{1})) {
 		t.Error("n<2 should give NaN")
 	}
 }
@@ -190,7 +118,7 @@ func TestSpearmanMonotoneNonlinear(t *testing.T) {
 	if r := Spearman(x, y); math.Abs(r-1) > 1e-12 {
 		t.Errorf("Spearman of monotone data = %v, want 1", r)
 	}
-	if r := Pearson(x, y); r >= 1-1e-9 {
+	if r := pearson(x, y); r >= 1-1e-9 {
 		t.Errorf("Pearson of exp data = %v, expected < 1", r)
 	}
 }
@@ -208,23 +136,17 @@ func TestRanksWithTies(t *testing.T) {
 func TestCorrelationMatrix(t *testing.T) {
 	cols := [][]float64{{1, 2, 3, 4}, {4, 3, 2, 1}}
 	targets := [][]float64{{2, 4, 6, 8}}
-	m, err := NewCorrelationMatrix([]string{"up", "down"}, cols, []string{"obj"}, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newCorrelationMatrix([]string{"up", "down"}, cols, []string{"obj"}, targets)
 	if math.Abs(m.Rho[0][0]-1) > 1e-12 || math.Abs(m.Rho[1][0]+1) > 1e-12 {
 		t.Errorf("matrix = %v", m.Rho)
 	}
 	if !strings.Contains(m.Render(), "obj") {
 		t.Error("render missing target name")
 	}
-	if _, err := NewCorrelationMatrix([]string{"a"}, nil, nil, nil); err == nil {
-		t.Error("arity mismatch accepted")
-	}
 }
 
 func TestWritePNG(t *testing.T) {
-	h := NewHist2D(0, 1, 30, 0, 1, 10)
+	h := newHist2D(0, 1, 30, 0, 1, 10)
 	for i := 0; i < 500; i++ {
 		h.Add(float64(i%30)/30+0.001, float64(i%10)/10+0.001)
 	}
@@ -242,13 +164,13 @@ func TestWritePNG(t *testing.T) {
 	}
 	// Empty histogram still renders.
 	var buf2 bytes.Buffer
-	if err := NewHist2D(0, 1, 5, 0, 1, 5).WritePNG(&buf2, 0); err != nil {
+	if err := newHist2D(0, 1, 5, 0, 1, 5).WritePNG(&buf2, 0); err != nil {
 		t.Errorf("empty histogram: %v", err)
 	}
 }
 
 func TestWritePNGFile(t *testing.T) {
-	h := NewHist2D(0, 1, 5, 0, 1, 5)
+	h := newHist2D(0, 1, 5, 0, 1, 5)
 	h.Add(0.5, 0.5)
 	path := filepath.Join(t.TempDir(), "fig.png")
 	if err := h.WritePNGFile(path, 3); err != nil {

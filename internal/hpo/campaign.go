@@ -183,15 +183,15 @@ func poolFromConfig(cfg CampaignConfig) ea.PoolConfig {
 	}
 }
 
-// ChemicallyAccurate reports whether a fitness meets the paper's §3.2
-// thresholds: energy error below 0.004 eV/atom and force error below
-// 0.04 eV/Å.
+// ChemicalAccuracy is the paper's §3.2 chemical-accuracy point in fitness
+// order: 0.004 eV/atom energy error, 0.04 eV/Å force error.  As a
+// hypervolume reference it scores only chemically accurate solutions.
+var ChemicalAccuracy = ea.Fitness{0.004, 0.04}
+
+// ChemicallyAccurate reports whether a fitness lies strictly below
+// ChemicalAccuracy in both objectives.
 func ChemicallyAccurate(f ea.Fitness) bool {
-	const (
-		energyLimit = 0.004 // eV/atom
-		forceLimit  = 0.04  // eV/Å
-	)
-	return len(f) == 2 && !f.IsFailure() && f[0] < energyLimit && f[1] < forceLimit
+	return len(f) == 2 && !f.IsFailure() && f[0] < ChemicalAccuracy[0] && f[1] < ChemicalAccuracy[1]
 }
 
 // FilterChemicallyAccurate returns the members meeting the chemical

@@ -391,6 +391,7 @@ func TestChemicallyAccurate(t *testing.T) {
 		{ea.Fitness{0.005, 0.035}, false}, // energy too high
 		{ea.Fitness{0.001, 0.041}, false}, // force too high
 		{ea.Fitness{0.0039, 0.0399}, true},
+		{ChemicalAccuracy, false}, // the limits are strict
 		{ea.FailureFitness(2), false},
 		{ea.Fitness{0.001}, false}, // wrong arity
 	}
