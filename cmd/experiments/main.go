@@ -5,12 +5,14 @@
 //
 //	experiments [-exp all|table1|fig1|fig2|table2|fig3|table3|failures|
 //	                 convergence|correlations|ablation|baselines|scaling]
-//	            [-runs 5] [-pop 100] [-gens 6] [-seed 2023]
+//	            [-runs 5] [-pop 100] [-gens 6] [-seed 2023] [-par 8]
 //
 // With defaults it reproduces the full paper scale: 5 independent NSGA-II
 // runs × 100 individuals × 7 evaluation rounds = 3500 simulated trainings.
 // table1, ablation, baselines and scaling do not read that campaign and
-// skip it (and with it -png).  An unknown -exp, -runs or -pop below 1, or
+// skip it (and with it -png).  scaling runs a -runs × -pop × (-gens+1)
+// campaign on -seed at each power of two up to -par workers, with each
+// evaluation padded to 10 ms: about a minute at the defaults.  An unknown -exp, -runs or -pop below 1, or
 // -gens below 0 exits 2 before any work.
 package main
 
@@ -95,8 +97,7 @@ func main() {
 		show("Baselines", cmp.Render())
 		return
 	case "scaling":
-		sc, err := experiments.ParallelScaling(context.Background(),
-			[]int{1, 2, 4, 8, 16}, *pop, 2, 10*time.Millisecond, *seed)
+		sc, err := experiments.ParallelScaling(context.Background(), opts, 10*time.Millisecond)
 		if err != nil {
 			log.Fatalf("scaling: %v", err)
 		}

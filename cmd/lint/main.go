@@ -1,29 +1,26 @@
 // Command lint runs the project-native static-analysis suite
-// (internal/lint) over the module and gates the result against the
-// committed baseline.  All eight analyzers run once each over one
-// Program: the five package-local rules (determinism, floateq,
-// ctxhygiene, lockdiscipline, errdiscard) and the three built on the
-// call-graph engine (goroutineleak, lockorder, detflow).
+// (internal/lint) over the module and fails on any finding.  All eight
+// analyzers run once each over one Program: the five package-local
+// rules (determinism, floateq, ctxhygiene, lockdiscipline, errdiscard)
+// and the three built on the static call graph (goroutineleak,
+// lockorder, detflow).  A finding is fixed, or kept in place with
+// `//lint:ignore <rule> <reason>`; there is no baseline.
 //
 // Usage:
 //
 //	go run ./cmd/lint ./...                    # enforce (CI and tier-1)
-//	go run ./cmd/lint -update-baseline ./...   # shrink the baseline
 //	go run ./cmd/lint -list                    # describe the rules
-//	go run ./cmd/lint -json ./...              # machine-readable findings
 //	go run ./cmd/lint -format=github ./...     # ::error annotations for CI
 //	go run ./cmd/lint -v ./...                 # load + per-analyzer timing
 //
-// Exit status: 0 clean (or fully baselined), 1 new or stale findings,
-// 2 load/type-check failure.
+// Exit status: 0 clean, 1 one or more findings, 2 load/type-check
+// failure.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -32,12 +29,9 @@ import (
 
 func main() {
 	var (
-		baselinePath = flag.String("baseline", "scripts/lint_baseline.txt", "baseline file, relative to the module root")
-		update       = flag.Bool("update-baseline", false, "rewrite the baseline from this run's findings")
-		list         = flag.Bool("list", false, "list rules and exit")
-		jsonOut      = flag.Bool("json", false, "emit new findings as a JSON array on stdout")
-		format       = flag.String("format", "text", "finding format: text or github (::error workflow annotations)")
-		verbose      = flag.Bool("v", false, "report load and per-analyzer wall time on stderr")
+		list    = flag.Bool("list", false, "list rules and exit")
+		format  = flag.String("format", "text", "finding format: text or github (::error workflow annotations)")
+		verbose = flag.Bool("v", false, "report load and per-analyzer wall time on stderr")
 	)
 	flag.Parse()
 
@@ -54,10 +48,6 @@ func main() {
 	root, err := lint.ModuleRoot(".")
 	if err != nil {
 		fatal(2, "lint: %v", err)
-	}
-	bl := *baselinePath
-	if !filepath.IsAbs(bl) {
-		bl = filepath.Join(root, bl)
 	}
 
 	loadStart := time.Now()
@@ -88,64 +78,18 @@ func main() {
 		}
 	}
 
-	if *update {
-		if err := lint.WriteBaseline(bl, diags); err != nil {
-			fatal(2, "lint: %v", err)
-		}
-		fmt.Printf("lint: baseline updated with %d finding(s): %s\n", len(diags), bl)
-		return
-	}
-
-	base, err := lint.ReadBaseline(bl)
-	if err != nil {
-		fatal(2, "lint: %v", err)
-	}
-	fresh, stale := lint.Gate(diags, base)
-	emit(fresh, *jsonOut, *format)
-	for _, s := range stale {
-		fmt.Fprintf(os.Stderr, "lint: stale baseline entry (finding no longer reproduces): %s\n", s)
-	}
-	switch {
-	case len(fresh) > 0:
-		fatal(1, "lint: %d new finding(s); fix them or //lint:ignore with a reason", len(fresh))
-	case len(stale) > 0:
-		fatal(1, "lint: %d stale baseline entr(ies); run: go run ./cmd/lint -update-baseline ./...", len(stale))
-	}
-	if !*jsonOut {
-		fmt.Printf("lint: clean (%d package(s), %d baselined finding(s))\n", len(pkgs), len(diags))
-	}
-}
-
-// jsonDiag is the machine-readable finding shape for -json.
-type jsonDiag struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
-	Rule string `json:"rule"`
-	Msg  string `json:"msg"`
-}
-
-func emit(fresh []lint.Diagnostic, asJSON bool, format string) {
-	if asJSON {
-		out := make([]jsonDiag, 0, len(fresh))
-		for _, d := range fresh {
-			out = append(out, jsonDiag{File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column, Rule: d.Rule, Msg: d.Msg})
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fatal(2, "lint: encoding findings: %v", err)
-		}
-		fmt.Printf("%s\n", data)
-		return
-	}
-	for _, d := range fresh {
-		if format == "github" {
+	for _, d := range diags {
+		if *format == "github" {
 			fmt.Printf("::error file=%s,line=%d,col=%d,title=lint/%s::%s\n",
 				d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Rule, githubEscape(d.Msg))
 			continue
 		}
 		fmt.Println(d.String())
 	}
+	if len(diags) > 0 {
+		fatal(1, "lint: %d finding(s); fix them or //lint:ignore with a reason", len(diags))
+	}
+	fmt.Printf("lint: clean (%d package(s))\n", len(pkgs))
 }
 
 // githubEscape encodes the characters the workflow-command parser

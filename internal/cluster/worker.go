@@ -47,10 +47,9 @@ type Worker struct {
 	// lease must heartbeat: HeartbeatInterval fits LeaseHeartbeats times
 	// into LeaseTimeout.
 	Heartbeat time.Duration
-	// ReconnectInitial and ReconnectMax shape the re-dial backoff after a
-	// scheduler connection loss (defaults 50ms and 5s).
+	// ReconnectInitial is the first re-dial delay after a scheduler
+	// connection loss (default 50ms); the backoff doubles it up to 5s.
 	ReconnectInitial time.Duration
-	ReconnectMax     time.Duration
 	// MaxReconnects, if positive, bounds consecutive failed re-dial
 	// attempts before Run gives up; 0 retries until the context is
 	// cancelled or Close is called.
@@ -153,7 +152,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	unwatch := context.AfterFunc(ctx, func() { w.closeConn() })
 	defer unwatch()
 
-	bo := newBackoff(w.ReconnectInitial, w.ReconnectMax)
+	bo := newBackoff(w.ReconnectInitial, 0) // 0: the 5s default ceiling
 	for {
 		conn, cd := w.current()
 		if conn == nil {

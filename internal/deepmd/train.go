@@ -37,9 +37,6 @@ type TrainConfig struct {
 	DispFreq int
 	// ValFrames caps validation frames per evaluation (0 = all).
 	ValFrames int
-	// ForceFDh is the step for the central-difference directional
-	// derivative used in the force-loss gradient; 0 means 1e-4 Å.
-	ForceFDh float64
 	// Threads bounds the cores a training uses.  min(Threads, Workers)
 	// replicas of the model compute a step's worker gradients
 	// concurrently, the leftover Threads / replicas bounds the
@@ -128,10 +125,9 @@ func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg Trai
 	if cfg.DispFreq <= 0 {
 		cfg.DispFreq = 100
 	}
-	h := cfg.ForceFDh
-	if h <= 0 {
-		h = 1e-4
-	}
+	// Step of the central-difference directional derivative in the
+	// force-loss gradient, in Å.
+	const h = 1e-4
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	initBias(m, train)

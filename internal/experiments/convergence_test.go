@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -68,22 +69,31 @@ func TestHyperparameterCorrelations(t *testing.T) {
 }
 
 func TestParallelScaling(t *testing.T) {
-	res, err := ParallelScaling(context.Background(), []int{1, 4}, 12, 1, 2*time.Millisecond, 3)
+	opts := Options{Runs: 2, PopSize: 12, Generations: 1, Seed: 3, Parallelism: 6}
+	res, err := ParallelScaling(context.Background(), opts, 2*time.Millisecond)
 	if err != nil {
 		t.Fatalf("ParallelScaling: %v", err)
 	}
-	if len(res.Entries) != 2 {
-		t.Fatalf("got %d entries", len(res.Entries))
+	// Parallelism 6 sweeps the powers of two up to it: 1, 2 and 4.
+	var workers []int
+	for _, e := range res.Entries {
+		workers = append(workers, e.Workers)
+	}
+	if !slices.Equal(workers, []int{1, 2, 4}) {
+		t.Fatalf("worker counts = %v, want [1 2 4]", workers)
+	}
+	if res.Evaluations != 2*12*2 {
+		t.Errorf("evaluations = %d, want 2 runs × 12 × 2 rounds = 48", res.Evaluations)
 	}
 	if res.Entries[0].Speedup != 1 {
 		t.Errorf("baseline speedup = %v", res.Entries[0].Speedup)
 	}
 	// 4 workers on 12-wide generations of 2ms evaluations: comfortably
 	// above 1.5× even on a loaded machine.
-	if res.Entries[1].Speedup < 1.5 {
-		t.Errorf("4-worker speedup = %v, want > 1.5", res.Entries[1].Speedup)
+	if res.Entries[2].Speedup < 1.5 {
+		t.Errorf("4-worker speedup = %v, want > 1.5", res.Entries[2].Speedup)
 	}
-	if !strings.Contains(res.Render(), "Strong scaling") {
-		t.Error("render missing header")
+	if text := res.Render(); !strings.Contains(text, "Strong scaling") || !strings.Contains(text, "48 evaluations") {
+		t.Errorf("render missing header or evaluation count:\n%s", text)
 	}
 }

@@ -85,10 +85,9 @@ func (c *Campaign) runtimeOf(ind *ea.Individual) time.Duration {
 
 // Table1Row is one hyperparameter's configuration.
 type Table1Row struct {
-	Name     string
-	Lo, Hi   float64
-	Std      float64
-	IsStatic bool
+	Name   string
+	Lo, Hi float64
+	Std    float64
 }
 
 // Table1 reproduces Table 1 from the representation in code.

@@ -86,18 +86,9 @@ func runDetFlow(pass *ProgPass) {
 				stack = append(stack, node)
 				return true
 			}
-			for _, rc := range prog.resolveCall(n.Pkg, call) {
-				if rc.kind != CallStatic {
-					continue
-				}
-				callee := rc.node
-				if deterministicPkgs[callee.Pkg.BaseName()] {
-					continue // intra-deterministic calls are determinism's job
-				}
+			// Intra-deterministic calls are determinism's job.
+			if callee := prog.resolveCall(n.Pkg, call); callee != nil && !deterministicPkgs[callee.Pkg.BaseName()] {
 				sum := summaries[callee.Key]
-				if sum == nil {
-					continue
-				}
 				switch {
 				case sum.clock:
 					pass.Reportf(n.Pkg, call.Pos(),
@@ -195,17 +186,13 @@ func returnTaintOf(prog *Program, n *FuncNode, summaries map[string]*taintSummar
 						return false
 					}
 				}
-				for _, rc := range prog.resolveCall(pkg, v) {
-					if rc.kind != CallStatic {
-						continue
+				if callee := prog.resolveCall(pkg, v); callee != nil {
+					sum := summaries[callee.Key]
+					if sum.clock && !c {
+						c, cWhy = true, "via "+shortKey(callee.Key)+": "+sum.clockWhy
 					}
-					if sum := summaries[rc.node.Key]; sum != nil {
-						if sum.clock && !c {
-							c, cWhy = true, "via "+shortKey(rc.node.Key)+": "+sum.clockWhy
-						}
-						if sum.mapOrder && !m {
-							m, mWhy = true, "via "+shortKey(rc.node.Key)+": "+sum.mapWhy
-						}
+					if sum.mapOrder && !m {
+						m, mWhy = true, "via "+shortKey(callee.Key)+": "+sum.mapWhy
 					}
 				}
 			case *ast.SelectorExpr:

@@ -19,11 +19,11 @@
 // by a stable cross-package key ("pkgpath.Name" or "pkgpath.Recv.Name" —
 // packages type-check in separate export-data universes, so *types.Func
 // identity does not survive package boundaries, but string keys do),
-// every call site resolved to static, interface-dispatch and
-// method-value edges with go/defer flags, and lightweight per-function
-// control-flow graphs (BuildCFG) for reachability questions.
-// Determinism and DetFlow share one finder of wall-clock reads and
-// order-sensitive map ranges.
+// and every direct call of a declared function or method resolved to a
+// static edge, flagged when it is the call of a go statement.  Calls
+// through an interface or a function value have no edge.  Determinism
+// and DetFlow share one finder of wall-clock reads and order-sensitive
+// map ranges.
 //
 // # Loading
 //
@@ -50,8 +50,6 @@
 // analyzer is itself a finding under the pseudo-rule "lint-directive",
 // so a typo'd suppression can never silently protect nothing.
 // Interprocedural analyzers honor suppressions at the source: a
-// suppressed nondeterminism site does not taint its callers.
-//
-// Remaining findings are gated against a committed baseline
-// (scripts/lint_baseline.txt) that may only shrink.
+// suppressed nondeterminism site does not taint its callers.  There is
+// no baseline: any finding left fails the gate.
 package lint

@@ -172,9 +172,6 @@ func runGoroutineLeak(pass *ProgPass) {
 			if !ok {
 				return true
 			}
-			if prog.unreachableIn(n, g.Pos()) {
-				return true
-			}
 			body, bodyPkg := spawnedBody(prog, n, g)
 			if body == nil {
 				return true
@@ -198,10 +195,8 @@ func spawnedBody(prog *Program, n *FuncNode, g *ast.GoStmt) (*ast.BlockStmt, *Pa
 	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
 		return lit.Body, n.Pkg
 	}
-	for _, e := range n.Out {
-		if e.Site == g.Call && e.Go && e.Kind == CallStatic && e.Callee.Decl != nil {
-			return e.Callee.Decl.Body, e.Callee.Pkg
-		}
+	if callee := prog.resolveCall(n.Pkg, g.Call); callee != nil {
+		return callee.Decl.Body, callee.Pkg
 	}
 	return nil, nil
 }
@@ -251,10 +246,7 @@ func collectBlockingOps(prog *Program, pkg *Package, body *ast.BlockStmt, facts 
 			// the case bodies still block individually.
 		case *ast.CallExpr:
 			if depth < maxDepth {
-				for _, fn := range prog.staticCalleesAt(pkg, node) {
-					if fn.Decl == nil || seen[fn.Key] {
-						continue
-					}
+				if fn := prog.resolveCall(pkg, node); fn != nil && !seen[fn.Key] {
 					seen[fn.Key] = true
 					ops = append(ops, collectBlockingOps(prog, fn.Pkg, fn.Decl.Body, facts, depth+1, seen)...)
 				}
@@ -264,18 +256,6 @@ func collectBlockingOps(prog *Program, pkg *Package, body *ast.BlockStmt, facts 
 		return true
 	})
 	return ops
-}
-
-// staticCalleesAt resolves a call expression inside pkg to module
-// functions (static and method edges only).
-func (prog *Program) staticCalleesAt(pkg *Package, call *ast.CallExpr) []*FuncNode {
-	var out []*FuncNode
-	for _, rc := range prog.resolveCall(pkg, call) {
-		if rc.kind == CallStatic {
-			out = append(out, rc.node)
-		}
-	}
-	return out
 }
 
 // inSelectComm reports whether the node is (part of) a select comm

@@ -13,8 +13,10 @@ package lint
 // drift in an analyzer's output breaks its golden test.
 
 import (
+	"fmt"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -111,8 +113,17 @@ func checkWants(t *testing.T, pkgs []*Package, diags []Diagnostic) {
 		}
 	}
 	if t.Failed() {
-		t.Logf("all diagnostics:\n%s", FormatDiags(diags))
+		t.Logf("all diagnostics:\n%s", formatDiags(diags))
 	}
+}
+
+// formatDiags renders diagnostics one per line for test logs.
+func formatDiags(diags []Diagnostic) string {
+	var b strings.Builder
+	for _, d := range diags {
+		fmt.Fprintln(&b, d.String())
+	}
+	return b.String()
 }
 
 func TestGoldenDeterminism(t *testing.T)      { runGolden(t, "src", "determinism", Determinism) }

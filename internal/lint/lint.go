@@ -14,18 +14,11 @@ type Diagnostic struct {
 }
 
 // String renders the canonical file:line:col: rule: message form used
-// in terminal output, baselines and golden tests.  The file path is
+// in terminal output and golden tests.  The file path is
 // printed as recorded in the fileset (the loader records paths relative
 // to the module root).
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Rule, d.Msg)
-}
-
-// Key is the position-insensitive-column baseline key: file:line plus
-// rule and message.  Columns are excluded so minor reformatting within
-// a line does not churn the baseline.
-func (d Diagnostic) Key() string {
-	return fmt.Sprintf("%s:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Rule, d.Msg)
 }
 
 // Analyzer is one named rule.  Every analyzer runs once over the whole

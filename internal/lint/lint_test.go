@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -78,7 +77,7 @@ func g() time.Time {
 	}
 	joined := strings.Join(rules, ",")
 	if got := strings.Count(joined, "lint-directive"); got != 2 {
-		t.Errorf("want 2 lint-directive findings (one per unknown rule), got %d:\n%s", got, FormatDiags(diags))
+		t.Errorf("want 2 lint-directive findings (one per unknown rule), got %d:\n%s", got, formatDiags(diags))
 	}
 	for _, m := range badMsgs {
 		if !strings.Contains(m, "unknown rule") {
@@ -91,7 +90,7 @@ func g() time.Time {
 		t.Errorf("typo'd directive must not suppress f's finding; got rules %q", joined)
 	}
 	if got := strings.Count(joined, "determinism"); got != 1 {
-		t.Errorf("want exactly 1 surviving determinism finding (g suppressed), got %d:\n%s", got, FormatDiags(diags))
+		t.Errorf("want exactly 1 surviving determinism finding (g suppressed), got %d:\n%s", got, formatDiags(diags))
 	}
 }
 
@@ -117,63 +116,9 @@ func h() time.Time {
 `)
 	diags := NewProgram([]*Package{pkg}).Run([]*Analyzer{Determinism})
 	if len(diags) != 1 {
-		t.Fatalf("want exactly the wrong-rule finding to survive, got:\n%s", FormatDiags(diags))
+		t.Fatalf("want exactly the wrong-rule finding to survive, got:\n%s", formatDiags(diags))
 	}
 	if line := diags[0].Pos.Line; line != 16 {
 		t.Errorf("surviving finding at line %d, want 16 (inside h)", line)
 	}
-}
-
-func TestBaselineRoundTripAndGate(t *testing.T) {
-	diags := []Diagnostic{
-		{Pos: pos("a.go", 3), Rule: "floateq", Msg: "exact float comparison"},
-		{Pos: pos("b.go", 9), Rule: "errdiscard", Msg: "error dropped"},
-	}
-	path := filepath.Join(t.TempDir(), "baseline.txt")
-	if err := WriteBaseline(path, diags); err != nil {
-		t.Fatal(err)
-	}
-	base, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base) != 2 {
-		t.Fatalf("baseline has %d entries, want 2", len(base))
-	}
-
-	// Same findings: nothing new, nothing stale.
-	fresh, stale := Gate(diags, base)
-	if len(fresh) != 0 || len(stale) != 0 {
-		t.Errorf("identical run: fresh=%v stale=%v", fresh, stale)
-	}
-
-	// One fixed, one new: the fixed entry is stale, the new one fresh.
-	next := []Diagnostic{
-		diags[0],
-		{Pos: pos("c.go", 1), Rule: "determinism", Msg: "time.Now"},
-	}
-	fresh, stale = Gate(next, base)
-	if len(fresh) != 1 || fresh[0].Pos.Filename != "c.go" {
-		t.Errorf("fresh = %v, want the c.go finding", fresh)
-	}
-	if len(stale) != 1 || !strings.Contains(stale[0], "b.go") {
-		t.Errorf("stale = %v, want the b.go entry", stale)
-	}
-}
-
-func TestReadBaselineMissingFileIsEmpty(t *testing.T) {
-	base, err := ReadBaseline(filepath.Join(t.TempDir(), "nope.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base) != 0 {
-		t.Errorf("missing baseline should be empty, got %v", base)
-	}
-}
-
-func pos(file string, line int) (p token.Position) {
-	p.Filename = file
-	p.Line = line
-	p.Column = 1
-	return p
 }

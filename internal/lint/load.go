@@ -60,8 +60,7 @@ type listPkg struct {
 // the standard library and the go tool itself.
 //
 // File positions are recorded relative to the module root, which keeps
-// diagnostics and baseline entries stable regardless of where the
-// driver runs.
+// diagnostics stable regardless of where the driver runs.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}

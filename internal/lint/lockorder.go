@@ -81,7 +81,7 @@ func runLockOrder(pass *ProgPass) {
 		for _, n := range prog.Nodes() {
 			s := summaries[n.Key]
 			for _, e := range n.Out {
-				if e.Kind != CallStatic || e.Go {
+				if e.Go {
 					continue // goroutines acquire on their own stack
 				}
 				callee := summaries[e.Callee.Key]
@@ -135,7 +135,7 @@ func runLockOrder(pass *ProgPass) {
 		}
 		// Call-site propagation.
 		for _, e := range n.Out {
-			if e.Kind != CallStatic || e.Go {
+			if e.Go {
 				continue
 			}
 			hs := held(e.Site.Pos())

@@ -11,9 +11,10 @@ import (
 
 // Program is the whole-module view every analyzer runs over: every
 // module package loaded and type-checked once, a function index keyed
-// by stable cross-package keys, and the call graph built on top of it.  Packages are memoized — the expensive `go list -export`
-// and type-check happen once per driver run, and every analyzer shares
-// the result.
+// by stable cross-package keys, and the static call graph built on top
+// of it.  Packages are memoized — the expensive `go list -export` and
+// type-check happen once per driver run, and every analyzer shares the
+// result.
 type Program struct {
 	Pkgs []*Package
 
@@ -25,10 +26,6 @@ type Program struct {
 
 	// nodes holds the same functions in deterministic (key-sorted) order.
 	nodes []*FuncNode
-
-	// methodIndex maps a method name to every concrete (non-interface
-	// receiver) method in the module, for interface-dispatch resolution.
-	methodIndex map[string][]*FuncNode
 
 	ignores  map[string][]ignoreDirective // file -> parsed //lint:ignore directives
 	ignBad   []Diagnostic                 // malformed/unknown-rule directive findings
@@ -44,7 +41,7 @@ type Timing struct {
 }
 
 // Timings returns per-analyzer wall times from the last Run, in run
-// order, with the pseudo-entries "load" (set by LoadProgram) first.
+// order.
 func (prog *Program) Timings() []Timing { return prog.timings }
 
 // FuncNode is one function or method declared in the module.
@@ -52,35 +49,17 @@ type FuncNode struct {
 	Key  string
 	Pkg  *Package
 	Decl *ast.FuncDecl
-	Obj  *types.Func
-	// Out lists resolved outgoing call edges, in source order.
+	// Out lists the static call edges, in source order.
 	Out []CallEdge
-
-	cfg *CFG
 }
 
-// CallKind classifies how a call edge was resolved.
-type CallKind int
-
-const (
-	// CallStatic is a direct call of a declared function or method.
-	CallStatic CallKind = iota
-	// CallDynamic is an interface-method call, resolved to every
-	// concrete method in the module with a compatible name and shape.
-	CallDynamic
-	// CallRef is a function or method value referenced without being
-	// called (stored, passed, or returned); it may be called later.
-	CallRef
-)
-
-// CallEdge is one resolved outgoing call from a FuncNode.
+// CallEdge is one direct call of a declared module function or method.
+// Interface-method calls and function values have no edge.
 type CallEdge struct {
-	Kind   CallKind
-	Site   ast.Node // the *ast.CallExpr, or the reference expression for CallRef
+	Site   *ast.CallExpr
 	Callee *FuncNode
-	// Go and Deferred mark call sites inside go / defer statements.
-	Go       bool
-	Deferred bool
+	// Go marks the call of a go statement.
+	Go bool
 }
 
 // NewProgram indexes the packages and builds the call graph.  The
@@ -88,10 +67,9 @@ type CallEdge struct {
 // program); cross-package references resolve through FuncKey.
 func NewProgram(pkgs []*Package) *Program {
 	prog := &Program{
-		Pkgs:        pkgs,
-		Funcs:       map[string]*FuncNode{},
-		methodIndex: map[string][]*FuncNode{},
-		ignores:     map[string][]ignoreDirective{},
+		Pkgs:    pkgs,
+		Funcs:   map[string]*FuncNode{},
+		ignores: map[string][]ignoreDirective{},
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -104,13 +82,8 @@ func NewProgram(pkgs []*Package) *Program {
 				if obj == nil {
 					continue
 				}
-				node := &FuncNode{Key: funcKeyOf(pkg, fd, obj), Pkg: pkg, Decl: fd, Obj: obj}
+				node := &FuncNode{Key: funcKeyOf(pkg, fd, obj), Pkg: pkg, Decl: fd}
 				prog.Funcs[node.Key] = node
-				if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
-					if _, isIface := recv.Type().Underlying().(*types.Interface); !isIface {
-						prog.methodIndex[obj.Name()] = append(prog.methodIndex[obj.Name()], node)
-					}
-				}
 			}
 		}
 	}
@@ -118,10 +91,6 @@ func NewProgram(pkgs []*Package) *Program {
 		prog.nodes = append(prog.nodes, n)
 	}
 	sort.Slice(prog.nodes, func(i, j int) bool { return prog.nodes[i].Key < prog.nodes[j].Key })
-	for _, name := range sortedKeys(prog.methodIndex) {
-		ms := prog.methodIndex[name]
-		sort.Slice(ms, func(i, j int) bool { return ms[i].Key < ms[j].Key })
-	}
 	for _, n := range prog.nodes {
 		prog.buildEdges(n)
 	}
@@ -169,190 +138,39 @@ func funcKeyOf(pkg *Package, fd *ast.FuncDecl, obj *types.Func) string {
 	return key
 }
 
-// buildEdges resolves every call and function-value reference in n's
-// body to call-graph edges.
+// buildEdges resolves every call in n's body to its static edge.
 func (prog *Program) buildEdges(n *FuncNode) {
-	var stack []ast.Node
+	var spawned *ast.CallExpr // the call of the last go statement visited
 	ast.Inspect(n.Decl, func(node ast.Node) bool {
-		if node == nil {
-			stack = stack[:len(stack)-1]
-			return false
-		}
 		switch e := node.(type) {
+		case *ast.GoStmt:
+			spawned = e.Call
 		case *ast.CallExpr:
-			inGo, inDefer := spawnContext(stack, e)
-			for _, callee := range prog.resolveCall(n.Pkg, e) {
-				prog.addEdge(n, CallEdge{Kind: callee.kind, Site: e, Callee: callee.node, Go: inGo, Deferred: inDefer})
-			}
-		case *ast.SelectorExpr:
-			// Method values: s.Method referenced outside call position
-			// allocates a bound-method closure and may be called later.
-			if !isCallFun(stack, e) {
-				if obj := methodObj(n.Pkg.Info, e); obj != nil {
-					if callee := prog.Funcs[FuncKey(obj)]; callee != nil {
-						prog.addEdge(n, CallEdge{Kind: CallRef, Site: e, Callee: callee})
-					}
-				}
-			}
-		case *ast.Ident:
-			// Plain function values passed around.
-			if !isCallFun(stack, e) && !isDeclName(stack, e) {
-				if obj, ok := n.Pkg.Info.Uses[e].(*types.Func); ok && obj.Type().(*types.Signature).Recv() == nil {
-					if callee := prog.Funcs[FuncKey(obj)]; callee != nil {
-						prog.addEdge(n, CallEdge{Kind: CallRef, Site: e, Callee: callee})
-					}
-				}
+			if callee := prog.resolveCall(n.Pkg, e); callee != nil {
+				n.Out = append(n.Out, CallEdge{Site: e, Callee: callee, Go: e == spawned})
 			}
 		}
-		stack = append(stack, node)
 		return true
 	})
 }
 
-func (prog *Program) addEdge(n *FuncNode, e CallEdge) { n.Out = append(n.Out, e) }
-
-type resolvedCallee struct {
-	node *FuncNode
-	kind CallKind
-}
-
-// resolveCall maps a call expression to its possible module callees.
-func (prog *Program) resolveCall(pkg *Package, call *ast.CallExpr) []resolvedCallee {
-	fun := ast.Unparen(call.Fun)
-	switch f := fun.(type) {
+// resolveCall maps a call expression to the module function or method
+// it calls directly, or nil.  An interface method has no declaration in
+// Funcs, so a call through an interface resolves to nil.
+func (prog *Program) resolveCall(pkg *Package, call *ast.CallExpr) *FuncNode {
+	var id *ast.Ident
+	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		if obj, ok := pkg.Info.Uses[f].(*types.Func); ok {
-			if n := prog.Funcs[FuncKey(obj)]; n != nil {
-				return []resolvedCallee{{n, CallStatic}}
-			}
-		}
+		id = f
 	case *ast.SelectorExpr:
-		obj := methodObj(pkg.Info, f)
-		if obj == nil {
-			// Package-qualified function: pkg.Fn.
-			if o, ok := pkg.Info.Uses[f.Sel].(*types.Func); ok {
-				if n := prog.Funcs[FuncKey(o)]; n != nil {
-					return []resolvedCallee{{n, CallStatic}}
-				}
-			}
-			return nil
-		}
-		sig := obj.Type().(*types.Signature)
-		if sig.Recv() != nil {
-			if _, isIface := sig.Recv().Type().Underlying().(*types.Interface); isIface {
-				return prog.resolveDynamic(obj)
-			}
-		}
-		if n := prog.Funcs[FuncKey(obj)]; n != nil {
-			return []resolvedCallee{{n, CallStatic}}
-		}
+		id = f.Sel
+	default:
+		return nil
+	}
+	if obj, ok := pkg.Info.Uses[id].(*types.Func); ok {
+		return prog.Funcs[FuncKey(obj)]
 	}
 	return nil
-}
-
-// resolveDynamic returns interface-dispatch edges: every concrete
-// module method with the called name and a compatible shape.  Shape
-// matching is by parameter/result count — packages type-check in
-// separate universes, so nominal types.Implements checks would miss
-// cross-package implementations.
-func (prog *Program) resolveDynamic(iface *types.Func) []resolvedCallee {
-	isig := iface.Type().(*types.Signature)
-	var out []resolvedCallee
-	for _, cand := range prog.methodIndex[iface.Name()] {
-		csig := cand.Obj.Type().(*types.Signature)
-		if csig.Params().Len() == isig.Params().Len() && csig.Results().Len() == isig.Results().Len() {
-			out = append(out, resolvedCallee{cand, CallDynamic})
-		}
-	}
-	return out
-}
-
-// methodObj returns the *types.Func of a method selection, or nil if
-// sel is not a method reference.
-func methodObj(info *types.Info, sel *ast.SelectorExpr) *types.Func {
-	if s, ok := info.Selections[sel]; ok && s.Kind() == types.MethodVal {
-		if f, ok := s.Obj().(*types.Func); ok {
-			return f
-		}
-	}
-	return nil
-}
-
-// spawnContext reports whether call is the immediate call of a go or
-// defer statement in stack.
-func spawnContext(stack []ast.Node, call *ast.CallExpr) (inGo, inDefer bool) {
-	if len(stack) == 0 {
-		return false, false
-	}
-	switch s := stack[len(stack)-1].(type) {
-	case *ast.GoStmt:
-		return s.Call == call, false
-	case *ast.DeferStmt:
-		return false, s.Call == call
-	}
-	return false, false
-}
-
-// isCallFun reports whether e is the function operand of its parent
-// call expression (stack holds ancestors, innermost last).
-func isCallFun(stack []ast.Node, e ast.Expr) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch p := stack[i].(type) {
-		case *ast.ParenExpr:
-			continue
-		case *ast.CallExpr:
-			return ast.Unparen(p.Fun) == e
-		case *ast.SelectorExpr:
-			// e is the Sel of a selector; judge the selector itself.
-			if p.Sel == e {
-				e = p
-				continue
-			}
-			return false
-		default:
-			return false
-		}
-	}
-	return false
-}
-
-// isDeclName reports whether id is the name being declared by its
-// parent (func decl, assignment define, etc.) rather than a use.
-func isDeclName(stack []ast.Node, id *ast.Ident) bool {
-	if len(stack) == 0 {
-		return false
-	}
-	switch p := stack[len(stack)-1].(type) {
-	case *ast.FuncDecl:
-		return p.Name == id
-	case *ast.Field:
-		for _, n := range p.Names {
-			if n == id {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// CFG returns (building and memoizing on first use) n's control-flow
-// graph.
-func (prog *Program) CFG(n *FuncNode) *CFG {
-	if n.cfg == nil {
-		n.cfg = BuildCFG(n.Decl.Body)
-	}
-	return n.cfg
-}
-
-// unreachableIn reports whether pos falls inside a statically
-// unreachable statement of n's body.
-func (prog *Program) unreachableIn(n *FuncNode, pos token.Pos) bool {
-	for _, s := range prog.CFG(n).Unreachable() {
-		if s.Pos() <= pos && pos < s.End() {
-			return true
-		}
-	}
-	return false
 }
 
 // parseAllIgnores parses every package's //lint:ignore directives once,

@@ -1,7 +1,7 @@
-// Package alpha is the engine-test fixture: it exercises every call
-// edge kind the call graph resolves (static, recursive, dynamic
-// dispatch, method-value references, go/defer flags) plus the
-// //lint:ignore directive machinery.
+// Package alpha is the engine-test fixture: it exercises the static
+// call edges (direct, recursive, go and defer calls), a call through an
+// interface that resolves to no edge, and the //lint:ignore directive
+// machinery.
 package alpha
 
 // Runner is the dispatch interface.
@@ -29,23 +29,13 @@ func Recurse(n int) int {
 	return Recurse(n - 1)
 }
 
-// Dispatch calls through the interface: the engine must fan out to
-// every module method with a compatible name and shape.
+// Dispatch calls through the interface: no static edge.
 func Dispatch(r Runner) int { return r.Run(3) }
 
-// Bind references a method without calling it — a CallRef edge.
-func Bind(i *Impl) func(int) int { return i.Run }
-
-// Spawn marks edges with the go/defer flags.
+// Spawn calls Direct in a go statement and Helper in a defer.
 func Spawn() {
 	go Direct()
 	defer Helper(2)
-}
-
-// Dead has a statically unreachable call after its return.
-func Dead() {
-	return
-	Helper(9)
 }
 
 // Sorted carries an in-place suppression the engine must index.

@@ -3,9 +3,8 @@ package beta
 
 import "alpha"
 
-// Other has the Runner shape, so interface dispatch in alpha must
-// resolve to it too — packages type-check in separate universes, and
-// the engine matches by name and shape.
+// Other has the Runner shape; alpha's interface call still resolves to
+// no edge.
 type Other struct{}
 
 // Run has the Runner shape.

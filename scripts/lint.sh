@@ -2,12 +2,11 @@
 # Project-native static analysis gate.
 #
 # Runs the internal/lint suite over the whole module and fails on any
-# finding not covered by scripts/lint_baseline.txt.  Eight analyzers,
-# each run once over the whole program: five package-local
-# (determinism, floateq, ctxhygiene, lockdiscipline, errdiscard) and
-# three over the cross-package call graph (goroutineleak, lockorder,
-# detflow).  The baseline is a ratchet: it may only shrink, and stale
-# entries fail the gate too.
+# finding.  Eight analyzers, each run once over the whole program: five
+# package-local (determinism, floateq, ctxhygiene, lockdiscipline,
+# errdiscard) and three over the cross-package static call graph
+# (goroutineleak, lockorder, detflow).  A finding is fixed or kept in
+# place with `//lint:ignore <rule> <reason>`; there is no baseline.
 #
 # The expensive `go list -export` load is memoized in .lintcache/
 # (content-hashed over the toolchain, go.mod/go.sum and every tracked
@@ -17,7 +16,6 @@
 # Usage:
 #   scripts/lint.sh                   # gate (CI entry point)
 #   scripts/lint.sh -format=github    # gate with GitHub annotations
-#   scripts/lint.sh -update-baseline  # rewrite the baseline after fixes
 set -euo pipefail
 cd "$(dirname "$0")/.."
 exec go run ./cmd/lint "$@" ./...
