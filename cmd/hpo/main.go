@@ -17,10 +17,13 @@
 //
 //	hpo [-backend surrogate|real] [-runs 5] [-pop 100] [-gens 6] [-seed 2023]
 //	    [-data data/] [-steps 200] [-workers 6] [-out results.csv]
-//	    [-cache-bytes N] [-prefetch N]
+//	    [-cache-bytes N]
+//
+// -runs, -pop, -par, -steps or -workers below 1, or -gens below 0, exit 2
+// before any work.
 //
 // The real backend streams the train/ and val/ system directories under
-// -data through stream.Open: frames come off their shards on demand,
+// -data through stream.Open: a frame is a cache hit or one shard read,
 // behind a byte-budgeted LRU frame cache shared by every evaluation.
 package main
 
@@ -40,6 +43,26 @@ import (
 	"repro/internal/surrogate"
 )
 
+// checkFlags rejects a campaign size, parallelism or training length
+// that no campaign can run.
+func checkFlags(runs, pop, gens, par, steps, workers int) error {
+	switch {
+	case runs < 1:
+		return fmt.Errorf("-runs %d: need at least 1", runs)
+	case pop < 1:
+		return fmt.Errorf("-pop %d: need at least 1", pop)
+	case gens < 0:
+		return fmt.Errorf("-gens %d: need at least 0", gens)
+	case par < 1:
+		return fmt.Errorf("-par %d: need at least 1", par)
+	case steps < 1:
+		return fmt.Errorf("-steps %d: need at least 1", steps)
+	case workers < 1:
+		return fmt.Errorf("-workers %d: need at least 1", workers)
+	}
+	return nil
+}
+
 func main() {
 	log.SetFlags(0)
 	backend := flag.String("backend", "surrogate", "evaluation backend: surrogate or real")
@@ -50,12 +73,16 @@ func main() {
 	par := flag.Int("par", 8, "parallel evaluations")
 	dataDir := flag.String("data", "data", "dataset directory, streamed (real backend; expects train/ and val/)")
 	cacheBytes := flag.Int64("cache-bytes", stream.DefaultCacheBytes, "LRU frame-cache budget per streamed system, in bytes")
-	prefetch := flag.Int("prefetch", 64, "prefetch queue depth for streamed systems (0 = synchronous shard reads)")
 	steps := flag.Int("steps", 200, "training steps per evaluation (real backend)")
 	workers := flag.Int("workers", 6, "simulated data-parallel workers (real backend)")
 	out := flag.String("out", "", "CSV output path (default stdout)")
 	savePath := flag.String("save", "", "also save the full campaign (every generation) to this file as a campaign log")
 	flag.Parse()
+
+	if err := checkFlags(*runs, *pop, *gens, *par, *steps, *workers); err != nil {
+		fmt.Fprintf(os.Stderr, "hpo: %v\n", err)
+		os.Exit(2)
+	}
 
 	var evaluator ea.Evaluator
 	switch *backend {
@@ -63,7 +90,7 @@ func main() {
 		evaluator = surrogate.NewEvaluator(surrogate.Config{Seed: *seed})
 	case "real":
 		trainPath, valPath := filepath.Join(*dataDir, "train"), filepath.Join(*dataDir, "val")
-		opts := stream.Options{CacheBytes: *cacheBytes, Prefetch: *prefetch}
+		opts := stream.Options{CacheBytes: *cacheBytes}
 		trainSrc, err := stream.Open(trainPath, opts)
 		if err != nil {
 			log.Fatalf("opening %s: %v (run mdgen first)", trainPath, err)

@@ -9,14 +9,16 @@
 // Usage:
 //
 //	train -input run/input.json [-workers 6] [-steps 0] [-valframes 8]
-//	      [-cache-bytes N] [-prefetch N]
+//	      [-cache-bytes N]
 //
-// -steps, if positive, truncates numb_steps for reduced-scale runs.
+// -steps, if positive, truncates numb_steps for reduced-scale runs;
+// -workers below 1 or -steps below 0 exit 2 before any work.
 //
 // The systems (paths relative to input.json's directory) are read
-// through stream.Open: frames come off their shards on demand, behind a
-// byte-budgeted LRU frame cache, so a set larger than memory trains with
-// the same lcurve.out bytes as one the cache holds whole.
+// through stream.Open: a frame is a cache hit or one shard read, behind
+// a byte-budgeted LRU frame cache (-cache-bytes 0 means
+// stream.DefaultCacheBytes), so a set larger than memory trains with the
+// same lcurve.out bytes as one the cache holds whole.
 package main
 
 import (
@@ -25,6 +27,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 
@@ -34,6 +37,18 @@ import (
 	"repro/internal/nn/blas"
 )
 
+// checkFlags rejects a worker count or a step override no training can
+// run.
+func checkFlags(workers, steps int) error {
+	switch {
+	case workers < 1:
+		return fmt.Errorf("-workers %d: need at least 1", workers)
+	case steps < 0:
+		return fmt.Errorf("-steps %d: need at least 0", steps)
+	}
+	return nil
+}
+
 func main() {
 	log.SetFlags(0)
 	input := flag.String("input", "input.json", "path to input.json")
@@ -41,8 +56,12 @@ func main() {
 	steps := flag.Int("steps", 0, "override numb_steps (0 = use input.json)")
 	valFrames := flag.Int("valframes", 8, "validation frames per lcurve evaluation")
 	cacheBytes := flag.Int64("cache-bytes", stream.DefaultCacheBytes, "LRU frame-cache budget per streamed system, in bytes")
-	prefetch := flag.Int("prefetch", 64, "prefetch queue depth for streamed systems (0 = synchronous shard reads)")
 	flag.Parse()
+
+	if err := checkFlags(*workers, *steps); err != nil {
+		fmt.Fprintf(os.Stderr, "train: %v\n", err)
+		os.Exit(2)
+	}
 
 	in, err := deepmd.ParseInputFile(*input)
 	if err != nil {
@@ -56,7 +75,7 @@ func main() {
 	if len(in.Training.Systems) == 0 || len(in.Training.ValidationData.Systems) == 0 {
 		log.Fatal("input.json must reference training and validation systems")
 	}
-	opts := stream.Options{CacheBytes: *cacheBytes, Prefetch: *prefetch}
+	opts := stream.Options{CacheBytes: *cacheBytes}
 	trainStore, err := stream.Open(resolve(runDir, in.Training.Systems[0]), opts)
 	if err != nil {
 		log.Fatalf("opening training data: %v", err)
@@ -69,7 +88,7 @@ func main() {
 	defer valStore.Close()
 	fmt.Printf("streaming %d training and %d validation frames (%d atoms); cache budget %d B, dataset %d B\n",
 		trainStore.Len(), valStore.Len(), len(trainStore.AtomTypes()),
-		*cacheBytes, trainStore.FrameBytes())
+		trainStore.Stats().CacheBudget, trainStore.FrameBytes())
 
 	rt := &hpo.RealTrainer{
 		Train: trainStore, Val: valStore,
@@ -79,8 +98,8 @@ func main() {
 		log.Fatalf("training: %v", err)
 	}
 	st := trainStore.Stats()
-	fmt.Printf("stream: %d hits, %d misses, %d evictions, %d prefetched (%d B cached)\n",
-		st.Hits, st.Misses, st.Evictions, st.Prefetched, st.CachedBytes)
+	fmt.Printf("stream: %d hits, %d misses, %d evictions (%d B cached)\n",
+		st.Hits, st.Misses, st.Evictions, st.CachedBytes)
 	// Which GEMM kernels ran: the learning curve is the same bits either
 	// way, a timing is not comparable without it.
 	fmt.Printf("gemm kernels: %s\n", blas.Impl())

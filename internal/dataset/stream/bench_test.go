@@ -61,7 +61,7 @@ func BenchmarkFrameHit(b *testing.B) {
 
 // BenchmarkFrameMiss is the out-of-core path: a one-frame budget makes
 // every alternating read a shard re-read — positioned npy row I/O plus
-// frame allocation, the latency the prefetcher exists to hide.
+// frame allocation, what a training step pays per frame the cache lacks.
 func BenchmarkFrameMiss(b *testing.B) {
 	s := benchStore(b, 160, 16, 1)
 	b.ReportAllocs()

@@ -1,9 +1,9 @@
 // Package stream provides an out-of-core view of a DeePMD system
 // directory (type.raw + set.NNN/*.npy shards): frames are read on demand
-// through positioned npy row reads, held in a byte-budgeted LRU cache,
-// and optionally prefetched by a background worker that overlaps shard
-// I/O with training compute.  A Store implements the deepmd training
-// FrameSource.  It is the one reader of the layout dataset.Save writes:
+// through positioned npy row reads and held in a byte-budgeted LRU
+// cache.  A Store implements the deepmd training FrameSource and starts
+// no goroutine: a frame is a cache hit or one shard read on the caller's
+// goroutine.  It is the one reader of the layout dataset.Save writes:
 // frames come in the saved order (sets in sorted name order, rows in
 // file order), so training on a saved directory is bit-identical to
 // training on the in-memory Dataset that was saved.  Open checks every
@@ -34,16 +34,13 @@ type Options struct {
 	// out-of-core: evicted frames are re-read from their shards on the
 	// next sample.
 	CacheBytes int64
-	// Prefetch is the background prefetch queue depth; 0 disables the
-	// prefetch worker (loads then happen synchronously on Frame).
-	Prefetch int
 }
 
 // Stats is a snapshot of a Store's cache and I/O counters.
 type Stats struct {
-	Frames, Sets, NAtoms                                int
-	CacheBudget, CachedBytes                            int64
-	Hits, Misses, Evictions, Prefetched, PrefetchErrors int64
+	Frames, Sets, NAtoms     int
+	CacheBudget, CachedBytes int64
+	Hits, Misses, Evictions  int64
 }
 
 // Store is an open system directory serving frames on demand.  All
@@ -60,25 +57,12 @@ type Store struct {
 	boxes      []float64 // all frame box sides, global order
 	meanEnergy float64
 
-	mu       sync.Mutex
-	cache    lruCache
-	inflight map[int]*inflightLoad
-	stats    Stats
-	closed   bool
+	mu     sync.Mutex
+	cache  lruCache
+	stats  Stats
+	closed bool
 
 	bufs sync.Pool // *[]byte read scratch
-
-	pfCh   chan int
-	pfStop chan struct{}
-	pfWG   sync.WaitGroup
-}
-
-// inflightLoad deduplicates concurrent loads of one frame: the first
-// caller reads the shard, everyone else waits on done.
-type inflightLoad struct {
-	done chan struct{}
-	fr   *dataset.Frame
-	err  error
 }
 
 // Open opens a system directory for streaming.  The frame index (set
@@ -100,10 +84,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("stream: no set.* directories in %s", dir)
 	}
 	s := &Store{
-		dir:      dir,
-		types:    types,
-		width:    3 * len(types),
-		inflight: make(map[int]*inflightLoad),
+		dir:   dir,
+		types: types,
+		width: 3 * len(types),
 	}
 	for _, sd := range setDirs {
 		sh, err := s.openShard(sd)
@@ -135,13 +118,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.cache.init(budget)
 	s.stats.CacheBudget = budget
 	s.bufs.New = func() any { b := make([]byte, 8*s.width); return &b }
-
-	if opts.Prefetch > 0 {
-		s.pfCh = make(chan int, opts.Prefetch)
-		s.pfStop = make(chan struct{})
-		s.pfWG.Add(1)
-		go s.prefetchLoop()
-	}
 	return s, nil
 }
 
@@ -168,55 +144,34 @@ func frameBytes(width int) int64 { return int64(16*width) + 64 }
 // Frame returns frame i, serving it from the cache when resident and
 // reading it from its shard otherwise.  The returned frame is shared and
 // immutable: callers must not modify it, and it stays valid after
-// eviction (eviction only drops the cache's reference).
+// eviction (eviction only drops the cache's reference).  Concurrent
+// misses on one frame each read it; the last read to finish is the one
+// the cache keeps.
 func (s *Store) Frame(i int) (*dataset.Frame, error) {
 	if i < 0 || i >= s.frames {
 		return nil, fmt.Errorf("stream: frame %d out of range [0, %d)", i, s.frames)
 	}
-	return s.frame(i, false)
-}
-
-func (s *Store) frame(i int, prefetch bool) (*dataset.Frame, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, errors.New("stream: store is closed")
 	}
 	if fr, ok := s.cache.get(i); ok {
-		if !prefetch {
-			s.stats.Hits++
-		}
+		s.stats.Hits++
 		s.mu.Unlock()
 		return fr, nil
 	}
-	if c, ok := s.inflight[i]; ok {
-		if !prefetch {
-			s.stats.Misses++
-		}
-		s.mu.Unlock()
-		<-c.done
-		return c.fr, c.err
-	}
-	c := &inflightLoad{done: make(chan struct{})}
-	s.inflight[i] = c
-	if prefetch {
-		s.stats.Prefetched++
-	} else {
-		s.stats.Misses++
-	}
+	s.stats.Misses++
 	s.mu.Unlock()
 
-	c.fr, c.err = s.load(i)
-
+	fr, err := s.load(i)
+	if err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
-	delete(s.inflight, i)
-	if c.err == nil {
-		s.stats.Evictions += int64(s.cache.add(i, c.fr, frameBytes(s.width)))
-		s.stats.CachedBytes = s.cache.bytes
-	}
+	s.stats.Evictions += int64(s.cache.add(i, fr, frameBytes(s.width)))
 	s.mu.Unlock()
-	close(c.done)
-	return c.fr, c.err
+	return fr, nil
 }
 
 // load reads frame i from its shard.  It runs outside the store mutex;
@@ -247,43 +202,6 @@ func (s *Store) load(i int) (*dataset.Frame, error) {
 	return fr, nil
 }
 
-// Prefetch queues frames for background loading.  It never blocks: when
-// the queue is full the remaining indices are dropped (they will load
-// synchronously when sampled).  No-op without a prefetch worker.
-func (s *Store) Prefetch(indices []int) {
-	if s.pfCh == nil {
-		return
-	}
-	for _, i := range indices {
-		if i < 0 || i >= s.frames {
-			continue
-		}
-		select {
-		case s.pfCh <- i:
-		default:
-			return
-		}
-	}
-}
-
-func (s *Store) prefetchLoop() {
-	defer s.pfWG.Done()
-	for {
-		select {
-		case <-s.pfStop:
-			return
-		case i := <-s.pfCh:
-			if _, err := s.frame(i, true); err != nil {
-				// The error will resurface on the synchronous read;
-				// here it is only counted.
-				s.mu.Lock()
-				s.stats.PrefetchErrors++
-				s.mu.Unlock()
-			}
-		}
-	}
-}
-
 // Stats returns a snapshot of the cache and I/O counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
@@ -294,7 +212,8 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Close stops the prefetch worker and closes every shard handle.
+// Close closes every shard handle.  Reads after Close fail; a second
+// Close is a no-op.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -303,10 +222,6 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	if s.pfStop != nil {
-		close(s.pfStop)
-		s.pfWG.Wait()
-	}
 	return s.closeShards()
 }
 

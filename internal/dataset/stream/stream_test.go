@@ -307,32 +307,27 @@ func (r *refLRU) add(key int, size int64) (evicted int) {
 }
 
 // TestConcurrentReaders hammers one out-of-core store from many reader
-// goroutines while the prefetcher races them on the same indices — the
-// -race exercise for the singleflight map, the LRU, and the shared
-// positioned file handles.
+// goroutines on the same indices — the -race exercise for the LRU, the
+// counters, concurrent misses on one frame, and the shared positioned
+// file handles.  Every read counts as exactly one hit or one miss.
 func TestConcurrentReaders(t *testing.T) {
-	const natoms, nframes = 4, 10
+	const natoms, nframes, readers, perReader = 4, 10, 8, 200
 	dir, want := saveSynth(t, natoms, nframes, 3)
-	s, err := Open(dir, Options{CacheBytes: 3 * frameBytes(3*natoms), Prefetch: 8})
+	s, err := Open(dir, Options{CacheBytes: 3 * frameBytes(3*natoms)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
 	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 8; g++ {
+	errs := make(chan error, readers)
+	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			idx := make([]int, 4)
-			for it := 0; it < 200; it++ {
-				for j := range idx {
-					idx[j] = rng.Intn(nframes)
-				}
-				s.Prefetch(idx)
-				i := idx[0]
+			for it := 0; it < perReader; it++ {
+				i := rng.Intn(nframes)
 				fr, err := s.Frame(i)
 				if err != nil {
 					errs <- err
@@ -352,8 +347,18 @@ func TestConcurrentReaders(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.CachedBytes > st.CacheBudget {
+	if t.Failed() {
+		return
+	}
+	st := s.Stats()
+	if st.CachedBytes > st.CacheBudget {
 		t.Fatalf("CachedBytes %d exceeds budget %d", st.CachedBytes, st.CacheBudget)
+	}
+	if got := st.Hits + st.Misses; got != readers*perReader {
+		t.Fatalf("Hits %d + Misses %d = %d, want one per read (%d)", st.Hits, st.Misses, got, readers*perReader)
+	}
+	if st.Misses == 0 || st.Evictions == 0 {
+		t.Fatalf("%d misses, %d evictions: the store was not out-of-core", st.Misses, st.Evictions)
 	}
 }
 
@@ -483,11 +488,11 @@ func TestOpenRefusesUndecodableShards(t *testing.T) {
 	}
 }
 
-// TestCloseSemantics: reads after Close fail cleanly, Close is
-// idempotent, and Prefetch after Close is a harmless no-op.
+// TestCloseSemantics: reads after Close fail cleanly and Close is
+// idempotent.
 func TestCloseSemantics(t *testing.T) {
 	dir, _ := saveSynth(t, 3, 4, 0)
-	s, err := Open(dir, Options{Prefetch: 4})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +505,6 @@ func TestCloseSemantics(t *testing.T) {
 	if _, err := s.Frame(1); err == nil {
 		t.Fatal("Frame succeeded on a closed store")
 	}
-	s.Prefetch([]int{0, 1, 2})
 	if err := s.Close(); err != nil {
 		t.Fatal("second Close returned an error")
 	}

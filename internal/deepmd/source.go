@@ -10,7 +10,8 @@ import "repro/internal/dataset"
 // are treated as immutable and may be shared; Train never writes to
 // them.  Frame must be safe for concurrent calls: the data-parallel
 // replicas of a training step and the frame pool of EvalErrorsSource
-// read from several goroutines at once.
+// read from several goroutines at once.  Train asks for each frame when
+// a step needs it; a source loads nothing ahead.
 //
 // Keeping sampling behind this interface is what makes training on a
 // saved directory bit-identical to training on the Dataset that was
@@ -28,12 +29,4 @@ type FrameSource interface {
 	// MeanEnergy returns the mean frame energy accumulated in ascending
 	// frame order — the bias-initialization statistic.
 	MeanEnergy() float64
-}
-
-// Prefetcher is optionally implemented by sources that can overlap frame
-// I/O with compute.  Train announces each step's sampled indices one
-// step ahead; implementations load them in the background and must not
-// block.
-type Prefetcher interface {
-	Prefetch(indices []int)
 }

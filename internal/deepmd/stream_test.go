@@ -44,11 +44,11 @@ func TestTrainStreamedBitIdentical(t *testing.T) {
 	}
 	memOut := run(train, val)
 
-	// Budget: two frames of the six-frame training set; prefetch on so the
-	// background worker races the training loop (and still changes nothing).
+	// Budget: two frames of the six-frame training set, so training
+	// re-reads evicted frames from their shards.
 	width := 3 * train.NAtoms()
 	ts, err := stream.Open(trainDir, stream.Options{
-		CacheBytes: 2 * (int64(16*width) + 64), Prefetch: 8,
+		CacheBytes: 2 * (int64(16*width) + 64),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -104,10 +104,8 @@ func Train(ctx context.Context, m *Model, train, val *dataset.Dataset, cfg Train
 //
 // Sources are sampled by index only, so an out-of-core stream.Store and
 // an in-memory dataset over the same system directory produce
-// bit-identical training.  If the training source implements Prefetcher,
-// each step's sample indices are announced one step ahead — the random
-// sequence is unchanged (indices are drawn in the same order, just one
-// step early) — letting the source overlap shard I/O with compute.
+// bit-identical training.  Each step draws its own frame indices when it
+// starts.
 //
 // Cancellation is observed before each worker's gradient is started —
 // within one worker's gradient, not one step — and always surfaces as
@@ -145,23 +143,9 @@ func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg Trai
 	}
 	group := ddp.NewGroup(cfg.Workers, len(reps), len(m.param))
 
-	// Sampling is drawn one step ahead of consumption: idx holds the
-	// current step's frame indices, nextIdx the following step's.  The
-	// rng.Intn call sequence is step-major, worker-major, batch-minor —
-	// drawing early changes when the calls happen, not their order — so
-	// a seeded run samples the same frames with or without a prefetcher.
-	prefetcher, _ := train.(Prefetcher)
+	// idx holds the step's frame indices: worker-major, batch-minor, the
+	// only draws rng makes.
 	idx := make([]int, cfg.Workers*cfg.BatchSize)
-	nextIdx := make([]int, cfg.Workers*cfg.BatchSize)
-	drawIndices := func(dst []int) {
-		for k := range dst {
-			dst[k] = rng.Intn(train.Len())
-		}
-	}
-	drawIndices(idx)
-	if prefetcher != nil {
-		prefetcher.Prefetch(idx)
-	}
 
 	// How many training frames each rmse_*_trn evaluation sees: ValFrames
 	// capped to the training set, where 0 (like EvalErrors' contract)
@@ -178,12 +162,8 @@ func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg Trai
 		baseLR := sched.At(step)
 		lr := nn.WorkerScale(cfg.ScaleByWorker, baseLR, cfg.Workers)
 		pe, pf := cfg.Prefactors.At(baseLR / cfg.StartLR)
-
-		if step+1 < cfg.Steps {
-			drawIndices(nextIdx)
-			if prefetcher != nil {
-				prefetcher.Prefetch(nextIdx)
-			}
+		for k := range idx {
+			idx[k] = rng.Intn(train.Len())
 		}
 
 		// Each simulated worker computes the gradient of its own random
@@ -218,7 +198,6 @@ func TrainSource(ctx context.Context, m *Model, train, val FrameSource, cfg Trai
 		if err != nil {
 			return res, err
 		}
-		idx, nextIdx = nextIdx, idx
 		res.StepsRun = step + 1
 
 		if (step+1)%cfg.DispFreq == 0 || step == cfg.Steps-1 {

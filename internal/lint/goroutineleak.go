@@ -10,10 +10,11 @@ import (
 )
 
 // goroutinePkgs are the packages whose goroutines must have a reachable
-// teardown: the distributed plane (cluster), the campaign service and
-// the streaming prefetcher all promise clean drain/Close semantics, and
-// a leaked goroutine there survives a campaign bounce holding buffers
-// and connections.
+// teardown: the distributed plane (cluster) and the campaign service
+// promise clean drain/Close semantics, and a leaked goroutine there
+// survives a campaign bounce holding buffers and connections.  The frame
+// store (stream) starts no goroutine; it stays in scope so one added
+// there is held to the same rule.
 var goroutinePkgs = map[string]bool{
 	"cluster": true,
 	"service": true,

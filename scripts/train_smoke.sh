@@ -6,15 +6,19 @@
 # two lcurve.out files to be the same bytes (Threads defaults to
 # GOMAXPROCS, so the pair covers one replica and several) and each log
 # to carry train's lcurve summary (`5 records`) and both of its charts.
-# Then runs one two-individual real-backend campaign through `cmd/hpo`,
+# Trains once more out-of-core (`-cache-bytes 1`: every frame the cache
+# lacks is re-read from its shard) and requires the same lcurve.out bytes
+# as the resident run.  Then runs one two-individual real-backend campaign through `cmd/hpo`,
 # which streams the same dataset, and requires two CSV rows, at least
 # one of them on the frontier (`on_frontier` is 1), and no failed
-# evaluation.  Also requires `-fast` and `-data-dir` to be rejected by
-# the flag package in both binaries, `hpo -timeout` (the evaluation cap
-# is ea.PaperEvalTimeout, declared once), `hpo -no-memo` (the memo cache
-# is always on) and `mdgen -val` (the split is dataset.PaperValFraction):
+# evaluation.  Also requires `-fast`, `-data-dir` and `-prefetch` (a
+# frame is a cache hit or one shard read) to be rejected by the flag
+# package in both binaries, `hpo -timeout` (the evaluation cap is
+# ea.PaperEvalTimeout, declared once), `hpo -no-memo` (the memo cache is
+# always on) and `mdgen -val` (the split is dataset.PaperValFraction):
 # those flags are gone, and a script that still passes one must fail
-# loudly.
+# loudly.  Last, `hpo -steps 0` and `train -workers 0` must exit 2
+# before any work.
 #
 # Usage:
 #   scripts/train_smoke.sh          # CI entry point
@@ -73,6 +77,13 @@ done
 cmp "$WORK/lcurve1.out" "$WORK/lcurve4.out" ||
     fail "lcurve.out differs between GOMAXPROCS=1 and GOMAXPROCS=4" "$WORK/lcurve1.out" "$WORK/lcurve4.out"
 
+"$WORK/bin/train" -input "$WORK/run/input.json" -steps 5 -workers 6 -valframes 2 -cache-bytes 1 \
+    >"$WORK/train_ooc.log" 2>&1 || fail "train -cache-bytes 1 failed" "$WORK/train_ooc.log"
+grep -Eq '^stream: [0-9]+ hits, [0-9]+ misses, [1-9][0-9]* evictions' "$WORK/train_ooc.log" ||
+    fail "train -cache-bytes 1 evicted nothing" "$WORK/train_ooc.log"
+cmp "$WORK/lcurve1.out" "$WORK/run/lcurve.out" ||
+    fail "lcurve.out differs between the resident and the -cache-bytes 1 run" "$WORK/lcurve1.out" "$WORK/run/lcurve.out"
+
 "$WORK/bin/hpo" -backend real -data "$WORK/data" -runs 1 -pop 2 -gens 0 -steps 1 -workers 1 -par 2 \
     >"$WORK/hpo.csv" 2>"$WORK/hpo.log" || fail "hpo -backend real failed" "$WORK/hpo.log"
 [[ "$(tail -n +2 "$WORK/hpo.csv" | grep -c .)" -eq 2 ]] ||
@@ -82,7 +93,7 @@ cmp "$WORK/lcurve1.out" "$WORK/lcurve4.out" ||
 grep -q '^hpo: done in .*, 0 failures$' "$WORK/hpo.log" ||
     fail "hpo campaign had failed evaluations" "$WORK/hpo.log"
 
-for gone in train:fast train:data-dir hpo:fast hpo:data-dir hpo:timeout hpo:no-memo mdgen:val; do
+for gone in train:fast train:data-dir train:prefetch hpo:fast hpo:data-dir hpo:prefetch hpo:timeout hpo:no-memo mdgen:val; do
     bin="${gone%%:*}" flag="${gone#*:}"
     if "$WORK/bin/$bin" "-$flag" x >"$WORK/$bin.$flag.log" 2>&1; then
         fail "$bin -$flag was accepted" "$WORK/$bin.$flag.log"
@@ -91,4 +102,16 @@ for gone in train:fast train:data-dir hpo:fast hpo:data-dir hpo:timeout hpo:no-m
         fail "$bin -$flag failed for another reason" "$WORK/$bin.$flag.log"
 done
 
-echo "train_smoke: ok (5 steps, 6 workers; lcurve.out identical on 1 and 4 cores and charted; real hpo campaign streamed, frontier marked)"
+status=0
+"$WORK/bin/hpo" -backend real -data "$WORK/data" -runs 1 -pop 2 -gens 0 -steps 0 -workers 1 \
+    >"$WORK/hpo_steps0.csv" 2>"$WORK/hpo_steps0.log" || status=$?
+[[ $status -eq 2 ]] || fail "hpo -steps 0 exited $status, want 2" "$WORK/hpo_steps0.log"
+grep -q '^hpo: -steps 0: need at least 1$' "$WORK/hpo_steps0.log" ||
+    fail "hpo -steps 0 failed for another reason" "$WORK/hpo_steps0.log"
+status=0
+"$WORK/bin/train" -input "$WORK/run/input.json" -workers 0 >"$WORK/train_workers0.log" 2>&1 || status=$?
+[[ $status -eq 2 ]] || fail "train -workers 0 exited $status, want 2" "$WORK/train_workers0.log"
+grep -q '^train: -workers 0: need at least 1$' "$WORK/train_workers0.log" ||
+    fail "train -workers 0 failed for another reason" "$WORK/train_workers0.log"
+
+echo "train_smoke: ok (5 steps, 6 workers; lcurve.out identical on 1 and 4 cores and out-of-core, and charted; real hpo campaign streamed, frontier marked; invalid flag values refused)"
