@@ -1,9 +1,9 @@
 // Command serve runs the campaign service: a long-lived, multi-tenant
 // HTTP control plane over the NSGA-II hyperparameter-optimization stack.
 // It is the always-on promotion of the one-shot `hpo` binary — clients
-// create campaigns over JSON, stream per-generation events, and fetch
-// frontiers, while every campaign shares one worker fleet and one
-// genome-keyed memo cache.
+// create campaigns over JSON, follow per-generation events by long-poll,
+// and fetch frontiers, while every campaign shares one worker fleet and
+// one genome-keyed memo cache.
 //
 // Usage:
 //
@@ -28,6 +28,9 @@
 // either kind that holds a task for cluster.LeaseTimeout without a
 // heartbeat or a result loses it to another worker (§2.2.4), and the
 // in-process workers heartbeat and cap each task at ea.PaperEvalTimeout.
+// A worker's cap is the only one on an evaluation, as the paper's ran
+// inside the Dask worker's task: its clock starts with the training, and
+// only the worker can stop one.  A campaign spec carries no timeout.
 //
 // On SIGTERM or SIGINT the service drains: admission stops, every
 // running campaign's in-flight generation is cancelled, and every

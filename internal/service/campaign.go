@@ -34,8 +34,6 @@ type Spec struct {
 	// evaluation pool's own default; the tenant in-flight quota applies
 	// regardless).
 	Parallelism int `json:"parallelism,omitempty"`
-	// EvalTimeoutMS bounds one evaluation in milliseconds (0 = none).
-	EvalTimeoutMS int64 `json:"eval_timeout_ms,omitempty"`
 }
 
 // gens returns the target offspring-generation count with the default
@@ -92,9 +90,6 @@ func (sp *Spec) validate() error {
 	}
 	if sp.Parallelism < 0 {
 		return fmt.Errorf("service: parallelism must be >= 0, got %d", sp.Parallelism)
-	}
-	if sp.EvalTimeoutMS < 0 {
-		return fmt.Errorf("service: eval_timeout_ms must be >= 0, got %d", sp.EvalTimeoutMS)
 	}
 	return nil
 }
@@ -355,7 +350,10 @@ func (c *Campaign) Status() Status {
 
 // campaignConfig is the hpo configuration of c: what hpo.RunCampaign
 // would run for its spec, evaluated through the shared memo on the
-// tenant's workers, which is what bounds the lanes' total.
+// tenant's workers, which is what bounds the lanes' total.  It sets no
+// EvalTimeout: the worker's TaskTimeout is the one cap on an
+// evaluation, because its clock starts with the training rather than in
+// the scheduler's queue, and only the worker can stop a training.
 func (s *Service) campaignConfig(c *Campaign, w *ea.Workers) hpo.CampaignConfig {
 	return hpo.CampaignConfig{
 		Runs:         c.Spec.Runs,
@@ -364,7 +362,6 @@ func (s *Service) campaignConfig(c *Campaign, w *ea.Workers) hpo.CampaignConfig 
 		Evaluator:    s.eval,
 		Parallelism:  c.Spec.Parallelism,
 		Workers:      w,
-		EvalTimeout:  time.Duration(c.Spec.EvalTimeoutMS) * time.Millisecond,
 		AnnealFactor: c.Spec.AnnealFactor,
 		BaseSeed:     c.Spec.BaseSeed,
 	}

@@ -429,6 +429,41 @@ func TestRestoreRefusesV1Untouched(t *testing.T) {
 	}
 }
 
+// TestRestoreIgnoresEvalTimeoutField: a spec once carried eval_timeout_ms, a
+// second evaluation cap beside the worker's.  A checkpoint whose header
+// still holds it restores and runs with the field ignored: evaluations
+// that take 5 ms each are not cut at its 1 ms.
+func TestRestoreIgnoresEvalTimeoutField(t *testing.T) {
+	const id = "00000000-0000-4000-8000-000000000065"
+	dir := t.TempDir()
+	header := `{"format":"repro-service-campaign","version":2,"id":"` + id + `","tenant":"alice","created":"2026-01-02T03:04:05Z",` +
+		`"spec":{"tenant":"alice","name":"legacy","runs":1,"pop_size":3,"generations":1,"base_seed":4,"eval_timeout_ms":1}}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, id+".json"), []byte(header+`{"state":"queued"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sur := surrogate.NewEvaluator(surrogate.Config{Seed: 2023})
+	svc := newTestService(t, func(cfg *service.Config) {
+		cfg.CheckpointDir = dir
+		cfg.DisableMemo = true
+		cfg.Evaluator = ea.EvaluatorFunc(func(ctx context.Context, g ea.Genome) (ea.Fitness, error) {
+			select {
+			case <-time.After(5 * time.Millisecond):
+				return sur.Evaluate(ctx, g)
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		})
+	})
+	if n, err := svc.Restore(); err != nil || n != 1 {
+		t.Fatalf("restore: %d requeued, err %v", n, err)
+	}
+	c := soleCampaign(t, svc, "alice")
+	waitState(t, c, service.StateDone)
+	if st := c.Status(); st.Evaluations != 6 || st.Failures != 0 {
+		t.Fatalf("status = %+v, want 6 evaluations and no failures", st)
+	}
+}
+
 // TestCreateFailsWithoutCheckpoint: a campaign whose header cannot be
 // written is not admitted — every later append would fail too, and no
 // Restore could find it.  The creation fails with a 500 and the tenant's

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,8 +23,7 @@ import (
 //	GET    /v1/campaigns[?tenant=t]     list campaign statuses
 //	GET    /v1/campaigns/{id}           one campaign's status
 //	DELETE /v1/campaigns/{id}           cancel (queued or running)
-//	GET    /v1/campaigns/{id}/events    SSE stream (Accept: text/event-stream)
-//	                                    or JSON long-poll (?after=N&wait_ms=M)
+//	GET    /v1/campaigns/{id}/events    JSON long-poll (?after=N&wait_ms=M)
 //	GET    /v1/campaigns/{id}/frontier  Pareto frontier, canonical bytes
 //	GET    /v1/campaigns/{id}/lcurve    per-generation evaluation history
 //	GET    /v1/campaigns/{id}/result    full hpo campaign log (NDJSON)
@@ -140,37 +140,33 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, c.Status())
 }
 
-// handleEvents serves the campaign event feed.  With Accept:
-// text/event-stream it streams SSE frames (id = sequence number, so a
-// dropped client reconnects with ?after=<last id>); otherwise it is a
-// JSON long-poll: ?after=N returns buffered events past N, blocking up
-// to ?wait_ms=M (max 60s) when none are ready.
+// handleEvents serves the campaign event feed as a JSON long-poll:
+// ?after=N returns the buffered events past N, blocking up to
+// ?wait_ms=M (max 60s) when none are ready, as {"events":[...],"next":N'}
+// where N' is the cursor for the next poll (N again after a timeout).
+// Either parameter, when present, must be a non-negative integer.
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	c, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
 	q := r.URL.Query()
-	after, _ := strconv.ParseUint(q.Get("after"), 10, 64)
-	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		s.streamSSE(w, r, c, after)
+	after, err := queryUint(q, "after")
+	var waitMS uint64
+	if err == nil {
+		waitMS, err = queryUint(q, "wait_ms")
+	}
+	if err != nil {
+		s.writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return
 	}
-	waitMS, _ := strconv.ParseInt(q.Get("wait_ms"), 10, 64)
-	if waitMS > 60_000 {
-		waitMS = 60_000
-	}
-	evs := c.ring.Since(after)
-	if len(evs) == 0 && waitMS > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), time.Duration(waitMS)*time.Millisecond)
-		evs, _ = c.ring.Next(ctx, after) // timeout → empty batch, next=after
-		cancel()
-	}
+	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(min(waitMS, 60_000))*time.Millisecond)
+	evs, _ := c.ring.Next(ctx, after) // timeout → empty batch, next=after
+	cancel()
 	next := after
 	if len(evs) > 0 {
 		next = evs[len(evs)-1].Seq
-	}
-	if evs == nil {
+	} else {
 		evs = []Event{}
 	}
 	s.writeJSON(w, http.StatusOK, struct {
@@ -179,52 +175,17 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}{evs, next})
 }
 
-// streamSSE replays buffered events past `after`, then follows the ring
-// live until the campaign reaches a state that ends the feed (terminal,
-// or suspended — this process is draining) and every event has been
-// delivered.
-func (s *Service) streamSSE(w http.ResponseWriter, r *http.Request, c *Campaign, after uint64) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		s.writeJSON(w, http.StatusInternalServerError, apiError{Error: "streaming unsupported by connection"})
-		return
+// queryUint reads query parameter name as a non-negative integer: 0 when
+// it is absent, an error when it is present and anything else.
+func queryUint(q url.Values, name string) (uint64, error) {
+	if !q.Has(name) {
+		return 0, nil
 	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	for {
-		// Capture the wake channel BEFORE draining, so an event landing
-		// between Since and the select still wakes the loop (Ring.WaitCh).
-		wake := c.ring.WaitCh()
-		evs := c.ring.Since(after)
-		for _, e := range evs {
-			data, err := json.Marshal(e)
-			if err != nil {
-				s.logf("sse_encode_error", "err", err)
-				return
-			}
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Type, data); err != nil {
-				return // client went away
-			}
-			after = e.Seq
-		}
-		if len(evs) > 0 {
-			fl.Flush()
-		}
-		st := c.State()
-		if (st.Terminal() || st == StateSuspended) && len(c.ring.Since(after)) == 0 {
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-wake:
-		}
+	n, err := strconv.ParseUint(q.Get(name), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("service: %s must be a non-negative integer, got %q", name, q.Get(name))
 	}
+	return n, nil
 }
 
 // frontierPoint is one Pareto-frontier member.  hpo.JSONFloats carries

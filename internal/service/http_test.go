@@ -1,7 +1,6 @@
 package service_test
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -10,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -89,8 +89,9 @@ func TestHTTPCampaignLifecycle(t *testing.T) {
 	_, srv := newTestServer(t, func(cfg *service.Config) { cfg.Scheduler = fleet.Scheduler })
 	base := srv.URL
 
-	// Malformed bodies are 400s.
-	for _, body := range []string{"not json", `{"tenant":"x","bogus_field":1}`, `{"tenant":""}`} {
+	// Malformed bodies are 400s, a spec with the deleted per-campaign
+	// evaluation timeout included: the worker's cap is the only one.
+	for _, body := range []string{"not json", `{"tenant":"x","bogus_field":1}`, `{"tenant":""}`, `{"tenant":"x","eval_timeout_ms":100}`} {
 		resp, err := http.Post(base+"/v1/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -278,99 +279,164 @@ func TestHTTPQuotaAndCancel(t *testing.T) {
 	close(be.release)
 }
 
-// TestHTTPSSEStream drives the Server-Sent-Events feed end to end: the
-// replayed backlog, live generation events, ordered IDs, and stream
-// termination once the campaign is done.
-func TestHTTPSSEStream(t *testing.T) {
-	_, srv := newTestServer(t, nil)
-	base := srv.URL
+// eventBatch is one long-poll answer of the events route.
+type eventBatch struct {
+	Events []service.Event `json:"events"`
+	Next   uint64          `json:"next"`
+}
 
+// poll asks the events route once and requires a 200 whose next cursor
+// is the batch's last seq, or after itself for an empty batch.
+func poll(t *testing.T, base, id string, after uint64, waitMS int) eventBatch {
+	t.Helper()
+	var b eventBatch
+	resp := getJSON(t, fmt.Sprintf("%s/v1/campaigns/%s/events?after=%d&wait_ms=%d", base, id, after, waitMS), &b)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("poll after %d: status %d", after, resp.StatusCode)
+	}
+	want := after
+	if len(b.Events) > 0 {
+		want = b.Events[len(b.Events)-1].Seq
+	}
+	if b.Next != want {
+		t.Fatalf("poll after %d: next %d, want %d (%+v)", after, b.Next, want, b.Events)
+	}
+	return b
+}
+
+// TestHTTPLongPollFeed follows a campaign's event feed by long-poll, as
+// bench's follow does: a waiting poll sleeps while nothing happens and
+// returns when the next event lands, the feed is every event once in
+// ascending seq order from created to done, and ?after=<mid> replays
+// only the events past mid.
+func TestHTTPLongPollFeed(t *testing.T) {
+	be := &blockingEvaluator{release: make(chan struct{})}
+	svc, srv := newTestServer(t, func(cfg *service.Config) { cfg.Evaluator = be })
+	base := srv.URL
 	st := postCampaign(t, base, `{"tenant":"alice","runs":1,"pop_size":5,"generations":2,"base_seed":3}`)
 
-	req, err := http.NewRequest(http.MethodGet, base+"/v1/campaigns/"+st.ID+"/events", nil)
-	if err != nil {
-		t.Fatal(err)
+	// Admitted and held at its first evaluations: nothing more can land.
+	c, ok := svc.Campaign(st.ID)
+	if !ok {
+		t.Fatalf("campaign %s not registered", st.ID)
 	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	waitState(t, c, service.StateRunning)
+	for i := 0; atomic.LoadInt64(&be.calls) == 0; i++ {
+		if i == 4000 {
+			t.Fatal("no evaluation started")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type %q", ct)
+	feed := poll(t, base, st.ID, 0, 60_000).Events
+	cursor := feed[len(feed)-1].Seq
+	woke := make(chan eventBatch, 1)
+	go func() {
+		var b eventBatch
+		resp, err := http.Get(fmt.Sprintf("%s/v1/campaigns/%s/events?after=%d&wait_ms=60000", base, st.ID, cursor))
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&b)
+			resp.Body.Close()
+		}
+		if err != nil {
+			t.Errorf("waiting poll: %v", err)
+		}
+		woke <- b
+	}()
+	select {
+	case b := <-woke:
+		t.Fatalf("a poll past the last event returned while nothing happened: %+v", b)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(be.release)
+	select {
+	case b := <-woke:
+		if len(b.Events) == 0 || b.Events[0].Seq != cursor+1 {
+			t.Fatalf("waiting poll after %d woke with %+v", cursor, b)
+		}
+		feed = append(feed, b.Events...)
+	case <-time.After(30 * time.Second):
+		t.Fatal("the waiting poll never returned after the campaign moved on")
 	}
 
-	type frame struct {
-		id    uint64
-		event string
-		data  service.Event
+	// Follow to the end, one poll per batch, with the next cursor.
+	for feed[len(feed)-1].Type != "done" {
+		feed = append(feed, poll(t, base, st.ID, feed[len(feed)-1].Seq, 60_000).Events...)
 	}
-	var frames []frame
-	var cur frame
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "id: "):
-			fmt.Sscanf(line, "id: %d", &cur.id)
-		case strings.HasPrefix(line, "event: "):
-			cur.event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &cur.data); err != nil {
-				t.Fatalf("bad SSE data %q: %v", line, err)
-			}
-		case line == "":
-			frames = append(frames, cur)
-			cur = frame{}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("stream read: %v", err)
-	}
-	if len(frames) < 4 {
-		t.Fatalf("only %d frames", len(frames))
-	}
-	if frames[0].event != "created" || frames[len(frames)-1].event != "done" {
-		t.Fatalf("frame types: first=%s last=%s", frames[0].event, frames[len(frames)-1].event)
+	if feed[0].Type != "created" {
+		t.Fatalf("feed starts with %q, want created", feed[0].Type)
 	}
 	gens := 0
-	for i, f := range frames {
-		if f.id != f.data.Seq || (i > 0 && f.id <= frames[i-1].id) {
-			t.Fatalf("frame %d: id %d, data seq %d, prev %d", i, f.id, f.data.Seq, frames[max(i-1, 0)].id)
+	for i, e := range feed {
+		if e.Seq != uint64(i+1) || e.Campaign != st.ID {
+			t.Fatalf("event %d: %+v, want seq %d of campaign %s", i, e, i+1, st.ID)
 		}
-		if f.event == "generation" {
+		if e.Type == "generation" {
 			gens++
-			if f.data.Evals == 0 {
-				t.Errorf("generation frame without eval count: %+v", f.data)
+			if e.Evals == 0 {
+				t.Errorf("generation event without eval count: %+v", e)
 			}
 		}
 	}
 	if gens != 3 {
-		t.Fatalf("saw %d generation frames, want 3 (rounds 0..2)", gens)
+		t.Fatalf("saw %d generation events, want 3 (rounds 0..2)", gens)
 	}
 
-	// Reconnect with ?after=<mid-stream id>: only the tail replays.
-	mid := frames[2].id
-	req2, err := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/v1/campaigns/%s/events?after=%d", base, st.ID, mid), nil)
-	if err != nil {
-		t.Fatal(err)
+	// Re-polling from the middle replays exactly the tail, at once.
+	mid := feed[2].Seq
+	tail := poll(t, base, st.ID, mid, 60_000).Events
+	if len(tail) != len(feed)-3 {
+		t.Fatalf("after %d: %d events, want %d", mid, len(tail), len(feed)-3)
 	}
-	req2.Header.Set("Accept", "text/event-stream")
-	resp2, err := http.DefaultClient.Do(req2)
-	if err != nil {
-		t.Fatal(err)
+	for i, e := range tail {
+		if e != feed[3+i] {
+			t.Fatalf("after %d, event %d: %+v, want %+v", mid, i, e, feed[3+i])
+		}
 	}
-	tail, err := io.ReadAll(resp2.Body)
-	resp2.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := fmt.Sprintf("id: %d\n", mid+1); !strings.HasPrefix(string(tail), want) {
-		t.Fatalf("resumed stream starts %q, want prefix %q", tail[:min(len(tail), 20)], want)
-	}
-	if strings.Contains(string(tail), fmt.Sprintf("id: %d\n", mid)) {
-		t.Fatal("resumed stream replayed already-delivered events")
+}
+
+// TestHTTPEventsQuery holds the events route's parameters to
+// non-negative integers: anything else is a 400 with the JSON error
+// envelope, not a silent replay from 0 or a poll that does not wait.
+func TestHTTPEventsQuery(t *testing.T) {
+	_, srv := newTestServer(t, nil)
+	base := srv.URL
+	st := postCampaign(t, base, `{"tenant":"alice","runs":1,"pop_size":4,"generations":1,"base_seed":3}`)
+	waitStatusHTTP(t, base, st.ID, service.StateDone)
+	all := poll(t, base, st.ID, 0, 0)
+
+	for _, tc := range []struct {
+		query string
+		code  int
+		bad   string // the parameter a 400 names
+		n     int    // events a 200 returns
+	}{
+		{"", http.StatusOK, "", len(all.Events)},
+		{"?after=0", http.StatusOK, "", len(all.Events)},
+		{"?wait_ms=60000&after=0", http.StatusOK, "", len(all.Events)}, // bench's form, events ready
+		{"?after=2&wait_ms=0", http.StatusOK, "", len(all.Events) - 2},
+		{fmt.Sprintf("?after=%d&wait_ms=10", all.Next), http.StatusOK, "", 0},
+		{"?after=abc", http.StatusBadRequest, "after", 0},
+		{"?after=-1", http.StatusBadRequest, "after", 0},
+		{"?after=1.5", http.StatusBadRequest, "after", 0},
+		{"?after=", http.StatusBadRequest, "after", 0},
+		{"?after=18446744073709551616", http.StatusBadRequest, "after", 0},
+		{"?wait_ms=abc", http.StatusBadRequest, "wait_ms", 0},
+		{"?wait_ms=-5&after=0", http.StatusBadRequest, "wait_ms", 0},
+		{"?after=0&wait_ms=+5", http.StatusBadRequest, "wait_ms", 0},
+	} {
+		var body struct {
+			Events []service.Event `json:"events"`
+			Error  string          `json:"error"`
+		}
+		resp := getJSON(t, base+"/v1/campaigns/"+st.ID+"/events"+tc.query, &body)
+		switch {
+		case resp.StatusCode != tc.code:
+			t.Errorf("%q: status %d, want %d", tc.query, resp.StatusCode, tc.code)
+		case tc.code == http.StatusOK && len(body.Events) != tc.n:
+			t.Errorf("%q: %d events, want %d", tc.query, len(body.Events), tc.n)
+		case tc.code != http.StatusOK && !strings.Contains(body.Error, tc.bad+" must be a non-negative integer"):
+			t.Errorf("%q: error %q does not name %s", tc.query, body.Error, tc.bad)
+		}
 	}
 }
 

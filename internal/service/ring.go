@@ -7,11 +7,11 @@ import (
 )
 
 // Event is one campaign lifecycle occurrence, delivered to API clients
-// over SSE or long-poll.  Seq is a per-campaign monotonic sequence
-// number (starting at 1) that doubles as the SSE event ID, so clients
-// resume a dropped stream with ?after=<last seq>.  Events live in a
-// bounded per-campaign ring and are per-process: sequence numbers reset
-// when the service restarts.
+// by long-poll.  Seq is a per-campaign monotonic sequence number
+// (starting at 1) that doubles as the poll cursor: a client asks for
+// ?after=<last seq> and gets what came since.  Events live in a bounded
+// per-campaign ring and are per-process: sequence numbers reset when the
+// service restarts.
 type Event struct {
 	Seq      uint64    `json:"seq"`
 	Time     time.Time `json:"time"`
@@ -26,7 +26,7 @@ type Event struct {
 
 // Ring is a bounded, broadcast-capable event buffer.  Appends assign
 // sequence numbers and evict the oldest events once full; readers poll
-// Since for history and block on WaitCh (a close-on-append channel) for
+// Since for history and block in Next (on a close-on-append channel) for
 // new arrivals.  The close-and-replace wake channel gives every blocked
 // reader a level-triggered signal with no per-subscriber bookkeeping.
 type Ring struct {
@@ -84,28 +84,23 @@ func (r *Ring) Since(after uint64) []Event {
 	return out
 }
 
-// WaitCh returns a channel closed by the next Append.  To avoid lost
-// wakeups, capture the channel BEFORE calling Since: any event appended
-// after the capture closes the captured channel, even if a later Append
-// has already replaced it.
-func (r *Ring) WaitCh() <-chan struct{} {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.wake
-}
-
 // Next blocks until at least one event with Seq > after exists (or ctx
-// ends) and returns the batch.  It is the long-poll primitive.
+// ends) and returns the batch.  It is the long-poll primitive.  It takes
+// the wake channel BEFORE calling Since, so an event appended between
+// the two still closes the channel it waits on, even if a later Append
+// has already replaced it: no wakeup is lost.
 func (r *Ring) Next(ctx context.Context, after uint64) ([]Event, error) {
 	for {
-		ch := r.WaitCh()
+		r.mu.Lock()
+		wake := r.wake
+		r.mu.Unlock()
 		if evs := r.Since(after); len(evs) > 0 {
 			return evs, nil
 		}
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-ch:
+		case <-wake:
 		}
 	}
 }

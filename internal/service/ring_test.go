@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -65,13 +66,44 @@ func TestRingNextHonorsContext(t *testing.T) {
 	}
 }
 
-func TestRingWaitChCapturedBeforeSince(t *testing.T) {
-	r := service.NewRing(8)
-	ch := r.WaitCh()
-	r.Append(service.Event{Type: "x"})
-	select {
-	case <-ch:
-	default:
-		t.Fatal("channel captured before Append must be closed by it")
+// TestRingNextLosesNoWakeup races Appends against a Next waiting for
+// them while another reader keeps the ring's lock busy, so Next often
+// waits for the lock between reading the buffer and taking the wake
+// channel, and an Append gets in there.  Next takes the channel BEFORE it
+// reads the buffer, so that Append still wakes it; a Next that took the
+// channel after would sleep through the event to its deadline (about 2 %
+// of these rounds on two cores).
+func TestRingNextLosesNoWakeup(t *testing.T) {
+	const size = 1 << 12
+	r := service.NewRing(size)
+	for i := 0; i < size; i++ {
+		r.Append(service.Event{Type: "fill"})
+	}
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	defer func() { close(stop); <-stopped }()
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.Since(math.MaxUint64) // holds the lock for a scan of the full ring
+			}
+		}
+	}()
+	for round := 0; round < 300; round++ {
+		after := r.Append(service.Event{Type: "x"}).Seq
+		got := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			_, err := r.Next(ctx, after)
+			got <- err
+		}()
+		r.Append(service.Event{Type: "x"})
+		if err := <-got; err != nil {
+			t.Fatalf("round %d: Next(after=%d) slept through the append of seq %d: %v", round, after, after+1, err)
+		}
 	}
 }

@@ -4,13 +4,14 @@
 // 12-hour Summit submissions (§2.2.5) run as a product instead of a
 // batch script.
 //
-// Clients create campaigns over an HTTP/JSON API, poll or stream
-// per-generation events (SSE with a long-poll fallback), and fetch
-// frontiers and full campaign records.  Every campaign shares one
-// elastic worker fleet through the configured evaluator — typically the
-// in-process lease scheduler (cluster.Evaluator), wrapped in the shared
-// genome-keyed memo cache — while keeping its own RNG stream, EA context
-// and event ring.
+// Clients create campaigns over an HTTP/JSON API, follow per-generation
+// events by long-poll (?after=<seq>&wait_ms=<ms>), and fetch frontiers
+// and full campaign records.  Every campaign shares one elastic worker
+// fleet through the configured evaluator — typically the in-process
+// lease scheduler (cluster.Evaluator), wrapped in the shared genome-keyed
+// memo cache — while keeping its own RNG stream, EA context and event
+// ring.  The fleet's workers hold the one time limit on an evaluation
+// (their TaskTimeout, the paper's two hours); the service arms none.
 //
 // Execution is *laned*.  Every run of a campaign is a lane, and a lane
 // is one engine run: hpo.ContinueRun with seed BaseSeed + run, whose

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/ea"
 	"repro/internal/service"
 	"repro/internal/surrogate"
@@ -69,7 +71,6 @@ func TestSpecValidation(t *testing.T) {
 		{Tenant: "ok", Generations: intp(-1)}, // negative gens
 		{Tenant: "ok", AnnealFactor: -0.5},    // negative anneal
 		{Tenant: "ok", Name: "bad name"},      // bad name charset
-		{Tenant: "ok", EvalTimeoutMS: -1},     // negative timeout
 	}
 	for i, sp := range bad {
 		if _, err := svc.Create(sp); err == nil {
@@ -406,12 +407,12 @@ func TestInFlightQuotaSpansCampaigns(t *testing.T) {
 	}
 }
 
-// TestQuotaWaitIsNotEvaluationTime holds the paper's time limit to the
-// evaluation itself (§2.2.4): an individual waiting for its tenant's
-// in-flight quota is not yet being evaluated, so neither its timeout nor
-// its runtime runs.  Four 40 ms evaluations through a quota of one take
-// 160 ms end to end; none may time out against a 100 ms limit.  Once the
-// campaign is done, its tenant holds no evaluation goroutine.
+// TestQuotaWaitIsNotEvaluationTime holds runtime_ms to the evaluation
+// itself (§2.2.4): an individual waiting for its tenant's in-flight quota
+// is not yet being evaluated, so its runtime does not run.  Four 40 ms
+// evaluations through a quota of one take 160 ms end to end; each must
+// report under 100 ms.  Once the campaign is done, its tenant holds no
+// evaluation goroutine.
 func TestQuotaWaitIsNotEvaluationTime(t *testing.T) {
 	slow := ea.EvaluatorFunc(func(ctx context.Context, g ea.Genome) (ea.Fitness, error) {
 		select {
@@ -427,7 +428,7 @@ func TestQuotaWaitIsNotEvaluationTime(t *testing.T) {
 		cfg.DisableMemo = true
 	})
 	c, err := svc.Create(service.Spec{
-		Tenant: "alice", Runs: 1, PopSize: 4, Generations: intp(0), Parallelism: 4, EvalTimeoutMS: 100,
+		Tenant: "alice", Runs: 1, PopSize: 4, Generations: intp(0), Parallelism: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -447,6 +448,45 @@ func TestQuotaWaitIsNotEvaluationTime(t *testing.T) {
 			t.Fatalf("%d evaluation goroutines left after the tenant's only campaign finished", workerGoroutines())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestWorkerCapsServedEvaluations: on the served route the worker's
+// TaskTimeout is the one cap on an evaluation, as the paper's two-hour
+// limit ran inside the Dask worker's task (§2.2.4).  Handlers that
+// outlast it cost their individuals MAXINT fitness, with the worker's
+// timeout as the recorded cause, and the campaign still finishes.
+func TestWorkerCapsServedEvaluations(t *testing.T) {
+	const evalCap = 20 * time.Millisecond
+	release := make(chan struct{})
+	hung := func(context.Context, []byte) ([]byte, error) {
+		<-release // ignores its context, like a hung training
+		return nil, errors.New("released after the test")
+	}
+	lc, err := cluster.NewLocalCluster(2, hung, evalCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lc.Close() })
+	t.Cleanup(func() { close(release) })
+	svc := newTestService(t, func(cfg *service.Config) {
+		cfg.Evaluator = &cluster.Evaluator{Client: lc.Scheduler}
+		cfg.Scheduler = lc.Scheduler
+	})
+	c, err := svc.Create(service.Spec{Tenant: "alice", Runs: 1, PopSize: 4, Generations: intp(1), BaseSeed: 5, Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, c, service.StateDone)
+	if st := c.Status(); st.Evaluations != 8 || st.Failures != 8 {
+		t.Fatalf("status = %+v, want all 8 evaluations failed", st)
+	}
+	for _, gen := range c.Result().Runs[0].Generations {
+		for _, ind := range gen.Evaluated {
+			if !slices.Equal(ind.Fitness, ea.FailureFitness(2)) || ind.Err == nil || !strings.Contains(ind.Err.Error(), ea.ErrEvalTimeout.Error()) {
+				t.Fatalf("individual %s: fitness %v, err %v; want MAXINT and %q", ind.ID, ind.Fitness, ind.Err, ea.ErrEvalTimeout)
+			}
+		}
 	}
 }
 

@@ -2,7 +2,7 @@
 # serve_smoke.sh — end-to-end smoke of the campaign service binary.
 #
 # Boots `cmd/serve` on a local fleet, drives one tiny campaign over the
-# HTTP API (create, SSE event stream, frontier, /metrics), SIGTERMs the
+# HTTP API (create, long-polled event feed, frontier, /metrics), SIGTERMs the
 # process and requires a clean drain and a checkpoint with a header first
 # and a state line last, then restarts it on the same
 # checkpoint directory and requires the campaign — frontier and /result
@@ -13,7 +13,8 @@
 # and `-heartbeat` to be rejected by the flag package: the fleet's time
 # limits are declared once in the code, and a script that still passes
 # one of those flags must fail loudly.  `serve -no-memo` is gone too: the
-# shared memo cache is always on.
+# shared memo cache is always on.  So is a spec's `eval_timeout_ms`: the
+# worker's execution cap is the only one, and a POST carrying it gets 400.
 #
 # Usage:
 #   scripts/serve_smoke.sh          # CI entry point
@@ -70,20 +71,30 @@ for gone in serve:lease serve:no-memo cluster:task-timeout cluster:heartbeat; do
 done
 
 # create_and_wait TAG — creates the tiny campaign and prints its id once
-# the SSE stream (saved to $WORK/events-TAG.sse) reports it done.
+# its event feed (saved to $WORK/events-TAG.json) reports it done.
 create_and_wait() {
-    local create id
+    local create id batch after=0 deadline=$((SECONDS + 60))
     create="$(curl -sSf -X POST "$BASE/v1/campaigns" \
         -H 'Content-Type: application/json' \
         -d '{"tenant":"smoke","name":"tiny","runs":1,"pop_size":5,"generations":2,"base_seed":7}')"
     id="$(printf '%s' "$create" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
     [[ -n "$id" ]] || fail "create returned no campaign id: $create"
-    # The SSE stream replays the full event backlog and closes itself once
-    # the campaign is terminal, so this curl doubles as the run-to-done wait.
-    curl -sSf -N -m 60 -H 'Accept: text/event-stream' \
-        "$BASE/v1/campaigns/$id/events" >"$WORK/events-$1.sse"
-    grep -q 'event: generation' "$WORK/events-$1.sse" || fail "SSE stream has no generation events" "$WORK/events-$1.sse"
-    grep -q 'event: done' "$WORK/events-$1.sse" || fail "SSE stream never reached done" "$WORK/events-$1.sse"
+    # Follow the feed as a client does: each poll returns the events past
+    # the cursor, waiting up to 10 s for one, and its "next" is the cursor
+    # of the next poll.  The first terminal event doubles as the run-to-done wait.
+    : >"$WORK/events-$1.json"
+    until grep -Eq '"type":"(done|failed|cancelled|suspended)"' "$WORK/events-$1.json"; do
+        ((SECONDS < deadline)) || fail "campaign $id reached no terminal event in 60 s" "$WORK/events-$1.json"
+        batch="$(curl -sSf -m 20 "$BASE/v1/campaigns/$id/events?after=$after&wait_ms=10000")"
+        printf '%s\n' "$batch" >>"$WORK/events-$1.json"
+        after="$(printf '%s' "$batch" | sed -n 's/.*"next":\([0-9]*\)}$/\1/p')"
+        [[ -n "$after" ]] || fail "event poll returned no next cursor: $batch"
+    done
+    grep -q '"type":"generation"' "$WORK/events-$1.json" || fail "event feed has no generation events" "$WORK/events-$1.json"
+    grep -q '"type":"done"' "$WORK/events-$1.json" || fail "event feed never reached done" "$WORK/events-$1.json"
+    # The cursor is the end of the feed: polling from it returns nothing.
+    batch="$(curl -sSf "$BASE/v1/campaigns/$id/events?after=$after&wait_ms=0")"
+    [[ "$batch" == "{\"events\":[],\"next\":$after}" ]] || fail "poll past the end after $after returned $batch"
     printf '%s' "$id"
 }
 
@@ -91,12 +102,18 @@ create_and_wait() {
 SERVE_PID=$!
 wait_line "$WORK/serve.log" "serve listening on"
 
+code="$(curl -sS -o "$WORK/eval_timeout.json" -w '%{http_code}' -X POST "$BASE/v1/campaigns" \
+    -H 'Content-Type: application/json' \
+    -d '{"tenant":"smoke","runs":1,"pop_size":2,"generations":0,"eval_timeout_ms":1000}')"
+[[ "$code" == 400 ]] && grep -q 'eval_timeout_ms' "$WORK/eval_timeout.json" ||
+    fail "a spec carrying eval_timeout_ms got $code, want 400 naming the field" "$WORK/eval_timeout.json"
+
 id="$(create_and_wait local)"
 
 status="$(curl -sSf "$BASE/v1/campaigns/$id")"
 case "$status" in
 *'"state":"done"'*) ;;
-*) fail "campaign not done after SSE close: $status" ;;
+*) fail "campaign not done after its done event: $status" ;;
 esac
 
 curl -sSf "$BASE/v1/campaigns/$id/frontier" >"$WORK/frontier.json"
